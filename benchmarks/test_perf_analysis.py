@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import sweep
+from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_analysis.json"
@@ -44,6 +45,12 @@ GRID = dict(
     workers=4,
 )
 N_DISTINCT = 2
+
+
+def _run_grid(**kwargs):
+    axes = {k: v for k, v in GRID.items() if k != "workers"}
+    grid = GridSpec(buffers_bdp=BUFFERS_BDP, **axes)
+    return sweep.run_campaign(grid, workers=GRID["workers"], **kwargs).points
 MIN_SPEEDUP = 1.3
 
 
@@ -63,9 +70,7 @@ def test_perf_prune_analytic(benchmark, tmp_path):
     sweep.clear_cache()
     cold_store = SweepStore(tmp_path / "cold.jsonl")
     start = time.perf_counter()
-    cold_points = sweep.run_sweep(
-        buffers_bdp=BUFFERS_BDP, store=cold_store, **GRID
-    )
+    cold_points = _run_grid(store=cold_store)
     cold_s = time.perf_counter() - start
     assert len(cold_store) == len(BUFFERS_BDP)
     assert all("pruned" not in r["meta"] for r in cold_store.select())
@@ -74,12 +79,7 @@ def test_perf_prune_analytic(benchmark, tmp_path):
     pruned_store = SweepStore(tmp_path / "pruned.jsonl")
     start = time.perf_counter()
     pruned_points = benchmark.pedantic(
-        lambda: sweep.run_sweep(
-            buffers_bdp=BUFFERS_BDP,
-            store=pruned_store,
-            prune_analytic=True,
-            **GRID,
-        ),
+        lambda: _run_grid(store=pruned_store, prune_analytic=True),
         rounds=1,
         iterations=1,
     )

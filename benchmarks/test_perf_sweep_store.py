@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 from repro.experiments import sweep
+from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 from repro.metrics.aggregate import AggregateMetrics
 
@@ -61,7 +62,7 @@ def test_perf_sweep_store(benchmark, tmp_path):
     sweep.clear_cache()
     cold_store = SweepStore(store_path)
     start = time.perf_counter()
-    cold_points = sweep.run_sweep(seeds=SEEDS, store=cold_store, **GRID)
+    cold_points = sweep.run_campaign(GridSpec(seeds=SEEDS, **GRID), store=cold_store).points
     cold_s = time.perf_counter() - start
     assert len(cold_store) == n_replicas
 
@@ -71,7 +72,7 @@ def test_perf_sweep_store(benchmark, tmp_path):
     warm_store = SweepStore(store_path)
     start = time.perf_counter()
     warm_points = benchmark.pedantic(
-        lambda: sweep.run_sweep(seeds=SEEDS, store=warm_store, **GRID),
+        lambda: sweep.run_campaign(GridSpec(seeds=SEEDS, **GRID), store=warm_store).points,
         rounds=1,
         iterations=1,
     )

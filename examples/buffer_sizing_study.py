@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import report, sweep
+from repro.experiments import GridSpec, report, sweep
 
 
 def main(csv_path: str | None = None) -> None:
     mixes = ["BBRv1", "BBRv2", "BBRv1/RENO", "BBRv2/RENO"]
     buffers = [1.0, 2.0, 4.0, 7.0]
 
-    points = sweep.run_sweep(
-        mixes=mixes,
-        buffers_bdp=buffers,
-        disciplines=["droptail", "red"],
-        duration_s=4.0,
-    )
+    grid = GridSpec(mixes=mixes, buffers_bdp=buffers, disciplines=["droptail", "red"], duration_s=4.0)
+    points = sweep.run_campaign(grid).points
 
     for metric, title in [
         ("jain_fairness", "Jain fairness (Fig. 6)"),

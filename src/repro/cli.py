@@ -103,7 +103,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import units
@@ -113,6 +113,7 @@ from .emulation.runner import emulate
 from .experiments import figures, phase, presets, report, scenarios, sweep
 from .experiments.backends import BACKENDS
 from .experiments.executor import ExecutorPolicy
+from .experiments.grid import GridSpec
 from .experiments.store import SweepStore, resolve_store
 from .experiments.summary import render_summary, summarize_store
 from .metrics.aggregate import aggregate_metrics, link_metrics
@@ -265,32 +266,6 @@ def _add_hop_list_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_hop_axis(args: argparse.Namespace, preset: str | None):
-    """Parse/validate the heterogeneous hop flags into normalised tuples.
-
-    Raises :class:`ValueError` with a flag-level message on non-numeric
-    entries; length/positivity/discipline validation is delegated to
-    :func:`repro.experiments.scenarios.validate_hop_axis`.
-    """
-    def floats(values: tuple[str, ...] | None, flag: str):
-        if values is None:
-            return None
-        try:
-            return tuple(float(v) for v in values)
-        except ValueError:
-            raise ValueError(
-                f"{flag} expects a comma list of numbers, got {','.join(values)!r}"
-            ) from None
-
-    return scenarios.validate_hop_axis(
-        args.hops,
-        floats(args.hop_capacities, "--hop-capacities"),
-        floats(args.hop_delays, "--hop-delays"),
-        args.hop_disciplines,
-        preset=preset or "dumbbell",
-    )
-
-
 def _add_topology_axis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology",
@@ -343,16 +318,23 @@ def _add_churn_axis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("sweep", help="run the aggregate-validation sweep")
+def _add_grid_flags(
+    parser: argparse.ArgumentParser, substrate: str, buffers: Sequence[float]
+) -> None:
+    """The grid axes shared by ``sweep``, ``campaign`` and ``status``."""
     parser.add_argument(
-        "--substrate", choices=["fluid", "emulation", "analytic"], default="fluid"
+        "--substrate", choices=["fluid", "emulation", "analytic"], default=substrate
     )
-    parser.add_argument("--buffers", type=float, nargs="+", default=list(figures.DEFAULT_SWEEP_BUFFERS))
+    parser.add_argument("--buffers", type=float, nargs="+", default=list(buffers))
     parser.add_argument("--mixes", nargs="+", default=list(scenarios.CCA_MIXES))
     parser.add_argument("--disciplines", nargs="+", default=list(scenarios.DISCIPLINES))
     parser.add_argument("--duration", type=float, default=5.0)
     parser.add_argument("--short-rtt", action="store_true")
+
+
+def _add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
+    parser = subparsers.add_parser("sweep", help="run the aggregate-validation sweep")
+    _add_grid_flags(parser, "fluid", figures.DEFAULT_SWEEP_BUFFERS)
     parser.add_argument("--csv", type=str, default=None, help="write results to this CSV file")
     _add_replication_flags(parser)
     _add_topology_axis_flags(parser)
@@ -380,18 +362,7 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         "campaign",
         help="run (or resume) a seed-replicated sweep over the full grid and export it",
     )
-    parser.add_argument(
-        "--substrate",
-        choices=["fluid", "emulation", "analytic"],
-        default="emulation",
-    )
-    parser.add_argument(
-        "--buffers", type=float, nargs="+", default=list(scenarios.BUFFER_SWEEP_BDP)
-    )
-    parser.add_argument("--mixes", nargs="+", default=list(scenarios.CCA_MIXES))
-    parser.add_argument("--disciplines", nargs="+", default=list(scenarios.DISCIPLINES))
-    parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--short-rtt", action="store_true")
+    _add_grid_flags(parser, "emulation", scenarios.BUFFER_SWEEP_BDP)
     parser.add_argument(
         "--csv", type=str, default=None, help="write the mean/std/CI summary rows to this CSV file"
     )
@@ -579,18 +550,7 @@ def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
         default=None,
         help="force the store backend (default: inferred from the path)",
     )
-    parser.add_argument(
-        "--substrate",
-        choices=["fluid", "emulation", "analytic"],
-        default="emulation",
-    )
-    parser.add_argument(
-        "--buffers", type=float, nargs="+", default=list(scenarios.BUFFER_SWEEP_BDP)
-    )
-    parser.add_argument("--mixes", nargs="+", default=list(scenarios.CCA_MIXES))
-    parser.add_argument("--disciplines", nargs="+", default=list(scenarios.DISCIPLINES))
-    parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--short-rtt", action="store_true")
+    _add_grid_flags(parser, "emulation", scenarios.BUFFER_SWEEP_BDP)
     parser.add_argument(
         "--seeds",
         type=int,
@@ -797,39 +757,16 @@ def _summary_display_rows(points: Sequence[sweep.SummaryPoint]) -> list[dict[str
     return rows
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
+def _run_aggregate_sweep(args: argparse.Namespace) -> int:
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.topology
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        points = sweep.run_sweep(
-            mixes=args.mixes,
-            buffers_bdp=args.buffers,
-            disciplines=args.disciplines,
-            substrate=args.substrate,
-            short_rtt=args.short_rtt,
-            duration_s=args.duration,
+        points = sweep.run_campaign(
+            _grid_from_args(args),
             workers=args.workers,
-            seeds=args.seeds,
             store=resolve_store(args.store, backend=args.backend),
-            topology=args.topology,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
-            arrivals=args.arrivals,
-            flow_size_dist=args.flow_size_dist,
-            load=args.load,
-            flows=args.flows,
             prune_analytic=args.prune_analytic,
             shard_index=args.shard_index,
             shard_count=args.shard_count,
-        )
+        ).points
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -909,54 +846,56 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_campaign_preset(
-    args: argparse.Namespace, defaults_argv: Sequence[str] = ("campaign",)
-) -> presets.CampaignPreset:
-    """Merge a ``--preset`` file into the parsed args (explicit flags win).
+#: CLI flag dests whose :class:`GridSpec` field is spelled differently.
+_GRID_FIELD_OF_DEST = {"buffers": "buffers_bdp", "duration": "duration_s"}
+_GRID_FIELDS = {f.name for f in fields(GridSpec)}
 
-    A flag counts as explicitly passed when it appears in the raw argv
-    (stashed by :func:`main`) — so ``--substrate emulation`` overrides a
-    preset's ``substrate: fluid`` even though emulation is the parser
-    default.  Without the argv stash (programmatic callers building their
-    own namespace) the merge falls back to diffing against the parser
-    defaults, where a flag passed *at* its default lets the preset win.
-    ``defaults_argv`` names the subcommand whose parser defaults the diff
-    runs against (``status`` shares the campaign grid axes).
+
+def _hop_floats(values: tuple[str, ...] | None, flag: str) -> tuple[float, ...] | None:
+    if values is None:
+        return None
+    try:
+        return tuple(float(v) for v in values)
+    except ValueError:
+        raise ValueError(
+            f"{flag} expects a comma list of numbers, got {','.join(values)!r}"
+        ) from None
+
+
+def _grid_from_args(
+    args: argparse.Namespace, preset: presets.CampaignPreset | None = None
+) -> GridSpec:
+    """The :class:`GridSpec` named by the grid flags, layered over ``preset``.
+
+    With a preset, only explicitly passed flags override its grid.  A flag
+    counts as explicit when it appears in the raw argv (stashed by
+    :func:`main`) — so ``--substrate emulation`` overrides a preset's
+    ``substrate: fluid`` even though emulation is the parser default — or,
+    for namespaces built without the argv stash, when its value differs
+    from the parser default.  Raises :class:`ValueError` on a malformed
+    grid.
     """
-    preset = presets.load_preset(args.preset)
-    explicit = {
+    values = {
+        _GRID_FIELD_OF_DEST.get(dest, dest): value
+        for dest, value in vars(args).items()
+        if _GRID_FIELD_OF_DEST.get(dest, dest) in _GRID_FIELDS
+    }
+    values["hop_capacities"] = _hop_floats(values["hop_capacities"], "--hop-capacities")
+    values["hop_delays"] = _hop_floats(values["hop_delays"], "--hop-delays")
+    if preset is None:
+        return GridSpec(**values)
+    passed = {
         token[2:].split("=", 1)[0].replace("-", "_")
         for token in getattr(args, "_argv", None) or []
         if token.startswith("--")
     }
-    defaults = build_parser().parse_args(list(defaults_argv))
-    merges = [
-        ("substrate", preset.substrate),
-        ("seeds", preset.seeds),
-        ("duration", preset.duration_s),
-        ("short_rtt", preset.short_rtt),
-        ("mixes", preset.mixes),
-        ("buffers", preset.buffers_bdp),
-        ("disciplines", preset.disciplines),
-        ("topology", preset.topology),
-        ("hops", preset.hops),
-        ("cross_flows", preset.cross_flows),
-        ("hop_capacities", preset.hop_capacities),
-        ("hop_delays", preset.hop_delays),
-        ("hop_disciplines", preset.hop_disciplines),
-        ("arrivals", preset.arrivals),
-        ("flow_size_dist", preset.flow_size_dist),
-        ("load", preset.load),
-        ("flows", preset.flows),
-    ]
-    for flag, value in merges:
-        if (
-            value is not None
-            and flag not in explicit
-            and getattr(args, flag) == getattr(defaults, flag)
-        ):
-            setattr(args, flag, value)
-    return preset
+    defaults = vars(build_parser().parse_args([args.command]))
+    explicit = {
+        _GRID_FIELD_OF_DEST.get(dest, dest)
+        for dest in defaults
+        if dest in passed or getattr(args, dest, None) != defaults[dest]
+    }
+    return replace(preset.grid, **{k: v for k, v in values.items() if k in explicit})
 
 
 def _campaign_policy(
@@ -978,17 +917,9 @@ def _campaign_policy(
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
-    preset = None
-    if args.preset:
-        try:
-            preset = _apply_campaign_preset(args)
-        except presets.PresetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.topology
-        )
+        preset = presets.load_preset(args.preset) if args.preset else None
+        grid = _grid_from_args(args, preset)
         policy = _campaign_policy(args, preset)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1015,24 +946,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
         )
     try:
         result = sweep.run_campaign(
-            mixes=args.mixes,
-            buffers_bdp=args.buffers,
-            disciplines=args.disciplines,
-            substrate=args.substrate,
-            short_rtt=args.short_rtt,
-            duration_s=args.duration,
-            seeds=args.seeds,
+            grid,
             store=store,
-            topology=args.topology,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
-            arrivals=args.arrivals,
-            flow_size_dist=args.flow_size_dist,
-            load=args.load,
-            flows=args.flows,
             executor=policy,
             retry_failed=retry_failed,
             trace=args.trace,
@@ -1069,93 +984,18 @@ def _run_campaign(args: argparse.Namespace) -> int:
         path = report.write_csv(args.csv, rows)
         print(f"wrote {path}")
     if args.per_seed_csv:
-        arrivals, flow_size_dist, load, flows = sweep.normalize_churn_axis(
-            args.arrivals, args.flow_size_dist, args.load, args.flows
-        )
-        # With hop_disciplines set, every point is labelled (and stored)
-        # under the per-hop composite, not the swept discipline value.
-        if hop_disciplines is not None:
-            export_disciplines = [sweep.hop_discipline_label(hop_disciplines)]
-        else:
-            export_disciplines = args.disciplines
         if store is not None:
-            # The store indexes every per-seed record this campaign just
-            # ran (or resumed); restrict it to this campaign's grid since
-            # the file may hold other campaigns too.
-            wanted = {
-                (discipline, mix, float(buffer_bdp))
-                for discipline in export_disciplines
-                for mix in args.mixes
-                for buffer_bdp in args.buffers
-            }
-            # The topology axis is part of the record identity: a dumbbell
-            # campaign must not export parking-lot rows sharing the same
-            # (mix, buffer, discipline) coordinates, and a hops=3 campaign
-            # must not export hops=4 rows from the same store file.
-            topology = None if args.topology in (None, "dumbbell") else args.topology
-            # The churn axis is symmetric too: a long-lived-flow campaign
-            # (arrivals None, absent from meta) must not export churn rows
-            # sharing its (mix, buffer, discipline) coordinates, and a
-            # churn campaign only exports its exact workload.
-            filters = dict(
-                substrate=args.substrate,
-                short_rtt=args.short_rtt,
-                duration_s=args.duration,
-                topology=topology,
-                arrivals=arrivals,
-            )
-            if arrivals is not None:
-                filters["flow_size_dist"] = flow_size_dist
-                filters["load"] = load
-                filters["flows"] = flows
-            if topology is not None:
-                filters["hops"] = args.hops
-                filters["cross_flows"] = args.cross_flows
-                # Symmetric on purpose: a homogeneous campaign (filter
-                # None) must not export heterogeneous rows that share its
-                # (mix, buffer, discipline) coordinates, and vice versa.
-                filters["hop_capacities"] = (
-                    list(hop_capacities) if hop_capacities is not None else None
-                )
-                filters["hop_delays"] = (
-                    list(hop_delays) if hop_delays is not None else None
-                )
-                filters["hop_disciplines"] = (
-                    list(hop_disciplines) if hop_disciplines is not None else None
-                )
+            # Exactly the stored records of this grid — one row per distinct
+            # key, the points ``status`` counts — since the store may hold
+            # other campaigns too.
+            records = {record["key"]: record for record in store.select()}
             per_seed = [
-                row
-                for row in store.rows(**filters)
-                if (row["discipline"], row["mix"], row["buffer_bdp"]) in wanted
+                {**records[p.key]["meta"], **records[p.key]["metrics"]}
+                for p in sweep.distinct_points(grid, args.shard_index, args.shard_count)
+                if p.key in records
             ]
         else:
-            # No store: recover the replicas from the in-process cache.
-            per_seed = [
-                sweep.run_point(
-                    mix,
-                    buffer_bdp,
-                    discipline,
-                    substrate=args.substrate,
-                    short_rtt=args.short_rtt,
-                    duration_s=args.duration,
-                    seed=seed,
-                    store=False,
-                    topology=args.topology,
-                    hops=args.hops,
-                    cross_flows=args.cross_flows,
-                    hop_capacities=hop_capacities,
-                    hop_delays=hop_delays,
-                    hop_disciplines=hop_disciplines,
-                    arrivals=arrivals,
-                    flow_size_dist=flow_size_dist,
-                    load=load,
-                    flows=flows,
-                ).row()
-                for discipline in export_disciplines
-                for mix in args.mixes
-                for buffer_bdp in args.buffers
-                for seed in sweep._seed_list(args.seeds)
-            ]
+            per_seed = [point.row() for point in result.replicas]
         path = report.write_csv(args.per_seed_csv, per_seed)
         print(f"wrote {path}")
     if store is not None:
@@ -1197,9 +1037,6 @@ def _topology_flow_rows(config, trace, substrate: str) -> list[dict[str, object]
 
 def _run_topology(args: argparse.Namespace) -> int:
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.preset
-        )
         config = scenarios.topology_scenario(
             args.preset,
             mix=args.mix,
@@ -1210,9 +1047,9 @@ def _run_topology(args: argparse.Namespace) -> int:
             discipline=args.discipline,
             duration_s=args.duration,
             seed=args.seed,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
+            hop_capacities=_hop_floats(args.hop_capacities, "--hop-capacities"),
+            hop_delays=_hop_floats(args.hop_delays, "--hop-delays"),
+            hop_disciplines=args.hop_disciplines,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1332,13 +1169,11 @@ def _run_store(args: argparse.Namespace) -> int:
 
 
 def _run_status(args: argparse.Namespace) -> int:
-    preset = None
-    if args.preset:
-        try:
-            preset = _apply_campaign_preset(args, defaults_argv=("status",))
-        except presets.PresetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        preset = presets.load_preset(args.preset) if args.preset else None
+    except presets.PresetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     store_spec = args.store
     backend = args.backend
     if preset is not None and store_spec is None:
@@ -1351,29 +1186,8 @@ def _run_status(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        hop_capacities, hop_delays, hop_disciplines = _parse_hop_axis(
-            args, args.topology
-        )
-        grid = sweep.grid_point_keys(
-            mixes=args.mixes,
-            buffers_bdp=args.buffers,
-            disciplines=args.disciplines,
-            substrate=args.substrate,
-            short_rtt=args.short_rtt,
-            duration_s=args.duration,
-            seeds=args.seeds,
-            topology=args.topology,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            hop_capacities=hop_capacities,
-            hop_delays=hop_delays,
-            hop_disciplines=hop_disciplines,
-            arrivals=args.arrivals,
-            flow_size_dist=args.flow_size_dist,
-            load=args.load,
-            flows=args.flows,
-            shard_index=args.shard_index,
-            shard_count=args.shard_count,
+        grid = sweep.distinct_points(
+            _grid_from_args(args, preset), args.shard_index, args.shard_count
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1388,13 +1202,13 @@ def _run_status(args: argparse.Namespace) -> int:
         done: list[dict] = []
         failed: list[dict] = []
         remaining: list[dict] = []
-        for coords, key in grid:
-            if key in store:
-                done.append(coords)
-            elif key in failed_keys:
-                failed.append(coords)
+        for point in grid:
+            if point.key in store:
+                done.append(point.coords())
+            elif point.key in failed_keys:
+                failed.append(point.coords())
             else:
-                remaining.append(coords)
+                remaining.append(point.coords())
         store_path = str(store.path)
     finally:
         store.close()
@@ -1594,7 +1408,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         obs_log.set_level("debug")
     handlers = {
         "trace": _run_trace,
-        "sweep": _run_sweep,
+        "sweep": _run_aggregate_sweep,
         "figure": _run_figure,
         "campaign": _run_campaign,
         "topology": _run_topology,

@@ -4,7 +4,7 @@ Generic linters know nothing about the invariants this repo's fidelity
 rests on: deterministic simulation kernels, named RNG streams derived via
 :func:`repro.emulation.runner.derive_rng`, and scenario cache keys that
 must cover *every* semantics-bearing knob.  The same invariant violations
-were fixed by hand twice (PR 3's ``_cache_key`` seed aliasing, PR 5's
+were fixed by hand twice (seed aliasing in the old in-memory key, then
 per-hop-discipline keying + ``SCHEMA_VERSION`` bump); this package encodes
 them as machine-checked rules, surfaced as ``repro-bbr check`` and enforced
 in CI.
@@ -16,7 +16,7 @@ Four checkers ship today (see each module for the rule ids):
 * :mod:`.rng` — ``derive_rng`` stream-label hygiene: literal, prefix-unique
   labels, no arithmetic on the seed (``RNG0xx``),
 * :mod:`.cachekey` — cache-key completeness by *mutation probing*: every
-  config field and sweep-axis parameter must change the stored key, and
+  config field and campaign-grid field must change the stored key, and
   the hashed-field set may not drift without a ``SCHEMA_VERSION`` bump
   (``CACHE0xx``),
 * :mod:`.unitcheck` — the ``_s``/``_mbps``/``_packets``/``_bdp`` suffix

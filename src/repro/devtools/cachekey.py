@@ -2,10 +2,10 @@
 
 A single unhashed config field corrupts an entire stored campaign: two
 semantically different scenarios alias onto one record and the store serves
-one's metrics for the other.  This was fixed by hand twice (PR 3: seed and
-sampling parameters missing from ``sweep._cache_key``; PR 5: per-hop
+one's metrics for the other.  This was fixed by hand twice (seed and
+sampling parameters missing from the old in-memory sweep key, then per-hop
 disciplines keyed under the wrong label).  This checker machine-checks the
-invariant three ways:
+invariant four ways:
 
 * ``CACHE001`` — **mutation probing**: for every dataclass field of the
   config layer (:class:`~repro.config.ScenarioConfig` and everything it
@@ -13,28 +13,22 @@ invariant three ways:
   :func:`~repro.experiments.store.scenario_key` to change.  Intentionally
   excluded (field, substrate) pairs live in :data:`ALLOWED_UNHASHED`, each
   with a justification.
-* ``CACHE002`` — **axis coverage**: every scenario-shaping parameter of
-  ``run_point``/``run_sweep`` must appear in ``sweep._cache_key`` *and*
-  ``sweep._store_meta`` (execution-only parameters such as ``workers`` are
-  allowlisted in :data:`EXECUTION_PARAMS`).
+* ``CACHE002`` — **grid coverage**: the same mutation probe over every
+  field of :class:`~repro.experiments.grid.GridSpec` (the campaign grid
+  the CLI, presets and the campaign engine share): mutating a field must
+  change some point's scenario key on at least one substrate, or the field
+  steers nothing the store can tell apart.
 * ``CACHE003`` — a config field the probe generator cannot mutate: the
   probe table must grow with the config layer, so new fields cannot dodge
   the check by being unprobeable.
 * ``CACHE004`` — **schema drift**: the hashed-field set (config fields +
-  key/meta parameters + campaign-preset fields) is fingerprinted into the
-  committed ``schema_fingerprint.json``; any drift without a matching
+  grid fields) is fingerprinted into the committed
+  ``schema_fingerprint.json``; any drift without a matching
   ``SCHEMA_VERSION`` bump (and fingerprint regeneration via ``repro-bbr
   check --update-schema-fingerprint``) is flagged.
-* ``CACHE005`` — **preset coverage**: every
-  :class:`~repro.experiments.presets.CampaignPreset` field must either be
-  a declared execution-machinery field
-  (:data:`~repro.experiments.presets.PRESET_EXECUTION_FIELDS`) or reach
-  ``sweep._cache_key`` under its (aliased) parameter name — a preset knob
-  that steers the scenario but not the key would alias different
-  campaigns onto shared store records.
 
 All entry points take the functions/classes under test as parameters so the
-test suite can probe synthetic configs and deliberately broken key
+test suite can probe synthetic configs, grids and deliberately broken key
 functions (see ``tests/test_devtools.py``).
 """
 
@@ -44,6 +38,7 @@ import dataclasses
 import inspect
 import json
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -55,9 +50,9 @@ from ..config import (
     ScenarioConfig,
     TopologyConfig,
 )
-from ..experiments import presets as presets_mod
 from ..experiments import store as store_mod
-from ..experiments import sweep as sweep_mod
+from ..experiments.grid import SUBSTRATES, GridSpec
+from ..experiments.scenarios import CCA_MIXES
 from ..topology import parking_lot
 from .base import CheckContext
 from .findings import Finding
@@ -85,55 +80,6 @@ ALLOWED_UNHASHED: dict[tuple[str, str, str], str] = {
         "points deliberately share one stored record"
     ),
 }
-
-#: ``run_point``/``run_sweep`` parameters that steer *execution*, not the
-#: scenario semantics, and therefore must not be hashed.
-EXECUTION_PARAMS: dict[str, str] = {
-    "use_cache": "cache bypass switch; no effect on results",
-    "store": "which store file to persist into; no effect on results",
-    "seeds": "replication axis — expands into per-seed points keyed by 'seed'",
-    "workers": "process-pool width; no effect on results",
-    "executor": (
-        "executor policy (pool width, retries, backoff, timeouts, heartbeat, "
-        "on_failure); retries recompute the same scenario, so no effect on "
-        "results"
-    ),
-    "retry_failed": (
-        "resume behaviour for recorded failure rows (recompute vs re-report); "
-        "never changes what a successful point computes"
-    ),
-    "trace": (
-        "telemetry span-log destination (repro.obs); pure observability — "
-        "scenario keys and metric values are bit-identical with tracing on "
-        "or off"
-    ),
-    "prune_analytic": (
-        "grid pre-pass that serves provably-identical points from an "
-        "analytically certified twin; pruned rows are stored under their "
-        "own unchanged scenario keys with a 'pruned' provenance block, so "
-        "the stored results are the same with pruning on or off"
-    ),
-    "shard_index": (
-        "which slice of the grid this worker computes; sharding partitions "
-        "the task list by stored scenario key without changing any key or "
-        "any result"
-    ),
-    "shard_count": (
-        "how many slices the grid is partitioned into; execution placement "
-        "only — disjoint shards merge back into one store via "
-        "'repro-bbr store merge'"
-    ),
-}
-
-#: Plural grid axes of ``run_sweep`` and the per-point parameter each
-#: expands into (the grid is keyed point-by-point).
-SWEEP_AXIS_ALIASES: dict[str, str] = {
-    "mixes": "mix",
-    "buffers_bdp": "buffer_bdp",
-    "disciplines": "discipline",
-}
-
-SUBSTRATES = ("fluid", "emulation", "analytic")
 
 #: Committed fingerprint of the hashed-field set (next to this module).
 FINGERPRINT_FILE = Path(__file__).with_name("schema_fingerprint.json")
@@ -247,7 +193,30 @@ _FIELD_MUTATORS: dict[tuple[str, str], Callable[[Any], Any]] = {
     ) + tuple(links[1:]),
     ("TopologyConfig", "paths"): lambda paths: ((paths[0][0],),) + tuple(paths[1:]),
     ("TopologyConfig", "reference"): lambda ref: _other(ref, ("hop-1", "hop-2")),
+    # Grid fields (CACHE002); the topology base grid has hops=2.
+    ("GridSpec", "mixes"): lambda mixes: (_other(mixes[0], tuple(CCA_MIXES)),) + mixes[1:],
+    ("GridSpec", "buffers_bdp"): lambda buffers: tuple(b * 2.0 for b in buffers),
+    ("GridSpec", "disciplines"): lambda discs: (_other(discs[0], ("droptail", "red")),),
+    ("GridSpec", "seeds"): lambda seeds: (7,),
+    ("GridSpec", "substrate"): lambda substrate: _other(substrate, SUBSTRATES),
+    ("GridSpec", "topology"): lambda topo: _other(topo, ("parking-lot", "multi-dumbbell")),
+    ("GridSpec", "hop_capacities"): lambda caps: (50.0, 100.0),
+    ("GridSpec", "hop_delays"): lambda delays: (0.002, 0.004),
+    ("GridSpec", "hop_disciplines"): lambda discs: ("red", "droptail"),
+    ("GridSpec", "arrivals"): lambda arrivals: _other(arrivals, ("poisson", "staggered")),
+    ("GridSpec", "flow_size_dist"): lambda dist: _other(dist, ("pareto", "infinite")),
 }
+
+
+def _mutants(cls_name: str, field_name: str, current: Any) -> list[Any]:
+    """Candidate replacement values for one field (mutator, else by type)."""
+    mutator = _FIELD_MUTATORS.get((cls_name, field_name))
+    if mutator is None:
+        return list(_generic_mutants(current))
+    try:
+        return [mutator(current)]
+    except (ValueError, TypeError, AttributeError, KeyError):
+        return []
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,16 +307,8 @@ def check_scenario_key_coverage(
             continue
         for field in dataclasses.fields(target):
             current = getattr(target, field.name)
-            mutator = _FIELD_MUTATORS.get((probe.cls.__name__, field.name))
             mutated_config: ScenarioConfig | None = None
-            if mutator is not None:
-                try:
-                    candidates: list[Any] = [mutator(current)]
-                except (ValueError, TypeError, AttributeError, KeyError):
-                    candidates = []
-            else:
-                candidates = list(_generic_mutants(current))
-            for candidate in candidates:
+            for candidate in _mutants(probe.cls.__name__, field.name, current):
                 try:
                     mutated = dataclasses.replace(target, **{field.name: candidate})
                     mutated_config = probe.set(probe.base, mutated)
@@ -400,125 +361,87 @@ def check_scenario_key_coverage(
     return findings
 
 
-def _scenario_params(fn: Callable[..., Any], aliases: Mapping[str, str]) -> list[str]:
-    out = []
-    for name in inspect.signature(fn).parameters:
-        if name in EXECUTION_PARAMS:
+def default_grid_bases(grid_cls: type[GridSpec] = GridSpec) -> list[GridSpec]:
+    """One-point base grids: dumbbell, parking lot, churn (grid fields only
+    reach the key in their own context, e.g. ``hops`` on a topology)."""
+    dumbbell = grid_cls(
+        mixes=("BBRv1",), buffers_bdp=(1.0,), disciplines=("droptail",), duration_s=2.0
+    )
+    return [
+        dumbbell,
+        replace(dumbbell, topology="parking-lot", hops=2),
+        replace(dumbbell, arrivals="poisson", flows=5),
+    ]
+
+
+def _grid_keys(grid: GridSpec) -> frozenset[str]:
+    return frozenset(point.key for point in grid.points())
+
+
+def _changes_some_key(base: GridSpec, field_name: str, candidate: Any) -> bool:
+    """Whether ``field_name := candidate`` changes a key on any substrate."""
+    for substrate in SUBSTRATES:
+        try:
+            before = replace(base, substrate=substrate)
+            after = replace(before, **{field_name: candidate})
+            if _grid_keys(before) != _grid_keys(after):
+                return True
+        except (ValueError, TypeError):
             continue
-        out.append(aliases.get(name, name))
-    return out
+    return False
 
 
-def check_axis_coverage(
-    point_fn: Callable[..., Any] = sweep_mod.run_point,
-    sweep_fn: Callable[..., Any] | None = sweep_mod.run_sweep,
-    key_fn: Callable[..., tuple] = sweep_mod._cache_key,
-    meta_fn: Callable[..., dict] | None = sweep_mod._store_meta,
-    aliases: Mapping[str, str] = SWEEP_AXIS_ALIASES,
+def check_grid_key_coverage(
+    grid_cls: type[GridSpec] = GridSpec,
+    bases: Sequence[GridSpec] | None = None,
     root: Path | None = None,
 ) -> list[Finding]:
-    """Every scenario-shaping sweep parameter must reach the cache key/meta."""
+    """Mutation-probe every :class:`GridSpec` field against the scenario key."""
     findings: list[Finding] = []
-    key_params = set(inspect.signature(key_fn).parameters)
-    meta_params = set(inspect.signature(meta_fn).parameters) if meta_fn else None
-    path, line = _key_location(key_fn)
+    path, line = _key_location(grid_cls)
     path = _relpath(path, root)
-    sources: list[tuple[str, Callable[..., Any]]] = [(point_fn.__name__, point_fn)]
-    if sweep_fn is not None:
-        sources.append((sweep_fn.__name__, sweep_fn))
-    for fn_name, fn in sources:
-        for param in _scenario_params(fn, aliases):
-            if param not in key_params:
-                findings.append(
-                    Finding(
-                        rule="CACHE002",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"{fn_name}() parameter {param!r} is missing from "
-                            f"{key_fn.__name__}(): points differing only in it "
-                            "would alias onto one in-process cache slot"
-                        ),
-                        hint=(
-                            "thread the parameter through the cache key, or add "
-                            "it to EXECUTION_PARAMS with a justification if it "
-                            "cannot affect results"
-                        ),
-                    )
-                )
-            if meta_params is not None and param not in meta_params:
-                findings.append(
-                    Finding(
-                        rule="CACHE002",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"{fn_name}() parameter {param!r} is missing from "
-                            f"{meta_fn.__name__}(): stored rows could not be "
-                            "filtered or exported by it"
-                        ),
-                        hint="thread the parameter through the store meta",
-                    )
-                )
-    return findings
-
-
-def check_preset_coverage(
-    preset_cls: type = presets_mod.CampaignPreset,
-    key_fn: Callable[..., tuple] = sweep_mod._cache_key,
-    execution_fields: frozenset[str] = presets_mod.PRESET_EXECUTION_FIELDS,
-    aliases: Mapping[str, str] = SWEEP_AXIS_ALIASES,
-    root: Path | None = None,
-) -> list[Finding]:
-    """Every scenario-shaping campaign-preset field must reach the cache key."""
-    findings: list[Finding] = []
-    key_params = set(inspect.signature(key_fn).parameters)
-    path, line = _key_location(preset_cls)
-    path = _relpath(path, root)
-    for field in dataclasses.fields(preset_cls):
-        if field.name in execution_fields:
+    bases = bases if bases is not None else default_grid_bases(grid_cls)
+    for field in dataclasses.fields(grid_cls):
+        if any(
+            _changes_some_key(base, field.name, candidate)
+            for base in bases
+            for candidate in _mutants("GridSpec", field.name, getattr(base, field.name))
+        ):
             continue
-        param = aliases.get(field.name, field.name)
-        if param not in key_params:
-            findings.append(
-                Finding(
-                    rule="CACHE005",
-                    path=path,
-                    line=line,
-                    message=(
-                        f"{preset_cls.__name__}.{field.name} does not map onto a "
-                        f"{key_fn.__name__}() parameter: a preset declaring it "
-                        "would run scenarios the store cannot tell apart"
-                    ),
-                    hint=(
-                        "thread the field through the cache key (adding an "
-                        "alias to SWEEP_AXIS_ALIASES if the names differ), or "
-                        "declare it in PRESET_EXECUTION_FIELDS if it only "
-                        "steers execution machinery"
-                    ),
-                )
+        findings.append(
+            Finding(
+                rule="CACHE002",
+                path=path,
+                line=line,
+                message=(
+                    f"{grid_cls.__name__}.{field.name} changes no point's stored "
+                    "scenario key on any substrate: grids differing only in it "
+                    "would alias onto the same stored records"
+                ),
+                hint=(
+                    "thread the field into PointSpec.config(), or add a mutator "
+                    "for it to repro.devtools.cachekey._FIELD_MUTATORS if the "
+                    "generic probe values are invalid for it"
+                ),
             )
+        )
     return findings
 
 
 def hashed_field_fingerprint(
     config_classes: Sequence[type] = CONFIG_CLASSES,
-    key_fn: Callable[..., tuple] = sweep_mod._cache_key,
-    meta_fn: Callable[..., dict] = sweep_mod._store_meta,
-    preset_cls: type = presets_mod.CampaignPreset,
+    grid_cls: type = GridSpec,
 ) -> str:
-    """Stable fingerprint of the hashed-field set (classes + key params)."""
+    """Stable fingerprint of the hashed-field set (config + grid fields)."""
     payload = {
         "config_fields": {
             cls.__name__: sorted(f.name for f in dataclasses.fields(cls))
             for cls in config_classes
         },
-        "cache_key_params": list(inspect.signature(key_fn).parameters),
-        "store_meta_params": list(inspect.signature(meta_fn).parameters),
-        # Preset fields ride along so a renamed/added campaign-preset knob
-        # is surfaced as schema drift (CACHE004) and consciously reviewed,
+        # Grid fields ride along so a renamed/added campaign axis is
+        # surfaced as schema drift (CACHE004) and consciously reviewed,
         # exactly like a new config field.
-        "preset_fields": sorted(f.name for f in dataclasses.fields(preset_cls)),
+        "grid_fields": sorted(f.name for f in dataclasses.fields(grid_cls)),
     }
     return store_mod.stable_hash(payload)
 
@@ -583,8 +506,8 @@ def check_schema_fingerprint(
                 path=relpath,
                 line=1,
                 message=(
-                    "the hashed-field set changed (config fields or cache-key "
-                    "parameters) without a SCHEMA_VERSION bump: stored results "
+                    "the hashed-field set changed (config or grid fields) "
+                    "without a SCHEMA_VERSION bump: stored results "
                     "from the old schema would be served for new scenarios"
                 ),
                 hint=(
@@ -597,13 +520,12 @@ def check_schema_fingerprint(
 
 
 class CacheKeyChecker:
-    """Bundles the cache-key checks (CACHE001-005) behind the Checker interface."""
+    """Bundles the cache-key checks (CACHE001-004) behind the Checker interface."""
 
     name = "cache-keys"
 
     def run(self, context: CheckContext) -> list[Finding]:
         findings = check_scenario_key_coverage(root=context.root)
-        findings += check_axis_coverage(root=context.root)
-        findings += check_preset_coverage(root=context.root)
+        findings += check_grid_key_coverage(root=context.root)
         findings += check_schema_fingerprint(root=context.root)
         return findings

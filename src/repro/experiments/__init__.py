@@ -1,7 +1,8 @@
 """Reproduction harness: canonical scenarios, sweeps, and per-figure regeneration."""
 
-from . import backends, executor, figures, presets, report, scenarios, sweep
+from . import backends, executor, figures, grid, presets, report, scenarios, sweep
 from .executor import ExecutorPolicy
+from .grid import GridSpec, PointSpec
 from .presets import CampaignPreset, load_preset
 from .scenarios import (
     BUFFER_SWEEP_BDP,
@@ -20,8 +21,6 @@ from .sweep import (
     CampaignResult,
     SweepPoint,
     run_campaign,
-    run_point,
-    run_sweep,
     series,
 )
 
@@ -29,6 +28,7 @@ __all__ = [
     "backends",
     "executor",
     "figures",
+    "grid",
     "presets",
     "report",
     "scenarios",
@@ -37,6 +37,8 @@ __all__ = [
     "CampaignPreset",
     "CampaignResult",
     "ExecutorPolicy",
+    "GridSpec",
+    "PointSpec",
     "load_preset",
     "run_campaign",
     "BUFFER_SWEEP_BDP",
@@ -50,7 +52,5 @@ __all__ = [
     "topology_scenario",
     "trace_validation_scenario",
     "SweepPoint",
-    "run_point",
-    "run_sweep",
     "series",
 ]

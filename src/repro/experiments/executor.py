@@ -1,6 +1,6 @@
 """Resilient execution of campaign grids: retry, timeout, crash isolation.
 
-``run_sweep`` used to inline a :class:`~concurrent.futures.ProcessPoolExecutor`
+The sweep engine used to inline a :class:`~concurrent.futures.ProcessPoolExecutor`
 that died with the first worker failure after draining.  This module owns
 that machinery as a :class:`ResilientExecutor` driven by a declarative
 :class:`ExecutorPolicy`:

@@ -21,6 +21,7 @@ Figure index (cf. DESIGN.md):
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -35,6 +36,7 @@ from ..core.simulator import simulate
 from ..emulation.runner import emulate
 from ..metrics.aggregate import aggregate_metrics
 from . import scenarios, sweep
+from .grid import GridSpec
 
 #: Metrics of the aggregate figures, in paper order.
 AGGREGATE_FIGURES: dict[str, str] = {
@@ -188,7 +190,7 @@ def aggregate_figure(
     buffers = tuple(buffers_bdp) if buffers_bdp is not None else DEFAULT_SWEEP_BUFFERS
     mixes = tuple(mixes) if mixes is not None else tuple(scenarios.CCA_MIXES)
     disciplines = tuple(disciplines) if disciplines is not None else scenarios.DISCIPLINES
-    points = sweep.run_sweep(
+    grid = GridSpec(
         mixes=mixes,
         buffers_bdp=buffers,
         disciplines=disciplines,
@@ -196,10 +198,9 @@ def aggregate_figure(
         short_rtt=short_rtt,
         duration_s=duration_s,
         dt=dt,
-        workers=workers,
         seeds=seeds,
-        store=store,
     )
+    points = sweep.run_campaign(grid, workers=workers, store=store).points
     extract = sweep.series_ci if seeds is not None else sweep.series
     return {
         discipline: {mix: extract(points, metric, mix, discipline) for mix in mixes}
@@ -250,19 +251,13 @@ def figure_8_insight5(
     with the buffer (what an unconstrained start-up would measure).  Returns
     buffer occupancy with the default and with buffer-dependent ``w_hi``.
     """
+    grid = GridSpec(mixes=("BBRv2",), disciplines=("droptail",), duration_s=duration_s, dt=dt)
     rows = []
     for buffer_bdp in buffers_bdp:
-        default_point = sweep.run_point(
-            "BBRv2", buffer_bdp, "droptail", duration_s=duration_s, dt=dt
-        )
-        distorted_point = sweep.run_point(
-            "BBRv2",
-            buffer_bdp,
-            "droptail",
-            duration_s=duration_s,
-            dt=dt,
-            whi_init_bdp=1.0 + float(buffer_bdp),
-        )
+        default_point = sweep.run_campaign(replace(grid, buffers_bdp=(buffer_bdp,))).points[0]
+        distorted_point = sweep.run_campaign(
+            replace(grid, buffers_bdp=(buffer_bdp,), whi_init_bdp=1.0 + float(buffer_bdp))
+        ).points[0]
         rows.append(
             {
                 "buffer_bdp": buffer_bdp,

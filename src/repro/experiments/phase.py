@@ -4,9 +4,9 @@ The report layer of the analytic campaign substrate: :func:`phase_grid`
 computes stable/oscillatory phase diagrams over buffer x RTT x flow-count
 grids straight from the equilibrium/stability theory
 (:mod:`repro.analysis`), and :func:`validate_against_store` joins those
-predictions against simulation rows persisted by ``run_sweep`` /
-``simulate_many`` campaigns (pulled via ``SweepStore.select()``), emitting
-residual columns per metric.  ``repro-bbr stability`` builds its table,
+predictions against simulation rows persisted by ``run_campaign``
+(pulled via ``SweepStore.select()``), emitting residual columns per
+metric.  ``repro-bbr stability`` builds its table,
 CSV and JSON output on these functions.
 
 The analytic predictions are *equilibrium* statements while the

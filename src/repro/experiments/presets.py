@@ -28,8 +28,9 @@ shell history entry::
 Topology-level presets ride along (the ``topology`` section mirrors the
 ``--topology/--hops/...`` axis of PR 5) and churn workloads via the
 ``churn`` section.  Unknown keys anywhere in the file are hard errors —
-a typoed ``buffers`` must not silently run the default grid.  CLI flags
-passed alongside ``--preset`` override the preset's values.
+a typoed ``buffers`` must not silently run the default grid.  The axes
+parse into one :class:`~repro.experiments.grid.GridSpec`; CLI flags passed
+alongside ``--preset`` override its fields.
 
 Parsing uses :mod:`yaml` when available; the loader degrades to a clear
 error (not an import-time crash) on environments without PyYAML.
@@ -37,11 +38,12 @@ error (not an import-time crash) on environments without PyYAML.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .executor import ON_FAILURE_MODES, ExecutorPolicy
+from .grid import GridSpec
 
 try:  # pragma: no cover - exercised only on environments without PyYAML
     import yaml
@@ -74,68 +76,24 @@ class PresetError(ValueError):
 class CampaignPreset:
     """One parsed campaign preset (see the module docstring for the format).
 
-    Field names deliberately mirror :func:`~repro.experiments.sweep.run_campaign`
-    keyword arguments so :meth:`campaign_kwargs` is a straight projection —
-    the devtools preset-coverage check relies on this correspondence to
-    prove every scenario-affecting preset field reaches the cache key.
+    ``grid`` is the campaign's :class:`~repro.experiments.grid.GridSpec`;
+    the store and executor settings ride alongside.  Grid fields read
+    straight through the preset (``preset.mixes`` is ``preset.grid.mixes``).
     """
 
     name: str = "campaign"
-    substrate: str = "emulation"
-    seeds: int | list[int] = 5
-    duration_s: float = 5.0
-    short_rtt: bool = False
-    # grid
-    mixes: list[str] | None = None
-    buffers_bdp: list[float] | None = None
-    disciplines: list[str] | None = None
-    # topology axis
-    topology: str | None = None
-    hops: int = 3
-    cross_flows: int = 1
-    hop_capacities: list[float] | None = None
-    hop_delays: list[float] | None = None
-    hop_disciplines: list[str] | None = None
-    # churn axis
-    arrivals: str | None = None
-    flow_size_dist: str | None = None
-    load: float | None = None
-    flows: int | None = None
-    # store
+    grid: GridSpec = field(default_factory=lambda: GridSpec(substrate="emulation", seeds=5))
     store_path: str | None = None
     store_backend: str | None = None
     store_fsync: bool = True
-    # executor policy
     executor: ExecutorPolicy = field(default_factory=ExecutorPolicy)
     retry_failed: bool = True
 
-    def campaign_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments for :func:`~repro.experiments.sweep.run_campaign`.
-
-        The store is not included — the CLI resolves it separately so
-        ``--store``/``--backend`` flags can override the preset's.
-        """
-        return {
-            "mixes": self.mixes,
-            "buffers_bdp": self.buffers_bdp,
-            "disciplines": self.disciplines,
-            "substrate": self.substrate,
-            "short_rtt": self.short_rtt,
-            "duration_s": self.duration_s,
-            "seeds": self.seeds,
-            "topology": self.topology,
-            "hops": self.hops,
-            "cross_flows": self.cross_flows,
-            "hop_capacities": self.hop_capacities,
-            "hop_delays": self.hop_delays,
-            "hop_disciplines": self.hop_disciplines,
-            "arrivals": self.arrivals,
-            "flow_size_dist": self.flow_size_dist,
-            "load": self.load,
-            "flows": self.flows,
-            "executor": self.executor,
-            "retry_failed": self.retry_failed,
-        }
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names that are not preset fields.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.grid, name)
 
 
 def _require_mapping(value: Any, section: str) -> dict[str, Any]:
@@ -178,9 +136,9 @@ def parse_preset(data: Any, name: str = "campaign") -> CampaignPreset:
     """Build a :class:`CampaignPreset` from a decoded YAML document.
 
     Every section rejects unknown keys with a :class:`PresetError` naming
-    the offender and the accepted spelling; semantic validation (mix names,
-    discipline values, load bounds, ...) is deferred to the sweep layer so
-    the rules live in exactly one place.
+    the offender and the accepted spelling; semantic validation (substrate,
+    per-hop lists, churn values, ...) is :class:`GridSpec`'s, so the rules
+    live in exactly one place and surface here as a :class:`PresetError`.
     """
     doc = _require_mapping(data, "document")
     _reject_unknown(doc, TOP_LEVEL_KEYS, "document")
@@ -216,25 +174,34 @@ def parse_preset(data: Any, name: str = "campaign") -> CampaignPreset:
     except (TypeError, ValueError) as exc:
         raise PresetError(f"invalid executor policy: {exc}") from exc
 
+    grid_axes = {
+        "substrate": str(doc.get("substrate", "emulation")),
+        "seeds": seeds,
+        "duration_s": float(doc.get("duration_s", 5.0)),
+        "short_rtt": bool(doc.get("short_rtt", False)),
+        "mixes": _str_list(grid.get("mixes"), "grid.mixes"),
+        "buffers_bdp": _float_list(grid.get("buffers_bdp"), "grid.buffers_bdp"),
+        "disciplines": _str_list(grid.get("disciplines"), "grid.disciplines"),
+        "topology": topo.get("preset"),
+        "hops": int(topo.get("hops", 3)),
+        "cross_flows": int(topo.get("cross_flows", 1)),
+        "hop_capacities": _float_list(topo.get("hop_capacities"), "topology.hop_capacities"),
+        "hop_delays": _float_list(topo.get("hop_delays"), "topology.hop_delays"),
+        "hop_disciplines": _str_list(topo.get("hop_disciplines"), "topology.hop_disciplines"),
+        "arrivals": churn.get("arrivals"),
+        "flow_size_dist": churn.get("flow_size_dist"),
+        "load": churn.get("load"),
+        "flows": churn.get("flows"),
+    }
+    try:
+        # Unset grid lists fall back to the GridSpec defaults.
+        grid_spec = GridSpec(**{k: v for k, v in grid_axes.items() if v is not None})
+    except ValueError as exc:
+        raise PresetError(f"invalid campaign grid: {exc}") from exc
+
     return CampaignPreset(
         name=str(doc.get("name", name)),
-        substrate=str(doc.get("substrate", "emulation")),
-        seeds=seeds,
-        duration_s=float(doc.get("duration_s", 5.0)),
-        short_rtt=bool(doc.get("short_rtt", False)),
-        mixes=_str_list(grid.get("mixes"), "grid.mixes"),
-        buffers_bdp=_float_list(grid.get("buffers_bdp"), "grid.buffers_bdp"),
-        disciplines=_str_list(grid.get("disciplines"), "grid.disciplines"),
-        topology=topo.get("preset"),
-        hops=int(topo.get("hops", 3)),
-        cross_flows=int(topo.get("cross_flows", 1)),
-        hop_capacities=_float_list(topo.get("hop_capacities"), "topology.hop_capacities"),
-        hop_delays=_float_list(topo.get("hop_delays"), "topology.hop_delays"),
-        hop_disciplines=_str_list(topo.get("hop_disciplines"), "topology.hop_disciplines"),
-        arrivals=churn.get("arrivals"),
-        flow_size_dist=churn.get("flow_size_dist"),
-        load=churn.get("load"),
-        flows=churn.get("flows"),
+        grid=grid_spec,
         store_path=store.get("path"),
         store_backend=store.get("backend"),
         store_fsync=bool(store.get("fsync", True)),
@@ -260,21 +227,3 @@ def load_preset(path: str | Path) -> CampaignPreset:
     except yaml.YAMLError as exc:
         raise PresetError(f"preset file {path} is not valid YAML: {exc}") from exc
     return parse_preset(data, name=path.stem)
-
-
-#: Preset field names that configure execution machinery rather than the
-#: scenario being computed (probed by the devtools CACHE005 check).
-PRESET_EXECUTION_FIELDS = frozenset(
-    {"name", "store_path", "store_backend", "store_fsync", "executor",
-     "retry_failed", "seeds"}
-)
-
-#: Preset field -> run_campaign parameter aliases (identity otherwise).
-PRESET_PARAM_ALIASES: dict[str, str] = {}
-
-
-def preset_scenario_fields() -> list[str]:
-    """Preset fields that must reach the campaign cache key (for devtools)."""
-    return [
-        f.name for f in fields(CampaignPreset) if f.name not in PRESET_EXECUTION_FIELDS
-    ]

@@ -7,8 +7,7 @@ Every store row gains a compact, *non-keyed* execution-metadata block::
 
 Non-keyed means it never participates in ``scenario_key`` — two runs of
 the same scenario produce bit-identical keys and metrics regardless of
-how long they took (registered as an ``EXECUTION_PARAMS`` concern in
-``devtools/cachekey.py``; no ``SCHEMA_VERSION`` bump, old rows load
+how long they took (no ``SCHEMA_VERSION`` bump, old rows load
 unchanged).
 
 Caveats stated once here rather than per row: ``max_rss_kb`` is the

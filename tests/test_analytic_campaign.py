@@ -39,6 +39,7 @@ from repro.analysis import (
 )
 from repro.config import FlowSchedule
 from repro.experiments import phase, scenarios, sweep
+from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore, scenario_key
 from repro.metrics.aggregate import AggregateMetrics
 from repro.obs import log as obs_log
@@ -136,11 +137,13 @@ class TestFromScenario:
 
 
 class TestAnalyticSubstrate:
-    def test_run_point_predicts_and_stores_analysis(self, tmp_path):
+    GRID = GridSpec(
+        mixes=["BBRv1"], buffers_bdp=[4.0], disciplines=["droptail"], substrate="analytic"
+    )
+
+    def test_point_predicts_and_stores_analysis(self, tmp_path):
         store = SweepStore(tmp_path / "analytic.jsonl")
-        point = sweep.run_point(
-            "BBRv1", 4.0, "droptail", substrate="analytic", store=store
-        )
+        (point,) = sweep.run_campaign(self.GRID, store=store).points
         assert point.substrate == "analytic"
         assert point.analysis is not None
         assert point.analysis["classification"] in ("stable", "oscillatory")
@@ -149,22 +152,16 @@ class TestAnalyticSubstrate:
         (record,) = store.select()
         assert record["meta"]["substrate"] == "analytic"
         assert record["meta"]["analysis"] == point.analysis
-        served = sweep.run_point(
-            "BBRv1", 4.0, "droptail", substrate="analytic", store=store,
-            use_cache=False,
-        )
+        sweep.clear_cache()
+        (served,) = sweep.run_campaign(self.GRID, store=store).points
         assert store.hits >= 1
         assert served.metrics == point.metrics
         store.close()
 
     def test_seed_replicas_share_one_record(self, tmp_path):
         store = SweepStore(tmp_path / "seeds.jsonl")
-        sweep.run_sweep(
-            mixes=["BBRv2"],
-            buffers_bdp=[1.0],
-            disciplines=["droptail"],
-            substrate="analytic",
-            seeds=3,
+        sweep.run_campaign(
+            dataclasses.replace(self.GRID, mixes=["BBRv2"], buffers_bdp=[1.0], seeds=3),
             store=store,
         )
         assert len(store) == 1
@@ -172,9 +169,7 @@ class TestAnalyticSubstrate:
 
     def test_churn_workloads_rejected(self):
         with pytest.raises(ValueError, match="analytic substrate"):
-            sweep.run_point(
-                "BBRv1", 1.0, "droptail", substrate="analytic", arrivals="poisson"
-            )
+            dataclasses.replace(self.GRID, arrivals="poisson")
 
     def test_theorem_regimes_reported(self):
         deep = analyze_network(("bbr1",) * 10, reference_network(10, buffer_bdp=4.0))
@@ -213,16 +208,15 @@ class TestPruner:
 
     def test_pruned_points_alias_the_primary(self, tmp_path):
         store = SweepStore(tmp_path / "pruned.jsonl")
-        points = sweep.run_sweep(
+        grid = GridSpec(
             mixes=["BBRv1"],
             buffers_bdp=[1.0, 60.0, 80.0],
             disciplines=["droptail"],
             substrate="fluid",
             duration_s=2.0,
             dt=1e-3,
-            prune_analytic=True,
-            store=store,
         )
+        points = sweep.run_campaign(grid, prune_analytic=True, store=store).points
         by_buffer = {point.buffer_bdp: point for point in points}
         assert set(by_buffer) == {1.0, 60.0, 80.0}
         primary, alias = by_buffer[60.0], by_buffer[80.0]
@@ -254,29 +248,22 @@ class TestPruner:
 
     def test_sub_threshold_buffers_not_pruned(self, tmp_path):
         store = SweepStore(tmp_path / "kept.jsonl")
-        sweep.run_sweep(
+        grid = GridSpec(
             mixes=["BBRv1"],
             buffers_bdp=[4.0, 6.0],
             disciplines=["droptail"],
             substrate="fluid",
             duration_s=2.0,
             dt=1e-3,
-            prune_analytic=True,
-            store=store,
         )
+        sweep.run_campaign(grid, prune_analytic=True, store=store)
         for record in store.select():
             assert "pruned" not in record["meta"]
         store.close()
 
     def test_rejected_on_emulation(self):
         with pytest.raises(ValueError, match="prune_analytic"):
-            sweep.run_sweep(
-                mixes=["BBRv1"],
-                buffers_bdp=[1.0],
-                disciplines=["droptail"],
-                substrate="emulation",
-                prune_analytic=True,
-            )
+            sweep.run_campaign(GridSpec(substrate="emulation"), prune_analytic=True)
 
 
 class TestSharding:
@@ -295,21 +282,21 @@ class TestSharding:
             sweep.validate_shard(0, 0)
 
     def test_shards_partition_the_grid(self, tmp_path):
-        axes = dict(
+        grid = GridSpec(
             mixes=["BBRv1", "BBRv2"],
             buffers_bdp=[1.0, 4.0],
             disciplines=["droptail"],
             substrate="analytic",
         )
-        full = {(p.mix, p.buffer_bdp) for p in sweep.run_sweep(**axes)}
+        full = {(p.mix, p.buffer_bdp) for p in sweep.run_campaign(grid).points}
         shards = []
         for index in range(3):
             shards.append(
                 {
                     (p.mix, p.buffer_bdp)
-                    for p in sweep.run_sweep(
-                        shard_index=index, shard_count=3, **axes
-                    )
+                    for p in sweep.run_campaign(
+                        grid, shard_index=index, shard_count=3
+                    ).points
                 }
             )
         assert set().union(*shards) == full
@@ -485,15 +472,15 @@ class TestValidationRegimes:
 
     def test_bbr1_deep_buffer_agrees(self, tmp_path):
         store = SweepStore(tmp_path / "v1.jsonl")
-        sweep.run_sweep(
+        grid = GridSpec(
             mixes=["BBRv1"],
             buffers_bdp=[4.0, 8.0],
             disciplines=["droptail"],
             substrate="fluid",
             duration_s=30.0,
             dt=1e-3,
-            store=store,
         )
+        sweep.run_campaign(grid, store=store)
         rows = phase.validate_against_store(store)
         store.close()
         assert {row["buffer_bdp"] for row in rows} == {4.0, 8.0}
@@ -505,15 +492,15 @@ class TestValidationRegimes:
 
     def test_bbr2_regimes(self, tmp_path):
         store = SweepStore(tmp_path / "v2.jsonl")
-        sweep.run_sweep(
+        grid = GridSpec(
             mixes=["BBRv2"],
             buffers_bdp=[4.0, 8.0],
             disciplines=["droptail"],
             substrate="fluid",
             duration_s=60.0,
             dt=1e-3,
-            store=store,
         )
+        sweep.run_campaign(grid, store=store)
         rows = {row["buffer_bdp"]: row for row in phase.validate_against_store(store)}
         store.close()
         assert rows[8.0]["agrees"], rows[8.0]

@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments import sweep
 from repro.experiments.executor import ExecutorPolicy
+from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 
 BACKEND_KINDS = ("jsonl", "sharded", "sqlite")
@@ -30,11 +31,11 @@ GRID_POINTS = len(MIXES) * len(BUFFERS)
 CRASH_MIX = "BBRv2"
 CRASH_BUFFER = 4.0
 
-_real_run_point = sweep.run_point
+_real_compute_point = sweep.compute_point
 
 
-def _instrumented_run_point(mix, buffer_bdp, discipline, **kwargs):
-    """run_point wrapper: injectable crash + compute accounting.
+def _instrumented_compute_point(point):
+    """compute_point wrapper: injectable crash + compute accounting.
 
     Controlled by environment variables (inherited by forked workers):
     ``REPRO_TEST_CRASH_TRIGGER`` — while this file exists, the crash point
@@ -42,18 +43,19 @@ def _instrumented_run_point(mix, buffer_bdp, discipline, **kwargs):
     compute attempt appends one line here.
     """
     trigger = os.environ.get("REPRO_TEST_CRASH_TRIGGER")
-    if trigger and os.path.exists(trigger) and mix == CRASH_MIX and buffer_bdp == CRASH_BUFFER:
+    crash = (point.mix, point.buffer_bdp) == (CRASH_MIX, CRASH_BUFFER)
+    if trigger and os.path.exists(trigger) and crash:
         os._exit(13)  # hard crash: no exception, no cleanup, pool breaks
     log = os.environ.get("REPRO_TEST_COMPUTE_LOG")
     if log:
         with open(log, "a") as handle:
-            handle.write(f"{mix}|{buffer_bdp}|{kwargs.get('seed')}\n")
-    return _real_run_point(mix, buffer_bdp, discipline, **kwargs)
+            handle.write(f"{point.mix}|{point.buffer_bdp}|{point.seed}\n")
+    return _real_compute_point(point)
 
 
-def _tripwire_run_point(mix, buffer_bdp, discipline, **kwargs):  # pragma: no cover
+def _tripwire_compute_point(point):  # pragma: no cover
     raise AssertionError(
-        f"point recomputed on warm run: mix={mix!r} buffer_bdp={buffer_bdp}"
+        f"point recomputed on warm run: mix={point.mix!r} buffer_bdp={point.buffer_bdp}"
     )
 
 
@@ -75,17 +77,11 @@ def _store_path(tmp_path, kind: str):
 
 
 def _campaign(store, policy, retry_failed=True):
-    return sweep.run_campaign(
-        mixes=MIXES,
-        buffers_bdp=BUFFERS,
-        disciplines=["droptail"],
-        substrate="fluid",
-        seeds=1,
-        store=store,
-        executor=policy,
-        retry_failed=retry_failed,
-        **FAST,
+    grid = GridSpec(
+        mixes=MIXES, buffers_bdp=BUFFERS, disciplines=["droptail"],
+        substrate="fluid", seeds=1, **FAST,
     )
+    return sweep.run_campaign(grid, store=store, executor=policy, retry_failed=retry_failed)
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -99,7 +95,7 @@ class TestCrashSurvival:
         compute_log = tmp_path / "computes.log"
         monkeypatch.setenv("REPRO_TEST_CRASH_TRIGGER", str(trigger))
         monkeypatch.setenv("REPRO_TEST_COMPUTE_LOG", str(compute_log))
-        monkeypatch.setattr(sweep, "run_point", _instrumented_run_point)
+        monkeypatch.setattr(sweep, "compute_point", _instrumented_compute_point)
         policy = ExecutorPolicy(workers=4, backoff_s=0.0, on_failure="skip")
 
         # --- Cold run: one point hard-kills its worker mid-grid. ---
@@ -125,7 +121,7 @@ class TestCrashSurvival:
         # --- Warm re-run before the fix: failures re-reported, nothing
         # recomputed (retry_failed=False serves recorded failure rows). ---
         sweep.clear_cache()
-        monkeypatch.setattr(sweep, "run_point", _tripwire_run_point)
+        monkeypatch.setattr(sweep, "compute_point", _tripwire_compute_point)
         resumed = _campaign(reloaded, policy, retry_failed=False)
         assert not resumed.ok
         assert len(resumed.points) == GRID_POINTS - 1
@@ -136,7 +132,7 @@ class TestCrashSurvival:
         # failed point is recomputed, and it supersedes its failure row. ---
         trigger.unlink()
         sweep.clear_cache()
-        monkeypatch.setattr(sweep, "run_point", _instrumented_run_point)
+        monkeypatch.setattr(sweep, "compute_point", _instrumented_compute_point)
         before = len(_computes(compute_log))
         fixed = _campaign(reloaded, policy)
         assert fixed.ok
@@ -148,7 +144,7 @@ class TestCrashSurvival:
         # --- Fully warm run: every point served from the store, zero
         # computation, correct hit/miss accounting. ---
         sweep.clear_cache()
-        monkeypatch.setattr(sweep, "run_point", _tripwire_run_point)
+        monkeypatch.setattr(sweep, "compute_point", _tripwire_compute_point)
         warm_store = SweepStore(path, backend=kind)
         warm = _campaign(warm_store, policy)
         assert warm.ok
@@ -164,7 +160,7 @@ class TestCrashSurvival:
         trigger = tmp_path / "crash.trigger"
         trigger.touch()
         monkeypatch.setenv("REPRO_TEST_CRASH_TRIGGER", str(trigger))
-        monkeypatch.setattr(sweep, "run_point", _instrumented_run_point)
+        monkeypatch.setattr(sweep, "compute_point", _instrumented_compute_point)
         policy = ExecutorPolicy(workers=4, backoff_s=0.0, on_failure="raise")
         store = SweepStore(path, backend=kind)
         with pytest.raises(sweep.SweepPointError) as excinfo:

@@ -174,14 +174,24 @@ class TestChurnSemantics:
             assert _trace_digest(batched) == _trace_digest(single)
 
     def test_fluid_random_schedule_is_seeded(self):
-        a = scenarios.churn_scenario("BBRv1", num_flows=4, arrivals="poisson", seed=1)
-        b = scenarios.churn_scenario("BBRv1", num_flows=4, arrivals="poisson", seed=2)
-        starts_a = [f.start_time_s for f in simulate(a).flows]
-        starts_b = [f.start_time_s for f in simulate(b).flows]
-        assert starts_a != starts_b
+        def starts(seed: int, duration_s: float = 30.0) -> list[float]:
+            config = scenarios.churn_scenario(
+                "BBRv1", num_flows=4, arrivals="poisson", seed=seed, duration_s=duration_s
+            )
+            assert config.schedule is not None
+            arrivals = config.schedule.materialize(config.num_flows, config.seed)
+            return [arrival.start_time_s for arrival in arrivals]
+
+        assert starts(1) != starts(2)
         # Same seed reproduces the identical workload.
-        starts_a2 = [f.start_time_s for f in simulate(a).flows]
-        assert starts_a == starts_a2
+        assert starts(1) == starts(1)
+        # The fluid trace starts its flows exactly at the materialised times.
+        for seed in (1, 2):
+            config = scenarios.churn_scenario(
+                "BBRv1", num_flows=4, arrivals="poisson", seed=seed, duration_s=0.5
+            )
+            traced = [f.start_time_s for f in simulate(config).flows]
+            assert traced == starts(seed, duration_s=0.5)
 
 
 class TestEmulatorHeapHygiene:

@@ -179,62 +179,59 @@ class TestHopAxisValidation:
         assert "single disciplines value" in captured.err
 
     def test_sweep_passes_hop_axis_through(self, monkeypatch, capsys):
-        calls = {}
-
-        def fake_run_sweep(*args, **kwargs):
-            calls.update(kwargs)
-            return []
-
-        monkeypatch.setattr(sweep_module, "run_sweep", fake_run_sweep)
+        calls = _capture_run_campaign(monkeypatch)
         cli.main(
             ["sweep", "--mixes", "BBRv1", "--topology", "parking-lot",
              "--hops", "2", "--hop-capacities", "100,50",
-             "--hop-delays", "0.004,0.006", "--hop-disciplines", "red,red"]
+             "--hop-delays", "0.004,0.006", "--hop-disciplines", "red,red",
+             "--disciplines", "droptail"]
         )
         capsys.readouterr()
-        assert calls["hop_capacities"] == (100.0, 50.0)
-        assert calls["hop_delays"] == (0.004, 0.006)
-        assert calls["hop_disciplines"] == ("red", "red")
+        grid = calls["grid"]
+        assert grid.hop_capacities == (100.0, 50.0)
+        assert grid.hop_delays == (0.004, 0.006)
+        assert grid.hop_disciplines == ("red", "red")
+
+
+def _capture_run_campaign(monkeypatch):
+    calls = {}
+
+    def fake_run_campaign(grid, **kwargs):
+        calls.update(kwargs, grid=grid)
+        return sweep_module.CampaignResult(points=[], failures=[])
+
+    monkeypatch.setattr(sweep_module, "run_campaign", fake_run_campaign)
+    return calls
 
 
 class TestWorkersPlumbing:
-    """--workers must actually reach run_sweep (it used to be dead code)."""
-
-    def _capture_run_sweep(self, monkeypatch):
-        calls = {}
-
-        def fake_run_sweep(*args, **kwargs):
-            calls.update(kwargs)
-            return []
-
-        monkeypatch.setattr(sweep_module, "run_sweep", fake_run_sweep)
-        return calls
+    """--workers must actually reach run_campaign (it used to be dead code)."""
 
     def test_sweep_passes_workers(self, monkeypatch, capsys):
-        calls = self._capture_run_sweep(monkeypatch)
+        calls = _capture_run_campaign(monkeypatch)
         cli.main(["sweep", "--mixes", "BBRv1", "--workers", "3"])
         capsys.readouterr()
         assert calls["workers"] == 3
 
     def test_figure_passes_workers(self, monkeypatch, capsys):
-        calls = self._capture_run_sweep(monkeypatch)
+        calls = _capture_run_campaign(monkeypatch)
         cli.main(["figure", "fig06_fairness", "--mixes", "BBRv1", "--workers", "5"])
         capsys.readouterr()
         assert calls["workers"] == 5
 
     def test_sweep_passes_topology_axis(self, monkeypatch, capsys):
-        calls = self._capture_run_sweep(monkeypatch)
+        calls = _capture_run_campaign(monkeypatch)
         cli.main(
             ["sweep", "--mixes", "BBRv1", "--topology", "multi-dumbbell", "--hops", "2"]
         )
         capsys.readouterr()
-        assert calls["topology"] == "multi-dumbbell"
-        assert calls["hops"] == 2 and calls["cross_flows"] == 1
+        assert calls["grid"].topology == "multi-dumbbell"
+        assert calls["grid"].hops == 2 and calls["grid"].cross_flows == 1
 
 
 class TestEmptyResults:
     def test_sweep_with_no_points_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(sweep_module, "run_sweep", lambda *a, **k: [])
+        _capture_run_campaign(monkeypatch)
         code = cli.main(["sweep", "--mixes", "BBRv1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -251,7 +248,7 @@ class TestEmptyResults:
 
     def test_figure_with_no_points_exits_nonzero(self, monkeypatch, capsys):
         # Regression: figure used to exit 0 and print nothing on empty data.
-        monkeypatch.setattr(sweep_module, "run_sweep", lambda *a, **k: [])
+        _capture_run_campaign(monkeypatch)
         code = cli.main(["figure", "fig06_fairness", "--mixes", "BBRv1"])
         captured = capsys.readouterr()
         assert code == 1

@@ -5,7 +5,8 @@ Three layers:
 * fixture mini-repos under ``tests/devtools_fixtures/`` — one seeded
   violation per rule id, each checker pointed at the matching root;
 * synthetic cache-key regressions — an unhashed ``ScenarioConfig`` field
-  must trip ``CACHE001``, an unprobeable field ``CACHE003``, schema drift
+  must trip ``CACHE001``, a ``GridSpec`` field that never reaches the
+  scenario ``CACHE002``, an unprobeable field ``CACHE003``, schema drift
   ``CACHE004``;
 * the repo itself — ``repro-bbr check`` must run clean (exit 0) with no
   stale allowlist entries.
@@ -28,6 +29,7 @@ from repro.devtools.determinism import DeterminismChecker
 from repro.devtools.rng import RngStreamChecker
 from repro.devtools.unitcheck import UnitsChecker
 from repro.experiments import store
+from repro.experiments.grid import GridSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "devtools_fixtures"
@@ -169,22 +171,17 @@ def test_cache001_allowlisted_exclusion_is_quiet():
     assert not [f for f in findings if "jitter_budget_s" in f.message]
 
 
-def test_cache002_axis_missing_from_key_and_meta():
-    def fake_point(mix, buffer_bdp, shiny, use_cache=True):
-        pass
+@dataclasses.dataclass(frozen=True)
+class ExtendedGridSpec(GridSpec):
+    """GridSpec plus one synthetic axis that never reaches config()."""
 
-    def fake_key(mix, buffer_bdp):
-        pass
+    jitter_budget_s: float = 0.0
 
-    def fake_meta(mix, buffer_bdp):
-        pass
 
-    findings = cachekey.check_axis_coverage(
-        point_fn=fake_point, sweep_fn=None, key_fn=fake_key, meta_fn=fake_meta
-    )
-    shiny = [f for f in findings if "'shiny'" in f.message]
-    assert [f.rule for f in shiny] == ["CACHE002", "CACHE002"]  # key + meta
-    assert not [f for f in findings if "use_cache" in f.message]  # execution param
+def test_cache002_grid_field_missing_from_config():
+    findings = cachekey.check_grid_key_coverage(grid_cls=ExtendedGridSpec)
+    assert [f.rule for f in findings] == ["CACHE002"]
+    assert "ExtendedGridSpec.jitter_budget_s" in findings[0].message
 
 
 def test_cache003_unprobeable_field():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import figures, report, scenarios, sweep
+from repro.experiments.grid import GridSpec
 
 
 class TestScenarios:
@@ -52,147 +53,109 @@ class TestSweep:
     def fast_kwargs(self):
         return dict(duration_s=1.0, dt=1e-3)
 
-    def test_run_point_returns_metrics(self):
-        point = sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
+    def grid(self, mixes=("BBRv1",), buffers_bdp=(1.0,), disciplines=("droptail",), **axes):
+        return GridSpec(
+            mixes=mixes, buffers_bdp=buffers_bdp, disciplines=disciplines,
+            **{**self.fast_kwargs(), **axes},
+        )
+
+    def run(self, **axes):
+        return sweep.run_campaign(self.grid(**axes)).points[0]
+
+    def test_run_returns_metrics(self):
+        point = self.run()
         assert point.mix == "BBRv1"
         assert 0.0 <= point.metrics.jain_fairness <= 1.0
         assert 0.0 <= point.metrics.utilization_percent <= 100.0
 
     def test_cache_reuses_results(self):
-        first = sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
-        second = sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
-        assert first is second
+        assert self.run() is self.run()
 
-    def test_cache_can_be_bypassed(self):
-        first = sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
-        second = sweep.run_point(
-            "BBRv1", 1.0, "droptail", use_cache=False, **self.fast_kwargs()
-        )
+    def test_clear_cache_forces_recompute(self):
+        first = self.run()
+        sweep.clear_cache()
+        second = self.run()
         assert first is not second
+        assert first == second
 
-    def test_run_sweep_covers_grid(self):
-        points = sweep.run_sweep(
-            mixes=["BBRv1", "BBRv2"],
-            buffers_bdp=[1.0, 4.0],
-            disciplines=["droptail"],
-            **self.fast_kwargs(),
-        )
+    def test_campaign_covers_grid(self):
+        points = sweep.run_campaign(
+            self.grid(mixes=["BBRv1", "BBRv2"], buffers_bdp=[1.0, 4.0])
+        ).points
         assert len(points) == 4
         assert {p.buffer_bdp for p in points} == {1.0, 4.0}
 
     def test_series_extraction_sorted(self):
-        points = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[4.0, 1.0], disciplines=["droptail"], **self.fast_kwargs()
-        )
+        points = sweep.run_campaign(self.grid(buffers_bdp=[4.0, 1.0])).points
         line = sweep.series(points, "utilization_percent", "BBRv1", "droptail")
         assert [x for x, _ in line] == [1.0, 4.0]
 
     def test_unknown_substrate_rejected(self):
         with pytest.raises(ValueError):
-            sweep.run_point("BBRv1", 1.0, "droptail", substrate="ns3")
+            self.grid(substrate="ns3")
 
     def test_row_flattening(self):
-        point = sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
-        row = point.row()
+        row = self.run().row()
         assert row["mix"] == "BBRv1"
         assert "jain_fairness" in row
 
     def test_batched_sweep_matches_per_point_runs(self):
-        kwargs = dict(
-            mixes=["BBRv1", "BBRv1/RENO"],
-            buffers_bdp=[1.0, 4.0],
+        grid = self.grid(
+            mixes=["BBRv1", "BBRv1/RENO"], buffers_bdp=[1.0, 4.0],
             disciplines=["droptail", "red"],
-            **self.fast_kwargs(),
         )
-        batched = sweep.run_sweep(**kwargs)
-        for point in batched:
-            reference = sweep.run_point(
-                point.mix,
-                point.buffer_bdp,
-                point.discipline,
-                use_cache=False,
-                **self.fast_kwargs(),
-            )
+        batched = sweep.run_campaign(grid).points
+        for spec, point in zip(grid.points(), batched, strict=True):
+            reference = sweep.compute_point(spec)
             for key, value in reference.metrics.as_dict().items():
                 assert point.metrics.as_dict()[key] == pytest.approx(value, rel=1e-9, nan_ok=True)
 
-    def test_run_sweep_serves_cached_points_before_dispatch(self):
-        cached = sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
-        points = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"], **self.fast_kwargs()
-        )
-        assert points[0] is cached
-
-    def test_run_sweep_populates_cache(self):
-        sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"], **self.fast_kwargs()
-        )
-        again = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"], **self.fast_kwargs()
-        )
-        assert again[0] is sweep.run_point("BBRv1", 1.0, "droptail", **self.fast_kwargs())
+    def test_campaign_serves_cached_points_before_dispatch(self, monkeypatch):
+        cached = self.run()
+        monkeypatch.setattr(sweep, "simulate_many", lambda configs: pytest.fail("recomputed"))
+        assert self.run() is cached
 
     def test_cache_key_distinguishes_seed_and_sampling(self):
         def key(**overrides):
-            params = dict(
-                mix="BBRv1", buffer_bdp=1.0, discipline="droptail",
-                substrate="emulation", short_rtt=False, duration_s=1.0,
-                dt=1e-3, whi_init_bdp=None, seed=1,
-                record_interval_s=0.01, scheduler="delayline",
-            )
-            params.update(overrides)
-            return sweep._cache_key(**params)
+            return next(self.grid(substrate="emulation", **overrides).points()).key
 
         base = key()
         # Regression: points differing only in seed (or in the emulator's
         # sampling parameters) used to alias onto one cache slot.
-        assert base != key(seed=2)
+        assert base != key(seeds=[2])
         assert base != key(record_interval_s=0.02)
         assert base != key(scheduler="closure")
 
-    def test_run_point_caches_seeds_separately(self):
-        first = sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="emulation", seed=1, duration_s=0.5
-        )
-        second = sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="emulation", seed=2, duration_s=0.5
-        )
+    def test_emulation_seeds_cached_separately(self):
+        grid = self.grid(substrate="emulation", seeds=[1, 2], duration_s=0.5)
+        first, second = sweep.run_campaign(grid).replicas
+        assert (first.seed, second.seed) == (1, 2)
         assert first is not second
         # Both seeds are served from the cache on re-request.
-        assert (
-            sweep.run_point(
-                "BBRv1", 1.0, "droptail", substrate="emulation", seed=1, duration_s=0.5
-            )
-            is first
-        )
+        again = sweep.run_campaign(grid).replicas
+        assert again[0] is first and again[1] is second
 
     def test_sweep_point_row_includes_seed(self):
-        point = sweep.run_point("BBRv1", 1.0, "droptail", seed=4, **self.fast_kwargs())
+        point = sweep.run_campaign(self.grid(seeds=[4])).replicas[0]
         assert point.row()["seed"] == 4
 
     def test_workers_pool_failure_names_combo(self, monkeypatch):
         # A worker failure must not silently discard completed points and
         # must identify the failing grid coordinates.
+        def exploding(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sweep, "FluidSimulator", exploding)
         with pytest.raises(sweep.SweepPointError) as excinfo:
-            sweep.run_sweep(
-                mixes=["BBRv3-missing"], buffers_bdp=[1.0],
-                disciplines=["droptail"], workers=2, **self.fast_kwargs(),
-            )
-        assert excinfo.value.mix == "BBRv3-missing"
-        assert excinfo.value.buffer_bdp == 1.0
+            sweep.run_campaign(self.grid(buffers_bdp=[3.0]), workers=2)
+        assert excinfo.value.mix == "BBRv1"
+        assert excinfo.value.buffer_bdp == 3.0
+        assert "boom" in str(excinfo.value)
 
     def test_workers_path_matches_serial(self):
-        serial = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"], **self.fast_kwargs()
-        )
+        serial = sweep.run_campaign(self.grid()).points
         sweep.clear_cache()
-        parallel = sweep.run_sweep(
-            mixes=["BBRv1"],
-            buffers_bdp=[1.0],
-            disciplines=["droptail"],
-            workers=2,
-            **self.fast_kwargs(),
-        )
+        parallel = sweep.run_campaign(self.grid(), workers=2).points
         assert len(parallel) == len(serial) == 1
         for key, value in serial[0].metrics.as_dict().items():
             assert parallel[0].metrics.as_dict()[key] == pytest.approx(value, rel=1e-9, nan_ok=True)

@@ -28,6 +28,7 @@ from repro import cli
 from repro.devtools.base import CheckContext
 from repro.devtools.obscheck import ObsLabelChecker
 from repro.experiments import sweep
+from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 from repro.experiments.summary import percentile, render_summary, summarize_store
 from repro.metrics.aggregate import AggregateMetrics
@@ -266,27 +267,32 @@ class TestObsLabelChecker:
 # ---------------------------------------------------------------- store rows
 
 
+def _grid(substrate: str, **axes) -> GridSpec:
+    axes = {"mixes": ["BBRv1"], "buffers_bdp": [1.0], **axes}
+    return GridSpec(disciplines=["droptail"], substrate=substrate, **axes)
+
+
 class TestRuntimeInStore:
     def test_fluid_point_stores_runtime_block(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
-        point = sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="fluid", store=store, **FAST
-        )
+        grid = _grid("fluid", **FAST)
+        (point,) = sweep.run_campaign(grid, store=store).points
         assert point.runtime is not None
         assert point.runtime["wall_s"] >= 0.0
         assert point.runtime["counters"]["steps"] > 0
-        assert point.runtime["counters"]["flows"] == 10
         record = store.select()[0]
         assert record["runtime"] == point.runtime
         # Non-keyed: the block never participates in point equality.
         assert dataclasses.replace(point, runtime=None) == point
+        # A point computed on its own carries the simulator's counters.
+        alone = sweep.compute_point(next(grid.points()))
+        assert alone.runtime["counters"]["flows"] == 10
 
     def test_emulation_point_stores_substrate_counters(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
-        point = sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="emulation", duration_s=0.5,
-            store=store,
-        )
+        (point,) = sweep.run_campaign(
+            _grid("emulation", duration_s=0.5), store=store
+        ).points
         counters = point.runtime["counters"]
         assert counters["events_popped"] > 0
         assert counters["heap_peak"] > 0
@@ -294,19 +300,15 @@ class TestRuntimeInStore:
 
     def test_warm_point_has_no_runtime(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
-        sweep.run_point("BBRv1", 1.0, "droptail", substrate="fluid",
-                        store=store, **FAST)
+        sweep.run_campaign(_grid("fluid", **FAST), store=store)
         sweep.clear_cache()
-        warm = sweep.run_point("BBRv1", 1.0, "droptail", substrate="fluid",
-                               store=store, **FAST)
+        (warm,) = sweep.run_campaign(_grid("fluid", **FAST), store=store).points
         assert warm.runtime is None
 
     def test_batched_fluid_sweep_amortises_runtime(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
-        points = sweep.run_sweep(
-            mixes=["BBRv1", "BBRv2"], buffers_bdp=[0.5],
-            disciplines=["droptail"], substrate="fluid", store=store, **FAST,
-        )
+        grid = _grid("fluid", mixes=["BBRv1", "BBRv2"], buffers_bdp=[0.5], **FAST)
+        points = sweep.run_campaign(grid, store=store).points
         assert len(points) == 2
         for point in points:
             assert point.runtime["shared"] == 2
@@ -330,19 +332,18 @@ class TestRuntimeInStore:
 class TestTraceDeterminism:
     @pytest.mark.parametrize("substrate", ["fluid", "emulation"])
     def test_trace_does_not_change_keys_or_metrics(self, tmp_path, substrate):
-        grid = dict(
+        grid = _grid(
+            substrate,
             mixes=["BBRv1", "BBRv1/CUBIC"] if substrate == "fluid" else ["BBRv1"],
             buffers_bdp=[0.5],
-            disciplines=["droptail"],
-            substrate=substrate,
             duration_s=0.5,
         )
         plain = SweepStore(tmp_path / "plain.jsonl")
-        sweep.run_sweep(store=plain, **grid)
+        sweep.run_campaign(grid, store=plain)
         sweep.clear_cache()
         trace = tmp_path / "spans.jsonl"
         traced = SweepStore(tmp_path / "traced.jsonl")
-        sweep.run_sweep(store=traced, trace=trace, **grid)
+        sweep.run_campaign(grid, store=traced, trace=trace)
         # Tracing is pure observability: bit-identical keys and metrics.
         plain_rows = {r["key"]: r["metrics"] for r in plain.select()}
         traced_rows = {r["key"]: r["metrics"] for r in traced.select()}
@@ -441,10 +442,7 @@ class TestStatusCli:
     def _filled_store(self, tmp_path) -> Path:
         path = tmp_path / "s.jsonl"
         store = SweepStore(path)
-        sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[0.5], disciplines=["droptail"],
-            substrate="fluid", duration_s=0.5, store=store,
-        )
+        sweep.run_campaign(_grid("fluid", buffers_bdp=[0.5], duration_s=0.5), store=store)
         return path
 
     def test_complete_grid_exits_0(self, tmp_path, capsys):

@@ -7,12 +7,12 @@ import pytest
 from repro import cli
 from repro.experiments import sweep as sweep_module
 from repro.experiments.executor import ExecutorPolicy
+from repro.experiments.grid import GridSpec
 from repro.experiments.presets import (
     CampaignPreset,
     PresetError,
     load_preset,
     parse_preset,
-    preset_scenario_fields,
 )
 
 FULL_PRESET = """
@@ -62,17 +62,18 @@ class TestParsePreset:
         preset = load_preset(path)
         assert preset.name == "paper-grid"
         assert preset.substrate == "fluid"
-        assert preset.seeds == [1, 2, 3]
+        assert preset.seeds == (1, 2, 3)
         assert preset.duration_s == 2.0
         assert preset.short_rtt is True
-        assert preset.mixes == ["BBRv1", "BBRv2"]
-        assert preset.buffers_bdp == [0.5, 1.0, 4.0]
-        assert preset.disciplines == ["droptail"]
+        assert preset.mixes == ("BBRv1", "BBRv2")
+        assert preset.buffers_bdp == (0.5, 1.0, 4.0)
+        assert preset.disciplines == ("droptail",)
         assert preset.topology == "parking-lot"
         assert preset.hops == 4
         assert preset.cross_flows == 2
         assert preset.arrivals == "poisson"
         assert preset.load == 0.6
+        assert preset.flow_size_dist == "pareto"  # the churn default, filled once
         assert preset.store_path == "results/paper.shards"
         assert preset.store_backend == "sharded"
         assert preset.store_fsync is False
@@ -110,6 +111,8 @@ class TestParsePreset:
             ("executor: {on_failure: explode}", "on_failure must be one of"),
             ("executor: {workers: 0}", "invalid executor policy"),
             ("executor: {retries: -1}", "invalid executor policy"),
+            ("substrate: ns3", "unknown substrate"),
+            ("churn: {load: 0.5}", "arrival process"),
         ],
     )
     def test_malformed_documents_rejected(self, tmp_path, document, match):
@@ -128,18 +131,8 @@ class TestParsePreset:
         with pytest.raises(PresetError, match="not valid YAML"):
             load_preset(path)
 
-    def test_campaign_kwargs_match_run_campaign_signature(self):
-        import inspect
-
-        accepted = set(inspect.signature(sweep_module.run_campaign).parameters)
-        assert set(CampaignPreset().campaign_kwargs()) <= accepted
-
-    def test_scenario_fields_enumerated(self):
-        fields = preset_scenario_fields()
-        assert "substrate" in fields
-        assert "duration_s" in fields
-        assert "store_path" not in fields
-        assert "executor" not in fields
+    def test_grid_is_a_gridspec(self):
+        assert CampaignPreset().grid == GridSpec(substrate="emulation", seeds=5)
 
 
 class TestCliMerge:
@@ -149,8 +142,8 @@ class TestCliMerge:
     def captured(self, monkeypatch):
         calls: dict = {}
 
-        def fake_run_campaign(**kwargs):
-            calls.update(kwargs)
+        def fake_run_campaign(grid, **kwargs):
+            calls.update(kwargs, grid=grid)
             return sweep_module.CampaignResult(points=[], failures=[])
 
         monkeypatch.setattr(sweep_module, "run_campaign", fake_run_campaign)
@@ -164,12 +157,14 @@ class TestCliMerge:
     def test_preset_values_reach_run_campaign(self, tmp_path, captured, capsys):
         cli.main(["campaign", "--preset", str(self._preset_file(tmp_path))])
         capsys.readouterr()
-        assert captured["substrate"] == "fluid"
-        assert captured["mixes"] == ["BBRv1", "BBRv2"]
-        assert captured["buffers_bdp"] == [0.5, 1.0, 4.0]
-        assert captured["seeds"] == [1, 2, 3]
-        assert captured["duration_s"] == 2.0
-        assert captured["topology"] == "parking-lot"
+        grid = captured["grid"]
+        assert grid == load_preset(self._preset_file(tmp_path)).grid
+        assert grid.substrate == "fluid"
+        assert grid.mixes == ("BBRv1", "BBRv2")
+        assert grid.buffers_bdp == (0.5, 1.0, 4.0)
+        assert grid.seeds == (1, 2, 3)
+        assert grid.duration_s == 2.0
+        assert grid.topology == "parking-lot"
         assert captured["executor"].workers == 4
         assert captured["executor"].on_failure == "skip"
         assert captured["retry_failed"] is False
@@ -186,12 +181,12 @@ class TestCliMerge:
             ]
         )
         capsys.readouterr()
-        assert captured["substrate"] == "emulation"
-        assert captured["duration_s"] == 1.0
+        assert captured["grid"].substrate == "emulation"
+        assert captured["grid"].duration_s == 1.0
         assert captured["executor"].workers == 2
         assert captured["executor"].retries == 0
         # Untouched axes still come from the preset.
-        assert captured["mixes"] == ["BBRv1", "BBRv2"]
+        assert captured["grid"].mixes == ("BBRv1", "BBRv2")
         assert captured["executor"].on_failure == "skip"
 
     def test_store_flag_overrides_preset_store(self, tmp_path, captured, capsys):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.experiments import scenarios, sweep
+from repro.experiments.grid import GridSpec, seed_list
 from repro.experiments.store import (
     SCHEMA_VERSION,
     SweepStore,
@@ -28,6 +29,11 @@ def _metrics(value: float = 1.0) -> AggregateMetrics:
 
 
 FAST = dict(duration_s=0.5, dt=1e-3)
+
+
+def _grid(**axes) -> GridSpec:
+    """A one-point BBRv1 droptail grid (axes override)."""
+    return GridSpec(**{"mixes": ["BBRv1"], "buffers_bdp": [1.0], "disciplines": ["droptail"], **axes})
 
 
 @pytest.fixture(autouse=True)
@@ -203,44 +209,34 @@ class TestSweepStore:
         assert env_store is not None and env_store.path.name == "env.jsonl"
 
 
-class TestRunPointStore:
+class TestPointStore:
     def test_warm_point_skips_computation(self, tmp_path, monkeypatch):
         store = SweepStore(tmp_path / "s.jsonl")
-        cold = sweep.run_point("BBRv1", 1.0, "droptail", store=store, **FAST)
+        (cold,) = sweep.run_campaign(_grid(**FAST), store=store).points
         sweep.clear_cache()
-        # Any recomputation would construct a simulator; forbid it outright.
+        # Any recomputation would run a simulation; forbid it outright.
         monkeypatch.setattr(
-            sweep, "FluidSimulator", lambda *a, **k: pytest.fail("point was recomputed")
+            sweep, "simulate_many", lambda *a, **k: pytest.fail("point was recomputed")
         )
-        warm = sweep.run_point(
-            "BBRv1", 1.0, "droptail", store=SweepStore(store.path), **FAST
-        )
+        (warm,) = sweep.run_campaign(_grid(**FAST), store=SweepStore(store.path)).points
         assert warm.metrics == cold.metrics
 
     def test_store_key_respects_seed(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
-        sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="emulation", seed=1,
-            duration_s=0.5, store=store,
-        )
-        sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="emulation", seed=2,
-            duration_s=0.5, store=store,
-        )
+        for seed in (1, 2):
+            grid = _grid(substrate="emulation", seeds=[seed], duration_s=0.5)
+            sweep.run_campaign(grid, store=store)
         assert len(store) == 2
         seeds = {record["meta"]["seed"] for record in store.records()}
         assert seeds == {1, 2}
 
 
-class TestRunSweepStore:
-    GRID = dict(
-        mixes=["BBRv1"], buffers_bdp=[1.0, 2.0], disciplines=["droptail"],
-        substrate="emulation", duration_s=0.5,
-    )
+class TestCampaignStore:
+    GRID = _grid(buffers_bdp=[1.0, 2.0], substrate="emulation", duration_s=0.5)
 
     def test_warm_sweep_recomputes_nothing(self, tmp_path, monkeypatch):
         store = SweepStore(tmp_path / "s.jsonl")
-        cold = sweep.run_sweep(store=store, **self.GRID)
+        cold = sweep.run_campaign(self.GRID, store=store).points
         sweep.clear_cache()
         monkeypatch.setattr(
             sweep,
@@ -248,7 +244,7 @@ class TestRunSweepStore:
             lambda *a, **k: pytest.fail("point was recomputed"),
         )
         warm_store = SweepStore(store.path)
-        warm = sweep.run_sweep(store=warm_store, **self.GRID)
+        warm = sweep.run_campaign(self.GRID, store=warm_store).points
         assert warm_store.hits == len(cold) and warm_store.misses == 0
         assert [p.metrics for p in warm] == [p.metrics for p in cold]
 
@@ -265,7 +261,7 @@ class TestRunSweepStore:
 
         monkeypatch.setattr(sweep, "EmulationRunner", failing_runner)
         with pytest.raises(sweep.SweepPointError) as excinfo:
-            sweep.run_sweep(store=SweepStore(store_path), **self.GRID)
+            sweep.run_campaign(self.GRID, store=SweepStore(store_path)).points
         # The wrapped error names the failing grid point...
         assert excinfo.value.buffer_bdp == 2.0
         assert "BBRv1" in str(excinfo.value)
@@ -279,7 +275,7 @@ class TestRunSweepStore:
             config.bottleneck.buffer_bdp
         ) or real_runner(config, **kwargs)
         monkeypatch.setattr(sweep, "EmulationRunner", count_runner)
-        points = sweep.run_sweep(store=SweepStore(store_path), **self.GRID)
+        points = sweep.run_campaign(self.GRID, store=SweepStore(store_path)).points
         # Resume recomputes only the point that failed.
         assert calls == [2.0]
         assert len(points) == 2
@@ -287,31 +283,30 @@ class TestRunSweepStore:
 
 class TestSeedsAxis:
     def test_seed_list_normalisation(self):
-        assert sweep._seed_list(3) == [1, 2, 3]
-        assert sweep._seed_list([7, 9]) == [7, 9]
+        assert seed_list(3) == (1, 2, 3)
+        assert seed_list([7, 9]) == (7, 9)
         with pytest.raises(ValueError):
-            sweep._seed_list(0)
+            seed_list(0)
         with pytest.raises(ValueError):
-            sweep._seed_list([])
+            seed_list([])
         with pytest.raises(ValueError):
-            sweep._seed_list([1, 1])
+            seed_list([1, 1])
 
-    def test_run_point_seeds_returns_summary(self):
-        point = sweep.run_point(
-            "BBRv1", 1.0, "droptail", substrate="emulation", seeds=2, duration_s=0.5
-        )
+    def test_seeds_return_summary(self):
+        (point,) = sweep.run_campaign(
+            _grid(substrate="emulation", seeds=2, duration_s=0.5)
+        ).points
         assert isinstance(point, sweep.SummaryPoint)
         assert point.seeds == (1, 2)
         assert point.summary.num_seeds == 2
         row = point.row()
         assert "jain_fairness_mean" in row and "jain_fairness_ci95" in row
 
-    def test_run_sweep_seeds_returns_summaries(self, tmp_path):
+    def test_seeds_summaries_keep_per_seed_rows(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
-        summaries = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
-            substrate="emulation", duration_s=0.5, seeds=3, store=store,
-        )
+        summaries = sweep.run_campaign(
+            _grid(substrate="emulation", duration_s=0.5, seeds=3), store=store
+        ).points
         assert len(summaries) == 1
         summary = summaries[0]
         assert isinstance(summary, sweep.SummaryPoint)
@@ -323,10 +318,7 @@ class TestSeedsAxis:
         assert {row["seed"] for row in rows} == {1, 2, 3}
 
     def test_fluid_seeds_are_deterministic(self):
-        summaries = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
-            seeds=2, **FAST,
-        )
+        summaries = sweep.run_campaign(_grid(seeds=2, **FAST)).points
         # The fluid model is deterministic: replicas agree exactly.
         assert summaries[0].summary.std.utilization_percent == 0.0
         assert summaries[0].summary.ci95.jain_fairness == 0.0
@@ -343,36 +335,27 @@ class TestSeedsAxis:
 
         monkeypatch.setattr(sweep, "simulate_many", counting)
         store = SweepStore(tmp_path / "s.jsonl")
-        summaries = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
-            seeds=3, store=store, **FAST,
-        )
+        summaries = sweep.run_campaign(_grid(seeds=3, **FAST), store=store).points
         assert len(computed) == 1
         assert summaries[0].summary.num_seeds == 3
         assert len(store) == 1
 
     def test_env_store_persists_each_point_exactly_once(self, tmp_path, monkeypatch):
         # Regression: the serial path used to persist twice when the store
-        # came from REPRO_STORE (once inside run_point, once in run_sweep).
+        # came from REPRO_STORE (once per point, once for the grid).
         path = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_STORE", str(path))
-        sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
-            substrate="emulation", duration_s=0.5,
-        )
+        sweep.run_campaign(_grid(substrate="emulation", duration_s=0.5))
         assert len(path.read_text().strip().splitlines()) == 1
 
     def test_store_false_disables_env_store(self, tmp_path, monkeypatch):
         path = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_STORE", str(path))
-        sweep.run_point("BBRv1", 1.0, "droptail", store=False, **FAST)
+        sweep.run_campaign(_grid(**FAST), store=False)
         assert not path.exists()
 
     def test_series_on_summary_points_uses_mean(self):
-        summaries = sweep.run_sweep(
-            mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
-            seeds=2, **FAST,
-        )
+        summaries = sweep.run_campaign(_grid(seeds=2, **FAST)).points
         line = sweep.series(summaries, "utilization_percent", "BBRv1", "droptail")
         assert line[0][0] == 1.0
         ci_line = sweep.series_ci(summaries, "utilization_percent", "BBRv1", "droptail")

@@ -28,6 +28,7 @@ from repro.core.simulator import simulate_many
 from repro.emulation import EmulationRunner
 from repro.emulation.runner import emulate
 from repro.experiments import scenarios, sweep
+from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore, scenario_key
 from repro.metrics import link_metrics
 
@@ -474,6 +475,11 @@ class TestTopologySweep:
             other_hops, "emulation"
         )
 
+    @staticmethod
+    def _point(store=None, buffers_bdp=(1.0,), disciplines=("droptail",), **axes):
+        grid = GridSpec(mixes=["BBRv1"], buffers_bdp=buffers_bdp, disciplines=disciplines, **axes)
+        return sweep.run_campaign(grid, store=store).points
+
     def test_parking_lot_point_round_trips_through_store(self, tmp_path):
         path = tmp_path / "store.jsonl"
         kwargs = dict(
@@ -484,11 +490,11 @@ class TestTopologySweep:
             hops=3,
             cross_flows=1,
         )
-        first = sweep.run_point("BBRv1", 1.0, "droptail", store=path, **kwargs)
+        (first,) = self._point(store=path, **kwargs)
         sweep.clear_cache()
         store = SweepStore(path)
         assert len(store) == 1
-        second = sweep.run_point("BBRv1", 1.0, "droptail", store=store, **kwargs)
+        (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
         assert first.metrics == second.metrics
         row = store.rows(topology="parking-lot")[0]
@@ -496,35 +502,23 @@ class TestTopologySweep:
 
     def test_topology_cache_key_distinct_from_dumbbell(self):
         kwargs = dict(substrate="fluid", duration_s=0.5, dt=1e-3)
-        plain = sweep.run_point("BBRv1", 1.0, "droptail", **kwargs)
-        lot = sweep.run_point(
-            "BBRv1", 1.0, "droptail", topology="parking-lot", **kwargs
-        )
+        (plain,) = self._point(**kwargs)
+        (lot,) = self._point(topology="parking-lot", **kwargs)
         assert plain.metrics != lot.metrics
         # "dumbbell" preset aliases onto the legacy grid point.
-        alias = sweep.run_point(
-            "BBRv1", 1.0, "droptail", topology="dumbbell", hops=7, **kwargs
-        )
-        assert alias.metrics == plain.metrics
+        (alias,) = self._point(topology="dumbbell", hops=7, **kwargs)
+        assert alias is plain
 
     def test_short_rtt_rejected_with_topology(self):
         with pytest.raises(ValueError, match="short_rtt"):
-            sweep.run_point(
-                "BBRv1",
-                1.0,
-                "droptail",
-                substrate="fluid",
-                short_rtt=True,
-                topology="parking-lot",
-                duration_s=0.5,
-                dt=1e-3,
+            self._point(
+                substrate="fluid", short_rtt=True, topology="parking-lot",
+                duration_s=0.5, dt=1e-3,
             )
 
-    def test_run_sweep_topology_axis(self):
-        points = sweep.run_sweep(
-            mixes=["BBRv1"],
+    def test_campaign_topology_axis(self):
+        points = self._point(
             buffers_bdp=[1.0, 2.0],
-            disciplines=["droptail"],
             substrate="fluid",
             duration_s=0.5,
             dt=1e-3,
@@ -540,10 +534,8 @@ class TestTopologySweep:
             substrate="fluid", duration_s=0.5, dt=1e-3,
             topology="parking-lot", hops=2,
         )
-        plain = sweep.run_point("BBRv1", 1.0, "droptail", **kwargs)
-        hetero = sweep.run_point(
-            "BBRv1", 1.0, "droptail", hop_capacities=(100.0, 50.0), **kwargs
-        )
+        (plain,) = self._point(**kwargs)
+        (hetero,) = self._point(hop_capacities=(100.0, 50.0), **kwargs)
         assert plain.metrics != hetero.metrics
         cfg_plain = scenarios.topology_scenario(
             "parking-lot", hops=2, duration_s=0.5, dt=1e-3
@@ -567,10 +559,10 @@ class TestTopologySweep:
             hop_delays=(0.004, 0.006),
             hop_disciplines=("red", "droptail"),
         )
-        first = sweep.run_point("BBRv1", 1.0, "droptail", store=path, **kwargs)
+        (first,) = self._point(store=path, **kwargs)
         sweep.clear_cache()
         store = SweepStore(path)
-        second = sweep.run_point("BBRv1", 1.0, "droptail", store=store, **kwargs)
+        (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
         assert first.metrics == second.metrics
         row = store.rows(topology="parking-lot")[0]
@@ -578,11 +570,8 @@ class TestTopologySweep:
         assert row["hop_delays"] == [0.004, 0.006]
         assert row["hop_disciplines"] == ["red", "droptail"]
 
-    def test_run_sweep_heterogeneous_axis(self):
-        points = sweep.run_sweep(
-            mixes=["BBRv1"],
-            buffers_bdp=[1.0],
-            disciplines=["droptail"],
+    def test_campaign_heterogeneous_axis(self):
+        points = self._point(
             substrate="fluid",
             duration_s=0.5,
             dt=1e-3,
@@ -597,29 +586,13 @@ class TestTopologySweep:
     def test_hop_disciplines_conflict_with_discipline_axis(self):
         # --hop-disciplines fixes every hop; sweeping droptail AND red on
         # top would produce identical runs under two labels.
-        with pytest.raises(ValueError, match="single disciplines value"):
-            sweep.run_sweep(
-                mixes=["BBRv1"],
-                buffers_bdp=[1.0],
-                disciplines=["droptail", "red"],
-                substrate="fluid",
-                duration_s=0.5,
-                dt=1e-3,
-                topology="parking-lot",
-                hops=2,
-                hop_disciplines=("red", "red"),
-            )
-        points = sweep.run_sweep(
-            mixes=["BBRv1"],
-            buffers_bdp=[1.0],
-            disciplines=["droptail"],
-            substrate="fluid",
-            duration_s=0.5,
-            dt=1e-3,
-            topology="parking-lot",
-            hops=2,
-            hop_disciplines=("red", "red"),
+        kwargs = dict(
+            substrate="fluid", duration_s=0.5, dt=1e-3,
+            topology="parking-lot", hops=2, hop_disciplines=("red", "red"),
         )
+        with pytest.raises(ValueError, match="single disciplines value"):
+            self._point(disciplines=["droptail", "red"], **kwargs)
+        points = self._point(**kwargs)
         assert len(points) == 1
         # Rows are labelled by what actually ran, not the grid slot.
         assert points[0].discipline == "red/red"
@@ -632,17 +605,14 @@ class TestTopologySweep:
             topology="parking-lot", hops=2,
             hop_disciplines=("red", "droptail"),
         )
-        a = sweep.run_point("BBRv1", 1.0, "droptail", **kwargs)
-        b = sweep.run_point("BBRv1", 1.0, "red", **kwargs)
+        (a,) = self._point(disciplines=["droptail"], **kwargs)
+        (b,) = self._point(disciplines=["red"], **kwargs)
         assert a.discipline == b.discipline == "red/droptail"
         assert a is b  # cache-aliased, not recomputed
 
-    def test_run_sweep_rejects_malformed_hop_axis(self):
+    def test_campaign_rejects_malformed_hop_axis(self):
         with pytest.raises(ValueError, match="one value per hop"):
-            sweep.run_sweep(
-                mixes=["BBRv1"],
-                buffers_bdp=[1.0],
-                disciplines=["droptail"],
+            self._point(
                 substrate="fluid",
                 duration_s=0.5,
                 dt=1e-3,
@@ -651,8 +621,7 @@ class TestTopologySweep:
                 hop_capacities=(100.0, 50.0),
             )
         with pytest.raises(ValueError, match="dumbbell"):
-            sweep.run_point(
-                "BBRv1", 1.0, "droptail",
+            self._point(
                 substrate="fluid", duration_s=0.5, dt=1e-3,
                 hop_capacities=(100.0, 50.0, 25.0),
             )
