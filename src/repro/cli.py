@@ -8,7 +8,7 @@ Examples::
     repro-bbr figure fig06_fairness --seeds 3 --csv fig06.csv
     repro-bbr campaign --store results.jsonl --seeds 5 --workers 4
     repro-bbr campaign --store results.sqlite --workers 4 --skip-failures --retries 1
-    repro-bbr campaign --store sharded:results.shards --heartbeat-s 30
+    repro-bbr campaign --store sqlite:results.out --heartbeat-s 30
     repro-bbr campaign --preset examples/presets/emulation-grid.yaml
     repro-bbr topology --preset parking-lot --hops 3
     repro-bbr topology --preset parking-lot --hops 3 --hop-capacities 100,50,25
@@ -36,9 +36,9 @@ Examples::
 reports mean ± 95% CI per point; ``--store PATH`` (or the ``REPRO_STORE``
 environment variable) persists each completed point immediately, so an
 interrupted sweep or campaign resumes without recomputing finished points.
-The store backend (single-file JSON lines, sharded JSON lines, or SQLite)
-is inferred from the path or forced with ``--backend``/a ``backend:``
-prefix.  ``campaign`` adds the service-grade executor policy
+The store backend (single-file JSON lines or SQLite) is inferred from
+the path or forced with ``--backend``/a ``backend:`` prefix.
+``campaign`` adds the service-grade executor policy
 (``--retries/--timeout-s/--backoff-s/--heartbeat-s/--skip-failures``):
 with ``--skip-failures``, points that exhaust their retries are recorded
 as structured failure rows, the rest of the grid completes, and the exit
@@ -111,7 +111,7 @@ from .config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
 from .core.simulator import simulate
 from .emulation.runner import emulate
 from .experiments import figures, phase, presets, report, scenarios, sweep
-from .experiments.backends import BACKENDS
+from .experiments.backends import BACKENDS, RemovedBackendError, split_backend_spec
 from .experiments.executor import ExecutorPolicy
 from .experiments.grid import GridSpec
 from .experiments.store import SweepStore, resolve_store
@@ -1094,21 +1094,10 @@ def _open_existing_store(spec: str, backend: str | None) -> SweepStore:
     Opening a missing path would silently create an empty store (SQLite
     even writes a file), which turns a typo into "0 results".
     """
-    raw = spec
-    for prefix in BACKENDS:
-        if raw.startswith(f"{prefix}:"):
-            raw = raw[len(prefix) + 1 :]
-            break
+    _, raw = split_backend_spec(spec)
     if not Path(raw).exists():
         raise FileNotFoundError(f"store {raw} not found")
     return SweepStore(spec, backend=backend)
-
-
-def _strip_backend_prefix(spec: str) -> str:
-    for prefix in BACKENDS:
-        if spec.startswith(f"{prefix}:"):
-            return spec[len(prefix) + 1 :]
-    return spec
 
 
 def _run_store_merge(args: argparse.Namespace) -> int:
@@ -1119,9 +1108,9 @@ def _run_store_merge(args: argparse.Namespace) -> int:
         )
         return 2
     *sources, dest = args.stores
-    dest_path = Path(_strip_backend_prefix(dest)).resolve()
+    dest_path = Path(split_backend_spec(dest)[1]).resolve()
     for spec in sources:
-        if Path(_strip_backend_prefix(spec)).resolve() == dest_path:
+        if Path(split_backend_spec(spec)[1]).resolve() == dest_path:
             print(
                 f"error: destination {dest} is also a merge source",
                 file=sys.stderr,
@@ -1418,7 +1407,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "theorems": _run_theorems,
         "check": _run_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except RemovedBackendError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -142,20 +142,19 @@ class FluidCCA(abc.ABC):
         )
 
     # ------------------------------------------------------------------ #
-    # Optional batched path (structure-of-arrays, one call per step for
-    # all same-CCA flows).  Models that do not override ``batch_key`` are
-    # stepped one flow at a time through ``step`` — arbitrary heterogeneous
-    # mixes and custom models keep working unchanged.
+    # Batched path (structure-of-arrays, one call per step for all
+    # same-CCA flows): what the vectorized simulator runs.  The scalar
+    # ``step`` above is its reference (``vectorized=False``).
     # ------------------------------------------------------------------ #
 
-    def batch_key(self) -> Hashable | None:
-        """Grouping key for the batched path, or ``None`` if unsupported.
+    @abc.abstractmethod
+    def batch_key(self) -> Hashable:
+        """Grouping key for the batched path.
 
-        Flows whose models return the same non-``None`` key are stepped
-        together through :meth:`step_all`.  The key must therefore capture
-        every model parameter that influences :meth:`step`.
+        Flows whose models return the same key are stepped together
+        through :meth:`step_all`.  The key must therefore capture every
+        model parameter that influences :meth:`step`.
         """
-        return None
 
     def make_batch(self, states: Sequence[FlowState]) -> FlowStateBatch:
         """Pack per-flow states into arrays (called once before the run)."""
@@ -169,17 +168,9 @@ class FluidCCA(abc.ABC):
             },
         )
 
-    def write_back(self, batch: FlowStateBatch, states: Sequence[FlowState]) -> None:
-        """Unpack batch arrays into the per-flow state objects."""
-        for i, state in enumerate(states):
-            state.rate = float(batch.rate[i])
-            state.inflight = float(batch.inflight[i])
-            for key, values in batch.extras.items():
-                state.extra[key] = float(values[i])
-
+    @abc.abstractmethod
     def step_all(self, batch: FlowStateBatch, inputs: FlowInputsBatch) -> None:
         """Advance all flows of the batch by one step (vectorized ``step``)."""
-        raise NotImplementedError(f"{type(self).__name__} has no batched step")
 
     def congestion_window_all(self, batch: FlowStateBatch) -> np.ndarray:
         """Batched :meth:`congestion_window` (for trace recording)."""

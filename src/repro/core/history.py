@@ -8,9 +8,8 @@ backward delay ago (Eq. 17).  The method of steps (Section 4.1.1) solves
 such systems by keeping the recent history of every delayed signal and
 reading it back at a fixed lag.
 
-:class:`SignalHistory` stores a scalar signal on the integrator's uniform
-time grid; :class:`VectorHistory` stores one signal per flow (or per link)
-in a single numpy array for efficiency.
+:class:`VectorHistory` stores one signal per flow (or per link) on the
+integrator's uniform time grid, in a single numpy array for efficiency.
 
 Because every delay of a scenario is a *constant*, the vectorized simulator
 converts them to integer lag tables once (:meth:`VectorHistory.lag_steps`)
@@ -21,41 +20,6 @@ step instead of per-component Python calls.
 from __future__ import annotations
 
 import numpy as np
-
-
-class SignalHistory:
-    """Fixed-lag history of a scalar signal sampled on a uniform grid."""
-
-    def __init__(self, dt: float, max_delay: float, initial: float = 0.0) -> None:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
-        self.dt = dt
-        # One extra slot so that a lookup of exactly max_delay is in range.
-        self._size = int(np.ceil(max_delay / dt)) + 2
-        self._buffer = np.full(self._size, float(initial))
-        self._head = 0  # index of the most recent sample
-        self._steps = 0
-
-    def push(self, value: float) -> None:
-        """Append the current sample (call exactly once per integration step)."""
-        self._head = (self._head + 1) % self._size
-        self._buffer[self._head] = float(value)
-        self._steps += 1
-
-    def at_delay(self, delay: float) -> float:
-        """Value of the signal ``delay`` seconds ago (clamped to the oldest sample)."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        lag = int(round(delay / self.dt))
-        lag = min(lag, min(self._steps, self._size - 1))
-        return float(self._buffer[(self._head - lag) % self._size])
-
-    @property
-    def current(self) -> float:
-        """Most recently pushed value."""
-        return float(self._buffer[self._head])
 
 
 class VectorHistory:
@@ -96,33 +60,12 @@ class VectorHistory:
         self._buffer[self._head] = values
         self._steps += 1
 
-    def _lag_steps(self, delay: float) -> int:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        lag = int(round(delay / self.dt))
-        return min(lag, min(self._steps, self._size - 1))
-
     def at_delay(self, index: int, delay: float) -> float:
         """Value of component ``index`` of the signal ``delay`` seconds ago."""
-        lag = self._lag_steps(delay)
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        lag = min(int(round(delay / self.dt)), self._steps, self._size - 1)
         return float(self._buffer[(self._head - lag) % self._size, index])
-
-    def vector_at_delay(self, delay: float) -> np.ndarray:
-        """Whole vector ``delay`` seconds ago (single common lag)."""
-        lag = self._lag_steps(delay)
-        return self._buffer[(self._head - lag) % self._size].copy()
-
-    def at_delays(self, delays: np.ndarray) -> np.ndarray:
-        """Per-component lookup: component ``i`` read back ``delays[i]`` seconds ago."""
-        delays = np.asarray(delays, dtype=float)
-        if delays.shape != (self.width,):
-            raise ValueError(f"expected shape ({self.width},), got {delays.shape}")
-        if np.any(delays < 0):
-            raise ValueError("delays must be non-negative")
-        lags = np.rint(delays / self.dt).astype(int)
-        lags = np.minimum(lags, min(self._steps, self._size - 1))
-        rows = (self._head - lags) % self._size
-        return self._buffer[rows, np.arange(self.width)].copy()
 
     # ------------------------------------------------------------------ #
     # Batched fixed-lag API (hot path of the vectorized simulator)

@@ -4,11 +4,13 @@ The network consists of links with capacity ``C_l``, buffer ``B_l`` and
 propagation delay ``d_l``; each flow (agent) follows a path, i.e. an ordered
 sequence of links.  The evaluation of the paper exclusively uses the
 dumbbell topology of Fig. 3 (private access links into a switch, one shared
-bottleneck link to the destination), which :func:`Network.dumbbell` builds;
-:func:`Network.from_topology` builds the multi-bottleneck topologies
-(parking lots, multi-dumbbells — listed as future work in the paper) from
-an explicit :class:`~repro.config.TopologyConfig`, and
-:func:`Network.from_scenario` dispatches between the two forms.
+bottleneck link to the destination).  :func:`Network.from_scenario` builds
+every scenario from its :meth:`~repro.config.ScenarioConfig.effective_topology`:
+the dumbbell is the one-hop case, and the multi-bottleneck topologies
+(parking lots, multi-dumbbells — listed as future work in the paper) come
+from an explicit :class:`~repro.config.TopologyConfig`.  The packet
+emulator builds from the same topology, so both substrates name their
+links alike.
 """
 
 from __future__ import annotations
@@ -94,25 +96,14 @@ class Network:
 
     @classmethod
     def from_scenario(cls, config: ScenarioConfig) -> Network:
-        """Build the network a scenario describes (dumbbell or explicit topology)."""
-        if config.topology is not None:
-            return cls.from_topology(config)
-        return cls.dumbbell(config)
+        """Build the network a scenario describes (its effective topology).
 
-    @classmethod
-    def from_topology(cls, config: ScenarioConfig) -> Network:
-        """Build a multi-bottleneck network from an explicit topology.
-
-        Layout mirrors :meth:`dumbbell` (queued links first, then one access
-        link per flow), so a one-hop topology produces a structurally — and
-        numerically — identical network to the legacy dumbbell.  Link
-        buffers are scaled by the reference-bottleneck BDP; the return path
-        is a pure propagation delay matching the forward path (symmetric
-        routing).
+        The queued links come first, then one unsaturated access link (pure
+        delay) per flow.  Link buffers are scaled by the reference-bottleneck
+        BDP; the return path is a pure propagation delay matching the
+        forward path (symmetric routing).
         """
-        topo = config.topology
-        if topo is None:
-            raise ValueError("scenario has no explicit topology")
+        topo = config.effective_topology()
         links: list[Link] = []
         index: dict[str, int] = {}
         for link_cfg in topo.links:
@@ -140,40 +131,6 @@ class Network:
                 topo.link(name).delay_s for name in topo.paths[i]
             )
             paths.append(Path(link_indices=forward, return_delay_s=return_delay))
-        return cls(links, paths)
-
-    @classmethod
-    def dumbbell(cls, config: ScenarioConfig) -> Network:
-        """Build the dumbbell topology of Fig. 3 from a scenario configuration.
-
-        Each sender gets its own unsaturated access link (pure delay); all
-        senders share the bottleneck link between switch and destination.
-        """
-        bottleneck = Link(
-            capacity_pps=config.bottleneck.capacity_pps,
-            delay_s=config.bottleneck.delay_s,
-            buffer_pkts=config.buffer_packets(),
-            discipline=config.bottleneck.discipline,
-            name="bottleneck",
-        )
-        links: list[Link] = [bottleneck]
-        paths: list[Path] = []
-        for i, flow in enumerate(config.flows):
-            access = Link(
-                capacity_pps=math.inf,
-                delay_s=flow.access_delay_s,
-                name=f"access-{i}",
-            )
-            links.append(access)
-            access_idx = len(links) - 1
-            # Forward: access link then bottleneck; ACKs return over a path
-            # with the same propagation delay (symmetric dumbbell).
-            paths.append(
-                Path(
-                    link_indices=(access_idx, 0),
-                    return_delay_s=flow.access_delay_s + config.bottleneck.delay_s,
-                )
-            )
         return cls(links, paths)
 
     # ------------------------------------------------------------------ #

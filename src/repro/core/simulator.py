@@ -20,11 +20,10 @@ reads become one batched :meth:`~repro.core.history.VectorHistory.gather`
 per signal per step, the flow→link incidence structure turns Eq. 1 into a
 gather-plus-segment-sum and Eq. 3 into a matrix-vector product, and the
 loss/queue updates (Eq. 4/6, Eq. 2) run as single numpy expressions over
-every queued link at once.  Flows whose CCA model implements the batched
-``step_all`` protocol (all four built-in models) advance as
-structure-of-arrays groups; models without it — custom or user-supplied —
-fall back to the per-flow scalar ``step``, so arbitrary heterogeneous mixes
-keep working.
+every queued link at once.  Flows advance as structure-of-arrays groups
+through their CCA model's batched ``step_all``, one group per
+``batch_key`` (every :class:`~repro.core.flow.FluidCCA` implements both),
+so arbitrary heterogeneous mixes step in a handful of calls.
 
 The original per-flow/per-link scalar loop is retained behind
 ``vectorized=False`` as the numerical reference: both paths execute the
@@ -462,21 +461,13 @@ class FluidSimulator:
         exponent = cfg.fluid.droptail_exponent
         literal_xmax = cfg.fluid.literal_xmax
 
-        # ---------- CCA states: batched groups + scalar fallback -------- #
+        # ---------- CCA states: one batched group per batch key --------- #
         states = self._make_states()
         group_indices: dict[object, list[int]] = {}
         for i in range(num_flows):
-            key = self.models[i].batch_key()
-            if key is None:
-                group_indices.setdefault(("scalar", i), [i])
-            else:
-                group_indices.setdefault(key, []).append(i)
+            group_indices.setdefault(self.models[i].batch_key(), []).append(i)
         batch_groups = []  # (model, selector, batch, reusable FlowInputsBatch)
-        scalar_flows: list[int] = []
-        for key, flow_ids in group_indices.items():
-            if isinstance(key, tuple) and key and key[0] == "scalar":
-                scalar_flows.extend(flow_ids)
-                continue
+        for flow_ids in group_indices.values():
             model = self.models[flow_ids[0]]
             batch = model.make_batch([states[i] for i in flow_ids])
             if len(flow_ids) == num_flows:
@@ -501,7 +492,6 @@ class FluidSimulator:
                 literal_xmax=literal_xmax,
             )
             batch_groups.append((model, idx, batch, inputs))
-        scalar_flows.sort()
 
         # ---------- trace recording buffers ----------------------------- #
         steps = int(round(cfg.duration_s / dt))
@@ -521,10 +511,6 @@ class FluidSimulator:
             }
             for model, idx, batch, _ in batch_groups
         ]
-        scalar_extras = {
-            i: {key: np.zeros(num_records) for key in self.models[i].trace_fields(states[i])}
-            for i in scalar_flows
-        }
         record_index = 0
 
         # ---------- mutable per-step arrays ----------------------------- #
@@ -647,7 +633,7 @@ class FluidSimulator:
                     np.minimum(own_dyn, cap_dyn),
                 )
 
-            # 3. CCA updates: batched groups, then scalar-fallback flows.
+            # 3. CCA updates, one batched call per group.
             if churn:
                 active_all = (start_times <= t) & (t < stop_times) & ~completed
             else:
@@ -672,21 +658,6 @@ class FluidSimulator:
                     inputs.active = None if active_all is None else active_all[idx]
                     model.step_all(batch, inputs)
                     rates_all[idx] = batch.rate
-            for i in scalar_flows:
-                inputs_i = FlowInputs(
-                    t=t,
-                    dt=dt,
-                    tau=float(latency[i]),
-                    tau_delayed=float(tau_delayed[i]),
-                    path_loss=float(p_delayed[i]),
-                    delivery_rate=float(delivery_rates[i]),
-                    rate_delayed=float(own_delayed[i]),
-                    propagation_rtt=float(propagation_rtt[i]),
-                    active=bool(active_all[i]) if churn else t >= start_times[i],
-                    literal_xmax=literal_xmax,
-                )
-                self.models[i].step(states[i], inputs_i)
-                rates_all[i] = states[i].rate
 
             if churn:
                 # Finite-size completion: only active flows accumulate
@@ -715,13 +686,6 @@ class FluidSimulator:
                     extras_rec = group_extras[group_pos]
                     for key, values in model.trace_fields_all(batch).items():
                         extras_rec[key][record_index] = values
-                for i in scalar_flows:
-                    rec_inflight[record_index, i] = states[i].inflight
-                    rec_cwnd[record_index, i] = self.models[i].congestion_window(states[i])
-                    extras_i = scalar_extras[i]
-                    for key, value in self.models[i].trace_fields(states[i]).items():
-                        if key in extras_i:
-                            extras_i[key][record_index] = value
                 record_index += 1
 
             # 5. Integrate the link queues (Eq. 2).
@@ -751,10 +715,6 @@ class FluidSimulator:
                     key: values[:record_index, col]
                     for key, values in group_extras[group_pos].items()
                 }
-        for i in scalar_flows:
-            extras_per_flow[i] = {
-                key: values[:record_index] for key, values in scalar_extras[i].items()
-            }
 
         self.runtime = {
             "steps": steps + 1,

@@ -399,8 +399,3 @@ class Destination:
         if sender is None:
             raise KeyError(f"packet for unknown flow {packet.flow_id}")
         sender.on_packet_delivered(packet)
-
-
-def make_deliver_callback(senders: dict[int, Sender]) -> Callable[[Packet], None]:
-    """Convenience wrapper returning the destination's delivery callback."""
-    return Destination(senders).deliver

@@ -1,4 +1,4 @@
-"""Packet and acknowledgement records used by the emulator."""
+"""The packet record used by the emulator."""
 
 from __future__ import annotations
 
@@ -28,22 +28,3 @@ class Packet:
     sent_time: float
     delivered_at_send: int = 0
     app_limited: bool = False
-
-
-@dataclass(slots=True)
-class Ack:
-    """An acknowledgement for a single data packet (SACK-style, per packet).
-
-    Attributes:
-        flow_id: index of the acknowledged flow.
-        seq: sequence number of the acknowledged packet.
-        packet_sent_time: when the acknowledged packet was sent.
-        delivered_at_send: delivery counter snapshot carried by the packet.
-        recv_time: when the destination received the packet.
-    """
-
-    flow_id: int
-    seq: int
-    packet_sent_time: float
-    delivered_at_send: int
-    recv_time: float

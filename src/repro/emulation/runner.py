@@ -16,7 +16,8 @@ arrival, and the last hop of every flow is fused with the flow's return
 path (one heap event per hop per packet, exactly as on the dumbbell).
 Per-link queue/loss/utilization series are recorded into the sampling
 buffers and emitted as one :class:`~repro.metrics.traces.LinkTrace` per
-queued link.
+queued link.  A link whose configured buffer is unbounded (``math.inf``)
+gets a fixed :data:`UNBOUNDED_BUFFER_BDP` reference BDPs of queue.
 
 When the scenario carries a :class:`~repro.config.FlowSchedule`, the runner
 materialises it once (the identical per-flow start/size/stop list the fluid
@@ -79,7 +80,6 @@ SCHEDULERS = ("delayline", "closure")
 #: "infinite" (``math.inf``) configured buffer.  The packet emulator needs a
 #: concrete queue bound; 100 BDP is far beyond what any built-in CCA can
 #: fill (their windows cap out earlier), so an unbounded buffer never drops.
-#: Override per run via ``EmulationRunner(unbounded_buffer_bdp=...)``.
 UNBOUNDED_BUFFER_BDP = 100.0
 
 __all__ = ["derive_rng", "EmulationRunner", "emulate", "SCHEDULERS", "UNBOUNDED_BUFFER_BDP"]
@@ -93,14 +93,11 @@ class EmulationRunner:
         config: ScenarioConfig,
         record_interval_s: float = 0.01,
         scheduler: str = "delayline",
-        unbounded_buffer_bdp: float = UNBOUNDED_BUFFER_BDP,
     ) -> None:
         if record_interval_s <= 0:
             raise ValueError("record interval must be positive")
         if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
-        if unbounded_buffer_bdp <= 0:
-            raise ValueError("unbounded_buffer_bdp must be positive")
         topo = config.effective_topology()
         multi_hop = topo.num_links > 1
         if multi_hop and scheduler != "delayline":
@@ -121,7 +118,6 @@ class EmulationRunner:
         self.topology = topo
         self.record_interval_s = record_interval_s
         self.scheduler = scheduler
-        self.unbounded_buffer_bdp = unbounded_buffer_bdp
         self.rng = derive_rng(config.seed, "queue")
         # The closure reference carries its own verbatim pre-change event
         # queue so the benchmark compares full old-vs-new event layers.
@@ -140,7 +136,7 @@ class EmulationRunner:
         for link_cfg in topo.links:
             buffer_pkts = config.link_buffer_packets(link_cfg)
             if math.isinf(buffer_pkts):
-                buffer_pkts = unbounded_buffer_bdp * ref_bdp
+                buffer_pkts = UNBOUNDED_BUFFER_BDP * ref_bdp
             # Single-bottleneck scenarios keep the historical "queue" RNG
             # stream (one-hop topologies alias onto the legacy form
             # bit-for-bit); multi-hop links each get their own stream.
@@ -434,12 +430,8 @@ def emulate(
     config: ScenarioConfig,
     record_interval_s: float = 0.01,
     scheduler: str = "delayline",
-    unbounded_buffer_bdp: float = UNBOUNDED_BUFFER_BDP,
 ) -> Trace:
     """Convenience wrapper: build an :class:`EmulationRunner` and run it."""
     return EmulationRunner(
-        config,
-        record_interval_s=record_interval_s,
-        scheduler=scheduler,
-        unbounded_buffer_bdp=unbounded_buffer_bdp,
+        config, record_interval_s=record_interval_s, scheduler=scheduler
     ).run()

@@ -1,26 +1,18 @@
 """Pluggable storage backends for the campaign result store.
 
-:class:`~repro.experiments.store.SweepStore` fronts one of three
-:class:`StoreBackend` implementations, all persisting the same
+:class:`~repro.experiments.store.SweepStore` fronts one of two
+:class:`StoreBackend` implementations, both persisting the same
 self-describing records (content-addressed ``key``, ``schema``,
 ``metrics``, ``meta``; failure records additionally carry ``kind:
 "failure"`` and ``error``):
 
-* :class:`JsonlBackend` — the legacy single-file JSON-lines store, kept
+* :class:`JsonlBackend` — the single-file JSON-lines store, kept
   bit-compatible with files written before the backend split.  Appends are
   crash-safe under concurrent writers: each record is serialised to one
   line and written with a single ``O_APPEND`` :func:`os.write` (plus an
   optional fsync), so two appenders can never interleave *within* a
   record — at worst a crash leaves one torn tail line, which the loader
   tolerates.
-* :class:`ShardedJsonlBackend` — a directory of JSON-lines shards.  Keys
-  are hash-routed to a fixed shard, so a given key always lands in the
-  same file and last-write-wins stays well-defined under N concurrent
-  writer processes (each append is the same atomic ``O_APPEND`` write;
-  writers on different keys mostly touch different shards, so appender
-  contention spreads out).  :meth:`compact` rewrites every shard with only
-  the surviving records (last write wins; stale-schema rows and superseded
-  failures dropped).
 * :class:`SqliteBackend` — a SQLite database in WAL mode with a busy
   timeout, safe for concurrent writer processes.  ``put`` is an UPSERT on
   the key; the common sweep axes (mix, buffer, discipline, substrate,
@@ -28,13 +20,14 @@ self-describing records (content-addressed ``key``, ``schema``,
   columns, so :meth:`select` answers axis queries with an index scan
   instead of re-parsing every stored record.
 
-All three share one query API — ``select(**axis_filters)`` returning full
+Both share one query API — ``select(**axis_filters)`` returning full
 records whose ``meta`` matches every filter (``filter=None`` matches
-records lacking the field) — which backs ``SweepStore.rows()``, the
-campaign per-seed CSV export, and the figure pipeline.
+records lacking the field) — which backs the campaign per-seed CSV
+export, the store summary and the figure pipeline.
 
-Compaction (`compact()`) assumes no concurrent writers; run it between
-campaigns, not during one.
+The sharded JSON-lines backend of earlier versions is gone: a
+``sharded:`` spec or a store directory raises :class:`RemovedBackendError`
+with the migration recipe.
 """
 
 from __future__ import annotations
@@ -54,11 +47,17 @@ from ..obs import TELEMETRY
 #: the single-file backend stays bit-compatible with pre-backend stores.
 FAILURE_KIND = "failure"
 
-#: Shard-file count of the sharded backend (shard of a key = sha256 mod N).
-DEFAULT_NUM_SHARDS = 16
+class RemovedBackendError(ValueError):
+    """A store spec names the removed sharded JSON-lines backend."""
 
-#: Filename pattern of the sharded backend's shard files.
-SHARD_PATTERN = "shard-{:02d}.jsonl"
+    def __init__(self) -> None:
+        super().__init__(
+            "the sharded JSON-lines store backend was removed; migrate a "
+            "sharded store by concatenating its shard files into one "
+            "JSON-lines store, e.g. 'cat results.shards/shard-*.jsonl > "
+            "results.jsonl' (the record format is unchanged and each key "
+            "lived in one shard, so per-key write order survives)"
+        )
 
 
 def encode_record(record: Mapping[str, Any]) -> str:
@@ -127,7 +126,7 @@ def iter_jsonl_records(path: Path) -> Iterator[dict[str, Any]]:
                 yield record
 
 
-def shard_of(key: str, num_shards: int = DEFAULT_NUM_SHARDS) -> int:
+def shard_of(key: str, num_shards: int) -> int:
     """Stable shard index of a key (platform-independent, unsalted)."""
     return int.from_bytes(sha256(key.encode()).digest()[:4], "big") % num_shards
 
@@ -185,37 +184,23 @@ class StoreBackend(ABC):
     def __contains__(self, key: str) -> bool:
         """Whether a current-schema result record exists under ``key``."""
 
-    @abstractmethod
-    def compact(self) -> None:
-        """Drop stale/superseded records from disk (requires no writers)."""
-
     def close(self) -> None:
         """Release any held resources (no-op for file backends)."""
 
 
-class _IndexedJsonlBackend(StoreBackend):
-    """Shared in-memory index + record routing of the JSON-lines backends."""
+class JsonlBackend(StoreBackend):
+    """The single-file JSON-lines store: an append log plus an in-memory index."""
+
+    kind = "jsonl"
 
     def __init__(self, path: Path, schema_version: int, fsync: bool = True) -> None:
         super().__init__(path, schema_version)
         self.fsync = fsync
         self._index: dict[str, dict[str, Any]] = {}
         self._failures: dict[str, dict[str, Any]] = {}
-        self._load()
-
-    @abstractmethod
-    def _files(self) -> list[Path]:
-        """The JSON-lines files holding this store, in load order."""
-
-    @abstractmethod
-    def _file_for(self, key: str) -> Path:
-        """The file new records under ``key`` are appended to."""
-
-    def _load(self) -> None:
-        for path in self._files():
-            _heal_torn_tail(path)
-            for record in iter_jsonl_records(path):
-                self._apply(record)
+        _heal_torn_tail(self.path)
+        for record in iter_jsonl_records(self.path):
+            self._apply(record)
 
     def _apply(self, record: dict[str, Any]) -> None:
         """Replay one persisted record into the in-memory index."""
@@ -236,10 +221,9 @@ class _IndexedJsonlBackend(StoreBackend):
             self._failures.pop(key, None)
 
     def _append(self, record: Mapping[str, Any]) -> None:
-        path = self._file_for(record["key"])
-        path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         with TELEMETRY.span("store.append", backend=self.kind):
-            atomic_append(path, encode_record(record), fsync=self.fsync)
+            atomic_append(self.path, encode_record(record), fsync=self.fsync)
 
     def get(self, key: str) -> dict[str, Any] | None:
         return self._index.get(key)
@@ -275,73 +259,6 @@ class _IndexedJsonlBackend(StoreBackend):
 
     def __contains__(self, key: str) -> bool:
         return key in self._index
-
-    def _survivors_for(self, path: Path) -> list[dict[str, Any]]:
-        """The current records that belong in one file after compaction."""
-        return [
-            record
-            for source in (self._index, self._failures)
-            for record in source.values()
-            if self._file_for(record["key"]) == path
-        ]
-
-    def compact(self) -> None:
-        for path in self._files():
-            survivors = self._survivors_for(path)
-            tmp = path.with_suffix(path.suffix + ".compact")
-            with tmp.open("w") as handle:
-                for record in survivors:
-                    handle.write(encode_record(record))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-
-
-class JsonlBackend(_IndexedJsonlBackend):
-    """The legacy single-file JSON-lines store (bit-compatible)."""
-
-    kind = "jsonl"
-
-    def _files(self) -> list[Path]:
-        return [self.path]
-
-    def _file_for(self, key: str) -> Path:
-        return self.path
-
-    def compact(self) -> None:
-        if self.path.exists() or self._index or self._failures:
-            super().compact()
-
-
-class ShardedJsonlBackend(_IndexedJsonlBackend):
-    """A directory of JSON-lines shards with hash-routed keys.
-
-    ``path`` is a directory holding ``shard-XX.jsonl`` files.  A key's
-    records always land in the same shard, so last-write-wins ordering is
-    the append order of that one file even with many writer processes.
-    """
-
-    kind = "sharded"
-
-    def __init__(
-        self,
-        path: Path,
-        schema_version: int,
-        fsync: bool = True,
-        num_shards: int = DEFAULT_NUM_SHARDS,
-    ) -> None:
-        self.num_shards = num_shards
-        super().__init__(path, schema_version, fsync=fsync)
-
-    def _files(self) -> list[Path]:
-        return [self.path / SHARD_PATTERN.format(i) for i in range(self.num_shards)]
-
-    def _file_for(self, key: str) -> Path:
-        return self.path / SHARD_PATTERN.format(shard_of(key, self.num_shards))
-
-    def compact(self) -> None:
-        if self.path.exists():
-            super().compact()
 
 
 #: ``meta`` fields extracted into indexed SQLite columns.  Everything else
@@ -547,23 +464,12 @@ class SqliteBackend(StoreBackend):
         ).fetchone()
         return row is not None
 
-    def compact(self) -> None:
-        self._conn.execute("DELETE FROM results WHERE schema != ?", (self.schema_version,))
-        self._conn.execute("DELETE FROM failures WHERE schema != ?", (self.schema_version,))
-        self._conn.execute(
-            "DELETE FROM failures WHERE key IN "
-            "(SELECT key FROM results WHERE schema = ?)",
-            (self.schema_version,),
-        )
-        self._conn.execute("VACUUM")
-
     def close(self) -> None:
         self._conn.close()
 
 
 BACKENDS: dict[str, type[StoreBackend]] = {
-    backend.kind: backend
-    for backend in (JsonlBackend, ShardedJsonlBackend, SqliteBackend)
+    backend.kind: backend for backend in (JsonlBackend, SqliteBackend)
 }
 
 #: Path suffixes implying the SQLite backend.
@@ -573,18 +479,26 @@ SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 def split_backend_spec(spec: str) -> tuple[str | None, str]:
     """Split an explicit ``backend:path`` store spec (``"sqlite:res.db"``)."""
     head, sep, tail = spec.partition(":")
+    if sep and head == "sharded":
+        raise RemovedBackendError()
     if sep and head in BACKENDS:
         return head, tail
     return None, spec
 
 
 def infer_backend(path: Path) -> str:
-    """Pick a backend from a bare path (suffix / directory heuristics)."""
-    if path.suffix in SQLITE_SUFFIXES:
-        return "sqlite"
-    if path.suffix == ".shards" or path.is_dir():
-        return "sharded"
-    return "jsonl"
+    """Pick a backend from a bare path (by suffix)."""
+    return "sqlite" if path.suffix in SQLITE_SUFFIXES else "jsonl"
+
+
+def check_backend(kind: str) -> None:
+    """Reject a backend kind that does not exist."""
+    if kind == "sharded":
+        raise RemovedBackendError()
+    if kind not in BACKENDS:
+        raise ValueError(
+            f"unknown store backend {kind!r}; expected one of {sorted(BACKENDS)}"
+        )
 
 
 def make_backend(
@@ -595,12 +509,12 @@ def make_backend(
 ) -> StoreBackend:
     """Build the backend for a store path.
 
-    ``backend`` forces a kind (``"jsonl"``/``"sharded"``/``"sqlite"``);
-    string paths may carry the same prefix (``"sqlite:results.db"``,
-    usable via ``--store`` and ``REPRO_STORE``).  Bare paths infer from
-    the suffix: ``.sqlite``/``.sqlite3``/``.db`` → SQLite, ``.shards`` or
-    an existing directory → sharded, anything else → the legacy
-    single-file JSON-lines store.
+    ``backend`` forces a kind (``"jsonl"``/``"sqlite"``); string paths
+    may carry the same prefix (``"sqlite:results.db"``, usable via
+    ``--store`` and ``REPRO_STORE``).  Bare paths infer from the suffix:
+    ``.sqlite``/``.sqlite3``/``.db`` → SQLite, anything else → the
+    single-file JSON-lines store.  A directory is a store of the removed
+    sharded backend and raises :class:`RemovedBackendError`.
     """
     if isinstance(path, str):
         prefix, path = split_backend_spec(path)
@@ -611,9 +525,8 @@ def make_backend(
                 )
             backend = prefix
     path = Path(path)
+    if path.is_dir():
+        raise RemovedBackendError()
     kind = backend if backend is not None else infer_backend(path)
-    if kind not in BACKENDS:
-        raise ValueError(
-            f"unknown store backend {kind!r}; expected one of {sorted(BACKENDS)}"
-        )
+    check_backend(kind)
     return BACKENDS[kind](path, schema_version, fsync=fsync)

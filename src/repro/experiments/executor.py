@@ -27,8 +27,8 @@ that machinery as a :class:`ResilientExecutor` driven by a declarative
   renders it through the shared :mod:`repro.obs.log` logger, and mirrors
   the counters into :data:`repro.obs.TELEMETRY` (``exec.*`` labels).
 
-The executor is deliberately generic: it runs ``call(*args, **kwargs)``
-per task and reports an :class:`ExecutionReport`; the sweep layer maps
+The executor is deliberately generic: it runs ``call(task)`` per task
+and reports an :class:`ExecutionReport`; the sweep layer maps
 tasks to grid coordinates, persists results as they land via the
 ``on_result`` callback, and records failures as structured store rows.
 """
@@ -122,10 +122,7 @@ class ExecutionReport:
 
 
 def call_with_timeout(
-    timeout_s: float | None,
-    call: Callable[..., Any],
-    args: tuple,
-    kwargs: dict[str, Any],
+    timeout_s: float | None, call: Callable[[Any], Any], task: Any
 ) -> Any:
     """Run ``call`` under a ``SIGALRM`` deadline (worker-side enforcement).
 
@@ -139,7 +136,7 @@ def call_with_timeout(
         or not hasattr(signal, "SIGALRM")
         or threading.current_thread() is not threading.main_thread()
     ):
-        return call(*args, **kwargs)
+        return call(task)
 
     def _expired(signum: int, frame: Any) -> None:
         raise PointTimeout(f"point exceeded the per-point timeout of {timeout_s:g}s")
@@ -147,7 +144,7 @@ def call_with_timeout(
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return call(*args, **kwargs)
+        return call(task)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -315,15 +312,14 @@ class ResilientExecutor:
     def run(
         self,
         tasks: Sequence[Hashable],
-        call: Callable[..., Any],
-        task_args: Callable[[Any], tuple[tuple, dict[str, Any]]],
+        call: Callable[[Any], Any],
         on_result: Callable[[Any, Any], None] | None = None,
         describe: Callable[[Any], str] = repr,
     ) -> ExecutionReport:
         """Execute every task, retrying per policy; never loses a result.
 
-        ``call`` must be a module-level callable (process pools pickle it);
-        ``task_args`` maps a task to its ``(args, kwargs)``.  ``on_result``
+        ``call(task)`` computes one task and must be a module-level
+        callable (process pools pickle it).  ``on_result``
         fires in the parent as each point lands — the sweep layer persists
         results there, so completed work survives any later failure.
         """
@@ -348,8 +344,7 @@ class ResilientExecutor:
                 deferred: list[Any] = []
                 if policy.pooled:
                     crashed, deferred = self._run_pooled(
-                        pending, call, task_args, landed, failed_round, report,
-                        heartbeat,
+                        pending, call, landed, failed_round, report, heartbeat
                     )
                     # Workers that died broke the whole pool; re-run the
                     # implicated window one task per single-worker pool to
@@ -361,17 +356,13 @@ class ResilientExecutor:
                         )
                     for task in crashed:
                         self._run_isolated(
-                            task, call, task_args, landed, failed_round, report,
-                            heartbeat,
+                            task, call, landed, failed_round, report, heartbeat
                         )
                 else:
                     for task in pending:
                         report.attempts[task] += 1
-                        args, kwargs = task_args(task)
                         try:
-                            result = call_with_timeout(
-                                policy.timeout_s, call, args, kwargs
-                            )
+                            result = call_with_timeout(policy.timeout_s, call, task)
                         except Exception as exc:
                             failed_round.append((task, exc))
                             continue
@@ -410,8 +401,7 @@ class ResilientExecutor:
     def _run_pooled(
         self,
         tasks: Sequence[Any],
-        call: Callable[..., Any],
-        task_args: Callable[[Any], tuple[tuple, dict[str, Any]]],
+        call: Callable[[Any], Any],
         landed: Callable[[Any, Any], None],
         failed_round: list[tuple[Any, BaseException]],
         report: ExecutionReport,
@@ -436,11 +426,8 @@ class ResilientExecutor:
 
             def submit_next() -> None:
                 task = queue.pop(0)
-                args, kwargs = task_args(task)
                 report.attempts[task] += 1
-                futures[
-                    pool.submit(call_with_timeout, policy.timeout_s, call, args, kwargs)
-                ] = task
+                futures[pool.submit(call_with_timeout, policy.timeout_s, call, task)] = task
 
             while queue and len(futures) < (policy.workers or 1):
                 submit_next()
@@ -472,20 +459,16 @@ class ResilientExecutor:
     def _run_isolated(
         self,
         task: Any,
-        call: Callable[..., Any],
-        task_args: Callable[[Any], tuple[tuple, dict[str, Any]]],
+        call: Callable[[Any], Any],
         landed: Callable[[Any, Any], None],
         failed_round: list[tuple[Any, BaseException]],
         report: ExecutionReport,
         heartbeat: _Heartbeat,
     ) -> None:
         """Re-run one crash-implicated task alone in a 1-worker pool."""
-        args, kwargs = task_args(task)
         report.attempts[task] += 1
         with ProcessPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(
-                call_with_timeout, self.policy.timeout_s, call, args, kwargs
-            )
+            future = pool.submit(call_with_timeout, self.policy.timeout_s, call, task)
             try:
                 result = future.result()
             except BrokenProcessPool:

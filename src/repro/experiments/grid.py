@@ -37,10 +37,6 @@ from .store import scenario_key
 #: every key, so analytic rows never alias simulation rows).
 SUBSTRATES = ("fluid", "emulation", "analytic")
 
-#: Default emulator sampling parameters (mirrors ``EmulationRunner``).
-DEFAULT_RECORD_INTERVAL_S = 0.01
-DEFAULT_SCHEDULER = "delayline"
-
 #: Defaults of the churn axis once ``arrivals`` switches it on.
 DEFAULT_CHURN_SIZE_DIST = "pareto"
 DEFAULT_CHURN_ONOFF_SIZE_DIST = "infinite"
@@ -149,8 +145,6 @@ class GridSpec:
     duration_s: float = 5.0
     dt: float = scenarios.SWEEP_DT
     whi_init_bdp: float | None = None
-    record_interval_s: float = DEFAULT_RECORD_INTERVAL_S
-    scheduler: str = DEFAULT_SCHEDULER
     topology: str | None = None
     hops: int = 3
     cross_flows: int = 1
@@ -228,7 +222,7 @@ class GridSpec:
 
     def key_of(self, config: ScenarioConfig) -> str:
         """The stored scenario key of ``config`` on this grid's substrate."""
-        return scenario_key(config, self.substrate, self.record_interval_s, self.scheduler)
+        return scenario_key(config, self.substrate)
 
 
 @dataclass(frozen=True)
@@ -344,5 +338,7 @@ class PointSpec:
                 flows=grid.flows,
             )
         if grid.substrate == "emulation":
-            meta.update(record_interval_s=grid.record_interval_s, scheduler=grid.scheduler)
+            # The emulator's sampling parameters, stored (and keyed, see
+            # scenario_key) at the values every campaign runs with.
+            meta.update(record_interval_s=0.01, scheduler="delayline")
         return meta

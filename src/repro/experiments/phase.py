@@ -19,10 +19,8 @@ defaults are derived from.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .. import units
 from ..analysis import analyze_network, analyze_scenario, reference_network
@@ -102,18 +100,6 @@ def phase_grid(
         for rtt_ms in rtts_ms
         for buffer_bdp in buffers_bdp
     ]
-
-
-def rows_csv(rows: Iterable[Mapping]) -> str:
-    """Render dict rows as CSV text (header from the first row's keys)."""
-    rows = list(rows)
-    if not rows:
-        return ""
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def json_safe(value):

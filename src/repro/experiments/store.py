@@ -14,16 +14,15 @@ determines its result:
   in a way that invalidates stored results.
 
 Persistence is delegated to a pluggable :class:`StoreBackend`
-(:mod:`repro.experiments.backends`): the legacy single-file JSON-lines
-store (bit-compatible with files written before the backend split), a
-sharded JSON-lines store (hash-routed keys, one shard per key class, safe
-concurrent appenders, ``compact()``), and a SQLite store (WAL mode, UPSERT
-on key, indexed axis columns answering ``select(**axis_filters)`` without
-full scans).  Every record is self-describing and last-write-wins on key
-collisions, so interrupted or crashed sweeps resume without recomputing
-finished points and ``--workers N`` process pools share completed work
-across restarts.  Failed points are recorded as structured *failure* rows
-(axis combo + error) that a later successful run supersedes.
+(:mod:`repro.experiments.backends`): the single-file JSON-lines store
+(bit-compatible with files written before the backend split) or a SQLite
+store (WAL mode, UPSERT on key, indexed axis columns answering
+``select(**axis_filters)`` without full scans).  Every record is
+self-describing and last-write-wins on key collisions, so interrupted or
+crashed sweeps resume without recomputing finished points.  Failed points
+are recorded as structured *failure* rows (axis combo + error) that a
+later successful run supersedes.  ``repro-bbr store merge SRC... DEST``
+rewrites stores last-write-wins.
 
 Select a store with the ``REPRO_STORE`` environment variable or the
 ``--store PATH`` CLI flag; the backend is inferred from the path (or
@@ -31,7 +30,7 @@ forced with a ``backend:`` prefix / the ``--backend`` flag)::
 
     REPRO_STORE=results.jsonl repro-bbr sweep --substrate emulation --seeds 5
     repro-bbr campaign --store results.sqlite --seeds 5
-    repro-bbr campaign --store sharded:results.shards --workers 8
+    repro-bbr campaign --store sqlite:results.out --workers 8
 """
 
 from __future__ import annotations
@@ -125,8 +124,8 @@ class SweepStore:
     executor gave up on (axis combo + error); a later successful ``put``
     under the same key supersedes it.
 
-    ``backend`` selects the storage strategy (``"jsonl"``/``"sharded"``/
-    ``"sqlite"``; default inferred from the path — see
+    ``backend`` selects the storage strategy (``"jsonl"``/``"sqlite"``;
+    default inferred from the path — see
     :func:`repro.experiments.backends.make_backend`); ``fsync=False``
     trades tail durability for append throughput.
     """
@@ -144,7 +143,7 @@ class SweepStore:
 
     @property
     def backend(self) -> str:
-        """The storage backend kind (``jsonl``/``sharded``/``sqlite``)."""
+        """The storage backend kind (``jsonl``/``sqlite``)."""
         return self._backend.kind
 
     def __len__(self) -> int:
@@ -225,19 +224,6 @@ class SweepStore:
         """
         return self._backend.select(**filters)
 
-    def rows(self, **filters: Any) -> list[dict[str, Any]]:
-        """Flatten stored records into CSV-friendly rows.
-
-        ``filters`` restrict on ``meta`` fields, e.g.
-        ``store.rows(mix="BBRv1", discipline="droptail")``.
-        """
-        out = []
-        for record in self.select(**filters):
-            row = dict(record.get("meta", {}))
-            row.update(record["metrics"])
-            out.append(row)
-        return out
-
     def merge_from(self, source: SweepStore) -> tuple[int, int]:
         """Merge another store's records into this one (last-write-wins).
 
@@ -245,13 +231,11 @@ class SweepStore:
         failure rows through this store's backend, so the backends' own
         key semantics apply: a result overwrites any earlier result *or*
         failure under the same key, while a merged failure never shadows
-        an existing result.  Merging N stores in CLI order is therefore
-        the multi-store generalisation of ``compact()``'s single-store
-        last-write-wins.  Backends may differ freely between the two
+        an existing result.  Backends may differ freely between the two
         stores.  Returns ``(results, failures)`` counts merged.
 
         Requires exclusive access to the destination (no concurrent
-        campaign writers), like :meth:`compact`.
+        campaign writers).
         """
         merged_results = 0
         merged_failures = 0
@@ -263,13 +247,6 @@ class SweepStore:
                 self._backend.put_failure(dict(record))
                 merged_failures += 1
         return merged_results, merged_failures
-
-    def compact(self) -> None:
-        """Drop stale-schema and superseded records from disk.
-
-        Requires exclusive access (no concurrent campaign writers).
-        """
-        self._backend.compact()
 
     def close(self) -> None:
         """Release backend resources (SQLite connection)."""
@@ -288,7 +265,7 @@ def resolve_store(
     store outright, ignoring the environment — used for process-pool
     workers, whose results the parent persists centrally.  ``backend``
     forces the storage backend for path-like arguments (paths may also
-    carry a ``jsonl:``/``sharded:``/``sqlite:`` prefix); ``fsync`` is
+    carry a ``jsonl:``/``sqlite:`` prefix); ``fsync`` is
     forwarded to newly opened stores.
     """
     if store is False:

@@ -332,9 +332,7 @@ def compute_point(point: PointSpec) -> SweepPoint:
                 trace = sim.run()
                 counters = dict(sim.runtime)
             else:
-                runner = EmulationRunner(
-                    config, record_interval_s=grid.record_interval_s, scheduler=grid.scheduler
-                )
+                runner = EmulationRunner(config)
                 trace = runner.run()
                 counters = runner.runtime_counters()
             metrics = aggregate_metrics(trace)
@@ -346,10 +344,6 @@ def _describe(point: PointSpec) -> str:
         f"mix={point.mix!r}, buffer_bdp={point.buffer_bdp}, "
         f"discipline={point.discipline!r}, seed={point.seed}"
     )
-
-
-def _compute_args(point: PointSpec) -> tuple[tuple, dict]:
-    return (point,), {}
 
 
 def run_campaign(
@@ -511,7 +505,7 @@ def _campaign_points(
 
     def execute(batch: list[PointSpec]) -> None:
         report = ResilientExecutor(policy).run(
-            batch, compute_point, _compute_args, on_result=persist, describe=_describe
+            batch, compute_point, on_result=persist, describe=_describe
         )
         exec_failures.extend(report.failures)
 

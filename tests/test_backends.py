@@ -1,27 +1,26 @@
-"""Tests of the pluggable store backends (jsonl / sharded / sqlite)."""
+"""Tests of the pluggable store backends (jsonl / sqlite)."""
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.backends import (
-    DEFAULT_NUM_SHARDS,
-    SHARD_PATTERN,
+    RemovedBackendError,
     atomic_append,
     infer_backend,
-    iter_jsonl_records,
     make_backend,
     shard_of,
     split_backend_spec,
 )
+from repro.experiments.presets import PresetError, parse_preset
 from repro.experiments.store import SCHEMA_VERSION, SweepStore
 from repro.metrics.aggregate import AggregateMetrics
 
-BACKEND_KINDS = ("jsonl", "sharded", "sqlite")
+BACKEND_KINDS = ("jsonl", "sqlite")
 
 
 def _metrics(value: float = 1.0) -> AggregateMetrics:
@@ -35,7 +34,7 @@ def _metrics(value: float = 1.0) -> AggregateMetrics:
 
 
 def _store_path(tmp_path, kind: str):
-    return tmp_path / {"jsonl": "res.jsonl", "sharded": "res.shards", "sqlite": "res.sqlite"}[kind]
+    return tmp_path / {"jsonl": "res.jsonl", "sqlite": "res.sqlite"}[kind]
 
 
 @pytest.fixture(params=BACKEND_KINDS)
@@ -165,95 +164,22 @@ class TestSelect:
         assert {r["key"] for r in store.select(load=0.5)} == {"k4"}
         assert {r["key"] for r in store.select(mix="BBRv1", load=None)} == {"k1", "k2"}
 
-    def test_rows_flatten_meta_and_metrics(self, store):
-        self._populate(store)
-        rows = store.rows(mix="RENO")
-        assert len(rows) == 1
-        assert rows[0]["topology"] == "parking-lot"
-        assert rows[0]["jain_fairness"] == 3.0
-
-
-class TestCompact:
-    def test_compact_drops_superseded_and_stale(self, tmp_path, kind, monkeypatch):
-        path = _store_path(tmp_path, kind)
-        import repro.experiments.store as store_mod
-
-        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
-        old = SweepStore(path, backend=kind)
-        old.put("old-key", _metrics(1.0))
-        old.close()
-        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", SCHEMA_VERSION)
-        store = SweepStore(path, backend=kind)
-        store.put("k1", _metrics(1.0))
-        store.put("k1", _metrics(2.0))
-        store.put_failure("k2", "boom")
-        store.put("k2", _metrics(3.0))
-        store.compact()
-        store.close()
-        reopened = SweepStore(path, backend=kind)
-        assert len(reopened) == 2
-        assert reopened.get("k1") == _metrics(2.0)
-        assert reopened.failures() == []
-        reopened.close()
-        if kind == "jsonl":
-            lines = [json.loads(line) for line in path.read_text().splitlines()]
-            assert len(lines) == 2  # one line per surviving record
-        elif kind == "sharded":
-            lines = [
-                record
-                for i in range(DEFAULT_NUM_SHARDS)
-                for record in iter_jsonl_records(path / SHARD_PATTERN.format(i))
-            ]
-            assert len(lines) == 2
-
-    def test_compact_keeps_unsuperseded_failures(self, tmp_path, kind):
-        path = _store_path(tmp_path, kind)
-        store = SweepStore(path, backend=kind)
-        store.put_failure("k1", "still broken", meta={"mix": "BBRv1"})
-        store.compact()
-        store.close()
-        reopened = SweepStore(path, backend=kind)
-        assert len(reopened.failures()) == 1
-        reopened.close()
-
 
 class TestSharding:
     def test_shard_routing_is_stable(self):
-        assert shard_of("some-key") == shard_of("some-key")
-        assert 0 <= shard_of("some-key") < DEFAULT_NUM_SHARDS
-
-    def test_records_of_a_key_land_in_one_shard(self, tmp_path):
-        store = SweepStore(tmp_path / "res.shards", backend="sharded")
-        for i in range(50):
-            store.put(f"key-{i}", _metrics(float(i)))
-        for i in range(50):
-            key = f"key-{i}"
-            expected = tmp_path / "res.shards" / SHARD_PATTERN.format(shard_of(key))
-            holders = [
-                shard
-                for j in range(DEFAULT_NUM_SHARDS)
-                for shard in [tmp_path / "res.shards" / SHARD_PATTERN.format(j)]
-                if any(r["key"] == key for r in iter_jsonl_records(shard))
-            ]
-            assert holders == [expected]
+        assert shard_of("some-key", 16) == shard_of("some-key", 16)
+        assert 0 <= shard_of("some-key", 16) < 16
 
 
 class TestBackendSelection:
     def test_infer_from_suffix(self, tmp_path):
         assert infer_backend(tmp_path / "r.sqlite") == "sqlite"
         assert infer_backend(tmp_path / "r.db") == "sqlite"
-        assert infer_backend(tmp_path / "r.shards") == "sharded"
         assert infer_backend(tmp_path / "r.jsonl") == "jsonl"
         assert infer_backend(tmp_path / "r.anything") == "jsonl"
 
-    def test_infer_existing_directory_is_sharded(self, tmp_path):
-        target = tmp_path / "resultsdir"
-        target.mkdir()
-        assert infer_backend(target) == "sharded"
-
     def test_backend_prefix_spec(self, tmp_path):
         assert split_backend_spec("sqlite:res.out") == ("sqlite", "res.out")
-        assert split_backend_spec("sharded:res") == ("sharded", "res")
         assert split_backend_spec("plain.jsonl") == (None, "plain.jsonl")
         # Windows-style / odd prefixes fall through to a bare path.
         assert split_backend_spec("unknown:res") == (None, "unknown:res")
@@ -272,6 +198,36 @@ class TestBackendSelection:
             make_backend(tmp_path / "x.jsonl", SCHEMA_VERSION, backend="mongodb")
 
 
+class TestRemovedShardedBackend:
+    """Every spelling of the removed sharded backend fails loudly, with the
+    migration recipe, instead of silently creating a new JSON-lines store."""
+
+    def test_sharded_prefix(self, tmp_path, capsys):
+        spec = f"sharded:{tmp_path / 'results.shards'}"
+        with pytest.raises(RemovedBackendError, match="shard-"):
+            SweepStore(spec)
+        assert main(["sweep", "--mixes", "BBRv1", "--buffers", "1", "--store", spec]) == 2
+        assert main(["campaign", "--mixes", "BBRv1", "--buffers", "1", "--store", spec]) == 2
+        assert "concatenat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_preset_backend(self):
+        doc = {"store": {"path": "results.shards", "backend": "sharded"}}
+        with pytest.raises(PresetError, match="concatenat"):
+            parse_preset(doc)
+
+    def test_existing_directory_store(self, tmp_path, capsys):
+        shards = tmp_path / "results.shards"
+        shards.mkdir()
+        (shards / "shard-00.jsonl").write_text("")
+        with pytest.raises(RemovedBackendError):
+            SweepStore(shards)
+        argv = ["--mixes", "BBRv1", "--buffers", "1", "--disciplines", "droptail"]
+        assert main(["campaign", *argv, "--store", str(shards)]) == 2
+        assert main(["status", str(shards), *argv]) == 2
+        assert "concatenat" in capsys.readouterr().err
+
+
 class TestCrashSafety:
     """Satellite: crash-safe appends + torn-tail and interleaving regressions."""
 
@@ -284,10 +240,7 @@ class TestCrashSafety:
         store.put("k2", _metrics(2.0))
         store.close()
         # Simulate a crash mid-append: torn partial JSON at the tail.
-        victim = path if kind == "jsonl" else next(
-            p for p in sorted(path.iterdir()) if p.stat().st_size > 0
-        )
-        with victim.open("a") as handle:
+        with path.open("a") as handle:
             handle.write('{"schema": %d, "key": "torn", "metr' % SCHEMA_VERSION)
         reopened = SweepStore(path, backend=kind)
         assert len(reopened) == 2

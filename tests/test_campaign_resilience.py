@@ -21,7 +21,7 @@ from repro.experiments.executor import ExecutorPolicy
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 
-BACKEND_KINDS = ("jsonl", "sharded", "sqlite")
+BACKEND_KINDS = ("jsonl", "sqlite")
 
 FAST = dict(duration_s=0.5, dt=1e-3)
 MIXES = ["BBRv1", "BBRv2"]
@@ -73,7 +73,7 @@ def _clear_cache():
 
 
 def _store_path(tmp_path, kind: str):
-    return tmp_path / {"jsonl": "c.jsonl", "sharded": "c.shards", "sqlite": "c.sqlite"}[kind]
+    return tmp_path / {"jsonl": "c.jsonl", "sqlite": "c.sqlite"}[kind]
 
 
 def _campaign(store, policy, retry_failed=True):

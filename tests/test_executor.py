@@ -70,7 +70,7 @@ class TestPolicyValidation:
 class TestSerialExecution:
     def test_all_results_collected(self):
         executor = ResilientExecutor(ExecutorPolicy(), log=lambda _msg: None)
-        report = executor.run([1, 2, 3], _double, lambda x: ((x,), {}))
+        report = executor.run([1, 2, 3], _double)
         assert report.ok
         assert report.results == {1: 2, 2: 4, 3: 6}
         assert report.failures == []
@@ -78,7 +78,7 @@ class TestSerialExecution:
 
     def test_failures_recorded_not_raised(self):
         executor = ResilientExecutor(ExecutorPolicy(), log=lambda _msg: None)
-        report = executor.run([1, 2, 3, 4], _fail_on_odd, lambda x: ((x,), {}))
+        report = executor.run([1, 2, 3, 4], _fail_on_odd)
         assert not report.ok
         assert report.results == {2: 4, 4: 8}
         failed = {f.task: f for f in report.failures}
@@ -97,7 +97,7 @@ class TestSerialExecution:
 
         policy = ExecutorPolicy(retries=2, backoff_s=0.0)
         report = ResilientExecutor(policy, log=lambda _msg: None).run(
-            [7], flaky, lambda x: ((x,), {})
+            [7], flaky
         )
         assert report.ok
         assert report.results == {7: 7}
@@ -106,7 +106,7 @@ class TestSerialExecution:
     def test_retries_exhausted(self):
         policy = ExecutorPolicy(retries=1, backoff_s=0.0)
         report = ResilientExecutor(policy, log=lambda _msg: None).run(
-            [1], _fail_on_odd, lambda x: ((x,), {})
+            [1], _fail_on_odd
         )
         assert not report.ok
         assert report.failures[0].attempts == 2
@@ -114,28 +114,28 @@ class TestSerialExecution:
     def test_on_result_callback_fires_per_point(self):
         seen: list[tuple[int, int]] = []
         executor = ResilientExecutor(ExecutorPolicy(), log=lambda _msg: None)
-        executor.run([1, 2], _double, lambda x: ((x,), {}), on_result=lambda t, r: seen.append((t, r)))
+        executor.run([1, 2], _double, on_result=lambda t, r: seen.append((t, r)))
         assert sorted(seen) == [(1, 2), (2, 4)]
 
 
 class TestTimeouts:
     def test_call_with_timeout_passthrough(self):
-        assert call_with_timeout(None, _double, (21,), {}) == 42
-        assert call_with_timeout(5.0, _double, (21,), {}) == 42
+        assert call_with_timeout(None, _double, 21) == 42
+        assert call_with_timeout(5.0, _double, 21) == 42
 
     def test_call_with_timeout_raises(self):
         with pytest.raises(PointTimeout):
-            call_with_timeout(0.2, time.sleep, (5,), {})
+            call_with_timeout(0.2, time.sleep, 5)
 
     def test_previous_alarm_handler_restored(self):
         previous = signal.getsignal(signal.SIGALRM)
-        call_with_timeout(1.0, _double, (1,), {})
+        call_with_timeout(1.0, _double, 1)
         assert signal.getsignal(signal.SIGALRM) is previous
 
     def test_serial_timeout_becomes_failure(self):
         policy = ExecutorPolicy(timeout_s=0.2, backoff_s=0.0)
         report = ResilientExecutor(policy, log=lambda _msg: None).run(
-            [1], _sleep_long, lambda x: ((x,), {})
+            [1], _sleep_long
         )
         assert not report.ok
         assert "PointTimeout" in report.failures[0].error
@@ -143,7 +143,7 @@ class TestTimeouts:
     def test_pooled_timeout_becomes_failure(self):
         policy = ExecutorPolicy(workers=2, timeout_s=0.3, backoff_s=0.0)
         report = ResilientExecutor(policy, log=lambda _msg: None).run(
-            [1, 2], _sleep_long, lambda x: ((x,), {})
+            [1, 2], _sleep_long
         )
         assert not report.ok
         assert len(report.failures) == 2
@@ -155,7 +155,7 @@ class TestWorkerCrash:
         policy = ExecutorPolicy(workers=2, backoff_s=0.0)
         messages: list[str] = []
         report = ResilientExecutor(policy, log=messages.append).run(
-            [1, 2, 3, 4, 5], _die_on_three, lambda x: ((x,), {})
+            [1, 2, 3, 4, 5], _die_on_three
         )
         assert not report.ok
         assert report.results == {1: 2, 2: 4, 4: 8, 5: 10}
@@ -169,7 +169,7 @@ class TestWorkerCrash:
     def test_crash_failure_is_worker_crash_error(self):
         policy = ExecutorPolicy(workers=2, backoff_s=0.0)
         report = ResilientExecutor(policy, log=lambda _msg: None).run(
-            [3], _die_on_three, lambda x: ((x,), {})
+            [3], _die_on_three
         )
         assert not report.ok
         assert "worker process died" in report.failures[0].error
@@ -186,7 +186,7 @@ class TestHeartbeat:
             return x
 
         report = ResilientExecutor(policy, log=messages.append).run(
-            [1, 2, 3], slowish, lambda x: ((x,), {})
+            [1, 2, 3], slowish
         )
         assert report.ok
         beats = [m for m in messages if "campaign heartbeat" in m]

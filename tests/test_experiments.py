@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import figures, report, scenarios, sweep
 from repro.experiments.grid import GridSpec
+from repro.experiments.store import scenario_key
 
 
 class TestScenarios:
@@ -123,8 +124,12 @@ class TestSweep:
         # Regression: points differing only in seed (or in the emulator's
         # sampling parameters) used to alias onto one cache slot.
         assert base != key(seeds=[2])
-        assert base != key(record_interval_s=0.02)
-        assert base != key(scheduler="closure")
+        # Campaigns always sample at 10 ms with the delay-line scheduler;
+        # the key still spells both out, so other settings never alias.
+        config = next(self.grid(substrate="emulation").points()).config()
+        assert base == scenario_key(config, "emulation", 0.01, "delayline")
+        assert base != scenario_key(config, "emulation", record_interval_s=0.02)
+        assert base != scenario_key(config, "emulation", scheduler="closure")
 
     def test_emulation_seeds_cached_separately(self):
         grid = self.grid(substrate="emulation", seeds=[1, 2], duration_s=0.5)

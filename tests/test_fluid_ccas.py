@@ -22,7 +22,7 @@ def make_network(num_flows: int = 1) -> Network:
     config = dumbbell_scenario(
         ["bbr1"] * num_flows, rtt_range_s=(RTT, RTT), buffer_bdp=1.0
     )
-    return Network.dumbbell(config)
+    return Network.from_scenario(config)
 
 
 def make_inputs(

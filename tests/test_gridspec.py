@@ -219,6 +219,10 @@ class TestPresetsLoad:
     def test_example_presets_load(self, path):
         preset = load_preset(path)
         assert preset.grid.mixes and preset.mixes == preset.grid.mixes
+        # Every point must also build: scenario-level conflicts (e.g. churn
+        # on a topology preset) only surface per point.
+        for point in preset.grid.points():
+            assert point.config().num_flows > 0
 
     def test_unknown_keys_still_rejected(self, tmp_path):
         path = tmp_path / "typo.yaml"

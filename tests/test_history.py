@@ -7,47 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.history import SignalHistory, VectorHistory
-
-
-class TestSignalHistory:
-    def test_reads_back_delayed_values(self):
-        history = SignalHistory(dt=0.1, max_delay=1.0)
-        for value in range(10):
-            history.push(float(value))
-        assert history.current == 9.0
-        assert history.at_delay(0.0) == 9.0
-        assert history.at_delay(0.3) == 6.0
-        assert history.at_delay(1.0) == 0.0
-
-    def test_returns_initial_value_beyond_recorded_history(self):
-        history = SignalHistory(dt=0.1, max_delay=0.5, initial=42.0)
-        history.push(1.0)
-        # Requesting more delay than has been recorded falls back to the
-        # initial (pre-history) value of the signal.
-        assert history.at_delay(0.5) == pytest.approx(42.0)
-
-    def test_initial_value_used_before_any_push(self):
-        history = SignalHistory(dt=0.1, max_delay=0.5, initial=7.0)
-        assert history.at_delay(0.2) == 7.0
-
-    def test_negative_delay_rejected(self):
-        history = SignalHistory(dt=0.1, max_delay=0.5)
-        with pytest.raises(ValueError):
-            history.at_delay(-0.1)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            SignalHistory(dt=0.0, max_delay=1.0)
-        with pytest.raises(ValueError):
-            SignalHistory(dt=0.1, max_delay=-1.0)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
-    def test_zero_delay_always_returns_last_pushed(self, values):
-        history = SignalHistory(dt=0.01, max_delay=0.1)
-        for value in values:
-            history.push(value)
-        assert history.at_delay(0.0) == pytest.approx(values[-1])
+from repro.core.history import VectorHistory
 
 
 class TestVectorHistory:
@@ -55,34 +15,25 @@ class TestVectorHistory:
         history = VectorHistory(width=3, dt=0.1, max_delay=1.0)
         for step in range(10):
             history.push(np.array([step, 10 * step, 100 * step], dtype=float))
-        looked_up = history.at_delays(np.array([0.0, 0.2, 0.5]))
-        assert looked_up[0] == 9.0
-        assert looked_up[1] == 70.0
-        assert looked_up[2] == 400.0
-
-    def test_vector_at_delay(self):
-        history = VectorHistory(width=2, dt=0.1, max_delay=0.5)
-        history.push(np.array([1.0, 2.0]))
-        history.push(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(history.vector_at_delay(0.1), [1.0, 2.0])
-        np.testing.assert_allclose(history.current, [3.0, 4.0])
+        assert history.at_delay(0, 0.0) == 9.0
+        assert history.at_delay(1, 0.2) == 70.0
+        assert history.at_delay(2, 0.5) == 400.0
+        np.testing.assert_allclose(history.current, [9.0, 90.0, 900.0])
 
     def test_shape_validation(self):
         history = VectorHistory(width=2, dt=0.1, max_delay=0.5)
         with pytest.raises(ValueError):
             history.push(np.zeros(3))
-        with pytest.raises(ValueError):
-            history.at_delays(np.zeros(3))
 
     def test_initial_vector_broadcast(self):
         history = VectorHistory(width=3, dt=0.1, max_delay=0.5, initial=np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(history.vector_at_delay(0.3), [1.0, 2.0, 3.0])
+        assert [history.at_delay(i, 0.3) for i in range(3)] == [1.0, 2.0, 3.0]
 
     def test_negative_delays_rejected(self):
         history = VectorHistory(width=2, dt=0.1, max_delay=0.5)
         history.push(np.zeros(2))
         with pytest.raises(ValueError):
-            history.at_delays(np.array([-0.1, 0.0]))
+            history.at_delay(0, -0.1)
 
     def test_lag_steps_rounds_to_grid(self):
         history = VectorHistory(width=2, dt=0.1, max_delay=1.0)
@@ -133,7 +84,7 @@ class TestVectorHistory:
         row = history.advance()
         row[:] = [3.0, 4.0]
         np.testing.assert_allclose(history.current, [3.0, 4.0])
-        np.testing.assert_allclose(history.vector_at_delay(0.0), [3.0, 4.0])
+        assert [history.at_delay(i, 0.0) for i in range(2)] == [3.0, 4.0]
 
     @given(
         st.integers(min_value=1, max_value=5),
@@ -158,6 +109,5 @@ class TestVectorHistory:
         for step in range(steps):
             history.push(np.full(width, float(step)))
         for delay in (0.0, 0.05, 0.1, 0.2):
-            values = history.vector_at_delay(delay)
-            assert values.shape == (width,)
-            assert np.all(values <= steps - 1)
+            values = [history.at_delay(i, delay) for i in range(width)]
+            assert all(value <= steps - 1 for value in values)

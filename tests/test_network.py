@@ -12,7 +12,7 @@ from repro.core.network import Link, Network, Path
 
 def simple_dumbbell(num_flows: int = 3) -> Network:
     config = dumbbell_scenario(["bbr1"] * num_flows, rtt_range_s=(0.030, 0.040))
-    return Network.dumbbell(config)
+    return Network.from_scenario(config)
 
 
 class TestLink:
@@ -45,7 +45,7 @@ class TestDumbbell:
 
     def test_propagation_rtt_matches_config(self):
         config = dumbbell_scenario(["reno"] * 5, rtt_range_s=(0.030, 0.040))
-        net = Network.dumbbell(config)
+        net = Network.from_scenario(config)
         for i in range(5):
             assert net.propagation_rtt(i) == pytest.approx(config.rtt_s(i), abs=1e-12)
 

@@ -10,7 +10,7 @@ Five concerns:
   lockstep ``shared=`` amortisation and legacy rows without the block);
 * the observability guarantee itself — ``--trace`` must not change any
   store row's scenario key or metric values, on either substrate;
-* the CLI surfaces: ``store summary`` (all three backends), ``status``,
+* the CLI surfaces: ``store summary`` (both backends), ``status``,
   ``trace export --chrome``, ``campaign --trace`` and the ``-v``/``-q``
   log-level flags — plus the OBS001 label-hygiene checker fixture.
 """
@@ -403,7 +403,6 @@ class TestSummary:
 class TestStoreSummaryCli:
     @pytest.mark.parametrize("name,backend", [
         ("s.jsonl", "jsonl"),
-        ("s.shards", "sharded"),
         ("s.sqlite", "sqlite"),
     ])
     def test_summary_on_every_backend(self, tmp_path, capsys, name, backend):

@@ -33,8 +33,8 @@ churn:
   arrivals: poisson
   load: 0.6
 store:
-  path: results/paper.shards
-  backend: sharded
+  path: results/paper.out
+  backend: sqlite
   fsync: false
 executor:
   workers: 4
@@ -74,8 +74,8 @@ class TestParsePreset:
         assert preset.arrivals == "poisson"
         assert preset.load == 0.6
         assert preset.flow_size_dist == "pareto"  # the churn default, filled once
-        assert preset.store_path == "results/paper.shards"
-        assert preset.store_backend == "sharded"
+        assert preset.store_path == "results/paper.out"
+        assert preset.store_backend == "sqlite"
         assert preset.store_fsync is False
         assert preset.executor == ExecutorPolicy(
             workers=4, retries=2, backoff_s=0.1, timeout_s=120,
@@ -139,7 +139,9 @@ class TestCliMerge:
     """`repro-bbr campaign --preset` merge: explicit flags beat the preset."""
 
     @pytest.fixture
-    def captured(self, monkeypatch):
+    def captured(self, tmp_path, monkeypatch):
+        # The preset's relative store path opens under the test's tmp dir.
+        monkeypatch.chdir(tmp_path)
         calls: dict = {}
 
         def fake_run_campaign(grid, **kwargs):
@@ -190,7 +192,7 @@ class TestCliMerge:
         assert captured["executor"].on_failure == "skip"
 
     def test_store_flag_overrides_preset_store(self, tmp_path, captured, capsys):
-        override = tmp_path / "cli-override.sqlite"
+        override = tmp_path / "cli-override.jsonl"
         cli.main(
             [
                 "campaign",
@@ -202,17 +204,16 @@ class TestCliMerge:
         store = captured["store"]
         assert store is not None
         assert store.path == override
-        assert store.backend == "sqlite"
+        assert store.backend == "jsonl"
         store.close()
 
-    def test_preset_store_used_when_no_flag(self, tmp_path, captured, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_preset_store_used_when_no_flag(self, tmp_path, captured, capsys):
         cli.main(["campaign", "--preset", str(self._preset_file(tmp_path))])
         capsys.readouterr()
         store = captured["store"]
         assert store is not None
-        assert store.backend == "sharded"
-        assert store.path.name == "paper.shards"
+        assert store.backend == "sqlite"
+        assert store.path.name == "paper.out"
         store.close()
 
     def test_bad_preset_exits_2(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import FlowConfig, FluidParams, ScenarioConfig, dumbbell_scenario
-from repro.core import FluidSimulator, RenoFluid, simulate, simulate_many
+from repro.core import simulate, simulate_many
 
 FAST = FluidParams(dt=2.5e-4)
 
@@ -91,27 +91,6 @@ class TestScalarVectorizedEquivalence:
         # Late flows must be silent before their start time on both paths.
         early = vectorized.time < 0.45
         assert np.all(vectorized.flows[1].rate[early] == 0.0)
-
-
-class _UnbatchedReno(RenoFluid):
-    """A model without batched support: must take the scalar fallback path."""
-
-    def batch_key(self):
-        return None
-
-    def step_all(self, batch, inputs):  # pragma: no cover - must never run
-        raise AssertionError("fallback model must not be stepped in batch")
-
-
-class TestScalarFallback:
-    def test_unbatched_model_in_vectorized_run(self):
-        config = dumbbell_scenario(["reno", "reno", "bbr1"], duration_s=1.0, fluid=FAST)
-        models = {0: _UnbatchedReno()}
-        scalar = FluidSimulator(
-            config, models={0: _UnbatchedReno()}, vectorized=False
-        ).run()
-        vectorized = FluidSimulator(config, models=models, vectorized=True).run()
-        assert_traces_match(scalar, vectorized)
 
 
 class TestSimulateMany:

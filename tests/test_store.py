@@ -154,7 +154,7 @@ class TestSweepStore:
         assert "lot-point" not in store
         assert store.get("lot-point") is None
         assert (store.hits, store.misses) == (0, 1)
-        assert store.rows(topology="parking-lot") == []
+        assert store.select(topology="parking-lot") == []
         # A fresh v3 write under the same key supersedes the stale row and
         # counts as a hit from then on.
         store.put("lot-point", _metrics(1.0), meta={"mix": "BBRv1"})
@@ -189,15 +189,6 @@ class TestSweepStore:
         assert (store.hits, store.misses) == (0, 1)
         store.put("pre-churn-point", _metrics(2.0), meta={"mix": "BBRv1"})
         assert SweepStore(path).get("pre-churn-point") == _metrics(2.0)
-
-    def test_rows_filtering(self, tmp_path):
-        store = SweepStore(tmp_path / "s.jsonl")
-        store.put("a", _metrics(1.0), meta={"mix": "BBRv1", "seed": 1})
-        store.put("b", _metrics(2.0), meta={"mix": "BBRv1", "seed": 2})
-        store.put("c", _metrics(3.0), meta={"mix": "BBRv2", "seed": 1})
-        rows = store.rows(mix="BBRv1")
-        assert {row["seed"] for row in rows} == {1, 2}
-        assert all("jain_fairness" in row for row in rows)
 
     def test_resolve_store(self, tmp_path, monkeypatch):
         assert resolve_store(None) is None
@@ -314,8 +305,8 @@ class TestSeedsAxis:
         # independent), so the spread over seeds is non-degenerate.
         assert summary.summary.std.loss_percent >= 0.0
         # Per-seed rows are recoverable from the store.
-        rows = store.rows(mix="BBRv1", substrate="emulation")
-        assert {row["seed"] for row in rows} == {1, 2, 3}
+        records = store.select(mix="BBRv1", substrate="emulation")
+        assert {record["meta"]["seed"] for record in records} == {1, 2, 3}
 
     def test_fluid_seeds_are_deterministic(self):
         summaries = sweep.run_campaign(_grid(seeds=2, **FAST)).points

@@ -343,6 +343,22 @@ class TestOneHopEquivalence:
             assert np.array_equal(fa.rate, fb.rate)
         assert np.array_equal(ta.links[0].queue, tb.links[0].queue)
 
+    def test_link_names_agree_across_substrates(self):
+        # Both substrates build from the effective topology, so a named
+        # legacy bottleneck reports the same link name on each.
+        base = dumbbell_scenario(["bbr1", "reno"], duration_s=0.1, fluid=FAST)
+        config = ScenarioConfig(
+            bottleneck=LinkConfig(
+                base.bottleneck.capacity_mbps, base.bottleneck.delay_s, name="core"
+            ),
+            flows=base.flows,
+            duration_s=base.duration_s,
+            fluid=base.fluid,
+        )
+        fluid = [link.name for link in simulate(config).links]
+        emulated = [link.name for link in emulate(config).links]
+        assert fluid == emulated == ["core"]
+
 
 class TestFluidMultiHop:
     def test_vectorized_matches_scalar(self):
@@ -441,20 +457,6 @@ class TestUnboundedBuffer:
         runner.run()
         assert runner.bottleneck.queue.dropped == 0
 
-    def test_unbounded_buffer_bdp_knob(self):
-        config = dumbbell_scenario(["reno"], buffer_bdp=math.inf, duration_s=0.1)
-        small = EmulationRunner(config, unbounded_buffer_bdp=10.0)
-        large = EmulationRunner(config, unbounded_buffer_bdp=200.0)
-        ratio = large.bottleneck.queue.capacity_pkts / small.bottleneck.queue.capacity_pkts
-        assert ratio == pytest.approx(20.0, rel=1e-3)
-        with pytest.raises(ValueError, match="unbounded_buffer_bdp"):
-            EmulationRunner(config, unbounded_buffer_bdp=0.0)
-
-    def test_finite_buffers_unaffected_by_knob(self):
-        config = dumbbell_scenario(["reno"], buffer_bdp=2.0, duration_s=0.1)
-        a = EmulationRunner(config, unbounded_buffer_bdp=10.0)
-        b = EmulationRunner(config, unbounded_buffer_bdp=500.0)
-        assert a.bottleneck.queue.capacity_pkts == b.bottleneck.queue.capacity_pkts
 
 
 class TestTopologySweep:
@@ -497,8 +499,8 @@ class TestTopologySweep:
         (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
         assert first.metrics == second.metrics
-        row = store.rows(topology="parking-lot")[0]
-        assert row["hops"] == 3 and row["cross_flows"] == 1
+        meta = store.select(topology="parking-lot")[0]["meta"]
+        assert meta["hops"] == 3 and meta["cross_flows"] == 1
 
     def test_topology_cache_key_distinct_from_dumbbell(self):
         kwargs = dict(substrate="fluid", duration_s=0.5, dt=1e-3)
@@ -565,10 +567,10 @@ class TestTopologySweep:
         (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
         assert first.metrics == second.metrics
-        row = store.rows(topology="parking-lot")[0]
-        assert row["hop_capacities"] == [100.0, 50.0]
-        assert row["hop_delays"] == [0.004, 0.006]
-        assert row["hop_disciplines"] == ["red", "droptail"]
+        meta = store.select(topology="parking-lot")[0]["meta"]
+        assert meta["hop_capacities"] == [100.0, 50.0]
+        assert meta["hop_delays"] == [0.004, 0.006]
+        assert meta["hop_disciplines"] == ["red", "droptail"]
 
     def test_campaign_heterogeneous_axis(self):
         points = self._point(
