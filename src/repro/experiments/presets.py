@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .backends import check_backend
+from .backends import check_backend, split_backend_spec
 from .executor import ON_FAILURE_MODES, ExecutorPolicy
 from .grid import GridSpec
 
@@ -199,11 +199,13 @@ def parse_preset(data: Any, name: str = "campaign") -> CampaignPreset:
         grid_spec = GridSpec(**{k: v for k, v in grid_axes.items() if v is not None})
     except ValueError as exc:
         raise PresetError(f"invalid campaign grid: {exc}") from exc
-    if store.get("backend") is not None:
-        try:
+    try:
+        if store.get("path") is not None:
+            split_backend_spec(str(store["path"]))
+        if store.get("backend") is not None:
             check_backend(store["backend"])
-        except ValueError as exc:
-            raise PresetError(f"invalid store backend: {exc}") from exc
+    except ValueError as exc:
+        raise PresetError(f"invalid store backend: {exc}") from exc
 
     return CampaignPreset(
         name=str(doc.get("name", name)),

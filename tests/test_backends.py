@@ -6,18 +6,21 @@ import multiprocessing
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.experiments.backends import (
     RemovedBackendError,
     atomic_append,
+    check_backend,
     infer_backend,
     make_backend,
     shard_of,
     split_backend_spec,
 )
 from repro.experiments.presets import PresetError, parse_preset
-from repro.experiments.store import SCHEMA_VERSION, SweepStore
+from repro.experiments.store import SCHEMA_VERSION, SweepStore, resolve_store
 from repro.metrics.aggregate import AggregateMetrics
 
 BACKEND_KINDS = ("jsonl", "sqlite")
@@ -164,11 +167,102 @@ class TestSelect:
         assert {r["key"] for r in store.select(load=0.5)} == {"k4"}
         assert {r["key"] for r in store.select(mix="BBRv1", load=None)} == {"k1", "k2"}
 
+    def test_select_returns_full_records(self, store):
+        self._populate(store)
+        store.put(
+            "k3", _metrics(5.0), meta={"mix": "RENO", "topology": "parking-lot"},
+            runtime={"wall_s": 0.25},
+        )
+        (record,) = store.select(mix="RENO")
+        assert record["key"] == "k3"
+        assert record["schema"] == SCHEMA_VERSION
+        assert AggregateMetrics(**record["metrics"]) == _metrics(5.0)
+        assert record["meta"] == {"mix": "RENO", "topology": "parking-lot"}
+        assert record["runtime"] == {"wall_s": 0.25}
+
+    def test_select_excludes_failures(self, store):
+        self._populate(store)
+        store.put_failure("k9", "boom", meta={"mix": "BBRv1", "seed": 9})
+        assert {r["key"] for r in store.select(mix="BBRv1")} == {"k1", "k2"}
+        store.put("k9", _metrics(9.0), meta={"mix": "BBRv1", "seed": 9})
+        assert {r["key"] for r in store.select(mix="BBRv1")} == {"k1", "k2", "k9"}
+
+
+class TestMergeRewrite:
+    """``store merge SRC DEST`` into a fresh DEST rewrites a store with one
+    record per key, last write winning — the replacement for compaction."""
+
+    @pytest.fixture(params=BACKEND_KINDS)
+    def dest_kind(self, request):
+        return request.param
+
+    @staticmethod
+    def _dest_path(tmp_path, dest_kind):
+        return tmp_path / {"jsonl": "rewritten.jsonl", "sqlite": "rewritten.sqlite"}[dest_kind]
+
+    def test_rewrite_drops_superseded_and_stale(self, tmp_path, kind, dest_kind, monkeypatch):
+        path = _store_path(tmp_path, kind)
+        import repro.experiments.store as store_mod
+
+        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+        old = SweepStore(path, backend=kind)
+        old.put("old-key", _metrics(1.0))
+        old.close()
+        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", SCHEMA_VERSION)
+        source = SweepStore(path, backend=kind)
+        source.put("k1", _metrics(1.0))
+        source.put("k1", _metrics(2.0))
+        source.put_failure("k2", "boom")
+        source.put("k2", _metrics(3.0))
+        dest_path = self._dest_path(tmp_path, dest_kind)
+        dest = SweepStore(dest_path, backend=dest_kind)
+        assert dest.merge_from(source) == (2, 0)
+        source.close()
+        dest.close()
+        reopened = SweepStore(dest_path, backend=dest_kind)
+        assert len(reopened) == 2
+        assert reopened.get("k1") == _metrics(2.0)
+        assert reopened.get("k2") == _metrics(3.0)
+        assert "old-key" not in reopened
+        assert reopened.failures() == []
+        reopened.close()
+        if dest_kind == "jsonl":
+            lines = dest_path.read_text().splitlines()
+            assert len(lines) == 2  # one line per surviving record
+
+    def test_cli_rewrite_keeps_unsuperseded_failures(self, tmp_path, kind, dest_kind, capsys):
+        path = _store_path(tmp_path, kind)
+        source = SweepStore(path, backend=kind)
+        source.put_failure("k1", "still broken", meta={"mix": "BBRv1"})
+        source.put("k2", _metrics(2.0), meta={"mix": "BBRv2"})
+        source.close()
+        dest_path = self._dest_path(tmp_path, dest_kind)
+        assert main(["store", "merge", str(path), str(dest_path)]) == 0
+        assert "1 result(s), 1 failure(s)" in capsys.readouterr().out
+        merged = SweepStore(dest_path, backend=dest_kind)
+        (failure,) = merged.failures()
+        assert failure["key"] == "k1"
+        assert failure["error"] == "still broken"
+        assert failure["meta"] == {"mix": "BBRv1"}
+        assert merged.get("k2") == _metrics(2.0)
+        merged.close()
+
 
 class TestSharding:
     def test_shard_routing_is_stable(self):
         assert shard_of("some-key", 16) == shard_of("some-key", 16)
         assert 0 <= shard_of("some-key", 16) < 16
+
+    def test_shard_routing_is_pinned(self):
+        # ``--shard-index/--shard-count`` runs on different hosts or
+        # versions must agree on the partition, so the hash is fixed.
+        assert [shard_of(key, 16) for key in ("some-key", "a", "b", "c")] == [7, 2, 6, 3]
+        assert [shard_of("some-key", count) for count in (1, 2, 3, 7)] == [0, 1, 2, 1]
+
+    @given(st.text(max_size=40), st.integers(min_value=1, max_value=64))
+    def test_every_key_lands_in_exactly_one_shard(self, key, count):
+        owners = [index for index in range(count) if shard_of(key, count) == index]
+        assert len(owners) == 1
 
 
 class TestBackendSelection:
@@ -197,6 +291,15 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown store backend"):
             make_backend(tmp_path / "x.jsonl", SCHEMA_VERSION, backend="mongodb")
 
+    def test_check_backend(self):
+        for kind in BACKEND_KINDS:
+            check_backend(kind)
+        with pytest.raises(ValueError, match="unknown store backend") as excinfo:
+            check_backend("mongodb")
+        assert not isinstance(excinfo.value, RemovedBackendError)
+        with pytest.raises(RemovedBackendError):
+            check_backend("sharded")
+
 
 class TestRemovedShardedBackend:
     """Every spelling of the removed sharded backend fails loudly, with the
@@ -211,8 +314,56 @@ class TestRemovedShardedBackend:
         assert "concatenat" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--mixes", "BBRv1", "--buffers", "1", "--store", "{spec}"],
+            ["figure", "fig06_fairness", "--buffers", "1", "--store", "{spec}"],
+            ["campaign", "--mixes", "BBRv1", "--buffers", "1", "--store", "{spec}"],
+            ["status", "{spec}", "--mixes", "BBRv1", "--buffers", "1"],
+            ["store", "summary", "{spec}"],
+            ["store", "merge", "{spec}", "{other}"],
+            ["store", "merge", "{other}", "{spec}"],
+            ["stability", "--versions", "bbr1", "--flow-counts", "2",
+             "--rtts-ms", "40", "--buffers", "1", "--store", "{spec}"],
+        ],
+        ids=["sweep", "figure", "campaign", "status", "store-summary",
+             "store-merge-source", "store-merge-dest", "stability"],
+    )
+    def test_every_store_command_exits_2(self, tmp_path, capsys, argv):
+        spec = f"sharded:{tmp_path / 'results.shards'}"
+        other = str(tmp_path / "other.jsonl")
+        args = [arg.format(spec=spec, other=other) for arg in argv]
+        assert main(args) == 2
+        assert "concatenat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_backend_argument(self, tmp_path, capsys):
+        path = tmp_path / "results.jsonl"
+        with pytest.raises(RemovedBackendError):
+            SweepStore(path, backend="sharded")
+        with pytest.raises(RemovedBackendError):
+            make_backend(path, SCHEMA_VERSION, backend="sharded")
+        # The CLI no longer offers the choice at all.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--store", str(path), "--backend", "sharded"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_repro_store_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", f"sharded:{tmp_path / 'results.shards'}")
+        with pytest.raises(RemovedBackendError):
+            resolve_store(None)
+        assert not any(tmp_path.iterdir())
+
     def test_preset_backend(self):
         doc = {"store": {"path": "results.shards", "backend": "sharded"}}
+        with pytest.raises(PresetError, match="concatenat"):
+            parse_preset(doc)
+
+    def test_preset_path_prefix(self):
+        doc = {"store": {"path": "sharded:results.shards"}}
         with pytest.raises(PresetError, match="concatenat"):
             parse_preset(doc)
 

@@ -25,6 +25,50 @@ class TestVectorHistory:
         with pytest.raises(ValueError):
             history.push(np.zeros(3))
 
+    def test_invalid_construction(self):
+        with pytest.raises(ValueError, match="width"):
+            VectorHistory(width=0, dt=0.1, max_delay=1.0)
+        with pytest.raises(ValueError, match="dt"):
+            VectorHistory(width=1, dt=0.0, max_delay=1.0)
+        with pytest.raises(ValueError, match="max_delay"):
+            VectorHistory(width=1, dt=0.1, max_delay=-1.0)
+
+    def test_initial_value_used_before_any_push(self):
+        history = VectorHistory(width=2, dt=0.1, max_delay=0.5, initial=7.0)
+        assert [history.at_delay(i, 0.2) for i in range(2)] == [7.0, 7.0]
+        np.testing.assert_allclose(history.current, [7.0, 7.0])
+
+    def test_returns_initial_value_beyond_recorded_history(self):
+        history = VectorHistory(width=1, dt=0.1, max_delay=0.5, initial=42.0)
+        history.push(np.array([1.0]))
+        # Requesting more delay than has been recorded falls back to the
+        # initial (pre-history) value of the signal.
+        assert history.at_delay(0, 0.5) == pytest.approx(42.0)
+        assert history.at_delay(0, 0.1) == pytest.approx(42.0)
+        assert history.at_delay(0, 0.0) == pytest.approx(1.0)
+
+    def test_delay_rounds_to_nearest_step(self):
+        history = VectorHistory(width=1, dt=0.1, max_delay=1.0)
+        for step in range(10):
+            history.push(np.array([float(step)]))
+        assert history.at_delay(0, 0.26) == 6.0  # 2.6 steps -> 3
+        assert history.at_delay(0, 0.24) == 7.0  # 2.4 steps -> 2
+
+    def test_reads_stay_correct_after_the_ring_wraps(self):
+        history = VectorHistory(width=2, dt=0.1, max_delay=0.3)
+        for step in range(50):
+            history.push(np.array([step, -step], dtype=float))
+        assert history.at_delay(0, 0.0) == 49.0
+        assert history.at_delay(0, 0.3) == 46.0
+        assert history.at_delay(1, 0.2) == -47.0
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
+    def test_zero_delay_always_returns_last_pushed(self, values):
+        history = VectorHistory(width=1, dt=0.01, max_delay=0.1)
+        for value in values:
+            history.push(np.array([value]))
+        assert history.at_delay(0, 0.0) == pytest.approx(values[-1])
+
     def test_initial_vector_broadcast(self):
         history = VectorHistory(width=3, dt=0.1, max_delay=0.5, initial=np.array([1.0, 2.0, 3.0]))
         assert [history.at_delay(i, 0.3) for i in range(3)] == [1.0, 2.0, 3.0]

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from repro.config import FlowConfig, FluidParams, ScenarioConfig, dumbbell_scenario
-from repro.core import simulate, simulate_many
+from repro.core import (
+    FluidSimulator,
+    RenoFluid,
+    available_ccas,
+    create_model,
+    simulate,
+    simulate_many,
+)
+from repro.core.flow import FluidCCA
 
 FAST = FluidParams(dt=2.5e-4)
 
@@ -91,6 +99,44 @@ class TestScalarVectorizedEquivalence:
         # Late flows must be silent before their start time on both paths.
         early = vectorized.time < 0.45
         assert np.all(vectorized.flows[1].rate[early] == 0.0)
+
+
+class _TunedReno(RenoFluid):
+    """A user-defined model: inherits Reno's batched path unchanged."""
+
+
+class TestBatchedModels:
+    """Every model runs batched: the vectorized run has no per-flow fallback."""
+
+    @pytest.mark.parametrize("name", available_ccas())
+    def test_registered_model_batches(self, name):
+        first, second = create_model(name), create_model(name)
+        assert first.batch_key() == second.batch_key()
+        assert hash(first.batch_key()) == hash(second.batch_key())
+        assert type(first).step_all is not FluidCCA.step_all
+
+    def test_batch_keys_separate_models(self):
+        keys = {create_model(name).batch_key() for name in available_ccas()}
+        assert len(keys) == len(available_ccas())
+        soft = create_model("bbr1", FluidParams(sigmoid_sharpness=50.0))
+        assert soft.batch_key() != create_model("bbr1").batch_key()
+
+    def test_model_without_batched_path_is_abstract(self):
+        class ScalarOnly(FluidCCA):
+            def initial_state(self, flow_index, num_flows, network, params):
+                raise NotImplementedError
+
+            def step(self, state, inputs):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="batch_key"):
+            ScalarOnly()
+
+    def test_custom_model_in_vectorized_run(self):
+        config = dumbbell_scenario(["reno", "reno", "bbr1"], duration_s=1.0, fluid=FAST)
+        scalar = FluidSimulator(config, models={0: _TunedReno()}, vectorized=False).run()
+        vectorized = FluidSimulator(config, models={0: _TunedReno()}, vectorized=True).run()
+        assert_traces_match(scalar, vectorized)
 
 
 class TestSimulateMany:

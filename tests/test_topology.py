@@ -26,7 +26,7 @@ from repro.config import (
 from repro.core import Network, simulate
 from repro.core.simulator import simulate_many
 from repro.emulation import EmulationRunner
-from repro.emulation.runner import emulate
+from repro.emulation.runner import UNBOUNDED_BUFFER_BDP, emulate
 from repro.experiments import scenarios, sweep
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore, scenario_key
@@ -429,6 +429,12 @@ class TestEmulatorMultiHop:
         with pytest.raises(ValueError, match="delayline"):
             EmulationRunner(_parking_lot_config(), scheduler="closure")
 
+    def test_link_names_agree_with_fluid(self):
+        config = _parking_lot_config(duration_s=0.1)
+        fluid = [link.name for link in simulate(config).links]
+        emulated = [link.name for link in emulate(config).links]
+        assert fluid == emulated == ["hop-1", "hop-2", "hop-3"]
+
     def test_link_metrics_per_hop(self):
         trace = emulate(_parking_lot_config(duration_s=1.0))
         metrics = link_metrics(trace)
@@ -457,6 +463,30 @@ class TestUnboundedBuffer:
         runner.run()
         assert runner.bottleneck.queue.dropped == 0
 
+    def test_infinite_buffer_holds_unbounded_buffer_bdp(self):
+        unbounded = EmulationRunner(
+            dumbbell_scenario(["reno"], buffer_bdp=math.inf, duration_s=0.1)
+        )
+        finite = EmulationRunner(
+            dumbbell_scenario(["reno"], buffer_bdp=UNBOUNDED_BUFFER_BDP, duration_s=0.1)
+        )
+        assert unbounded.bottleneck.queue.capacity_pkts == finite.bottleneck.queue.capacity_pkts
+
+    def test_every_unbounded_hop_gets_the_same_cap(self):
+        config = _parking_lot_config(duration_s=0.1)
+        unbounded = EmulationRunner(config.with_buffer(math.inf))
+        finite = EmulationRunner(config.with_buffer(UNBOUNDED_BUFFER_BDP))
+        caps = [link.queue.capacity_pkts for link in unbounded.links]
+        assert caps == [link.queue.capacity_pkts for link in finite.links]
+        assert len(set(caps)) == 1
+
+    def test_finite_buffers_scale_with_buffer_bdp(self):
+        small, large = (
+            EmulationRunner(dumbbell_scenario(["reno"], buffer_bdp=bdp, duration_s=0.1))
+            .bottleneck.queue.capacity_pkts
+            for bdp in (2.0, 8.0)
+        )
+        assert large / small == pytest.approx(4.0, rel=1e-2)
 
 
 class TestTopologySweep:
