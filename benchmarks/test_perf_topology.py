@@ -146,8 +146,8 @@ def test_perf_topology(benchmark):
 
     # Guard rails, not targets: the upstream attenuation must not add Eq. 1
     # gathers over the unattenuated vectorized baseline, and the chained
-    # emulator must sustain a sane packet rate (the dumbbell does ~150k
-    # pkts/s; three hops triple the per-packet queue work).  The
+    # emulator must clear an absolute floor far below its measured rate
+    # (66-143k pkts/s; three hops triple the per-packet queue work).  The
     # vectorized/scalar speedup is recorded above, not asserted.
     assert att_gathers <= base_gathers, (
         f"attenuated pipeline made {att_gathers} gathers vs {base_gathers} "

@@ -31,10 +31,10 @@ flow population under churn.  Flow lifetimes are recorded on the
 for flow-completion-time metrics.
 
 Samples are recorded into preallocated numpy buffers on an absolute time
-grid (sample ``k`` fires at exactly ``(k + 1) * record_interval_s``), so
+grid (sample ``k`` fires at exactly ``(k + 1) * RECORD_INTERVAL_S``), so
 emulation trace timestamps line up with the fluid traces' uniform grid
 instead of accumulating floating-point drift from relative rescheduling.
-When ``duration_s`` is not an integer multiple of ``record_interval_s``, a
+When ``duration_s`` is not an integer multiple of :data:`RECORD_INTERVAL_S`, a
 final sample is flushed at ``duration_s`` with rates normalised by the
 actual partial-interval length, so the trace covers the full run.
 
@@ -73,8 +73,16 @@ from .link import BottleneckLink
 from .nodes import Destination, Sender
 from .queues import make_queue
 
+#: Seconds between emulation trace samples.  Every run uses it; store keys
+#: and stored meta of emulation points record it.
+RECORD_INTERVAL_S = 0.01
+
+#: The event layer every campaign runs (and store keys and meta record);
+#: ``"closure"`` is the reference that tests and benchmarks compare against.
+SCHEDULER = "delayline"
+
 #: Event-layer implementations selectable via ``EmulationRunner(scheduler=...)``.
-SCHEDULERS = ("delayline", "closure")
+SCHEDULERS = (SCHEDULER, "closure")
 
 #: Default emulated buffer, in reference-BDP multiples, standing in for an
 #: "infinite" (``math.inf``) configured buffer.  The packet emulator needs a
@@ -82,7 +90,15 @@ SCHEDULERS = ("delayline", "closure")
 #: fill (their windows cap out earlier), so an unbounded buffer never drops.
 UNBOUNDED_BUFFER_BDP = 100.0
 
-__all__ = ["derive_rng", "EmulationRunner", "emulate", "SCHEDULERS", "UNBOUNDED_BUFFER_BDP"]
+__all__ = [
+    "derive_rng",
+    "EmulationRunner",
+    "emulate",
+    "RECORD_INTERVAL_S",
+    "SCHEDULER",
+    "SCHEDULERS",
+    "UNBOUNDED_BUFFER_BDP",
+]
 
 
 class EmulationRunner:
@@ -91,11 +107,8 @@ class EmulationRunner:
     def __init__(
         self,
         config: ScenarioConfig,
-        record_interval_s: float = 0.01,
-        scheduler: str = "delayline",
+        scheduler: str = SCHEDULER,
     ) -> None:
-        if record_interval_s <= 0:
-            raise ValueError("record interval must be positive")
         if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
         topo = config.effective_topology()
@@ -116,7 +129,6 @@ class EmulationRunner:
         self._schedule_entries = schedule_entries
         self.config = config
         self.topology = topo
-        self.record_interval_s = record_interval_s
         self.scheduler = scheduler
         self.rng = derive_rng(config.seed, "queue")
         # The closure reference carries its own verbatim pre-change event
@@ -240,7 +252,7 @@ class EmulationRunner:
         # (generously sized; _build_trace slices to the fired sample count).
         n_flows = config.num_flows
         n_links = len(self.links)
-        capacity = int(config.duration_s / record_interval_s) + 2
+        capacity = int(config.duration_s / RECORD_INTERVAL_S) + 2
         self._max_samples = capacity
         self._flow_buffers = np.empty((5, n_flows, capacity))
         self._link_buffers = np.empty((4, n_links, capacity))
@@ -285,7 +297,7 @@ class EmulationRunner:
         k = self._sample_idx
         if k >= self._max_samples:
             return
-        interval = self.record_interval_s
+        interval = RECORD_INTERVAL_S
         self._record((k + 1) * interval, interval)
         if k + 1 < self._max_samples:
             # Absolute grid: sample k fires at exactly (k + 1) * interval,
@@ -339,13 +351,13 @@ class EmulationRunner:
 
     def _flush_tail(self) -> None:
         """Record the final partial interval when ``duration_s`` is not a
-        multiple of ``record_interval_s`` (rates normalised by its actual
+        multiple of :data:`RECORD_INTERVAL_S` (rates normalised by its actual
         length), so the trace covers the full run instead of silently
         dropping the tail."""
         duration = self.config.duration_s
         last_t = self._time_buf[self._sample_idx - 1] if self._sample_idx else 0.0
         partial = duration - last_t
-        if partial > 1e-6 * self.record_interval_s and self._sample_idx < self._max_samples:
+        if partial > 1e-6 * RECORD_INTERVAL_S and self._sample_idx < self._max_samples:
             self._record(duration, partial)
 
     # ------------------------------------------------------------------ #
@@ -363,9 +375,9 @@ class EmulationRunner:
             for sender in self.senders.values():
                 sender.start()
             if self._sample_timer is not None:
-                self._sample_timer.schedule_at(self.record_interval_s)
+                self._sample_timer.schedule_at(RECORD_INTERVAL_S)
             else:
-                self.events.schedule_at(self.record_interval_s, self._sample)
+                self.events.schedule_at(RECORD_INTERVAL_S, self._sample)
             self.events.run(until=self.config.duration_s)
             self._flush_tail()
             trace = self._build_trace()
@@ -426,12 +438,6 @@ class EmulationRunner:
         return Trace(time=time, flows=flows, links=links, substrate="emulation")
 
 
-def emulate(
-    config: ScenarioConfig,
-    record_interval_s: float = 0.01,
-    scheduler: str = "delayline",
-) -> Trace:
+def emulate(config: ScenarioConfig, scheduler: str = SCHEDULER) -> Trace:
     """Convenience wrapper: build an :class:`EmulationRunner` and run it."""
-    return EmulationRunner(
-        config, record_interval_s=record_interval_s, scheduler=scheduler
-    ).run()
+    return EmulationRunner(config, scheduler=scheduler).run()

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Any
 
 from ..config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS, ScenarioConfig
+from ..emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from . import scenarios
 from .store import scenario_key
 
@@ -340,5 +341,5 @@ class PointSpec:
         if grid.substrate == "emulation":
             # The emulator's sampling parameters, stored (and keyed, see
             # scenario_key) at the values every campaign runs with.
-            meta.update(record_interval_s=0.01, scheduler="delayline")
+            meta.update(record_interval_s=RECORD_INTERVAL_S, scheduler=SCHEDULER)
         return meta

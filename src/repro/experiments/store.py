@@ -8,8 +8,9 @@ determines its result:
 
 * the full :class:`~repro.config.ScenarioConfig` (topology, flows, fluid
   parameters, duration, **seed**),
-* the substrate (``"fluid"`` or ``"emulation"``) and its sampling
-  parameters (``record_interval_s`` and ``scheduler`` for the emulator),
+* the substrate (``"fluid"`` or ``"emulation"``) and, for the emulator,
+  its sampling parameters (:data:`~repro.emulation.runner.RECORD_INTERVAL_S`
+  and :data:`~repro.emulation.runner.SCHEDULER`),
 * and :data:`SCHEMA_VERSION`, bumped whenever the simulation code changes
   in a way that invalidates stored results.
 
@@ -44,6 +45,7 @@ from collections.abc import Iterator, Mapping
 from typing import Any
 
 from ..config import ScenarioConfig
+from ..emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from ..metrics.aggregate import AggregateMetrics
 from ..obs import TELEMETRY
 from .backends import make_backend
@@ -81,12 +83,7 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def scenario_key(
-    config: ScenarioConfig,
-    substrate: str,
-    record_interval_s: float = 0.01,
-    scheduler: str = "delayline",
-) -> str:
+def scenario_key(config: ScenarioConfig, substrate: str) -> str:
     """Content-addressed key of one (scenario, substrate, sampling) point.
 
     The full scenario configuration — including the seed and every fluid
@@ -104,8 +101,8 @@ def scenario_key(
         "substrate": substrate,
     }
     if substrate == "emulation":
-        payload["record_interval_s"] = record_interval_s
-        payload["scheduler"] = scheduler
+        payload["record_interval_s"] = RECORD_INTERVAL_S
+        payload["scheduler"] = SCHEDULER
     elif config.schedule is None or not config.schedule.uses_seed:
         scenario.pop("seed", None)
     return stable_hash(payload)

@@ -17,7 +17,7 @@ from repro.emulation.link import BottleneckLink
 from repro.emulation.nodes import Sender
 from repro.emulation.packet import Packet
 from repro.emulation.queues import DropTailQueue, RedQueue
-from repro.emulation.runner import EmulationRunner
+from repro.emulation.runner import RECORD_INTERVAL_S, EmulationRunner
 
 
 class TestTimer:
@@ -327,8 +327,8 @@ class TestSchedulerEquivalence:
 class TestSamplingGrid:
     def test_timestamps_on_exact_absolute_grid(self):
         config = dumbbell_scenario(["bbr1"], duration_s=1.0)
-        trace = EmulationRunner(config, record_interval_s=0.01).run()
-        expected = (np.arange(len(trace.time)) + 1.0) * 0.01
+        trace = EmulationRunner(config).run()
+        expected = (np.arange(len(trace.time)) + 1.0) * RECORD_INTERVAL_S
         # Bitwise equality: sample k fires at exactly (k + 1) * interval,
         # with no accumulated floating-point drift.
         np.testing.assert_array_equal(trace.time, expected)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from repro.experiments import figures, report, scenarios, sweep
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import scenario_key
@@ -124,12 +125,12 @@ class TestSweep:
         # Regression: points differing only in seed (or in the emulator's
         # sampling parameters) used to alias onto one cache slot.
         assert base != key(seeds=[2])
-        # Campaigns always sample at 10 ms with the delay-line scheduler;
-        # the key still spells both out, so other settings never alias.
-        config = next(self.grid(substrate="emulation").points()).config()
-        assert base == scenario_key(config, "emulation", 0.01, "delayline")
-        assert base != scenario_key(config, "emulation", record_interval_s=0.02)
-        assert base != scenario_key(config, "emulation", scheduler="closure")
+        # Campaigns always run with the runner's sampling constants; the
+        # point's key and stored meta both spell them out.
+        point = next(self.grid(substrate="emulation").points())
+        assert base == scenario_key(point.config(), "emulation")
+        meta = point.meta()
+        assert (meta["record_interval_s"], meta["scheduler"]) == (RECORD_INTERVAL_S, SCHEDULER)
 
     def test_emulation_seeds_cached_separately(self):
         grid = self.grid(substrate="emulation", seeds=[1, 2], duration_s=0.5)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from repro.experiments import scenarios, sweep
 from repro.experiments.grid import GridSpec, seed_list
 from repro.experiments.store import (
@@ -54,17 +55,30 @@ class TestStableHash:
         assert scenario_key(a, "emulation") != scenario_key(b, "emulation")
 
     def test_scenario_key_includes_sampling_params(self):
+        import dataclasses
+
         config = scenarios.aggregate_scenario("BBRv1", 1.0, "droptail")
-        base = scenario_key(config, "emulation")
-        assert base != scenario_key(config, "emulation", record_interval_s=0.02)
-        assert base != scenario_key(config, "emulation", scheduler="closure")
-        assert base != scenario_key(config, "fluid")
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "scenario": dataclasses.asdict(config),
+            "substrate": "emulation",
+            "record_interval_s": RECORD_INTERVAL_S,
+            "scheduler": SCHEDULER,
+        }
+        # Emulation keys spell out the runner's sampling constants, at the
+        # values every stored emulation key was written with.
+        assert (RECORD_INTERVAL_S, SCHEDULER) == (0.01, "delayline")
+        assert scenario_key(config, "emulation") == stable_hash(payload)
+        assert scenario_key(config, "emulation") != scenario_key(config, "fluid")
 
     def test_fluid_key_ignores_emulation_sampling(self):
+        import dataclasses
+
         config = scenarios.aggregate_scenario("BBRv1", 1.0, "droptail")
-        assert scenario_key(config, "fluid") == scenario_key(
-            config, "fluid", record_interval_s=0.02, scheduler="closure"
-        )
+        scenario = dataclasses.asdict(config)
+        scenario.pop("seed")
+        payload = {"schema": SCHEMA_VERSION, "scenario": scenario, "substrate": "fluid"}
+        assert scenario_key(config, "fluid") == stable_hash(payload)
 
     def test_fluid_key_hashes_seed_only_for_random_schedules(self):
         import dataclasses
