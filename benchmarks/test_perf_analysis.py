@@ -13,10 +13,9 @@ exactly ``n_distinct`` points, alias the rest, and produce identical
 metrics (up to the occupancy renormalisation).  The cold/pruned wall-time
 ratio is recorded, not asserted: a wall-clock ratio is too noisy to gate
 tier-1.  Both runs use the
-process-pool executor (``workers=4``) — the fluid lockstep batcher
-amortises per-point cost so aggressively that pruning barely shows up on
-it, whereas on the pooled path wall time tracks the number of simulated
-points.
+process-pool executor (``workers=4``), whose workers integrate lockstep
+chunks; the lockstep batcher amortises per-point cost so aggressively that
+pruning saves less wall time than the count of simulated points suggests.
 
 Results land in ``benchmarks/BENCH_analysis.json``.
 """

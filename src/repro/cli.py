@@ -391,7 +391,10 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="retry each failing point up to N times with exponential backoff",
+        help=(
+            "retry each failing task (one point, or one fluid lockstep chunk) "
+            "up to N times with exponential backoff"
+        ),
     )
     parser.add_argument(
         "--backoff-s",
@@ -405,7 +408,10 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         type=float,
         default=None,
         metavar="S",
-        help="per-point wall-clock timeout in seconds (default: none)",
+        help=(
+            "per-point wall-clock timeout in seconds; a fluid lockstep chunk "
+            "gets it once per point it holds (default: none)"
+        ),
     )
     parser.add_argument(
         "--heartbeat-s",
@@ -661,20 +667,6 @@ def _add_check_parser(subparsers: argparse._SubParsersAction) -> None:
         "--json", action="store_true", help="emit findings as a JSON document"
     )
     parser.add_argument(
-        "--baseline",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the current findings to a baseline file and exit 0",
-    )
-    parser.add_argument(
         "--update-schema-fingerprint",
         action="store_true",
         help="regenerate the committed hashed-field-set fingerprint "
@@ -818,18 +810,22 @@ def _figure_rows(
 
 def _run_figure(args: argparse.Namespace) -> int:
     metric = figures.AGGREGATE_FIGURES[args.name]
-    data = figures.aggregate_figure(
-        metric,
-        substrate=args.substrate,
-        buffers_bdp=args.buffers,
-        mixes=args.mixes,
-        disciplines=args.disciplines,
-        duration_s=args.duration,
-        short_rtt=args.short_rtt,
-        workers=args.workers,
-        seeds=args.seeds,
-        store=resolve_store(args.store, backend=args.backend),
-    )
+    try:
+        data = figures.aggregate_figure(
+            metric,
+            substrate=args.substrate,
+            buffers_bdp=args.buffers,
+            mixes=args.mixes,
+            disciplines=args.disciplines,
+            duration_s=args.duration,
+            short_rtt=args.short_rtt,
+            workers=args.workers,
+            seeds=args.seeds,
+            store=resolve_store(args.store, backend=args.backend),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = _figure_rows(args.name, metric, data)
     if not rows:
         print(
@@ -1262,18 +1258,7 @@ def _run_check(args: argparse.Namespace) -> int:
         )
         return 0
     root = args.root if args.root is not None else _detect_repo_root()
-    baseline = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline file {args.baseline} not found", file=sys.stderr)
-            return 2
-        baseline = devtools.Baseline.load(baseline_path)
-    findings, warnings = devtools.run_check(root, baseline=baseline)
-    if args.write_baseline:
-        devtools.Baseline.from_findings(findings).write(Path(args.write_baseline))
-        print(f"wrote baseline with {len(findings)} finding(s) to {args.write_baseline}")
-        return 0
+    findings, warnings = devtools.run_check(root)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.json:

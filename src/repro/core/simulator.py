@@ -83,6 +83,10 @@ from .history import VectorHistory
 from .network import Network, Path
 from .registry import create_model
 
+#: Seconds between fluid trace samples.  Every run records on this grid;
+#: an integration step ``dt`` must not exceed it.
+RECORD_INTERVAL_S = 1e-3
+
 
 @dataclass
 class _LinkState:
@@ -101,14 +105,13 @@ class FluidSimulator:
         self,
         config: ScenarioConfig,
         models: dict[int, FluidCCA] | None = None,
-        record_interval_s: float = 1e-3,
         vectorized: bool = True,
         network: Network | None = None,
         initial_states: list | None = None,
         attenuate_arrivals: bool = True,
         schedule_entries: Sequence[FlowArrival] | None = None,
     ) -> None:
-        if record_interval_s < config.fluid.dt:
+        if RECORD_INTERVAL_S < config.fluid.dt:
             raise ValueError("record interval must be at least one integration step")
         self.config = config
         # ``schedule_entries`` lets :func:`simulate_many` hand over the
@@ -128,7 +131,6 @@ class FluidSimulator:
             raise ValueError("schedule entries must match the flow count")
         self.network = network if network is not None else Network.from_scenario(config)
         self.dt = config.fluid.dt
-        self.record_interval_s = record_interval_s
         self.vectorized = vectorized
         # Upstream loss/capacity attenuation of per-link arrivals (and the
         # matching effective-bottleneck Eq. 17).  Only multi-hop paths are
@@ -495,7 +497,7 @@ class FluidSimulator:
 
         # ---------- trace recording buffers ----------------------------- #
         steps = int(round(cfg.duration_s / dt))
-        record_every = max(1, int(round(self.record_interval_s / dt)))
+        record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
         num_records = steps // record_every + 1
         rec_time = np.zeros(num_records)
         rec_rate = np.zeros((num_records, num_flows))
@@ -799,7 +801,7 @@ class FluidSimulator:
 
         # Trace recording buffers.
         steps = int(round(cfg.duration_s / dt))
-        record_every = max(1, int(round(self.record_interval_s / dt)))
+        record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
         num_records = steps // record_every + 1
         rec_time = np.zeros(num_records)
         rec_rate = np.zeros((num_records, num_flows))
@@ -1141,23 +1143,18 @@ class FluidSimulator:
 
 def simulate(
     config: ScenarioConfig,
-    record_interval_s: float = 1e-3,
     vectorized: bool = True,
     attenuate_arrivals: bool = True,
 ) -> Trace:
     """Convenience wrapper: build a :class:`FluidSimulator` and run it."""
     return FluidSimulator(
         config,
-        record_interval_s=record_interval_s,
         vectorized=vectorized,
         attenuate_arrivals=attenuate_arrivals,
     ).run()
 
 
-def simulate_many(
-    configs: Sequence[ScenarioConfig],
-    record_interval_s: float = 1e-3,
-) -> list[Trace]:
+def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
     """Integrate many *independent* scenarios in lockstep as one batched system.
 
     The aggregate-validation figures (Figs. 6-10, 13-17) integrate dozens of
@@ -1183,7 +1180,7 @@ def simulate_many(
     if not configs:
         return []
     if len(configs) == 1:
-        return [simulate(configs[0], record_interval_s=record_interval_s)]
+        return [simulate(configs[0])]
     if TELEMETRY.enabled:
         TELEMETRY.count("fluid.lockstep_batches")
         TELEMETRY.count("fluid.lockstep_scenarios", len(configs))
@@ -1209,7 +1206,7 @@ def simulate_many(
     flow_bounds = [0]
     queued_counts: list[int] = []
     for cfg in configs:
-        sub = FluidSimulator(cfg, record_interval_s=record_interval_s)
+        sub = FluidSimulator(cfg)
         net = sub.network
         offset = len(combined_links)
         combined_links.extend(net.links)
@@ -1254,7 +1251,6 @@ def simulate_many(
     combined = FluidSimulator(
         merged_config,
         models=models,
-        record_interval_s=record_interval_s,
         vectorized=True,
         network=network,
         initial_states=initial_states,

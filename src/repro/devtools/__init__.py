@@ -24,8 +24,7 @@ Four checkers ship today (see each module for the rule ids):
   (``UNIT0xx``).
 
 Deliberate exceptions live in the committed ``allowlist.txt`` next to this
-file (one justified entry per suppression); one-off environments can layer
-a findings *baseline* on top (``--baseline``/``--write-baseline``).
+file (one justified entry per suppression).
 
 The shared framework (:mod:`.base`, :mod:`.findings`) is the seed for later
 passes — a numba-compilability readiness checker for the ROADMAP's
@@ -35,12 +34,11 @@ compiled-kernel item is the named next lever.
 from __future__ import annotations
 
 from .base import CheckContext, Checker, SourceFile
-from .findings import Allowlist, Baseline, Finding
+from .findings import Allowlist, Finding
 from .run import default_checkers, run_check
 
 __all__ = [
     "Allowlist",
-    "Baseline",
     "CheckContext",
     "Checker",
     "default_checkers",

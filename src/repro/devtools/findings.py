@@ -1,25 +1,19 @@
-"""Finding objects, the committed allowlist, and findings baselines.
+"""Finding objects and the committed allowlist.
 
 A :class:`Finding` pins one rule violation to a ``file:line`` with a fix
-hint.  Two suppression layers exist, with different intents:
+hint.  The **allowlist** (``allowlist.txt`` next to this module) is the
+*committed* record of deliberate exceptions — every entry carries a
+one-line justification and is matched structurally (rule id + path +
+needle), so it survives line-number churn.
 
-* the **allowlist** (``allowlist.txt`` next to this module) is the
-  *committed* record of deliberate exceptions — every entry carries a
-  one-line justification and is matched structurally (rule id + path +
-  needle), so it survives line-number churn;
-* a **baseline** is a JSON snapshot of finding fingerprints used to adopt
-  the checker on a codebase with pre-existing findings (``--write-baseline``
-  then ``--baseline``): compared findings are suppressed, new ones fail.
-
-Fingerprints deliberately exclude the line number: moving code around must
-not invalidate a baseline, only genuinely new findings should.
+Fingerprints (in ``--json`` output) deliberately exclude the line number,
+so moving code around keeps a finding's identity.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -36,7 +30,7 @@ class Finding:
     snippet: str = ""
 
     def fingerprint(self) -> str:
-        """Stable identity for baselines: rule + path + message (no line)."""
+        """Stable identity: rule + path + message (no line)."""
         payload = f"{self.rule}|{self.path}|{self.message}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -135,26 +129,3 @@ class Allowlist:
     def unused_entries(self) -> list[AllowlistEntry]:
         """Entries that suppressed nothing in the last run (stale excuses)."""
         return [e for e in self.entries if e not in self._used]
-
-
-@dataclass
-class Baseline:
-    """A JSON snapshot of accepted finding fingerprints."""
-
-    fingerprints: set[str] = field(default_factory=set)
-
-    @classmethod
-    def load(cls, path: Path) -> Baseline:
-        data = json.loads(path.read_text())
-        return cls(fingerprints=set(data.get("findings", [])))
-
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> Baseline:
-        return cls(fingerprints={f.fingerprint() for f in findings})
-
-    def write(self, path: Path) -> None:
-        payload = {"findings": sorted(self.fingerprints)}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def suppresses(self, finding: Finding) -> bool:
-        return finding.fingerprint() in self.fingerprints

@@ -1,4 +1,4 @@
-"""Run all domain checkers and apply the allowlist/baseline layers."""
+"""Run all domain checkers and apply the committed allowlist."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 from .base import CheckContext, Checker
 from .cachekey import CacheKeyChecker
 from .determinism import DeterminismChecker
-from .findings import Allowlist, Baseline, Finding
+from .findings import Allowlist, Finding
 from .obscheck import ObsLabelChecker
 from .rng import RngStreamChecker
 from .unitcheck import UnitsChecker
@@ -32,14 +32,12 @@ def run_check(
     root: Path | str,
     checkers: Sequence[Checker] | None = None,
     allowlist: Allowlist | None = None,
-    baseline: Baseline | None = None,
 ) -> tuple[list[Finding], list[str]]:
     """Run the checkers over a repo and return (findings, warnings).
 
     ``allowlist`` defaults to the committed ``allowlist.txt``; suppressed
     findings are dropped, and stale (unused) allowlist entries come back as
-    warnings so the committed excuses cannot rot silently.  ``baseline``
-    additionally suppresses previously accepted finding fingerprints.
+    warnings so the committed excuses cannot rot silently.
     """
     context = CheckContext(Path(root))
     if allowlist is None:
@@ -48,8 +46,6 @@ def run_check(
     for checker in checkers if checkers is not None else default_checkers():
         findings.extend(checker.run(context))
     findings = [f for f in findings if not allowlist.suppresses(f)]
-    if baseline is not None:
-        findings = [f for f in findings if not baseline.suppresses(f)]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     warnings = [
         f"unused allowlist entry ({allowlist.path}:{entry.lineno}): "

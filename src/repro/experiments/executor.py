@@ -5,10 +5,10 @@ that died with the first worker failure after draining.  This module owns
 that machinery as a :class:`ResilientExecutor` driven by a declarative
 :class:`ExecutorPolicy`:
 
-* **per-point retry with backoff** — a failing point is retried up to
+* **per-task retry with backoff** — a failing task is retried up to
   ``retries`` times, with ``backoff_s * 2**(attempt-1)`` sleeps between
   rounds;
-* **per-point timeout** — enforced *inside* the worker via ``SIGALRM``
+* **per-task timeout** — enforced *inside* the worker via ``SIGALRM``
   (so a runaway integration is actually interrupted, not just abandoned),
   surfacing as a retryable :class:`PointTimeout`;
 * **skip-on-worker-crash** — a worker process that dies (segfault,
@@ -51,7 +51,7 @@ ON_FAILURE_MODES = ("raise", "skip")
 
 
 class PointTimeout(RuntimeError):
-    """A point exceeded the policy's per-point timeout (retryable)."""
+    """A task exceeded the policy's timeout (retryable)."""
 
 
 class WorkerCrash(RuntimeError):
@@ -139,7 +139,7 @@ def call_with_timeout(
         return call(task)
 
     def _expired(signum: int, frame: Any) -> None:
-        raise PointTimeout(f"point exceeded the per-point timeout of {timeout_s:g}s")
+        raise PointTimeout(f"task exceeded its timeout of {timeout_s:g}s")
 
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)

@@ -27,21 +27,21 @@ the per-seed :class:`~repro.metrics.aggregate.AggregateMetrics` into a
         GridSpec(substrate="emulation", seeds=5), store="results.jsonl"
     ).points
 
-The grid is embarrassingly parallel and is exploited two ways:
-
-* on the fluid substrate, all uncached points of a grid are integrated in
-  lockstep through :func:`repro.core.simulator.simulate_many`, which stacks
-  the independent scenarios into one batched system (the big win on a
-  single core), and
-* ``workers=N`` opts into a process pool that fans uncached points out to
-  worker processes (useful on multi-core machines and for the emulation
-  substrate, whose points cannot be batched).  Results are persisted one
-  by one as they land, so a single failing point never discards completed
-  results; failures are reported as :class:`CampaignFailure` rows or
-  re-raised as :class:`SweepPointError` naming the failing (mix, buffer,
-  discipline, seed) combination.  The CLI exposes all of this as
-  ``repro-bbr sweep/figure/campaign`` with ``--workers N``, ``--seeds K``
-  and ``--store PATH``.
+The grid is embarrassingly parallel.  Every uncached point is computed
+inside a *chunk* (a tuple of points, see :func:`compute_chunk`), run by a
+:class:`~repro.experiments.executor.ResilientExecutor`; only a plain serial
+fluid grid (no retries, timeout or heartbeat) runs its chunks inline.
+Fluid chunks integrate in lockstep through
+:func:`repro.core.simulator.simulate_many`, which stacks independent
+scenarios into one batched system (the big single-core win);
+``workers=N`` splits the grid into about N chunks so each pool worker keeps
+that batching.  Emulation and analytic chunks hold one point.  Results are
+persisted as they land; a chunk that fails for good is split and re-run
+point by point, so failures are reported as
+:class:`CampaignFailure` rows or re-raised as :class:`SweepPointError`
+naming the failing (mix, buffer, discipline, seed) combination.  The CLI
+exposes all of this as ``repro-bbr sweep/figure/campaign`` with
+``--workers N``, ``--seeds K`` and ``--store PATH``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..core.simulator import FluidSimulator, simulate_many
+from ..core.simulator import simulate_many
 from ..emulation.runner import EmulationRunner
 from ..metrics.aggregate import (
     AggregateMetrics,
@@ -306,14 +306,29 @@ def grid_point_keys(
     return [(p.coords(), p.key) for p in distinct_points(grid, shard_index, shard_count)]
 
 
-def compute_point(point: PointSpec) -> SweepPoint:
-    """Compute one grid point from scratch (no cache, no store).
+def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
+    """Compute one chunk of grid points from scratch (no cache, no store).
 
-    The executor's unit of work: module-level so process pools can pickle
-    it, and free of cache/store side effects so the parent owns every
-    write.
+    The campaign's only unit of work: module-level so process pools can
+    pickle it, and free of cache/store side effects so the parent owns
+    every write.  A fluid chunk is integrated in lockstep through
+    :func:`~repro.core.simulator.simulate_many`, and the measured cost is
+    amortised evenly over its points (``shared=``); an analytic or
+    emulation chunk holds exactly one point.
     """
-    grid = point.grid
+    grid = chunk[0].grid
+    if grid.substrate == "fluid":
+        with RuntimeCapture() as rt:
+            traces = simulate_many([point.config() for point in chunk])
+        runtime = rt.block(
+            {"steps": int(round(grid.duration_s / grid.dt)) + 1, "lockstep": len(chunk)},
+            shared=len(chunk),
+        )
+        return [
+            SweepPoint.of(point, aggregate_metrics(trace), runtime=runtime)
+            for point, trace in zip(chunk, traces, strict=True)
+        ]
+    (point,) = chunk
     config = point.config()
     analysis_block: dict | None = None
     with RuntimeCapture() as rt:
@@ -327,23 +342,19 @@ def compute_point(point: PointSpec) -> SweepPoint:
             analysis_block = prediction.as_meta()
             counters = {"flows": config.num_flows}
         else:
-            if grid.substrate == "fluid":
-                sim = FluidSimulator(config)
-                trace = sim.run()
-                counters = dict(sim.runtime)
-            else:
-                runner = EmulationRunner(config)
-                trace = runner.run()
-                counters = runner.runtime_counters()
-            metrics = aggregate_metrics(trace)
-    return SweepPoint.of(point, metrics, runtime=rt.block(counters), analysis=analysis_block)
+            runner = EmulationRunner(config)
+            metrics = aggregate_metrics(runner.run())
+            counters = runner.runtime_counters()
+    return [SweepPoint.of(point, metrics, runtime=rt.block(counters), analysis=analysis_block)]
 
 
-def _describe(point: PointSpec) -> str:
-    return (
+def _describe(chunk: tuple[PointSpec, ...]) -> str:
+    point = chunk[0]
+    text = (
         f"mix={point.mix!r}, buffer_bdp={point.buffer_bdp}, "
         f"discipline={point.discipline!r}, seed={point.seed}"
     )
+    return text if len(chunk) == 1 else f"lockstep chunk of {len(chunk)} from ({text})"
 
 
 def run_campaign(
@@ -366,15 +377,20 @@ def run_campaign(
     deterministic, so its seed replicas of seed-free scenarios alias onto
     a single computation (and a single store record).
 
-    Execution goes through a
-    :class:`~repro.experiments.executor.ResilientExecutor`: ``workers=N``
-    (N > 1) fans uncached points out to a process pool, otherwise fluid
-    grids run batched in-process via
-    :func:`~repro.core.simulator.simulate_many` and the other substrates
-    run serially.  ``executor`` supplies the full policy (retries with
-    backoff, per-point timeouts, heartbeat logging, ``on_failure``), with
-    ``workers`` filling its pool size when the policy leaves it unset.
-    Under ``on_failure="raise"`` a point that exhausts its retries raises
+    Execution runs one :func:`compute_chunk` task per chunk of uncached
+    points: fluid points form lockstep chunks of
+    ``min(BATCH_CHUNK, ceil(pending / workers))``, the other substrates one
+    point per chunk, and ``workers=N`` (N > 1) runs the chunks in a process
+    pool.  ``executor`` supplies the full policy (retries per task with
+    backoff, a per-point timeout that a chunk gets once per point it holds,
+    heartbeat logging, ``on_failure``), with ``workers`` filling its pool
+    size when the policy leaves it unset.  The tasks go through a
+    :class:`~repro.experiments.executor.ResilientExecutor`, except on a
+    plain serial fluid grid (one attempt, no timeout, no heartbeat), whose
+    chunks run inline.  A chunk that fails for good (inline: that raises)
+    is split and its points re-run alone through the executor under the
+    same policy.  Under
+    ``on_failure="raise"`` a point that exhausts its retries raises
     :class:`SweepPointError` *after* the rest of the grid has completed and
     persisted; under ``"skip"`` failed points are recorded in the store as
     failure rows and reported in :attr:`CampaignResult.failures`.  With
@@ -503,38 +519,56 @@ def _campaign_points(
                 exec_failures.append(PointFailure(task=point, error=error, attempts=0))
         pending = fresh
 
-    def execute(batch: list[PointSpec]) -> None:
-        report = ResilientExecutor(policy).run(
-            batch, compute_point, on_result=persist, describe=_describe
-        )
-        exec_failures.extend(report.failures)
+    def landed(chunk: tuple[PointSpec, ...], chunk_results: list[SweepPoint]) -> None:
+        for point, result in zip(chunk, chunk_results, strict=True):
+            persist(point, result)
 
-    if pending and grid.substrate == "fluid" and not policy.pooled:
-        # Batched path: stack each chunk into one lockstep integration (the
-        # big single-core win).  A chunk that fails falls back to per-point
-        # execution under the executor policy, which isolates and reports
-        # the offending point(s) without discarding the healthy ones.
-        for start in range(0, len(pending), BATCH_CHUNK):
-            chunk = pending[start : start + BATCH_CHUNK]
-            try:
-                with RuntimeCapture() as capture:
-                    traces = simulate_many([point.config() for point in chunk])
-            except Exception:
-                execute(chunk)
-                continue
-            # Lockstep chunks share one integration, so the measured cost
-            # is amortised evenly over the chunk's points (``shared=``).
-            chunk_runtime = capture.block(
-                {"steps": int(round(grid.duration_s / grid.dt)) + 1, "lockstep": len(chunk)},
-                shared=len(chunk),
-            )
-            for point, point_trace in zip(chunk, traces, strict=True):
-                metrics = aggregate_metrics(point_trace)
-                persist(point, SweepPoint.of(point, metrics, runtime=chunk_runtime))
-    elif pending:
-        # Pooled, or serial inline (retries, timeouts and skip semantics
-        # still apply; no pool is spawned).
-        execute(pending)
+    def execute(chunks: list[tuple[PointSpec, ...]]) -> list[PointFailure]:
+        # ``timeout_s`` is a per-point budget: a chunk gets it once per point.
+        chunk_policy = policy
+        if policy.timeout_s is not None:
+            width = max(len(chunk) for chunk in chunks)
+            chunk_policy = replace(policy, timeout_s=policy.timeout_s * width)
+        report = ResilientExecutor(chunk_policy).run(
+            chunks, compute_chunk, on_result=landed, describe=_describe
+        )
+        return report.failures
+
+    if pending:
+        # Fluid points share lockstep chunks, spread evenly over the pool's
+        # workers; every other substrate runs one point per chunk.
+        width = 1
+        if grid.substrate == "fluid":
+            width = min(BATCH_CHUNK, math.ceil(len(pending) / (policy.workers or 1)))
+        chunks = [tuple(pending[i : i + width]) for i in range(0, len(pending), width)]
+        failed: list[tuple[PointSpec, ...]] = []
+        if grid.substrate == "fluid" and not (
+            policy.pooled or policy.retries or policy.timeout_s or policy.heartbeat_s
+        ):
+            # A plain serial fluid grid gives the executor nothing to
+            # enforce, so its chunks run inline (perfbench's self-test pins
+            # ``executor.tasks == 0`` here).  A chunk that raises is handed
+            # to the executor point by point below, which records the
+            # failure rows.
+            for chunk in chunks:
+                try:
+                    chunk_results = compute_chunk(chunk)
+                except Exception:
+                    failed.append(chunk)
+                    continue
+                landed(chunk, chunk_results)
+        else:
+            for failure in execute(chunks):
+                if len(failure.task) == 1:
+                    exec_failures.append(replace(failure, task=failure.task[0]))
+                else:
+                    failed.append(failure.task)
+        # A chunk that failed for good is split: its points re-run alone
+        # under the same policy, which persists the healthy ones and pins
+        # every failure on a single point.
+        split = [(point,) for chunk in failed for point in chunk]
+        if split:
+            exec_failures.extend(replace(f, task=f.task[0]) for f in execute(split))
 
     # Materialise pruned aliases from their primaries: same metrics with
     # the occupancy column rescaled to the alias's own buffer, persisted

@@ -31,31 +31,34 @@ GRID_POINTS = len(MIXES) * len(BUFFERS)
 CRASH_MIX = "BBRv2"
 CRASH_BUFFER = 4.0
 
-_real_compute_point = sweep.compute_point
+_real_compute_chunk = sweep.compute_chunk
 
 
-def _instrumented_compute_point(point):
-    """compute_point wrapper: injectable crash + compute accounting.
+def _instrumented_compute_chunk(chunk):
+    """compute_chunk wrapper: injectable crash + compute accounting.
 
     Controlled by environment variables (inherited by forked workers):
-    ``REPRO_TEST_CRASH_TRIGGER`` — while this file exists, the crash point
-    hard-kills its worker process; ``REPRO_TEST_COMPUTE_LOG`` — every
-    compute attempt appends one line here.
+    ``REPRO_TEST_CRASH_TRIGGER`` — while this file exists, a chunk holding
+    the crash point hard-kills its worker process;
+    ``REPRO_TEST_COMPUTE_LOG`` — every point of every compute attempt
+    appends one line here.
     """
     trigger = os.environ.get("REPRO_TEST_CRASH_TRIGGER")
-    crash = (point.mix, point.buffer_bdp) == (CRASH_MIX, CRASH_BUFFER)
+    crash = any((p.mix, p.buffer_bdp) == (CRASH_MIX, CRASH_BUFFER) for p in chunk)
     if trigger and os.path.exists(trigger) and crash:
         os._exit(13)  # hard crash: no exception, no cleanup, pool breaks
     log = os.environ.get("REPRO_TEST_COMPUTE_LOG")
     if log:
         with open(log, "a") as handle:
-            handle.write(f"{point.mix}|{point.buffer_bdp}|{point.seed}\n")
-    return _real_compute_point(point)
+            for point in chunk:
+                handle.write(f"{point.mix}|{point.buffer_bdp}|{point.seed}\n")
+    return _real_compute_chunk(chunk)
 
 
-def _tripwire_compute_point(point):  # pragma: no cover
+def _tripwire_compute_chunk(chunk):  # pragma: no cover
     raise AssertionError(
-        f"point recomputed on warm run: mix={point.mix!r} buffer_bdp={point.buffer_bdp}"
+        "points recomputed on warm run: "
+        + ", ".join(f"mix={p.mix!r} buffer_bdp={p.buffer_bdp}" for p in chunk)
     )
 
 
@@ -95,7 +98,7 @@ class TestCrashSurvival:
         compute_log = tmp_path / "computes.log"
         monkeypatch.setenv("REPRO_TEST_CRASH_TRIGGER", str(trigger))
         monkeypatch.setenv("REPRO_TEST_COMPUTE_LOG", str(compute_log))
-        monkeypatch.setattr(sweep, "compute_point", _instrumented_compute_point)
+        monkeypatch.setattr(sweep, "compute_chunk", _instrumented_compute_chunk)
         policy = ExecutorPolicy(workers=4, backoff_s=0.0, on_failure="skip")
 
         # --- Cold run: one point hard-kills its worker mid-grid. ---
@@ -121,7 +124,7 @@ class TestCrashSurvival:
         # --- Warm re-run before the fix: failures re-reported, nothing
         # recomputed (retry_failed=False serves recorded failure rows). ---
         sweep.clear_cache()
-        monkeypatch.setattr(sweep, "compute_point", _tripwire_compute_point)
+        monkeypatch.setattr(sweep, "compute_chunk", _tripwire_compute_chunk)
         resumed = _campaign(reloaded, policy, retry_failed=False)
         assert not resumed.ok
         assert len(resumed.points) == GRID_POINTS - 1
@@ -132,7 +135,7 @@ class TestCrashSurvival:
         # failed point is recomputed, and it supersedes its failure row. ---
         trigger.unlink()
         sweep.clear_cache()
-        monkeypatch.setattr(sweep, "compute_point", _instrumented_compute_point)
+        monkeypatch.setattr(sweep, "compute_chunk", _instrumented_compute_chunk)
         before = len(_computes(compute_log))
         fixed = _campaign(reloaded, policy)
         assert fixed.ok
@@ -144,7 +147,7 @@ class TestCrashSurvival:
         # --- Fully warm run: every point served from the store, zero
         # computation, correct hit/miss accounting. ---
         sweep.clear_cache()
-        monkeypatch.setattr(sweep, "compute_point", _tripwire_compute_point)
+        monkeypatch.setattr(sweep, "compute_chunk", _tripwire_compute_chunk)
         warm_store = SweepStore(path, backend=kind)
         warm = _campaign(warm_store, policy)
         assert warm.ok
@@ -160,7 +163,7 @@ class TestCrashSurvival:
         trigger = tmp_path / "crash.trigger"
         trigger.touch()
         monkeypatch.setenv("REPRO_TEST_CRASH_TRIGGER", str(trigger))
-        monkeypatch.setattr(sweep, "compute_point", _instrumented_compute_point)
+        monkeypatch.setattr(sweep, "compute_chunk", _instrumented_compute_chunk)
         policy = ExecutorPolicy(workers=4, backoff_s=0.0, on_failure="raise")
         store = SweepStore(path, backend=kind)
         with pytest.raises(sweep.SweepPointError) as excinfo:

@@ -266,6 +266,15 @@ class TestEmptyResults:
         assert "no points" in captured.err
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["figure", "fig06_fairness"]])
+def test_unknown_mix_exits_2_with_message(command, capsys):
+    # Regression: figure used to die with a ValueError traceback here.
+    code = cli.main([*command, "--mixes", "NOPE", "--buffers", "1", "--duration", "0.2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: unknown CCA mix 'NOPE'" in captured.err
+
+
 class TestExecution:
     def test_theorems_command(self, capsys):
         assert cli.main(["theorems", "--flows", "2", "5"]) == 0

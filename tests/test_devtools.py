@@ -22,7 +22,7 @@ import pytest
 
 from repro import cli
 from repro.config import FlowConfig, LinkConfig, ScenarioConfig
-from repro.devtools import Allowlist, Baseline, Finding, run_check
+from repro.devtools import Allowlist, Finding, run_check
 from repro.devtools import cachekey
 from repro.devtools.base import CheckContext
 from repro.devtools.determinism import DeterminismChecker
@@ -220,7 +220,7 @@ def test_committed_fingerprint_matches_current_schema():
     assert cachekey.check_schema_fingerprint() == []
 
 
-# ----------------------------------------------------- allowlist/baseline
+# -------------------------------------------------------------- allowlist
 
 
 def test_allowlist_requires_justification(tmp_path):
@@ -249,18 +249,6 @@ def test_allowlist_matches_and_tracks_usage(tmp_path):
     assert [e.rule for e in unused] == ["DET002"]
 
 
-def test_baseline_round_trip(tmp_path):
-    finding = Finding(rule="DET001", path="src/foo.py", line=7, message="msg")
-    other = Finding(rule="DET002", path="src/foo.py", line=9, message="other")
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings([finding]).write(path)
-    loaded = Baseline.load(path)
-    assert loaded.suppresses(finding)
-    # Fingerprints ignore the line number: moved code stays suppressed.
-    assert loaded.suppresses(dataclasses.replace(finding, line=99))
-    assert not loaded.suppresses(other)
-
-
 # ------------------------------------------------------------ repo + CLI
 
 
@@ -287,13 +275,3 @@ def test_cli_check_json_output(capsys):
     assert payload["count"] == 2
     assert {f["rule"] for f in payload["findings"]} == {"DET002"}
     assert all(f["fingerprint"] for f in payload["findings"])
-
-
-def test_cli_check_baseline_flow(tmp_path, capsys):
-    root = str(FIXTURES / "det001")
-    baseline = str(tmp_path / "baseline.json")
-    assert cli.main(["check", "--root", root, "--write-baseline", baseline]) == 0
-    assert cli.main(["check", "--root", root, "--baseline", baseline]) == 0
-    capsys.readouterr()
-    assert cli.main(["check", "--baseline", str(tmp_path / "missing.json")]) == 2
-    assert "not found" in capsys.readouterr().err

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import simulate
 from repro.emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from repro.experiments import figures, report, scenarios, sweep
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import scenario_key
+from repro.metrics.aggregate import aggregate_metrics
 
 
 class TestScenarios:
@@ -108,8 +110,8 @@ class TestSweep:
         )
         batched = sweep.run_campaign(grid).points
         for spec, point in zip(grid.points(), batched, strict=True):
-            reference = sweep.compute_point(spec)
-            for key, value in reference.metrics.as_dict().items():
+            reference = aggregate_metrics(simulate(spec.config()))
+            for key, value in reference.as_dict().items():
                 assert point.metrics.as_dict()[key] == pytest.approx(value, rel=1e-9, nan_ok=True)
 
     def test_campaign_serves_cached_points_before_dispatch(self, monkeypatch):
@@ -148,10 +150,10 @@ class TestSweep:
     def test_workers_pool_failure_names_combo(self, monkeypatch):
         # A worker failure must not silently discard completed points and
         # must identify the failing grid coordinates.
-        def exploding(config):
+        def exploding(configs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(sweep, "FluidSimulator", exploding)
+        monkeypatch.setattr(sweep, "simulate_many", exploding)
         with pytest.raises(sweep.SweepPointError) as excinfo:
             sweep.run_campaign(self.grid(buffers_bdp=[3.0]), workers=2)
         assert excinfo.value.mix == "BBRv1"

@@ -70,7 +70,7 @@ class TestPreGridSpecStore:
         def recompute(*args, **kwargs):
             raise AssertionError("a fixture point was recomputed")
 
-        monkeypatch.setattr(sweep, "compute_point", recompute)
+        monkeypatch.setattr(sweep, "compute_chunk", recompute)
         monkeypatch.setattr(sweep, "simulate_many", recompute)
         args = _campaign_args(grid_argv)
         store = SweepStore(golden_store)

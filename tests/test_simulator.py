@@ -45,9 +45,10 @@ class TestTraceStructure:
         assert single_bbr1_trace.substrate == "fluid"
 
     def test_record_interval_validation(self):
-        config = dumbbell_scenario(["bbr1"], fluid=FluidParams(dt=1e-3))
+        # A step longer than the fixed trace sampling interval is rejected.
+        config = dumbbell_scenario(["bbr1"], fluid=FluidParams(dt=2e-3))
         with pytest.raises(ValueError):
-            FluidSimulator(config, record_interval_s=1e-4)
+            FluidSimulator(config)
 
 
 class TestSingleFlowBehaviour:
