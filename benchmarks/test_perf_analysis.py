@@ -1,4 +1,6 @@
-"""Benchmark of ``--prune-analytic`` grid pruning: cold vs pruned wall time.
+"""Benchmarks of the analysis layer: grid pruning and the numerical fallback.
+
+**Pruning.** ``--prune-analytic`` grid pruning, cold vs pruned wall time.
 
 The grid deliberately stacks several buffer sizes above the pruner's
 provable never-binds threshold (about 52 BDP for the standard 10-flow
@@ -12,12 +14,21 @@ The cold run simulates every grid point; the pruned run must simulate
 exactly ``n_distinct`` points, alias the rest, and produce identical
 metrics (up to the occupancy renormalisation).  The cold/pruned wall-time
 ratio is recorded, not asserted: a wall-clock ratio is too noisy to gate
-tier-1.  Both runs use the
-process-pool executor (``workers=4``), whose workers integrate lockstep
-chunks; the lockstep batcher amortises per-point cost so aggressively that
-pruning saves less wall time than the count of simulated points suggests.
+tier-1.  Both runs take the fastest path, the serial default, where
+each grid is one lockstep chunk; the lockstep batcher amortises per-point
+cost so aggressively that pruning saves less wall time than the count of
+simulated points suggests.
 
-Results land in ``benchmarks/BENCH_analysis.json``.
+**Numerical fallback.** The six points of the ``analytic-resume``
+benchmark grid that its timed campaign computes (BBRv1, BBRv2 and
+BBRv1/BBRv2 at 2 and 7 BDP, droptail, heterogeneous RTTs) have no closed
+form and integrate the reduced model with ``solve_ivp``.  The case
+records their wall time, the number of reduced-model RHS calls and the
+mean time per call (the same counter perfbench's ``analysis.rhs_evals`` /
+``analysis.us_per_rhs_eval`` put on ``adapter.mixed_reduced_rhs``).
+
+Results land in ``benchmarks/BENCH_analysis.json``; none of the timings
+is asserted.
 """
 
 from __future__ import annotations
@@ -28,6 +39,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import analysis
+from repro.analysis import adapter
 from repro.experiments import sweep
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
@@ -43,15 +56,23 @@ GRID = dict(
     substrate="fluid",
     duration_s=5.0,
     dt=1e-3,
-    workers=4,
 )
 N_DISTINCT = 2
 
+#: The ``analytic-resume`` points its timed campaign computes (the store
+#: already holds the 1 and 4 BDP halves of the grid).
+NUMERICAL_GRID = dict(
+    mixes=["BBRv1", "BBRv2", "BBRv1/BBRv2"],
+    buffers_bdp=[2.0, 7.0],
+    disciplines=["droptail"],
+    substrate="analytic",
+    duration_s=5.0,
+)
+
 
 def _run_grid(**kwargs):
-    axes = {k: v for k, v in GRID.items() if k != "workers"}
-    grid = GridSpec(buffers_bdp=BUFFERS_BDP, **axes)
-    return sweep.run_campaign(grid, workers=GRID["workers"], **kwargs).points
+    grid = GridSpec(buffers_bdp=BUFFERS_BDP, **GRID)
+    return sweep.run_campaign(grid, **kwargs).points
 
 
 def _update_results(payload: dict) -> None:
@@ -112,7 +133,7 @@ def test_perf_prune_analytic(benchmark, tmp_path):
                 "substrate": GRID["substrate"],
                 "duration_s": GRID["duration_s"],
                 "dt": GRID["dt"],
-                "workers": GRID["workers"],
+                "path": "serial default (one lockstep chunk)",
             },
             "points_total": len(BUFFERS_BDP),
             "points_pruned": len(aliases),
@@ -123,7 +144,53 @@ def test_perf_prune_analytic(benchmark, tmp_path):
         }
     )
 
-    print(f"\nAnalytic grid pruning ({len(BUFFERS_BDP)} fluid points, workers=4):")
+    print(f"\nAnalytic grid pruning ({len(BUFFERS_BDP)} fluid points, serial):")
     print(f"  cold (simulate all)        {cold_s:8.3f} s")
     print(f"  pruned (simulate {N_DISTINCT}, alias {len(aliases)})  {pruned_s:8.3f} s")
     print(f"  speedup                    {speedup:8.2f}x")
+
+
+def test_perf_numerical_fallback(benchmark, monkeypatch):
+    configs = [point.config() for point in GridSpec(**NUMERICAL_GRID).points()]
+    rhs = adapter.mixed_reduced_rhs
+    calls = 0
+    rhs_s = 0.0
+
+    def counted_rhs(*args):
+        nonlocal calls, rhs_s
+        start = time.perf_counter()
+        try:
+            return rhs(*args)
+        finally:
+            rhs_s += time.perf_counter() - start
+            calls += 1
+
+    monkeypatch.setattr(adapter, "mixed_reduced_rhs", counted_rhs)
+    start = time.perf_counter()
+    predictions = benchmark.pedantic(
+        lambda: [analysis.analyze_scenario(config) for config in configs],
+        rounds=1,
+        iterations=1,
+    )
+    wall_s = time.perf_counter() - start
+
+    assert len(predictions) == 6
+    assert all(p.method == "numerical" for p in predictions)
+    assert calls > 0
+    us_per_call = 1e6 * rhs_s / calls
+    _update_results(
+        {
+            "numerical_fallback": {
+                "grid": NUMERICAL_GRID,
+                "points": len(predictions),
+                "wall_s": round(wall_s, 4),
+                "rhs_calls": calls,
+                "us_per_rhs_call": round(us_per_call, 2),
+            }
+        }
+    )
+
+    print(f"\nNumerical fallback ({len(predictions)} analytic-resume points):")
+    print(f"  wall                       {wall_s:8.3f} s")
+    print(f"  RHS calls                  {calls:8d}")
+    print(f"  per RHS call               {us_per_call:8.2f} us")

@@ -17,7 +17,8 @@ theory surface and the campaign machinery:
   back to the reduced models numerically everywhere else: integrate to
   (quasi-)steady state, polish with a root solve, and take a
   finite-difference Jacobian at the equilibrium — including mixed
-  BBRv1+BBRv2 populations via :func:`mixed_reduced_rhs`.
+  BBRv1+BBRv2 populations via
+  :func:`~repro.analysis.reduced.mixed_reduced_rhs`.
 * :func:`classify_stability` turns a :class:`StabilityResult` into the
   phase-diagram label ``stable`` / ``oscillatory`` / ``unstable``.  A
   trajectory that never settles (no hyperbolic equilibrium — e.g. BBRv1
@@ -51,7 +52,7 @@ from .equilibrium import (
     bbr1_shallow_buffer_loss_fraction,
     bbr2_fair_equilibrium,
 )
-from .reduced import SingleBottleneck, bbr1_delta, bbr2_delta
+from .reduced import SingleBottleneck, flow_constants, mixed_reduced_rhs
 from .stability import (
     StabilityResult,
     check_bbr1_deep_buffer_stability,
@@ -240,59 +241,12 @@ class AnalyticPoint:
         }
 
 
-def mixed_reduced_rhs(
-    t: float, state: np.ndarray, net: SingleBottleneck, versions: tuple[str, ...]
-) -> np.ndarray:
-    """Reduced dynamics of a mixed BBRv1/BBRv2 population (one queue).
-
-    Per-flow window factors follow each flow's own version (Eq. 33 vs.
-    Eq. 36-38) while all flows share the bottleneck's proportional
-    delivery; for a homogeneous population this reduces exactly to
-    :func:`~repro.analysis.reduced.bbr1_reduced_rhs` /
-    :func:`~repro.analysis.reduced.bbr2_reduced_rhs`.
-    State layout: ``[x_btl_1, ..., x_btl_N, q]``.
-    """
-    delays = np.asarray(net.propagation_delays_s)
-    n = net.num_flows
-    x_btl = np.maximum(state[:n], 1e-9)
-    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
-    capacity = net.capacity_pps
-    is_v1 = np.array([v == "bbr1" for v in versions])
-    delta = np.where(
-        is_v1,
-        bbr1_delta(delays, queue, capacity),
-        bbr2_delta(delays, queue, capacity),
-    )
-    background = np.minimum(1.0, delta) * x_btl
-    probe = np.where(
-        is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background
-    )
-    if queue > 0:
-        total_others = np.sum(background) - background
-        x_max = probe * capacity / (probe + total_others)
-    else:
-        x_max = probe
-    dx = x_max - x_btl
-    dq = float(np.sum(background)) - capacity
-    if queue <= 0 and dq < 0:
-        dq = 0.0
-    if queue >= net.buffer_pkts and dq > 0:
-        dq = 0.0
-    return np.concatenate([dx, [dq]])
-
-
 def _arrival_rates(
     versions: tuple[str, ...], net: SingleBottleneck, x_btl: np.ndarray, queue: float
 ) -> np.ndarray:
     """Per-flow bottleneck arrival rates ``min(1, delta_i) x_btl_i``."""
-    delays = np.asarray(net.propagation_delays_s)
-    is_v1 = np.array([v == "bbr1" for v in versions])
-    delta = np.where(
-        is_v1,
-        bbr1_delta(delays, queue, net.capacity_pps),
-        bbr2_delta(delays, queue, net.capacity_pps),
-    )
-    return np.minimum(1.0, delta) * np.asarray(x_btl)
+    _, capacity, _, delays, _, numerator = flow_constants(net, versions)
+    return np.minimum(1.0, numerator / (delays + queue / capacity)) * np.asarray(x_btl)
 
 
 def _loss_fraction(arrival_pps: float, capacity_pps: float) -> float:

@@ -12,14 +12,18 @@ autonomous ODE systems:
   background traffic at the estimate, with the inflight-derived constraint
   ``delta_i = d_i / (d_i + sum_l q_l / C_l)`` (note ``delta_i = Delta_i / 2``).
 
-These reduced models are used in two ways: numerically (integration with
-scipy to demonstrate convergence to the equilibria of Theorems 1-5) and
-analytically (Jacobians in :mod:`repro.analysis.stability`).
+One right-hand side, :func:`mixed_reduced_rhs`, implements both: each flow
+follows its own version's window factor on the shared queue, and the pure
+models are its homogeneous cases.  The reduced models are used in two
+ways: numerically (integration with scipy to demonstrate convergence to
+the equilibria of Theorems 1-5) and analytically (Jacobians in
+:mod:`repro.analysis.stability`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -87,43 +91,68 @@ def bbr2_xmax(x_btl: np.ndarray, delta: np.ndarray, queue: float, capacity: floa
     return probe
 
 
+@lru_cache(maxsize=64)
+def flow_constants(
+    net: SingleBottleneck, versions: tuple[str, ...]
+) -> tuple[int, float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-network constants of the reduced RHS, computed once per ``(net, versions)``.
+
+    Returns ``(n, C, B, d, is_v1, numerator)`` where ``numerator`` is the
+    window-factor numerator ``2 d_i`` for BBRv1 flows and ``d_i`` for
+    BBRv2 flows, so ``numerator / (d + q / C)`` is each flow's own
+    ``Delta_i`` (Eq. 33) or ``delta_i`` (Eq. 36).  The arrays are shared
+    between calls, so they are read-only.
+    """
+    delays = np.array(net.propagation_delays_s, dtype=float)
+    is_v1 = np.array([v == "bbr1" for v in versions])
+    numerator = np.where(is_v1, 2.0, 1.0) * delays
+    for array in (delays, is_v1, numerator):
+        array.flags.writeable = False
+    return net.num_flows, net.capacity_pps, net.buffer_pkts, delays, is_v1, numerator
+
+
+def mixed_reduced_rhs(
+    t: float, state: np.ndarray, net: SingleBottleneck, versions: tuple[str, ...]
+) -> np.ndarray:
+    """Reduced dynamics of a BBRv1/BBRv2 population on one queue.
+
+    Per-flow window factors follow each flow's own version (Eq. 33 vs.
+    Eq. 36-38) while all flows share the bottleneck's proportional
+    delivery; a homogeneous ``versions`` tuple gives the pure BBRv1 or
+    BBRv2 model.  State layout: ``[x_btl_1, ..., x_btl_N, q]``.
+    """
+    n, capacity, buffer, delays, is_v1, numerator = flow_constants(net, versions)
+    x_btl = np.maximum(state[:n], 1e-9)
+    queue = min(max(float(state[n]), 0.0), buffer)
+    delta = numerator / (delays + queue / capacity)
+    background = np.minimum(1.0, delta) * x_btl
+    probe = np.where(is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background)
+    total = float(np.add.reduce(background))
+    out = np.empty(n + 1)
+    if queue > 0:
+        np.subtract(probe * capacity / (probe + (total - background)), x_btl, out=out[:n])
+    else:
+        np.subtract(probe, x_btl, out=out[:n])
+    dq = total - capacity
+    if queue <= 0 and dq < 0:
+        dq = 0.0
+    if queue >= buffer and dq > 0:
+        dq = 0.0
+    out[n] = dq
+    return out
+
+
 def bbr1_reduced_rhs(t: float, state: np.ndarray, net: SingleBottleneck) -> np.ndarray:
-    """Right-hand side of the reduced BBRv1 dynamics.
+    """Right-hand side of the reduced BBRv1 dynamics (Eq. 33-34).
 
     State layout: ``[x_btl_1, ..., x_btl_N, q]``.
     """
-    delays = np.asarray(net.propagation_delays_s)
-    n = net.num_flows
-    x_btl = np.maximum(state[:n], 1e-9)
-    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
-    delta = bbr1_delta(delays, queue, net.capacity_pps)
-    x_max = bbr1_xmax(x_btl, delta, queue, net.capacity_pps)
-    dx = x_max - x_btl  # Eq. (34)
-    arrival = float(np.sum(np.minimum(1.0, delta) * x_btl))
-    dq = arrival - net.capacity_pps
-    if queue <= 0 and dq < 0:
-        dq = 0.0
-    if queue >= net.buffer_pkts and dq > 0:
-        dq = 0.0
-    return np.concatenate([dx, [dq]])
+    return mixed_reduced_rhs(t, state, net, ("bbr1",) * net.num_flows)
 
 
 def bbr2_reduced_rhs(t: float, state: np.ndarray, net: SingleBottleneck) -> np.ndarray:
-    """Right-hand side of the reduced BBRv2 dynamics (same state layout)."""
-    delays = np.asarray(net.propagation_delays_s)
-    n = net.num_flows
-    x_btl = np.maximum(state[:n], 1e-9)
-    queue = float(np.clip(state[n], 0.0, net.buffer_pkts))
-    delta = bbr2_delta(delays, queue, net.capacity_pps)
-    x_max = bbr2_xmax(x_btl, delta, queue, net.capacity_pps)
-    dx = x_max - x_btl
-    arrival = float(np.sum(np.minimum(1.0, delta) * x_btl))
-    dq = arrival - net.capacity_pps
-    if queue <= 0 and dq < 0:
-        dq = 0.0
-    if queue >= net.buffer_pkts and dq > 0:
-        dq = 0.0
-    return np.concatenate([dx, [dq]])
+    """Right-hand side of the reduced BBRv2 dynamics (Eq. 36-38, same layout)."""
+    return mixed_reduced_rhs(t, state, net, ("bbr2",) * net.num_flows)
 
 
 def integrate_reduced(
