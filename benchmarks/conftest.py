@@ -15,6 +15,7 @@ minutes on a laptop; set ``REPRO_BENCH_FULL=1`` to run the paper's full
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -35,6 +36,25 @@ BENCH_DURATION = 5.0 if FULL else 4.0
 TRACE_DURATION = 30.0 if FULL else 10.0
 #: Integration step used by the benchmarks.
 BENCH_DT = 2.5e-4
+#: Directory of the ``BENCH_<name>.json`` records.  They are untracked
+#: per-run output (the CI ``bench`` job uploads them as an artifact);
+#: performance trajectories are measured by perfbench.
+BENCH_DIR = Path(__file__).parent
+
+
+def record_bench(name: str, section: dict) -> None:
+    """Merge ``section``'s top-level keys into ``BENCH_<name>.json``.
+
+    Benchmarks that share a file each own their keys, so running one alone
+    never clobbers another's numbers.
+    """
+    path = BENCH_DIR / f"BENCH_{name}.json"
+    try:
+        results = json.loads(path.read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        results = {}
+    results.update(section)
+    path.write_text(json.dumps(results, indent=2) + "\n")
 
 
 @pytest.fixture(autouse=True)

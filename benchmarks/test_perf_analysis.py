@@ -27,15 +27,14 @@ records their wall time, the number of reduced-model RHS calls and the
 mean time per call (the same counter perfbench's ``analysis.rhs_evals`` /
 ``analysis.us_per_rhs_eval`` put on ``adapter.mixed_reduced_rhs``).
 
-Results land in ``benchmarks/BENCH_analysis.json``; none of the timings
-is asserted.
+Both tests record their numbers in the untracked
+``benchmarks/BENCH_analysis.json`` (each owns its own keys); none of the
+timings is asserted.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -45,7 +44,7 @@ from repro.experiments import sweep
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 
-RESULTS_PATH = Path(__file__).parent / "BENCH_analysis.json"
+from conftest import record_bench
 
 #: 1.0 binds; everything from 55 up is provably slack (threshold ~52.14 BDP),
 #: so the pruned run simulates {1.0, 55.0} and aliases the remaining six.
@@ -73,18 +72,6 @@ NUMERICAL_GRID = dict(
 def _run_grid(**kwargs):
     grid = GridSpec(buffers_bdp=BUFFERS_BDP, **GRID)
     return sweep.run_campaign(grid, **kwargs).points
-
-
-def _update_results(payload: dict) -> None:
-    """Merge this test's keys into the shared BENCH json (read-modify-write)."""
-    existing: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            existing = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(payload)
-    RESULTS_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def test_perf_prune_analytic(benchmark, tmp_path):
@@ -124,7 +111,8 @@ def test_perf_prune_analytic(benchmark, tmp_path):
         )
 
     speedup = cold_s / pruned_s if pruned_s > 0 else float("inf")
-    _update_results(
+    record_bench(
+        "analysis",
         {
             "grid": {
                 "mixes": GRID["mixes"],
@@ -178,7 +166,8 @@ def test_perf_numerical_fallback(benchmark, monkeypatch):
     assert all(p.method == "numerical" for p in predictions)
     assert calls > 0
     us_per_call = 1e6 * rhs_s / calls
-    _update_results(
+    record_bench(
+        "analysis",
         {
             "numerical_fallback": {
                 "grid": NUMERICAL_GRID,

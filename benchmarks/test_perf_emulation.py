@@ -3,8 +3,8 @@
 Measures packets/second of the 10 s multi-flow BBRv1 emulation under the
 pre-change per-packet-closure scheduler (kept verbatim in
 ``repro.emulation.closure_ref``) and under the typed delay-line/timer
-scheduler, records the results in ``benchmarks/BENCH_perf_emulation.json``
-for the performance trajectory, and asserts:
+scheduler, records the results in the untracked
+``benchmarks/BENCH_perf_emulation.json``, and asserts:
 
 * the droptail equivalence contract — same seed, identical per-flow
   ``sent/delivered/lost`` counts and identical link drop/transmit counters
@@ -35,16 +35,14 @@ work shared by both schedulers, not event scheduling.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 from repro.config import dumbbell_scenario
 from repro.emulation.runner import EmulationRunner
 from repro.obs import TELEMETRY
 
-RESULTS_PATH = Path(__file__).parent / "BENCH_perf_emulation.json"
+from conftest import record_bench
 
 FLOWS = 4
 DURATION_S = 10.0
@@ -233,7 +231,7 @@ def test_perf_emulation(benchmark):
         "telemetry_disabled_overhead": round(telemetry_overhead, 4),
         "telemetry_stub_ns": {k: round(v, 1) for k, v in stub_ns.items()},
     }
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    record_bench("perf_emulation", results)
 
     print("\nEmulator event-layer throughput (sent packets/second, 10 s BBRv1 x 4):")
     print(f"  closure reference  {closure_median:10.0f} pkts/s  (heap peak {closure_peak})")

@@ -1,7 +1,7 @@
 """Micro-benchmark of the fluid integrator: steps/second, scalar vs. vectorized.
 
-Records the integrator throughput in ``benchmarks/BENCH_perf_fluid_step.json``
-so the performance trajectory can be tracked, with the speedups of the
+Records the integrator throughput in the untracked
+``benchmarks/BENCH_perf_fluid_step.json``, with the speedups of the
 vectorization work against the scalar loop (kept in-tree, bit-for-bit, as
 the ``vectorized=False`` reference):
 
@@ -26,9 +26,7 @@ equivalence is re-asserted here on the benchmarked runs.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -36,24 +34,13 @@ from repro.config import FluidParams, dumbbell_scenario
 from repro.core import FluidSimulator, simulate_many
 from repro.experiments import scenarios
 
-from conftest import BENCH_DT, run_once
-
-RESULTS_PATH = Path(__file__).parent / "BENCH_perf_fluid_step.json"
+from conftest import BENCH_DT, record_bench, run_once
 
 BENCH_SECONDS = 0.5
 
 #: Flow populations of the churn scaling curve and its (short) horizon.
 SCALING_FLOWS = (100, 500, 1000, 2000)
 SCALING_SECONDS = 0.1
-
-
-def _merge_results(updates: dict) -> None:
-    """Merge one benchmark's section into the shared results file."""
-    results = {}
-    if RESULTS_PATH.exists():
-        results = json.loads(RESULTS_PATH.read_text())
-    results.update(updates)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def _mixed_ccas(num_flows: int) -> list[str]:
@@ -119,7 +106,7 @@ def test_perf_fluid_step(benchmark):
     batch_elapsed = time.perf_counter() - start
     batch_sps = _steps(paper_config) * len(batch_configs) / batch_elapsed
 
-    _merge_results({
+    record_bench("perf_fluid_step", {
         "dt": BENCH_DT,
         "duration_s": BENCH_SECONDS,
         "paper_population_20": {
@@ -187,7 +174,7 @@ def test_perf_fluid_churn_scaling(benchmark):
     # 20x; far more indicates per-flow Python work in the masked pipeline).
     # Recorded, not asserted: a wall-clock ratio is too noisy for tier-1.
     ratio = curve[str(SCALING_FLOWS[0])] / max(1.0, curve[str(SCALING_FLOWS[-1])])
-    _merge_results({
+    record_bench("perf_fluid_step", {
         "churn_scaling": {
             "dt": BENCH_DT,
             "duration_s": SCALING_SECONDS,

@@ -15,35 +15,21 @@ correctness-asserted (identical query answers on every backend) but only
 the roundtrip is hard-asserted — relative backend speeds are recorded, not
 gated, because they are hardware- and filesystem-dependent.
 
-Both tests read-modify-write ``benchmarks/BENCH_sweep_store.json`` (each
-owns its own keys), so running either alone never clobbers the other's
-numbers.
+Both tests record their numbers in the untracked
+``benchmarks/BENCH_sweep_store.json`` (each owns its own keys), so running
+either alone never clobbers the other's numbers.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.experiments import sweep
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
 from repro.metrics.aggregate import AggregateMetrics
 
-RESULTS_PATH = Path(__file__).parent / "BENCH_sweep_store.json"
-
-
-def _update_results(payload: dict) -> None:
-    """Merge this test's keys into the shared BENCH json (read-modify-write)."""
-    existing: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            existing = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(payload)
-    RESULTS_PATH.write_text(json.dumps(existing, indent=2) + "\n")
+from conftest import record_bench
 
 GRID = dict(
     mixes=["BBRv1"],
@@ -99,7 +85,7 @@ def test_perf_sweep_store(benchmark, tmp_path):
         "warm_store_hits": warm_store.hits,
         "warm_store_misses": warm_store.misses,
     }
-    _update_results(results)
+    record_bench("sweep_store", results)
 
     print(f"\nSweep store cold vs warm ({n_replicas} emulation replicas):")
     print(f"  cold (compute + persist)  {cold_s:8.3f} s")
@@ -186,7 +172,8 @@ def test_perf_store_backends(benchmark, tmp_path):
         iterations=1,
     )
 
-    _update_results(
+    record_bench(
+        "sweep_store",
         {
             "backends": {
                 "rows": N_ROWS,

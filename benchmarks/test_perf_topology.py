@@ -1,9 +1,8 @@
 """Micro-benchmark of the multi-bottleneck topology subsystem.
 
 Runs a 3-hop parking lot (10 long flows + 1 cross flow per hop) on both
-substrates and records the throughput in
-``benchmarks/BENCH_perf_topology.json`` so future PRs can track the cost of
-the topology generalisation:
+substrates and records the cost of the topology generalisation in the
+untracked ``benchmarks/BENCH_perf_topology.json``:
 
 * fluid: integrator steps/second of the *attenuated* arrival pipeline
   (upstream loss/capacity attenuation + effective-bottleneck Eq. 17, the
@@ -22,9 +21,7 @@ mirroring ``benchmarks/test_perf_fluid_step.py``.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +29,7 @@ from repro.core import FluidSimulator
 from repro.emulation import EmulationRunner
 from repro.experiments.scenarios import parking_lot_scenario
 
-from conftest import BENCH_DT, run_once
-
-RESULTS_PATH = Path(__file__).parent / "BENCH_perf_topology.json"
+from conftest import BENCH_DT, record_bench, run_once
 
 FLUID_SECONDS = 0.5
 EMULATION_SECONDS = 3.0
@@ -131,7 +126,7 @@ def test_perf_topology(benchmark):
             "wall_s": round(emu_elapsed, 3),
         },
     }
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    record_bench("perf_topology", results)
 
     print("\n3-hop parking-lot throughput:")
     print(

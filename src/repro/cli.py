@@ -111,7 +111,7 @@ from .config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
 from .core.simulator import simulate
 from .emulation.runner import emulate
 from .experiments import figures, phase, presets, report, scenarios, sweep
-from .experiments.backends import BACKENDS, RemovedBackendError, split_backend_spec
+from .experiments.backends import BACKENDS, split_backend_spec
 from .experiments.executor import ExecutorPolicy
 from .experiments.grid import GridSpec
 from .experiments.store import SweepStore, resolve_store
@@ -160,6 +160,13 @@ def _add_trace_parser(subparsers: argparse._SubParsersAction) -> None:
     )
 
 
+def _add_backend_flag(
+    parser: argparse.ArgumentParser,
+    help: str = "force the store backend (default: inferred from the path)",
+) -> None:
+    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None, help=help)
+
+
 def _add_replication_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seeds",
@@ -177,12 +184,7 @@ def _add_replication_flags(parser: argparse.ArgumentParser) -> None:
         "is inferred from the path unless --backend (or a backend: prefix) "
         "forces it",
     )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="force the store backend (default: inferred from the path)",
-    )
+    _add_backend_flag(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -501,12 +503,7 @@ def _add_store_parser(subparsers: argparse._SubParsersAction) -> None:
         help="row/failure counts, per-axis marginals and runtime percentiles",
     )
     summary.add_argument("path", metavar="STORE", help="store path (any backend)")
-    summary.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="force the store backend (default: inferred from the path)",
-    )
+    _add_backend_flag(summary)
     summary.add_argument(
         "--json", action="store_true", help="emit the summary as a JSON document"
     )
@@ -522,11 +519,8 @@ def _add_store_parser(subparsers: argparse._SubParsersAction) -> None:
         help="source store paths followed by the destination (backends may "
         "differ freely; force one with a backend: prefix)",
     )
-    merge.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="force the destination backend (default: inferred from the path)",
+    _add_backend_flag(
+        merge, help="force the destination backend (default: inferred from the path)"
     )
 
 
@@ -550,12 +544,7 @@ def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
         metavar="FILE",
         help="campaign YAML preset defining the grid (and default store)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="force the store backend (default: inferred from the path)",
-    )
+    _add_backend_flag(parser)
     _add_grid_flags(parser, "emulation", scenarios.BUFFER_SWEEP_BDP)
     parser.add_argument(
         "--seeds",
@@ -614,12 +603,7 @@ def _add_stability_parser(subparsers: argparse._SubParsersAction) -> None:
         help="validate the predictions against this store's simulation rows "
         "(exit 1 when any row disagrees beyond the documented thresholds)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="force the store backend (default: inferred from the path)",
-    )
+    _add_backend_flag(parser)
     parser.add_argument(
         "--substrate",
         choices=["fluid", "emulation"],
@@ -698,14 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_trace_export(args: argparse.Namespace) -> int:
     span_log = Path(args.span_log)
     if not span_log.exists():
-        print(f"error: span log {args.span_log} not found", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"span log {args.span_log} not found")
     if not args.chrome:
-        print(
-            "error: select an export format (currently only --chrome)",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("select an export format (currently only --chrome)")
     count, out_path = export_chrome(span_log, args.output)
     print(f"wrote {out_path} ({count} trace events)")
     return 0
@@ -750,18 +729,14 @@ def _summary_display_rows(points: Sequence[sweep.SummaryPoint]) -> list[dict[str
 
 
 def _run_aggregate_sweep(args: argparse.Namespace) -> int:
-    try:
-        points = sweep.run_campaign(
-            _grid_from_args(args),
-            workers=args.workers,
-            store=resolve_store(args.store, backend=args.backend),
-            prune_analytic=args.prune_analytic,
-            shard_index=args.shard_index,
-            shard_count=args.shard_count,
-        ).points
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    points = sweep.run_campaign(
+        _grid_from_args(args),
+        workers=args.workers,
+        store=resolve_store(args.store, backend=args.backend),
+        prune_analytic=args.prune_analytic,
+        shard_index=args.shard_index,
+        shard_count=args.shard_count,
+    ).points
     rows = [point.row() for point in points]
     if not rows:
         if args.shard_count is not None:
@@ -810,22 +785,18 @@ def _figure_rows(
 
 def _run_figure(args: argparse.Namespace) -> int:
     metric = figures.AGGREGATE_FIGURES[args.name]
-    try:
-        data = figures.aggregate_figure(
-            metric,
-            substrate=args.substrate,
-            buffers_bdp=args.buffers,
-            mixes=args.mixes,
-            disciplines=args.disciplines,
-            duration_s=args.duration,
-            short_rtt=args.short_rtt,
-            workers=args.workers,
-            seeds=args.seeds,
-            store=resolve_store(args.store, backend=args.backend),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    data = figures.aggregate_figure(
+        metric,
+        substrate=args.substrate,
+        buffers_bdp=args.buffers,
+        mixes=args.mixes,
+        disciplines=args.disciplines,
+        duration_s=args.duration,
+        short_rtt=args.short_rtt,
+        workers=args.workers,
+        seeds=args.seeds,
+        store=resolve_store(args.store, backend=args.backend),
+    )
     rows = _figure_rows(args.name, metric, data)
     if not rows:
         print(
@@ -912,27 +883,30 @@ def _campaign_policy(
     )
 
 
+def _store_of(
+    args: argparse.Namespace, preset: presets.CampaignPreset | None
+) -> tuple[str | None, str | None, bool]:
+    """The ``(spec, backend, fsync)`` of the store named by ``--store``/``--backend``.
+
+    Without ``--store``, the preset's store is used.  An explicit ``--store``
+    replaces the preset's store wholesale: its backend then comes from
+    ``--backend`` or path inference, never from the preset (which described
+    a different file).
+    """
+    if preset is None or args.store is not None:
+        return args.store, args.backend, True
+    backend = args.backend if args.backend is not None else preset.store_backend
+    return preset.store_path, backend, preset.store_fsync
+
+
 def _run_campaign(args: argparse.Namespace) -> int:
-    try:
-        preset = presets.load_preset(args.preset) if args.preset else None
-        grid = _grid_from_args(args, preset)
-        policy = _campaign_policy(args, preset)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    preset = presets.load_preset(args.preset) if args.preset else None
+    grid = _grid_from_args(args, preset)
+    policy = _campaign_policy(args, preset)
     retry_failed = not args.no_retry_failed and (
         preset.retry_failed if preset is not None else True
     )
-    store_spec = args.store
-    backend = args.backend
-    fsync = True
-    if preset is not None and store_spec is None:
-        # An explicit --store replaces the preset's store wholesale: its
-        # backend then comes from --backend or path inference, never from
-        # the preset (which described a different file).
-        store_spec = preset.store_path
-        backend = backend if backend is not None else preset.store_backend
-        fsync = preset.store_fsync
+    store_spec, backend, fsync = _store_of(args, preset)
     store = resolve_store(store_spec, backend=backend, fsync=fsync)
     if store is None:
         obs_log.warning(
@@ -940,23 +914,16 @@ def _run_campaign(args: argparse.Namespace) -> int:
             "no --store/REPRO_STORE configured; campaign results will "
             "not be persisted or resumable",
         )
-    try:
-        result = sweep.run_campaign(
-            grid,
-            store=store,
-            executor=policy,
-            retry_failed=retry_failed,
-            trace=args.trace,
-            prune_analytic=args.prune_analytic,
-            shard_index=args.shard_index,
-            shard_count=args.shard_count,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except sweep.SweepPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = sweep.run_campaign(
+        grid,
+        store=store,
+        executor=policy,
+        retry_failed=retry_failed,
+        trace=args.trace,
+        prune_analytic=args.prune_analytic,
+        shard_index=args.shard_index,
+        shard_count=args.shard_count,
+    )
     points, failures = result.points, result.failures
     rows = [point.row() for point in points]
     if not rows and not failures:
@@ -1032,24 +999,20 @@ def _topology_flow_rows(config, trace, substrate: str) -> list[dict[str, object]
 
 
 def _run_topology(args: argparse.Namespace) -> int:
-    try:
-        config = scenarios.topology_scenario(
-            args.preset,
-            mix=args.mix,
-            hops=args.hops,
-            cross_flows=args.cross_flows,
-            cross_cca=args.cross_cca,
-            buffer_bdp=args.buffer_bdp,
-            discipline=args.discipline,
-            duration_s=args.duration,
-            seed=args.seed,
-            hop_capacities=_hop_floats(args.hop_capacities, "--hop-capacities"),
-            hop_delays=_hop_floats(args.hop_delays, "--hop-delays"),
-            hop_disciplines=args.hop_disciplines,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = scenarios.topology_scenario(
+        args.preset,
+        mix=args.mix,
+        hops=args.hops,
+        cross_flows=args.cross_flows,
+        cross_cca=args.cross_cca,
+        buffer_bdp=args.buffer_bdp,
+        discipline=args.discipline,
+        duration_s=args.duration,
+        seed=args.seed,
+        hop_capacities=_hop_floats(args.hop_capacities, "--hop-capacities"),
+        hop_delays=_hop_floats(args.hop_delays, "--hop-delays"),
+        hop_disciplines=args.hop_disciplines,
+    )
     substrates = ["fluid", "emulation"] if args.substrate == "both" else [args.substrate]
     csv_rows: list[dict[str, object]] = []
     for substrate in substrates:
@@ -1098,28 +1061,16 @@ def _open_existing_store(spec: str, backend: str | None) -> SweepStore:
 
 def _run_store_merge(args: argparse.Namespace) -> int:
     if len(args.stores) < 2:
-        print(
-            "error: store merge needs at least one SRC and a DEST",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("store merge needs at least one SRC and a DEST")
     *sources, dest = args.stores
     dest_path = Path(split_backend_spec(dest)[1]).resolve()
     for spec in sources:
         if Path(split_backend_spec(spec)[1]).resolve() == dest_path:
-            print(
-                f"error: destination {dest} is also a merge source",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"destination {dest} is also a merge source")
     dest_store = SweepStore(dest, backend=args.backend)
     try:
         for spec in sources:
-            try:
-                src_store = _open_existing_store(spec, None)
-            except FileNotFoundError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            src_store = _open_existing_store(spec, None)
             try:
                 results, failures = dest_store.merge_from(src_store)
             finally:
@@ -1137,11 +1088,7 @@ def _run_store_merge(args: argparse.Namespace) -> int:
 def _run_store(args: argparse.Namespace) -> int:
     if args.store_command == "merge":
         return _run_store_merge(args)
-    try:
-        store = _open_existing_store(args.path, args.backend)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    store = _open_existing_store(args.path, args.backend)
     try:
         summary = summarize_store(store)
     finally:
@@ -1154,34 +1101,14 @@ def _run_store(args: argparse.Namespace) -> int:
 
 
 def _run_status(args: argparse.Namespace) -> int:
-    try:
-        preset = presets.load_preset(args.preset) if args.preset else None
-    except presets.PresetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    store_spec = args.store
-    backend = args.backend
-    if preset is not None and store_spec is None:
-        store_spec = preset.store_path
-        backend = backend if backend is not None else preset.store_backend
+    preset = presets.load_preset(args.preset) if args.preset else None
+    store_spec, backend, _ = _store_of(args, preset)
     if store_spec is None:
-        print(
-            "error: no store to check; pass STORE or a --preset naming one",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        grid = sweep.distinct_points(
-            _grid_from_args(args, preset), args.shard_index, args.shard_count
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        store = _open_existing_store(store_spec, backend)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("no store to check; pass STORE or a --preset naming one")
+    grid = sweep.distinct_points(
+        _grid_from_args(args, preset), args.shard_index, args.shard_count
+    )
+    store = _open_existing_store(store_spec, backend)
     try:
         failed_keys = {record["key"] for record in store.failures()}
         done: list[dict] = []
@@ -1285,24 +1212,16 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_stability(args: argparse.Namespace) -> int:
-    try:
-        rows = phase.phase_grid(
-            versions=args.versions,
-            flow_counts=args.flow_counts,
-            rtts_ms=args.rtts_ms,
-            buffers_bdp=args.buffers,
-            capacity_mbps=args.capacity_mbps,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = phase.phase_grid(
+        versions=args.versions,
+        flow_counts=args.flow_counts,
+        rtts_ms=args.rtts_ms,
+        buffers_bdp=args.buffers,
+        capacity_mbps=args.capacity_mbps,
+    )
     validation: list[dict] = []
     if args.store:
-        try:
-            store = _open_existing_store(args.store, args.backend)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        store = _open_existing_store(args.store, args.backend)
         try:
             validation = phase.validate_against_store(
                 store, substrate=args.substrate
@@ -1392,9 +1311,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "theorems": _run_theorems,
         "check": _run_check,
     }
+    # The one error policy of every command: a point that failed for good
+    # exits 1; bad input (ValueError, including PresetError and
+    # RemovedBackendError) or a missing file exits 2.
     try:
         return handlers[args.command](args)
-    except RemovedBackendError as exc:
+    except sweep.SweepPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -275,6 +275,18 @@ def test_unknown_mix_exits_2_with_message(command, capsys):
     assert "error: unknown CCA mix 'NOPE'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["trace", "bbr1", "--duration", "-1"], ["theorems", "--flows", "0"]]
+)
+def test_invalid_value_exits_2_with_one_line_error(argv, capsys):
+    # Regression: these commands used to die with a ValueError traceback.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestExecution:
     def test_theorems_command(self, capsys):
         assert cli.main(["theorems", "--flows", "2", "5"]) == 0
