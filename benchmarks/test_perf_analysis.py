@@ -22,10 +22,13 @@ simulated points suggests.
 **Numerical fallback.** The six points of the ``analytic-resume``
 benchmark grid that its timed campaign computes (BBRv1, BBRv2 and
 BBRv1/BBRv2 at 2 and 7 BDP, droptail, heterogeneous RTTs) have no closed
-form and integrate the reduced model with ``solve_ivp``.  The case
-records their wall time, the number of reduced-model RHS calls and the
-mean time per call (the same counter perfbench's ``analysis.rhs_evals`` /
-``analysis.us_per_rhs_eval`` put on ``adapter.mixed_reduced_rhs``).
+form and integrate the reduced model together, as the campaign's one
+chunk does: one :func:`repro.analysis.analyze_scenarios` call, whose
+batched Dormand-Prince loop evaluates all six points per RHS call.  The
+case records their wall time, the number of (batched) reduced-model RHS
+calls and the mean time per call (the same counter perfbench's
+``analysis.rhs_evals`` / ``analysis.us_per_rhs_eval`` put on
+``adapter.mixed_reduced_rhs``).
 
 Both tests record their numbers in the untracked
 ``benchmarks/BENCH_analysis.json`` (each owns its own keys); none of the
@@ -156,7 +159,7 @@ def test_perf_numerical_fallback(benchmark, monkeypatch):
     monkeypatch.setattr(adapter, "mixed_reduced_rhs", counted_rhs)
     start = time.perf_counter()
     predictions = benchmark.pedantic(
-        lambda: [analysis.analyze_scenario(config) for config in configs],
+        lambda: analysis.analyze_scenarios(configs),
         rounds=1,
         iterations=1,
     )

@@ -2,10 +2,10 @@
 
 The campaign-facing surface lives in :mod:`.adapter`: builders
 (:func:`reference_network`) and adapters (:func:`from_scenario`,
-:func:`analyze_scenario`) replace bare :class:`SingleBottleneck`
-construction, dispatch to the Theorem 1-5 closed forms where their
-hypotheses hold, and fall back to the reduced models numerically
-(including mixed BBRv1/BBRv2 populations) everywhere else.
+:func:`analyze_scenarios`, :func:`analyze_scenario`) replace bare
+:class:`SingleBottleneck` construction, dispatch to the Theorem 1-5 closed
+forms where their hypotheses hold, and fall back to the reduced models
+numerically (including mixed BBRv1/BBRv2 populations) everywhere else.
 """
 
 from .adapter import (
@@ -13,7 +13,9 @@ from .adapter import (
     AnalyticPoint,
     UnsupportedScenarioError,
     analyze_network,
+    analyze_networks,
     analyze_scenario,
+    analyze_scenarios,
     buffer_never_binds,
     classify_stability,
     from_scenario,
@@ -55,7 +57,9 @@ __all__ = [
     "AnalyticPoint",
     "UnsupportedScenarioError",
     "analyze_network",
+    "analyze_networks",
     "analyze_scenario",
+    "analyze_scenarios",
     "buffer_never_binds",
     "classify_stability",
     "from_scenario",

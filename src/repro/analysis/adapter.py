@@ -11,14 +11,18 @@ theory surface and the campaign machinery:
   multi-link topologies, which are projected onto their reference
   bottleneck with exact per-flow path RTTs — the single-queue
   approximation of the paper's analysis).
-* :func:`analyze_network` / :func:`analyze_scenario` dispatch to the
-  closed forms of Theorems 1-5 where they apply (pure-BBR population,
-  equal delays, buffer regime inside a theorem's hypotheses) and fall
-  back to the reduced models numerically everywhere else: integrate to
+* :func:`analyze_scenarios` dispatches each point to the closed forms of
+  Theorems 1-5 where they apply (pure-BBR population, equal delays,
+  buffer regime inside a theorem's hypotheses) and falls back to the
+  reduced models numerically everywhere else: integrate to
   (quasi-)steady state, polish with a root solve, and take a
   finite-difference Jacobian at the equilibrium — including mixed
   BBRv1+BBRv2 populations via
-  :func:`~repro.analysis.reduced.mixed_reduced_rhs`.
+  :func:`~repro.analysis.reduced.mixed_reduced_rhs`.  All numerical
+  points of one call with the same flow count integrate together in one
+  :func:`~repro.analysis.reduced.integrate_batch` loop;
+  :func:`analyze_scenario` and :func:`analyze_network` are the one-point
+  case, and :func:`analyze_networks` is the same batch on bare networks.
 * :func:`classify_stability` turns a :class:`StabilityResult` into the
   phase-diagram label ``stable`` / ``oscillatory`` / ``unstable``.  A
   trajectory that never settles (no hyperbolic equilibrium — e.g. BBRv1
@@ -36,12 +40,10 @@ theory surface and the campaign machinery:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import root
 
 from .. import units
 from ..config import ScenarioConfig
@@ -52,7 +54,7 @@ from .equilibrium import (
     bbr1_shallow_buffer_loss_fraction,
     bbr2_fair_equilibrium,
 )
-from .reduced import SingleBottleneck, flow_constants, mixed_reduced_rhs
+from .reduced import SingleBottleneck, flow_constants, integrate_batch, mixed_reduced_rhs
 from .stability import (
     StabilityResult,
     check_bbr1_deep_buffer_stability,
@@ -291,15 +293,47 @@ def _point(
     )
 
 
-def analyze_network(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoint:
-    """Equilibrium + stability of a BBR population on a single bottleneck.
+def analyze_scenarios(configs: Sequence[ScenarioConfig]) -> list[AnalyticPoint]:
+    """:func:`from_scenario` + :func:`analyze_networks` for every scenario, in order."""
+    return analyze_networks([(ccas, net) for net, ccas in map(from_scenario, configs)])
 
-    Dispatches to the closed forms of Theorems 1-5 whenever their
-    hypotheses hold (homogeneous version, equal delays, buffer inside the
-    theorem's regime) and to the numerical reduced-model fallback
-    otherwise.  ``ccas`` must name one analyzable CCA per flow.
+
+def analyze_scenario(config: ScenarioConfig) -> AnalyticPoint:
+    """:func:`analyze_scenarios` of one scenario."""
+    (point,) = analyze_scenarios([config])
+    return point
+
+
+def analyze_network(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoint:
+    """:func:`analyze_networks` of one ``(ccas, net)`` population."""
+    (point,) = analyze_networks([(ccas, net)])
+    return point
+
+
+def analyze_networks(
+    cases: Sequence[tuple[tuple[str, ...], SingleBottleneck]],
+) -> list[AnalyticPoint]:
+    """Equilibrium + stability of BBR populations on single bottlenecks, in order.
+
+    Each case is ``(ccas, net)`` with one analyzable CCA per flow.  Every
+    case is validated before anything is integrated, so one bad case fails
+    the call at once.  A case goes to the closed forms of Theorems 1-5
+    whenever their hypotheses hold (homogeneous version, equal delays,
+    buffer inside the theorem's regime) and to the numerical reduced-model
+    fallback otherwise; the numerical cases integrate together (see
+    :func:`_analyze_numerical`).
     """
-    ccas = tuple(ccas)
+    pairs = [(tuple(ccas), net) for ccas, net in cases]
+    for ccas, net in pairs:
+        _validate(ccas, net)
+    closed = [_closed_form(ccas, net) for ccas, net in pairs]
+    numerical = iter(
+        _analyze_numerical([pair for pair, point in zip(pairs, closed, strict=True) if point is None])
+    )
+    return [point if point is not None else next(numerical) for point in closed]
+
+
+def _validate(ccas: tuple[str, ...], net: SingleBottleneck) -> None:
     if len(ccas) != net.num_flows:
         raise ValueError(
             f"{len(ccas)} CCAs for {net.num_flows} flows; one per flow is required"
@@ -310,6 +344,10 @@ def analyze_network(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoi
             f"no reduced model for CCAs {unsupported}; the analytic substrate "
             f"covers populations of {ANALYZABLE_CCAS}"
         )
+
+
+def _closed_form(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoint | None:
+    """The Theorem 1-5 answer for a validated point, or None if none applies."""
     delays = np.asarray(net.propagation_delays_s)
     equal_delays = bool(np.allclose(delays, delays[0]))
     versions = set(ccas)
@@ -367,13 +405,7 @@ def analyze_network(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoi
                 queue=equilibrium.queue_pkts,
                 stability=check_bbr2_stability(n, d),
             )
-    return _analyze_numerical(ccas, net)
-
-
-def analyze_scenario(config: ScenarioConfig) -> AnalyticPoint:
-    """:func:`from_scenario` + :func:`analyze_network` in one step."""
-    net, ccas = from_scenario(config)
-    return analyze_network(ccas, net)
+    return None
 
 
 def _subspace_jacobian(
@@ -389,39 +421,63 @@ def _subspace_jacobian(
     return jacobian
 
 
-def _analyze_numerical(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoint:
+def _analyze_numerical(
+    cases: list[tuple[tuple[str, ...], SingleBottleneck]],
+) -> list[AnalyticPoint]:
     """Numerical fallback: integrate, polish with a root solve, classify.
 
     Covers mixed BBRv1/BBRv2 populations, heterogeneous RTTs, and buffer
-    regimes between the theorems' hypotheses.  When the trajectory never
-    settles (e.g. heterogeneous-RTT BBRv1, whose Theorem 1 equilibrium
-    condition cannot hold for all flows at once), the point is classified
+    regimes between the theorems' hypotheses.  Points with the same flow
+    count integrate together, chunk by chunk: after every
+    ``NUMERICAL_HORIZON_S`` chunk each point's tail is tested on its own,
+    and settled points leave the batch.  When a trajectory never settles
+    (e.g. heterogeneous-RTT BBRv1, whose Theorem 1 equilibrium condition
+    cannot hold for all flows at once), the point is classified
     ``oscillatory`` and reports the tail-mean operating state.
     """
+    tails: dict[int, tuple[np.ndarray, float]] = {}
+    by_flows: dict[int, list[int]] = {}
+    for i, (_, net) in enumerate(cases):
+        by_flows.setdefault(net.num_flows, []).append(i)
+    for n, running in by_flows.items():
+        state0 = np.array(
+            [np.concatenate([np.full(n, cases[i][1].capacity_pps / n), [0.0]]) for i in running]
+        )
+        for _ in range(NUMERICAL_MAX_CHUNKS):
+            ccas = tuple(cases[i][0] for i in running)
+            nets = tuple(cases[i][1] for i in running)
+            runs = integrate_batch(
+                mixed_reduced_rhs,
+                state0,
+                NUMERICAL_HORIZON_S,
+                rtol=1e-6,
+                atol=[1e-6 * net.capacity_pps for net in nets],
+                max_step=0.05,
+                args=(nets, ccas),
+            )
+            unsettled = []
+            for i, net, (times, states) in zip(running, nets, runs, strict=True):
+                tail = states[times >= (1.0 - TAIL_FRACTION) * times[-1]]
+                tail_mean = tail.mean(axis=0)
+                tail_mean[n] = float(np.clip(tail_mean[n], 0.0, net.buffer_pkts))
+                tail_dev = float(np.max(tail.max(axis=0) - tail.min(axis=0)) / net.capacity_pps)
+                tails[i] = (tail_mean, tail_dev)
+                if not tail_dev < SETTLE_TOLERANCE:
+                    unsettled.append((i, states[-1]))
+            if not unsettled:
+                break
+            running = [i for i, _ in unsettled]
+            state0 = np.array([state for _, state in unsettled])
+    return [_polish(ccas, net, *tails[i]) for i, (ccas, net) in enumerate(cases)]
+
+
+def _polish(
+    ccas: tuple[str, ...], net: SingleBottleneck, tail_mean: np.ndarray, tail_dev: float
+) -> AnalyticPoint:
+    """The numerical point of one integrated trajectory's tail."""
     version = "mixed" if len(set(ccas)) > 1 else next(iter(set(ccas)))
     n = net.num_flows
     capacity = net.capacity_pps
-    state0 = np.concatenate([np.full(n, capacity / n), [0.0]])
-    tail_mean = state0
-    tail_dev = math.inf
-    for _ in range(NUMERICAL_MAX_CHUNKS):
-        solution = solve_ivp(
-            mixed_reduced_rhs,
-            (0.0, NUMERICAL_HORIZON_S),
-            state0,
-            args=(net, ccas),
-            max_step=0.05,
-            rtol=1e-6,
-            atol=1e-6 * capacity,
-        )
-        times, states = solution.t, solution.y.T
-        tail = states[times >= (1.0 - TAIL_FRACTION) * times[-1]]
-        tail_mean = tail.mean(axis=0)
-        tail_mean[n] = float(np.clip(tail_mean[n], 0.0, net.buffer_pkts))
-        tail_dev = float(np.max(tail.max(axis=0) - tail.min(axis=0)) / capacity)
-        if tail_dev < SETTLE_TOLERANCE:
-            break
-        state0 = states[-1]
 
     def full_rhs(state: np.ndarray) -> np.ndarray:
         return mixed_reduced_rhs(0.0, state, net, ccas)
@@ -429,6 +485,9 @@ def _analyze_numerical(ccas: tuple[str, ...], net: SingleBottleneck) -> Analytic
     stability: StabilityResult | None = None
     state_eq = tail_mean
     if tail_dev < SETTLE_TOLERANCE:
+        # Imported here: only a settled trajectory needs scipy.
+        from scipy.optimize import root
+
         queue_eq = float(tail_mean[n])
         epsilon = 1e-6 * max(1.0, float(np.max(np.abs(tail_mean))))
         pinned_full = (

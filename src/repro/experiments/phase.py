@@ -23,7 +23,8 @@ import math
 from collections.abc import Mapping, Sequence
 
 from .. import units
-from ..analysis import analyze_network, analyze_scenario, reference_network
+from ..analysis import analyze_networks, analyze_scenarios, reference_network
+from ..config import ScenarioConfig
 from . import scenarios
 from .store import SweepStore
 
@@ -55,36 +56,6 @@ DEFAULT_THRESHOLDS: Mapping[str, float] = {
 RESIDUAL_METRICS = tuple(DEFAULT_THRESHOLDS)
 
 
-def phase_row(
-    version: str,
-    num_flows: int,
-    rtt_ms: float,
-    buffer_bdp: float,
-    capacity_mbps: float = 100.0,
-) -> dict:
-    """One phase-diagram cell: equilibrium + stability of a reference network."""
-    rtt_s = rtt_ms / 1e3
-    net = reference_network(
-        num_flows, rtt_s=rtt_s, capacity_mbps=capacity_mbps, buffer_bdp=buffer_bdp
-    )
-    point = analyze_network((version,) * num_flows, net)
-    bdp_pkts = units.bdp_packets(point.capacity_pps, rtt_s)
-    return {
-        "version": version,
-        "flows": num_flows,
-        "rtt_ms": rtt_ms,
-        "buffer_bdp": buffer_bdp,
-        "regime": point.regime,
-        "method": point.method,
-        "theorems": point.theorems,
-        "classification": point.classification,
-        "max_re_lambda": point.max_real_part,
-        "queue_bdp": point.queue_pkts / bdp_pkts,
-        "loss_fraction": point.loss_fraction,
-        "aggregate_rate_mbps": units.pps_to_mbps(point.aggregate_rate_pps),
-    }
-
-
 def phase_grid(
     versions: Sequence[str] = DEFAULT_VERSIONS,
     flow_counts: Sequence[int] = DEFAULT_FLOW_COUNTS,
@@ -92,14 +63,52 @@ def phase_grid(
     buffers_bdp: Sequence[float] = DEFAULT_BUFFERS_BDP,
     capacity_mbps: float = 100.0,
 ) -> list[dict]:
-    """The full phase diagram over a version x flows x RTT x buffer grid."""
-    return [
-        phase_row(version, num_flows, rtt_ms, buffer_bdp, capacity_mbps)
+    """The full phase diagram over a version x flows x RTT x buffer grid.
+
+    Every cell is analysed in one :func:`analyze_networks` call, so the
+    cells that need the numerical fallback integrate together.
+    """
+    cells = [
+        (version, num_flows, rtt_ms, buffer_bdp)
         for version in versions
         for num_flows in flow_counts
         for rtt_ms in rtts_ms
         for buffer_bdp in buffers_bdp
     ]
+    points = analyze_networks(
+        [
+            (
+                (version,) * num_flows,
+                reference_network(
+                    num_flows,
+                    rtt_s=rtt_ms / 1e3,
+                    capacity_mbps=capacity_mbps,
+                    buffer_bdp=buffer_bdp,
+                ),
+            )
+            for version, num_flows, rtt_ms, buffer_bdp in cells
+        ]
+    )
+    rows = []
+    for (version, num_flows, rtt_ms, buffer_bdp), point in zip(cells, points, strict=True):
+        bdp_pkts = units.bdp_packets(point.capacity_pps, rtt_ms / 1e3)
+        rows.append(
+            {
+                "version": version,
+                "flows": num_flows,
+                "rtt_ms": rtt_ms,
+                "buffer_bdp": buffer_bdp,
+                "regime": point.regime,
+                "method": point.method,
+                "theorems": point.theorems,
+                "classification": point.classification,
+                "max_re_lambda": point.max_real_part,
+                "queue_bdp": point.queue_pkts / bdp_pkts,
+                "loss_fraction": point.loss_fraction,
+                "aggregate_rate_mbps": units.pps_to_mbps(point.aggregate_rate_pps),
+            }
+        )
+    return rows
 
 
 def json_safe(value):
@@ -125,8 +134,8 @@ def validate_against_store(store: SweepStore, substrate: str | None = None) -> l
     simulation substrate; analytic rows are never validated against
     themselves.
     """
-    out: list[dict] = []
-    predictions: dict[tuple, object] = {}
+    selected: list[tuple[dict, tuple]] = []
+    configs: dict[tuple, ScenarioConfig] = {}
     for record in store.select():
         meta = record.get("meta", {})
         mix = meta.get("mix")
@@ -142,11 +151,10 @@ def validate_against_store(store: SweepStore, substrate: str | None = None) -> l
         if meta.get("topology") is not None or meta.get("arrivals") is not None:
             continue
         # The equilibrium depends only on the network, not on the run
-        # length, the integrator step or the seed: memoise per network.
+        # length, the integrator step or the seed: one prediction per network.
         memo_key = (mix, meta["buffer_bdp"], bool(meta.get("short_rtt")))
-        point = predictions.get(memo_key)
-        if point is None:
-            config = scenarios.aggregate_scenario(
+        if memo_key not in configs:
+            configs[memo_key] = scenarios.aggregate_scenario(
                 mix,
                 buffer_bdp=meta["buffer_bdp"],
                 discipline="droptail",
@@ -156,7 +164,14 @@ def validate_against_store(store: SweepStore, substrate: str | None = None) -> l
                 whi_init_bdp=meta.get("whi_init_bdp"),
                 seed=int(meta.get("seed", 1)),
             )
-            point = predictions[memo_key] = analyze_scenario(config)
+        selected.append((record, memo_key))
+    predictions = dict(zip(configs, analyze_scenarios(list(configs.values())), strict=True))
+    out: list[dict] = []
+    for record, memo_key in selected:
+        meta = record["meta"]
+        mix = meta["mix"]
+        row_substrate = meta["substrate"]
+        point = predictions[memo_key]
         predicted = point.metrics().as_dict()
         measured = record["metrics"]
         row = {

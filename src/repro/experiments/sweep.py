@@ -33,9 +33,11 @@ inside a *chunk* (a tuple of points, see :func:`compute_chunk`), run by a
 fluid grid (no retries, timeout or heartbeat) runs its chunks inline.
 Fluid chunks integrate in lockstep through
 :func:`repro.core.simulator.simulate_many`, which stacks independent
-scenarios into one batched system (the big single-core win);
-``workers=N`` splits the grid into about N chunks so each pool worker keeps
-that batching.  Emulation and analytic chunks hold one point.  Results are
+scenarios into one batched system (the big single-core win), and analytic
+chunks through :func:`repro.analysis.analyze_scenarios`, which integrates
+their numerical points in one batched loop; ``workers=N`` splits the grid
+into about N chunks so each pool worker keeps that batching.  Emulation
+chunks hold one point.  Results are
 persisted as they land; a chunk that fails for good is split and re-run
 point by point, so failures are reported as
 :class:`CampaignFailure` rows or re-raised as :class:`SweepPointError`
@@ -53,6 +55,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from .. import analysis
 from ..core.simulator import simulate_many
 from ..emulation.runner import EmulationRunner
 from ..metrics.aggregate import (
@@ -312,14 +315,16 @@ def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
     The campaign's only unit of work: module-level so process pools can
     pickle it, and free of cache/store side effects so the parent owns
     every write.  A fluid chunk is integrated in lockstep through
-    :func:`~repro.core.simulator.simulate_many`, and the measured cost is
-    amortised evenly over its points (``shared=``); an analytic or
+    :func:`~repro.core.simulator.simulate_many` and an analytic chunk is
+    one :func:`~repro.analysis.analyze_scenarios` call; either way the
+    measured cost is amortised evenly over its points (``shared=``).  An
     emulation chunk holds exactly one point.
     """
     grid = chunk[0].grid
+    configs = [point.config() for point in chunk]
     if grid.substrate == "fluid":
         with RuntimeCapture() as rt:
-            traces = simulate_many([point.config() for point in chunk])
+            traces = simulate_many(configs)
         runtime = rt.block(
             {"steps": int(round(grid.duration_s / grid.dt)) + 1, "lockstep": len(chunk)},
             shared=len(chunk),
@@ -328,24 +333,25 @@ def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
             SweepPoint.of(point, aggregate_metrics(trace), runtime=runtime)
             for point, trace in zip(chunk, traces, strict=True)
         ]
-    (point,) = chunk
-    config = point.config()
-    analysis_block: dict | None = None
+    if grid.substrate == "analytic":
+        with RuntimeCapture() as rt:
+            predictions = analysis.analyze_scenarios(configs)
+        return [
+            SweepPoint.of(
+                point,
+                prediction.metrics(),
+                runtime=rt.block(
+                    {"flows": config.num_flows, "lockstep": len(chunk)}, shared=len(chunk)
+                ),
+                analysis=prediction.as_meta(),
+            )
+            for point, config, prediction in zip(chunk, configs, predictions, strict=True)
+        ]
+    (config,) = configs
     with RuntimeCapture() as rt:
-        if grid.substrate == "analytic":
-            # Lazy import: the analysis layer pulls in scipy, which the
-            # simulation substrates never need.
-            from .. import analysis as _analysis
-
-            prediction = _analysis.analyze_scenario(config)
-            metrics = prediction.metrics()
-            analysis_block = prediction.as_meta()
-            counters = {"flows": config.num_flows}
-        else:
-            runner = EmulationRunner(config)
-            metrics = aggregate_metrics(runner.run())
-            counters = runner.runtime_counters()
-    return [SweepPoint.of(point, metrics, runtime=rt.block(counters), analysis=analysis_block)]
+        runner = EmulationRunner(config)
+        metrics = aggregate_metrics(runner.run())
+    return [SweepPoint.of(chunk[0], metrics, runtime=rt.block(runner.runtime_counters()))]
 
 
 def _describe(chunk: tuple[PointSpec, ...]) -> str:
@@ -378,8 +384,8 @@ def run_campaign(
     a single computation (and a single store record).
 
     Execution runs one :func:`compute_chunk` task per chunk of uncached
-    points: fluid points form lockstep chunks of
-    ``min(BATCH_CHUNK, ceil(pending / workers))``, the other substrates one
+    points: fluid and analytic points form batched chunks of
+    ``min(BATCH_CHUNK, ceil(pending / workers))``, emulation points one
     point per chunk, and ``workers=N`` (N > 1) runs the chunks in a process
     pool.  ``executor`` supplies the full policy (retries per task with
     backoff, a per-point timeout that a chunk gets once per point it holds,
@@ -535,10 +541,10 @@ def _campaign_points(
         return report.failures
 
     if pending:
-        # Fluid points share lockstep chunks, spread evenly over the pool's
-        # workers; every other substrate runs one point per chunk.
+        # Fluid and analytic points share batched chunks, spread evenly over
+        # the pool's workers; emulation runs one point per chunk.
         width = 1
-        if grid.substrate == "fluid":
+        if grid.substrate != "emulation":
             width = min(BATCH_CHUNK, math.ceil(len(pending) / (policy.workers or 1)))
         chunks = [tuple(pending[i : i + width]) for i in range(0, len(pending), width)]
         failed: list[tuple[PointSpec, ...]] = []
@@ -630,11 +636,9 @@ def _prune(
     — is independent of the buffer size, so one member (the *primary*) is
     computed and the rest become aliases of it.
     """
-    from .. import analysis as _analysis
-
     def certificate(point: PointSpec) -> str | None:
         config = point.config()
-        if not _analysis.buffer_never_binds(config):
+        if not analysis.buffer_never_binds(config):
             return None
         # All group members share the scenario up to the buffer size; key
         # the group by the buffer-free scenario.

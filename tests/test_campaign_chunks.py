@@ -1,8 +1,9 @@
 """A lockstep chunk is the campaign's only unit of work.
 
 Every uncached point is computed inside a chunk: fluid points share
-lockstep chunks (one per pool worker), every other substrate runs one point
-per chunk.  The chunks go through the resilient executor; only a plain
+lockstep chunks (one per pool worker), analytic points share batched
+chunks the same way (``tests/test_analytic_batch.py``), and emulation runs
+one point per chunk.  The chunks go through the resilient executor; only a plain
 serial fluid grid runs its chunks inline.  These tests pin what that means
 for stored rows, for failures inside a chunk, and for the timeout, which
 a chunk gets once per point it holds.

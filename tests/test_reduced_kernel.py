@@ -5,6 +5,8 @@ per-network constants and reuses them on every call.  It must return the
 same bits as the straightforward per-call implementation kept below as the
 oracle, for every population size (including both sides of numpy's 8-way
 pairwise-sum unroll), version mix, delay profile, buffer and queue regime.
+Its batched form (K states with the same flow count, one network each)
+must return, row by row, the same bits as the one-state form.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,8 +66,9 @@ QUEUE_REGIMES = ("below-zero", "zero", "interior", "at-buffer", "above-buffer")
 
 
 @st.composite
-def rhs_inputs(draw):
-    n = draw(st.integers(1, 12))
+def rhs_inputs(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 12))
     versions = tuple(draw(st.lists(st.sampled_from(["bbr1", "bbr2"]), min_size=n, max_size=n)))
     delays = tuple(draw(st.lists(st.floats(1e-4, 0.5), min_size=n, max_size=n)))
     capacity = draw(st.floats(1.0, 1e6))
@@ -106,6 +110,33 @@ def test_homogeneous_rhs_is_the_mixed_rhs(inputs):
     assert np.array_equal(
         bbr2_reduced_rhs(0.0, state, net), oracle_rhs(0.0, state, net, ("bbr2",) * n)
     )
+
+
+@st.composite
+def batch_inputs(draw):
+    n = draw(st.integers(1, 12))
+    return draw(st.lists(rhs_inputs(n), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_inputs())
+def test_batched_rhs_rows_are_the_one_state_rhs(batch):
+    nets = tuple(net for net, _, _ in batch)
+    versions = tuple(v for _, v, _ in batch)
+    states = np.array([state for _, _, state in batch])
+    before = states.copy()
+    got = mixed_reduced_rhs(np.zeros(len(batch)), states, nets, versions)
+    assert got.shape == states.shape
+    for row, (net, v, state) in zip(got, batch, strict=True):
+        assert np.array_equal(row, mixed_reduced_rhs(0.0, state, net, v))
+    assert np.array_equal(states, before)
+
+
+def test_batch_of_mixed_flow_counts_is_rejected():
+    one = SingleBottleneck(1000.0, (0.01,))
+    two = SingleBottleneck(1000.0, (0.01, 0.02))
+    with pytest.raises(ValueError, match="same flow count"):
+        mixed_reduced_rhs(0.0, np.ones((2, 2)), (one, two), (("bbr1",), ("bbr1", "bbr2")))
 
 
 def test_adapter_integrates_the_reduced_rhs():
