@@ -84,7 +84,7 @@ def test_perf_prune_analytic(benchmark, tmp_path):
     cold_points = _run_grid(store=cold_store)
     cold_s = time.perf_counter() - start
     assert len(cold_store) == len(BUFFERS_BDP)
-    assert all("pruned" not in r["meta"] for r in cold_store.select())
+    assert all("pruned" not in r["meta"] for r in cold_store.records())
 
     sweep.clear_cache()
     pruned_store = SweepStore(tmp_path / "pruned.jsonl")
@@ -98,7 +98,7 @@ def test_perf_prune_analytic(benchmark, tmp_path):
 
     # Every grid point is answered; only N_DISTINCT were simulated.
     assert len(pruned_store) == len(BUFFERS_BDP)
-    aliases = [r for r in pruned_store.select() if "pruned" in r["meta"]]
+    aliases = [r for r in pruned_store.records() if "pruned" in r["meta"]]
     assert len(aliases) == len(BUFFERS_BDP) - N_DISTINCT
     assert {a["meta"]["pruned"]["primary_buffer_bdp"] for a in aliases} == {55.0}
 

@@ -9,11 +9,12 @@ anything.  The cold/warm wall-time ratio is recorded, not asserted: a
 wall-clock ratio is too noisy to gate tier-1.
 
 ``test_perf_store_backends`` compares the jsonl and sqlite backends
-head-to-head on ~2000 synthetic records: cold write wall time,
-warm (re)load wall time, and axis-query (``select``) latency.  Results are
-correctness-asserted (identical query answers on every backend) but only
-the roundtrip is hard-asserted — relative backend speeds are recorded, not
-gated, because they are hardware- and filesystem-dependent.
+head-to-head on 2000 synthetic records: cold write wall time, warm
+(re)load wall time, and the latency of a full ``records()`` read (the
+store's one read of all results).  Results are correctness-asserted (every
+backend returns the same ``key -> metrics`` mapping of all records) —
+relative backend speeds are recorded, not gated, because they are
+hardware- and filesystem-dependent.
 
 Both tests record their numbers in the untracked
 ``benchmarks/BENCH_sweep_store.json`` (each owns its own keys), so running
@@ -97,7 +98,7 @@ def test_perf_sweep_store(benchmark, tmp_path):
 
 N_ROWS = 2000
 BACKEND_KINDS = ("jsonl", "sqlite")
-QUERY_REPEATS = 20
+READ_REPEATS = 20
 
 
 def _synthetic_rows() -> list[tuple[str, AggregateMetrics, dict]]:
@@ -130,7 +131,7 @@ def test_perf_store_backends(benchmark, tmp_path):
         "sqlite": tmp_path / "bench.sqlite",
     }
     per_backend: dict[str, dict] = {}
-    query_answers: dict[str, int] = {}
+    answers: dict[str, dict[str, AggregateMetrics]] = {}
 
     for kind in BACKEND_KINDS:
         # Cold write: N_ROWS puts to an empty store (fsync off so the
@@ -149,39 +150,33 @@ def test_perf_store_backends(benchmark, tmp_path):
         load_s = time.perf_counter() - start
         assert n_loaded == N_ROWS
 
-        # Axis query latency: one indexed axis + one equality filter.
+        # Full read latency: every result record, decoded.
         start = time.perf_counter()
-        for _ in range(QUERY_REPEATS):
-            hits = warm.select(mix="BBRv1", discipline="red")
-        query_s = (time.perf_counter() - start) / QUERY_REPEATS
-        query_answers[kind] = len(hits)
+        for _ in range(READ_REPEATS):
+            records = warm.records()
+        read_s = (time.perf_counter() - start) / READ_REPEATS
+        answers[kind] = {r["key"]: AggregateMetrics(**r["metrics"]) for r in records}
         warm.close()
 
         per_backend[kind] = {
             "cold_write_s": round(write_s, 4),
             "warm_load_s": round(load_s, 4),
-            "axis_query_ms": round(query_s * 1e3, 3),
+            "read_all_ms": round(read_s * 1e3, 3),
         }
 
-    # Every backend must answer the axis query identically.
-    assert len(set(query_answers.values())) == 1, query_answers
+    # Every backend returns every record with the metrics it was given.
+    expected = {key: metrics for key, metrics, _ in rows}
+    assert len(expected) == N_ROWS
+    for kind in BACKEND_KINDS:
+        assert answers[kind] == expected, kind
 
     benchmark.pedantic(
-        lambda: SweepStore(paths["sqlite"], backend="sqlite").select(mix="BBRv1"),
+        lambda: SweepStore(paths["sqlite"], backend="sqlite").records(),
         rounds=3,
         iterations=1,
     )
 
-    record_bench(
-        "sweep_store",
-        {
-            "backends": {
-                "rows": N_ROWS,
-                "query": {"mix": "BBRv1", "discipline": "red", "hits": query_answers["jsonl"]},
-                **per_backend,
-            }
-        }
-    )
+    record_bench("sweep_store", {"backends": {"rows": N_ROWS, **per_backend}})
 
     print(f"\nStore backends ({N_ROWS} synthetic records):")
     for kind in BACKEND_KINDS:
@@ -189,5 +184,5 @@ def test_perf_store_backends(benchmark, tmp_path):
         print(
             f"  {kind:8s} write {stats['cold_write_s']:7.3f} s   "
             f"load {stats['warm_load_s']:7.3f} s   "
-            f"query {stats['axis_query_ms']:7.3f} ms"
+            f"read all {stats['read_all_ms']:7.3f} ms"
         )

@@ -40,7 +40,7 @@ theory surface and the campaign machinery:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +57,7 @@ from .equilibrium import (
 from .reduced import SingleBottleneck, flow_constants, integrate_batch, mixed_reduced_rhs
 from .stability import (
     StabilityResult,
+    central_difference_jacobian,
     check_bbr1_deep_buffer_stability,
     check_bbr1_shallow_buffer_stability,
     check_bbr2_stability,
@@ -408,19 +409,6 @@ def _closed_form(ccas: tuple[str, ...], net: SingleBottleneck) -> AnalyticPoint 
     return None
 
 
-def _subspace_jacobian(
-    rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray, epsilon: float
-) -> np.ndarray:
-    size = state.size
-    jacobian = np.zeros((size, size))
-    for j in range(size):
-        plus, minus = state.copy(), state.copy()
-        plus[j] += epsilon
-        minus[j] -= epsilon
-        jacobian[:, j] = (rhs(plus) - rhs(minus)) / (2.0 * epsilon)
-    return jacobian
-
-
 def _analyze_numerical(
     cases: list[tuple[tuple[str, ...], SingleBottleneck]],
 ) -> list[AnalyticPoint]:
@@ -510,7 +498,7 @@ def _polish(
             ):
                 state_eq = np.concatenate([solved.x, [q_pin]])
                 stability = StabilityResult.from_jacobian(
-                    _subspace_jacobian(rate_rhs, solved.x, epsilon)
+                    central_difference_jacobian(rate_rhs, solved.x, epsilon)
                 )
         else:
             solved = root(full_rhs, tail_mean)
@@ -519,7 +507,7 @@ def _polish(
             ):
                 state_eq = np.asarray(solved.x)
                 stability = StabilityResult.from_jacobian(
-                    _subspace_jacobian(full_rhs, state_eq, epsilon)
+                    central_difference_jacobian(full_rhs, state_eq, epsilon)
                 )
     queue = float(np.clip(state_eq[n], 0.0, net.buffer_pkts))
     arrival = _arrival_rates(ccas, net, np.maximum(state_eq[:n], 0.0), queue)

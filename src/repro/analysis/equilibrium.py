@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import SingleBottleneck, bbr1_delta, bbr1_xmax, bbr2_delta, bbr2_xmax
+from .reduced import SingleBottleneck, mixed_reduced_rhs
 
 
 @dataclass(frozen=True)
@@ -153,22 +153,16 @@ def bbr2_queue_reduction_vs_bbr1(num_flows: int) -> float:
 def equilibrium_residual(version: str, net: SingleBottleneck, rates: np.ndarray, queue: float) -> float:
     """Norm of the equilibrium conditions (Definition 1) at a candidate point.
 
-    Returns the maximum absolute violation of (a) the aggregate-rate
-    condition ``sum min(1, Delta_i) x_btl_i = C`` and (b) the fixed-point
-    condition ``x_btl_i = x_max_i``.  Zero (up to numerics) means the point
-    is an equilibrium.
+    The largest component of the reduced dynamics
+    (:func:`~repro.analysis.reduced.mixed_reduced_rhs`, Eq. 33-34 for
+    BBRv1, Eq. 36-38 for BBRv2) at ``[rates, queue]``, relative to the
+    capacity: ``dq = 0`` is the aggregate-rate condition
+    ``sum min(1, Delta_i) x_btl_i = C`` and ``dx_btl_i = 0`` the
+    fixed-point condition ``x_btl_i = x_max_i``.  Zero (up to numerics)
+    means the point is an equilibrium.
     """
-    delays = np.asarray(net.propagation_delays_s)
-    rates = np.asarray(rates, dtype=float)
-    if version == "bbr1":
-        delta = bbr1_delta(delays, queue, net.capacity_pps)
-        x_max = bbr1_xmax(rates, delta, queue, net.capacity_pps)
-    elif version == "bbr2":
-        delta = bbr2_delta(delays, queue, net.capacity_pps)
-        x_max = bbr2_xmax(rates, delta, queue, net.capacity_pps)
-    else:
+    if version not in ("bbr1", "bbr2"):
         raise ValueError("version must be 'bbr1' or 'bbr2'")
-    aggregate = float(np.sum(np.minimum(1.0, delta) * rates))
-    residual_rate = abs(aggregate - net.capacity_pps) / net.capacity_pps
-    residual_fp = float(np.max(np.abs(x_max - rates)) / net.capacity_pps)
-    return max(residual_rate, residual_fp)
+    state = np.append(np.asarray(rates, dtype=float), queue)
+    derivative = mixed_reduced_rhs(0.0, state, net, (version,) * net.num_flows)
+    return float(np.max(np.abs(derivative))) / net.capacity_pps

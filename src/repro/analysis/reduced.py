@@ -64,36 +64,6 @@ class SingleBottleneck:
         return len(self.propagation_delays_s)
 
 
-def bbr1_delta(delays: np.ndarray, queue: float, capacity: float) -> np.ndarray:
-    """BBRv1 congestion-window factor ``Delta_i = 2 d_i / (d_i + q / C)`` (Eq. 33)."""
-    return 2.0 * delays / (delays + queue / capacity)
-
-
-def bbr2_delta(delays: np.ndarray, queue: float, capacity: float) -> np.ndarray:
-    """BBRv2 inflight factor ``delta_i = d_i / (d_i + q / C)`` (Eq. 36)."""
-    return delays / (delays + queue / capacity)
-
-
-def bbr1_xmax(x_btl: np.ndarray, delta: np.ndarray, queue: float, capacity: float) -> np.ndarray:
-    """Maximum delivery-rate measurement of BBRv1 (Eq. 33)."""
-    probe = np.minimum(1.25, delta) * x_btl
-    background = np.minimum(1.0, delta) * x_btl
-    if queue > 0:
-        total_others = np.sum(background) - background
-        return probe * capacity / (probe + total_others)
-    return probe
-
-
-def bbr2_xmax(x_btl: np.ndarray, delta: np.ndarray, queue: float, capacity: float) -> np.ndarray:
-    """Maximum delivery-rate measurement of BBRv2 (Eq. 38)."""
-    probe = 1.25 * np.minimum(1.0, delta) * x_btl
-    background = np.minimum(1.0, delta) * x_btl
-    if queue > 0:
-        total_others = np.sum(background) - background
-        return probe * capacity / (probe + total_others)
-    return probe
-
-
 @lru_cache(maxsize=64)
 def flow_constants(
     net: SingleBottleneck | tuple[SingleBottleneck, ...],

@@ -10,6 +10,7 @@ cross-checked against finite differences.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,9 @@ def bbr1_shallow_buffer_jacobian(num_flows: int) -> np.ndarray:
 def bbr1_shallow_buffer_eigenvalues(num_flows: int) -> tuple[float, float]:
     """The two distinct eigenvalues of the Theorem 3 Jacobian.
 
-    ``J_ii - J_ij = -1/(4N+1)`` (multiplicity N-1) and
-    ``J_ii + (N-1) J_ij = -(4N+1)/(4N+1) = -1`` — wait, substituting gives
-    ``-(5 + 4(N-1))/(4N+1) = -1`` exactly.  Both are negative for every N.
+    ``J_ii - J_ij = -1/(4N+1)`` with multiplicity N-1, and
+    ``J_ii + (N-1) J_ij = -(5 + 4(N-1))/(4N+1) = -1``.  Both are negative
+    for every N.
     """
     n = num_flows
     if n < 1:
@@ -128,6 +129,21 @@ def bbr2_jacobian(num_flows: int, propagation_delay_s: float) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
+def central_difference_jacobian(
+    fun: Callable[[np.ndarray], np.ndarray], state: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Jacobian of ``fun`` at ``state``: column j is ``(f(x+εe_j) - f(x-εe_j)) / 2ε``."""
+    state = np.asarray(state, dtype=float)
+    size = state.size
+    jacobian = np.zeros((size, size))
+    for j in range(size):
+        plus, minus = state.copy(), state.copy()
+        plus[j] += epsilon
+        minus[j] -= epsilon
+        jacobian[:, j] = (fun(plus) - fun(minus)) / (2.0 * epsilon)
+    return jacobian
+
+
 def numerical_jacobian(
     version: str,
     net: SingleBottleneck,
@@ -137,17 +153,9 @@ def numerical_jacobian(
     """Central-difference Jacobian of a reduced model at a given state."""
     rhs = bbr1_reduced_rhs if version == "bbr1" else bbr2_reduced_rhs
     state = np.asarray(state, dtype=float)
-    n = state.size
     if epsilon is None:
         epsilon = 1e-6 * max(1.0, float(np.max(np.abs(state))))
-    jacobian = np.zeros((n, n))
-    for j in range(n):
-        plus = state.copy()
-        minus = state.copy()
-        plus[j] += epsilon
-        minus[j] -= epsilon
-        jacobian[:, j] = (rhs(0.0, plus, net) - rhs(0.0, minus, net)) / (2.0 * epsilon)
-    return jacobian
+    return central_difference_jacobian(lambda x: rhs(0.0, x, net), state, epsilon)
 
 
 def check_bbr1_deep_buffer_stability(propagation_delay_s: float) -> StabilityResult:
@@ -200,19 +208,10 @@ def check_bbr1_numerical_stability(net: SingleBottleneck) -> StabilityResult:
     c = net.capacity_pps
     # The normalised proof dynamics are independent of the absolute capacity,
     # so evaluate them in units of the capacity for good conditioning.
-    equilibrium = np.array([1.0, d])
-    epsilon = 1e-7
-
     def rhs(state: np.ndarray) -> np.ndarray:
         return bbr1_aggregate_rhs(np.array([state[0] * c, state[1] * c]), d, c) / c
 
-    jacobian = np.zeros((2, 2))
-    for j in range(2):
-        plus = equilibrium.copy()
-        minus = equilibrium.copy()
-        plus[j] += epsilon
-        minus[j] -= epsilon
-        jacobian[:, j] = (rhs(plus) - rhs(minus)) / (2.0 * epsilon)
+    jacobian = central_difference_jacobian(rhs, np.array([1.0, d]), 1e-7)
     return StabilityResult.from_jacobian(jacobian)
 
 

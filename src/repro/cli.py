@@ -951,7 +951,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             # Exactly the stored records of this grid — one row per distinct
             # key, the points ``status`` counts — since the store may hold
             # other campaigns too.
-            records = {record["key"]: record for record in store.select()}
+            records = {record["key"]: record for record in store.records()}
             per_seed = [
                 {**records[p.key]["meta"], **records[p.key]["metrics"]}
                 for p in sweep.distinct_points(grid, args.shard_index, args.shard_count)

@@ -15,15 +15,11 @@ self-describing records (content-addressed ``key``, ``schema``,
   tolerates.
 * :class:`SqliteBackend` — a SQLite database in WAL mode with a busy
   timeout, safe for concurrent writer processes.  ``put`` is an UPSERT on
-  the key; the common sweep axes (mix, buffer, discipline, substrate,
-  seed, topology, arrivals, ...) are extracted from ``meta`` into indexed
-  columns, so :meth:`select` answers axis queries with an index scan
-  instead of re-parsing every stored record.
+  the key.
 
-Both share one query API — ``select(**axis_filters)`` returning full
-records whose ``meta`` matches every filter (``filter=None`` matches
-records lacking the field) — which backs the campaign per-seed CSV
-export, the store summary and the figure pipeline.
+Both read all results through one method, :meth:`StoreBackend.records`,
+which returns the current-schema result records as a list; callers
+filter it in Python.
 
 The sharded JSON-lines backend of earlier versions is gone: a
 ``sharded:`` spec or a store directory raises :class:`RemovedBackendError`
@@ -131,10 +127,6 @@ def shard_of(key: str, num_shards: int) -> int:
     return int.from_bytes(sha256(key.encode()).digest()[:4], "big") % num_shards
 
 
-def _matches(meta: Mapping[str, Any], filters: Mapping[str, Any]) -> bool:
-    return all(meta.get(name) == value for name, value in filters.items())
-
-
 class StoreBackend(ABC):
     """Persistence strategy behind :class:`~repro.experiments.store.SweepStore`.
 
@@ -165,16 +157,12 @@ class StoreBackend(ABC):
         """Persist one failure record (superseded by a later result)."""
 
     @abstractmethod
-    def records(self) -> Iterator[dict[str, Any]]:
-        """Iterate over all current-schema result records."""
+    def records(self) -> list[dict[str, Any]]:
+        """All current-schema result records."""
 
     @abstractmethod
     def failures(self) -> list[dict[str, Any]]:
         """All current-schema failure records not superseded by a result."""
-
-    @abstractmethod
-    def select(self, **filters: Any) -> list[dict[str, Any]]:
-        """Result records whose ``meta`` matches every filter."""
 
     @abstractmethod
     def __len__(self) -> int:
@@ -240,19 +228,11 @@ class JsonlBackend(StoreBackend):
         if record["key"] not in self._index:
             self._failures[record["key"]] = record
 
-    def records(self) -> Iterator[dict[str, Any]]:
-        return iter(self._index.values())
+    def records(self) -> list[dict[str, Any]]:
+        return list(self._index.values())
 
     def failures(self) -> list[dict[str, Any]]:
         return list(self._failures.values())
-
-    def select(self, **filters: Any) -> list[dict[str, Any]]:
-        with TELEMETRY.span("store.select", backend=self.kind):
-            return [
-                record
-                for record in self._index.values()
-                if _matches(record.get("meta", {}), filters)
-            ]
 
     def __len__(self) -> int:
         return len(self._index)
@@ -261,24 +241,13 @@ class JsonlBackend(StoreBackend):
         return key in self._index
 
 
-#: ``meta`` fields extracted into indexed SQLite columns.  Everything else
-#: (per-hop lists, churn extras, sampling params) stays queryable through
-#: the JSON ``meta`` blob via the Python fallback filter.
-SQLITE_AXIS_COLUMNS: dict[str, str] = {
-    "mix": "TEXT",
-    "buffer_bdp": "REAL",
-    "discipline": "TEXT",
-    "substrate": "TEXT",
-    "seed": "INTEGER",
-    "short_rtt": "INTEGER",
-    "duration_s": "REAL",
-    "topology": "TEXT",
-    "arrivals": "TEXT",
-}
-
-
 class SqliteBackend(StoreBackend):
-    """SQLite store: WAL mode, UPSERT on key, indexed axis columns."""
+    """SQLite store: WAL mode, UPSERT on key.
+
+    Databases written by earlier versions carry extra nullable axis
+    columns and indexes on ``results``; they are never read or written
+    here, so an upsert leaves them stale, which is harmless.
+    """
 
     kind = "sqlite"
 
@@ -295,17 +264,13 @@ class SqliteBackend(StoreBackend):
         self._create_tables()
 
     def _create_tables(self) -> None:
-        columns = ", ".join(
-            f"{name} {sqltype}" for name, sqltype in SQLITE_AXIS_COLUMNS.items()
-        )
         self._conn.execute(
-            f"""CREATE TABLE IF NOT EXISTS results (
+            """CREATE TABLE IF NOT EXISTS results (
                 key TEXT PRIMARY KEY,
                 schema INTEGER NOT NULL,
                 metrics TEXT NOT NULL,
                 meta TEXT NOT NULL,
-                runtime TEXT,
-                {columns}
+                runtime TEXT
             )"""
         )
         # Databases created before the runtime block existed lack the
@@ -324,22 +289,6 @@ class SqliteBackend(StoreBackend):
                 meta TEXT NOT NULL
             )"""
         )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_results_axes ON results "
-            "(schema, substrate, mix, discipline, buffer_bdp, seed)"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_results_topology ON results (topology)"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_results_arrivals ON results (arrivals)"
-        )
-
-    @staticmethod
-    def _column_value(value: Any) -> Any:
-        if isinstance(value, bool):
-            return int(value)
-        return value
 
     def _row_to_record(self, row: sqlite3.Row) -> dict[str, Any]:
         record = {
@@ -354,32 +303,30 @@ class SqliteBackend(StoreBackend):
 
     def get(self, key: str) -> dict[str, Any] | None:
         row = self._conn.execute(
-            "SELECT * FROM results WHERE key = ? AND schema = ?",
+            "SELECT key, schema, metrics, meta, runtime FROM results "
+            "WHERE key = ? AND schema = ?",
             (key, self.schema_version),
         ).fetchone()
         return None if row is None else self._row_to_record(row)
 
     def put(self, record: Mapping[str, Any]) -> None:
-        meta = record.get("meta", {})
         runtime = record.get("runtime")
-        axis_names = list(SQLITE_AXIS_COLUMNS)
-        columns = ["key", "schema", "metrics", "meta", "runtime", *axis_names]
-        values = [
+        values = (
             record["key"],
             record["schema"],
             json.dumps(record["metrics"], sort_keys=True),
-            json.dumps(meta, sort_keys=True),
+            json.dumps(record.get("meta", {}), sort_keys=True),
             None if runtime is None else json.dumps(runtime, sort_keys=True),
-            *(self._column_value(meta.get(name)) for name in axis_names),
-        ]
-        assignments = ", ".join(f"{c} = excluded.{c}" for c in columns if c != "key")
+        )
         with TELEMETRY.span("store.append", backend=self.kind):
             self._conn.execute("BEGIN IMMEDIATE")
             try:
                 self._conn.execute(
-                    f"INSERT INTO results ({', '.join(columns)}) "
-                    f"VALUES ({', '.join('?' for _ in columns)}) "
-                    f"ON CONFLICT(key) DO UPDATE SET {assignments}",
+                    "INSERT INTO results (key, schema, metrics, meta, runtime) "
+                    "VALUES (?, ?, ?, ?, ?) "
+                    "ON CONFLICT(key) DO UPDATE SET "
+                    "schema = excluded.schema, metrics = excluded.metrics, "
+                    "meta = excluded.meta, runtime = excluded.runtime",
                     values,
                 )
                 self._conn.execute(
@@ -403,12 +350,13 @@ class SqliteBackend(StoreBackend):
             ),
         )
 
-    def records(self) -> Iterator[dict[str, Any]]:
+    def records(self) -> list[dict[str, Any]]:
         rows = self._conn.execute(
-            "SELECT * FROM results WHERE schema = ? ORDER BY rowid",
+            "SELECT key, schema, metrics, meta, runtime FROM results "
+            "WHERE schema = ? ORDER BY rowid",
             (self.schema_version,),
         )
-        return (self._row_to_record(row) for row in rows)
+        return [self._row_to_record(row) for row in rows]
 
     def failures(self) -> list[dict[str, Any]]:
         rows = self._conn.execute(
@@ -426,30 +374,6 @@ class SqliteBackend(StoreBackend):
             }
             for row in rows
         ]
-
-    def select(self, **filters: Any) -> list[dict[str, Any]]:
-        clauses = ["schema = ?"]
-        params: list[Any] = [self.schema_version]
-        residual: dict[str, Any] = {}
-        for name, value in filters.items():
-            if name not in SQLITE_AXIS_COLUMNS:
-                residual[name] = value
-            elif value is None:
-                # ``meta`` lacking the field and ``meta[field] is None``
-                # both land as NULL columns, matching dict.get semantics.
-                clauses.append(f"{name} IS NULL")
-            else:
-                clauses.append(f"{name} = ?")
-                params.append(self._column_value(value))
-        with TELEMETRY.span("store.select", backend=self.kind):
-            rows = self._conn.execute(
-                f"SELECT * FROM results WHERE {' AND '.join(clauses)} ORDER BY rowid",
-                params,
-            )
-            records = (self._row_to_record(row) for row in rows)
-            if not residual:
-                return list(records)
-            return [r for r in records if _matches(r.get("meta", {}), residual)]
 
     def __len__(self) -> int:
         row = self._conn.execute(

@@ -5,7 +5,7 @@ computes stable/oscillatory phase diagrams over buffer x RTT x flow-count
 grids straight from the equilibrium/stability theory
 (:mod:`repro.analysis`), and :func:`validate_against_store` joins those
 predictions against simulation rows persisted by ``run_campaign``
-(pulled via ``SweepStore.select()``), emitting residual columns per
+(pulled via ``SweepStore.records()``), emitting residual columns per
 metric.  ``repro-bbr stability`` builds its table,
 CSV and JSON output on these functions.
 
@@ -136,7 +136,7 @@ def validate_against_store(store: SweepStore, substrate: str | None = None) -> l
     """
     selected: list[tuple[dict, tuple]] = []
     configs: dict[tuple, ScenarioConfig] = {}
-    for record in store.select():
+    for record in store.records():
         meta = record.get("meta", {})
         mix = meta.get("mix")
         if mix not in MIX_VERSIONS:

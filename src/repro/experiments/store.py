@@ -17,8 +17,8 @@ determines its result:
 Persistence is delegated to a pluggable :class:`StoreBackend`
 (:mod:`repro.experiments.backends`): the single-file JSON-lines store
 (bit-compatible with files written before the backend split) or a SQLite
-store (WAL mode, UPSERT on key, indexed axis columns answering
-``select(**axis_filters)`` without full scans).  Every record is
+store (WAL mode, UPSERT on key).  :meth:`SweepStore.records` is the one
+read of all results; callers filter its list in Python.  Every record is
 self-describing and last-write-wins on key collisions, so interrupted or
 crashed sweeps resume without recomputing finished points.  Failed points
 are recorded as structured *failure* rows (axis combo + error) that a
@@ -41,7 +41,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from ..config import ScenarioConfig
@@ -203,23 +203,16 @@ class SweepStore:
             }
         )
 
-    def records(self) -> Iterator[dict[str, Any]]:
-        """Iterate over all stored records (e.g. to export per-seed rows)."""
+    def records(self) -> list[dict[str, Any]]:
+        """All current-schema result records (failures excluded).
+
+        The store's only read of every result; callers filter the list.
+        """
         return self._backend.records()
 
     def failures(self) -> list[dict[str, Any]]:
         """Failure records not yet superseded by a successful result."""
         return self._backend.failures()
-
-    def select(self, **filters: Any) -> list[dict[str, Any]]:
-        """Full result records whose ``meta`` matches every filter.
-
-        On the SQLite backend, filters naming indexed axis columns (mix,
-        buffer, discipline, substrate, seed, topology, arrivals, ...) are
-        answered by an index scan; remaining filters apply to the decoded
-        ``meta``.  ``filter=None`` matches records lacking the field.
-        """
-        return self._backend.select(**filters)
 
     def merge_from(self, source: SweepStore) -> tuple[int, int]:
         """Merge another store's records into this one (last-write-wins).

@@ -112,7 +112,7 @@ def summarize_store(store: SweepStore) -> dict[str, Any]:
     marginal row counts) and ``runtime`` (per-substrate wall/CPU-second
     percentiles of the stored runtime blocks).
     """
-    records = store.select()
+    records = store.records()
     failures = store.failures()
     return {
         "path": str(store.path),

@@ -13,6 +13,7 @@ from repro.analysis import (
     bbr1_deep_buffer_max_eigenvalue,
     bbr1_shallow_buffer_eigenvalues,
     bbr1_shallow_buffer_equilibrium,
+    bbr1_shallow_buffer_jacobian,
     bbr1_shallow_buffer_loss_fraction,
     bbr2_fair_equilibrium,
     bbr2_queue_reduction_vs_bbr1,
@@ -23,8 +24,10 @@ from repro.analysis import (
     check_bbr2_stability,
     equilibrium_residual,
     integrate_reduced,
+    mixed_reduced_rhs,
     numerical_jacobian,
 )
+from repro.analysis.stability import central_difference_jacobian
 
 CAPACITY = 8333.0
 DELAY = 0.035
@@ -117,6 +120,14 @@ class TestTheorem3:
         assert repeated < 0
         assert aggregate == pytest.approx(-1.0)
         assert check_bbr1_shallow_buffer_stability(10).asymptotically_stable
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_eigenvalues_are_the_jacobian_spectrum(self, n):
+        repeated, aggregate = bbr1_shallow_buffer_eigenvalues(n)
+        assert repeated == pytest.approx(-1.0 / (4 * n + 1))
+        assert aggregate == pytest.approx(-1.0)
+        spectrum = np.sort(np.linalg.eigvals(bbr1_shallow_buffer_jacobian(n)).real)
+        np.testing.assert_allclose(spectrum, [aggregate] + [repeated] * (n - 1), atol=1e-12)
 
     @given(flow_counts)
     @settings(max_examples=30)
@@ -226,6 +237,41 @@ class TestNumericalJacobian:
         # Stability is coordinate-independent: the numeric Jacobian must have
         # only eigenvalues with negative real part, like the closed form.
         assert np.max(np.linalg.eigvals(numeric).real) < 0
+
+
+    def test_central_difference_is_exact_for_quadratics(self):
+        # Central differences cancel the second-order term, so the Jacobian
+        # of ``A x + x * x`` is ``A + 2 diag(x)`` up to rounding.
+        a = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0], [4.0, 0.25, -0.5]])
+        x = np.array([0.3, -1.2, 2.0])
+        jacobian = central_difference_jacobian(lambda v: a @ v + v * v, x, 1e-3)
+        np.testing.assert_allclose(jacobian, a + 2.0 * np.diag(x), atol=1e-10)
+
+    def test_numerical_jacobian_default_epsilon(self):
+        net = make_net(3)
+        eq = bbr2_fair_equilibrium(net)
+        state = np.concatenate([np.asarray(eq.rates_pps), [eq.queue_pkts]])
+        epsilon = 1e-6 * float(np.max(np.abs(state)))
+        expected = central_difference_jacobian(
+            lambda x: mixed_reduced_rhs(0.0, x, net, ("bbr2",) * 3), state, epsilon
+        )
+        np.testing.assert_array_equal(numerical_jacobian("bbr2", net, state), expected)
+
+
+class TestEquilibriumResidual:
+    def test_rejects_unknown_version(self):
+        net = make_net(2)
+        with pytest.raises(ValueError):
+            equilibrium_residual("vegas", net, np.full(2, CAPACITY / 2), 0.0)
+
+    def test_off_equilibrium_residual_is_the_largest_derivative(self):
+        net = make_net(3)
+        eq = bbr2_fair_equilibrium(net)
+        rates = 1.1 * np.asarray(eq.rates_pps)
+        derivative = mixed_reduced_rhs(0.0, np.append(rates, eq.queue_pkts), net, ("bbr2",) * 3)
+        residual = equilibrium_residual("bbr2", net, rates, eq.queue_pkts)
+        assert residual > 1e-3
+        assert residual == float(np.max(np.abs(derivative))) / CAPACITY
 
 
 class TestSingleBottleneckValidation:

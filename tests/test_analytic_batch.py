@@ -181,7 +181,7 @@ def test_every_point_is_validated_before_integrating(monkeypatch):
 def _rows(store: SweepStore) -> dict[str, tuple[str, dict]]:
     return {
         record["key"]: (repr(record["metrics"]), record["meta"]["analysis"])
-        for record in store.select()
+        for record in store.records()
     }
 
 
@@ -201,7 +201,7 @@ def test_failing_chunk_leaves_single_point_failure_rows(tmp_path):
     clean = SweepStore(tmp_path / "clean.jsonl")
     healthy = GridSpec(mixes=["BBRv2", "BBRv1/BBRv2"], buffers_bdp=[2.0, 7.0], **GRID)
     sweep.run_campaign(healthy, store=clean)
-    assert {r["runtime"]["counters"]["lockstep"] for r in clean.select()} == {4}
+    assert {r["runtime"]["counters"]["lockstep"] for r in clean.records()} == {4}
     assert _rows(store) == _rows(clean)
 
 
@@ -213,7 +213,7 @@ def test_pooled_analytic_campaign_matches_serial(tmp_path):
     pooled = SweepStore(tmp_path / "pooled.jsonl")
     sweep.run_campaign(grid, store=pooled, workers=2)
     # Two workers split the four points into two 2-wide chunks.
-    assert {r["runtime"]["shared"] for r in pooled.select()} == {2}
+    assert {r["runtime"]["shared"] for r in pooled.records()} == {2}
     assert _rows(pooled) == _rows(serial)
 
 

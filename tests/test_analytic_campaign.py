@@ -149,7 +149,7 @@ class TestAnalyticSubstrate:
         assert point.analysis["classification"] in ("stable", "oscillatory")
         assert point.metrics.jitter_ms == 0.0
         assert point.metrics.utilization_percent == pytest.approx(100.0)
-        (record,) = store.select()
+        (record,) = store.records()
         assert record["meta"]["substrate"] == "analytic"
         assert record["meta"]["analysis"] == point.analysis
         sweep.clear_cache()
@@ -231,7 +231,7 @@ class TestPruner:
         )
         meta = {
             record["meta"]["buffer_bdp"]: record["meta"]
-            for record in store.select()
+            for record in store.records()
         }
         assert "pruned" not in meta[1.0]
         assert "pruned" not in meta[60.0]
@@ -257,7 +257,7 @@ class TestPruner:
             dt=1e-3,
         )
         sweep.run_campaign(grid, prune_analytic=True, store=store)
-        for record in store.select():
+        for record in store.records():
             assert "pruned" not in record["meta"]
         store.close()
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import sqlite3
 
 import pytest
 from hypothesis import given
@@ -136,7 +138,7 @@ class TestFailures:
         reopened.close()
 
 
-class TestSelect:
+class TestRecords:
     def _populate(self, store):
         store.put("k1", _metrics(1.0), meta={"mix": "BBRv1", "seed": 1, "buffer_bdp": 1.0})
         store.put("k2", _metrics(2.0), meta={"mix": "BBRv1", "seed": 2, "buffer_bdp": 1.0})
@@ -146,46 +148,172 @@ class TestSelect:
             meta={"mix": "RENO", "seed": 1, "buffer_bdp": 2.0, "topology": "parking-lot"},
         )
 
-    def test_select_filters_on_meta(self, store):
-        self._populate(store)
-        assert {r["key"] for r in store.select(mix="BBRv1")} == {"k1", "k2"}
-        assert {r["key"] for r in store.select(mix="BBRv1", seed=2)} == {"k2"}
-        assert store.select(mix="CUBIC") == []
-
-    def test_select_none_matches_missing_field(self, store):
-        # topology=None must match records *lacking* the field (dict.get
-        # semantics) on every backend, including the SQLite column path.
-        self._populate(store)
-        assert {r["key"] for r in store.select(topology=None)} == {"k1", "k2"}
-        assert {r["key"] for r in store.select(topology="parking-lot")} == {"k3"}
-
-    def test_select_non_column_filter(self, store):
-        # buffer_bdp is an indexed column on sqlite; combine it with a
-        # filter that is NOT a column to exercise the residual path.
-        self._populate(store)
-        store.put("k4", _metrics(4.0), meta={"mix": "BBRv1", "seed": 1, "load": 0.5})
-        assert {r["key"] for r in store.select(load=0.5)} == {"k4"}
-        assert {r["key"] for r in store.select(mix="BBRv1", load=None)} == {"k1", "k2"}
-
-    def test_select_returns_full_records(self, store):
+    def test_records_returns_full_records(self, store):
         self._populate(store)
         store.put(
             "k3", _metrics(5.0), meta={"mix": "RENO", "topology": "parking-lot"},
             runtime={"wall_s": 0.25},
         )
-        (record,) = store.select(mix="RENO")
-        assert record["key"] == "k3"
+        records = store.records()
+        assert isinstance(records, list)
+        # Write order; an overwrite keeps the key's place.
+        assert [r["key"] for r in records] == ["k1", "k2", "k3"]
+        record = records[2]
         assert record["schema"] == SCHEMA_VERSION
         assert AggregateMetrics(**record["metrics"]) == _metrics(5.0)
         assert record["meta"] == {"mix": "RENO", "topology": "parking-lot"}
         assert record["runtime"] == {"wall_s": 0.25}
 
-    def test_select_excludes_failures(self, store):
+    def test_records_of_empty_store(self, store):
+        assert store.records() == []
+        store.put_failure("k9", "boom", meta={"mix": "BBRv1"})
+        assert store.records() == []
+
+    def test_records_excludes_failures(self, store):
         self._populate(store)
         store.put_failure("k9", "boom", meta={"mix": "BBRv1", "seed": 9})
-        assert {r["key"] for r in store.select(mix="BBRv1")} == {"k1", "k2"}
+        assert {r["key"] for r in store.records()} == {"k1", "k2", "k3"}
         store.put("k9", _metrics(9.0), meta={"mix": "BBRv1", "seed": 9})
-        assert {r["key"] for r in store.select(mix="BBRv1")} == {"k1", "k2", "k9"}
+        assert {r["key"] for r in store.records()} == {"k1", "k2", "k3", "k9"}
+
+
+#: The SQLite schema written by earlier versions: nine ``meta`` fields
+#: copied into nullable axis columns, with three indexes over them.
+PARENT_SQLITE_SCHEMA = (
+    """CREATE TABLE IF NOT EXISTS results (
+        key TEXT PRIMARY KEY,
+        schema INTEGER NOT NULL,
+        metrics TEXT NOT NULL,
+        meta TEXT NOT NULL,
+        runtime TEXT,
+        mix TEXT, buffer_bdp REAL, discipline TEXT, substrate TEXT, seed INTEGER,
+        short_rtt INTEGER, duration_s REAL, topology TEXT, arrivals TEXT
+    )""",
+    """CREATE TABLE IF NOT EXISTS failures (
+        key TEXT PRIMARY KEY,
+        schema INTEGER NOT NULL,
+        error TEXT NOT NULL,
+        meta TEXT NOT NULL
+    )""",
+    "CREATE INDEX IF NOT EXISTS idx_results_axes ON results "
+    "(schema, substrate, mix, discipline, buffer_bdp, seed)",
+    "CREATE INDEX IF NOT EXISTS idx_results_topology ON results (topology)",
+    "CREATE INDEX IF NOT EXISTS idx_results_arrivals ON results (arrivals)",
+)
+
+OLD_META = {
+    "mix": "BBRv1", "buffer_bdp": 1.0, "discipline": "droptail",
+    "substrate": "fluid", "seed": 1, "short_rtt": False, "duration_s": 5.0,
+}
+OLD_RUNTIME = {"wall_s": 0.5}
+
+
+class TestParentSchemaSqlite:
+    """A SQLite store with the earlier axis columns behaves like a new one."""
+
+    @staticmethod
+    def _write_parent_file(path):
+        conn = sqlite3.connect(path)
+        for statement in PARENT_SQLITE_SCHEMA:
+            conn.execute(statement)
+        axis = [OLD_META.get(name) for name in (
+            "mix", "buffer_bdp", "discipline", "substrate", "seed",
+            "short_rtt", "duration_s", "topology", "arrivals",
+        )]
+        axis[5] = int(axis[5])  # booleans were stored as integers
+        conn.execute(
+            "INSERT INTO results (key, schema, metrics, meta, runtime, mix, "
+            "buffer_bdp, discipline, substrate, seed, short_rtt, duration_s, "
+            "topology, arrivals) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                "old", SCHEMA_VERSION,
+                json.dumps(_metrics(1.0).as_dict(), sort_keys=True),
+                json.dumps(OLD_META, sort_keys=True),
+                json.dumps(OLD_RUNTIME, sort_keys=True),
+                *axis,
+            ),
+        )
+        conn.execute(
+            "INSERT INTO failures (key, schema, error, meta) VALUES (?, ?, ?, ?)",
+            ("bad", SCHEMA_VERSION, "RuntimeError: boom", json.dumps({"mix": "RENO"})),
+        )
+        conn.commit()
+        conn.close()
+
+    @staticmethod
+    def _write_new_file(path):
+        store = SweepStore(path)
+        store.put("old", _metrics(1.0), meta=OLD_META, runtime=OLD_RUNTIME)
+        store.put_failure("bad", "RuntimeError: boom", meta={"mix": "RENO"})
+        store.close()
+
+    @staticmethod
+    def _exercise(path):
+        """Every read, an upsert and a merge; returns what each observed."""
+        store = SweepStore(path)
+        seen = {
+            "get": store.get("old"),
+            "in": ("old" in store, "bad" in store, "absent" in store),
+            "len": len(store),
+            "records": store.records(),
+            "failures": store.failures(),
+        }
+        store.put("old", _metrics(2.0), meta={"mix": "BBRv2", "seed": 2})
+        store.put("new", _metrics(3.0), meta={"mix": "BBRv1"})
+        store.close()
+        reopened = SweepStore(path)
+        seen["after_put"] = (
+            reopened.get("old"), len(reopened), reopened.records(), reopened.failures()
+        )
+        reopened.close()
+        dest = path.with_name(path.stem + "-merged.jsonl")
+        assert main(["store", "merge", str(path), str(dest)]) == 0
+        merged = SweepStore(dest)
+        seen["merged"] = (merged.records(), merged.failures(), dest.read_text())
+        merged.close()
+        return seen
+
+    def test_parent_file_behaves_like_a_new_one(self, tmp_path):
+        parent_path, new_path = tmp_path / "parent.sqlite", tmp_path / "new.sqlite"
+        self._write_parent_file(parent_path)
+        self._write_new_file(new_path)
+        seen = self._exercise(parent_path)
+        assert seen == self._exercise(new_path)
+
+        assert seen["get"] == _metrics(1.0)
+        assert seen["in"] == (True, False, False)
+        assert seen["len"] == 1
+        (record,) = seen["records"]
+        assert (record["key"], record["meta"], record["runtime"]) == ("old", OLD_META, OLD_RUNTIME)
+        (failure,) = seen["failures"]
+        assert (failure["key"], failure["error"]) == ("bad", "RuntimeError: boom")
+        got, count, records, failures = seen["after_put"]
+        assert (got, count) == (_metrics(2.0), 2)
+        assert [(r["key"], r["meta"]) for r in records] == [
+            ("old", {"mix": "BBRv2", "seed": 2}), ("new", {"mix": "BBRv1"}),
+        ]
+        assert "runtime" not in records[0]  # the upsert replaced the old runtime
+        assert [f["key"] for f in failures] == ["bad"]
+        merged_records, merged_failures, _ = seen["merged"]
+        assert merged_records == records
+        assert merged_failures == failures
+        # The earlier axis columns stay in place, unread.
+        conn = sqlite3.connect(parent_path)
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
+        conn.close()
+        assert {"mix", "seed", "topology", "arrivals"} <= columns
+
+    def test_new_file_has_only_the_record_columns(self, tmp_path):
+        path = tmp_path / "new.sqlite"
+        SweepStore(path).close()
+        conn = sqlite3.connect(path)
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(results)")]
+        indexes = [row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL"
+        )]
+        conn.close()
+        assert columns == ["key", "schema", "metrics", "meta", "runtime"]
+        assert indexes == []
 
 
 class TestMergeRewrite:

@@ -57,7 +57,7 @@ def test_pooled_fluid_grid_runs_lockstep_chunks(tmp_path):
     # Two workers split the 8 points into two 4-wide lockstep chunks.
     for point in pooled:
         assert point.runtime["shared"] == point.runtime["counters"]["lockstep"] == 4
-    for record in store.select():
+    for record in store.records():
         assert record["runtime"]["shared"] == record["runtime"]["counters"]["lockstep"] == 4
     # Lockstep integration is exact: the same metrics, bit for bit (float
     # repr round-trips exactly and spells NaN alike), as the serial 8-wide

@@ -280,7 +280,7 @@ class TestRuntimeInStore:
         assert point.runtime is not None
         assert point.runtime["wall_s"] >= 0.0
         assert point.runtime["counters"]["steps"] > 0
-        record = store.select()[0]
+        record = store.records()[0]
         assert record["runtime"] == point.runtime
         # Non-keyed: the block never participates in point equality.
         assert dataclasses.replace(point, runtime=None) == point
@@ -310,13 +310,13 @@ class TestRuntimeInStore:
         for point in points:
             assert point.runtime["shared"] == 2
             assert point.runtime["counters"]["lockstep"] == 2
-        for record in store.select():
+        for record in store.records():
             assert record["runtime"]["shared"] == 2
 
     def test_legacy_rows_without_runtime_load_fine(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
         store.put("legacy", _metrics(), meta={"mix": "BBRv1", "substrate": "fluid"})
-        record = store.select()[0]
+        record = store.records()[0]
         assert "runtime" not in record
         summary = summarize_store(store)
         assert summary["rows"] == 1
@@ -342,8 +342,8 @@ class TestTraceDeterminism:
         traced = SweepStore(tmp_path / "traced.jsonl")
         sweep.run_campaign(grid, store=traced, trace=trace)
         # Tracing is pure observability: bit-identical keys and metrics.
-        plain_rows = {r["key"]: r["metrics"] for r in plain.select()}
-        traced_rows = {r["key"]: r["metrics"] for r in traced.select()}
+        plain_rows = {r["key"]: r["metrics"] for r in plain.records()}
+        traced_rows = {r["key"]: r["metrics"] for r in traced.records()}
         assert traced_rows == plain_rows
         assert plain_rows
         # The span log was actually written, and state was restored.
@@ -516,7 +516,7 @@ class TestCampaignTraceCli:
         capsys.readouterr()
         # The traced run persisted runtime blocks alongside the metrics...
         store = SweepStore(store_path)
-        record = store.select()[0]
+        record = store.records()[0]
         assert record["runtime"]["wall_s"] >= 0.0
         store.close()
         # ...and the span log converts to a loadable Chrome trace.

@@ -529,7 +529,7 @@ class TestTopologySweep:
         (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
         assert first.metrics == second.metrics
-        meta = store.select(topology="parking-lot")[0]["meta"]
+        (meta,) = [r["meta"] for r in store.records() if r["meta"].get("topology") == "parking-lot"]
         assert meta["hops"] == 3 and meta["cross_flows"] == 1
 
     def test_topology_cache_key_distinct_from_dumbbell(self):
@@ -597,7 +597,7 @@ class TestTopologySweep:
         (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
         assert first.metrics == second.metrics
-        meta = store.select(topology="parking-lot")[0]["meta"]
+        (meta,) = [r["meta"] for r in store.records() if r["meta"].get("topology") == "parking-lot"]
         assert meta["hop_capacities"] == [100.0, 50.0]
         assert meta["hop_delays"] == [0.004, 0.006]
         assert meta["hop_disciplines"] == ["red", "droptail"]
