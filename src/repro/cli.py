@@ -1,28 +1,28 @@
-"""Command-line interface: run scenarios, sweeps, figures, and campaigns.
+"""Command-line interface: run scenarios and campaign grids.
 
 Examples::
 
     repro-bbr trace bbr1 --discipline droptail --duration 10
-    repro-bbr sweep --substrate fluid --buffers 1 4 7 --mixes BBRv1 BBRv1/RENO
-    repro-bbr sweep --substrate emulation --seeds 5 --store results.jsonl
-    repro-bbr figure fig06_fairness --seeds 3 --csv fig06.csv
+    repro-bbr campaign --substrate fluid --buffers 1 4 7 --mixes BBRv1 BBRv1/RENO --seeds 1
+    repro-bbr campaign --substrate fluid --buffers 1 4 7 --seeds 1 --per-seed-csv rows.csv
+    repro-bbr campaign --substrate fluid --seeds 3 --csv summary.csv
     repro-bbr campaign --store results.jsonl --seeds 5 --workers 4
     repro-bbr campaign --store results.sqlite --workers 4 --skip-failures --retries 1
     repro-bbr campaign --store sqlite:results.out --heartbeat-s 30
     repro-bbr campaign --preset examples/presets/emulation-grid.yaml
     repro-bbr topology --preset parking-lot --hops 3
     repro-bbr topology --preset parking-lot --hops 3 --hop-capacities 100,50,25
-    repro-bbr sweep --topology parking-lot --hops 3 --mixes BBRv1
-    repro-bbr sweep --topology parking-lot --hops 3 --hop-delays 0.002,0.02,0.002
-    repro-bbr sweep --arrivals poisson --flow-size-dist pareto --load 0.5 --flows 100
+    repro-bbr campaign --topology parking-lot --hops 3 --mixes BBRv1 --seeds 1
+    repro-bbr campaign --topology parking-lot --hops 3 --hop-delays 0.002,0.02,0.002 --seeds 1
+    repro-bbr campaign --arrivals poisson --flow-size-dist pareto --load 0.5 --flows 100 --seeds 1
     repro-bbr campaign --arrivals poisson --flows 1000 --seeds 3 --store churn.jsonl
     repro-bbr campaign --store results.sqlite --workers 4 --trace spans.jsonl
     repro-bbr trace export spans.jsonl --chrome
     repro-bbr store summary results.sqlite
     repro-bbr status results.sqlite --mixes BBRv1 --seeds 5
     repro-bbr status --preset examples/presets/fluid-quick.yaml
-    repro-bbr sweep --substrate analytic --mixes BBRv1 BBRv2 --store results.jsonl
-    repro-bbr sweep --prune-analytic --buffers 1 60 80 --mixes BBRv1
+    repro-bbr campaign --substrate analytic --mixes BBRv1 BBRv2 --seeds 1 --store results.jsonl
+    repro-bbr campaign --substrate fluid --prune-analytic --buffers 1 60 80 --mixes BBRv1 --seeds 1
     repro-bbr campaign --store shard0.jsonl --shard-index 0 --shard-count 2
     repro-bbr store merge shard0.jsonl shard1.jsonl merged.sqlite
     repro-bbr stability --flow-counts 2 10 --buffers 0.25 1 4 --json
@@ -32,20 +32,24 @@ Examples::
     repro-bbr check --json
     repro-bbr check --update-schema-fingerprint
 
-``--seeds K`` replicates every sweep point under K scenario seeds and
-reports mean ± 95% CI per point; ``--store PATH`` (or the ``REPRO_STORE``
-environment variable) persists each completed point immediately, so an
-interrupted sweep or campaign resumes without recomputing finished points.
-The store backend (single-file JSON lines or SQLite) is inferred from
-the path or forced with ``--backend``/a ``backend:`` prefix.
-``campaign`` adds the service-grade executor policy
-(``--retries/--timeout-s/--backoff-s/--heartbeat-s/--skip-failures``):
-with ``--skip-failures``, points that exhaust their retries are recorded
-as structured failure rows, the rest of the grid completes, and the exit
-code is 1; ``--no-retry-failed`` serves those rows from the store on warm
-re-runs instead of recomputing them.  ``--preset FILE`` loads the whole
-campaign definition from a YAML preset (see
-:mod:`repro.experiments.presets`), with explicit flags overriding it.
+``campaign`` is the one command that runs a grid (CCA mix x buffer x
+discipline x seed).  ``--seeds K`` (default 5) replicates every point under
+K scenario seeds and reports mean ± 95% CI per point; ``--csv`` writes
+those summary rows (one figure series is one of their columns) and
+``--per-seed-csv`` the plain per-seed rows, so ``--seeds 1
+--per-seed-csv FILE`` is the single-seed grid as plain rows.
+``--store PATH`` (or the ``REPRO_STORE`` environment variable) persists
+each completed point immediately, so an interrupted campaign resumes
+without recomputing finished points.  The store backend (single-file JSON
+lines or SQLite) is inferred from the path or forced with ``--backend``/a
+``backend:`` prefix.
+``--retries/--timeout-s/--backoff-s/--heartbeat-s/--skip-failures`` set
+the executor policy: with ``--skip-failures``, points that exhaust their
+retries are recorded as structured failure rows, the rest of the grid
+completes, and the exit code is 1; ``--no-retry-failed`` serves those rows
+from the store on warm re-runs instead of recomputing them.
+``--preset FILE`` loads the whole campaign definition from a YAML preset
+(see :mod:`repro.experiments.presets`), with explicit flags overriding it.
 
 ``--arrivals`` switches every grid point from the paper's long-lived flows
 to a churn workload (time-varying flow population):
@@ -59,7 +63,7 @@ concurrently active flows.
 ``topology`` runs one multi-bottleneck scenario (parking lot,
 multi-dumbbell, or a one-hop dumbbell) on one or both substrates and
 reports per-link utilization/loss/queue plus per-flow throughput;
-``--topology PRESET`` on ``sweep``/``campaign`` swaps the whole grid onto
+``--topology PRESET`` on ``campaign``/``status`` swaps the whole grid onto
 that topology family.  Chains may be heterogeneous:
 ``--hop-capacities``/``--hop-delays``/``--hop-disciplines`` take one
 comma-separated value per hop (validated against ``--hops``).
@@ -67,8 +71,8 @@ comma-separated value per hop (validated against ``--hops``).
 ``--substrate analytic`` swaps every grid point from simulation to the
 paper's equilibrium/stability theory (:mod:`repro.analysis`): each point
 stores the predicted metrics plus an ``analysis`` block (regime, theorems,
-classification, eigenvalues).  ``--prune-analytic`` on ``sweep`` /
-``campaign`` runs an analytic pre-pass over the grid and serves points
+classification, eigenvalues).  ``--prune-analytic`` on ``campaign``
+runs an analytic pre-pass over the grid and serves points
 whose buffer provably never binds from one representative run (the alias
 is recorded in the store's meta).  ``--shard-index I --shard-count K``
 deterministically partitions any grid into K disjoint slices by stored
@@ -167,33 +171,6 @@ def _add_backend_flag(
     parser.add_argument("--backend", choices=sorted(BACKENDS), default=None, help=help)
 
 
-def _add_replication_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="K",
-        help="replicate every point under K scenario seeds and report mean ± 95%% CI",
-    )
-    parser.add_argument(
-        "--store",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="persistent result store (defaults to $REPRO_STORE); the backend "
-        "is inferred from the path unless --backend (or a backend: prefix) "
-        "forces it",
-    )
-    _add_backend_flag(parser)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan uncached sweep points out to N worker processes",
-    )
-
-
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-index",
@@ -210,16 +187,6 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="partition the grid into K disjoint slices; disjoint shard "
         "stores merge back with 'repro-bbr store merge'",
-    )
-
-
-def _add_prune_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--prune-analytic",
-        action="store_true",
-        help="analytic grid pre-pass: serve points whose buffer provably "
-        "never binds from one representative run (aliases recorded in "
-        "the store meta)",
     )
 
 
@@ -320,43 +287,18 @@ def _add_churn_axis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_grid_flags(
-    parser: argparse.ArgumentParser, substrate: str, buffers: Sequence[float]
-) -> None:
-    """The grid axes shared by ``sweep``, ``campaign`` and ``status``."""
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The grid axes shared by ``campaign`` and ``status``."""
     parser.add_argument(
-        "--substrate", choices=["fluid", "emulation", "analytic"], default=substrate
+        "--substrate", choices=["fluid", "emulation", "analytic"], default="emulation"
     )
-    parser.add_argument("--buffers", type=float, nargs="+", default=list(buffers))
+    parser.add_argument(
+        "--buffers", type=float, nargs="+", default=list(scenarios.BUFFER_SWEEP_BDP)
+    )
     parser.add_argument("--mixes", nargs="+", default=list(scenarios.CCA_MIXES))
     parser.add_argument("--disciplines", nargs="+", default=list(scenarios.DISCIPLINES))
     parser.add_argument("--duration", type=float, default=5.0)
     parser.add_argument("--short-rtt", action="store_true")
-
-
-def _add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("sweep", help="run the aggregate-validation sweep")
-    _add_grid_flags(parser, "fluid", figures.DEFAULT_SWEEP_BUFFERS)
-    parser.add_argument("--csv", type=str, default=None, help="write results to this CSV file")
-    _add_replication_flags(parser)
-    _add_topology_axis_flags(parser)
-    _add_churn_axis_flags(parser)
-    _add_prune_flag(parser)
-    _add_shard_flags(parser)
-    _add_logging_flags(parser)
-
-
-def _add_figure_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("figure", help="regenerate one aggregate figure")
-    parser.add_argument("name", choices=sorted(figures.AGGREGATE_FIGURES))
-    parser.add_argument("--substrate", choices=["fluid", "emulation"], default="fluid")
-    parser.add_argument("--buffers", type=float, nargs="+", default=list(figures.DEFAULT_SWEEP_BUFFERS))
-    parser.add_argument("--mixes", nargs="+", default=None)
-    parser.add_argument("--disciplines", nargs="+", default=None)
-    parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--short-rtt", action="store_true")
-    parser.add_argument("--csv", type=str, default=None, help="write the figure rows to this CSV file")
-    _add_replication_flags(parser)
 
 
 def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -364,7 +306,7 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         "campaign",
         help="run (or resume) a seed-replicated sweep over the full grid and export it",
     )
-    _add_grid_flags(parser, "emulation", scenarios.BUFFER_SWEEP_BDP)
+    _add_grid_flags(parser)
     parser.add_argument(
         "--csv", type=str, default=None, help="write the mean/std/CI summary rows to this CSV file"
     )
@@ -383,10 +325,39 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         "backend, executor policy) from this YAML preset; explicitly passed "
         "flags override the preset",
     )
-    _add_replication_flags(parser)
+    parser.add_argument(
+        "--seeds",
+        type=int,
+        default=5,
+        metavar="K",
+        help="replicate every point under K scenario seeds and report mean ± 95%% CI",
+    )
+    parser.add_argument(
+        "--store",
+        type=str,
+        default=None,
+        metavar="PATH",
+        help="persistent result store (defaults to $REPRO_STORE); the backend "
+        "is inferred from the path unless --backend (or a backend: prefix) "
+        "forces it",
+    )
+    _add_backend_flag(parser)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="fan uncached grid points out to N worker processes",
+    )
     _add_topology_axis_flags(parser)
     _add_churn_axis_flags(parser)
-    _add_prune_flag(parser)
+    parser.add_argument(
+        "--prune-analytic",
+        action="store_true",
+        help="analytic grid pre-pass: serve points whose buffer provably "
+        "never binds from one representative run (aliases recorded in "
+        "the store meta)",
+    )
     _add_shard_flags(parser)
     parser.add_argument(
         "--retries",
@@ -444,7 +415,6 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         "'repro-bbr trace export FILE --chrome'",
     )
     _add_logging_flags(parser)
-    parser.set_defaults(seeds=5)
 
 
 def _add_topology_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -545,7 +515,7 @@ def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
         help="campaign YAML preset defining the grid (and default store)",
     )
     _add_backend_flag(parser)
-    _add_grid_flags(parser, "emulation", scenarios.BUFFER_SWEEP_BDP)
+    _add_grid_flags(parser)
     parser.add_argument(
         "--seeds",
         type=int,
@@ -667,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_logging_flags(parser)
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_trace_parser(subparsers)
-    _add_sweep_parser(subparsers)
-    _add_figure_parser(subparsers)
     _add_campaign_parser(subparsers)
     _add_topology_parser(subparsers)
     _add_store_parser(subparsers)
@@ -726,91 +694,6 @@ def _summary_display_rows(points: Sequence[sweep.SummaryPoint]) -> list[dict[str
             row[name] = report.format_mean_ci(means[name], cis[name])
         rows.append(row)
     return rows
-
-
-def _run_aggregate_sweep(args: argparse.Namespace) -> int:
-    points = sweep.run_campaign(
-        _grid_from_args(args),
-        workers=args.workers,
-        store=resolve_store(args.store, backend=args.backend),
-        prune_analytic=args.prune_analytic,
-        shard_index=args.shard_index,
-        shard_count=args.shard_count,
-    ).points
-    rows = [point.row() for point in points]
-    if not rows:
-        if args.shard_count is not None:
-            # An empty shard is a legitimate outcome of hash partitioning
-            # on a small grid: this worker simply has nothing to do.
-            print(
-                f"shard {args.shard_index}/{args.shard_count} contains "
-                "no grid points"
-            )
-            return 0
-        print(
-            "sweep produced no points; check --mixes/--buffers/--disciplines",
-            file=sys.stderr,
-        )
-        return 1
-    display = _summary_display_rows(points) if args.seeds is not None else rows
-    print(report.format_table(list(display[0].keys()), [list(r.values()) for r in display]))
-    if args.csv:
-        path = report.write_csv(args.csv, rows)
-        print(f"wrote {path}")
-    return 0
-
-
-def _figure_rows(
-    name: str, metric: str, data: dict[str, dict[str, list[tuple[float, ...]]]]
-) -> list[dict[str, object]]:
-    """Flatten one aggregate figure into CSV-friendly rows."""
-    rows: list[dict[str, object]] = []
-    for discipline, by_mix in data.items():
-        for mix, entries in by_mix.items():
-            for entry in entries:
-                row: dict[str, object] = {
-                    "figure": name,
-                    "discipline": discipline,
-                    "mix": mix,
-                    "buffer_bdp": entry[0],
-                }
-                if len(entry) >= 3:
-                    row[f"{metric}_mean"] = entry[1]
-                    row[f"{metric}_ci95"] = entry[2]
-                else:
-                    row[metric] = entry[1]
-                rows.append(row)
-    return rows
-
-
-def _run_figure(args: argparse.Namespace) -> int:
-    metric = figures.AGGREGATE_FIGURES[args.name]
-    data = figures.aggregate_figure(
-        metric,
-        substrate=args.substrate,
-        buffers_bdp=args.buffers,
-        mixes=args.mixes,
-        disciplines=args.disciplines,
-        duration_s=args.duration,
-        short_rtt=args.short_rtt,
-        workers=args.workers,
-        seeds=args.seeds,
-        store=resolve_store(args.store, backend=args.backend),
-    )
-    rows = _figure_rows(args.name, metric, data)
-    if not rows:
-        print(
-            "figure produced no points; check --mixes/--buffers/--disciplines",
-            file=sys.stderr,
-        )
-        return 1
-    for discipline, by_mix in data.items():
-        print(report.series_table(f"{args.name} [{discipline}]", by_mix))
-        print()
-    if args.csv:
-        path = report.write_csv(args.csv, rows)
-        print(f"wrote {path}")
-    return 0
 
 
 #: CLI flag dests whose :class:`GridSpec` field is spelled differently.
@@ -950,10 +833,11 @@ def _run_campaign(args: argparse.Namespace) -> int:
         if store is not None:
             # Exactly the stored records of this grid — one row per distinct
             # key, the points ``status`` counts — since the store may hold
-            # other campaigns too.
+            # other campaigns too.  The point's own coordinates, not the
+            # stored meta, which may carry nested analysis/pruned blocks.
             records = {record["key"]: record for record in store.records()}
             per_seed = [
-                {**records[p.key]["meta"], **records[p.key]["metrics"]}
+                {**p.meta(), **records[p.key]["metrics"]}
                 for p in sweep.distinct_points(grid, args.shard_index, args.shard_count)
                 if p.key in records
             ]
@@ -1301,8 +1185,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         obs_log.set_level("debug")
     handlers = {
         "trace": _run_trace,
-        "sweep": _run_aggregate_sweep,
-        "figure": _run_figure,
         "campaign": _run_campaign,
         "topology": _run_topology,
         "store": _run_store,

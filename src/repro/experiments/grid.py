@@ -33,9 +33,9 @@ from ..emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from . import scenarios
 from .store import scenario_key
 
-#: ``"analytic"`` runs no simulation: each point is handed to
-#: :func:`repro.analysis.analyze_scenario` (the substrate name is part of
-#: every key, so analytic rows never alias simulation rows).
+#: ``"analytic"`` runs no simulation: each chunk of points is one
+#: :func:`repro.analysis.analyze_scenarios` call (the substrate name is part
+#: of every key, so analytic rows never alias simulation rows).
 SUBSTRATES = ("fluid", "emulation", "analytic")
 
 #: Defaults of the churn axis once ``arrivals`` switches it on.

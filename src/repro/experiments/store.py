@@ -29,7 +29,7 @@ Select a store with the ``REPRO_STORE`` environment variable or the
 ``--store PATH`` CLI flag; the backend is inferred from the path (or
 forced with a ``backend:`` prefix / the ``--backend`` flag)::
 
-    REPRO_STORE=results.jsonl repro-bbr sweep --substrate emulation --seeds 5
+    REPRO_STORE=results.jsonl repro-bbr campaign --substrate emulation --seeds 5
     repro-bbr campaign --store results.sqlite --seeds 5
     repro-bbr campaign --store sqlite:results.out --workers 8
 """

@@ -42,8 +42,8 @@ persisted as they land; a chunk that fails for good is split and re-run
 point by point, so failures are reported as
 :class:`CampaignFailure` rows or re-raised as :class:`SweepPointError`
 naming the failing (mix, buffer, discipline, seed) combination.  The CLI
-exposes all of this as ``repro-bbr sweep/figure/campaign`` with
-``--workers N``, ``--seeds K`` and ``--store PATH``.
+exposes all of this as ``repro-bbr campaign`` with ``--workers N``,
+``--seeds K`` and ``--store PATH``.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ Modeling notes shared by both substrates:
 * Chains may be heterogeneous: ``parking_lot``/``multi_dumbbell`` accept
   per-hop capacity, delay and discipline sequences, exposed on the CLI as
   ``--hop-capacities``/``--hop-delays``/``--hop-disciplines`` comma-lists
-  (validated against ``--hops``) on ``repro-bbr topology/sweep/campaign``.
+  (validated against ``--hops``) on ``repro-bbr topology/campaign/status``.
 """
 
 from __future__ import annotations

@@ -222,8 +222,8 @@ def test_cli_never_imports_scipy_on_the_simulation_path(tmp_path):
         "import sys\n"
         "import repro.cli\n"
         "assert 'scipy' not in sys.modules\n"
-        "assert repro.cli.main(['sweep', '--mixes', 'BBRv1', '--buffers', '1',"
-        " '--duration', '0.2']) == 0\n"
+        "assert repro.cli.main(['campaign', '--seeds', '1', '--substrate', 'fluid',"
+        " '--mixes', 'BBRv1', '--buffers', '1', '--duration', '0.2']) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "REPRO_STORE"}

@@ -370,7 +370,7 @@ class TestCli:
         merged = str(tmp_path / "merged.sqlite")
         for index, path in enumerate((shard0, shard1)):
             code = cli.main(
-                ["-q", "sweep", *self.GRID, "--store", path,
+                ["-q", "campaign", "--seeds", "1", *self.GRID, "--store", path,
                  "--shard-index", str(index), "--shard-count", "2"]
             )
             assert code == 0
@@ -387,7 +387,8 @@ class TestCli:
 
     def test_shard_index_out_of_range_rejected(self, tmp_path, capsys):
         code = cli.main(
-            ["-q", "sweep", *self.GRID, "--shard-index", "2", "--shard-count", "2"]
+            ["-q", "campaign", "--seeds", "1", *self.GRID,
+             "--shard-index", "2", "--shard-count", "2"]
         )
         assert code == 2
         assert "shard_index must be in" in capsys.readouterr().err
@@ -397,8 +398,8 @@ class TestCli:
         # empty slice is a completed (trivial) run for that worker.
         codes = [
             cli.main(
-                ["-q", "sweep", "--substrate", "analytic", "--mixes", "BBRv1",
-                 "--buffers", "1", "--disciplines", "droptail",
+                ["-q", "campaign", "--seeds", "1", "--substrate", "analytic",
+                 "--mixes", "BBRv1", "--buffers", "1", "--disciplines", "droptail",
                  "--shard-index", str(i), "--shard-count", "8"]
             )
             for i in range(8)
@@ -447,7 +448,7 @@ class TestCli:
 
     def test_stability_with_unvalidatable_store(self, tmp_path, capsys):
         path = str(tmp_path / "analytic.jsonl")
-        assert cli.main(["-q", "sweep", *self.GRID, "--store", path]) == 0
+        assert cli.main(["-q", "campaign", "--seeds", "1", *self.GRID, "--store", path]) == 0
         code = cli.main(
             ["stability", "--flow-counts", "2", "--buffers", "1",
              "--rtts-ms", "35", "--store", path]

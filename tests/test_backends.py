@@ -437,7 +437,6 @@ class TestRemovedShardedBackend:
         spec = f"sharded:{tmp_path / 'results.shards'}"
         with pytest.raises(RemovedBackendError, match="shard-"):
             SweepStore(spec)
-        assert main(["sweep", "--mixes", "BBRv1", "--buffers", "1", "--store", spec]) == 2
         assert main(["campaign", "--mixes", "BBRv1", "--buffers", "1", "--store", spec]) == 2
         assert "concatenat" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -445,8 +444,6 @@ class TestRemovedShardedBackend:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--mixes", "BBRv1", "--buffers", "1", "--store", "{spec}"],
-            ["figure", "fig06_fairness", "--buffers", "1", "--store", "{spec}"],
             ["campaign", "--mixes", "BBRv1", "--buffers", "1", "--store", "{spec}"],
             ["status", "{spec}", "--mixes", "BBRv1", "--buffers", "1"],
             ["store", "summary", "{spec}"],
@@ -455,7 +452,7 @@ class TestRemovedShardedBackend:
             ["stability", "--versions", "bbr1", "--flow-counts", "2",
              "--rtts-ms", "40", "--buffers", "1", "--store", "{spec}"],
         ],
-        ids=["sweep", "figure", "campaign", "status", "store-summary",
+        ids=["campaign", "status", "store-summary",
              "store-merge-source", "store-merge-dest", "stability"],
     )
     def test_every_store_command_exits_2(self, tmp_path, capsys, argv):

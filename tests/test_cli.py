@@ -19,35 +19,31 @@ class TestParser:
         assert args.discipline == "droptail"
         assert args.substrate == "fluid"
 
-    def test_sweep_arguments(self):
+    def test_campaign_grid_arguments(self):
         args = cli.build_parser().parse_args(
-            ["sweep", "--buffers", "1", "4", "--mixes", "BBRv1", "--disciplines", "droptail"]
+            ["campaign", "--buffers", "1", "4", "--mixes", "BBRv1", "--disciplines", "droptail"]
         )
         assert args.buffers == [1.0, 4.0]
         assert args.mixes == ["BBRv1"]
 
-    def test_figure_choices(self):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["figure", "fig99"])
+    @pytest.mark.parametrize("argv", [["sweep"], ["figure", "fig06_fairness"]])
+    def test_removed_grid_commands_rejected(self, argv, capsys):
+        # ``campaign`` is the only command that runs a grid.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_workers_flag_parsed(self):
-        args = cli.build_parser().parse_args(["sweep", "--workers", "4"])
+        args = cli.build_parser().parse_args(["campaign", "--workers", "4"])
         assert args.workers == 4
-        args = cli.build_parser().parse_args(["figure", "fig06_fairness", "--workers", "2"])
-        assert args.workers == 2
 
     def test_workers_default_is_none(self):
-        assert cli.build_parser().parse_args(["sweep"]).workers is None
-        assert cli.build_parser().parse_args(["figure", "fig07_loss"]).workers is None
+        assert cli.build_parser().parse_args(["campaign"]).workers is None
 
     def test_seeds_and_store_flags_parsed(self):
         args = cli.build_parser().parse_args(
-            ["sweep", "--seeds", "5", "--store", "results.jsonl"]
-        )
-        assert args.seeds == 5
-        assert args.store == "results.jsonl"
-        args = cli.build_parser().parse_args(
-            ["figure", "fig06_fairness", "--seeds", "3", "--store", "s.jsonl", "--csv", "f.csv"]
+            ["campaign", "--seeds", "3", "--store", "s.jsonl", "--csv", "f.csv"]
         )
         assert args.seeds == 3 and args.store == "s.jsonl" and args.csv == "f.csv"
 
@@ -69,18 +65,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["topology", "--preset", "ring"])
 
-    def test_sweep_topology_axis_parsed(self):
+    def test_campaign_topology_axis_parsed(self):
         args = cli.build_parser().parse_args(
-            ["sweep", "--topology", "parking-lot", "--hops", "4", "--cross-flows", "2"]
+            ["campaign", "--topology", "parking-lot", "--hops", "4", "--cross-flows", "2"]
         )
         assert args.topology == "parking-lot"
         assert args.hops == 4 and args.cross_flows == 2
-        assert cli.build_parser().parse_args(["campaign"]).topology is None
+        assert cli.build_parser().parse_args(["status"]).topology is None
 
     def test_hop_list_flags_parsed(self):
         for command in (
-            ["sweep", "--topology", "parking-lot"],
             ["campaign", "--topology", "parking-lot"],
+            ["status", "--topology", "parking-lot"],
             ["topology", "--preset", "parking-lot"],
         ):
             args = cli.build_parser().parse_args(
@@ -97,7 +93,7 @@ class TestParser:
             assert args.hop_disciplines == ("red", "droptail", "red")
 
     def test_hop_list_flags_default_none(self):
-        args = cli.build_parser().parse_args(["sweep"])
+        args = cli.build_parser().parse_args(["campaign"])
         assert args.hop_capacities is None
         assert args.hop_delays is None
         assert args.hop_disciplines is None
@@ -154,7 +150,7 @@ class TestHopAxisValidation:
 
     def test_hop_lists_need_multi_bottleneck_preset(self, capsys):
         code = cli.main(
-            ["sweep", "--mixes", "BBRv1", "--buffers", "1",
+            ["campaign", "--seeds", "1", "--mixes", "BBRv1", "--buffers", "1",
              "--hop-capacities", "100,50,25"]
         )
         captured = capsys.readouterr()
@@ -170,7 +166,7 @@ class TestHopAxisValidation:
 
     def test_hop_disciplines_with_discipline_sweep_exits_nonzero(self, capsys):
         code = cli.main(
-            ["sweep", "--mixes", "BBRv1", "--buffers", "1",
+            ["campaign", "--seeds", "1", "--mixes", "BBRv1", "--buffers", "1",
              "--topology", "parking-lot", "--hops", "2",
              "--hop-disciplines", "red,red"]
         )
@@ -178,10 +174,10 @@ class TestHopAxisValidation:
         assert code != 0
         assert "single disciplines value" in captured.err
 
-    def test_sweep_passes_hop_axis_through(self, monkeypatch, capsys):
+    def test_campaign_passes_hop_axis_through(self, monkeypatch, capsys):
         calls = _capture_run_campaign(monkeypatch)
         cli.main(
-            ["sweep", "--mixes", "BBRv1", "--topology", "parking-lot",
+            ["campaign", "--seeds", "1", "--mixes", "BBRv1", "--topology", "parking-lot",
              "--hops", "2", "--hop-capacities", "100,50",
              "--hop-delays", "0.004,0.006", "--hop-disciplines", "red,red",
              "--disciplines", "droptail"]
@@ -207,22 +203,17 @@ def _capture_run_campaign(monkeypatch):
 class TestWorkersPlumbing:
     """--workers must actually reach run_campaign (it used to be dead code)."""
 
-    def test_sweep_passes_workers(self, monkeypatch, capsys):
+    def test_campaign_passes_workers(self, monkeypatch, capsys):
         calls = _capture_run_campaign(monkeypatch)
-        cli.main(["sweep", "--mixes", "BBRv1", "--workers", "3"])
+        cli.main(["campaign", "--seeds", "1", "--mixes", "BBRv1", "--workers", "3"])
         capsys.readouterr()
-        assert calls["workers"] == 3
+        assert calls["executor"].workers == 3
 
-    def test_figure_passes_workers(self, monkeypatch, capsys):
-        calls = _capture_run_campaign(monkeypatch)
-        cli.main(["figure", "fig06_fairness", "--mixes", "BBRv1", "--workers", "5"])
-        capsys.readouterr()
-        assert calls["workers"] == 5
-
-    def test_sweep_passes_topology_axis(self, monkeypatch, capsys):
+    def test_campaign_passes_topology_axis(self, monkeypatch, capsys):
         calls = _capture_run_campaign(monkeypatch)
         cli.main(
-            ["sweep", "--mixes", "BBRv1", "--topology", "multi-dumbbell", "--hops", "2"]
+            ["campaign", "--seeds", "1", "--mixes", "BBRv1",
+             "--topology", "multi-dumbbell", "--hops", "2"]
         )
         capsys.readouterr()
         assert calls["grid"].topology == "multi-dumbbell"
@@ -230,13 +221,6 @@ class TestWorkersPlumbing:
 
 
 class TestEmptyResults:
-    def test_sweep_with_no_points_exits_nonzero(self, monkeypatch, capsys):
-        _capture_run_campaign(monkeypatch)
-        code = cli.main(["sweep", "--mixes", "BBRv1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "no points" in captured.err
-
     def test_theorems_with_no_rows_exits_nonzero(self, monkeypatch, capsys):
         from repro.experiments import figures as figures_module
 
@@ -246,30 +230,21 @@ class TestEmptyResults:
         assert code == 1
         assert "no theorem rows" in captured.err
 
-    def test_figure_with_no_points_exits_nonzero(self, monkeypatch, capsys):
-        # Regression: figure used to exit 0 and print nothing on empty data.
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "1"]])
+    def test_campaign_with_no_points_exits_nonzero(self, seeds, monkeypatch, capsys):
         _capture_run_campaign(monkeypatch)
-        code = cli.main(["figure", "fig06_fairness", "--mixes", "BBRv1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "no points" in captured.err
-
-    def test_campaign_with_no_points_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            sweep_module,
-            "run_campaign",
-            lambda *a, **k: sweep_module.CampaignResult(points=[], failures=[]),
-        )
-        code = cli.main(["campaign", "--mixes", "BBRv1"])
+        code = cli.main(["campaign", *seeds, "--mixes", "BBRv1"])
         captured = capsys.readouterr()
         assert code == 1
         assert "no points" in captured.err
 
 
-@pytest.mark.parametrize("command", [["sweep"], ["figure", "fig06_fairness"]])
-def test_unknown_mix_exits_2_with_message(command, capsys):
-    # Regression: figure used to die with a ValueError traceback here.
-    code = cli.main([*command, "--mixes", "NOPE", "--buffers", "1", "--duration", "0.2"])
+@pytest.mark.parametrize("substrate", ["fluid", "emulation"])
+def test_unknown_mix_exits_2_with_message(substrate, capsys):
+    code = cli.main(
+        ["campaign", "--seeds", "1", "--substrate", substrate,
+         "--mixes", "NOPE", "--buffers", "1", "--duration", "0.2"]
+    )
     captured = capsys.readouterr()
     assert code == 2
     assert "error: unknown CCA mix 'NOPE'" in captured.err
@@ -299,11 +274,15 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "utilization_percent" in out
 
-    def test_sweep_command_with_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "sweep.csv"
+    def test_single_seed_campaign_with_per_seed_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
         code = cli.main(
             [
-                "sweep",
+                "campaign",
+                "--substrate",
+                "fluid",
+                "--seeds",
+                "1",
                 "--buffers",
                 "1",
                 "--mixes",
@@ -312,7 +291,7 @@ class TestExecution:
                 "droptail",
                 "--duration",
                 "1.0",
-                "--csv",
+                "--per-seed-csv",
                 str(csv_path),
             ]
         )
@@ -368,53 +347,11 @@ class TestExecution:
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert kinds == {"link", "flow"}
 
-    def test_figure_command(self, capsys):
-        code = cli.main(
-            [
-                "figure",
-                "fig09_utilization",
-                "--buffers",
-                "1",
-                "--mixes",
-                "BBRv1",
-                "--disciplines",
-                "droptail",
-                "--duration",
-                "1.0",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fig09_utilization" in out
-
-    def test_figure_command_with_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "fig.csv"
-        code = cli.main(
-            [
-                "figure",
-                "fig09_utilization",
-                "--buffers",
-                "1",
-                "--mixes",
-                "BBRv1",
-                "--disciplines",
-                "droptail",
-                "--duration",
-                "1.0",
-                "--csv",
-                str(csv_path),
-            ]
-        )
-        assert code == 0
-        content = csv_path.read_text().strip().splitlines()
-        assert content[0] == "figure,discipline,mix,buffer_bdp,utilization_percent"
-        assert len(content) == 2
-
-    def test_sweep_command_with_seeds_reports_ci(self, tmp_path, capsys):
+    def test_campaign_command_with_seeds_reports_ci(self, tmp_path, capsys):
         sweep_module.clear_cache()
         code = cli.main(
             [
-                "sweep",
+                "campaign",
                 "--substrate",
                 "emulation",
                 "--seeds",

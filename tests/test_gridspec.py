@@ -23,10 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.experiments import sweep
+from repro.experiments import report, sweep
 from repro.experiments.grid import GridSpec, PointSpec
 from repro.experiments.presets import PresetError, load_preset
 from repro.experiments.store import SweepStore
+from repro.obs import log as obs_log
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -35,9 +36,12 @@ FIXTURE_GRIDS: list[list[str]] = json.loads((GOLDEN / "pre_gridspec_grids.json")
 
 @pytest.fixture(autouse=True)
 def _clear_cache():
+    """Isolate the in-process point cache and the global log level (``-q``)."""
     sweep.clear_cache()
+    prev_level = obs_log.level()
     yield
     sweep.clear_cache()
+    obs_log.set_level(prev_level)
 
 
 @pytest.fixture
@@ -115,31 +119,84 @@ class TestPerSeedCsv:
             rows = list(csv.DictReader(handle))
         assert [row["seed"] for row in rows] == ["1"]
 
+    def _per_seed_csv(self, tmp_path, argv):
+        out = tmp_path / "per_seed.csv"
+        assert cli.main(["-q", "campaign", "--seeds", "1", *argv,
+                         "--per-seed-csv", str(out)]) == 0
+        return out
+
+    def _per_seed_rows(self, tmp_path, argv):
+        with self._per_seed_csv(tmp_path, argv).open() as handle:
+            return list(csv.DictReader(handle))
+
+    def test_pruned_grid_with_store(self, tmp_path, capsys):
+        """Regression: the stored ``pruned`` meta block of an aliased point
+        was not a column of the first row, so the export exited 2."""
+        rows = self._per_seed_rows(tmp_path, [
+            "--substrate", "fluid", "--mixes", "BBRv1", "--buffers", "1", "60", "80",
+            "--disciplines", "droptail", "--duration", "0.5", "--prune-analytic",
+            "--store", str(tmp_path / "s.jsonl"),
+        ])
+        capsys.readouterr()
+        assert [row["buffer_bdp"] for row in rows] == ["1.0", "60.0", "80.0"]
+        assert "pruned" not in rows[0]
+
+    @pytest.mark.parametrize("store", ["s.jsonl", "s.sqlite"])
+    def test_analytic_grid_with_store(self, tmp_path, capsys, store):
+        """Regression: the stored ``analysis`` block became a column holding
+        a Python dict repr."""
+        grid = GridSpec(mixes=["BBRv1", "BBRv2"], buffers_bdp=[1.0, 4.0],
+                        disciplines=["droptail"], seeds=1, substrate="analytic")
+        rows = self._per_seed_rows(tmp_path, [
+            "--substrate", "analytic", "--mixes", "BBRv1", "BBRv2", "--buffers", "1", "4",
+            "--disciplines", "droptail", "--store", str(tmp_path / store),
+        ])
+        capsys.readouterr()
+        assert "analysis" not in rows[0]
+        expected = [point.meta() for point in grid.points()]
+        assert [{k: row[k] for k in expected[0]} for row in rows] == [
+            {k: "" if v is None else str(v) for k, v in meta.items()} for meta in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--substrate", "fluid", "--mixes", "BBRv1", "BBRv1/RENO", "--buffers", "1", "4",
+             "--duration", "0.5"],
+            ["--substrate", "emulation", "--mixes", "BBRv1", "--buffers", "1",
+             "--disciplines", "droptail", "--duration", "0.2"],
+            ["--substrate", "analytic", "--mixes", "BBRv1", "BBRv2", "--buffers", "1", "4",
+             "--disciplines", "droptail"],
+        ],
+        ids=["fluid", "emulation", "analytic"],
+    )
+    def test_storeless_rows_are_the_single_seed_grid_rows(self, tmp_path, capsys, axes):
+        """``campaign --seeds 1 --per-seed-csv`` without a store writes the
+        plain rows of the ``seeds=None`` grid, byte for byte."""
+        out = self._per_seed_csv(tmp_path, axes)
+        capsys.readouterr()
+        sweep.clear_cache()
+        grid = replace(_grid(axes), seeds=None)
+        points = sweep.run_campaign(grid).points
+        expected = report.write_csv(tmp_path / "expected.csv", [p.row() for p in points])
+        assert out.read_bytes() == expected.read_bytes()
+
 
 PARENT_DEFAULTS = {
-    "sweep": {
-        "substrate": "fluid", "buffers": [1.0, 4.0, 7.0],
+    "campaign": {
+        "substrate": "emulation", "buffers": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
         "mixes": ["BBRv1", "BBRv1/BBRv2", "BBRv1/CUBIC", "BBRv1/RENO", "BBRv2",
                   "BBRv2/CUBIC", "BBRv2/RENO"],
         "disciplines": ["droptail", "red"], "duration": 5.0, "short_rtt": False,
-        "csv": None, "seeds": None, "store": None, "backend": None, "workers": None,
+        "csv": None, "seeds": 5, "store": None, "backend": None, "workers": None,
         "topology": None, "hops": 3, "cross_flows": 1, "hop_capacities": None,
         "hop_delays": None, "hop_disciplines": None, "arrivals": None,
         "flow_size_dist": None, "load": None, "flows": None, "prune_analytic": False,
         "shard_index": None, "shard_count": None,
+        "per_seed_csv": None, "preset": None, "retries": None,
+        "backoff_s": None, "timeout_s": None, "heartbeat_s": None,
+        "skip_failures": False, "no_retry_failed": False, "trace": None,
     },
-    "figure": {
-        "name": "fig06_fairness", "substrate": "fluid", "buffers": [1.0, 4.0, 7.0],
-        "mixes": None, "disciplines": None, "duration": 5.0, "short_rtt": False,
-        "csv": None, "seeds": None, "store": None, "backend": None, "workers": None,
-    },
-}
-PARENT_DEFAULTS["campaign"] = {
-    **PARENT_DEFAULTS["sweep"],
-    "substrate": "emulation", "buffers": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-    "per_seed_csv": None, "preset": None, "seeds": 5, "retries": None,
-    "backoff_s": None, "timeout_s": None, "heartbeat_s": None,
-    "skip_failures": False, "no_retry_failed": False, "trace": None,
 }
 PARENT_DEFAULTS["status"] = {
     **{k: v for k, v in PARENT_DEFAULTS["campaign"].items()
@@ -152,8 +209,7 @@ PARENT_DEFAULTS["status"] = {
 
 @pytest.mark.parametrize("command", sorted(PARENT_DEFAULTS))
 def test_parser_defaults_unchanged(command):
-    argv = [command, "fig06_fairness"] if command == "figure" else [command]
-    parsed = vars(cli.build_parser().parse_args(argv))
+    parsed = vars(cli.build_parser().parse_args([command]))
     for name in ("command", "verbose", "quiet"):
         parsed.pop(name, None)
     assert parsed == PARENT_DEFAULTS[command]
