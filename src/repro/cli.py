@@ -41,15 +41,17 @@ those summary rows (one figure series is one of their columns) and
 ``--store PATH`` (or the ``REPRO_STORE`` environment variable) persists
 each completed point immediately, so an interrupted campaign resumes
 without recomputing finished points.  The store backend (single-file JSON
-lines or SQLite) is inferred from the path or forced with ``--backend``/a
-``backend:`` prefix.
+lines or SQLite) is inferred from the path or forced with a ``jsonl:``/
+``sqlite:`` prefix.
 ``--retries/--timeout-s/--backoff-s/--heartbeat-s/--skip-failures`` set
 the executor policy: with ``--skip-failures``, points that exhaust their
 retries are recorded as structured failure rows, the rest of the grid
 completes, and the exit code is 1; ``--no-retry-failed`` serves those rows
 from the store on warm re-runs instead of recomputing them.
 ``--preset FILE`` loads the whole campaign definition from a YAML preset
-(see :mod:`repro.experiments.presets`), with explicit flags overriding it.
+(see :mod:`repro.experiments.presets`) as the ``campaign``/``status``
+defaults, so explicit flags (abbreviated ones too) override it and
+``--store`` replaces the preset's whole store.
 
 ``--arrivals`` switches every grid point from the paper's long-lived flows
 to a churn workload (time-varying flow population):
@@ -107,7 +109,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import units
@@ -115,7 +117,7 @@ from .config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
 from .core.simulator import simulate
 from .emulation.runner import emulate
 from .experiments import figures, phase, presets, report, scenarios, sweep
-from .experiments.backends import BACKENDS, split_backend_spec
+from .experiments.backends import split_backend_spec
 from .experiments.executor import ExecutorPolicy
 from .experiments.grid import GridSpec
 from .experiments.store import SweepStore, resolve_store
@@ -162,13 +164,6 @@ def _add_trace_parser(subparsers: argparse._SubParsersAction) -> None:
         metavar="FILE",
         help="output path (default: SPANLOG with a .chrome.json suffix)",
     )
-
-
-def _add_backend_flag(
-    parser: argparse.ArgumentParser,
-    help: str = "force the store backend (default: inferred from the path)",
-) -> None:
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None, help=help)
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
@@ -338,10 +333,8 @@ def _add_campaign_parser(subparsers: argparse._SubParsersAction) -> None:
         default=None,
         metavar="PATH",
         help="persistent result store (defaults to $REPRO_STORE); the backend "
-        "is inferred from the path unless --backend (or a backend: prefix) "
-        "forces it",
+        "is inferred from the path unless a jsonl:/sqlite: prefix forces it",
     )
-    _add_backend_flag(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -473,7 +466,6 @@ def _add_store_parser(subparsers: argparse._SubParsersAction) -> None:
         help="row/failure counts, per-axis marginals and runtime percentiles",
     )
     summary.add_argument("path", metavar="STORE", help="store path (any backend)")
-    _add_backend_flag(summary)
     summary.add_argument(
         "--json", action="store_true", help="emit the summary as a JSON document"
     )
@@ -488,9 +480,6 @@ def _add_store_parser(subparsers: argparse._SubParsersAction) -> None:
         metavar="SRC... DEST",
         help="source store paths followed by the destination (backends may "
         "differ freely; force one with a backend: prefix)",
-    )
-    _add_backend_flag(
-        merge, help="force the destination backend (default: inferred from the path)"
     )
 
 
@@ -514,7 +503,6 @@ def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
         metavar="FILE",
         help="campaign YAML preset defining the grid (and default store)",
     )
-    _add_backend_flag(parser)
     _add_grid_flags(parser)
     parser.add_argument(
         "--seeds",
@@ -573,7 +561,6 @@ def _add_stability_parser(subparsers: argparse._SubParsersAction) -> None:
         help="validate the predictions against this store's simulation rows "
         "(exit 1 when any row disagrees beyond the documented thresholds)",
     )
-    _add_backend_flag(parser)
     parser.add_argument(
         "--substrate",
         choices=["fluid", "emulation"],
@@ -628,8 +615,12 @@ def _add_check_parser(subparsers: argparse._SubParsersAction) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level argument parser."""
+def build_parser(preset: presets.CampaignPreset | None = None) -> argparse.ArgumentParser:
+    """Build the top-level argument parser.
+
+    ``preset`` becomes the ``campaign``/``status`` defaults, so argparse's
+    own precedence applies: an explicitly passed flag beats the preset.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-bbr",
         description="Reproduction of the IMC 2022 BBR fluid-model paper",
@@ -644,6 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stability_parser(subparsers)
     _add_theorem_parser(subparsers)
     _add_check_parser(subparsers)
+    if preset is not None:
+        defaults = _preset_defaults(preset)
+        for command in ("campaign", "status"):
+            subparsers.choices[command].set_defaults(**defaults)
     return parser
 
 
@@ -696,9 +691,38 @@ def _summary_display_rows(points: Sequence[sweep.SummaryPoint]) -> list[dict[str
     return rows
 
 
-#: CLI flag dests whose :class:`GridSpec` field is spelled differently.
-_GRID_FIELD_OF_DEST = {"buffers": "buffers_bdp", "duration": "duration_s"}
+#: :class:`GridSpec` fields whose CLI flag dest is spelled differently.
+_DEST_OF_GRID_FIELD = {"buffers_bdp": "buffers", "duration_s": "duration"}
+_GRID_FIELD_OF_DEST = {dest: name for name, dest in _DEST_OF_GRID_FIELD.items()}
 _GRID_FIELDS = {f.name for f in fields(GridSpec)}
+
+
+def _preset_defaults(preset: presets.CampaignPreset) -> dict[str, object]:
+    """The ``campaign``/``status`` flag defaults a YAML preset stands for.
+
+    The preset's store is one ``[backend:]path`` spec, so an explicit
+    ``--store`` replaces it wholesale, backend included.  ``fsync`` has no
+    flag: a preset's ``store.fsync`` applies to whichever store is opened.
+    """
+    policy = preset.executor
+    store = preset.store_path
+    if store is not None and preset.store_backend is not None:
+        store = f"{preset.store_backend}:{split_backend_spec(store)[1]}"
+    return {
+        **{
+            _DEST_OF_GRID_FIELD.get(name, name): getattr(preset.grid, name)
+            for name in _GRID_FIELDS
+        },
+        "workers": policy.workers,
+        "retries": policy.retries,
+        "backoff_s": policy.backoff_s,
+        "timeout_s": policy.timeout_s,
+        "heartbeat_s": policy.heartbeat_s,
+        "skip_failures": policy.on_failure == "skip",
+        "no_retry_failed": not preset.retry_failed,
+        "store": store,
+        "fsync": preset.store_fsync,
+    }
 
 
 def _hop_floats(values: tuple[str, ...] | None, flag: str) -> tuple[float, ...] | None:
@@ -712,18 +736,10 @@ def _hop_floats(values: tuple[str, ...] | None, flag: str) -> tuple[float, ...] 
         ) from None
 
 
-def _grid_from_args(
-    args: argparse.Namespace, preset: presets.CampaignPreset | None = None
-) -> GridSpec:
-    """The :class:`GridSpec` named by the grid flags, layered over ``preset``.
+def _grid_from_args(args: argparse.Namespace) -> GridSpec:
+    """The :class:`GridSpec` named by the grid flags (and a preset's defaults).
 
-    With a preset, only explicitly passed flags override its grid.  A flag
-    counts as explicit when it appears in the raw argv (stashed by
-    :func:`main`) — so ``--substrate emulation`` overrides a preset's
-    ``substrate: fluid`` even though emulation is the parser default — or,
-    for namespaces built without the argv stash, when its value differs
-    from the parser default.  Raises :class:`ValueError` on a malformed
-    grid.
+    Raises :class:`ValueError` on a malformed grid.
     """
     values = {
         _GRID_FIELD_OF_DEST.get(dest, dest): value
@@ -732,65 +748,22 @@ def _grid_from_args(
     }
     values["hop_capacities"] = _hop_floats(values["hop_capacities"], "--hop-capacities")
     values["hop_delays"] = _hop_floats(values["hop_delays"], "--hop-delays")
-    if preset is None:
-        return GridSpec(**values)
-    passed = {
-        token[2:].split("=", 1)[0].replace("-", "_")
-        for token in getattr(args, "_argv", None) or []
-        if token.startswith("--")
+    return GridSpec(**values)
+
+
+def _campaign_policy(args: argparse.Namespace) -> ExecutorPolicy:
+    """The executor policy of the flags; an unset flag keeps the policy default."""
+    given = {
+        name: getattr(args, name)
+        for name in ("workers", "retries", "backoff_s", "timeout_s", "heartbeat_s")
+        if getattr(args, name) is not None
     }
-    defaults = vars(build_parser().parse_args([args.command]))
-    explicit = {
-        _GRID_FIELD_OF_DEST.get(dest, dest)
-        for dest in defaults
-        if dest in passed or getattr(args, dest, None) != defaults[dest]
-    }
-    return replace(preset.grid, **{k: v for k, v in values.items() if k in explicit})
-
-
-def _campaign_policy(
-    args: argparse.Namespace, preset: presets.CampaignPreset | None
-) -> ExecutorPolicy:
-    """The effective executor policy: preset base, explicit flags override."""
-    base = preset.executor if preset is not None else ExecutorPolicy()
-    return replace(
-        base,
-        workers=args.workers if args.workers is not None else base.workers,
-        retries=args.retries if args.retries is not None else base.retries,
-        backoff_s=args.backoff_s if args.backoff_s is not None else base.backoff_s,
-        timeout_s=args.timeout_s if args.timeout_s is not None else base.timeout_s,
-        on_failure="skip" if args.skip_failures else base.on_failure,
-        heartbeat_s=(
-            args.heartbeat_s if args.heartbeat_s is not None else base.heartbeat_s
-        ),
-    )
-
-
-def _store_of(
-    args: argparse.Namespace, preset: presets.CampaignPreset | None
-) -> tuple[str | None, str | None, bool]:
-    """The ``(spec, backend, fsync)`` of the store named by ``--store``/``--backend``.
-
-    Without ``--store``, the preset's store is used.  An explicit ``--store``
-    replaces the preset's store wholesale: its backend then comes from
-    ``--backend`` or path inference, never from the preset (which described
-    a different file).
-    """
-    if preset is None or args.store is not None:
-        return args.store, args.backend, True
-    backend = args.backend if args.backend is not None else preset.store_backend
-    return preset.store_path, backend, preset.store_fsync
+    return ExecutorPolicy(**given, on_failure="skip" if args.skip_failures else "raise")
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
-    preset = presets.load_preset(args.preset) if args.preset else None
-    grid = _grid_from_args(args, preset)
-    policy = _campaign_policy(args, preset)
-    retry_failed = not args.no_retry_failed and (
-        preset.retry_failed if preset is not None else True
-    )
-    store_spec, backend, fsync = _store_of(args, preset)
-    store = resolve_store(store_spec, backend=backend, fsync=fsync)
+    grid = _grid_from_args(args)
+    store = resolve_store(args.store, fsync=getattr(args, "fsync", True))
     if store is None:
         obs_log.warning(
             "campaign.store_missing",
@@ -800,8 +773,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
     result = sweep.run_campaign(
         grid,
         store=store,
-        executor=policy,
-        retry_failed=retry_failed,
+        executor=_campaign_policy(args),
+        retry_failed=not args.no_retry_failed,
         trace=args.trace,
         prune_analytic=args.prune_analytic,
         shard_index=args.shard_index,
@@ -931,7 +904,7 @@ def _run_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_existing_store(spec: str, backend: str | None) -> SweepStore:
+def _open_existing_store(spec: str) -> SweepStore:
     """Open a store for read-only introspection; refuse to create one.
 
     Opening a missing path would silently create an empty store (SQLite
@@ -940,7 +913,7 @@ def _open_existing_store(spec: str, backend: str | None) -> SweepStore:
     _, raw = split_backend_spec(spec)
     if not Path(raw).exists():
         raise FileNotFoundError(f"store {raw} not found")
-    return SweepStore(spec, backend=backend)
+    return SweepStore(spec)
 
 
 def _run_store_merge(args: argparse.Namespace) -> int:
@@ -951,10 +924,10 @@ def _run_store_merge(args: argparse.Namespace) -> int:
     for spec in sources:
         if Path(split_backend_spec(spec)[1]).resolve() == dest_path:
             raise ValueError(f"destination {dest} is also a merge source")
-    dest_store = SweepStore(dest, backend=args.backend)
+    dest_store = SweepStore(dest)
     try:
         for spec in sources:
-            src_store = _open_existing_store(spec, None)
+            src_store = _open_existing_store(spec)
             try:
                 results, failures = dest_store.merge_from(src_store)
             finally:
@@ -972,7 +945,7 @@ def _run_store_merge(args: argparse.Namespace) -> int:
 def _run_store(args: argparse.Namespace) -> int:
     if args.store_command == "merge":
         return _run_store_merge(args)
-    store = _open_existing_store(args.path, args.backend)
+    store = _open_existing_store(args.path)
     try:
         summary = summarize_store(store)
     finally:
@@ -985,14 +958,10 @@ def _run_store(args: argparse.Namespace) -> int:
 
 
 def _run_status(args: argparse.Namespace) -> int:
-    preset = presets.load_preset(args.preset) if args.preset else None
-    store_spec, backend, _ = _store_of(args, preset)
-    if store_spec is None:
+    if args.store is None:
         raise ValueError("no store to check; pass STORE or a --preset naming one")
-    grid = sweep.distinct_points(
-        _grid_from_args(args, preset), args.shard_index, args.shard_count
-    )
-    store = _open_existing_store(store_spec, backend)
+    grid = sweep.distinct_points(_grid_from_args(args), args.shard_index, args.shard_count)
+    store = _open_existing_store(args.store)
     try:
         failed_keys = {record["key"] for record in store.failures()}
         done: list[dict] = []
@@ -1105,7 +1074,7 @@ def _run_stability(args: argparse.Namespace) -> int:
     )
     validation: list[dict] = []
     if args.store:
-        store = _open_existing_store(args.store, args.backend)
+        store = _open_existing_store(args.store)
         try:
             validation = phase.validate_against_store(
                 store, substrate=args.substrate
@@ -1176,9 +1145,7 @@ def _run_theorems(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
-    raw = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(raw)
-    args._argv = raw  # lets --preset merging see which flags were passed
+    args = build_parser().parse_args(argv)
     if getattr(args, "quiet", False):
         obs_log.set_level("quiet")
     elif getattr(args, "verbose", False):
@@ -1197,6 +1164,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     # exits 1; bad input (ValueError, including PresetError and
     # RemovedBackendError) or a missing file exits 2.
     try:
+        # ``topology --preset`` names a topology shape, not a YAML file.
+        if args.command in ("campaign", "status") and args.preset:
+            args = build_parser(presets.load_preset(args.preset)).parse_args(argv)
         return handlers[args.command](args)
     except sweep.SweepPointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from ..core.simulator import simulate
 from ..emulation.runner import emulate
 from ..metrics.aggregate import aggregate_metrics
 from . import scenarios, sweep
+from .executor import ExecutorPolicy
 from .grid import GridSpec
 
 #: Metrics of the aggregate figures, in paper order.
@@ -200,7 +201,9 @@ def aggregate_figure(
         dt=dt,
         seeds=seeds,
     )
-    points = sweep.run_campaign(grid, workers=workers, store=store).points
+    points = sweep.run_campaign(
+        grid, executor=ExecutorPolicy(workers=workers), store=store
+    ).points
     extract = sweep.series_ci if seeds is not None else sweep.series
     return {
         discipline: {mix: extract(points, metric, mix, discipline) for mix in mixes}

@@ -199,11 +199,21 @@ def parse_preset(data: Any, name: str = "campaign") -> CampaignPreset:
         grid_spec = GridSpec(**{k: v for k, v in grid_axes.items() if v is not None})
     except ValueError as exc:
         raise PresetError(f"invalid campaign grid: {exc}") from exc
+    # The store is one ``[backend:]path`` spec: ``backend`` names the prefix
+    # of ``path``, so it needs a path and must agree with a prefix it has.
     try:
+        prefix = None
         if store.get("path") is not None:
-            split_backend_spec(str(store["path"]))
+            prefix, _ = split_backend_spec(str(store["path"]))
         if store.get("backend") is not None:
             check_backend(store["backend"])
+            if store.get("path") is None:
+                raise ValueError("store.backend needs a store.path")
+            if prefix is not None and prefix != store["backend"]:
+                raise ValueError(
+                    f"store.path prefix {prefix!r} conflicts with "
+                    f"store.backend {store['backend']!r}"
+                )
     except ValueError as exc:
         raise PresetError(f"invalid store backend: {exc}") from exc
 

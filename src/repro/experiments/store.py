@@ -27,7 +27,7 @@ rewrites stores last-write-wins.
 
 Select a store with the ``REPRO_STORE`` environment variable or the
 ``--store PATH`` CLI flag; the backend is inferred from the path (or
-forced with a ``backend:`` prefix / the ``--backend`` flag)::
+forced with a ``jsonl:``/``sqlite:`` prefix)::
 
     REPRO_STORE=results.jsonl repro-bbr campaign --substrate emulation --seeds 5
     repro-bbr campaign --store results.sqlite --seeds 5
@@ -245,7 +245,6 @@ class SweepStore:
 
 def resolve_store(
     store: SweepStore | str | Path | bool | None,
-    backend: str | None = None,
     fsync: bool = True,
 ) -> SweepStore | None:
     """Coerce a store argument into a :class:`SweepStore` (or ``None``).
@@ -253,9 +252,9 @@ def resolve_store(
     ``None`` falls back to the ``REPRO_STORE`` environment variable; when
     that is unset too, persistence is disabled.  ``False`` disables the
     store outright, ignoring the environment — used for process-pool
-    workers, whose results the parent persists centrally.  ``backend``
-    forces the storage backend for path-like arguments (paths may also
-    carry a ``jsonl:``/``sqlite:`` prefix); ``fsync`` is
+    workers, whose results the parent persists centrally.  A path-like
+    argument is a ``[backend:]path`` spec (see
+    :func:`~repro.experiments.backends.make_backend`); ``fsync`` is
     forwarded to newly opened stores.
     """
     if store is False:
@@ -263,6 +262,6 @@ def resolve_store(
     if isinstance(store, SweepStore):
         return store
     if store is not None and store is not True:
-        return SweepStore(store, backend=backend, fsync=fsync)
+        return SweepStore(store, fsync=fsync)
     env = os.environ.get(ENV_VAR)
-    return SweepStore(env, backend=backend, fsync=fsync) if env else None
+    return SweepStore(env, fsync=fsync) if env else None

@@ -35,10 +35,10 @@ Fluid chunks integrate in lockstep through
 :func:`repro.core.simulator.simulate_many`, which stacks independent
 scenarios into one batched system (the big single-core win), and analytic
 chunks through :func:`repro.analysis.analyze_scenarios`, which integrates
-their numerical points in one batched loop; ``workers=N`` splits the grid
-into about N chunks so each pool worker keeps that batching.  Emulation
-chunks hold one point.  Results are
-persisted as they land; a chunk that fails for good is split and re-run
+their numerical points in one batched loop; a policy with ``workers=N``
+splits the grid into about N chunks so each pool worker keeps that
+batching.  Emulation chunks hold one point.  Results are persisted as they
+land; a chunk that fails for good is split and re-run
 point by point, so failures are reported as
 :class:`CampaignFailure` rows or re-raised as :class:`SweepPointError`
 naming the failing (mix, buffer, discipline, seed) combination.  The CLI
@@ -141,6 +141,12 @@ class SweepPoint:
             runtime=runtime,
             analysis=analysis,
         )
+
+    def labelled(self, point: PointSpec) -> SweepPoint:
+        """This result served for ``point`` (e.g. a seed replica sharing its
+        key): same metrics, runtime and analysis, ``point``'s coordinates."""
+        served = SweepPoint.of(point, self.metrics, self.runtime, self.analysis)
+        return self if served == self else served
 
     def row(self) -> dict[str, float | str]:
         """Flatten into a CSV-friendly dictionary."""
@@ -368,7 +374,6 @@ def run_campaign(
     *,
     store: SweepStore | str | bool | None = None,
     executor: ExecutorPolicy | None = None,
-    workers: int | None = None,
     retry_failed: bool = True,
     trace: str | Path | None = None,
     prune_analytic: bool = False,
@@ -386,11 +391,11 @@ def run_campaign(
     Execution runs one :func:`compute_chunk` task per chunk of uncached
     points: fluid and analytic points form batched chunks of
     ``min(BATCH_CHUNK, ceil(pending / workers))``, emulation points one
-    point per chunk, and ``workers=N`` (N > 1) runs the chunks in a process
-    pool.  ``executor`` supplies the full policy (retries per task with
-    backoff, a per-point timeout that a chunk gets once per point it holds,
-    heartbeat logging, ``on_failure``), with ``workers`` filling its pool
-    size when the policy leaves it unset.  The tasks go through a
+    point per chunk, and ``ExecutorPolicy(workers=N)`` (N > 1) runs the
+    chunks in a process pool.  ``executor`` supplies the full policy (pool
+    size, retries per task with backoff, a per-point timeout that a chunk
+    gets once per point it holds, heartbeat logging, ``on_failure``;
+    default: serial, one attempt, raise).  The tasks go through a
     :class:`~repro.experiments.executor.ResilientExecutor`, except on a
     plain serial fluid grid (one attempt, no timeout, no heartbeat), whose
     chunks run inline.  A chunk that fails for good (inline: that raises)
@@ -425,11 +430,7 @@ def run_campaign(
             )
         points = list(shard_points(grid, shard_index, shard_count))
         store = resolve_store(store)
-        # An explicit ``executor`` wins, with ``workers`` filling its pool
-        # size when the policy leaves it unset.
-        policy = executor if executor is not None else ExecutorPolicy(workers=workers)
-        if policy.workers is None and workers is not None:
-            policy = replace(policy, workers=workers)
+        policy = executor if executor is not None else ExecutorPolicy()
         results, exec_failures = _campaign_points(
             grid, points, store, policy, retry_failed, prune_analytic
         )
@@ -480,7 +481,7 @@ def _campaign_points(
     for point in points:
         key = point.key
         if key in _CACHE:
-            results[point] = _CACHE[key]
+            results[point] = _CACHE[key].labelled(point)
         elif key in pending_keys:
             # Same key as an already-pending point (fluid seed replicas
             # alias deliberately): compute once, share the result.
@@ -611,7 +612,7 @@ def _campaign_points(
         # A duplicate's primary may itself have failed; it then simply has
         # no result to share.
         if point.key in _CACHE:
-            results[point] = _CACHE[point.key]
+            results[point] = _CACHE[point.key].labelled(point)
 
     if store is not None:
         for failure in exec_failures:

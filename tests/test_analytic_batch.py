@@ -211,7 +211,7 @@ def test_pooled_analytic_campaign_matches_serial(tmp_path):
     sweep.run_campaign(grid, store=serial)
     sweep.clear_cache()
     pooled = SweepStore(tmp_path / "pooled.jsonl")
-    sweep.run_campaign(grid, store=pooled, workers=2)
+    sweep.run_campaign(grid, store=pooled, executor=ExecutorPolicy(workers=2))
     # Two workers split the four points into two 2-wide chunks.
     assert {r["runtime"]["shared"] for r in pooled.records()} == {2}
     assert _rows(pooled) == _rows(serial)

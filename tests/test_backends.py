@@ -473,7 +473,7 @@ class TestRemovedShardedBackend:
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--store", str(path), "--backend", "sharded"])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not path.exists()
 
     def test_repro_store_environment(self, tmp_path, monkeypatch):

@@ -52,7 +52,9 @@ def test_pooled_fluid_grid_runs_lockstep_chunks(tmp_path):
     serial = sweep.run_campaign(grid, store=False).points
     sweep.clear_cache()
     store = SweepStore(tmp_path / "s.jsonl")
-    pooled = sweep.run_campaign(grid, store=store, workers=2).points
+    pooled = sweep.run_campaign(
+        grid, store=store, executor=ExecutorPolicy(workers=2)
+    ).points
     assert len(pooled) == len(serial) == 8
     # Two workers split the 8 points into two 4-wide lockstep chunks.
     for point in pooled:

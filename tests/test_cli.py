@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro import cli
@@ -33,6 +35,19 @@ class TestParser:
             cli.build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_no_command_has_a_backend_flag(self):
+        # A store's backend is part of its spec (``jsonl:``/``sqlite:``
+        # prefix or path suffix), never a separate flag.
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+
+        for parser in walk(cli.build_parser()):
+            assert "--backend" not in parser._option_string_actions, parser.prog
 
     def test_workers_flag_parsed(self):
         args = cli.build_parser().parse_args(["campaign", "--workers", "4"])

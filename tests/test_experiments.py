@@ -7,6 +7,7 @@ import pytest
 from repro.core import simulate
 from repro.emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from repro.experiments import figures, report, scenarios, sweep
+from repro.experiments.executor import ExecutorPolicy
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import scenario_key
 from repro.metrics.aggregate import aggregate_metrics
@@ -155,7 +156,9 @@ class TestSweep:
 
         monkeypatch.setattr(sweep, "simulate_many", exploding)
         with pytest.raises(sweep.SweepPointError) as excinfo:
-            sweep.run_campaign(self.grid(buffers_bdp=[3.0]), workers=2)
+            sweep.run_campaign(
+                self.grid(buffers_bdp=[3.0]), executor=ExecutorPolicy(workers=2)
+            )
         assert excinfo.value.mix == "BBRv1"
         assert excinfo.value.buffer_bdp == 3.0
         assert "boom" in str(excinfo.value)
@@ -163,7 +166,7 @@ class TestSweep:
     def test_workers_path_matches_serial(self):
         serial = sweep.run_campaign(self.grid()).points
         sweep.clear_cache()
-        parallel = sweep.run_campaign(self.grid(), workers=2).points
+        parallel = sweep.run_campaign(self.grid(), executor=ExecutorPolicy(workers=2)).points
         assert len(parallel) == len(serial) == 1
         for key, value in serial[0].metrics.as_dict().items():
             assert parallel[0].metrics.as_dict()[key] == pytest.approx(value, rel=1e-9, nan_ok=True)

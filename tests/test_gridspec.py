@@ -182,13 +182,43 @@ class TestPerSeedCsv:
         assert out.read_bytes() == expected.read_bytes()
 
 
+class TestSeedReplicaLabels:
+    """Regression: seed replicas of a seed-free (fluid) grid share one key,
+    so one computation; every replica was labelled with the seed of the
+    point that computed it (``1, 1, 1``)."""
+
+    GRID = GridSpec(mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
+                    substrate="fluid", duration_s=0.3, seeds=3)
+
+    def test_replicas_carry_their_own_seed(self):
+        computed = sweep.run_campaign(self.GRID, store=False)
+        cached = sweep.run_campaign(self.GRID, store=False)  # in-process cache
+        for result in (computed, cached):
+            assert [p.seed for p in result.replicas] == [1, 2, 3]
+            assert len({repr(p.metrics.as_dict()) for p in result.replicas}) == 1
+            assert result.points[0].seeds == (1, 2, 3)
+        assert cached.replicas == computed.replicas
+
+    def test_per_seed_csv_seed_column(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        out = tmp_path / "per_seed.csv"
+        assert cli.main([
+            "-q", "campaign", "--substrate", "fluid", "--mixes", "BBRv1", "--buffers", "1",
+            "--disciplines", "droptail", "--duration", "0.3", "--seeds", "3",
+            "--per-seed-csv", str(out),
+        ]) == 0
+        capsys.readouterr()
+        with out.open() as handle:
+            assert [row["seed"] for row in csv.DictReader(handle)] == ["1", "2", "3"]
+
+
 PARENT_DEFAULTS = {
     "campaign": {
         "substrate": "emulation", "buffers": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
         "mixes": ["BBRv1", "BBRv1/BBRv2", "BBRv1/CUBIC", "BBRv1/RENO", "BBRv2",
                   "BBRv2/CUBIC", "BBRv2/RENO"],
         "disciplines": ["droptail", "red"], "duration": 5.0, "short_rtt": False,
-        "csv": None, "seeds": 5, "store": None, "backend": None, "workers": None,
+        "csv": None, "seeds": 5, "store": None, "workers": None,
         "topology": None, "hops": 3, "cross_flows": 1, "hop_capacities": None,
         "hop_delays": None, "hop_disciplines": None, "arrivals": None,
         "flow_size_dist": None, "load": None, "flows": None, "prune_analytic": False,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import cli
@@ -14,6 +16,7 @@ from repro.experiments.presets import (
     load_preset,
     parse_preset,
 )
+from repro.experiments.store import resolve_store
 
 FULL_PRESET = """
 name: paper-grid
@@ -113,6 +116,9 @@ class TestParsePreset:
             ("executor: {retries: -1}", "invalid executor policy"),
             ("substrate: ns3", "unknown substrate"),
             ("churn: {load: 0.5}", "arrival process"),
+            ("store: {path: 'jsonl:r.out', backend: sqlite}", "conflicts with"),
+            ("store: {path: 'sqlite:r.db', backend: jsonl}", "conflicts with"),
+            ("store: {backend: sqlite}", "needs a store.path"),
         ],
     )
     def test_malformed_documents_rejected(self, tmp_path, document, match):
@@ -236,3 +242,90 @@ class TestCliMerge:
         cli.main(["campaign", "--preset", str(path), "--skip-failures"])
         capsys.readouterr()
         assert captured["executor"].on_failure == "skip"
+
+    @pytest.mark.parametrize(
+        ("flags", "field", "value"),
+        [
+            (["--seed", "5"], "seeds", 5),
+            (["--sub", "emulation"], "substrate", "emulation"),
+            (["--dur", "5"], "duration_s", 5.0),
+        ],
+        ids=["seed", "sub", "dur"],
+    )
+    def test_abbreviated_flags_override_preset(
+        self, tmp_path, captured, capsys, flags, field, value
+    ):
+        # Each value equals the parser default, so only argparse itself can
+        # tell that the (abbreviated) flag was passed.
+        cli.main(["campaign", "--preset", str(self._preset_file(tmp_path)), *flags])
+        capsys.readouterr()
+        assert getattr(captured["grid"], field) == value
+
+    def test_prefixed_store_flag_over_sqlite_preset(self, tmp_path, captured, capsys):
+        override = tmp_path / "cli-override.out"
+        cli.main(
+            [
+                "campaign",
+                "--preset", str(self._preset_file(tmp_path)),
+                "--store", f"jsonl:{override}",
+            ]
+        )
+        capsys.readouterr()
+        store = captured["store"]
+        assert store.path == override
+        assert store.backend == "jsonl"
+        store.close()
+
+    @pytest.mark.parametrize(
+        ("argv", "fsync"),
+        [
+            (["--preset", "{full}"], False),
+            (["--preset", "{full}", "--store", "cli-override.jsonl"], False),
+            (["--preset", "{plain}"], True),
+            (["--substrate", "fluid", "--store", "cli.jsonl"], True),
+        ],
+        ids=["preset-store", "store-flag", "preset-without-fsync", "no-preset"],
+    )
+    def test_preset_fsync_applies_to_every_store(
+        self, tmp_path, captured, capsys, monkeypatch, argv, fsync
+    ):
+        plain = tmp_path / "plain.yaml"
+        plain.write_text("substrate: fluid\nstore: {path: s.jsonl}\n")
+        presets = {"full": self._preset_file(tmp_path), "plain": plain}
+        opened: list = []
+
+        def recording_resolve_store(spec, **kwargs):
+            opened.append(kwargs.get("fsync", True))
+            return resolve_store(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "resolve_store", recording_resolve_store)
+        cli.main(["campaign", *(arg.format(**presets) for arg in argv)])
+        capsys.readouterr()
+        assert opened == [fsync]
+        captured["store"].close()
+
+    def test_status_store_argument_overrides_preset_store(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        preset = tmp_path / "status.yaml"
+        preset.write_text(
+            "substrate: fluid\nseeds: 1\n"
+            "grid: {mixes: [BBRv1], buffers_bdp: [1], disciplines: [droptail]}\n"
+            "store: {path: preset.sqlite, backend: sqlite}\n"
+        )
+        other = tmp_path / "other.jsonl"
+        other.write_text("")
+        code = cli.main(["status", "--preset", str(preset), str(other), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["store"] == str(other)
+        assert (report["grid"], report["remaining"]) == (1, 1)
+        assert not (tmp_path / "preset.sqlite").exists()
+
+    def test_store_path_prefix_agreeing_with_backend(self, tmp_path, captured, capsys):
+        path = tmp_path / "prefixed.yaml"
+        path.write_text("substrate: fluid\nstore: {path: 'sqlite:r.out', backend: sqlite}\n")
+        cli.main(["campaign", "--preset", str(path)])
+        capsys.readouterr()
+        store = captured["store"]
+        assert (store.backend, store.path.name) == ("sqlite", "r.out")
+        store.close()
