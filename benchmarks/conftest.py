@@ -5,12 +5,14 @@ paper and prints the reproduced series, so running
 
     pytest benchmarks/ --benchmark-only
 
-produces the full set of reproduced results (recorded in EXPERIMENTS.md).
+prints the full set of reproduced results; each benchmark asserts the
+shape the paper reports for its figure (figure numbers as in PAPER.md).
 
 By default the aggregate sweeps use a reduced buffer grid (1, 4, 7 BDP) and
 a slightly shortened trace duration so the whole suite completes in a few
 minutes on a laptop; set ``REPRO_BENCH_FULL=1`` to run the paper's full
-1-7 BDP grid and durations.
+1-7 BDP grid and durations.  The aggregate figures of one session share
+their grid runs through one temporary store (the ``sweep_store`` fixture).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import pytest  # noqa: E402
+
+from repro.experiments.store import SweepStore  # noqa: E402
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
@@ -66,6 +70,14 @@ def _no_ambient_store(monkeypatch):
 def run_once(benchmark, func, *args, **kwargs):
     """Run a benchmark exactly once (the figures are deterministic and heavy)."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+@pytest.fixture(scope="session")
+def sweep_store(tmp_path_factory):
+    """The session's one store: each aggregate grid point is computed once."""
+    store = SweepStore(tmp_path_factory.mktemp("sweep") / "points.jsonl", fsync=False)
+    yield store
+    store.close()
 
 
 @pytest.fixture(scope="session")

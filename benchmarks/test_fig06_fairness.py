@@ -6,8 +6,8 @@ from conftest import BENCH_BUFFERS, run_once
 from _aggregate_common import print_aggregate, run_aggregate, series_value
 
 
-def test_fig06_fairness(benchmark):
-    data = run_once(benchmark, run_aggregate, "jain_fairness")
+def test_fig06_fairness(benchmark, sweep_store):
+    data = run_once(benchmark, run_aggregate, "jain_fairness", sweep_store)
     print_aggregate("Figure 6 — Jain fairness", data)
     small, large = BENCH_BUFFERS[0], BENCH_BUFFERS[-1]
     # Paper shape 1: BBRv1 vs. loss-based CCAs is the least fair setting in

@@ -6,14 +6,14 @@ from conftest import BENCH_BUFFERS, run_once
 from _aggregate_common import print_aggregate, run_aggregate, series_value
 
 
-def test_fig07_loss(benchmark):
-    data = run_once(benchmark, run_aggregate, "loss_percent")
+def test_fig07_loss(benchmark, sweep_store):
+    data = run_once(benchmark, run_aggregate, "loss_percent", sweep_store)
     print_aggregate("Figure 7 — loss [%]", data)
     small, large = BENCH_BUFFERS[0], BENCH_BUFFERS[-1]
     # Paper shape 1: BBRv1 causes considerable loss in shallow drop-tail
     # buffers, decreasing with buffer size.  (The fluid model is started from
     # post-start-up estimates, which exaggerates the absolute shallow-buffer
-    # loss relative to the paper — see EXPERIMENTS.md.)
+    # loss relative to the paper; the shape, not the level, is checked.)
     bbr1_small = series_value(data, "droptail", "BBRv1", small)
     bbr1_large = series_value(data, "droptail", "BBRv1", large)
     assert bbr1_small > 5.0

@@ -8,8 +8,8 @@ from conftest import BENCH_BUFFERS, BENCH_DURATION, run_once
 from _aggregate_common import print_aggregate, run_aggregate, series_value
 
 
-def test_fig08_queuing(benchmark):
-    data = run_once(benchmark, run_aggregate, "buffer_occupancy_percent")
+def test_fig08_queuing(benchmark, sweep_store):
+    data = run_once(benchmark, run_aggregate, "buffer_occupancy_percent", sweep_store)
     print_aggregate("Figure 8 — buffer occupancy [%]", data)
     small = BENCH_BUFFERS[0]
     # Paper shape 1: BBRv1 keeps the buffer heavily used in shallow buffers.
@@ -24,12 +24,13 @@ def test_fig08_queuing(benchmark):
     )
 
 
-def test_fig08_insight5_bbr2_large_buffers(benchmark):
+def test_fig08_insight5_bbr2_large_buffers(benchmark, sweep_store):
     result = run_once(
         benchmark,
         figures.figure_8_insight5,
         buffers_bdp=(1.0, 5.0, 7.0),
         duration_s=BENCH_DURATION,
+        store=sweep_store,
     )
     print("\nInsight 5 — BBRv2 buffer occupancy with start-up-distorted inflight_hi")
     for row in result["rows"]:

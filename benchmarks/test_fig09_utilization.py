@@ -6,8 +6,8 @@ from conftest import BENCH_BUFFERS, run_once
 from _aggregate_common import print_aggregate, run_aggregate, series_value
 
 
-def test_fig09_utilization(benchmark):
-    data = run_once(benchmark, run_aggregate, "utilization_percent")
+def test_fig09_utilization(benchmark, sweep_store):
+    data = run_once(benchmark, run_aggregate, "utilization_percent", sweep_store)
     print_aggregate("Figure 9 — utilization [%]", data)
     small, large = BENCH_BUFFERS[0], BENCH_BUFFERS[-1]
     # Paper shape 1: BBRv1 (and mixes containing it) fully utilise the link.

@@ -6,8 +6,8 @@ from conftest import run_once
 from _aggregate_common import print_aggregate, run_aggregate
 
 
-def test_fig10_jitter(benchmark):
-    data = run_once(benchmark, run_aggregate, "jitter_ms")
+def test_fig10_jitter(benchmark, sweep_store):
+    data = run_once(benchmark, run_aggregate, "jitter_ms", sweep_store)
     print_aggregate("Figure 10 — jitter [ms]", data)
     # The paper itself reports that the fluid model cannot predict jitter
     # (Insight 9: discrete, packet-scale phenomena are abstracted away); the

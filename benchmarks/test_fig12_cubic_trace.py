@@ -11,7 +11,8 @@ from _trace_common import print_trace_figure
 def test_fig12_cubic_trace(benchmark):
     result = run_once(
         benchmark,
-        figures.figure_12,
+        figures.trace_validation_figure,
+        "cubic",
         duration_s=TRACE_DURATION,
         dt=BENCH_DT,
     )
@@ -24,5 +25,5 @@ def test_fig12_cubic_trace(benchmark):
                 # The fluid model (the paper's contribution) must keep the
                 # link busy; the emulator's RED queue has no minimum drop
                 # threshold and can collapse loss-sensitive single flows,
-                # which is a substrate artifact (see EXPERIMENTS.md).
+                # which is a substrate artifact, not a model prediction.
                 assert data["utilization_pct"] > 20.0

@@ -2,26 +2,22 @@
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments import scenarios
 
-from conftest import BENCH_DURATION, FULL, run_once
-from _aggregate_common import print_aggregate
+from conftest import FULL, run_once
+from _aggregate_common import print_aggregate, run_aggregate
 
 
-SHORT_MIXES = None if FULL else ("BBRv1", "BBRv2", "BBRv1/RENO", "BBRv2/RENO")
+SHORT_MIXES = tuple(scenarios.CCA_MIXES) if FULL else ("BBRv1", "BBRv2", "BBRv1/RENO", "BBRv2/RENO")
 SHORT_BUFFERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0) if FULL else (1.0, 7.0)
 
 
-def run_short(metric: str):
-    return figures.figures_13_17(
-        metric,
-        mixes=SHORT_MIXES,
-        buffers_bdp=SHORT_BUFFERS,
-        duration_s=BENCH_DURATION,
-    )
+def test_fig13_17_short_rtt(benchmark, sweep_store):
+    def run_short(metric: str):
+        return run_aggregate(
+            metric, sweep_store, mixes=SHORT_MIXES, buffers_bdp=SHORT_BUFFERS, short_rtt=True
+        )
 
-
-def test_fig13_17_short_rtt(benchmark):
     results = run_once(
         benchmark,
         lambda: {

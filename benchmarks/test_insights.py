@@ -6,14 +6,14 @@ from conftest import BENCH_BUFFERS, run_once
 from _aggregate_common import run_aggregate, series_value
 
 
-def test_insights(benchmark):
+def test_insights(benchmark, sweep_store):
     data = run_once(
         benchmark,
         lambda: {
-            "fairness": run_aggregate("jain_fairness"),
-            "loss": run_aggregate("loss_percent"),
-            "occupancy": run_aggregate("buffer_occupancy_percent"),
-            "utilization": run_aggregate("utilization_percent"),
+            "fairness": run_aggregate("jain_fairness", sweep_store),
+            "loss": run_aggregate("loss_percent", sweep_store),
+            "occupancy": run_aggregate("buffer_occupancy_percent", sweep_store),
+            "utilization": run_aggregate("utilization_percent", sweep_store),
         },
     )
     small, large = BENCH_BUFFERS[0], BENCH_BUFFERS[-1]
@@ -58,4 +58,4 @@ def test_insights(benchmark):
         ("Insight 6 (BBRv2 vs loss-based under RED)", insight6),
     ]:
         print(f"  {name}: {value}")
-    assert insight1 and insight2 and insight3 and insight4
+    assert insight1 and insight2 and insight3 and insight4 and insight6

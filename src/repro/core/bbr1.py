@@ -17,7 +17,7 @@ In addition, BBRv1 maintains a congestion window of twice the estimated
 BDP, which — contrary to the design intention — becomes the binding
 constraint when competing against loss-based CCAs in deep buffers.
 
-Modelling notes (cf. DESIGN.md): the paper expresses the inherently discrete
+Modelling notes: the paper expresses the inherently discrete
 parts (ProbeRTT toggling, period rollover, the adoption of the period's
 maximum delivery rate) as sharp sigmoids so that the whole system reads as
 one ODE.  We implement those transitions as crisp guarded updates evaluated

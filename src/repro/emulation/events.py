@@ -1,7 +1,6 @@
 """Discrete-event simulation core of the packet-level emulator.
 
-The emulator replaces the paper's mininet/OvS/iPerf testbed (see DESIGN.md):
-it provides packet-granular ground truth that the fluid-model predictions
+The emulator replaces the paper's mininet/OvS/iPerf testbed: it provides packet-granular ground truth that the fluid-model predictions
 are validated against.  The core is a conventional event queue — callbacks
 scheduled at absolute times, executed in time order with a monotonically
 increasing clock — plus two typed primitives that keep the heap small:

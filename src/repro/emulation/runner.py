@@ -7,7 +7,7 @@ runs the discrete-event simulation, and samples the same
 :class:`~repro.metrics.traces.Trace` structure the fluid model produces, so
 that every metric of the paper's evaluation can be computed from either
 substrate interchangeably (this emulator plays the role of the paper's
-mininet experiments, cf. DESIGN.md).
+mininet experiments).
 
 Multi-hop topologies chain one :class:`~repro.emulation.link.BottleneckLink`
 per queued link via the existing delay-line primitives: each link's

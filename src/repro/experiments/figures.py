@@ -1,25 +1,31 @@
 """Regeneration of every figure and analysis result of the paper.
 
-Each ``figure_*`` function reproduces the data behind one figure of the
-paper and returns it as plain Python structures (dictionaries of series).
-The benchmark harness in ``benchmarks/`` calls these functions and prints
-the resulting rows; EXPERIMENTS.md records how the regenerated shapes
-compare with the published ones.
+Each function reproduces the data behind figures of the paper and returns
+it as plain Python structures (dictionaries of series).  The benchmark
+harness in ``benchmarks/`` calls these functions, prints the resulting
+rows and asserts the published shapes.
 
-Figure index (cf. DESIGN.md):
+Figure index (figure numbers as in the paper, see PAPER.md):
 
-* Fig. 1 — Reno vs. BBRv1 sending-rate competition.
-* Fig. 2 — interplay of the BBRv1/BBRv2 fluid-model variables.
+* Fig. 1 — Reno vs. BBRv1 sending-rate competition (:func:`figure_1`).
+* Fig. 2 — interplay of the BBRv1/BBRv2 fluid-model variables
+  (:func:`figure_2`).
 * Fig. 4 / 5 / 11 / 12 — single-flow trace validation of BBRv1 / BBRv2 /
-  Reno / CUBIC under drop-tail and RED (fluid model vs. packet emulator).
+  Reno / CUBIC under drop-tail and RED, fluid model vs. packet emulator
+  (:func:`trace_validation_figure` of ``"bbr1"``/``"bbr2"``/``"reno"``/
+  ``"cubic"``).
 * Fig. 6-10 — aggregate validation: Jain fairness, loss, buffer occupancy,
-  utilization, jitter as functions of the buffer size for seven CCA mixes.
-* Fig. 13-17 — the same five metrics for the short-RTT setting (Appendix C).
-* Theorems 1-5 — equilibria and stability of the reduced models.
+  utilization, jitter as functions of the buffer size for seven CCA mixes
+  (:func:`aggregate_figure` of one :data:`AGGREGATE_FIGURES` metric).
+* Fig. 13-17 — the same five metrics for the short-RTT setting (Appendix C):
+  :func:`aggregate_figure` of a ``short_rtt=True`` grid.
+* Theorems 1-5 — equilibria and stability of the reduced models
+  (:func:`theorem_table`).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import replace
 from typing import Any
@@ -27,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from ..analysis import (
-    analyze_network,
+    analyze_networks,
     bbr2_queue_reduction_vs_bbr1,
     integrate_reduced,
     reference_network,
@@ -38,6 +44,7 @@ from ..metrics.aggregate import aggregate_metrics
 from . import scenarios, sweep
 from .executor import ExecutorPolicy
 from .grid import GridSpec
+from .store import SweepStore
 
 #: Metrics of the aggregate figures, in paper order.
 AGGREGATE_FIGURES: dict[str, str] = {
@@ -47,10 +54,6 @@ AGGREGATE_FIGURES: dict[str, str] = {
     "fig09_utilization": "utilization_percent",
     "fig10_jitter": "jitter_ms",
 }
-
-#: Reduced sweep used by default so the benchmark suite stays tractable;
-#: pass ``buffers_bdp=scenarios.BUFFER_SWEEP_BDP`` for the paper's full grid.
-DEFAULT_SWEEP_BUFFERS: tuple[float, ...] = (1.0, 4.0, 7.0)
 
 
 def _percent(rate: np.ndarray, capacity: float) -> np.ndarray:
@@ -140,26 +143,6 @@ def trace_validation_figure(
     return result
 
 
-def figure_4(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 4: BBRv1 trace validation."""
-    return trace_validation_figure("bbr1", **kwargs)
-
-
-def figure_5(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 5: BBRv2 trace validation."""
-    return trace_validation_figure("bbr2", **kwargs)
-
-
-def figure_11(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 11: Reno trace validation."""
-    return trace_validation_figure("reno", **kwargs)
-
-
-def figure_12(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 12: CUBIC trace validation."""
-    return trace_validation_figure("cubic", **kwargs)
-
-
 # --------------------------------------------------------------------------- #
 # Aggregate figures
 # --------------------------------------------------------------------------- #
@@ -167,99 +150,52 @@ def figure_12(**kwargs: Any) -> dict[str, Any]:
 
 def aggregate_figure(
     metric: str,
-    substrate: str = "fluid",
-    mixes: Iterable[str] | None = None,
-    buffers_bdp: Iterable[float] | None = None,
-    disciplines: Iterable[str] | None = None,
-    short_rtt: bool = False,
-    duration_s: float = 5.0,
-    dt: float = scenarios.SWEEP_DT,
-    workers: int | None = None,
-    seeds: int | Iterable[int] | None = None,
-    store: Any = None,
+    grid: GridSpec,
+    *,
+    store: SweepStore | str | bool | None = None,
+    executor: ExecutorPolicy | None = None,
 ) -> dict[str, dict[str, list[tuple[float, ...]]]]:
-    """One aggregate figure: ``{discipline: {mix: [(buffer_bdp, value), ...]}}``.
+    """One aggregate figure of ``grid``: ``{discipline: {mix: [(buffer_bdp, value), ...]}}``.
 
-    ``workers=N`` fans uncached sweep points out to a process pool (most
-    useful on the emulation substrate, whose points cannot be batched).
-    ``seeds`` replicates every point across scenario seeds, in which case
-    each series entry is a ``(buffer_bdp, mean, ci95)`` triple; ``store``
-    (or the ``REPRO_STORE`` env var) persists points across processes.
+    The grid is run by :func:`~repro.experiments.sweep.run_campaign` with
+    ``store`` and ``executor``; the five metrics of one grid share its runs
+    through the store.  A grid with ``seeds`` makes each series entry a
+    ``(buffer_bdp, mean, ci95)`` triple.
     """
     if metric not in set(AGGREGATE_FIGURES.values()):
         raise ValueError(f"unknown aggregate metric {metric!r}")
-    buffers = tuple(buffers_bdp) if buffers_bdp is not None else DEFAULT_SWEEP_BUFFERS
-    mixes = tuple(mixes) if mixes is not None else tuple(scenarios.CCA_MIXES)
-    disciplines = tuple(disciplines) if disciplines is not None else scenarios.DISCIPLINES
-    grid = GridSpec(
-        mixes=mixes,
-        buffers_bdp=buffers,
-        disciplines=disciplines,
-        substrate=substrate,
-        short_rtt=short_rtt,
-        duration_s=duration_s,
-        dt=dt,
-        seeds=seeds,
-    )
-    points = sweep.run_campaign(
-        grid, executor=ExecutorPolicy(workers=workers), store=store
-    ).points
-    extract = sweep.series_ci if seeds is not None else sweep.series
+    points = sweep.run_campaign(grid, store=store, executor=executor).points
+    extract = sweep.series_ci if grid.seeds is not None else sweep.series
     return {
-        discipline: {mix: extract(points, metric, mix, discipline) for mix in mixes}
-        for discipline in disciplines
+        discipline: {mix: extract(points, metric, mix, discipline) for mix in grid.mixes}
+        for discipline in grid.disciplines
     }
-
-
-def figure_6(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 6: Jain fairness vs. buffer size."""
-    return aggregate_figure("jain_fairness", **kwargs)
-
-
-def figure_7(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 7: loss rate vs. buffer size."""
-    return aggregate_figure("loss_percent", **kwargs)
-
-
-def figure_8(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 8: buffer occupancy vs. buffer size."""
-    return aggregate_figure("buffer_occupancy_percent", **kwargs)
-
-
-def figure_9(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 9: bottleneck utilization vs. buffer size."""
-    return aggregate_figure("utilization_percent", **kwargs)
-
-
-def figure_10(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 10: jitter vs. buffer size."""
-    return aggregate_figure("jitter_ms", **kwargs)
-
-
-def figures_13_17(metric: str, **kwargs: Any) -> dict[str, Any]:
-    """Figs. 13-17: the short-RTT (Appendix C) variant of an aggregate figure."""
-    kwargs.setdefault("short_rtt", True)
-    return aggregate_figure(metric, **kwargs)
 
 
 def figure_8_insight5(
     buffers_bdp: Iterable[float] = (1.0, 3.0, 5.0, 7.0),
     duration_s: float = 5.0,
     dt: float = scenarios.SWEEP_DT,
+    store: SweepStore | str | bool | None = None,
 ) -> dict[str, Any]:
     """Insight 5: BBRv2 bufferbloat in large drop-tail buffers.
 
     The paper traces the effect to the start-up estimate of ``inflight_hi``;
     the fluid model reproduces it when ``w_hi``'s initial condition grows
     with the buffer (what an unconstrained start-up would measure).  Returns
-    buffer occupancy with the default and with buffer-dependent ``w_hi``.
+    buffer occupancy with the default and with buffer-dependent ``w_hi``;
+    the default points are those of Fig. 8's BBRv2 drop-tail series, so a
+    ``store`` shared with that figure serves them.
     """
     grid = GridSpec(mixes=("BBRv2",), disciplines=("droptail",), duration_s=duration_s, dt=dt)
     rows = []
     for buffer_bdp in buffers_bdp:
-        default_point = sweep.run_campaign(replace(grid, buffers_bdp=(buffer_bdp,))).points[0]
+        default_point = sweep.run_campaign(
+            replace(grid, buffers_bdp=(buffer_bdp,)), store=store
+        ).points[0]
         distorted_point = sweep.run_campaign(
-            replace(grid, buffers_bdp=(buffer_bdp,), whi_init_bdp=1.0 + float(buffer_bdp))
+            replace(grid, buffers_bdp=(buffer_bdp,), whi_init_bdp=1.0 + float(buffer_bdp)),
+            store=store,
         ).points[0]
         rows.append(
             {
@@ -283,39 +219,37 @@ def theorem_table(
 ) -> list[dict[str, Any]]:
     """Equilibria and stability of Theorems 1-5 for a range of flow counts.
 
-    Built on the campaign-facing :func:`~repro.analysis.analyze_network`
-    dispatcher (one network per theorem regime), so this table exercises
-    the same closed-form dispatch that the analytic sweep substrate and
+    Built on the campaign-facing :func:`~repro.analysis.analyze_networks`
+    dispatcher (three networks per flow count, one per theorem regime,
+    all analysed in one call), so this table exercises the same
+    closed-form dispatch that the analytic sweep substrate and
     ``repro-bbr stability`` run at campaign scale: a deep buffer selects
     Theorems 1+2, a shallow one Theorem 3, and BBRv2's fair point
     Theorems 4+5.
     """
+    flow_counts = tuple(flow_counts)
+    # Buffers picked inside each theorem's hypotheses: deep means
+    # B >= d C (Thm 1), shallow B <= (3/5) d C (Thm 3), and BBRv2's fair
+    # point needs only B >= (N-1)/(4N+1) d C < 1 BDP (Thm 4).
+    regimes = (("bbr1", math.inf), ("bbr1", 0.5), ("bbr2", math.inf))
+    points = analyze_networks(
+        [
+            (
+                (cca,) * n,
+                reference_network(
+                    n,
+                    rtt_s=propagation_delay_s,
+                    capacity_mbps=capacity_mbps,
+                    buffer_bdp=buffer_bdp,
+                ),
+            )
+            for n in flow_counts
+            for cca, buffer_bdp in regimes
+        ]
+    )
     rows = []
-    for n in flow_counts:
-        # Buffers picked inside each theorem's hypotheses: deep means
-        # B >= d C (Thm 1), shallow B <= (3/5) d C (Thm 3), and BBRv2's
-        # fair point needs only B >= (N-1)/(4N+1) d C < 1 BDP (Thm 4).
-        deep = analyze_network(
-            ("bbr1",) * n,
-            reference_network(
-                n, rtt_s=propagation_delay_s, capacity_mbps=capacity_mbps
-            ),
-        )
-        shallow = analyze_network(
-            ("bbr1",) * n,
-            reference_network(
-                n,
-                rtt_s=propagation_delay_s,
-                capacity_mbps=capacity_mbps,
-                buffer_bdp=0.5,
-            ),
-        )
-        fair_v2 = analyze_network(
-            ("bbr2",) * n,
-            reference_network(
-                n, rtt_s=propagation_delay_s, capacity_mbps=capacity_mbps
-            ),
-        )
+    for i, n in enumerate(flow_counts):
+        deep, shallow, fair_v2 = points[3 * i : 3 * i + 3]
         capacity_pps = deep.capacity_pps
         bdp_pkts = capacity_pps * propagation_delay_s
         assert (deep.theorems, shallow.theorems, fair_v2.theorems) == (

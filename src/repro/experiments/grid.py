@@ -10,8 +10,8 @@ values, and every layer consumes those:
 * :meth:`PointSpec.config` builds the point's
   :class:`~repro.config.ScenarioConfig`;
 * :attr:`PointSpec.key` is its content-addressed
-  :func:`~repro.experiments.store.scenario_key` — the only key, in the
-  in-process cache and in the persistent store alike;
+  :func:`~repro.experiments.store.scenario_key` — the only key, which the
+  persistent store files results under and a campaign deduplicates by;
 * :meth:`PointSpec.meta` is the human-readable coordinate block stored
   next to the metrics;
 * :meth:`PointSpec.coords` names the point in reports and failure rows.

@@ -3,7 +3,8 @@
 The repository has no plotting dependency, so every figure of the paper is
 regenerated as a *data series* — rows of (x, y) values per line of the
 figure — printed as an aligned text table and optionally written to CSV.
-EXPERIMENTS.md records the shape comparison against the paper.
+The benchmarks in ``benchmarks/`` print these tables and assert the shapes
+the paper reports.
 """
 
 from __future__ import annotations

@@ -4,16 +4,15 @@ A campaign runs every point of a :class:`~repro.experiments.grid.GridSpec`
 — CCA mix x buffer size x queue discipline x seed — on one substrate
 ("fluid", "emulation" or "analytic"), computes the aggregate metrics of
 :mod:`repro.metrics.aggregate`, and returns tidy rows.  Because the five
-aggregate figures of the paper all derive from the *same* runs, results
-are cached at two levels:
-
-* an in-process cache keyed by ``scenario_key`` (the point's
-  content-addressed store key), and
-* an optional persistent :class:`~repro.experiments.store.SweepStore`
-  (``store=`` argument, ``--store PATH`` flag or ``REPRO_STORE`` env var):
-  every point is persisted the moment it completes, so interrupted
-  campaigns resume without recomputing finished points and results are
-  shared across processes and ``--workers N`` pools.
+aggregate figures of the paper all derive from the *same* runs, they share
+them through one persistent :class:`~repro.experiments.store.SweepStore`
+(``store=`` argument, ``--store PATH`` flag or ``REPRO_STORE`` env var),
+keyed by ``scenario_key`` (the point's content-addressed key): every point
+is persisted the moment it completes, so a later campaign — in this
+process or another, interrupted or not — is served the finished points
+instead of recomputing them.  Without a store nothing is reused between
+calls; within one call, points that share a key (fluid seed replicas,
+hop-discipline aliases) are computed once.
 
 The paper's aggregate figures average repeated randomized runs; the
 ``seeds`` axis replicates each point under K scenario seeds and aggregates
@@ -27,10 +26,11 @@ the per-seed :class:`~repro.metrics.aggregate.AggregateMetrics` into a
         GridSpec(substrate="emulation", seeds=5), store="results.jsonl"
     ).points
 
-The grid is embarrassingly parallel.  Every uncached point is computed
-inside a *chunk* (a tuple of points, see :func:`compute_chunk`), run by a
-:class:`~repro.experiments.executor.ResilientExecutor`; only a plain serial
-fluid grid (no retries, timeout or heartbeat) runs its chunks inline.
+The grid is embarrassingly parallel.  Every point the store does not serve
+is computed inside a *chunk* (a tuple of points, see :func:`compute_chunk`),
+run by a :class:`~repro.experiments.executor.ResilientExecutor`; only a
+plain serial fluid grid (no retries, timeout or heartbeat) runs its chunks
+inline.
 Fluid chunks integrate in lockstep through
 :func:`repro.core.simulator.simulate_many`, which stacks independent
 scenarios into one batched system (the big single-core win), and analytic
@@ -112,7 +112,7 @@ class SweepPoint:
     seed: int = 1
     #: Non-keyed execution metadata of the run that computed this point
     #: (wall/CPU seconds, peak RSS, substrate counters); ``None`` when the
-    #: point was served from a cache or store.  Excluded from equality so
+    #: point was served from the store.  Excluded from equality so
     #: identical results compare equal regardless of where they ran.
     runtime: dict | None = field(default=None, compare=False, repr=False)
     #: Analysis block of an analytic-substrate point (equilibrium regime,
@@ -234,15 +234,6 @@ class CampaignResult:
         return not self.failures
 
 
-#: In-process results by scenario key (the same key the store uses).
-_CACHE: dict[str, SweepPoint] = {}
-
-
-def clear_cache() -> None:
-    """Drop all cached sweep points (mainly for tests)."""
-    _CACHE.clear()
-
-
 def validate_shard(
     shard_index: int | None, shard_count: int | None
 ) -> tuple[int | None, int | None]:
@@ -316,11 +307,11 @@ def grid_point_keys(
 
 
 def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
-    """Compute one chunk of grid points from scratch (no cache, no store).
+    """Compute one chunk of grid points from scratch (no store).
 
     The campaign's only unit of work: module-level so process pools can
-    pickle it, and free of cache/store side effects so the parent owns
-    every write.  A fluid chunk is integrated in lockstep through
+    pickle it, and free of store side effects so the parent owns every
+    write.  A fluid chunk is integrated in lockstep through
     :func:`~repro.core.simulator.simulate_many` and an analytic chunk is
     one :func:`~repro.analysis.analyze_scenarios` call; either way the
     measured cost is amortised evenly over its points (``shared=``).  An
@@ -388,7 +379,7 @@ def run_campaign(
     deterministic, so its seed replicas of seed-free scenarios alias onto
     a single computation (and a single store record).
 
-    Execution runs one :func:`compute_chunk` task per chunk of uncached
+    Execution runs one :func:`compute_chunk` task per chunk of unserved
     points: fluid and analytic points form batched chunks of
     ``min(BATCH_CHUNK, ceil(pending / workers))``, emulation points one
     point per chunk, and ``ExecutorPolicy(workers=N)`` (N > 1) runs the
@@ -475,32 +466,26 @@ def _campaign_points(
 ) -> tuple[dict[PointSpec, SweepPoint], list[PointFailure]]:
     """Serve, compute and persist ``points``; the body of :func:`run_campaign`."""
     results: dict[PointSpec, SweepPoint] = {}
-    pending: list[PointSpec] = []
-    pending_keys: set[str] = set()
-    duplicates: list[PointSpec] = []
+    # Points sharing a key (fluid seed replicas alias deliberately) are
+    # served or computed once, through the first of them.
+    firsts: dict[str, PointSpec] = {}
     for point in points:
-        key = point.key
-        if key in _CACHE:
-            results[point] = _CACHE[key].labelled(point)
-        elif key in pending_keys:
-            # Same key as an already-pending point (fluid seed replicas
-            # alias deliberately): compute once, share the result.
-            duplicates.append(point)
+        firsts.setdefault(point.key, point)
+    pending: list[PointSpec] = []
+    for key, point in firsts.items():
+        metrics = store.get(key) if store is not None else None
+        if metrics is None:
+            pending.append(point)
         else:
-            metrics = store.get(key) if store is not None else None
-            if metrics is not None:
-                results[point] = _CACHE[key] = SweepPoint.of(point, metrics)
-            else:
-                pending.append(point)
-                pending_keys.add(key)
+            results[point] = SweepPoint.of(point, metrics)
 
     alias_of: dict[PointSpec, PointSpec] = {}
     if prune_analytic and pending:
         pending, alias_of = _prune(grid, pending, results)
 
     def persist(point: PointSpec, result: SweepPoint, extra_meta: dict | None = None) -> None:
-        """Land one computed point: in-process cache + persistent store."""
-        results[point] = _CACHE[point.key] = result
+        """Land one computed point: this call's results + the store."""
+        results[point] = result
         if store is not None:
             meta = point.meta()
             if result.analysis is not None:
@@ -608,11 +593,12 @@ def _campaign_points(
             },
         )
 
-    for point in duplicates:
-        # A duplicate's primary may itself have failed; it then simply has
-        # no result to share.
-        if point.key in _CACHE:
-            results[point] = _CACHE[point.key].labelled(point)
+    for point in points:
+        # A duplicate's first point may itself have failed; it then simply
+        # has no result to share.
+        first = firsts[point.key]
+        if point is not first and first in results:
+            results[point] = results[first].labelled(point)
 
     if store is not None:
         for failure in exec_failures:
@@ -653,7 +639,7 @@ def _prune(
             kept.append(point)
         else:
             certified.setdefault(signature, []).append(point)
-    # A point already resolved (cache/store) with the same certificate can
+    # A point already resolved (served by the store) with the same certificate can
     # serve as the group's primary without computing anything.
     # (Infinite-buffer rows are excluded: their occupancy column cannot be
     # rescaled onto a finite alias.)

@@ -56,13 +56,6 @@ CASES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _clear_cache():
-    sweep.clear_cache()
-    yield
-    sweep.clear_cache()
-
-
 def _floats(value) -> list[float]:
     """Every float of an ``as_meta()`` block, in order."""
     if isinstance(value, dict):
@@ -197,7 +190,6 @@ def test_failing_chunk_leaves_single_point_failure_rows(tmp_path):
     assert len(store.failures()) == 2
     assert len(result.points) == 4
 
-    sweep.clear_cache()
     clean = SweepStore(tmp_path / "clean.jsonl")
     healthy = GridSpec(mixes=["BBRv2", "BBRv1/BBRv2"], buffers_bdp=[2.0, 7.0], **GRID)
     sweep.run_campaign(healthy, store=clean)
@@ -209,7 +201,6 @@ def test_pooled_analytic_campaign_matches_serial(tmp_path):
     grid = GridSpec(mixes=["BBRv2", "BBRv1/BBRv2"], buffers_bdp=[2.0, 7.0], **GRID)
     serial = SweepStore(tmp_path / "serial.jsonl")
     sweep.run_campaign(grid, store=serial)
-    sweep.clear_cache()
     pooled = SweepStore(tmp_path / "pooled.jsonl")
     sweep.run_campaign(grid, store=pooled, executor=ExecutorPolicy(workers=2))
     # Two workers split the four points into two 2-wide chunks.

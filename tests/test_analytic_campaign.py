@@ -46,12 +46,10 @@ from repro.obs import log as obs_log
 
 
 @pytest.fixture(autouse=True)
-def _fresh_sweep_cache():
-    """Isolate the in-process point cache and the global log level per test."""
-    sweep.clear_cache()
+def _restore_log_level():
+    """Isolate the global log level per test."""
     prev_level = obs_log.level()
     yield
-    sweep.clear_cache()
     obs_log.set_level(prev_level)
 
 
@@ -152,7 +150,6 @@ class TestAnalyticSubstrate:
         (record,) = store.records()
         assert record["meta"]["substrate"] == "analytic"
         assert record["meta"]["analysis"] == point.analysis
-        sweep.clear_cache()
         (served,) = sweep.run_campaign(self.GRID, store=store).points
         assert store.hits >= 1
         assert served.metrics == point.metrics

@@ -29,13 +29,6 @@ BAD_BUFFER = 2.0
 _real_simulate_many = sweep.simulate_many
 
 
-@pytest.fixture(autouse=True)
-def _clear_cache():
-    sweep.clear_cache()
-    yield
-    sweep.clear_cache()
-
-
 def _grid(**axes) -> GridSpec:
     axes = {"mixes": ["BBRv1", "BBRv2"], "buffers_bdp": [1.0, 2.0], **axes}
     return GridSpec(disciplines=["droptail"], substrate="fluid", **FAST, **axes)
@@ -50,7 +43,6 @@ def _failing_on_bad_buffer(configs):
 def test_pooled_fluid_grid_runs_lockstep_chunks(tmp_path):
     grid = _grid(buffers_bdp=[0.5, 1.0, 2.0, 4.0])
     serial = sweep.run_campaign(grid, store=False).points
-    sweep.clear_cache()
     store = SweepStore(tmp_path / "s.jsonl")
     pooled = sweep.run_campaign(
         grid, store=store, executor=ExecutorPolicy(workers=2)

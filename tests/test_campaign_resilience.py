@@ -68,13 +68,6 @@ def _computes(log_path) -> list[str]:
     return [line for line in log_path.read_text().splitlines() if line]
 
 
-@pytest.fixture(autouse=True)
-def _clear_cache():
-    sweep.clear_cache()
-    yield
-    sweep.clear_cache()
-
-
 def _store_path(tmp_path, kind: str):
     return tmp_path / {"jsonl": "c.jsonl", "sqlite": "c.sqlite"}[kind]
 
@@ -123,7 +116,6 @@ class TestCrashSurvival:
 
         # --- Warm re-run before the fix: failures re-reported, nothing
         # recomputed (retry_failed=False serves recorded failure rows). ---
-        sweep.clear_cache()
         monkeypatch.setattr(sweep, "compute_chunk", _tripwire_compute_chunk)
         resumed = _campaign(reloaded, policy, retry_failed=False)
         assert not resumed.ok
@@ -134,7 +126,6 @@ class TestCrashSurvival:
         # --- "Fix the bug" (remove the trigger) and retry: only the one
         # failed point is recomputed, and it supersedes its failure row. ---
         trigger.unlink()
-        sweep.clear_cache()
         monkeypatch.setattr(sweep, "compute_chunk", _instrumented_compute_chunk)
         before = len(_computes(compute_log))
         fixed = _campaign(reloaded, policy)
@@ -146,7 +137,6 @@ class TestCrashSurvival:
 
         # --- Fully warm run: every point served from the store, zero
         # computation, correct hit/miss accounting. ---
-        sweep.clear_cache()
         monkeypatch.setattr(sweep, "compute_chunk", _tripwire_compute_chunk)
         warm_store = SweepStore(path, backend=kind)
         warm = _campaign(warm_store, policy)

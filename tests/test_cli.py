@@ -363,7 +363,6 @@ class TestExecution:
         assert kinds == {"link", "flow"}
 
     def test_campaign_command_with_seeds_reports_ci(self, tmp_path, capsys):
-        sweep_module.clear_cache()
         code = cli.main(
             [
                 "campaign",
@@ -389,7 +388,6 @@ class TestExecution:
         assert "jain_fairness" in out
 
     def test_campaign_command_runs_and_exports(self, tmp_path, capsys):
-        sweep_module.clear_cache()
         store_path = tmp_path / "campaign.jsonl"
         argv = [
             "campaign",
@@ -421,11 +419,9 @@ class TestExecution:
         per_seed = (tmp_path / "per_seed.csv").read_text().splitlines()
         assert len(per_seed) == 3  # header + one row per seed
         # Resume: a second invocation recomputes nothing and still succeeds.
-        sweep_module.clear_cache()
         assert cli.main(argv) == 0
 
     def test_campaign_without_store_warns(self, capsys):
-        sweep_module.clear_cache()
         code = cli.main(
             [
                 "campaign",

@@ -183,8 +183,8 @@ class TestMultiFlow:
 
     def test_homogeneous_bbr2_flows_all_progress(self):
         # The simplified packet-level BBRv2 converges towards fairness only
-        # over tens of seconds (cf. EXPERIMENTS.md), so here we only require
-        # that no flow is starved outright.
+        # over tens of seconds, so here we only require that no flow is
+        # starved outright.
         trace = run(["bbr2"] * 4, duration_s=6.0)
         goodputs = [f.mean_goodput() for f in trace.after(3.0).flows]
         assert min(goodputs) > 0.0

@@ -9,7 +9,7 @@ from repro.emulation.runner import RECORD_INTERVAL_S, SCHEDULER
 from repro.experiments import figures, report, scenarios, sweep
 from repro.experiments.executor import ExecutorPolicy
 from repro.experiments.grid import GridSpec
-from repro.experiments.store import scenario_key
+from repro.experiments.store import SweepStore, scenario_key
 from repro.metrics.aggregate import aggregate_metrics
 
 
@@ -49,12 +49,6 @@ class TestScenarios:
 
 
 class TestSweep:
-    @pytest.fixture(autouse=True)
-    def _clear_cache(self):
-        sweep.clear_cache()
-        yield
-        sweep.clear_cache()
-
     def fast_kwargs(self):
         return dict(duration_s=1.0, dt=1e-3)
 
@@ -64,8 +58,8 @@ class TestSweep:
             **{**self.fast_kwargs(), **axes},
         )
 
-    def run(self, **axes):
-        return sweep.run_campaign(self.grid(**axes)).points[0]
+    def run(self, store=None, **axes):
+        return sweep.run_campaign(self.grid(**axes), store=store).points[0]
 
     def test_run_returns_metrics(self):
         point = self.run()
@@ -73,15 +67,36 @@ class TestSweep:
         assert 0.0 <= point.metrics.jain_fairness <= 1.0
         assert 0.0 <= point.metrics.utilization_percent <= 100.0
 
-    def test_cache_reuses_results(self):
-        assert self.run() is self.run()
+    def test_store_reuses_results(self, tmp_path):
+        store = SweepStore(tmp_path / "s.jsonl")
+        first = self.run(store=store)
+        second = self.run(store=store)
+        assert store.hits == 1
+        assert second == first
+        assert first.runtime is not None and second.runtime is None
 
-    def test_clear_cache_forces_recompute(self):
+    def test_run_without_store_recomputes(self):
         first = self.run()
-        sweep.clear_cache()
         second = self.run()
         assert first is not second
         assert first == second
+        # Nothing is reused across calls without a store: both rows ran.
+        assert first.runtime is not None and second.runtime is not None
+
+    def test_repeat_campaign_is_served_by_its_store(self, tmp_path, monkeypatch):
+        # Regression: a second campaign on the same store in the same
+        # process was answered by a process-global cache, which never read
+        # the store (hits == 0) and returned the first run's rows, runtime
+        # block included.
+        grid = self.grid(mixes=["BBRv1", "BBRv2"], buffers_bdp=[1.0, 4.0])
+        store = SweepStore(tmp_path / "s.jsonl")
+        computed = sweep.run_campaign(grid, store=store).points
+        monkeypatch.setattr(sweep, "simulate_many", lambda configs: pytest.fail("recomputed"))
+        hits_before = store.hits
+        served = sweep.run_campaign(grid, store=store).points
+        assert served == computed
+        assert all(p.runtime is None for p in served)
+        assert store.hits - hits_before == len(list(grid.points())) == 4
 
     def test_campaign_covers_grid(self):
         points = sweep.run_campaign(
@@ -115,10 +130,11 @@ class TestSweep:
             for key, value in reference.as_dict().items():
                 assert point.metrics.as_dict()[key] == pytest.approx(value, rel=1e-9, nan_ok=True)
 
-    def test_campaign_serves_cached_points_before_dispatch(self, monkeypatch):
-        cached = self.run()
+    def test_campaign_serves_stored_points_before_dispatch(self, tmp_path, monkeypatch):
+        store = SweepStore(tmp_path / "s.jsonl")
+        computed = self.run(store=store)
         monkeypatch.setattr(sweep, "simulate_many", lambda configs: pytest.fail("recomputed"))
-        assert self.run() is cached
+        assert self.run(store=store) == computed
 
     def test_cache_key_distinguishes_seed_and_sampling(self):
         def key(**overrides):
@@ -135,14 +151,18 @@ class TestSweep:
         meta = point.meta()
         assert (meta["record_interval_s"], meta["scheduler"]) == (RECORD_INTERVAL_S, SCHEDULER)
 
-    def test_emulation_seeds_cached_separately(self):
+    def test_emulation_seeds_stored_separately(self, tmp_path):
         grid = self.grid(substrate="emulation", seeds=[1, 2], duration_s=0.5)
-        first, second = sweep.run_campaign(grid).replicas
+        store = SweepStore(tmp_path / "s.jsonl")
+        first, second = sweep.run_campaign(grid, store=store).replicas
         assert (first.seed, second.seed) == (1, 2)
         assert first is not second
-        # Both seeds are served from the cache on re-request.
-        again = sweep.run_campaign(grid).replicas
-        assert again[0] is first and again[1] is second
+        assert len(store) == 2
+        # Both seeds are served from the store on re-request.
+        again = sweep.run_campaign(grid, store=store).replicas
+        assert store.hits == 2
+        assert again == [first, second]
+        assert [p.seed for p in again] == [1, 2]
 
     def test_sweep_point_row_includes_seed(self):
         point = sweep.run_campaign(self.grid(seeds=[4])).replicas[0]
@@ -165,7 +185,6 @@ class TestSweep:
 
     def test_workers_path_matches_serial(self):
         serial = sweep.run_campaign(self.grid()).points
-        sweep.clear_cache()
         parallel = sweep.run_campaign(self.grid(), executor=ExecutorPolicy(workers=2)).points
         assert len(parallel) == len(serial) == 1
         for key, value in serial[0].metrics.as_dict().items():
@@ -195,17 +214,17 @@ class TestFigures:
 
     def test_aggregate_figure_requires_known_metric(self):
         with pytest.raises(ValueError):
-            figures.aggregate_figure("throughput")
+            figures.aggregate_figure("throughput", GridSpec())
 
     def test_aggregate_figure_structure(self):
-        sweep.clear_cache()
-        data = figures.figure_9(
+        grid = GridSpec(
             mixes=["BBRv1"],
             buffers_bdp=[1.0],
             disciplines=["droptail"],
             duration_s=1.0,
             dt=1e-3,
         )
+        data = figures.aggregate_figure("utilization_percent", grid)
         assert "droptail" in data
         assert data["droptail"]["BBRv1"][0][0] == 1.0
 

@@ -35,12 +35,10 @@ FIXTURE_GRIDS: list[list[str]] = json.loads((GOLDEN / "pre_gridspec_grids.json")
 
 
 @pytest.fixture(autouse=True)
-def _clear_cache():
-    """Isolate the in-process point cache and the global log level (``-q``)."""
-    sweep.clear_cache()
+def _restore_log_level():
+    """Isolate the global log level (``-q``)."""
     prev_level = obs_log.level()
     yield
-    sweep.clear_cache()
     obs_log.set_level(prev_level)
 
 
@@ -175,7 +173,6 @@ class TestPerSeedCsv:
         plain rows of the ``seeds=None`` grid, byte for byte."""
         out = self._per_seed_csv(tmp_path, axes)
         capsys.readouterr()
-        sweep.clear_cache()
         grid = replace(_grid(axes), seeds=None)
         points = sweep.run_campaign(grid).points
         expected = report.write_csv(tmp_path / "expected.csv", [p.row() for p in points])
@@ -190,14 +187,17 @@ class TestSeedReplicaLabels:
     GRID = GridSpec(mixes=["BBRv1"], buffers_bdp=[1.0], disciplines=["droptail"],
                     substrate="fluid", duration_s=0.3, seeds=3)
 
-    def test_replicas_carry_their_own_seed(self):
-        computed = sweep.run_campaign(self.GRID, store=False)
-        cached = sweep.run_campaign(self.GRID, store=False)  # in-process cache
-        for result in (computed, cached):
+    def test_replicas_carry_their_own_seed(self, tmp_path):
+        store = SweepStore(tmp_path / "s.jsonl")
+        computed = sweep.run_campaign(self.GRID, store=store)
+        served = sweep.run_campaign(self.GRID, store=store)
+        # One record serves all three replicas: one store read, no recompute.
+        assert (len(store), store.hits) == (1, 1)
+        for result in (computed, served):
             assert [p.seed for p in result.replicas] == [1, 2, 3]
             assert len({repr(p.metrics.as_dict()) for p in result.replicas}) == 1
             assert result.points[0].seeds == (1, 2, 3)
-        assert cached.replicas == computed.replicas
+        assert served.replicas == computed.replicas
 
     def test_per_seed_csv_seed_column(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)

@@ -47,12 +47,10 @@ def _clean_obs(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     TELEMETRY.disable()
     TELEMETRY.reset()
-    sweep.clear_cache()
     prev_level = obs_log.level()
     yield
     TELEMETRY.disable()
     TELEMETRY.reset()
-    sweep.clear_cache()
     obs_log.set_level(prev_level)
 
 
@@ -298,7 +296,6 @@ class TestRuntimeInStore:
     def test_warm_point_has_no_runtime(self, tmp_path):
         store = SweepStore(tmp_path / "s.jsonl")
         sweep.run_campaign(_grid("fluid", **FAST), store=store)
-        sweep.clear_cache()
         (warm,) = sweep.run_campaign(_grid("fluid", **FAST), store=store).points
         assert warm.runtime is None
 
@@ -337,7 +334,6 @@ class TestTraceDeterminism:
         )
         plain = SweepStore(tmp_path / "plain.jsonl")
         sweep.run_campaign(grid, store=plain)
-        sweep.clear_cache()
         trace = tmp_path / "spans.jsonl"
         traced = SweepStore(tmp_path / "traced.jsonl")
         sweep.run_campaign(grid, store=traced, trace=trace)

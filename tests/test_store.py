@@ -37,13 +37,6 @@ def _grid(**axes) -> GridSpec:
     return GridSpec(**{"mixes": ["BBRv1"], "buffers_bdp": [1.0], "disciplines": ["droptail"], **axes})
 
 
-@pytest.fixture(autouse=True)
-def _clear_cache():
-    sweep.clear_cache()
-    yield
-    sweep.clear_cache()
-
-
 class TestStableHash:
     def test_deterministic_and_order_insensitive(self):
         assert stable_hash({"a": 1, "b": 2.5}) == stable_hash({"b": 2.5, "a": 1})
@@ -218,7 +211,6 @@ class TestPointStore:
     def test_warm_point_skips_computation(self, tmp_path, monkeypatch):
         store = SweepStore(tmp_path / "s.jsonl")
         (cold,) = sweep.run_campaign(_grid(**FAST), store=store).points
-        sweep.clear_cache()
         # Any recomputation would run a simulation; forbid it outright.
         monkeypatch.setattr(
             sweep, "simulate_many", lambda *a, **k: pytest.fail("point was recomputed")
@@ -242,7 +234,6 @@ class TestCampaignStore:
     def test_warm_sweep_recomputes_nothing(self, tmp_path, monkeypatch):
         store = SweepStore(tmp_path / "s.jsonl")
         cold = sweep.run_campaign(self.GRID, store=store).points
-        sweep.clear_cache()
         monkeypatch.setattr(
             sweep,
             "EmulationRunner",
@@ -273,7 +264,6 @@ class TestCampaignStore:
         # ...and the completed point was persisted before the crash.
         assert len(SweepStore(store_path)) == 1
 
-        sweep.clear_cache()
         calls.clear()
         monkeypatch.setattr(sweep, "EmulationRunner", real_runner, raising=True)
         count_runner = lambda config, **kwargs: calls.append(

@@ -490,12 +490,6 @@ class TestUnboundedBuffer:
 
 
 class TestTopologySweep:
-    @pytest.fixture(autouse=True)
-    def _clear_cache(self):
-        sweep.clear_cache()
-        yield
-        sweep.clear_cache()
-
     def test_scenario_key_is_topology_aware(self):
         dumbbell_cfg = scenarios.aggregate_scenario("BBRv1", 1.0, "droptail")
         lot_cfg = scenarios.parking_lot_scenario("BBRv1", buffer_bdp=1.0)
@@ -523,7 +517,6 @@ class TestTopologySweep:
             cross_flows=1,
         )
         (first,) = self._point(store=path, **kwargs)
-        sweep.clear_cache()
         store = SweepStore(path)
         assert len(store) == 1
         (second,) = self._point(store=store, **kwargs)
@@ -532,14 +525,17 @@ class TestTopologySweep:
         (meta,) = [r["meta"] for r in store.records() if r["meta"].get("topology") == "parking-lot"]
         assert meta["hops"] == 3 and meta["cross_flows"] == 1
 
-    def test_topology_cache_key_distinct_from_dumbbell(self):
+    def test_topology_store_key_distinct_from_dumbbell(self, tmp_path):
         kwargs = dict(substrate="fluid", duration_s=0.5, dt=1e-3)
-        (plain,) = self._point(**kwargs)
-        (lot,) = self._point(topology="parking-lot", **kwargs)
+        store = SweepStore(tmp_path / "store.jsonl")
+        (plain,) = self._point(store=store, **kwargs)
+        (lot,) = self._point(store=store, topology="parking-lot", **kwargs)
         assert plain.metrics != lot.metrics
+        assert (len(store), store.hits) == (2, 0)
         # "dumbbell" preset aliases onto the legacy grid point.
-        (alias,) = self._point(topology="dumbbell", hops=7, **kwargs)
-        assert alias is plain
+        (alias,) = self._point(store=store, topology="dumbbell", hops=7, **kwargs)
+        assert store.hits == 1
+        assert alias == plain
 
     def test_short_rtt_rejected_with_topology(self):
         with pytest.raises(ValueError, match="short_rtt"):
@@ -592,7 +588,6 @@ class TestTopologySweep:
             hop_disciplines=("red", "droptail"),
         )
         (first,) = self._point(store=path, **kwargs)
-        sweep.clear_cache()
         store = SweepStore(path)
         (second,) = self._point(store=store, **kwargs)
         assert store.hits == 1
@@ -629,18 +624,21 @@ class TestTopologySweep:
         # Rows are labelled by what actually ran, not the grid slot.
         assert points[0].discipline == "red/red"
 
-    def test_hop_disciplines_label_and_alias(self):
+    def test_hop_disciplines_label_and_alias(self, tmp_path):
         # The same per-hop scenario requested under different grid labels
-        # must alias onto one cached point, labelled by the composite.
+        # must alias onto one stored point, labelled by the composite.
         kwargs = dict(
             substrate="fluid", duration_s=0.5, dt=1e-3,
             topology="parking-lot", hops=2,
             hop_disciplines=("red", "droptail"),
         )
-        (a,) = self._point(disciplines=["droptail"], **kwargs)
-        (b,) = self._point(disciplines=["red"], **kwargs)
+        store = SweepStore(tmp_path / "store.jsonl")
+        (a,) = self._point(store=store, disciplines=["droptail"], **kwargs)
+        (b,) = self._point(store=store, disciplines=["red"], **kwargs)
         assert a.discipline == b.discipline == "red/droptail"
-        assert a is b  # cache-aliased, not recomputed
+        # Store-aliased, not recomputed.
+        assert (len(store), store.hits) == (1, 1)
+        assert a == b and b.runtime is None
 
     def test_campaign_rejects_malformed_hop_axis(self):
         with pytest.raises(ValueError, match="one value per hop"):
