@@ -19,9 +19,13 @@ integrator throughput at 100/500/1000/2000 flows under a Poisson /
 bounded-Pareto flow schedule (active-flow masking on), so the cost of
 large time-varying populations is tracked release over release.
 
-All comparisons are apples-to-apples and all paths produce numerically
-identical traces (see ``tests/test_simulator_vectorized.py``); rate-trace
-equivalence is re-asserted here on the benchmarked runs.
+All comparisons are apples-to-apples.  The scalar and vectorized paths
+agree to 1e-9 (in practice to the last bit), and a lockstep batch is
+bit-identical to its scenarios run alone (see
+``tests/test_simulator_vectorized.py`` and ``tests/test_fluid_golden.py``);
+rate-trace equivalence is re-asserted here on the benchmarked runs.  The
+lockstep step's Python-level call count does not grow with batch width
+(``tests/test_fluid_step_calls.py``).
 """
 
 from __future__ import annotations

@@ -185,9 +185,10 @@ class Bbr1Fluid(FluidCCA):
         rate_old = batch.rate
 
         # The rare branches (ProbeRTT toggles, gain-cycle rollover, new
-        # minimum-RTT samples) are guarded by ``any()`` checks: skipping an
-        # all-False ``np.where`` leaves every value bit-identical and saves
-        # most of the per-step cost on the hot path.
+        # minimum-RTT samples) are guarded by ``np.count_nonzero`` checks
+        # (a third of the cost of ``ndarray.any``): skipping an all-False
+        # ``np.where`` leaves every value bit-identical and saves most of
+        # the per-step cost on the hot path.
 
         # --- RTprop estimation (Eq. 9) -------------------------------- #
         tau_min_old = extras["tau_min"]
@@ -197,9 +198,9 @@ class Bbr1Fluid(FluidCCA):
         # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
         m_prt_old = extras["m_prt"]
         in_probe_rtt = m_prt_old >= 0.5
-        any_probe_rtt = in_probe_rtt.any()
+        any_probe_rtt = np.count_nonzero(in_probe_rtt)
         t_prt = extras["t_prt"] + dt
-        if new_min_sample.any():
+        if np.count_nonzero(new_min_sample):
             t_prt = np.where(new_min_sample & ~in_probe_rtt, 0.0, t_prt)
         if any_probe_rtt:
             threshold = np.where(
@@ -208,12 +209,12 @@ class Bbr1Fluid(FluidCCA):
             expired = t_prt >= threshold
         else:
             expired = t_prt >= PROBE_RTT_INTERVAL_S
-        if expired.any():
+        if np.count_nonzero(expired):
             # ``m_prt`` is exactly 0.0 or 1.0, so the toggle is ``1 - m_prt``.
             m_prt = np.where(expired, 1.0 - m_prt_old, m_prt_old)
             t_prt = np.where(expired, 0.0, t_prt)
             in_probe_rtt = m_prt >= 0.5
-            any_probe_rtt = in_probe_rtt.any()
+            any_probe_rtt = np.count_nonzero(in_probe_rtt)
         else:
             m_prt = m_prt_old
 
@@ -222,7 +223,7 @@ class Bbr1Fluid(FluidCCA):
         period = GAIN_CYCLE_PHASES * tau_min
         rollover = t_pbw >= period
         x_max = extras["x_max"]
-        if rollover.any():
+        if np.count_nonzero(rollover):
             x_btl = np.where(rollover & (x_max > 0.0), x_max, extras["x_btl"])
             x_max = np.where(rollover, 0.0, x_max)
             t_pbw = np.where(rollover, 0.0, t_pbw)
@@ -237,21 +238,17 @@ class Bbr1Fluid(FluidCCA):
         probe_start = phase * tau_min
         drain_start = (phase + 1.0) * tau_min
         drain_end = (phase + 2.0) * tau_min
-        # All four pulse sigmoids evaluated as one stacked call.
-        gates = smooth.scaled_sigmoid(
-            np.concatenate(
-                [
-                    t_pbw - probe_start,
-                    drain_start - t_pbw,
-                    t_pbw - drain_start,
-                    drain_end - t_pbw,
-                ]
-            )
-            * np.tile(sharpness, 4)
-        )
-        n = t_pbw.shape[0]
-        probe = gates[:n] * gates[n : 2 * n]
-        drain = gates[2 * n : 3 * n] * gates[3 * n :]
+        # All four pulse sigmoids evaluated as one call on a (4, n) block
+        # scaled by the broadcast per-flow sharpness.
+        edges = np.empty((4, t_pbw.shape[0]))
+        np.subtract(t_pbw, probe_start, out=edges[0])
+        np.subtract(drain_start, t_pbw, out=edges[1])
+        np.subtract(t_pbw, drain_start, out=edges[2])
+        np.subtract(drain_end, t_pbw, out=edges[3])
+        edges *= sharpness
+        gates = smooth.scaled_sigmoid(edges)
+        probe = gates[0] * gates[1]
+        drain = gates[2] * gates[3]
         pacing = x_btl * (1.0 + (PROBE_GAIN - 1.0) * probe - (1.0 - DRAIN_GAIN) * drain)
 
         # --- Inflight limits and sending rate (Eq. 14-15, 23) ----------- #

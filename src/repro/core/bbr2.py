@@ -296,13 +296,13 @@ class Bbr2Fluid(FluidCCA):
 
         # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
         # Rare transitions (ProbeRTT toggles, period rollovers, fresh
-        # minimum-RTT samples) sit behind ``any()`` guards: an all-False
-        # ``np.where`` is the identity, so skipping it is bit-exact.
+        # minimum-RTT samples) sit behind ``np.count_nonzero`` guards: an
+        # all-False ``np.where`` is the identity, so skipping it is bit-exact.
         m_prt_old = extras["m_prt"]
         in_probe_rtt = m_prt_old >= 0.5
-        any_probe_rtt = in_probe_rtt.any()
+        any_probe_rtt = np.count_nonzero(in_probe_rtt)
         t_prt = extras["t_prt"] + dt
-        if new_min_sample.any():
+        if np.count_nonzero(new_min_sample):
             t_prt = np.where(new_min_sample & ~in_probe_rtt, 0.0, t_prt)
         if any_probe_rtt:
             threshold = np.where(
@@ -311,12 +311,12 @@ class Bbr2Fluid(FluidCCA):
             expired = t_prt >= threshold
         else:
             expired = t_prt >= PROBE_RTT_INTERVAL_S
-        if expired.any():
+        if np.count_nonzero(expired):
             # ``m_prt`` is exactly 0.0 or 1.0, so the toggle is ``1 - m_prt``.
             m_prt = np.where(expired, 1.0 - m_prt_old, m_prt_old)
             t_prt = np.where(expired, 0.0, t_prt)
             in_probe_rtt = m_prt >= 0.5
-            any_probe_rtt = in_probe_rtt.any()
+            any_probe_rtt = np.count_nonzero(in_probe_rtt)
         else:
             m_prt = m_prt_old
 
@@ -324,7 +324,7 @@ class Bbr2Fluid(FluidCCA):
         period = np.minimum(MAX_PERIOD_RTTS * tau_min, extras["period_wall_s"])
         t_pbw = extras["t_pbw"] + dt
         rollover = t_pbw >= period
-        if rollover.any():
+        if np.count_nonzero(rollover):
             x_max_prev = np.where(rollover, extras["x_max"], extras["x_max_prev"])
             x_max = np.where(rollover, 0.0, extras["x_max"])
             t_pbw = np.where(rollover, 0.0, t_pbw)
@@ -355,7 +355,7 @@ class Bbr2Fluid(FluidCCA):
             & ((inflight_old > PROBE_INFLIGHT_GAIN * bdp) | (loss > LOSS_THRESHOLD))
         )
         draining = draining | start_drain
-        if draining.any():
+        if np.count_nonzero(draining):
             # Eq. (28): while draining, adopt the max delivery rate of the
             # last two periods as the new bottleneck-bandwidth estimate.
             target = np.maximum(x_max, x_max_prev)

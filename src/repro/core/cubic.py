@@ -46,7 +46,7 @@ def cubic_window(
     if np.ndim(w_max) == 0:
         if w_max < 0:
             raise ValueError("w_max must be non-negative")
-    elif np.any(np.asarray(w_max) < 0):
+    elif np.count_nonzero(np.asarray(w_max) < 0):
         raise ValueError("w_max must be non-negative")
     inflection = (w_max * beta / c) ** (1.0 / 3.0)
     return c * (s - inflection) ** 3 + w_max

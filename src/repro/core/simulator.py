@@ -18,12 +18,18 @@ Because every delay of a scenario is a *constant*, the default
 delays become integer lag tables computed once, per-component ring-buffer
 reads become one batched :meth:`~repro.core.history.VectorHistory.gather`
 per signal per step, the flow→link incidence structure turns Eq. 1 into a
-gather-plus-segment-sum and Eq. 3 into a matrix-vector product, and the
-loss/queue updates (Eq. 4/6, Eq. 2) run as single numpy expressions over
-every queued link at once.  Flows advance as structure-of-arrays groups
-through their CCA model's batched ``step_all``, one group per
-``batch_key`` (every :class:`~repro.core.flow.FluidCCA` implements both),
-so arbitrary heterogeneous mixes step in a handful of calls.
+gather plus one row-wise reduction (each link's row sums its users in flow
+order) and Eq. 3 into one gather-and-add per hop, and the loss/queue
+updates (Eq. 4/6, Eq. 2) run as single numpy expressions over every queued
+link at once.  Flows advance as structure-of-arrays groups through their
+CCA model's batched ``step_all``, one group per ``batch_key`` (every
+:class:`~repro.core.flow.FluidCCA` implements both), so arbitrary
+heterogeneous mixes step in a handful of calls.  Every per-flow array is
+laid out in *group-major slots* — each group one contiguous run — so the
+per-group reads are views, and a trace record is one write per block
+(flows, links, each group).  The step therefore makes a fixed number of
+Python-level calls whatever the number of flows, links or lockstep
+scenarios (``tests/test_fluid_step_calls.py``).
 
 The original per-flow/per-link scalar loop is retained behind
 ``vectorized=False`` as the numerical reference: both paths execute the
@@ -243,15 +249,31 @@ class FluidSimulator:
         queued_links = net.queued_link_indices()
         num_queued = len(queued_links)
 
-        # ---------- constant per-flow / per-link tables ---------------- #
+        # ---------- group-major flow slots ------------------------------ #
+        # Every per-flow array of the step loop is indexed by *slot*: the
+        # flows of each ``batch_key`` group occupy one contiguous run of
+        # slots (groups in first-appearance order, original flow order
+        # within a group), so every per-group read is a view and every
+        # per-group write a slice assignment, however the groups interleave
+        # across the scenarios of a lockstep batch.  ``order[s]`` is the
+        # flow in slot ``s``; ``slot_of`` is its inverse.
+        group_indices: dict[object, list[int]] = {}
+        for i in range(num_flows):
+            group_indices.setdefault(self.models[i].batch_key(), []).append(i)
+        order = [i for flow_ids in group_indices.values() for i in flow_ids]
+        slot_of = np.empty(num_flows, dtype=np.intp)
+        slot_of[order] = np.arange(num_flows)
+
+        # ---------- constant per-flow / per-link tables (slot order) ---- #
         propagation_rtt = np.array(
-            [net.propagation_rtt(i) for i in range(num_flows)], dtype=float
+            [net.propagation_rtt(i) for i in order], dtype=float
         )
-        bottleneck_of = [net.bottleneck_of(i) for i in range(num_flows)]
+        bottleneck_of = [net.bottleneck_of(i) for i in order]
         backward_delay = np.array(
-            [net.backward_delay(i, bottleneck_of[i]) for i in range(num_flows)]
+            [net.backward_delay(i, b) for i, b in zip(order, bottleneck_of, strict=True)]
         )
-        start_times, stop_times, flow_sizes, churn = self._flow_lifetimes()
+        flow_starts, stop_times, flow_sizes, churn = self._flow_lifetimes()
+        start_times = flow_starts[order]
         max_start = float(np.max(start_times))
         if churn:
             # Active-flow masking state: cumulative delivered volume drives
@@ -259,6 +281,9 @@ class FluidSimulator:
             # masked out of the CCA updates from the *next* step on, so
             # their rate pins to zero and they contribute no arrivals —
             # without ever re-allocating the incidence pipeline.
+            flow_stops = stop_times
+            stop_times = stop_times[order]
+            flow_sizes = flow_sizes[order]
             delivered_vol = np.zeros(num_flows)
             completed = np.zeros(num_flows, dtype=bool)
             end_times = np.full(num_flows, math.nan)
@@ -272,7 +297,9 @@ class FluidSimulator:
         link_history = VectorHistory(max(3 * num_queued, 1), dt, max_delay)
 
         # Flow -> link incidence for Eq. 1: the delayed sending rates of all
-        # (link, user) pairs are gathered at once and segment-summed.
+        # (link, user) pairs are gathered at once and summed per link.  The
+        # pairs follow each link's users in original flow order, so every
+        # link sums its scenario's flows in the same order as a run alone.
         user_flows: list[int] = []
         user_delays: list[float] = []
         seg_bounds = [0]
@@ -281,9 +308,21 @@ class FluidSimulator:
                 user_flows.append(i)
                 user_delays.append(net.forward_delay(i, idx))
             seg_bounds.append(len(user_flows))
-        user_flows_arr = np.array(user_flows, dtype=np.intp)
+        user_flows_arr = slot_of[np.array(user_flows, dtype=np.intp)]
         user_lags = rate_history.lag_steps(np.array(user_delays, dtype=float))
-        segments = [slice(seg_bounds[k], seg_bounds[k + 1]) for k in range(num_queued)]
+        # Eq. 1 is one row-wise reduction: with equal segment lengths (every
+        # dumbbell batch) the gathered pairs reshape to (links, users);
+        # otherwise each distinct length is one gathered (links, length)
+        # matrix.  Each row reduces exactly like the 1-D sum of its segment.
+        seg_lens = np.diff(seg_bounds)
+        uniform_len = int(seg_lens[0]) if np.all(seg_lens == seg_lens[0]) else None
+        eq1_blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        if uniform_len is None:
+            for length in np.unique(seg_lens):
+                rows = np.flatnonzero(seg_lens == length)
+                pairs = np.array(seg_bounds)[rows][:, None] + np.arange(length)
+                eq1_blocks.append((rows, pairs))
+            arrival = np.zeros(num_queued)
 
         # Per-flow bottleneck bookkeeping for Eqs. 7 and 17.
         pos_of_link = {idx: pos for pos, idx in enumerate(queued_links)}
@@ -306,16 +345,18 @@ class FluidSimulator:
         # links).  Flows with a single queued link keep the direct bottleneck
         # gather above — bit-identical with the legacy dumbbell pipeline.
         multi_flows: list[int] = []
+        multi_ids: list[int] = []
         multi_cols: list[int] = []
         multi_delays: list[float] = []
         multi_bounds = [0]
-        for i in range(num_flows):
+        for slot, i in enumerate(order):
             queued_on_path = [
                 idx for idx in net.paths[i].link_indices if idx in pos_of_link
             ]
             if len(queued_on_path) < 2:
                 continue
-            multi_flows.append(i)
+            multi_flows.append(slot)
+            multi_ids.append(i)
             for idx in queued_on_path:
                 multi_cols.append(2 * num_queued + pos_of_link[idx])
                 multi_delays.append(net.backward_delay(i, idx))
@@ -341,7 +382,7 @@ class FluidSimulator:
             num_multi = len(multi_flows)
             multi_links = [
                 idx
-                for i in multi_flows
+                for i in multi_ids
                 for idx in net.paths[i].link_indices
                 if idx in pos_of_link
             ]
@@ -350,12 +391,12 @@ class FluidSimulator:
             )
             multi_arr_cols = multi_cols_arr - 2 * num_queued
             multi_q_cols = multi_cols_arr - num_queued
-            seg_lens = np.diff(multi_bounds)
-            max_len = int(seg_lens.max())
-            ragged = bool(np.any(seg_lens != max_len))
+            multi_lens = np.diff(multi_bounds)
+            max_len = int(multi_lens.max())
+            ragged = bool(np.any(multi_lens != max_len))
             pad_idx = np.zeros((num_multi, max_len), dtype=np.intp)
             pad_invalid = np.ones((num_multi, max_len), dtype=bool)
-            for row, (start, length) in enumerate(zip(multi_starts, seg_lens, strict=True)):
+            for row, (start, length) in enumerate(zip(multi_starts, multi_lens, strict=True)):
                 pad_idx[row, :length] = np.arange(start, start + length)
                 pad_invalid[row, :length] = False
             caps_pad = multi_caps[pad_idx]
@@ -434,19 +475,31 @@ class FluidSimulator:
                 slice(bounds[k], bounds[k + 1]) for k in range(5)
             )
 
-        # Path latency (Eq. 3) = constant propagation part + incidence
-        # matrix times the per-link queueing delays.
+        # Path latency (Eq. 3) = constant propagation part + the queueing
+        # delays of the flow's queued links, added one hop at a time in
+        # link order.  ``hop_cols[h]`` holds every flow's h-th queued link;
+        # flows with fewer hops point at the zero entry past the links.
         latency_const = np.empty(num_flows)
-        queue_incidence = np.zeros((num_flows, num_queued))
-        for i in range(num_flows):
+        flow_queued: list[list[int]] = []
+        for slot, i in enumerate(order):
             path = net.paths[i]
             acc = path.return_delay_s
             for idx in path.link_indices:
                 acc += net.links[idx].delay_s
-            latency_const[i] = acc
-            for idx in path.link_indices:
-                if idx in pos_of_link:
-                    queue_incidence[i, pos_of_link[idx]] = 1.0
+            latency_const[slot] = acc
+            flow_queued.append(
+                sorted(pos_of_link[idx] for idx in path.link_indices if idx in pos_of_link)
+            )
+        max_hops = max(len(cols) for cols in flow_queued)
+        hop_cols = [
+            np.array(
+                [cols[h] if h < len(cols) else num_queued for cols in flow_queued],
+                dtype=np.intp,
+            )
+            for h in range(max_hops)
+        ]
+        queueing_delay = np.zeros(num_queued + 1)
+        queueing_delay_links = queueing_delay[:num_queued]
 
         # Queued-link parameter arrays for Eq. 2 and Eq. 4/6.
         link_capacity = np.array(
@@ -463,24 +516,28 @@ class FluidSimulator:
         exponent = cfg.fluid.droptail_exponent
         literal_xmax = cfg.fluid.literal_xmax
 
+        # ---------- trace recording buffers ----------------------------- #
+        # One row per record and block: the flow block [rate | delivery |
+        # rtt] and the link block [queue | loss | arrival | departure] by
+        # slot/link position, and one [inflight | cwnd | extras...] block
+        # per group.  Each is filled by a single concatenate per record.
+        steps = int(round(cfg.duration_s / dt))
+        record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
+        num_records = steps // record_every + 1
+        rec_flow = np.zeros((num_records, 3 * num_flows))
+        rec_link = np.zeros((num_records, 4 * num_queued))
+        record_index = 0
+
         # ---------- CCA states: one batched group per batch key --------- #
         states = self._make_states()
-        group_indices: dict[object, list[int]] = {}
-        for i in range(num_flows):
-            group_indices.setdefault(self.models[i].batch_key(), []).append(i)
-        batch_groups = []  # (model, selector, batch, reusable FlowInputsBatch)
+        # (model, slots, batch, reusable FlowInputsBatch, record block, extras keys)
+        batch_groups = []
+        start = 0
         for flow_ids in group_indices.values():
             model = self.models[flow_ids[0]]
             batch = model.make_batch([states[i] for i in flow_ids])
-            if len(flow_ids) == num_flows:
-                idx = None  # whole-population group: pass full arrays through
-            elif flow_ids == list(range(flow_ids[0], flow_ids[-1] + 1)):
-                # Contiguous block (typical for the paper's 5+5 mixes):
-                # views instead of fancy-index copies in the hot loop.
-                idx = slice(flow_ids[0], flow_ids[-1] + 1)
-            else:
-                idx = np.array(flow_ids, dtype=np.intp)
-            group_rtt = propagation_rtt if idx is None else propagation_rtt[idx]
+            slots = slice(start, start + len(flow_ids))
+            start = slots.stop
             inputs = FlowInputsBatch(
                 t=0.0,
                 dt=dt,
@@ -489,35 +546,16 @@ class FluidSimulator:
                 path_loss=latency_const,
                 delivery_rate=latency_const,
                 rate_delayed=latency_const,
-                propagation_rtt=group_rtt,
+                propagation_rtt=propagation_rtt[slots],
                 active=None,
                 literal_xmax=literal_xmax,
             )
-            batch_groups.append((model, idx, batch, inputs))
-
-        # ---------- trace recording buffers ----------------------------- #
-        steps = int(round(cfg.duration_s / dt))
-        record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
-        num_records = steps // record_every + 1
-        rec_time = np.zeros(num_records)
-        rec_rate = np.zeros((num_records, num_flows))
-        rec_delivery = np.zeros((num_records, num_flows))
-        rec_cwnd = np.zeros((num_records, num_flows))
-        rec_inflight = np.zeros((num_records, num_flows))
-        rec_rtt = np.zeros((num_records, num_flows))
-        rec_link = np.zeros((num_records, 4 * num_queued))  # queue|loss|arrival|departure
-        group_extras = [
-            {
-                key: np.zeros((num_records, batch.size))
-                for key in model.trace_fields_all(batch)
-            }
-            for model, idx, batch, _ in batch_groups
-        ]
-        record_index = 0
+            fields = list(model.trace_fields_all(batch))
+            block = np.zeros((num_records, (2 + len(fields)) * batch.size))
+            batch_groups.append((model, slots, batch, inputs, block, fields))
 
         # ---------- mutable per-step arrays ----------------------------- #
         queue_arr = np.zeros(num_queued)
-        arrival = np.zeros(num_queued)
         rates_all = np.zeros(num_flows)
         delivery_rates = np.zeros(num_flows)
 
@@ -535,8 +573,13 @@ class FluidSimulator:
                 for rows, seg, caps in att_levels:
                     np.minimum(contrib[rows] * att_surv[seg], caps, out=contrib[rows])
                 delayed_rates[att_positions] = contrib
-            for k in range(num_queued):
-                arrival[k] = delayed_rates[segments[k]].sum()
+            if uniform_len is not None:
+                arrival = np.add.reduce(
+                    delayed_rates.reshape(num_queued, uniform_len), axis=1
+                )
+            else:
+                for rows, pairs in eq1_blocks:
+                    arrival[rows] = np.add.reduce(delayed_rates[pairs], axis=1)
             if all_droptail:
                 loss = queues.droptail_loss_vec(
                     arrival, link_capacity, queue_arr, link_buffer, sharpness, exponent
@@ -559,8 +602,11 @@ class FluidSimulator:
 
             # 2. Per-flow observations: path latency (Eq. 3), observed loss
             # (Eq. 7) and delivery rate (Eq. 17), all flows at once.
-            queueing_delay = queue_arr / link_capacity
-            latency = latency_const + queue_incidence @ queueing_delay
+            np.divide(queue_arr, link_capacity, out=queueing_delay_links)
+            path_queueing = queueing_delay[hop_cols[0]]
+            for cols in hop_cols[1:]:
+                path_queueing += queueing_delay[cols]
+            latency = latency_const + path_queueing
             own_delayed = rate_history.gather(flow_index, own_lags)
             tau_delayed = latency_history.gather(flow_index, rtt_lags)
             if fused_cols is not None:
@@ -611,7 +657,7 @@ class FluidSimulator:
                 # the links behind it, so their effective capacity is
                 # infinite rather than a division by zero.
                 unreachable = surv_prefix == 0.0
-                if unreachable.any():
+                if np.count_nonzero(unreachable):
                     np.divide(
                         caps_pad,
                         np.where(unreachable, 1.0, surv_prefix),
@@ -635,31 +681,21 @@ class FluidSimulator:
                     np.minimum(own_dyn, cap_dyn),
                 )
 
-            # 3. CCA updates, one batched call per group.
+            # 3. CCA updates, one batched call per group on its slot run.
             if churn:
                 active_all = (start_times <= t) & (t < stop_times) & ~completed
             else:
                 active_all = None if t >= max_start else start_times <= t
-            for model, idx, batch, inputs in batch_groups:
+            for model, slots, batch, inputs, _, _ in batch_groups:
                 inputs.t = t
-                if idx is None:
-                    inputs.tau = latency
-                    inputs.tau_delayed = tau_delayed
-                    inputs.path_loss = p_delayed
-                    inputs.delivery_rate = delivery_rates
-                    inputs.rate_delayed = own_delayed
-                    inputs.active = active_all
-                    model.step_all(batch, inputs)
-                    rates_all = batch.rate
-                else:
-                    inputs.tau = latency[idx]
-                    inputs.tau_delayed = tau_delayed[idx]
-                    inputs.path_loss = p_delayed[idx]
-                    inputs.delivery_rate = delivery_rates[idx]
-                    inputs.rate_delayed = own_delayed[idx]
-                    inputs.active = None if active_all is None else active_all[idx]
-                    model.step_all(batch, inputs)
-                    rates_all[idx] = batch.rate
+                inputs.tau = latency[slots]
+                inputs.tau_delayed = tau_delayed[slots]
+                inputs.path_loss = p_delayed[slots]
+                inputs.delivery_rate = delivery_rates[slots]
+                inputs.rate_delayed = own_delayed[slots]
+                inputs.active = None if active_all is None else active_all[slots]
+                model.step_all(batch, inputs)
+                rates_all[slots] = batch.rate
 
             if churn:
                 # Finite-size completion: only active flows accumulate
@@ -667,27 +703,27 @@ class FluidSimulator:
                 # masked inactive) from the next step.
                 delivered_vol += np.where(active_all, delivery_rates, 0.0) * dt
                 newly_done = (delivered_vol >= flow_sizes) & ~completed
-                if newly_done.any():
+                if np.count_nonzero(newly_done):
                     completed |= newly_done
                     end_times[newly_done] = t
 
             # 4. Record (before integrating queues so t=0 is captured).
             if step % record_every == 0 and record_index < num_records:
-                rec_time[record_index] = t
-                rec_rate[record_index] = rates_all
-                rec_delivery[record_index] = delivery_rates
-                rec_rtt[record_index] = latency
-                rec_link[record_index, :num_queued] = queue_arr
-                rec_link[record_index, num_queued : 2 * num_queued] = loss
-                rec_link[record_index, 2 * num_queued : 3 * num_queued] = arrival
-                rec_link[record_index, 3 * num_queued :] = departure
-                for group_pos, (model, idx, batch, _) in enumerate(batch_groups):
-                    cols = slice(None) if idx is None else idx
-                    rec_inflight[record_index, cols] = batch.inflight
-                    rec_cwnd[record_index, cols] = model.congestion_window_all(batch)
-                    extras_rec = group_extras[group_pos]
-                    for key, values in model.trace_fields_all(batch).items():
-                        extras_rec[key][record_index] = values
+                np.concatenate(
+                    (rates_all, delivery_rates, latency), out=rec_flow[record_index]
+                )
+                np.concatenate(
+                    (queue_arr, loss, arrival, departure), out=rec_link[record_index]
+                )
+                for model, _, batch, _, block, _ in batch_groups:
+                    np.concatenate(
+                        (
+                            batch.inflight,
+                            model.congestion_window_all(batch),
+                            *model.trace_fields_all(batch).values(),
+                        ),
+                        out=block[record_index],
+                    )
                 record_index += 1
 
             # 5. Integrate the link queues (Eq. 2).
@@ -698,25 +734,27 @@ class FluidSimulator:
             # 6. Push histories (queue post-integration, like the scalar path).
             rate_history.advance()[:] = rates_all
             latency_history.advance()[:] = latency
-            link_row = link_history.advance()
-            link_row[:num_queued] = arrival
-            link_row[num_queued : 2 * num_queued] = queue_arr
-            link_row[2 * num_queued :] = loss
+            np.concatenate((arrival, queue_arr, loss), out=link_history.advance())
 
-        # ---------- assemble the per-flow extras dictionaries ----------- #
-        extras_per_flow: list[dict[str, np.ndarray]] = [dict() for _ in range(num_flows)]
-        for group_pos, (model, idx, batch, _) in enumerate(batch_groups):
-            if idx is None:
-                flow_ids = range(num_flows)
-            elif isinstance(idx, slice):
-                flow_ids = range(idx.start, idx.stop)
-            else:
-                flow_ids = idx
-            for col, i in enumerate(flow_ids):
-                extras_per_flow[i] = {
-                    key: values[:record_index, col]
-                    for key, values in group_extras[group_pos].items()
+        # ---------- per-flow series: views of each flow's slot column --- #
+        records = slice(0, record_index)
+        series: list[tuple] = [()] * num_flows
+        for _, slots, batch, _, block, fields in batch_groups:
+            size = batch.size
+            for col, i in enumerate(order[slots]):
+                slot = slots.start + col
+                extras = {
+                    key: block[records, (2 + k) * size + col]
+                    for k, key in enumerate(fields)
                 }
+                series[i] = (
+                    rec_flow[records, slot],
+                    rec_flow[records, num_flows + slot],
+                    block[records, size + col],
+                    block[records, col],
+                    rec_flow[records, 2 * num_flows + slot],
+                    extras,
+                )
 
         self.runtime = {
             "steps": steps + 1,
@@ -730,36 +768,30 @@ class FluidSimulator:
             churn,
             num_flows,
             cfg.duration_s,
-            completed if churn else None,
-            end_times if churn else None,
-            stop_times if churn else None,
+            completed[slot_of] if churn else None,
+            end_times[slot_of] if churn else None,
+            flow_stops if churn else None,
         )
-        return self._build_trace(
-            rec_time[:record_index],
-            rec_rate[:record_index],
-            rec_delivery[:record_index],
-            rec_cwnd[:record_index],
-            rec_inflight[:record_index],
-            rec_rtt[:record_index],
-            extras_per_flow,
+        flows = [
+            self._flow_trace(i, *series[i], flow_starts, flow_ends)
+            for i in range(num_flows)
+        ]
+        return self._assemble_trace(
+            (np.arange(record_index) * record_every) * dt,
+            flows,
+            {idx: rec_link[records, pos] for pos, idx in enumerate(queued_links)},
             {
-                idx: rec_link[:record_index, pos]
+                idx: rec_link[records, num_queued + pos]
                 for pos, idx in enumerate(queued_links)
             },
             {
-                idx: rec_link[:record_index, num_queued + pos]
+                idx: rec_link[records, 2 * num_queued + pos]
                 for pos, idx in enumerate(queued_links)
             },
             {
-                idx: rec_link[:record_index, 2 * num_queued + pos]
+                idx: rec_link[records, 3 * num_queued + pos]
                 for pos, idx in enumerate(queued_links)
             },
-            {
-                idx: rec_link[:record_index, 3 * num_queued + pos]
-                for pos, idx in enumerate(queued_links)
-            },
-            flow_starts=start_times,
-            flow_ends=flow_ends,
         )
 
     # ------------------------------------------------------------------ #
@@ -1110,19 +1142,54 @@ class FluidSimulator:
         flow_ends: list[float | None] | None = None,
     ) -> Trace:
         flows = [
-            FlowTrace(
-                cca=self.config.flows[i].cca,
-                rate=rate[:, i],
-                delivery_rate=delivery[:, i],
-                cwnd=cwnd[:, i],
-                inflight=inflight[:, i],
-                rtt=rtt[:, i],
-                extras=extras[i],
-                start_time_s=0.0 if flow_starts is None else float(flow_starts[i]),
-                end_time_s=None if flow_ends is None else flow_ends[i],
+            self._flow_trace(
+                i,
+                rate[:, i],
+                delivery[:, i],
+                cwnd[:, i],
+                inflight[:, i],
+                rtt[:, i],
+                extras[i],
+                flow_starts,
+                flow_ends,
             )
             for i in range(self.network.num_flows)
         ]
+        return self._assemble_trace(time, flows, queue, loss, arrival, departure)
+
+    def _flow_trace(
+        self,
+        i: int,
+        rate: np.ndarray,
+        delivery: np.ndarray,
+        cwnd: np.ndarray,
+        inflight: np.ndarray,
+        rtt: np.ndarray,
+        extras: dict[str, np.ndarray],
+        flow_starts: np.ndarray | None,
+        flow_ends: list[float | None] | None,
+    ) -> FlowTrace:
+        return FlowTrace(
+            cca=self.config.flows[i].cca,
+            rate=rate,
+            delivery_rate=delivery,
+            cwnd=cwnd,
+            inflight=inflight,
+            rtt=rtt,
+            extras=extras,
+            start_time_s=0.0 if flow_starts is None else float(flow_starts[i]),
+            end_time_s=None if flow_ends is None else flow_ends[i],
+        )
+
+    def _assemble_trace(
+        self,
+        time: np.ndarray,
+        flows: list[FlowTrace],
+        queue: dict[int, np.ndarray],
+        loss: dict[int, np.ndarray],
+        arrival: dict[int, np.ndarray],
+        departure: dict[int, np.ndarray],
+    ) -> Trace:
         links = []
         for idx in sorted(queue):
             link = self.network.links[idx]
@@ -1167,9 +1234,14 @@ def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
     amortises its per-operation overhead over the whole batch, which is
     where the bulk of the sweep speedup comes from on a single core.
 
-    Each returned trace is numerically identical to running its scenario
-    alone through :func:`simulate` (the per-flow arithmetic is element-wise
-    and zero padding is exact).
+    Each returned trace is bit-identical to running its scenario alone
+    through :func:`simulate`: the per-flow arithmetic is element-wise, each
+    flow's slot in the group-major layout (every CCA group one contiguous
+    run, however the groups interleave across scenarios) changes where it
+    is stored but not what is computed, the single Eq. 1 reduction sums
+    each link's users in the scenario's own flow order, Eq. 3 adds a flow's
+    queueing delays hop by hop, and zero padding is exact
+    (``tests/golden/fluid_traces.json`` pins both forms).
 
     All scenarios must share ``dt``, ``duration_s`` and the global fluid
     numerics (sigmoid sharpness, drop-tail exponent, ``literal_xmax``);

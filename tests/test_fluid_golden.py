@@ -13,7 +13,9 @@ The cases cover the vectorized integrator's code paths at 0.3 s:
   the five two-CCA paper mixes} x {droptail, RED} x {dumbbell, 3-hop
   parking lot} x {static population, churn};
 * the 28-point paper grid (seven mixes x buffers {1, 4} x {droptail, RED})
-  as one :func:`simulate_many` lockstep batch.
+  as one :func:`simulate_many` lockstep batch;
+* the whole alone matrix as one lockstep batch, checked against the alone
+  digests (a lockstep trace is bit-identical to its run alone).
 
 Regenerate only on purpose (a deliberate change of the model's numbers),
 and review the diff::
@@ -159,13 +161,29 @@ def test_paper_lockstep_batch_matches_golden():
         assert digest == golden[name], name
 
 
+def test_matrix_as_one_lockstep_batch_matches_golden():
+    # Dumbbells, parking lots, static and churning populations side by side:
+    # each scenario's trace in the batch is bit-identical to its run alone.
+    names = sorted(MATRIX)
+    traces = simulate_many([matrix_config(*MATRIX[name]) for name in names])
+    golden = _golden()
+    for name, trace in zip(names, traces, strict=True):
+        assert trace_digest(trace) == golden[name], name
+
+
 def test_one_ulp_changes_the_digest():
     name = "parking-lot|BBRv1/RENO|red|churn"
     trace = simulate(matrix_config(*MATRIX[name]))
-    assert trace_digest(trace) == _golden()[name]
-    series = trace.flows[-1].extras[sorted(trace.flows[-1].extras)[0]]
-    series[len(series) // 2] = np.nextafter(series[len(series) // 2], np.inf)
-    assert trace_digest(trace) != _golden()[name]
+    expected = _golden()[name]
+    assert trace_digest(trace) == expected
+    flow = trace.flows[-1]
+    for series in (flow.rate, flow.extras["cwnd"], trace.links[1].queue):
+        k = len(series) // 2
+        value = series[k]
+        series[k] = np.nextafter(value, np.inf)
+        assert trace_digest(trace) != expected
+        series[k] = value
+    assert trace_digest(trace) == expected
 
 
 if __name__ == "__main__":

@@ -4,15 +4,24 @@ The vectorized pipeline (batched history gathers, incidence-matrix link
 updates, ``step_all`` CCA groups) must reproduce the scalar reference loop
 to within 1e-9 on every recorded series — in practice the two paths execute
 the same floating-point operations and agree to the last bit on most
-scenarios.
+scenarios.  A scenario in a :func:`simulate_many` lockstep batch must
+reproduce its run alone exactly, bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import FlowConfig, FluidParams, ScenarioConfig, dumbbell_scenario
+from repro.config import (
+    FlowConfig,
+    FlowSchedule,
+    FluidParams,
+    ScenarioConfig,
+    dumbbell_scenario,
+)
 from repro.core import (
     FluidSimulator,
     RenoFluid,
@@ -22,6 +31,7 @@ from repro.core import (
     simulate_many,
 )
 from repro.core.flow import FluidCCA
+from repro.experiments import scenarios
 
 FAST = FluidParams(dt=2.5e-4)
 
@@ -52,6 +62,40 @@ def assert_traces_match(a, b, rtol=1e-9, atol=1e-9):
                 getattr(la, name), getattr(lb, name), rtol=rtol, atol=atol,
                 err_msg=f"link series {name!r} diverged",
             )
+
+
+def assert_traces_equal(a, b):
+    """Bit-for-bit equality of every recorded series of two traces."""
+    np.testing.assert_array_equal(a.time, b.time)
+    assert len(a.flows) == len(b.flows)
+    for fa, fb in zip(a.flows, b.flows, strict=True):
+        assert (fa.cca, fa.start_time_s, fa.end_time_s) == (
+            fb.cca,
+            fb.start_time_s,
+            fb.end_time_s,
+        )
+        for name in FLOW_SERIES:
+            np.testing.assert_array_equal(
+                getattr(fa, name), getattr(fb, name), err_msg=f"flow series {name!r}"
+            )
+        assert list(fa.extras) == list(fb.extras)
+        for key in fa.extras:
+            np.testing.assert_array_equal(
+                fa.extras[key], fb.extras[key], err_msg=f"extras {key!r}"
+            )
+    assert [link.name for link in a.links] == [link.name for link in b.links]
+    for la, lb in zip(a.links, b.links, strict=True):
+        for name in LINK_SERIES:
+            np.testing.assert_array_equal(
+                getattr(la, name), getattr(lb, name), err_msg=f"link series {name!r}"
+            )
+
+
+def assert_lockstep_equals_alone(configs):
+    batched = simulate_many(configs)
+    assert len(batched) == len(configs)
+    for config, trace in zip(configs, batched, strict=True):
+        assert_traces_equal(simulate(config), trace)
 
 
 def run_both(ccas, duration_s=1.0, **kwargs):
@@ -146,10 +190,43 @@ class TestSimulateMany:
             dumbbell_scenario(["reno", "bbr2"], duration_s=1.0, fluid=FAST, buffer_bdp=4.0),
             dumbbell_scenario(["cubic"] * 2, duration_s=1.0, fluid=FAST, discipline="red"),
         ]
-        batched = simulate_many(configs)
-        assert len(batched) == len(configs)
-        for config, trace in zip(configs, batched, strict=True):
-            assert_traces_match(simulate(config), trace)
+        assert_lockstep_equals_alone(configs)
+
+    def test_groups_reverse_a_scenarios_flow_order(self):
+        # The reno group comes first, so the second scenario's flows sit in
+        # reversed order in the group-major slots; its link must still sum
+        # its flows in their own order.
+        configs = [
+            dumbbell_scenario(ccas, duration_s=0.5, fluid=FAST)
+            for ccas in (["reno", "bbr2"], ["bbr2", "reno"], ["cubic", "bbr1"])
+        ]
+        assert_lockstep_equals_alone(configs)
+
+    def test_parking_lot_batch(self):
+        configs = [
+            scenarios.parking_lot_scenario(
+                "BBRv1/CUBIC", hops=3, discipline="red", duration_s=0.5
+            ),
+            dumbbell_scenario(["bbr2", "reno"], duration_s=0.5, fluid=FAST),
+            scenarios.parking_lot_scenario(
+                "BBRv2/RENO", hops=2, cross_flows=2, buffer_bdp=4.0, duration_s=0.5
+            ),
+        ]
+        assert_lockstep_equals_alone(configs)
+
+    def test_churn_batch(self):
+        churn = scenarios.churn_scenario(
+            "BBRv1/RENO", num_flows=12, load=0.8, duration_s=0.5
+        )
+        onoff = dataclasses.replace(
+            dumbbell_scenario(["cubic", "bbr2", "bbr1"], duration_s=0.5, fluid=FAST),
+            schedule=FlowSchedule(arrivals="onoff", on_time_s=0.2, off_time_s=0.1),
+        )
+        static = dumbbell_scenario(["bbr1", "cubic"], duration_s=0.5, fluid=FAST)
+        [churn_trace, *_] = batched = simulate_many([churn, onoff, static])
+        assert any(flow.end_time_s is not None for flow in churn_trace.flows)
+        for config, trace in zip([churn, onoff, static], batched, strict=True):
+            assert_traces_equal(simulate(config), trace)
 
     def test_empty_and_single(self):
         assert simulate_many([]) == []
