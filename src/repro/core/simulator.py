@@ -272,7 +272,7 @@ class FluidSimulator:
         backward_delay = np.array(
             [net.backward_delay(i, b) for i, b in zip(order, bottleneck_of, strict=True)]
         )
-        flow_starts, stop_times, flow_sizes, churn = self._flow_lifetimes()
+        flow_starts, flow_stops, flow_sizes, churn = self._flow_lifetimes()
         start_times = flow_starts[order]
         max_start = float(np.max(start_times))
         if churn:
@@ -281,9 +281,8 @@ class FluidSimulator:
             # masked out of the CCA updates from the *next* step on, so
             # their rate pins to zero and they contribute no arrivals —
             # without ever re-allocating the incidence pipeline.
-            flow_stops = stop_times
-            stop_times = stop_times[order]
-            flow_sizes = flow_sizes[order]
+            stop_times = flow_stops[order]
+            sizes = flow_sizes[order]
             delivered_vol = np.zeros(num_flows)
             completed = np.zeros(num_flows, dtype=bool)
             end_times = np.full(num_flows, math.nan)
@@ -310,18 +309,19 @@ class FluidSimulator:
             seg_bounds.append(len(user_flows))
         user_flows_arr = slot_of[np.array(user_flows, dtype=np.intp)]
         user_lags = rate_history.lag_steps(np.array(user_delays, dtype=float))
-        # Eq. 1 is one row-wise reduction: with equal segment lengths (every
-        # dumbbell batch) the gathered pairs reshape to (links, users);
-        # otherwise each distinct length is one gathered (links, length)
-        # matrix.  Each row reduces exactly like the 1-D sum of its segment.
+        # Eq. 1 is one row-wise reduction: with equal segment lengths (e.g.
+        # the paper grid's ten-flow dumbbells) the gathered pairs reshape to
+        # (links, users); otherwise each distinct length is one gathered
+        # (links, length) matrix.  Each row reduces exactly like the 1-D sum
+        # of its segment (``np.add.reduceat`` would not: it sums in sequence).
+        seg_starts = np.array(seg_bounds[:-1], dtype=np.intp)
         seg_lens = np.diff(seg_bounds)
         uniform_len = int(seg_lens[0]) if np.all(seg_lens == seg_lens[0]) else None
         eq1_blocks: list[tuple[np.ndarray, np.ndarray]] = []
         if uniform_len is None:
             for length in np.unique(seg_lens):
                 rows = np.flatnonzero(seg_lens == length)
-                pairs = np.array(seg_bounds)[rows][:, None] + np.arange(length)
-                eq1_blocks.append((rows, pairs))
+                eq1_blocks.append((rows, seg_starts[rows, None] + np.arange(length)))
             arrival = np.zeros(num_queued)
 
         # Per-flow bottleneck bookkeeping for Eqs. 7 and 17.
@@ -477,8 +477,10 @@ class FluidSimulator:
 
         # Path latency (Eq. 3) = constant propagation part + the queueing
         # delays of the flow's queued links, added one hop at a time in
-        # link order.  ``hop_cols[h]`` holds every flow's h-th queued link;
-        # flows with fewer hops point at the zero entry past the links.
+        # queued-link order, so a flow's sum does not depend on the other
+        # scenarios of a batch.  ``hop_cols[h]`` holds every flow's h-th
+        # queued link; flows with fewer hops point at the zero entry past
+        # the links.
         latency_const = np.empty(num_flows)
         flow_queued: list[list[int]] = []
         for slot, i in enumerate(order):
@@ -702,7 +704,7 @@ class FluidSimulator:
                 # delivered volume, and a crossing takes effect (flow
                 # masked inactive) from the next step.
                 delivered_vol += np.where(active_all, delivery_rates, 0.0) * dt
-                newly_done = (delivered_vol >= flow_sizes) & ~completed
+                newly_done = (delivered_vol >= sizes) & ~completed
                 if np.count_nonzero(newly_done):
                     completed |= newly_done
                     end_times[newly_done] = t
@@ -736,26 +738,6 @@ class FluidSimulator:
             latency_history.advance()[:] = latency
             np.concatenate((arrival, queue_arr, loss), out=link_history.advance())
 
-        # ---------- per-flow series: views of each flow's slot column --- #
-        records = slice(0, record_index)
-        series: list[tuple] = [()] * num_flows
-        for _, slots, batch, _, block, fields in batch_groups:
-            size = batch.size
-            for col, i in enumerate(order[slots]):
-                slot = slots.start + col
-                extras = {
-                    key: block[records, (2 + k) * size + col]
-                    for k, key in enumerate(fields)
-                }
-                series[i] = (
-                    rec_flow[records, slot],
-                    rec_flow[records, num_flows + slot],
-                    block[records, size + col],
-                    block[records, col],
-                    rec_flow[records, 2 * num_flows + slot],
-                    extras,
-                )
-
         self.runtime = {
             "steps": steps + 1,
             "flows": num_flows,
@@ -772,13 +754,31 @@ class FluidSimulator:
             end_times[slot_of] if churn else None,
             flow_stops if churn else None,
         )
-        flows = [
-            self._flow_trace(i, *series[i], flow_starts, flow_ends)
-            for i in range(num_flows)
-        ]
+
+        # ---------- per-flow series: views of each flow's slot column --- #
+        records = slice(0, record_index)
+        flows: dict[int, FlowTrace] = {}
+        for _, slots, batch, _, block, fields in batch_groups:
+            size = batch.size
+            for col, i in enumerate(order[slots]):
+                slot = slots.start + col
+                flows[i] = self._flow_trace(
+                    i,
+                    rec_flow[records, slot],
+                    rec_flow[records, num_flows + slot],
+                    block[records, size + col],
+                    block[records, col],
+                    rec_flow[records, 2 * num_flows + slot],
+                    {
+                        key: block[records, (2 + k) * size + col]
+                        for k, key in enumerate(fields)
+                    },
+                    flow_starts,
+                    flow_ends,
+                )
         return self._assemble_trace(
             (np.arange(record_index) * record_every) * dt,
-            flows,
+            [flows[i] for i in range(num_flows)],
             {idx: rec_link[records, pos] for pos, idx in enumerate(queued_links)},
             {
                 idx: rec_link[records, num_queued + pos]
