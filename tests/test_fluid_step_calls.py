@@ -90,5 +90,6 @@ def test_paper_batch_counts_like_four_points():
     # rollover, new minimum-RTT samples, draining) runs on the steps where
     # some flow takes the transition, which depends on the population, not
     # on how it is batched.  Every other call is per step.
-    del small["where"], paper["where"]
+    small.pop("where", None)
+    paper.pop("where", None)
     assert paper == small
