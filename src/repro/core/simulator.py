@@ -18,16 +18,16 @@ Because every delay of a scenario is a *constant*, the default
 delays become integer lag tables computed once, per-component ring-buffer
 reads become one batched :meth:`~repro.core.history.VectorHistory.gather`
 per signal per step, the flow→link incidence structure turns Eq. 1 into a
-gather plus one row-wise reduction (each link's row sums its users in flow
-order) and Eq. 3 into one gather-and-add per hop, and the loss/queue
-updates (Eq. 4/6, Eq. 2) run as single numpy expressions over every queued
-link at once.  Flows advance as structure-of-arrays groups through their
-CCA model's batched ``step_all``, one group per ``batch_key`` (every
-:class:`~repro.core.flow.FluidCCA` implements both), so arbitrary
-heterogeneous mixes step in a handful of calls.  Every per-flow array is
-laid out in *group-major slots* — each group one contiguous run — so the
-per-group reads are views, and a trace record is one write per block
-(flows, links, each group).  The step therefore makes a fixed number of
+gather plus one row-wise reduction per distinct segment length (each
+link's row sums its users in flow order) and Eq. 3 into one gather-and-add
+per hop, and the loss/queue updates (Eq. 4/6, Eq. 2) run as single numpy
+expressions over every queued link at once.  Flows advance as
+structure-of-arrays groups through their CCA model's batched ``step_all``,
+one group per ``batch_key`` (every :class:`~repro.core.flow.FluidCCA`
+implements both), so arbitrary heterogeneous mixes step in a handful of
+calls.  Every per-flow array is laid out in *group-major slots* — each
+group one contiguous run — so the per-group reads are views, and a trace
+record is one write per block (flows, links, each group).  The step therefore makes a fixed number of
 Python-level calls whatever the number of flows, links or lockstep
 scenarios (``tests/test_fluid_step_calls.py``).
 
@@ -309,20 +309,19 @@ class FluidSimulator:
             seg_bounds.append(len(user_flows))
         user_flows_arr = slot_of[np.array(user_flows, dtype=np.intp)]
         user_lags = rate_history.lag_steps(np.array(user_delays, dtype=float))
-        # Eq. 1 is one row-wise reduction: with equal segment lengths (e.g.
-        # the paper grid's ten-flow dumbbells) the gathered pairs reshape to
-        # (links, users); otherwise each distinct length is one gathered
-        # (links, length) matrix.  Each row reduces exactly like the 1-D sum
-        # of its segment (``np.add.reduceat`` would not: it sums in sequence).
+        # Eq. 1 is one row-wise reduction per distinct segment length: the
+        # links with ``length`` users gather their pairs as one (links,
+        # length) matrix (a single block when all lengths agree, as on the
+        # paper grid's ten-flow dumbbells).  Each row reduces exactly like
+        # the 1-D sum of its segment (``np.add.reduceat`` would not: it sums
+        # in sequence).
         seg_starts = np.array(seg_bounds[:-1], dtype=np.intp)
         seg_lens = np.diff(seg_bounds)
-        uniform_len = int(seg_lens[0]) if np.all(seg_lens == seg_lens[0]) else None
         eq1_blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        if uniform_len is None:
-            for length in np.unique(seg_lens):
-                rows = np.flatnonzero(seg_lens == length)
-                eq1_blocks.append((rows, seg_starts[rows, None] + np.arange(length)))
-            arrival = np.zeros(num_queued)
+        for length in np.unique(seg_lens):
+            rows = np.flatnonzero(seg_lens == length)
+            eq1_blocks.append((rows, seg_starts[rows, None] + np.arange(length)))
+        arrival = np.zeros(num_queued)
 
         # Per-flow bottleneck bookkeeping for Eqs. 7 and 17.
         pos_of_link = {idx: pos for pos, idx in enumerate(queued_links)}
@@ -575,13 +574,8 @@ class FluidSimulator:
                 for rows, seg, caps in att_levels:
                     np.minimum(contrib[rows] * att_surv[seg], caps, out=contrib[rows])
                 delayed_rates[att_positions] = contrib
-            if uniform_len is not None:
-                arrival = np.add.reduce(
-                    delayed_rates.reshape(num_queued, uniform_len), axis=1
-                )
-            else:
-                for rows, pairs in eq1_blocks:
-                    arrival[rows] = np.add.reduce(delayed_rates[pairs], axis=1)
+            for rows, pairs in eq1_blocks:
+                arrival[rows] = np.add.reduce(delayed_rates[pairs], axis=1)
             if all_droptail:
                 loss = queues.droptail_loss_vec(
                     arrival, link_capacity, queue_arr, link_buffer, sharpness, exponent
