@@ -35,6 +35,7 @@ from .reduced import (
     SingleBottleneck,
     bbr1_reduced_rhs,
     bbr2_reduced_rhs,
+    flow_constants,
     integrate_reduced,
 )
 from .stability import (
@@ -75,6 +76,7 @@ __all__ = [
     "SingleBottleneck",
     "bbr1_reduced_rhs",
     "bbr2_reduced_rhs",
+    "flow_constants",
     "integrate_reduced",
     "StabilityResult",
     "bbr1_deep_buffer_jacobian",

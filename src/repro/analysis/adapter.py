@@ -54,7 +54,13 @@ from .equilibrium import (
     bbr1_shallow_buffer_loss_fraction,
     bbr2_fair_equilibrium,
 )
-from .reduced import SingleBottleneck, flow_constants, integrate_batch, mixed_reduced_rhs
+from .reduced import (
+    FlowConstants,
+    SingleBottleneck,
+    flow_constants,
+    integrate_batch,
+    mixed_reduced_rhs,
+)
 from .stability import (
     StabilityResult,
     central_difference_jacobian,
@@ -244,12 +250,10 @@ class AnalyticPoint:
         }
 
 
-def _arrival_rates(
-    versions: tuple[str, ...], net: SingleBottleneck, x_btl: np.ndarray, queue: float
-) -> np.ndarray:
+def _arrival_rates(constants: FlowConstants, x_btl: np.ndarray, queue: float) -> np.ndarray:
     """Per-flow bottleneck arrival rates ``min(1, delta_i) x_btl_i``."""
-    _, capacity, _, delays, _, numerator = flow_constants(net, versions)
-    return np.minimum(1.0, numerator / (delays + queue / capacity)) * np.asarray(x_btl)
+    delta = constants.numerator / (constants.delays + queue / constants.capacity)
+    return np.minimum(1.0, delta) * np.asarray(x_btl)
 
 
 def _loss_fraction(arrival_pps: float, capacity_pps: float) -> float:
@@ -434,6 +438,8 @@ def _analyze_numerical(
         for _ in range(NUMERICAL_MAX_CHUNKS):
             ccas = tuple(cases[i][0] for i in running)
             nets = tuple(cases[i][1] for i in running)
+            # The module attribute, looked up per chunk, so that a counting
+            # wrapper patched over it sees every evaluation.
             runs = integrate_batch(
                 mixed_reduced_rhs,
                 state0,
@@ -441,7 +447,7 @@ def _analyze_numerical(
                 rtol=1e-6,
                 atol=[1e-6 * net.capacity_pps for net in nets],
                 max_step=0.05,
-                args=(nets, ccas),
+                args=(flow_constants(nets, ccas),),
             )
             unsettled = []
             for i, net, (times, states) in zip(running, nets, runs, strict=True):
@@ -466,9 +472,10 @@ def _polish(
     version = "mixed" if len(set(ccas)) > 1 else next(iter(set(ccas)))
     n = net.num_flows
     capacity = net.capacity_pps
+    constants = flow_constants(net, ccas)
 
     def full_rhs(state: np.ndarray) -> np.ndarray:
-        return mixed_reduced_rhs(0.0, state, net, ccas)
+        return mixed_reduced_rhs(0.0, state, constants)
 
     stability: StabilityResult | None = None
     state_eq = tail_mean
@@ -510,7 +517,7 @@ def _polish(
                     central_difference_jacobian(full_rhs, state_eq, epsilon)
                 )
     queue = float(np.clip(state_eq[n], 0.0, net.buffer_pkts))
-    arrival = _arrival_rates(ccas, net, np.maximum(state_eq[:n], 0.0), queue)
+    arrival = _arrival_rates(constants, np.maximum(state_eq[:n], 0.0), queue)
     return _point(
         version=version,
         regime="reduced-model",

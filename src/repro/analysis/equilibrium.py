@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import SingleBottleneck, mixed_reduced_rhs
+from .reduced import SingleBottleneck, flow_constants, mixed_reduced_rhs
 
 
 @dataclass(frozen=True)
@@ -164,5 +164,5 @@ def equilibrium_residual(version: str, net: SingleBottleneck, rates: np.ndarray,
     if version not in ("bbr1", "bbr2"):
         raise ValueError("version must be 'bbr1' or 'bbr2'")
     state = np.append(np.asarray(rates, dtype=float), queue)
-    derivative = mixed_reduced_rhs(0.0, state, net, (version,) * net.num_flows)
+    derivative = mixed_reduced_rhs(0.0, state, flow_constants(net, (version,) * net.num_flows))
     return float(np.max(np.abs(derivative))) / net.capacity_pps

@@ -15,10 +15,13 @@ autonomous ODE systems:
 One right-hand side, :func:`mixed_reduced_rhs`, implements both: each flow
 follows its own version's window factor on the shared queue, and the pure
 models are its homogeneous cases; given a ``(K, N + 1)`` state it
-evaluates K networks with the same flow count at once.  The reduced models
-are used in two ways: numerically (:func:`integrate_batch`, a batched
-Dormand-Prince 5(4) integrator with scipy's ``RK45`` step control, to
-demonstrate convergence to the equilibria of Theorems 1-5) and
+evaluates K networks with the same flow count at once.  It reads its
+per-network constants from a :class:`FlowConstants`, which a caller binds
+once with :func:`flow_constants` (per point, or per batch and integration
+chunk) and passes along, so an evaluation is arithmetic only.  The reduced
+models are used in two ways: numerically (:func:`integrate_batch`, a
+batched Dormand-Prince 5(4) integrator with scipy's ``RK45`` step control,
+to demonstrate convergence to the equilibria of Theorems 1-5) and
 analytically (Jacobians in :mod:`repro.analysis.stability`).
 """
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,66 +67,114 @@ class SingleBottleneck:
         return len(self.propagation_delays_s)
 
 
-@lru_cache(maxsize=64)
+@dataclass(frozen=True, eq=False)
+class FlowConstants:
+    """The constants of the reduced RHS, bound once for a network or a batch.
+
+    ``numerator`` is the window-factor numerator ``2 d_i`` of a BBRv1 flow
+    and ``d_i`` of a BBRv2 flow, so ``numerator / (d + q / C)`` is each
+    flow's own ``Delta_i`` (Eq. 33) or ``delta_i`` (Eq. 36).  A flow probes
+    at ``min(cap, delta) x_btl gain``: ``cap = 5/4, gain = 1`` for BBRv1
+    (Eq. 34) and ``cap = 1, gain = 5/4`` for BBRv2 (Eq. 37).
+
+    For one network ``capacity`` and ``buffer`` are floats and the flow
+    arrays have shape ``(n,)``.  For a batch of K networks with the same
+    flow count they are ``(K, 1)`` columns and ``(K, n)`` arrays, and
+    ``constants[keep]`` is the batch of the rows where the boolean mask
+    ``keep`` is true.
+    """
+
+    n: int
+    capacity: float | np.ndarray
+    buffer: float | np.ndarray
+    delays: np.ndarray
+    numerator: np.ndarray
+    cap: np.ndarray
+    gain: np.ndarray
+
+    def __getitem__(self, keep: np.ndarray) -> FlowConstants:
+        columns = (self.capacity, self.buffer, self.delays, self.numerator, self.cap, self.gain)
+        return FlowConstants(self.n, *(column[keep] for column in columns))  # type: ignore[index]
+
+    @cached_property
+    def first(self) -> FlowConstants:
+        """Row 0 of a batch as one network's constants (a batch of one's one-state form)."""
+        return FlowConstants(
+            self.n,
+            float(self.capacity[0, 0]),  # type: ignore[index]
+            float(self.buffer[0, 0]),  # type: ignore[index]
+            self.delays[0],
+            self.numerator[0],
+            self.cap[0],
+            self.gain[0],
+        )
+
+
 def flow_constants(
     net: SingleBottleneck | tuple[SingleBottleneck, ...],
     versions: tuple[str, ...] | tuple[tuple[str, ...], ...],
-) -> tuple[int, float | np.ndarray, float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-network constants of the reduced RHS, computed once per ``(net, versions)``.
+) -> FlowConstants:
+    """The :class:`FlowConstants` of one network, or of a tuple of K networks.
 
-    Returns ``(n, C, B, d, is_v1, numerator)`` where ``numerator`` is the
-    window-factor numerator ``2 d_i`` for BBRv1 flows and ``d_i`` for
-    BBRv2 flows, so ``numerator / (d + q / C)`` is each flow's own
-    ``Delta_i`` (Eq. 33) or ``delta_i`` (Eq. 36).  For a batch (a tuple of
-    K networks with the same flow count and one ``versions`` tuple each)
-    ``C`` and ``B`` are ``(K, 1)`` columns and the flow arrays ``(K, n)``.
-    The arrays are shared between calls, so they are read-only.
+    A batch is a tuple of networks with the same flow count and one
+    ``versions`` tuple each; its stacked form is built on every call (only
+    the one-network constants are cached).
     """
-    if isinstance(net, tuple):
-        rows = [flow_constants(one, own) for one, own in zip(net, versions, strict=True)]
-        if len({row[0] for row in rows}) != 1:
-            raise ValueError("a batch holds networks with the same flow count")
-        capacity, buffer = (np.array([row[j] for row in rows], dtype=float)[:, None] for j in (1, 2))
-        delays, is_v1, numerator = (np.array([row[j] for row in rows]) for j in (3, 4, 5))
-        for array in (capacity, buffer, delays, is_v1, numerator):
-            array.flags.writeable = False
-        return rows[0][0], capacity, buffer, delays, is_v1, numerator
+    if not isinstance(net, tuple):
+        return _network_constants(net, versions)  # type: ignore[arg-type]
+    rows = [_network_constants(one, own) for one, own in zip(net, versions, strict=True)]
+    if len({row.n for row in rows}) != 1:
+        raise ValueError("a batch holds networks with the same flow count")
+    return FlowConstants(
+        rows[0].n,
+        np.array([[row.capacity] for row in rows], dtype=float),
+        np.array([[row.buffer] for row in rows], dtype=float),
+        np.array([row.delays for row in rows]),
+        np.array([row.numerator for row in rows]),
+        np.array([row.cap for row in rows]),
+        np.array([row.gain for row in rows]),
+    )
+
+
+@lru_cache(maxsize=64)
+def _network_constants(net: SingleBottleneck, versions: tuple[str, ...]) -> FlowConstants:
+    """One network's constants, computed once per ``(net, versions)``; the arrays are read-only."""
     delays = np.array(net.propagation_delays_s, dtype=float)
     is_v1 = np.array([v == "bbr1" for v in versions])
     numerator = np.where(is_v1, 2.0, 1.0) * delays
-    for array in (delays, is_v1, numerator):
+    cap = np.where(is_v1, 1.25, 1.0)
+    gain = np.where(is_v1, 1.0, 1.25)
+    for array in (delays, numerator, cap, gain):
         array.flags.writeable = False
-    return net.num_flows, net.capacity_pps, net.buffer_pkts, delays, is_v1, numerator
+    return FlowConstants(net.num_flows, net.capacity_pps, net.buffer_pkts, delays, numerator, cap, gain)
 
 
-def mixed_reduced_rhs(
-    t: float | np.ndarray,
-    state: np.ndarray,
-    net: SingleBottleneck | tuple[SingleBottleneck, ...],
-    versions: tuple[str, ...] | tuple[tuple[str, ...], ...],
-) -> np.ndarray:
+def mixed_reduced_rhs(t: float | np.ndarray, state: np.ndarray, constants: FlowConstants) -> np.ndarray:
     """Reduced dynamics of a BBRv1/BBRv2 population on one queue.
 
     Per-flow window factors follow each flow's own version (Eq. 33 vs.
     Eq. 36-38) while all flows share the bottleneck's proportional
-    delivery; a homogeneous ``versions`` tuple gives the pure BBRv1 or
-    BBRv2 model.  State layout: ``[x_btl_1, ..., x_btl_N, q]``.
+    delivery; a homogeneous population gives the pure BBRv1 or BBRv2
+    model.  State layout: ``[x_btl_1, ..., x_btl_N, q]``; ``constants``
+    are :func:`flow_constants` of the network and its flows' versions.
 
-    Batched form: ``state`` of shape ``(K, N + 1)``, ``net`` a tuple of K
-    networks and ``versions`` a tuple of K version tuples; row ``k`` of
-    the result has the same bits as the call on row ``k`` alone.
+    Batched form: ``state`` of shape ``(K, N + 1)`` and the constants of a
+    batch of K networks; row ``k`` of the result has the same bits as the
+    call on row ``k`` alone.
     """
     if state.ndim == 2:
         if len(state) == 1:
             # A batch of one costs half as much through the one-state form.
-            return mixed_reduced_rhs(t, state[0], net[0], versions[0])[None]  # type: ignore[index]
-        return _batched_rhs(state, *flow_constants(net, versions))
-    n, capacity, buffer, delays, is_v1, numerator = flow_constants(net, versions)
+            return mixed_reduced_rhs(t, state[0], constants.first)[None]
+        return _batched_rhs(state, constants)
+    n = constants.n
+    capacity = constants.capacity
+    buffer = constants.buffer
     x_btl = np.maximum(state[:n], 1e-9)
     queue = min(max(float(state[n]), 0.0), buffer)
-    delta = numerator / (delays + queue / capacity)
+    delta = constants.numerator / (constants.delays + queue / capacity)
     background = np.minimum(1.0, delta) * x_btl
-    probe = np.where(is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background)
+    probe = np.minimum(constants.cap, delta) * x_btl * constants.gain
     total = float(np.add.reduce(background))
     out = np.empty(n + 1)
     if queue > 0:
@@ -139,41 +190,41 @@ def mixed_reduced_rhs(
     return out
 
 
-def _batched_rhs(
-    state: np.ndarray,
-    n: int,
-    capacity: np.ndarray,
-    buffer: np.ndarray,
-    delays: np.ndarray,
-    is_v1: np.ndarray,
-    numerator: np.ndarray,
-) -> np.ndarray:
+def _batched_rhs(state: np.ndarray, constants: FlowConstants) -> np.ndarray:
     """:func:`mixed_reduced_rhs` on K rows at once, op for op the same arithmetic."""
+    n = constants.n
+    capacity = constants.capacity
+    buffer = constants.buffer
     x_btl = np.maximum(state[:, :n], 1e-9)
     queue = np.minimum(np.maximum(state[:, n:], 0.0), buffer)
-    delta = numerator / (delays + queue / capacity)
+    delta = constants.numerator / (constants.delays + queue / capacity)
     background = np.minimum(1.0, delta) * x_btl
-    probe = np.where(is_v1, np.minimum(1.25, delta) * x_btl, 1.25 * background)
+    probe = np.minimum(constants.cap, delta) * x_btl * constants.gain
     total = np.add.reduce(background, axis=1, keepdims=True)
-    x_max = np.where(queue > 0, probe * capacity / (probe + (total - background)), probe)
+    busy = queue > 0
     out = np.empty(state.shape)
-    np.subtract(x_max, x_btl, out=out[:, :n])
-    dq = total - capacity
-    out[:, n:] = np.where(((queue <= 0) & (dq < 0)) | ((queue >= buffer) & (dq > 0)), 0.0, dq)
+    out[:, :n] = np.where(busy, probe * capacity / (probe + (total - background)), probe) - x_btl
+    # An empty queue does not drain and a full one does not grow.  ``dq``
+    # is never -0.0, so the bounds leave the sign of a zero alone.
+    floor = np.where(busy, -np.inf, 0.0)
+    ceiling = np.where(queue < buffer, np.inf, 0.0)
+    out[:, n:] = np.minimum(np.maximum(total - capacity, floor), ceiling)
     return out
 
 
 def bbr1_reduced_rhs(t: float, state: np.ndarray, net: SingleBottleneck) -> np.ndarray:
     """Right-hand side of the reduced BBRv1 dynamics (Eq. 33-34).
 
-    State layout: ``[x_btl_1, ..., x_btl_N, q]``.
+    State layout: ``[x_btl_1, ..., x_btl_N, q]``.  A caller that evaluates
+    it many times binds :func:`flow_constants` once and calls
+    :func:`mixed_reduced_rhs` instead.
     """
-    return mixed_reduced_rhs(t, state, net, ("bbr1",) * net.num_flows)
+    return mixed_reduced_rhs(t, state, flow_constants(net, ("bbr1",) * net.num_flows))
 
 
 def bbr2_reduced_rhs(t: float, state: np.ndarray, net: SingleBottleneck) -> np.ndarray:
     """Right-hand side of the reduced BBRv2 dynamics (Eq. 36-38, same layout)."""
-    return mixed_reduced_rhs(t, state, net, ("bbr2",) * net.num_flows)
+    return mixed_reduced_rhs(t, state, flow_constants(net, ("bbr2",) * net.num_flows))
 
 
 #: Dormand-Prince 5(4) tableau, the coefficients of scipy's ``RK45``:
@@ -238,8 +289,8 @@ def _initial_steps(
     atol: np.ndarray,
     args: tuple,
 ) -> np.ndarray:
-    """scipy's ``select_initial_step`` for every system (one batched RHS call)."""
-    scale = atol[:, None] + np.abs(y) * rtol
+    """scipy's ``select_initial_step`` for every system (one batched RHS call; ``atol`` a column)."""
+    scale = atol + np.abs(y) * rtol
     d0 = _rms(y / scale)
     d1 = _rms(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,7 +313,7 @@ def integrate_batch(
     rtol: float,
     atol: Sequence[float] | np.ndarray,
     max_step: float,
-    args: tuple[Sequence, ...] = (),
+    args: tuple = (),
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Integrate K independent systems from ``t = 0`` to ``t_bound`` together.
 
@@ -273,9 +324,12 @@ def integrate_batch(
     takes the steps ``solve_ivp(method="RK45")`` would take alone, with
     the same bits; only the stage evaluations are shared.
     ``fun(t, y, *args)`` evaluates the batch: ``t`` holds one stage time
-    per system, ``y`` has shape ``(K, m)``, and every entry of ``args`` is
-    a sequence with one item per system (cut down with the batch as
-    systems finish).  ``atol`` has one entry per system.
+    per system and ``y`` has shape ``(K, m)``.  Every entry of ``args``
+    holds one item per system and is cut with the batch as systems finish,
+    as ``arg[keep]`` with a boolean mask (a numpy array, or the
+    :class:`FlowConstants` of a batch), so anything ``fun`` needs is bound
+    before the call and an attempt does no lookups.  ``atol`` has one
+    entry per system.
 
     Returns one ``(times, states)`` pair per system, in input order: its
     accepted step times from 0 and the states, shape ``(len(times), m)``.
@@ -284,11 +338,11 @@ def integrate_batch(
     """
     y = np.array(y0, dtype=float)
     count, size = y.shape
-    atol = np.array(atol, dtype=float)
+    atol = np.array(atol, dtype=float)[:, None]
     t = np.zeros(count)
     f = fun(t, y, *args)
     system = np.arange(count)
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    min_step = 10 * np.spacing(t)
     h_abs = _clamp(_initial_steps(fun, y, f, t_bound, max_step, rtol, atol, args), min_step, max_step)
     rejected = np.zeros(count, dtype=bool)
     done = np.zeros(count, dtype=bool)
@@ -298,53 +352,42 @@ def integrate_batch(
         # A system leaves the batch at ``t_bound`` or when its next attempt
         # falls below the minimum step (scipy's failure).
         keep = ~(done | (h_abs < min_step))
-        if not keep.all():
-            t, y, f, h_abs, min_step, rejected, system = (
-                a[keep] for a in (t, y, f, h_abs, min_step, rejected, system)
+        if np.count_nonzero(keep) < count:
+            t, y, f, h_abs, min_step, rejected, system, atol = (
+                a[keep] for a in (t, y, f, h_abs, min_step, rejected, system, atol)
             )
-            atol = atol[keep]
-            args = tuple(tuple(item for item, k in zip(arg, keep, strict=True) if k) for arg in args)
+            args = tuple(arg[keep] for arg in args)
             count = len(system)
         if not count:
             break
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t
-        h_abs = np.abs(h)
         # Stage rows per system, ``(K, stages + 1, m)``: each system's
         # ``(stages + 1, m)`` block is laid out as scipy's ``rk_step`` lays
-        # out its one system, and the stacked ``matmul`` combines each block
-        # with the same BLAS call ``np.dot`` makes there, bit for bit.  (One
-        # ``np.dot`` over a ``(stages + 1, K * m)`` matrix rounds the rows of
-        # a block differently depending on K.)
+        # out its one system, and the stacked ``matmul`` of the transposed
+        # view combines each block with the same BLAS call ``np.dot`` makes
+        # there, bit for bit.  (One ``np.dot`` over a ``(stages + 1, K * m)``
+        # matrix rounds the rows of a block differently depending on K.)
         hk = h[:, None]
         stage_t = t + DP_C[:, None] * h
         stage = np.empty((count, len(DP_C) + 1, size))
+        columns = stage.transpose(0, 2, 1)
         stage[:, 0] = f
         for s in range(1, len(DP_C)):
-            dy = np.matmul(stage[:, :s].transpose(0, 2, 1), DP_A[s, :s]) * hk
+            dy = np.matmul(columns[:, :, :s], DP_A[s, :s]) * hk
             stage[:, s] = fun(stage_t[s], y + dy, *args)
-        y_new = y + hk * np.matmul(stage[:, :-1].transpose(0, 2, 1), DP_B)
+        y_new = y + hk * np.matmul(columns[:, :, :-1], DP_B)
         f_new = fun(t + h, y_new, *args)
         stage[:, -1] = f_new
-        scale = atol[:, None] + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.matmul(stage.transpose(0, 2, 1), DP_E) * hk / scale)
-        # scipy's control law.  An accepted step has ``change > SAFETY``, so
-        # its ``min(1, min(MAX_FACTOR, change))`` after a rejection is
-        # ``min(1, change)``.
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms(np.matmul(columns, DP_E) * hk / scale)
         accepted = error_norm < 1
-        change = SAFETY * _powers(error_norm, ERROR_EXPONENT)
-        grow = _min(np.where(rejected, 1, MAX_FACTOR), change)
-        h_abs = h_abs * np.where(accepted, grow, _max(MIN_FACTOR, change))
         log.append((system, accepted, t_new, y_new))
-        if accepted.all():
-            t, y, f = t_new, y_new, f_new
-        else:
-            t = np.where(accepted, t_new, t)
-            y = np.where(accepted[:, None], y_new, y)
-            f = np.where(accepted[:, None], f_new, f)
-        # An accepted step starts the next one: new minimum, clamped step.
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(accepted, _clamp(h_abs, min_step, max_step), h_abs)
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted[:, None], y_new, y)
+        f = np.where(accepted[:, None], f_new, f)
+        min_step = 10 * np.spacing(t)
+        h_abs = _next_steps(h, error_norm, rejected, min_step, max_step)
         rejected = ~accepted
         done = accepted & (t >= t_bound)
     owner, kept, times, states = (np.concatenate(column) for column in zip(*log, strict=True))
@@ -352,6 +395,37 @@ def integrate_batch(
         (times[rows], states[rows])
         for rows in (kept & (owner == k) for k in range(len(y0)))
     ]
+
+
+def _next_steps(
+    h: np.ndarray,
+    error_norm: np.ndarray,
+    rejected: np.ndarray,
+    min_step: np.ndarray,
+    max_step: float,
+) -> np.ndarray:
+    """scipy's ``RK45`` step-size control, one scalar at a time as scipy computes it.
+
+    After an attempt of size ``h`` (``h >= 0``, its own absolute value) with
+    error ``error_norm``, an accepted step grows by ``min(MAX_FACTOR,
+    SAFETY * error_norm ** ERROR_EXPONENT)``, by at most 1 right after a
+    rejection, and the next attempt is clamped to ``max_step`` and then to
+    the minimum step of the new time; a rejected step shrinks by
+    ``max(MIN_FACTOR, ...)``.  The loop makes no call per system, so an
+    attempt's calls do not depend on the batch width.
+    """
+    steps = np.empty(len(h))
+    for i, (step, norm, was_rejected, floor) in enumerate(
+        zip(h.tolist(), error_norm.tolist(), rejected.tolist(), min_step.tolist(), strict=True)
+    ):
+        change = SAFETY * norm**ERROR_EXPONENT if norm else math.inf
+        if norm < 1:
+            limit = 1.0 if was_rejected else MAX_FACTOR
+            step *= change if change < limit else limit
+            steps[i] = max_step if step > max_step else floor if step < floor else step
+        else:
+            steps[i] = step * (change if change > MIN_FACTOR else MIN_FACTOR)
+    return steps
 
 
 def _clamp(h_abs: np.ndarray, min_step: np.ndarray, max_step: float) -> np.ndarray:
@@ -385,6 +459,6 @@ def integrate_reduced(
         rtol=1e-8,
         atol=[1e-8],
         max_step=max_step,
-        args=((net,), ((version,) * net.num_flows,)),
+        args=(flow_constants((net,), ((version,) * net.num_flows,)),),
     )
     return time, states

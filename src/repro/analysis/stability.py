@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import bbr1_deep_buffer_equilibrium, bbr2_fair_equilibrium
-from .reduced import SingleBottleneck, bbr1_reduced_rhs, bbr2_reduced_rhs
+from .reduced import SingleBottleneck, flow_constants, mixed_reduced_rhs
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,11 @@ def numerical_jacobian(
     epsilon: float | None = None,
 ) -> np.ndarray:
     """Central-difference Jacobian of a reduced model at a given state."""
-    rhs = bbr1_reduced_rhs if version == "bbr1" else bbr2_reduced_rhs
+    constants = flow_constants(net, (version,) * net.num_flows)
     state = np.asarray(state, dtype=float)
     if epsilon is None:
         epsilon = 1e-6 * max(1.0, float(np.max(np.abs(state))))
-    return central_difference_jacobian(lambda x: rhs(0.0, x, net), state, epsilon)
+    return central_difference_jacobian(lambda x: mixed_reduced_rhs(0.0, x, constants), state, epsilon)
 
 
 def check_bbr1_deep_buffer_stability(propagation_delay_s: float) -> StabilityResult:

@@ -23,6 +23,7 @@ from repro.analysis import (
     check_bbr2_numerical_stability,
     check_bbr2_stability,
     equilibrium_residual,
+    flow_constants,
     integrate_reduced,
     mixed_reduced_rhs,
     numerical_jacobian,
@@ -253,7 +254,7 @@ class TestNumericalJacobian:
         state = np.concatenate([np.asarray(eq.rates_pps), [eq.queue_pkts]])
         epsilon = 1e-6 * float(np.max(np.abs(state)))
         expected = central_difference_jacobian(
-            lambda x: mixed_reduced_rhs(0.0, x, net, ("bbr2",) * 3), state, epsilon
+            lambda x: mixed_reduced_rhs(0.0, x, flow_constants(net, ("bbr2",) * 3)), state, epsilon
         )
         np.testing.assert_array_equal(numerical_jacobian("bbr2", net, state), expected)
 
@@ -268,7 +269,8 @@ class TestEquilibriumResidual:
         net = make_net(3)
         eq = bbr2_fair_equilibrium(net)
         rates = 1.1 * np.asarray(eq.rates_pps)
-        derivative = mixed_reduced_rhs(0.0, np.append(rates, eq.queue_pkts), net, ("bbr2",) * 3)
+        constants = flow_constants(net, ("bbr2",) * 3)
+        derivative = mixed_reduced_rhs(0.0, np.append(rates, eq.queue_pkts), constants)
         residual = equilibrium_residual("bbr2", net, rates, eq.queue_pkts)
         assert residual > 1e-3
         assert residual == float(np.max(np.abs(derivative))) / CAPACITY

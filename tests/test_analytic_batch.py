@@ -99,14 +99,14 @@ def test_every_system_takes_solve_ivps_steps():
         rtol=1e-6,
         atol=[1e-6 * net.capacity_pps for _, net in cases],
         max_step=0.05,
-        args=(tuple(net for _, net in cases), tuple(ccas for ccas, _ in cases)),
+        args=(reduced.flow_constants(tuple(net for _, net in cases), tuple(ccas for ccas, _ in cases)),),
     )
     for (ccas, net), start, (times, states) in zip(cases, y0, runs, strict=True):
         solution = solve_ivp(
             reduced.mixed_reduced_rhs,
             (0.0, 5.0),
             start,
-            args=(net, ccas),
+            args=(reduced.flow_constants(net, ccas),),
             max_step=0.05,
             rtol=1e-6,
             atol=1e-6 * net.capacity_pps,
@@ -140,8 +140,16 @@ def test_a_batch_equals_one_at_a_time(monkeypatch):
 
     def recording(fun, y0, t_bound, **kwargs):
         runs = real(fun, y0, t_bound, **kwargs)
-        nets, ccas = kwargs["args"]
-        for key, (times, _) in zip(zip(ccas, nets, strict=True), runs, strict=True):
+        # A point's bound constants (capacity, buffer, delays and the
+        # window numerators, which carry the versions) key its step counts.
+        (constants,) = kwargs["args"]
+        for k, (times, _) in enumerate(runs):
+            key = (
+                float(constants.capacity[k, 0]),
+                float(constants.buffer[k, 0]),
+                *constants.delays[k].tolist(),
+                *constants.numerator[k].tolist(),
+            )
             steps.setdefault(key, []).append(len(times))
         return runs
 
