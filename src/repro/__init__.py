@@ -22,9 +22,17 @@ Quickstart::
     config = dumbbell_scenario(["bbr1"] * 5 + ["reno"] * 5, buffer_bdp=2.0)
     trace = simulate(config)
     print(aggregate_metrics(trace))
+
+Only the light layers (``config``, ``topology``, ``units``) load with the
+package.  ``analysis``, ``core``, ``emulation``, ``experiments`` and
+``metrics`` load on first attribute access (``repro.core``) or explicit
+import, so a command that only reads a store never imports numpy.
 """
 
-from . import analysis, config, core, emulation, experiments, metrics, topology, units
+import importlib
+from types import ModuleType
+
+from . import config, topology, units
 from .config import (
     FlowConfig,
     FluidParams,
@@ -35,6 +43,16 @@ from .config import (
 )
 
 __version__ = "1.0.0"
+
+#: Subpackages imported on first attribute access (PEP 562).
+_LAZY_SUBPACKAGES = ("analysis", "core", "emulation", "experiments", "metrics")
+
+
+def __getattr__(name: str) -> ModuleType:
+    if name in _LAZY_SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "analysis",

@@ -101,30 +101,40 @@ cache-key completeness by mutation probing, and the unit-suffix
 conventions.  It exits 1 on findings (0 clean, 2 on usage errors) and is
 a required CI job; deliberate exceptions live in
 ``src/repro/devtools/allowlist.txt``.
+
+Imports follow the command.  This module loads only the light layers:
+config, grid, presets, store and backends, report and logging.  Each
+handler imports the layer it runs: :mod:`repro.core`, :mod:`repro.emulation`
+and :mod:`repro.metrics` for ``trace`` and ``topology``,
+:mod:`repro.experiments.sweep` (every substrate) for ``campaign``,
+:mod:`repro.experiments.phase` (and :mod:`repro.analysis`) for
+``stability``, :mod:`repro.experiments.figures` for ``theorems`` and
+:mod:`repro.devtools` for ``check``.  So ``status`` and ``store`` never
+import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import units
 from .config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS
-from .core.simulator import simulate
-from .emulation.runner import emulate
-from .experiments import figures, phase, presets, report, scenarios, sweep
+from .experiments import presets, report, scenarios
 from .experiments.backends import split_backend_spec
 from .experiments.executor import ExecutorPolicy
-from .experiments.grid import GridSpec
+from .experiments.grid import GridSpec, SweepPointError, distinct_points
 from .experiments.store import SweepStore, resolve_store
-from .experiments.summary import render_summary, summarize_store
-from .metrics.aggregate import aggregate_metrics, link_metrics
-from .obs import export_chrome
 from .obs import log as obs_log
+
+if TYPE_CHECKING:
+    from .experiments.sweep import SummaryPoint
 
 #: CCAs of the single-flow trace-validation scenarios.
 TRACE_CCAS = ("reno", "cubic", "bbr1", "bbr2")
@@ -528,28 +538,28 @@ def _add_stability_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--versions",
         nargs="+",
-        choices=list(phase.DEFAULT_VERSIONS),
-        default=list(phase.DEFAULT_VERSIONS),
+        choices=list(scenarios.PHASE_VERSIONS),
+        default=list(scenarios.PHASE_VERSIONS),
     )
     parser.add_argument(
         "--flow-counts",
         type=int,
         nargs="+",
-        default=list(phase.DEFAULT_FLOW_COUNTS),
+        default=list(scenarios.PHASE_FLOW_COUNTS),
         metavar="N",
     )
     parser.add_argument(
         "--rtts-ms",
         type=float,
         nargs="+",
-        default=list(phase.DEFAULT_RTTS_MS),
+        default=list(scenarios.PHASE_RTTS_MS),
         metavar="MS",
     )
     parser.add_argument(
         "--buffers",
         type=float,
         nargs="+",
-        default=list(phase.DEFAULT_BUFFERS_BDP),
+        default=list(scenarios.PHASE_BUFFERS_BDP),
         metavar="BDP",
     )
     parser.add_argument("--capacity-mbps", type=float, default=100.0)
@@ -643,6 +653,8 @@ def build_parser(preset: presets.CampaignPreset | None = None) -> argparse.Argum
 
 
 def _run_trace_export(args: argparse.Namespace) -> int:
+    from .obs import export_chrome
+
     span_log = Path(args.span_log)
     if not span_log.exists():
         raise FileNotFoundError(f"span log {args.span_log} not found")
@@ -656,6 +668,10 @@ def _run_trace_export(args: argparse.Namespace) -> int:
 def _run_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "export":
         return _run_trace_export(args)
+    from .core.simulator import simulate
+    from .emulation.runner import emulate
+    from .metrics.aggregate import aggregate_metrics
+
     # The paper's single-flow trace-validation scenario (Sec. 4.2), matching
     # the help text: 31.2 ms RTT and fair-share initial window for the
     # loss-based CCAs (the fluid models have no slow-start phase).
@@ -672,7 +688,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary_display_rows(points: Sequence[sweep.SummaryPoint]) -> list[dict[str, object]]:
+def _summary_display_rows(points: Sequence[SummaryPoint]) -> list[dict[str, object]]:
     """Compact mean ± CI table rows for seed-replicated sweep points."""
     rows: list[dict[str, object]] = []
     for point in points:
@@ -762,6 +778,8 @@ def _campaign_policy(args: argparse.Namespace) -> ExecutorPolicy:
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
+    from .experiments import sweep
+
     grid = _grid_from_args(args)
     store = resolve_store(args.store, fsync=getattr(args, "fsync", True))
     if store is None:
@@ -811,7 +829,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             records = {record["key"]: record for record in store.records()}
             per_seed = [
                 {**p.meta(), **records[p.key]["metrics"]}
-                for p in sweep.distinct_points(grid, args.shard_index, args.shard_count)
+                for p in distinct_points(grid, args.shard_index, args.shard_count)
                 if p.key in records
             ]
         else:
@@ -856,6 +874,10 @@ def _topology_flow_rows(config, trace, substrate: str) -> list[dict[str, object]
 
 
 def _run_topology(args: argparse.Namespace) -> int:
+    from .core.simulator import simulate
+    from .emulation.runner import emulate
+    from .metrics.aggregate import link_metrics
+
     config = scenarios.topology_scenario(
         args.preset,
         mix=args.mix,
@@ -945,6 +967,8 @@ def _run_store_merge(args: argparse.Namespace) -> int:
 def _run_store(args: argparse.Namespace) -> int:
     if args.store_command == "merge":
         return _run_store_merge(args)
+    from .experiments.summary import render_summary, summarize_store
+
     store = _open_existing_store(args.path)
     try:
         summary = summarize_store(store)
@@ -960,7 +984,7 @@ def _run_store(args: argparse.Namespace) -> int:
 def _run_status(args: argparse.Namespace) -> int:
     if args.store is None:
         raise ValueError("no store to check; pass STORE or a --preset naming one")
-    grid = sweep.distinct_points(_grid_from_args(args), args.shard_index, args.shard_count)
+    grid = distinct_points(_grid_from_args(args), args.shard_index, args.shard_count)
     store = _open_existing_store(args.store)
     try:
         failed_keys = {record["key"] for record in store.failures()}
@@ -1065,6 +1089,8 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_stability(args: argparse.Namespace) -> int:
+    from .experiments import phase
+
     rows = phase.phase_grid(
         versions=args.versions,
         flow_counts=args.flow_counts,
@@ -1135,6 +1161,8 @@ def _run_stability(args: argparse.Namespace) -> int:
 
 
 def _run_theorems(args: argparse.Namespace) -> int:
+    from .experiments import figures
+
     rows = figures.theorem_table(flow_counts=args.flows, propagation_delay_s=args.delay)
     if not rows:
         print("no theorem rows produced; check --flows", file=sys.stderr)
@@ -1161,14 +1189,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         "check": _run_check,
     }
     # The one error policy of every command: a point that failed for good
-    # exits 1; bad input (ValueError, including PresetError and
-    # RemovedBackendError) or a missing file exits 2.
+    # exits 1; bad input (ValueError, including PresetError,
+    # RemovedBackendError and a store that is not a database) or a missing
+    # file exits 2; a reader that closed stdout early exits 141.
     try:
         # ``topology --preset`` names a topology shape, not a YAML file.
         if args.command in ("campaign", "status") and args.preset:
             args = build_parser(presets.load_preset(args.preset)).parse_args(argv)
-        return handlers[args.command](args)
-    except sweep.SweepPointError as exc:
+        code = handlers[args.command](args)
+        # Flush here, not at interpreter exit, so a closed pipe lands below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # ``... | head``: point stdout at devnull so the exit-time flush
+        # cannot raise again (the idiom of the Python signal docs), and exit
+        # 128 + SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    except SweepPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, FileNotFoundError) as exc:

@@ -47,6 +47,16 @@ ARRIVAL_PROCESSES = ("staggered", "poisson", "onoff")
 #: Flow-size distributions supported by :class:`FlowSchedule`.
 SIZE_DISTRIBUTIONS = ("infinite", "fixed", "pareto")
 
+#: Seconds between emulation trace samples.  Every emulation run uses it;
+#: store keys and stored meta of emulation points record it (re-exported as
+#: :data:`repro.emulation.runner.RECORD_INTERVAL_S`).
+EMULATION_RECORD_INTERVAL_S = 0.01
+
+#: The event layer every emulation campaign runs, recorded in store keys
+#: and meta like the sampling interval (re-exported as
+#: :data:`repro.emulation.runner.SCHEDULER`).
+EMULATION_SCHEDULER = "delayline"
+
 
 @dataclass(frozen=True)
 class LinkConfig:

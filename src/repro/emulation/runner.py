@@ -62,7 +62,7 @@ import math
 import numpy as np
 
 from .. import units
-from ..config import ScenarioConfig
+from ..config import EMULATION_RECORD_INTERVAL_S, EMULATION_SCHEDULER, ScenarioConfig
 from ..obs import TELEMETRY
 from ..rng import derive_rng
 from ..metrics.traces import FlowTrace, LinkTrace, Trace
@@ -75,11 +75,11 @@ from .queues import make_queue
 
 #: Seconds between emulation trace samples.  Every run uses it; store keys
 #: and stored meta of emulation points record it.
-RECORD_INTERVAL_S = 0.01
+RECORD_INTERVAL_S = EMULATION_RECORD_INTERVAL_S
 
 #: The event layer every campaign runs (and store keys and meta record);
 #: ``"closure"`` is the reference that tests and benchmarks compare against.
-SCHEDULER = "delayline"
+SCHEDULER = EMULATION_SCHEDULER
 
 #: Event-layer implementations selectable via ``EmulationRunner(scheduler=...)``.
 SCHEDULERS = (SCHEDULER, "closure")

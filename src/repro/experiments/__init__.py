@@ -1,6 +1,15 @@
-"""Reproduction harness: canonical scenarios, sweeps, and per-figure regeneration."""
+"""Reproduction harness: canonical scenarios, sweeps, and per-figure regeneration.
 
-from . import backends, executor, figures, grid, presets, report, scenarios, sweep
+The grid, preset, store-adjacent and reporting layers load with the package.
+``sweep`` (the campaign engine, which imports every substrate) and
+``figures`` load on first attribute access, as do the campaign names
+re-exported from ``sweep`` (``run_campaign``, ``CampaignResult``, ...).
+"""
+
+import importlib
+from typing import Any
+
+from . import backends, executor, grid, presets, report, scenarios
 from .executor import ExecutorPolicy
 from .grid import GridSpec, PointSpec
 from .presets import CampaignPreset, load_preset
@@ -16,13 +25,21 @@ from .scenarios import (
     topology_scenario,
     trace_validation_scenario,
 )
-from .sweep import (
-    CampaignFailure,
-    CampaignResult,
-    SweepPoint,
-    run_campaign,
-    series,
-)
+
+#: Submodules imported on first attribute access (PEP 562).
+_LAZY_SUBMODULES = ("figures", "sweep")
+
+#: Names re-exported from :mod:`.sweep`, resolved on first access.
+_SWEEP_NAMES = ("CampaignFailure", "CampaignResult", "SweepPoint", "run_campaign", "series")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _SWEEP_NAMES:
+        return getattr(importlib.import_module(".sweep", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "backends",

@@ -256,12 +256,18 @@ class SqliteBackend(StoreBackend):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        # NORMAL still syncs the WAL at checkpoints; FULL syncs every commit
-        # (the analogue of the JSON-lines backends' per-record fsync).
-        self._conn.execute(f"PRAGMA synchronous={'FULL' if fsync else 'NORMAL'}")
-        self._create_tables()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA busy_timeout=30000")
+            # NORMAL still syncs the WAL at checkpoints; FULL syncs every
+            # commit (the analogue of the JSON-lines backends' per-record fsync).
+            self._conn.execute(f"PRAGMA synchronous={'FULL' if fsync else 'NORMAL'}")
+            self._create_tables()
+        except sqlite3.DatabaseError as exc:
+            # A text file behind a ``sqlite:`` prefix, or a truncated
+            # database: bad input, not a crash.
+            self._conn.close()
+            raise ValueError(f"store {self.path} is not a usable SQLite database: {exc}") from None
 
     def _create_tables(self) -> None:
         self._conn.execute(

@@ -16,6 +16,10 @@ values, and every layer consumes those:
   next to the metrics;
 * :meth:`PointSpec.coords` names the point in reports and failure rows.
 
+:func:`distinct_points` (one point per stored key, optionally one
+:func:`shard_points` slice) is what ``status`` counts and a campaign runs;
+enumerating a grid imports neither numpy nor a substrate.
+
 Two points with equal keys are one scenario: schedule-free fluid and
 analytic seed replicas alias by design (the model never consumes the
 seed), and a ``"dumbbell"`` topology is the legacy grid.
@@ -28,9 +32,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from ..config import ARRIVAL_PROCESSES, SIZE_DISTRIBUTIONS, ScenarioConfig
-from ..emulation.runner import RECORD_INTERVAL_S, SCHEDULER
+from ..config import (
+    ARRIVAL_PROCESSES,
+    EMULATION_RECORD_INTERVAL_S,
+    EMULATION_SCHEDULER,
+    SIZE_DISTRIBUTIONS,
+    ScenarioConfig,
+)
 from . import scenarios
+from .backends import shard_of
 from .store import scenario_key
 
 #: ``"analytic"`` runs no simulation: each chunk of points is one
@@ -110,6 +120,31 @@ def normalize_churn_axis(
     if flows < 1:
         raise ValueError("flows must be positive")
     return arrivals, flow_size_dist, load, flows
+
+
+class SweepPointError(RuntimeError):
+    """A sweep point failed; carries the failing grid coordinates."""
+
+    def __init__(
+        self,
+        mix: str,
+        buffer_bdp: float,
+        discipline: str,
+        seed: int,
+        error: str | None = None,
+    ) -> None:
+        message = (
+            f"sweep point failed: mix={mix!r}, buffer_bdp={buffer_bdp}, "
+            f"discipline={discipline!r}, seed={seed}"
+        )
+        if error:
+            message += f": {error}"
+        super().__init__(message)
+        self.mix = mix
+        self.buffer_bdp = buffer_bdp
+        self.discipline = discipline
+        self.seed = seed
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -341,5 +376,79 @@ class PointSpec:
         if grid.substrate == "emulation":
             # The emulator's sampling parameters, stored (and keyed, see
             # scenario_key) at the values every campaign runs with.
-            meta.update(record_interval_s=RECORD_INTERVAL_S, scheduler=SCHEDULER)
+            meta.update(
+                record_interval_s=EMULATION_RECORD_INTERVAL_S, scheduler=EMULATION_SCHEDULER
+            )
         return meta
+
+
+def validate_shard(
+    shard_index: int | None, shard_count: int | None
+) -> tuple[int | None, int | None]:
+    """Validate the deterministic grid-partitioning axis.
+
+    Both values must be set together; ``shard_index`` must lie in
+    ``[0, shard_count)``.  Returns the normalised pair (``(None, None)``
+    when sharding is off).
+    """
+    if (shard_index is None) != (shard_count is None):
+        raise ValueError("shard_index and shard_count must be set together")
+    if shard_index is None or shard_count is None:
+        return None, None
+    shard_index, shard_count = int(shard_index), int(shard_count)
+    if shard_count < 1:
+        raise ValueError("shard_count must be at least 1")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard_index must be in [0, shard_count): got index {shard_index} "
+            f"with {shard_count} shard(s)"
+        )
+    return shard_index, shard_count
+
+
+def shard_points(
+    grid: GridSpec,
+    shard_index: int | None = None,
+    shard_count: int | None = None,
+) -> Iterator[PointSpec]:
+    """The grid's points in this shard (all of them when sharding is off).
+
+    Sharding partitions by scenario-key hash, so K hosts can each run one
+    shard against separate stores and ``repro-bbr store merge``
+    reassembles the result set.
+    """
+    shard_index, shard_count = validate_shard(shard_index, shard_count)
+    for point in grid.points():
+        if shard_count is None or shard_of(point.key, shard_count) == shard_index:
+            yield point
+
+
+def distinct_points(
+    grid: GridSpec,
+    shard_index: int | None = None,
+    shard_count: int | None = None,
+) -> list[PointSpec]:
+    """One point per distinct scenario key: the records the grid stores.
+
+    Points that alias onto one key (fluid seed replicas of seed-free
+    scenarios) collapse onto the first, so ``done + failed + remaining``
+    adds up against the store.
+    """
+    out: dict[str, PointSpec] = {}
+    for point in shard_points(grid, shard_index, shard_count):
+        out.setdefault(point.key, point)
+    return list(out.values())
+
+
+def grid_point_keys(
+    shard_index: int | None = None,
+    shard_count: int | None = None,
+    **axes: Any,
+) -> list[tuple[dict[str, Any], str]]:
+    """Enumerate a grid's ``(coords, scenario_key)`` pairs without running it.
+
+    ``axes`` are :class:`GridSpec` fields; the result has one entry per
+    distinct stored record (see :func:`distinct_points`).
+    """
+    grid = GridSpec(**axes)
+    return [(p.coords(), p.key) for p in distinct_points(grid, shard_index, shard_count)]

@@ -56,6 +56,14 @@ DISCIPLINES: tuple[str, ...] = ("droptail", "red")
 #: trace-validation default; the aggregate metrics are insensitive to it).
 SWEEP_DT: float = 2.5e-4
 
+#: Default axes of the analytic phase diagram (``repro-bbr stability``,
+#: :func:`repro.experiments.phase.phase_grid`): the paper's two BBR versions
+#: over a buffer x RTT x flow-count grid spanning the shallow-to-deep regimes.
+PHASE_VERSIONS: tuple[str, ...] = ("bbr1", "bbr2")
+PHASE_FLOW_COUNTS: tuple[int, ...] = (2, 4, 10)
+PHASE_RTTS_MS: tuple[float, ...] = (20.0, 35.0, 50.0)
+PHASE_BUFFERS_BDP: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
 
 def trace_validation_scenario(
     cca: str,

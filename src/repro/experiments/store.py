@@ -9,8 +9,8 @@ determines its result:
 * the full :class:`~repro.config.ScenarioConfig` (topology, flows, fluid
   parameters, duration, **seed**),
 * the substrate (``"fluid"`` or ``"emulation"``) and, for the emulator,
-  its sampling parameters (:data:`~repro.emulation.runner.RECORD_INTERVAL_S`
-  and :data:`~repro.emulation.runner.SCHEDULER`),
+  its sampling parameters (:data:`~repro.config.EMULATION_RECORD_INTERVAL_S`
+  and :data:`~repro.config.EMULATION_SCHEDULER`),
 * and :data:`SCHEMA_VERSION`, bumped whenever the simulation code changes
   in a way that invalidates stored results.
 
@@ -42,13 +42,14 @@ import json
 import os
 from pathlib import Path
 from collections.abc import Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..config import ScenarioConfig
-from ..emulation.runner import RECORD_INTERVAL_S, SCHEDULER
-from ..metrics.aggregate import AggregateMetrics
+from ..config import EMULATION_RECORD_INTERVAL_S, EMULATION_SCHEDULER, ScenarioConfig
 from ..obs import TELEMETRY
 from .backends import make_backend
+
+if TYPE_CHECKING:
+    from ..metrics.aggregate import AggregateMetrics
 
 #: Bump when simulator/emulator semantics change enough that previously
 #: stored results are no longer comparable with freshly computed ones.
@@ -101,8 +102,8 @@ def scenario_key(config: ScenarioConfig, substrate: str) -> str:
         "substrate": substrate,
     }
     if substrate == "emulation":
-        payload["record_interval_s"] = RECORD_INTERVAL_S
-        payload["scheduler"] = SCHEDULER
+        payload["record_interval_s"] = EMULATION_RECORD_INTERVAL_S
+        payload["scheduler"] = EMULATION_SCHEDULER
     elif config.schedule is None or not config.schedule.uses_seed:
         scenario.pop("seed", None)
     return stable_hash(payload)
@@ -158,6 +159,9 @@ class SweepStore:
             return None
         self.hits += 1
         TELEMETRY.count("store.hit")
+        # numpy-backed; opening or counting a store never needs it.
+        from ..metrics.aggregate import AggregateMetrics
+
         return AggregateMetrics(**record["metrics"])
 
     def put(

@@ -50,10 +50,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
 
 from .. import analysis
 from ..core.simulator import simulate_many
@@ -65,39 +64,21 @@ from ..metrics.aggregate import (
     summarize_metrics,
 )
 from ..obs import TELEMETRY, RuntimeCapture
-from .backends import shard_of
 from .executor import ExecutorPolicy, PointFailure, ResilientExecutor
-from .grid import GridSpec, PointSpec
+from .grid import (  # noqa: F401 -- the enumeration stays importable as sweep.*
+    GridSpec,
+    PointSpec,
+    SweepPointError,
+    distinct_points,
+    grid_point_keys,
+    shard_points,
+    validate_shard,
+)
 from .store import SweepStore, resolve_store
 
 #: Upper bound on how many scenarios are stacked into one batched
 #: integration (bounds the working-set memory of the recording buffers).
 BATCH_CHUNK = 64
-
-
-class SweepPointError(RuntimeError):
-    """A sweep point failed; carries the failing grid coordinates."""
-
-    def __init__(
-        self,
-        mix: str,
-        buffer_bdp: float,
-        discipline: str,
-        seed: int,
-        error: str | None = None,
-    ) -> None:
-        message = (
-            f"sweep point failed: mix={mix!r}, buffer_bdp={buffer_bdp}, "
-            f"discipline={discipline!r}, seed={seed}"
-        )
-        if error:
-            message += f": {error}"
-        super().__init__(message)
-        self.mix = mix
-        self.buffer_bdp = buffer_bdp
-        self.discipline = discipline
-        self.seed = seed
-        self.error = error
 
 
 @dataclass(frozen=True)
@@ -232,78 +213,6 @@ class CampaignResult:
     def ok(self) -> bool:
         """True when every grid point completed."""
         return not self.failures
-
-
-def validate_shard(
-    shard_index: int | None, shard_count: int | None
-) -> tuple[int | None, int | None]:
-    """Validate the deterministic grid-partitioning axis.
-
-    Both values must be set together; ``shard_index`` must lie in
-    ``[0, shard_count)``.  Returns the normalised pair (``(None, None)``
-    when sharding is off).
-    """
-    if (shard_index is None) != (shard_count is None):
-        raise ValueError("shard_index and shard_count must be set together")
-    if shard_index is None or shard_count is None:
-        return None, None
-    shard_index, shard_count = int(shard_index), int(shard_count)
-    if shard_count < 1:
-        raise ValueError("shard_count must be at least 1")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index must be in [0, shard_count): got index {shard_index} "
-            f"with {shard_count} shard(s)"
-        )
-    return shard_index, shard_count
-
-
-def shard_points(
-    grid: GridSpec,
-    shard_index: int | None = None,
-    shard_count: int | None = None,
-) -> Iterator[PointSpec]:
-    """The grid's points in this shard (all of them when sharding is off).
-
-    Sharding partitions by scenario-key hash, so K hosts can each run one
-    shard against separate stores and ``repro-bbr store merge``
-    reassembles the result set.
-    """
-    shard_index, shard_count = validate_shard(shard_index, shard_count)
-    for point in grid.points():
-        if shard_count is None or shard_of(point.key, shard_count) == shard_index:
-            yield point
-
-
-def distinct_points(
-    grid: GridSpec,
-    shard_index: int | None = None,
-    shard_count: int | None = None,
-) -> list[PointSpec]:
-    """One point per distinct scenario key: the records the grid stores.
-
-    Points that alias onto one key (fluid seed replicas of seed-free
-    scenarios) collapse onto the first, so ``done + failed + remaining``
-    adds up against the store.
-    """
-    out: dict[str, PointSpec] = {}
-    for point in shard_points(grid, shard_index, shard_count):
-        out.setdefault(point.key, point)
-    return list(out.values())
-
-
-def grid_point_keys(
-    shard_index: int | None = None,
-    shard_count: int | None = None,
-    **axes: Any,
-) -> list[tuple[dict, str]]:
-    """Enumerate a grid's ``(coords, scenario_key)`` pairs without running it.
-
-    ``axes`` are :class:`GridSpec` fields; the result has one entry per
-    distinct stored record (see :func:`distinct_points`).
-    """
-    grid = GridSpec(**axes)
-    return [(p.coords(), p.key) for p in distinct_points(grid, shard_index, shard_count)]
 
 
 def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:

@@ -18,10 +18,6 @@ control on its own.  These tests pin that:
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +28,6 @@ from repro.experiments import scenarios, sweep
 from repro.experiments.executor import ExecutorPolicy
 from repro.experiments.grid import GridSpec
 from repro.experiments.store import SweepStore
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 GRID = dict(disciplines=["droptail"], substrate="analytic", duration_s=5.0)
 
@@ -214,20 +208,3 @@ def test_pooled_analytic_campaign_matches_serial(tmp_path):
     # Two workers split the four points into two 2-wide chunks.
     assert {r["runtime"]["shared"] for r in pooled.records()} == {2}
     assert _rows(pooled) == _rows(serial)
-
-
-def test_cli_never_imports_scipy_on_the_simulation_path(tmp_path):
-    code = (
-        "import sys\n"
-        "import repro.cli\n"
-        "assert 'scipy' not in sys.modules\n"
-        "assert repro.cli.main(['campaign', '--seeds', '1', '--substrate', 'fluid',"
-        " '--mixes', 'BBRv1', '--buffers', '1', '--duration', '0.2']) == 0\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_STORE"}
-    env["PYTHONPATH"] = str(SRC)
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr

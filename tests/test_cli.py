@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import cli
 from repro.experiments import sweep as sweep_module
+from repro.experiments.store import SCHEMA_VERSION, SweepStore
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -442,3 +450,133 @@ class TestExecution:
         captured = capsys.readouterr()
         assert code == 0
         assert "not be persisted" in captured.err
+
+
+def _subprocess_env() -> dict[str, str]:
+    """This tree on the path and no REPRO_STORE, like the in-process tests."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_STORE"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+def _write_grid_and_store(tmp_path: Path) -> None:
+    """A two-point fluid preset and a JSON-lines store holding one of its rows."""
+    (tmp_path / "preset.yaml").write_text(
+        "substrate: fluid\nseeds: 1\n"
+        "grid: {mixes: [BBRv1], buffers_bdp: [1, 4], disciplines: [droptail]}\n"
+        "store: {path: store.jsonl}\n"
+    )
+    record = {
+        "schema": SCHEMA_VERSION,
+        "key": "k",
+        "metrics": {},
+        "meta": {"mix": "BBRv1", "buffer_bdp": 1.0, "substrate": "fluid"},
+        "runtime": {"wall_s": 0.5, "cpu_s": 0.4},
+    }
+    (tmp_path / "store.jsonl").write_text(json.dumps(record) + "\n")
+
+
+#: The substrate layers a command that only reads a store never imports.
+_SUBSTRATES = (
+    "numpy",
+    "repro.core",
+    "repro.emulation",
+    "repro.analysis",
+    "repro.experiments.sweep",
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "absent"),
+    [
+        (["status", "--preset", "preset.yaml"], _SUBSTRATES),
+        (["store", "summary", "store.jsonl"], _SUBSTRATES),
+        (
+            ["campaign", "--seeds", "1", "--substrate", "fluid", "--mixes", "BBRv1",
+             "--buffers", "1", "--duration", "0.2"],
+            ("scipy", "repro.experiments.figures", "repro.experiments.phase"),
+        ),
+    ],
+    ids=["status", "store-summary", "campaign-fluid"],
+)
+def test_command_import_boundaries(tmp_path, argv, absent):
+    # Each command imports only the layers it runs: counting a store's keys
+    # loads no substrate, and a fluid campaign no scipy, figures or phase.
+    _write_grid_and_store(tmp_path)
+    code = (
+        "import sys\n"
+        "from repro import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"print([m for m in {absent!r} if m in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+    )
+    # status exits 1: one of the two grid points is not in the store.
+    assert done.returncode == (1 if argv[0] == "status" else 0), done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # ``status --json ... | head -5``: ~280 kB of JSON overflows the pipe
+    # buffer, so the write fails once the reader has gone.
+    (tmp_path / "store.jsonl").write_text("")
+    argv = ["status", "--json", "--substrate", "emulation", "--seeds", "20", "store.jsonl"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        cwd=tmp_path,
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout is not None and proc.stderr is not None
+    head = [proc.stdout.readline() for _ in range(5)]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert head[0] == "{\n"
+    assert stderr == ""
+
+
+def _truncated_sqlite(tmp_path: Path) -> str:
+    store = SweepStore(tmp_path / "cut.sqlite")
+    store.put_failure("k", "boom", {"mix": "BBRv1"})
+    store.close()
+    path = tmp_path / "cut.sqlite"
+    path.write_bytes(path.read_bytes()[:100])
+    return str(path)
+
+
+def _jsonl_as_sqlite(tmp_path: Path) -> str:
+    _write_grid_and_store(tmp_path)
+    return f"sqlite:{tmp_path / 'store.jsonl'}"
+
+
+@pytest.mark.parametrize("make_store", [_truncated_sqlite, _jsonl_as_sqlite])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["status", "--substrate", "fluid", "--mixes", "BBRv1", "--buffers", "1",
+         "--seeds", "1", "{store}"],
+        ["store", "summary", "{store}"],
+        ["campaign", "--substrate", "fluid", "--mixes", "BBRv1", "--buffers", "1",
+         "--seeds", "1", "--duration", "0.2", "--store", "{store}"],
+    ],
+    ids=["status", "store-summary", "campaign"],
+)
+def test_store_that_is_not_a_database_exits_2(tmp_path, capsys, make_store, argv):
+    # Exit 1 means "work remaining" to ``status``; an unreadable store is
+    # bad input, reported on one line.
+    spec = make_store(tmp_path)
+    before = Path(spec.removeprefix("sqlite:")).read_bytes()
+    assert cli.main([arg.format(store=spec) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: store ") and "not a usable SQLite database" in err
+    assert err.count("\n") == 1
+    assert Path(spec.removeprefix("sqlite:")).read_bytes() == before
