@@ -118,6 +118,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sqlite3
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
@@ -130,7 +131,7 @@ from .experiments import presets, report, scenarios
 from .experiments.backends import split_backend_spec
 from .experiments.executor import ExecutorPolicy
 from .experiments.grid import GridSpec, SweepPointError, distinct_points
-from .experiments.store import SweepStore, resolve_store
+from .experiments.store import ENV_VAR, SweepStore, resolve_store
 from .obs import log as obs_log
 
 if TYPE_CHECKING:
@@ -1171,6 +1172,16 @@ def _run_theorems(args: argparse.Namespace) -> int:
     return 0
 
 
+def _store_spec(args: argparse.Namespace) -> str:
+    """The store (or stores) a command was pointed at, for error messages."""
+    return (
+        getattr(args, "store", None)
+        or getattr(args, "path", None)
+        or " ".join(getattr(args, "stores", ()))
+        or os.environ.get(ENV_VAR, "")
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
@@ -1190,8 +1201,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     # The one error policy of every command: a point that failed for good
     # exits 1; bad input (ValueError, including PresetError,
-    # RemovedBackendError and a store that is not a database) or a missing
-    # file exits 2; a reader that closed stdout early exits 141.
+    # RemovedBackendError and a store that is not a database; an SQLite
+    # error a store raises after it opened) or a missing file exits 2; a
+    # reader that closed stdout early exits 141.
     try:
         # ``topology --preset`` names a topology shape, not a YAML file.
         if args.command in ("campaign", "status") and args.preset:
@@ -1212,6 +1224,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except sqlite3.DatabaseError as exc:
+        print(
+            f"error: store {_store_spec(args)} is not a usable SQLite database: {exc}",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -78,6 +78,8 @@ class Bbr1Fluid(FluidCCA):
     """Fluid model of BBRv1."""
 
     name = "bbr1"
+    traced = ("x_btl", "x_max", "tau_min", "cwnd", "m_prt", "t_pbw")
+    untraced = ("t_prt", "phase")
 
     def __init__(self, params: Bbr1Params | None = None) -> None:
         self.params = params or Bbr1Params()
@@ -179,8 +181,12 @@ class Bbr1Fluid(FluidCCA):
         # dynamics depend solely on the pulse sharpness.
         return ("bbr1", self.params.sigmoid_sharpness)
 
-    def step_all(self, batch: FlowStateBatch, inputs: FlowInputsBatch) -> None:
-        extras = batch.extras
+    def step_all(
+        self, batch: FlowStateBatch, inputs: FlowInputsBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        (
+            inflight_old, x_btl, x_max, tau_min_old, _, m_prt_old, t_pbw, t_prt, phase,
+        ) = batch.block
         dt = inputs.dt
         rate_old = batch.rate
 
@@ -191,15 +197,13 @@ class Bbr1Fluid(FluidCCA):
         # the per-step cost on the hot path.
 
         # --- RTprop estimation (Eq. 9) -------------------------------- #
-        tau_min_old = extras["tau_min"]
         new_min_sample = inputs.tau_delayed < tau_min_old - RTT_SAMPLE_EPS_S
         tau_min = np.minimum(tau_min_old, inputs.tau_delayed)
 
         # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
-        m_prt_old = extras["m_prt"]
         in_probe_rtt = m_prt_old >= 0.5
         any_probe_rtt = np.count_nonzero(in_probe_rtt)
-        t_prt = extras["t_prt"] + dt
+        t_prt = t_prt + dt
         if np.count_nonzero(new_min_sample):
             t_prt = np.where(new_min_sample & ~in_probe_rtt, 0.0, t_prt)
         if any_probe_rtt:
@@ -219,21 +223,17 @@ class Bbr1Fluid(FluidCCA):
             m_prt = m_prt_old
 
         # --- ProbeBW period clock and BtlBw adoption (Eq. 16, 18, 20) -- #
-        t_pbw = extras["t_pbw"] + dt
+        t_pbw = t_pbw + dt
         period = GAIN_CYCLE_PHASES * tau_min
         rollover = t_pbw >= period
-        x_max = extras["x_max"]
         if np.count_nonzero(rollover):
-            x_btl = np.where(rollover & (x_max > 0.0), x_max, extras["x_btl"])
+            x_btl = np.where(rollover & (x_max > 0.0), x_max, x_btl)
             x_max = np.where(rollover, 0.0, x_max)
             t_pbw = np.where(rollover, 0.0, t_pbw)
-        else:
-            x_btl = extras["x_btl"]
         measurement = rate_old if inputs.literal_xmax else inputs.delivery_rate
         x_max = np.maximum(x_max, measurement)
 
         # --- Pacing rate with probing/draining pulses (Eq. 21-22) ------ #
-        phase = extras["phase"]
         sharpness = self.params.sigmoid_sharpness / np.maximum(tau_min, 1e-6)
         probe_start = phase * tau_min
         drain_start = (phase + 1.0) * tau_min
@@ -264,57 +264,10 @@ class Bbr1Fluid(FluidCCA):
         else:
             cwnd = cwnd_pbw
             rate = np.minimum(cwnd_pbw / tau, pacing)
-        inflight = self.update_inflight_all(batch, inputs, rate)
-
-        active = inputs.active
-        if active is None:
-            extras["tau_min"] = tau_min
-            extras["m_prt"] = m_prt
-            extras["t_prt"] = t_prt
-            extras["t_pbw"] = t_pbw
-            extras["x_btl"] = x_btl
-            extras["x_max"] = x_max
-            extras["cwnd"] = cwnd
-            batch.rate = rate
-            batch.inflight = inflight
-        else:
-            extras["tau_min"] = np.where(active, tau_min, tau_min_old)
-            extras["m_prt"] = np.where(active, m_prt, m_prt_old)
-            extras["t_prt"] = np.where(active, t_prt, extras["t_prt"])
-            extras["t_pbw"] = np.where(active, t_pbw, extras["t_pbw"])
-            extras["x_btl"] = np.where(active, x_btl, extras["x_btl"])
-            extras["x_max"] = np.where(active, x_max, extras["x_max"])
-            extras["cwnd"] = np.where(active, cwnd, extras["cwnd"])
-            batch.rate = np.where(active, rate, 0.0)
-            batch.inflight = np.where(active, inflight, batch.inflight)
-
-    def congestion_window_all(self, batch: FlowStateBatch) -> np.ndarray:
-        return batch.extras["cwnd"]
-
-    def trace_fields_all(self, batch: FlowStateBatch) -> dict[str, np.ndarray]:
-        extras = batch.extras
-        return {
-            "x_btl": extras["x_btl"],
-            "x_max": extras["x_max"],
-            "tau_min": extras["tau_min"],
-            "cwnd": extras["cwnd"],
-            "m_prt": extras["m_prt"],
-            "t_pbw": extras["t_pbw"],
-        }
-
-    def congestion_window(self, state: FlowState) -> float:
-        return state.extra["cwnd"]
-
-    def trace_fields(self, state: FlowState) -> dict[str, float]:
-        extra = state.extra
-        return {
-            "x_btl": extra["x_btl"],
-            "x_max": extra["x_max"],
-            "tau_min": extra["tau_min"],
-            "cwnd": extra["cwnd"],
-            "m_prt": extra["m_prt"],
-            "t_pbw": extra["t_pbw"],
-        }
+        inflight = self.update_inflight_all(inflight_old, inputs, rate)
+        return rate, np.array(
+            (inflight, x_btl, x_max, tau_min, cwnd, m_prt, t_pbw, t_prt, phase)
+        )
 
 
 def _literal_xmax(inputs: FlowInputs) -> bool:

@@ -97,6 +97,11 @@ class Bbr2Fluid(FluidCCA):
     """Fluid model of BBRv2."""
 
     name = "bbr2"
+    traced = (
+        "x_btl", "x_max", "tau_min", "cwnd", "w_hi", "w_lo",
+        "m_prt", "m_dwn", "m_crs", "t_pbw",
+    )
+    untraced = ("x_max_prev", "t_prt", "period_wall_s")
 
     def __init__(self, params: Bbr2Params | None = None) -> None:
         self.params = params or Bbr2Params()
@@ -282,14 +287,18 @@ class Bbr2Fluid(FluidCCA):
             self.params.loss_epsilon,
         )
 
-    def step_all(self, batch: FlowStateBatch, inputs: FlowInputsBatch) -> None:
-        extras = batch.extras
+    def step_all(
+        self, batch: FlowStateBatch, inputs: FlowInputsBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        (
+            inflight_old, x_btl, x_max, tau_min_old, _, w_hi_old, w_lo_old,
+            m_prt_old, m_dwn_old, m_crs, t_pbw, x_max_prev, t_prt, period_wall_s,
+        ) = batch.block
         dt = inputs.dt
         sharp = self.params.sigmoid_sharpness
         rate_old = batch.rate
 
         # --- RTprop estimation (Eq. 9) -------------------------------- #
-        tau_min_old = extras["tau_min"]
         new_min_sample = inputs.tau_delayed < tau_min_old - RTT_SAMPLE_EPS_S
         tau_min = np.minimum(tau_min_old, inputs.tau_delayed)
         tau_min_floor = np.maximum(tau_min, 1e-6)
@@ -298,10 +307,9 @@ class Bbr2Fluid(FluidCCA):
         # Rare transitions (ProbeRTT toggles, period rollovers, fresh
         # minimum-RTT samples) sit behind ``np.count_nonzero`` guards: an
         # all-False ``np.where`` is the identity, so skipping it is bit-exact.
-        m_prt_old = extras["m_prt"]
         in_probe_rtt = m_prt_old >= 0.5
         any_probe_rtt = np.count_nonzero(in_probe_rtt)
-        t_prt = extras["t_prt"] + dt
+        t_prt = t_prt + dt
         if np.count_nonzero(new_min_sample):
             t_prt = np.where(new_min_sample & ~in_probe_rtt, 0.0, t_prt)
         if any_probe_rtt:
@@ -321,32 +329,25 @@ class Bbr2Fluid(FluidCCA):
             m_prt = m_prt_old
 
         # --- Probing-period clock (Eq. 16, 24) -------------------------- #
-        period = np.minimum(MAX_PERIOD_RTTS * tau_min, extras["period_wall_s"])
-        t_pbw = extras["t_pbw"] + dt
+        period = np.minimum(MAX_PERIOD_RTTS * tau_min, period_wall_s)
+        t_pbw = t_pbw + dt
         rollover = t_pbw >= period
         if np.count_nonzero(rollover):
-            x_max_prev = np.where(rollover, extras["x_max"], extras["x_max_prev"])
-            x_max = np.where(rollover, 0.0, extras["x_max"])
+            x_max_prev = np.where(rollover, x_max, x_max_prev)
+            x_max = np.where(rollover, 0.0, x_max)
             t_pbw = np.where(rollover, 0.0, t_pbw)
-            m_crs = np.where(rollover, 0.0, extras["m_crs"])
-        else:
-            x_max_prev = extras["x_max_prev"]
-            x_max = extras["x_max"]
-            m_crs = extras["m_crs"]
+            m_crs = np.where(rollover, 0.0, m_crs)
         measurement = rate_old if inputs.literal_xmax else inputs.delivery_rate
         x_max = np.maximum(x_max, measurement)
 
         # --- Current estimates and derived windows ---------------------- #
-        x_btl = extras["x_btl"]
         bdp = x_btl * tau_min
-        w_hi_old = extras["w_hi"]
         drain_target = np.minimum(bdp, (1.0 - HEADROOM) * w_hi_old)
         loss = np.minimum(1.0, np.maximum(0.0, inputs.path_loss))
-        inflight_old = batch.inflight
 
         # --- Mode transitions (Eq. 26-27), crisp ------------------------ #
         cruising = m_crs >= 0.5
-        draining = extras["m_dwn"] >= 0.5
+        draining = m_dwn_old >= 0.5
         past_first_rtt = t_pbw > tau_min
         start_drain = (
             ~cruising
@@ -396,7 +397,6 @@ class Bbr2Fluid(FluidCCA):
         w_hi = np.maximum(1.0, w_hi_old + dt * (growth - decrease))
 
         # --- inflight_lo dynamics (Eq. 30) ------------------------------ #
-        w_lo_old = extras["w_lo"]
         loss_gate = gates[3 * n :]
         w_lo = np.where(
             cruising,
@@ -425,75 +425,10 @@ class Bbr2Fluid(FluidCCA):
         else:
             cwnd = cwnd_pbw
             rate = np.minimum(cwnd_pbw / tau, pacing)
-        inflight = self.update_inflight_all(batch, inputs, rate)
-
-        active = inputs.active
-        if active is None:
-            extras["tau_min"] = tau_min
-            extras["m_prt"] = m_prt
-            extras["t_prt"] = t_prt
-            extras["t_pbw"] = t_pbw
-            extras["x_btl"] = x_btl
-            extras["x_max"] = x_max
-            extras["x_max_prev"] = x_max_prev
-            extras["m_dwn"] = m_dwn
-            extras["m_crs"] = m_crs
-            extras["w_hi"] = w_hi
-            extras["w_lo"] = w_lo
-            extras["cwnd"] = cwnd
-            batch.rate = rate
-            batch.inflight = inflight
-        else:
-            for key, value in (
-                ("tau_min", tau_min),
-                ("m_prt", m_prt),
-                ("t_prt", t_prt),
-                ("t_pbw", t_pbw),
-                ("x_btl", x_btl),
-                ("x_max", x_max),
-                ("x_max_prev", x_max_prev),
-                ("m_dwn", m_dwn),
-                ("m_crs", m_crs),
-                ("w_hi", w_hi),
-                ("w_lo", w_lo),
-                ("cwnd", cwnd),
-            ):
-                extras[key] = np.where(active, value, extras[key])
-            batch.rate = np.where(active, rate, 0.0)
-            batch.inflight = np.where(active, inflight, batch.inflight)
-
-    def congestion_window_all(self, batch: FlowStateBatch) -> np.ndarray:
-        return batch.extras["cwnd"]
-
-    def trace_fields_all(self, batch: FlowStateBatch) -> dict[str, np.ndarray]:
-        extras = batch.extras
-        return {
-            "x_btl": extras["x_btl"],
-            "x_max": extras["x_max"],
-            "tau_min": extras["tau_min"],
-            "cwnd": extras["cwnd"],
-            "w_hi": extras["w_hi"],
-            "w_lo": extras["w_lo"],
-            "m_prt": extras["m_prt"],
-            "m_dwn": extras["m_dwn"],
-            "m_crs": extras["m_crs"],
-            "t_pbw": extras["t_pbw"],
-        }
-
-    def congestion_window(self, state: FlowState) -> float:
-        return state.extra["cwnd"]
-
-    def trace_fields(self, state: FlowState) -> dict[str, float]:
-        extra = state.extra
-        return {
-            "x_btl": extra["x_btl"],
-            "x_max": extra["x_max"],
-            "tau_min": extra["tau_min"],
-            "cwnd": extra["cwnd"],
-            "w_hi": extra["w_hi"],
-            "w_lo": extra["w_lo"],
-            "m_prt": extra["m_prt"],
-            "m_dwn": extra["m_dwn"],
-            "m_crs": extra["m_crs"],
-            "t_pbw": extra["t_pbw"],
-        }
+        inflight = self.update_inflight_all(inflight_old, inputs, rate)
+        return rate, np.array(
+            (
+                inflight, x_btl, x_max, tau_min, cwnd, w_hi, w_lo,
+                m_prt, m_dwn, m_crs, t_pbw, x_max_prev, t_prt, period_wall_s,
+            )
+        )

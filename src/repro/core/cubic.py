@@ -56,6 +56,7 @@ class CubicFluid(FluidCCA):
     """Fluid model of TCP CUBIC."""
 
     name = "cubic"
+    traced = ("s", "w_max", "cwnd")
 
     def __init__(self, initial_window_pkts: float = 10.0) -> None:
         if initial_window_pkts < MIN_WINDOW_PKTS:
@@ -95,9 +96,6 @@ class CubicFluid(FluidCCA):
         state.rate = w / max(inputs.tau, 1e-9)
         self.update_inflight(state, inputs)
 
-    def congestion_window(self, state: FlowState) -> float:
-        return state.extra["cwnd"]
-
     # ------------------------------------------------------------------ #
     # Batched path
     # ------------------------------------------------------------------ #
@@ -107,11 +105,10 @@ class CubicFluid(FluidCCA):
         # together regardless of their initial window.
         return ("cubic",)
 
-    def step_all(self, batch: FlowStateBatch, inputs: FlowInputsBatch) -> None:
-        extras = batch.extras
-        s = extras["s"]
-        w_max = extras["w_max"]
-        w = extras["cwnd"]
+    def step_all(
+        self, batch: FlowStateBatch, inputs: FlowInputsBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        inflight_old, s, w_max, w = batch.block
         x_delayed = inputs.rate_delayed
         p = np.minimum(1.0, np.maximum(0.0, inputs.path_loss))
         loss_rate = x_delayed * p
@@ -122,17 +119,5 @@ class CubicFluid(FluidCCA):
         )
         w_new = np.maximum(MIN_WINDOW_PKTS, cubic_window(s_new, w_max_new))
         rate = w_new / np.maximum(inputs.tau, 1e-9)
-        inflight = self.update_inflight_all(batch, inputs, rate)
-        active = inputs.active
-        if active is None:
-            extras["s"] = s_new
-            extras["w_max"] = w_max_new
-            extras["cwnd"] = w_new
-            batch.rate = rate
-            batch.inflight = inflight
-        else:
-            extras["s"] = np.where(active, s_new, s)
-            extras["w_max"] = np.where(active, w_max_new, w_max)
-            extras["cwnd"] = np.where(active, w_new, w)
-            batch.rate = np.where(active, rate, 0.0)
-            batch.inflight = np.where(active, inflight, batch.inflight)
+        inflight = self.update_inflight_all(inflight_old, inputs, rate)
+        return rate, np.array((inflight, s_new, w_max_new, w_new))

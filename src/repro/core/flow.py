@@ -60,10 +60,9 @@ class FlowInputs:
 class FlowInputsBatch:
     """Array-valued :class:`FlowInputs` for the batched ``step_all`` path.
 
-    Every array has one entry per flow of the batch, in batch order.
-    ``active`` is ``None`` when every flow of the batch has started (the
-    common case after the last start time), which lets implementations skip
-    the masked writes entirely.
+    Every array has one entry per flow of the batch, in batch order.  Flows
+    that have not started or have departed are stepped too; the simulator
+    masks their new state out afterwards.
     """
 
     t: float
@@ -74,21 +73,20 @@ class FlowInputsBatch:
     delivery_rate: np.ndarray
     rate_delayed: np.ndarray
     propagation_rtt: np.ndarray
-    active: np.ndarray | None = None
     literal_xmax: bool = False
 
 
 @dataclass
 class FlowStateBatch:
-    """Structure-of-arrays view of the states of one batch of flows.
+    """Structure-of-arrays state of one batch of flows.
 
-    Mirrors :class:`FlowState`: ``rate``/``inflight`` are ``(n,)`` arrays
-    and ``extras`` maps each model-specific key to an ``(n,)`` array.
+    ``rate`` is an ``(n,)`` array and ``block`` one ``(rows, n)`` array
+    whose rows are ``inflight``, the model's :attr:`FluidCCA.traced`
+    fields, then its :attr:`FluidCCA.untraced` ones.
     """
 
     rate: np.ndarray
-    inflight: np.ndarray
-    extras: dict[str, np.ndarray]
+    block: np.ndarray
 
     @property
     def size(self) -> int:
@@ -115,6 +113,11 @@ class FluidCCA(abc.ABC):
 
     #: Canonical lower-case name (``"reno"``, ``"cubic"``, ``"bbr1"``, ``"bbr2"``).
     name: str = "abstract"
+    #: Model-specific state recorded in traces, in trace order; every model
+    #: has a ``"cwnd"``.
+    traced: tuple[str, ...] = ()
+    #: Model-specific state the model keeps but traces do not record.
+    untraced: tuple[str, ...] = ()
 
     @abc.abstractmethod
     def initial_state(
@@ -127,12 +130,12 @@ class FluidCCA(abc.ABC):
         """Advance the flow state by one integration step and update ``state.rate``."""
 
     def congestion_window(self, state: FlowState) -> float:
-        """Current congestion-window size in packets (for traces); 0 if not applicable."""
-        return state.extra.get("cwnd", 0.0)
+        """Current congestion-window size in packets (for traces)."""
+        return state.extra["cwnd"]
 
     def trace_fields(self, state: FlowState) -> dict[str, float]:
         """Model-specific fields worth recording in traces."""
-        return dict(state.extra)
+        return {key: state.extra[key] for key in self.traced}
 
     @staticmethod
     def update_inflight(state: FlowState, inputs: FlowInputs) -> None:
@@ -157,37 +160,44 @@ class FluidCCA(abc.ABC):
         """
 
     def make_batch(self, states: Sequence[FlowState]) -> FlowStateBatch:
-        """Pack per-flow states into arrays (called once before the run)."""
-        keys = list(states[0].extra)
+        """Pack per-flow states into one block (called once before the run)."""
+        fields = (*self.traced, *self.untraced)
+        for state in states:
+            if state.extra.keys() != set(fields):
+                raise ValueError(
+                    f"{self.name} state has fields {sorted(state.extra)}, "
+                    f"the model declares {sorted(fields)}"
+                )
         return FlowStateBatch(
             rate=np.array([s.rate for s in states], dtype=float),
-            inflight=np.array([s.inflight for s in states], dtype=float),
-            extras={
-                key: np.array([s.extra[key] for s in states], dtype=float)
-                for key in keys
-            },
+            block=np.array(
+                [[s.inflight for s in states]]
+                + [[s.extra[key] for s in states] for key in fields],
+                dtype=float,
+            ),
         )
 
     @abc.abstractmethod
-    def step_all(self, batch: FlowStateBatch, inputs: FlowInputsBatch) -> None:
-        """Advance all flows of the batch by one step (vectorized ``step``)."""
+    def step_all(
+        self, batch: FlowStateBatch, inputs: FlowInputsBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every flow of the batch by one step (vectorized ``step``).
+
+        Returns the new rate and the new state block (rows in
+        :class:`FlowStateBatch` order); ``batch`` is left unchanged.
+        """
 
     def congestion_window_all(self, batch: FlowStateBatch) -> np.ndarray:
-        """Batched :meth:`congestion_window` (for trace recording)."""
-        cwnd = batch.extras.get("cwnd")
-        if cwnd is None:
-            return np.zeros(batch.size)
-        return cwnd
+        """Batched :meth:`congestion_window`."""
+        return batch.block[1 + self.traced.index("cwnd")]
 
     def trace_fields_all(self, batch: FlowStateBatch) -> dict[str, np.ndarray]:
-        """Batched :meth:`trace_fields`: model-specific arrays worth recording."""
-        return dict(batch.extras)
+        """Batched :meth:`trace_fields`: row views of the block."""
+        return dict(zip(self.traced, batch.block[1 : 1 + len(self.traced)], strict=True))
 
     @staticmethod
     def update_inflight_all(
-        batch: FlowStateBatch, inputs: FlowInputsBatch, rate: np.ndarray
+        inflight: np.ndarray, inputs: FlowInputsBatch, rate: np.ndarray
     ) -> np.ndarray:
-        """Batched Eq. (19) integration; returns the candidate new inflight."""
-        return np.maximum(
-            0.0, batch.inflight + inputs.dt * (rate - inputs.delivery_rate)
-        )
+        """Batched Eq. (19) integration of the ``inflight`` row; returns the new one."""
+        return np.maximum(0.0, inflight + inputs.dt * (rate - inputs.delivery_rate))

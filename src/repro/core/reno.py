@@ -31,6 +31,7 @@ class RenoFluid(FluidCCA):
     """Fluid model of TCP Reno's congestion-avoidance dynamics."""
 
     name = "reno"
+    traced = ("cwnd",)
 
     def __init__(self, initial_window_pkts: float = 10.0) -> None:
         if initial_window_pkts < MIN_WINDOW_PKTS:
@@ -61,9 +62,6 @@ class RenoFluid(FluidCCA):
         state.rate = w / max(inputs.tau, 1e-9)
         self.update_inflight(state, inputs)
 
-    def congestion_window(self, state: FlowState) -> float:
-        return state.extra["cwnd"]
-
     # ------------------------------------------------------------------ #
     # Batched path
     # ------------------------------------------------------------------ #
@@ -73,8 +71,10 @@ class RenoFluid(FluidCCA):
         # together regardless of their initial window.
         return ("reno",)
 
-    def step_all(self, batch: FlowStateBatch, inputs: FlowInputsBatch) -> None:
-        w = batch.extras["cwnd"]
+    def step_all(
+        self, batch: FlowStateBatch, inputs: FlowInputsBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        inflight_old, w = batch.block
         x_delayed = inputs.rate_delayed
         p = np.minimum(1.0, np.maximum(0.0, inputs.path_loss))
         # Eq. (39), element-wise over every Reno flow at once.
@@ -82,13 +82,5 @@ class RenoFluid(FluidCCA):
         decrease = x_delayed * p * w / 2.0
         w_new = np.maximum(MIN_WINDOW_PKTS, w + inputs.dt * (growth - decrease))
         rate = w_new / np.maximum(inputs.tau, 1e-9)
-        inflight = self.update_inflight_all(batch, inputs, rate)
-        active = inputs.active
-        if active is None:
-            batch.extras["cwnd"] = w_new
-            batch.rate = rate
-            batch.inflight = inflight
-        else:
-            batch.extras["cwnd"] = np.where(active, w_new, w)
-            batch.rate = np.where(active, rate, 0.0)
-            batch.inflight = np.where(active, inflight, batch.inflight)
+        inflight = self.update_inflight_all(inflight_old, inputs, rate)
+        return rate, np.array((inflight, w_new))

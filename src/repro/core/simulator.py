@@ -25,17 +25,24 @@ expressions over every queued link at once.  Flows advance as
 structure-of-arrays groups through their CCA model's batched ``step_all``,
 one group per ``batch_key`` (every :class:`~repro.core.flow.FluidCCA`
 implements both), so arbitrary heterogeneous mixes step in a handful of
-calls.  Every per-flow array is laid out in *group-major slots* — each
-group one contiguous run — so the per-group reads are views, and a trace
-record is one write per block (flows, links, each group).  The step therefore makes a fixed number of
-Python-level calls whatever the number of flows, links or lockstep
-scenarios (``tests/test_fluid_step_calls.py``).
+calls.  A group's CCA state is one ``(rows, n)`` block
+(:class:`~repro.core.flow.FlowStateBatch`), so masking the flows that have
+not started or have departed is one ``np.where`` per group for the block
+and one for the rate.  Every per-flow array is laid out in *group-major
+slots* — each group one contiguous run — so the per-group reads are views,
+and a trace record is one write per block (flows, links, each group's
+traced rows).  The step therefore makes a fixed number of Python-level
+calls whatever the number of flows, links or lockstep scenarios
+(``tests/test_fluid_step_calls.py``).
 
 The original per-flow/per-link scalar loop is retained behind
-``vectorized=False`` as the numerical reference: both paths execute the
-same floating-point operations in the same order and produce identical
-traces (asserted by the equivalence tests in
-``tests/test_simulator_vectorized.py``).
+``vectorized=False`` as the numerical reference.  The equivalence tests in
+``tests/test_simulator_vectorized.py`` hold the two paths to 1e-9 on every
+recorded series: on a dumbbell they agree bit for bit, while on multi-hop
+paths they round Eq. 3 differently (the scalar path adds each link's
+delay and queueing delay in turn, the vectorized one adds the summed
+queueing delays to a precomputed propagation constant) and differ in the
+last few ulps.
 
 Both pipelines execute arbitrary multi-bottleneck topologies
 (:class:`~repro.config.TopologyConfig`; parking lots, multi-dumbbells): all
@@ -520,8 +527,9 @@ class FluidSimulator:
         # ---------- trace recording buffers ----------------------------- #
         # One row per record and block: the flow block [rate | delivery |
         # rtt] and the link block [queue | loss | arrival | departure] by
-        # slot/link position, and one [inflight | cwnd | extras...] block
-        # per group.  Each is filled by a single concatenate per record.
+        # slot/link position, each filled by a single concatenate per
+        # record, and per group the traced rows of its state block
+        # (inflight, then the model's traced fields), one slice copy.
         steps = int(round(cfg.duration_s / dt))
         record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
         num_records = steps // record_every + 1
@@ -531,7 +539,7 @@ class FluidSimulator:
 
         # ---------- CCA states: one batched group per batch key --------- #
         states = self._make_states()
-        # (model, slots, batch, reusable FlowInputsBatch, record block, extras keys)
+        # (model, slots, batch, reusable FlowInputsBatch, traced rows, record)
         batch_groups = []
         start = 0
         for flow_ids in group_indices.values():
@@ -548,12 +556,11 @@ class FluidSimulator:
                 delivery_rate=latency_const,
                 rate_delayed=latency_const,
                 propagation_rtt=propagation_rtt[slots],
-                active=None,
                 literal_xmax=literal_xmax,
             )
-            fields = list(model.trace_fields_all(batch))
-            block = np.zeros((num_records, (2 + len(fields)) * batch.size))
-            batch_groups.append((model, slots, batch, inputs, block, fields))
+            traced = 1 + len(model.traced)
+            record = np.zeros((num_records, traced, batch.size))
+            batch_groups.append((model, slots, batch, inputs, traced, record))
 
         # ---------- mutable per-step arrays ----------------------------- #
         queue_arr = np.zeros(num_queued)
@@ -678,6 +685,10 @@ class FluidSimulator:
                 )
 
             # 3. CCA updates, one batched call per group on its slot run.
+            # A flow that has not started or has departed keeps its state
+            # and sends nothing: one mask over the group's block and one
+            # over its rate (none once every flow of a static population
+            # has started).
             if churn:
                 active_all = (start_times <= t) & (t < stop_times) & ~completed
             else:
@@ -689,19 +700,26 @@ class FluidSimulator:
                 inputs.path_loss = p_delayed[slots]
                 inputs.delivery_rate = delivery_rates[slots]
                 inputs.rate_delayed = own_delayed[slots]
-                inputs.active = None if active_all is None else active_all[slots]
-                model.step_all(batch, inputs)
+                rate, block = model.step_all(batch, inputs)
+                if active_all is None:
+                    batch.rate = rate
+                    batch.block = block
+                else:
+                    active = active_all[slots]
+                    batch.rate = np.where(active, rate, 0.0)
+                    batch.block = np.where(active, block, batch.block)
                 rates_all[slots] = batch.rate
 
             if churn:
                 # Finite-size completion: only active flows accumulate
                 # delivered volume, and a crossing takes effect (flow
                 # masked inactive) from the next step.
-                delivered_vol += np.where(active_all, delivery_rates, 0.0) * dt
+                np.add(
+                    delivered_vol, delivery_rates * dt, out=delivered_vol, where=active_all
+                )
                 newly_done = (delivered_vol >= sizes) & ~completed
-                if np.count_nonzero(newly_done):
-                    completed |= newly_done
-                    end_times[newly_done] = t
+                completed |= newly_done
+                end_times[newly_done] = t
 
             # 4. Record (before integrating queues so t=0 is captured).
             if step % record_every == 0 and record_index < num_records:
@@ -711,15 +729,8 @@ class FluidSimulator:
                 np.concatenate(
                     (queue_arr, loss, arrival, departure), out=rec_link[record_index]
                 )
-                for model, _, batch, _, block, _ in batch_groups:
-                    np.concatenate(
-                        (
-                            batch.inflight,
-                            model.congestion_window_all(batch),
-                            *model.trace_fields_all(batch).values(),
-                        ),
-                        out=block[record_index],
-                    )
+                for _, _, batch, _, traced, record in batch_groups:
+                    record[record_index] = batch.block[:traced]
                 record_index += 1
 
             # 5. Integrate the link queues (Eq. 2).
@@ -752,21 +763,18 @@ class FluidSimulator:
         # ---------- per-flow series: views of each flow's slot column --- #
         records = slice(0, record_index)
         flows: dict[int, FlowTrace] = {}
-        for _, slots, batch, _, block, fields in batch_groups:
-            size = batch.size
+        for model, slots, _, _, _, record in batch_groups:
             for col, i in enumerate(order[slots]):
                 slot = slots.start + col
+                extras = dict(zip(model.traced, record[records, 1:, col].T, strict=True))
                 flows[i] = self._flow_trace(
                     i,
                     rec_flow[records, slot],
                     rec_flow[records, num_flows + slot],
-                    block[records, size + col],
-                    block[records, col],
+                    extras["cwnd"],
+                    record[records, 0, col],
                     rec_flow[records, 2 * num_flows + slot],
-                    {
-                        key: block[records, (2 + k) * size + col]
-                        for k, key in enumerate(fields)
-                    },
+                    extras,
                     flow_starts,
                     flow_ends,
                 )

@@ -257,6 +257,12 @@ class SqliteBackend(StoreBackend):
         self._conn = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
         self._conn.row_factory = sqlite3.Row
         try:
+            # A header can be intact while later pages are not; reading
+            # every page once here turns that into an error at open rather
+            # than at whichever query first touches a bad page.
+            problem = self._conn.execute("PRAGMA quick_check(1)").fetchone()[0]
+            if problem != "ok":
+                raise sqlite3.DatabaseError(" ".join(problem.split()))
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA busy_timeout=30000")
             # NORMAL still syncs the WAL at checkpoints; FULL syncs every
@@ -264,8 +270,8 @@ class SqliteBackend(StoreBackend):
             self._conn.execute(f"PRAGMA synchronous={'FULL' if fsync else 'NORMAL'}")
             self._create_tables()
         except sqlite3.DatabaseError as exc:
-            # A text file behind a ``sqlite:`` prefix, or a truncated
-            # database: bad input, not a crash.
+            # A text file behind a ``sqlite:`` prefix, or a truncated or
+            # corrupt database: bad input, not a crash.
             self._conn.close()
             raise ValueError(f"store {self.path} is not a usable SQLite database: {exc}") from None
 

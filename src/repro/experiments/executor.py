@@ -40,8 +40,7 @@ import signal
 import threading
 import time
 from collections.abc import Callable, Hashable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any
 
 from ..obs import TELEMETRY
@@ -416,6 +415,11 @@ class ResilientExecutor:
         rather than being charged an attempt, and tasks the broken pool
         never started are deferred to the next round at no cost.
         """
+        # Imported here, not at module level: reading a store or a preset
+        # needs ``ExecutorPolicy`` but never starts a pool (or loads
+        # ``multiprocessing``).
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         policy = self.policy
         queue = list(tasks)
         crashed: list[Any] = []
@@ -466,6 +470,8 @@ class ResilientExecutor:
         heartbeat: _Heartbeat,
     ) -> None:
         """Re-run one crash-implicated task alone in a 1-worker pool."""
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         report.attempts[task] += 1
         with ProcessPoolExecutor(max_workers=1) as pool:
             future = pool.submit(call_with_timeout, self.policy.timeout_s, call, task)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from repro import cli
 from repro.experiments import sweep as sweep_module
+from repro.experiments.backends import SqliteBackend
 from repro.experiments.store import SCHEMA_VERSION, SweepStore
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -476,21 +478,24 @@ def _write_grid_and_store(tmp_path: Path) -> None:
     (tmp_path / "store.jsonl").write_text(json.dumps(record) + "\n")
 
 
-#: The substrate layers a command that only reads a store never imports.
-_SUBSTRATES = (
+#: What a command that only reads a store never imports: the substrate
+#: layers, and the process pool only a campaign starts.
+_STORE_READ_ABSENT = (
     "numpy",
     "repro.core",
     "repro.emulation",
     "repro.analysis",
     "repro.experiments.sweep",
+    "concurrent.futures.process",
+    "multiprocessing",
 )
 
 
 @pytest.mark.parametrize(
     ("argv", "absent"),
     [
-        (["status", "--preset", "preset.yaml"], _SUBSTRATES),
-        (["store", "summary", "store.jsonl"], _SUBSTRATES),
+        (["status", "--preset", "preset.yaml"], _STORE_READ_ABSENT),
+        (["store", "summary", "store.jsonl"], _STORE_READ_ABSENT),
         (
             ["campaign", "--seeds", "1", "--substrate", "fluid", "--mixes", "BBRv1",
              "--buffers", "1", "--duration", "0.2"],
@@ -558,7 +563,23 @@ def _jsonl_as_sqlite(tmp_path: Path) -> str:
     return f"sqlite:{tmp_path / 'store.jsonl'}"
 
 
-@pytest.mark.parametrize("make_store", [_truncated_sqlite, _jsonl_as_sqlite])
+def _corrupt_pages_sqlite(tmp_path: Path) -> str:
+    # Header and schema intact, the results index page (page 3) overwritten:
+    # SQLite itself opens this file without complaint.
+    path = tmp_path / "bad.sqlite"
+    store = SweepStore(path, fsync=False)
+    for i in range(400):
+        store.put_failure(f"k{i}", "boom", {"mix": "BBRv1"})
+    store.close()
+    data = bytearray(path.read_bytes())
+    data[8192:12288] = b"\xff" * 4096
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_store", [_truncated_sqlite, _jsonl_as_sqlite, _corrupt_pages_sqlite]
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -580,3 +601,21 @@ def test_store_that_is_not_a_database_exits_2(tmp_path, capsys, make_store, argv
     assert err.startswith("error: store ") and "not a usable SQLite database" in err
     assert err.count("\n") == 1
     assert Path(spec.removeprefix("sqlite:")).read_bytes() == before
+
+
+def test_sqlite_error_after_open_exits_2(tmp_path, capsys, monkeypatch):
+    # A store that goes bad after it opened fails at a later query.
+    path = tmp_path / "store.sqlite"
+    SweepStore(path).close()
+
+    def malformed(self, key):
+        raise sqlite3.DatabaseError("database disk image is malformed")
+
+    monkeypatch.setattr(SqliteBackend, "__contains__", malformed)
+    argv = ["status", "--substrate", "fluid", "--mixes", "BBRv1", "--buffers", "1",
+            "--seeds", "1", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: store {path} is not a usable SQLite database: "
+        "database disk image is malformed\n"
+    )

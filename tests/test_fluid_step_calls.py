@@ -14,9 +14,11 @@ array-function dispatchers of ``np.where``/``np.concatenate`` do.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import sys
 
+from repro.config import FlowSchedule
 from repro.core import simulate_many
 from repro.experiments import scenarios
 from repro.experiments.grid import GridSpec
@@ -30,6 +32,7 @@ SMALL_GRID = GridSpec(
     buffers_bdp=(1.0,),
     disciplines=("droptail", "red"),
 )
+SMALL_GRID_GROUPS = 4
 #: The 28-point grid of the paper's aggregate figures.
 PAPER_GRID = GridSpec(
     mixes=tuple(scenarios.CCA_MIXES),
@@ -61,9 +64,16 @@ def _events(configs, steps: int) -> collections.Counter:
     return counter
 
 
-def per_step_calls(grid: GridSpec, copies: int = 1) -> collections.Counter:
-    """Profile events per lockstep step of ``grid`` (``copies`` times over)."""
+def per_step_calls(
+    grid: GridSpec, copies: int = 1, schedule: FlowSchedule | None = None
+) -> collections.Counter:
+    """Profile events per lockstep step of ``grid`` (``copies`` times over).
+
+    ``schedule`` replaces every point's flow schedule.
+    """
     configs = [point.config() for point in grid.points()] * copies
+    if schedule is not None:
+        configs = [dataclasses.replace(c, schedule=schedule) for c in configs]
     _events(configs, 2)  # warm-up: imports and first-call caches
     once = _events(configs, WINDOW_STEPS)
     twice = _events(configs, 2 * WINDOW_STEPS)
@@ -93,3 +103,17 @@ def test_paper_batch_counts_like_four_points():
     small.pop("where", None)
     paper.pop("where", None)
     assert paper == small
+
+
+def test_churn_masks_each_group_once():
+    # Finite flow sizes put the batch on the churn path, where some flow may
+    # have departed on any step.  No flow here can deliver its size and all
+    # start at 0, so the dynamics, and with them the rare-transition
+    # ``np.where`` guards, are those of the static batch: what is left is
+    # the masking, one ``np.where`` over each group's state block and one
+    # over its rate, whatever the number of state fields.
+    static = per_step_calls(SMALL_GRID)
+    never_done = FlowSchedule(size_dist="fixed", mean_size_packets=1e12)
+    churn = per_step_calls(SMALL_GRID, schedule=never_done)
+    assert churn.pop("where") - static.pop("where") <= 2 * SMALL_GRID_GROUPS
+    assert churn == static

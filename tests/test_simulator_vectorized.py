@@ -31,6 +31,7 @@ from repro.core import (
     simulate_many,
 )
 from repro.core.flow import FluidCCA
+from repro.core.network import Network
 from repro.experiments import scenarios
 
 FAST = FluidParams(dt=2.5e-4)
@@ -158,6 +159,37 @@ class TestBatchedModels:
         assert first.batch_key() == second.batch_key()
         assert hash(first.batch_key()) == hash(second.batch_key())
         assert type(first).step_all is not FluidCCA.step_all
+
+    @pytest.mark.parametrize("name", available_ccas())
+    def test_state_block_follows_the_declaration(self, name):
+        # make_batch packs each state's fields in declared row order, and
+        # the batched trace hooks read back what the scalar ones return.
+        model = create_model(name)
+        config = dumbbell_scenario([name] * 3, fluid=FAST)
+        network = Network.from_scenario(config)
+        states = [model.initial_state(i, 3, network, config.fluid) for i in range(3)]
+        for k, state in enumerate(states):
+            state.inflight = 10.0 * k
+        batch = model.make_batch(states)
+        assert batch.block.shape == (1 + len(model.traced) + len(model.untraced), 3)
+        np.testing.assert_array_equal(batch.block[0], [0.0, 10.0, 20.0])
+        np.testing.assert_array_equal(
+            model.congestion_window_all(batch),
+            [model.congestion_window(state) for state in states],
+        )
+        fields = model.trace_fields_all(batch)
+        assert list(fields) == list(model.trace_fields(states[0])) == list(model.traced)
+        for key, row in fields.items():
+            np.testing.assert_array_equal(row, [s.extra[key] for s in states])
+
+    @pytest.mark.parametrize("name", available_ccas())
+    def test_undeclared_state_field_is_refused(self, name):
+        model = create_model(name)
+        config = dumbbell_scenario([name], fluid=FAST)
+        state = model.initial_state(0, 1, Network.from_scenario(config), config.fluid)
+        state.extra["stray"] = 0.0
+        with pytest.raises(ValueError, match="stray"):
+            model.make_batch([state])
 
     def test_batch_keys_separate_models(self):
         keys = {create_model(name).batch_key() for name in available_ccas()}
