@@ -1,17 +1,16 @@
-"""Micro-benchmark of the fluid integrator: steps/second, scalar vs. vectorized.
+"""Micro-benchmark of the fluid integrator: steps/second.
 
 Records the integrator throughput in the untracked
-``benchmarks/BENCH_perf_fluid_step.json``, with the speedups of the
-vectorization work against the scalar loop (kept in-tree, bit-for-bit, as
-the ``vectorized=False`` reference):
+``benchmarks/BENCH_perf_fluid_step.json``:
 
-* the production-scale population (60 mixed-CCA senders),
-* the multi-scenario lockstep path (``simulate_many``, which the aggregate
-  sweeps of Figs. 6-10/13-17 run on), and
 * the paper-shaped 20-sender scenario, where per-step numpy dispatch
-  overhead bites hardest.
+  overhead bites hardest,
+* the production-scale population (60 mixed-CCA senders), and
+* the multi-scenario lockstep path (``simulate_many``, which the aggregate
+  sweeps of Figs. 6-10/13-17 run on), with its speedup over the
+  20-sender scenario run alone.
 
-The speedups are recorded, not asserted: a wall-clock ratio is too noisy
+The speedup is recorded, not asserted: a wall-clock ratio is too noisy
 to gate tier-1.
 
 A second benchmark records the **churn scaling curve**: vectorized
@@ -19,20 +18,15 @@ integrator throughput at 100/500/1000/2000 flows under a Poisson /
 bounded-Pareto flow schedule (active-flow masking on), so the cost of
 large time-varying populations is tracked release over release.
 
-All comparisons are apples-to-apples.  The scalar and vectorized paths
-agree to 1e-9 (in practice to the last bit), and a lockstep batch is
-bit-identical to its scenarios run alone (see
-``tests/test_simulator_vectorized.py`` and ``tests/test_fluid_golden.py``);
-rate-trace equivalence is re-asserted here on the benchmarked runs.  The
-lockstep step's Python-level call count does not grow with batch width
-(``tests/test_fluid_step_calls.py``).
+A lockstep batch is bit-identical to its scenarios run alone (see
+``tests/test_simulator_vectorized.py`` and ``tests/test_fluid_golden.py``),
+and the lockstep step's Python-level call count does not grow with batch
+width (``tests/test_fluid_step_calls.py``).
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from repro.config import FluidParams, dumbbell_scenario
 from repro.core import FluidSimulator, simulate_many
@@ -64,34 +58,20 @@ def _steps(config) -> int:
     return int(round(config.duration_s / config.fluid.dt)) + 1
 
 
-def _measure(config, vectorized: bool):
-    simulator = FluidSimulator(config, vectorized=vectorized)
+def _measure(config) -> float:
+    simulator = FluidSimulator(config)
     start = time.perf_counter()
-    trace = simulator.run()
+    simulator.run()
     elapsed = time.perf_counter() - start
-    return _steps(config) / elapsed, trace
+    return _steps(config) / elapsed
 
 
 def test_perf_fluid_step(benchmark):
     paper_config = _config(20)
     scale_config = _config(60)
 
-    scalar_paper_sps, scalar_trace = _measure(paper_config, vectorized=False)
-    vector_paper_sps, vector_trace = run_once(
-        benchmark, lambda: _measure(paper_config, vectorized=True)
-    )
-    scalar_scale_sps, _ = _measure(scale_config, vectorized=False)
-    vector_scale_sps, _ = _measure(scale_config, vectorized=True)
-
-    # The speedup claim is only meaningful if the traces agree.
-    for fa, fb in zip(scalar_trace.flows, vector_trace.flows, strict=True):
-        np.testing.assert_allclose(fa.rate, fb.rate, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(
-        scalar_trace.bottleneck().queue,
-        vector_trace.bottleneck().queue,
-        rtol=1e-9,
-        atol=1e-9,
-    )
+    vector_paper_sps = run_once(benchmark, lambda: _measure(paper_config))
+    vector_scale_sps = _measure(scale_config)
 
     # The sweep path: many independent scenarios integrated in lockstep.
     batch_configs = [
@@ -114,35 +94,24 @@ def test_perf_fluid_step(benchmark):
         "dt": BENCH_DT,
         "duration_s": BENCH_SECONDS,
         "paper_population_20": {
-            "scalar_steps_per_s": round(scalar_paper_sps),
             "vectorized_steps_per_s": round(vector_paper_sps),
-            "speedup": round(vector_paper_sps / scalar_paper_sps, 2),
         },
         "scale_population_60": {
-            "scalar_steps_per_s": round(scalar_scale_sps),
             "vectorized_steps_per_s": round(vector_scale_sps),
-            "speedup": round(vector_scale_sps / scalar_scale_sps, 2),
         },
         "sweep_path_simulate_many": {
             "scenarios": len(batch_configs),
             "scenario_steps_per_s": round(batch_sps),
-            "speedup_vs_scalar": round(batch_sps / scalar_paper_sps, 2),
             "speedup_vs_vectorized": round(batch_sps / vector_paper_sps, 2),
         },
     })
 
     print("\nFluid-integrator throughput (flow-population steps/second):")
-    print(
-        f"  20 senders  scalar {scalar_paper_sps:8.0f}  "
-        f"vectorized {vector_paper_sps:8.0f}  ({vector_paper_sps / scalar_paper_sps:.1f}x)"
-    )
-    print(
-        f"  60 senders  scalar {scalar_scale_sps:8.0f}  "
-        f"vectorized {vector_scale_sps:8.0f}  ({vector_scale_sps / scalar_scale_sps:.1f}x)"
-    )
+    print(f"  20 senders  {vector_paper_sps:8.0f}")
+    print(f"  60 senders  {vector_scale_sps:8.0f}")
     print(
         f"  sweep path  {batch_sps:8.0f} scenario-steps/s "
-        f"({batch_sps / scalar_paper_sps:.1f}x scalar, {len(batch_configs)} scenarios)"
+        f"({batch_sps / vector_paper_sps:.1f}x alone, {len(batch_configs)} scenarios)"
     )
 
 
@@ -163,7 +132,7 @@ def test_perf_fluid_churn_scaling(benchmark):
 
     def _measure_population(num_flows: int) -> float:
         config = _churn_config(num_flows)
-        simulator = FluidSimulator(config, vectorized=True)
+        simulator = FluidSimulator(config)
         start = time.perf_counter()
         simulator.run()
         elapsed = time.perf_counter() - start

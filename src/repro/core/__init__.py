@@ -3,7 +3,7 @@
 from .bbr1 import Bbr1Fluid, Bbr1Params
 from .bbr2 import Bbr2Fluid, Bbr2Params
 from .cubic import CubicFluid
-from .flow import FlowInputs, FlowState, FluidCCA
+from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Link, Network, Path
 from .registry import available_ccas, create_model
 from .reno import RenoFluid
@@ -15,8 +15,9 @@ __all__ = [
     "Bbr2Fluid",
     "Bbr2Params",
     "CubicFluid",
-    "FlowInputs",
+    "FlowInputsBatch",
     "FlowState",
+    "FlowStateBatch",
     "FluidCCA",
     "Link",
     "Network",

@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from . import smooth
-from .flow import FlowInputs, FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
+from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
 
 #: Duration of the ProbeRTT state (seconds).
@@ -114,66 +114,6 @@ class Bbr1Fluid(FluidCCA):
 
     # ------------------------------------------------------------------ #
     # Per-step dynamics
-    # ------------------------------------------------------------------ #
-
-    def step(self, state: FlowState, inputs: FlowInputs) -> None:
-        if not inputs.active:
-            state.rate = 0.0
-            return
-        extra = state.extra
-        dt = inputs.dt
-
-        # --- RTprop estimation (Eq. 9) -------------------------------- #
-        new_min_sample = inputs.tau_delayed < extra["tau_min"] - RTT_SAMPLE_EPS_S
-        if inputs.tau_delayed < extra["tau_min"]:
-            extra["tau_min"] = inputs.tau_delayed
-        tau_min = extra["tau_min"]
-
-        # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
-        in_probe_rtt = extra["m_prt"] >= 0.5
-        extra["t_prt"] += dt
-        if new_min_sample and not in_probe_rtt:
-            # A fresh minimum-RTT sample re-arms the 10 s ProbeRTT timer.
-            extra["t_prt"] = 0.0
-        threshold = PROBE_RTT_DURATION_S if in_probe_rtt else PROBE_RTT_INTERVAL_S
-        if extra["t_prt"] >= threshold:
-            extra["m_prt"] = 0.0 if in_probe_rtt else 1.0
-            extra["t_prt"] = 0.0
-            in_probe_rtt = extra["m_prt"] >= 0.5
-
-        # --- ProbeBW period clock and BtlBw adoption (Eq. 16, 18, 20) -- #
-        extra["t_pbw"] += dt
-        period = GAIN_CYCLE_PHASES * tau_min
-        if extra["t_pbw"] >= period:
-            if extra["x_max"] > 0.0:
-                extra["x_btl"] = extra["x_max"]
-            extra["x_max"] = 0.0
-            extra["t_pbw"] = 0.0
-        measurement = state.rate if _literal_xmax(inputs) else inputs.delivery_rate
-        if measurement > extra["x_max"]:
-            extra["x_max"] = measurement
-
-        # --- Pacing rate with probing/draining pulses (Eq. 21-22) ------ #
-        x_btl = extra["x_btl"]
-        phase = int(extra["phase"])
-        sharpness = self.params.sigmoid_sharpness / max(tau_min, 1e-6)
-        probe = smooth.phase_pulse(extra["t_pbw"], phase, tau_min, sharpness)
-        drain = smooth.phase_pulse(extra["t_pbw"], phase + 1, tau_min, sharpness)
-        pacing = x_btl * (1.0 + (PROBE_GAIN - 1.0) * probe - (1.0 - DRAIN_GAIN) * drain)
-
-        # --- Inflight limits and sending rate (Eq. 14-15, 23) ----------- #
-        bdp = x_btl * tau_min
-        cwnd_pbw = CWND_GAIN * bdp
-        extra["cwnd"] = PROBE_RTT_CWND_PKTS if in_probe_rtt else cwnd_pbw
-        tau = max(inputs.tau, 1e-9)
-        if in_probe_rtt:
-            state.rate = PROBE_RTT_CWND_PKTS / tau
-        else:
-            state.rate = min(cwnd_pbw / tau, pacing)
-        self.update_inflight(state, inputs)
-
-    # ------------------------------------------------------------------ #
-    # Batched path
     # ------------------------------------------------------------------ #
 
     def batch_key(self) -> Hashable:
@@ -268,12 +208,3 @@ class Bbr1Fluid(FluidCCA):
         return rate, np.array(
             (inflight, x_btl, x_max, tau_min, cwnd, m_prt, t_pbw, t_prt, phase)
         )
-
-
-def _literal_xmax(inputs: FlowInputs) -> bool:
-    """Whether to track the literal Eq. (18) (max of the sending rate).
-
-    The simulator stores the choice on the inputs object so the model itself
-    stays stateless with respect to numerical configuration.
-    """
-    return getattr(inputs, "literal_xmax", False)

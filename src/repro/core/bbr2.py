@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from . import smooth
-from .flow import FlowInputs, FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
+from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
 
 #: Duration of the ProbeRTT state (seconds).
@@ -145,137 +145,6 @@ class Bbr2Fluid(FluidCCA):
 
     # ------------------------------------------------------------------ #
     # Per-step dynamics
-    # ------------------------------------------------------------------ #
-
-    def step(self, state: FlowState, inputs: FlowInputs) -> None:
-        if not inputs.active:
-            state.rate = 0.0
-            return
-        extra = state.extra
-        dt = inputs.dt
-        sharp = self.params.sigmoid_sharpness
-
-        # --- RTprop estimation (Eq. 9) -------------------------------- #
-        new_min_sample = inputs.tau_delayed < extra["tau_min"] - RTT_SAMPLE_EPS_S
-        if inputs.tau_delayed < extra["tau_min"]:
-            extra["tau_min"] = inputs.tau_delayed
-        tau_min = extra["tau_min"]
-
-        # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
-        in_probe_rtt = extra["m_prt"] >= 0.5
-        extra["t_prt"] += dt
-        if new_min_sample and not in_probe_rtt:
-            extra["t_prt"] = 0.0
-        threshold = PROBE_RTT_DURATION_S if in_probe_rtt else PROBE_RTT_INTERVAL_S
-        if extra["t_prt"] >= threshold:
-            extra["m_prt"] = 0.0 if in_probe_rtt else 1.0
-            extra["t_prt"] = 0.0
-            in_probe_rtt = extra["m_prt"] >= 0.5
-
-        # --- Probing-period clock (Eq. 16, 24) -------------------------- #
-        period = min(MAX_PERIOD_RTTS * tau_min, extra["period_wall_s"])
-        extra["t_pbw"] += dt
-        if extra["t_pbw"] >= period:
-            extra["t_pbw"] = 0.0
-            extra["x_max_prev"] = extra["x_max"]
-            extra["x_max"] = 0.0
-            # A new probing period ends the cruise (Eq. 27, second term).
-            extra["m_crs"] = 0.0
-        measurement = state.rate if inputs.literal_xmax else inputs.delivery_rate
-        if measurement > extra["x_max"]:
-            extra["x_max"] = measurement
-
-        # --- Current estimates and derived windows ---------------------- #
-        x_btl = extra["x_btl"]
-        bdp = x_btl * tau_min
-        w_hi = extra["w_hi"]
-        drain_target = min(bdp, (1.0 - HEADROOM) * w_hi)  # the paper's w_minus
-        loss = min(1.0, max(0.0, inputs.path_loss))
-        inflight = state.inflight
-
-        # --- Mode transitions (Eq. 26-27), crisp ------------------------ #
-        cruising = extra["m_crs"] >= 0.5
-        draining = extra["m_dwn"] >= 0.5
-        past_first_rtt = extra["t_pbw"] > tau_min
-        if (
-            not cruising
-            and not draining
-            and past_first_rtt
-            and (inflight > PROBE_INFLIGHT_GAIN * bdp or loss > LOSS_THRESHOLD)
-        ):
-            extra["m_dwn"] = 1.0
-            draining = True
-        if draining:
-            # Eq. (28): adopt the maximum delivery rate of the last two
-            # periods as the new bottleneck-bandwidth estimate.
-            target = max(extra["x_max"], extra["x_max_prev"])
-            if target > 0.0:
-                extra["x_btl"] += dt * (target - extra["x_btl"]) / max(tau_min, 1e-6)
-            if inflight <= drain_target:
-                extra["m_dwn"] = 0.0
-                extra["m_crs"] = 1.0
-                draining = False
-                cruising = True
-        x_btl = extra["x_btl"]
-        bdp = x_btl * tau_min
-        drain_target = min(bdp, (1.0 - HEADROOM) * w_hi)
-
-        # --- inflight_hi dynamics (Eq. 29) ------------------------------ #
-        growth_gate = (
-            (0.0 if cruising else 1.0)
-            * smooth.sigmoid(extra["t_pbw"] - tau_min, sharp / max(tau_min, 1e-6))
-            * smooth.sigmoid(inflight - w_hi, sharp / max(bdp, 1.0))
-        )
-        exponent = min(extra["t_pbw"] / max(tau_min, 1e-6), MAX_GROWTH_EXPONENT)
-        growth = growth_gate * (2.0 ** exponent)
-        decrease = (
-            smooth.sigmoid(loss - LOSS_THRESHOLD, self.params.loss_sharpness)
-            * BETA
-            / max(tau_min, 1e-6)
-            * w_hi
-        )
-        extra["w_hi"] = max(1.0, w_hi + dt * (growth - decrease))
-        w_hi = extra["w_hi"]
-
-        # --- inflight_lo dynamics (Eq. 30) ------------------------------ #
-        w_lo = extra["w_lo"]
-        if cruising:
-            loss_gate = smooth.sigmoid(
-                loss - self.params.loss_epsilon, self.params.loss_sharpness
-            )
-            w_lo = w_lo + dt * (-loss_gate * BETA * w_lo / max(tau_min, 1e-6))
-        else:
-            w_lo = w_lo + dt * (drain_target - w_lo) / max(tau_min, 1e-6)
-        extra["w_lo"] = max(1.0, w_lo)
-
-        # --- Pacing rate (Eq. 25) --------------------------------------- #
-        m_dwn = 1.0 if draining else 0.0
-        probe_gate = smooth.sigmoid(
-            extra["t_pbw"] - tau_min, sharp / max(tau_min, 1e-6)
-        )
-        pacing = x_btl * (
-            1.0
-            + (PROBE_GAIN - 1.0) * probe_gate * (1.0 - m_dwn)
-            - (1.0 - DRAIN_GAIN) * m_dwn
-        )
-
-        # --- Congestion window and sending rate (Eq. 31-32, 14-15) ------ #
-        if cruising:
-            bound = extra["w_lo"]
-        else:
-            bound = w_hi
-        cwnd_pbw = min(CWND_GAIN * bdp, bound)
-        cwnd_prt = bdp / 2.0
-        extra["cwnd"] = cwnd_prt if in_probe_rtt else cwnd_pbw
-        tau = max(inputs.tau, 1e-9)
-        if in_probe_rtt:
-            state.rate = cwnd_prt / tau
-        else:
-            state.rate = min(cwnd_pbw / tau, pacing)
-        self.update_inflight(state, inputs)
-
-    # ------------------------------------------------------------------ #
-    # Batched path
     # ------------------------------------------------------------------ #
 
     def batch_key(self) -> Hashable:

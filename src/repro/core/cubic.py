@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .flow import FlowInputs, FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
+from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
 
 #: CUBIC growth constant ``c`` (RFC 8312 / Linux tcp_cubic).
@@ -40,13 +40,10 @@ def cubic_window(
     """CUBIC window-growth function ``w(s) = c (s - K)^3 + w_max`` (Eq. 41).
 
     ``K = (w_max * b / c)^(1/3)`` is the time at which the window returns to
-    the pre-loss level ``w_max`` when growing from ``b * w_max``.  Accepts
-    scalars or arrays (element-wise, for the batched model path).
+    the pre-loss level ``w_max`` when growing from ``b * w_max``.  Works
+    element-wise on arrays.
     """
-    if np.ndim(w_max) == 0:
-        if w_max < 0:
-            raise ValueError("w_max must be non-negative")
-    elif np.count_nonzero(np.asarray(w_max) < 0):
+    if np.count_nonzero(np.asarray(w_max) < 0):
         raise ValueError("w_max must be non-negative")
     inflection = (w_max * beta / c) ** (1.0 / 3.0)
     return c * (s - inflection) ** 3 + w_max
@@ -73,35 +70,8 @@ class CubicFluid(FluidCCA):
         state.rate = 0.0
         return state
 
-    def step(self, state: FlowState, inputs: FlowInputs) -> None:
-        if not inputs.active:
-            state.rate = 0.0
-            return
-        s = state.extra["s"]
-        w_max = state.extra["w_max"]
-        w = state.extra["cwnd"]
-        x_delayed = inputs.rate_delayed
-        p = min(1.0, max(0.0, inputs.path_loss))
-        loss_rate = x_delayed * p  # losses per second observed by the sender
-        # Eq. (40a): the elapsed-time variable grows at unit rate and is reset
-        # towards zero at the rate at which losses arrive.
-        s = max(0.0, s + inputs.dt * (1.0 - s * loss_rate))
-        # Eq. (40b): the reference window assimilates to the current window
-        # at the loss-arrival rate.
-        w_max = max(MIN_WINDOW_PKTS, w_max + inputs.dt * (w - w_max) * loss_rate)
-        w = max(MIN_WINDOW_PKTS, cubic_window(s, w_max))
-        state.extra["s"] = s
-        state.extra["w_max"] = w_max
-        state.extra["cwnd"] = w
-        state.rate = w / max(inputs.tau, 1e-9)
-        self.update_inflight(state, inputs)
-
-    # ------------------------------------------------------------------ #
-    # Batched path
-    # ------------------------------------------------------------------ #
-
     def batch_key(self) -> Hashable:
-        # ``step`` reads no instance attributes, so all CUBIC flows batch
+        # ``step_all`` reads no instance attributes, so all CUBIC flows batch
         # together regardless of their initial window.
         return ("cubic",)
 

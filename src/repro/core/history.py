@@ -11,8 +11,8 @@ reading it back at a fixed lag.
 :class:`VectorHistory` stores one signal per flow (or per link) on the
 integrator's uniform time grid, in a single numpy array for efficiency.
 
-Because every delay of a scenario is a *constant*, the vectorized simulator
-converts them to integer lag tables once (:meth:`VectorHistory.lag_steps`)
+Because every delay of a scenario is a *constant*, the simulator converts
+them to integer lag tables once (:meth:`VectorHistory.lag_steps`)
 and then performs one batched :meth:`VectorHistory.gather` per signal per
 step instead of per-component Python calls.
 """
@@ -51,15 +51,6 @@ class VectorHistory:
         #: Batched-gather call count (telemetry; one int add per gather).
         self.gathers = 0
 
-    def push(self, values: np.ndarray) -> None:
-        """Append the current vector sample (call exactly once per step)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.width,):
-            raise ValueError(f"expected shape ({self.width},), got {values.shape}")
-        self._head = (self._head + 1) % self._size
-        self._buffer[self._head] = values
-        self._steps += 1
-
     def at_delay(self, index: int, delay: float) -> float:
         """Value of component ``index`` of the signal ``delay`` seconds ago."""
         if delay < 0:
@@ -68,7 +59,7 @@ class VectorHistory:
         return float(self._buffer[(self._head - lag) % self._size, index])
 
     # ------------------------------------------------------------------ #
-    # Batched fixed-lag API (hot path of the vectorized simulator)
+    # Batched fixed-lag API (hot path of the simulator)
     # ------------------------------------------------------------------ #
 
     def lag_steps(self, delays: np.ndarray | float) -> np.ndarray:
@@ -103,9 +94,8 @@ class VectorHistory:
     def advance(self) -> np.ndarray:
         """Advance the write head one step and return the new row to fill.
 
-        In-place alternative to :meth:`push` for hot loops: callers write
-        the current sample directly into the returned row view, skipping
-        one array copy per step.
+        Call exactly once per step; the caller writes the current sample
+        directly into the returned row view.
         """
         head = self._head + 1
         if head == self._size:
@@ -113,8 +103,3 @@ class VectorHistory:
         self._head = head
         self._steps += 1
         return self._buffer[head]
-
-    @property
-    def current(self) -> np.ndarray:
-        """Most recently pushed vector."""
-        return self._buffer[self._head].copy()

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .. import units
-from ..config import ScenarioConfig
+from ..config import QUEUE_DISCIPLINES, ScenarioConfig
 
 
 @dataclass
@@ -48,6 +47,8 @@ class Link:
             raise ValueError("delay must be non-negative")
         if self.buffer_pkts <= 0:
             raise ValueError("buffer must be positive")
+        if self.discipline not in QUEUE_DISCIPLINES:
+            raise ValueError(f"unknown queue discipline {self.discipline!r}")
 
     @property
     def has_queue(self) -> bool:
@@ -151,10 +152,6 @@ class Network:
     def num_flows(self) -> int:
         return len(self.paths)
 
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
-
     def queued_link_indices(self) -> list[int]:
         """Indices of links whose queue dynamics must be integrated."""
         return [i for i, link in enumerate(self.links) if link.has_queue]
@@ -239,21 +236,3 @@ class Network:
             if eff < best_eff:
                 best, best_eff = idx, eff
         return best
-
-    def path_latency(self, flow_index: int, queue_lengths: dict[int, float]) -> float:
-        """Round-trip latency of a flow's path given current queue lengths (Eq. 3).
-
-        ``queue_lengths`` maps queued-link index to queue length in packets.
-        """
-        latency = self.paths[flow_index].return_delay_s
-        for idx in self.paths[flow_index].link_indices:
-            link = self.links[idx]
-            latency += link.delay_s
-            if link.has_queue:
-                latency += queue_lengths.get(idx, 0.0) / link.capacity_pps
-        return latency
-
-    def bdp_packets(self, flow_index: int) -> float:
-        """Bandwidth-delay product of a flow: bottleneck capacity times propagation RTT."""
-        bottleneck = self.links[self.bottleneck_of(flow_index)]
-        return units.bdp_packets(bottleneck.capacity_pps, self.propagation_rtt(flow_index))

@@ -14,126 +14,17 @@ Two queueing disciplines are modelled, exactly as in the paper:
 
 The queue itself integrates the difference between the accepted arrival
 rate and the transmission capacity (Eq. 2), clamped to ``[0, B]``.
+
+Every function works element-wise on arrays with one entry per queued link,
+so the simulator updates all links of a step (and of a lockstep batch) in
+one call each.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import smooth
-
-
-def droptail_loss(
-    arrival_rate: float,
-    capacity: float,
-    queue: float,
-    buffer_size: float,
-    sharpness: float = smooth.DEFAULT_SHARPNESS,
-    exponent: float = 20.0,
-) -> float:
-    """Smooth drop-tail loss probability (Eq. 4).
-
-    ``p = sigma(y - C) * (1 - C / y) * (q / B)^L`` — loss only when the
-    arrival rate exceeds capacity *and* the queue is close to the buffer
-    limit, in which case the loss equals the relative excess rate.
-
-    The sigmoid argument is normalised by the capacity so that the sharpness
-    constant is dimensionless (a 0.5 % rate excess already saturates it).
-    """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    if arrival_rate < 0:
-        raise ValueError("arrival rate must be non-negative")
-    if queue < 0:
-        raise ValueError("queue must be non-negative")
-    if buffer_size <= 0:
-        raise ValueError("buffer size must be positive")
-    if arrival_rate == 0:
-        return 0.0
-    if math.isinf(buffer_size):
-        return 0.0
-    gate = smooth.sigmoid((arrival_rate - capacity) / capacity, sharpness)
-    excess = max(0.0, 1.0 - capacity / arrival_rate)
-    occupancy = min(1.0, queue / buffer_size) ** exponent
-    return float(min(1.0, gate * excess * occupancy))
-
-
-def red_loss(queue: float, buffer_size: float) -> float:
-    """Idealised RED loss probability ``p = q / B`` (Eq. 6)."""
-    if queue < 0:
-        raise ValueError("queue must be non-negative")
-    if buffer_size <= 0:
-        raise ValueError("buffer size must be positive")
-    if math.isinf(buffer_size):
-        return 0.0
-    return float(min(1.0, queue / buffer_size))
-
-
-def loss_probability(
-    discipline: str,
-    arrival_rate: float,
-    capacity: float,
-    queue: float,
-    buffer_size: float,
-    sharpness: float = smooth.DEFAULT_SHARPNESS,
-    exponent: float = 20.0,
-) -> float:
-    """Dispatch to the loss model of the given queue discipline."""
-    if discipline == "droptail":
-        return droptail_loss(arrival_rate, capacity, queue, buffer_size, sharpness, exponent)
-    if discipline == "red":
-        return red_loss(queue, buffer_size)
-    raise ValueError(f"unknown queue discipline {discipline!r}")
-
-
-def queue_derivative(
-    arrival_rate: float,
-    capacity: float,
-    loss: float,
-    queue: float,
-    buffer_size: float,
-) -> float:
-    """Queue-length derivative (Eq. 2) with reflecting boundaries at 0 and B.
-
-    The queue grows with the *accepted* arrival rate ``(1 - p) * y`` and
-    drains at the link capacity, but can neither become negative nor exceed
-    the buffer size.
-    """
-    if not 0 <= loss <= 1:
-        raise ValueError("loss probability must be in [0, 1]")
-    rate = (1.0 - loss) * arrival_rate - capacity
-    if queue <= 0 and rate < 0:
-        return 0.0
-    if queue >= buffer_size and rate > 0:
-        return 0.0
-    return rate
-
-
-def step_queue(
-    queue: float,
-    arrival_rate: float,
-    capacity: float,
-    loss: float,
-    buffer_size: float,
-    dt: float,
-) -> float:
-    """Advance the queue length by one Euler step, clamped to ``[0, B]``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    derivative = queue_derivative(arrival_rate, capacity, loss, queue, buffer_size)
-    new_queue = queue + dt * derivative
-    if math.isinf(buffer_size):
-        return max(0.0, new_queue)
-    return float(min(buffer_size, max(0.0, new_queue)))
-
-
-# ---------------------------------------------------------------------- #
-# Vectorized variants (one entry per queued link) used by the batched
-# simulator hot loop.  They mirror the scalar functions operation for
-# operation so that both integration paths produce identical traces.
-# ---------------------------------------------------------------------- #
 
 
 def droptail_loss_vec(
@@ -144,7 +35,16 @@ def droptail_loss_vec(
     sharpness: float = smooth.DEFAULT_SHARPNESS,
     exponent: float = 20.0,
 ) -> np.ndarray:
-    """Element-wise :func:`droptail_loss` over all queued links at once."""
+    """Smooth drop-tail loss probability (Eq. 4), element-wise.
+
+    ``p = sigma(y - C) * (1 - C / y) * (q / B)^L`` — loss only when the
+    arrival rate exceeds capacity *and* the queue is close to the buffer
+    limit, in which case the loss equals the relative excess rate.  Zero
+    arrivals and infinite buffers are lossless.
+
+    The sigmoid argument is normalised by the capacity so that the sharpness
+    constant is dimensionless (a 0.5 % rate excess already saturates it).
+    """
     positive = arrival_rate > 0.0
     arrival_safe = np.where(positive, arrival_rate, 1.0)
     gate = smooth.scaled_sigmoid((arrival_rate - capacity) / capacity * sharpness)
@@ -155,7 +55,10 @@ def droptail_loss_vec(
 
 
 def red_loss_vec(queue: np.ndarray, buffer_size: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`red_loss`; infinite buffers yield zero loss."""
+    """Idealised RED loss probability ``p = q / B`` (Eq. 6), element-wise.
+
+    Infinite buffers yield zero loss.
+    """
     return np.where(
         np.isfinite(buffer_size), np.minimum(1.0, queue / buffer_size), 0.0
     )
@@ -169,7 +72,12 @@ def step_queue_vec(
     buffer_size: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Element-wise :func:`step_queue` (Eq. 2 with reflecting boundaries)."""
+    """Advance the queue lengths by one Euler step of Eq. 2, clamped to ``[0, B]``.
+
+    The queue grows with the *accepted* arrival rate ``(1 - p) * y`` and
+    drains at the link capacity; reflecting boundaries keep it from
+    becoming negative or exceeding the buffer size.
+    """
     rate = (1.0 - loss) * arrival_rate - capacity
     rate = np.where((queue <= 0.0) & (rate < 0.0), 0.0, rate)
     rate = np.where((queue >= buffer_size) & (rate > 0.0), 0.0, rate)

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .flow import FlowInputs, FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
+from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
 
 #: Smallest congestion window the fluid model maintains, in packets.  The
@@ -46,28 +46,8 @@ class RenoFluid(FluidCCA):
         state.rate = 0.0
         return state
 
-    def step(self, state: FlowState, inputs: FlowInputs) -> None:
-        if not inputs.active:
-            state.rate = 0.0
-            return
-        w = state.extra["cwnd"]
-        x_delayed = inputs.rate_delayed
-        p = min(1.0, max(0.0, inputs.path_loss))
-        # Eq. (39): additive increase of one packet per acknowledged window,
-        # multiplicative decrease of half the window per lost packet.
-        growth = x_delayed * (1.0 - p) / max(w, MIN_WINDOW_PKTS)
-        decrease = x_delayed * p * w / 2.0
-        w = max(MIN_WINDOW_PKTS, w + inputs.dt * (growth - decrease))
-        state.extra["cwnd"] = w
-        state.rate = w / max(inputs.tau, 1e-9)
-        self.update_inflight(state, inputs)
-
-    # ------------------------------------------------------------------ #
-    # Batched path
-    # ------------------------------------------------------------------ #
-
     def batch_key(self) -> Hashable:
-        # ``step`` reads no instance attributes, so all Reno flows batch
+        # ``step_all`` reads no instance attributes, so all Reno flows batch
         # together regardless of their initial window.
         return ("reno",)
 

@@ -13,38 +13,33 @@ simulator
 5. integrates the link queues (Eq. 2), and
 6. pushes the new samples into the ring-buffer histories.
 
-Because every delay of a scenario is a *constant*, the default
-(``vectorized=True``) pipeline hoists all delay arithmetic out of the loop:
-delays become integer lag tables computed once, per-component ring-buffer
-reads become one batched :meth:`~repro.core.history.VectorHistory.gather`
-per signal per step, the flow→link incidence structure turns Eq. 1 into a
-gather plus one row-wise reduction per distinct segment length (each
-link's row sums its users in flow order) and Eq. 3 into one gather-and-add
-per hop, and the loss/queue updates (Eq. 4/6, Eq. 2) run as single numpy
-expressions over every queued link at once.  Flows advance as
-structure-of-arrays groups through their CCA model's batched ``step_all``,
-one group per ``batch_key`` (every :class:`~repro.core.flow.FluidCCA`
-implements both), so arbitrary heterogeneous mixes step in a handful of
-calls.  A group's CCA state is one ``(rows, n)`` block
-(:class:`~repro.core.flow.FlowStateBatch`), so masking the flows that have
-not started or have departed is one ``np.where`` per group for the block
-and one for the rate.  Every per-flow array is laid out in *group-major
-slots* — each group one contiguous run — so the per-group reads are views,
-and a trace record is one write per block (flows, links, each group's
-traced rows).  The step therefore makes a fixed number of Python-level
-calls whatever the number of flows, links or lockstep scenarios
-(``tests/test_fluid_step_calls.py``).
+Because every delay of a scenario is a *constant*, the integrator hoists
+all delay arithmetic out of the loop: delays become integer lag tables
+computed once, per-component ring-buffer reads become one batched
+:meth:`~repro.core.history.VectorHistory.gather` per signal per step, the
+flow→link incidence structure turns Eq. 1 into a gather plus one row-wise
+reduction per distinct segment length (each link's row sums its users in
+flow order) and Eq. 3 into one gather-and-add per hop, and the loss/queue
+updates (Eq. 4/6, Eq. 2) run as single numpy expressions over every queued
+link at once.  Flows advance as structure-of-arrays groups through their
+CCA model's batched ``step_all``, one group per ``batch_key`` (every
+:class:`~repro.core.flow.FluidCCA` implements both), so arbitrary
+heterogeneous mixes step in a handful of calls.  A group's CCA state is one
+``(rows, n)`` block (:class:`~repro.core.flow.FlowStateBatch`), so masking
+the flows that have not started or have departed is one ``np.where`` per
+group for the block and one for the rate.  Every per-flow array is laid
+out in *group-major slots* — each group one contiguous run — so the
+per-group reads are views, and a trace record is one write per block
+(flows, links, each group's traced rows).  The step therefore makes a
+fixed number of Python-level calls whatever the number of flows, links or
+lockstep scenarios (``tests/test_fluid_step_calls.py``).
 
-The original per-flow/per-link scalar loop is retained behind
-``vectorized=False`` as the numerical reference.  The equivalence tests in
-``tests/test_simulator_vectorized.py`` hold the two paths to 1e-9 on every
-recorded series: on a dumbbell they agree bit for bit, while on multi-hop
-paths they round Eq. 3 differently (the scalar path adds each link's
-delay and queueing delay in turn, the vectorized one adds the summed
-queueing delays to a precomputed propagation constant) and differ in the
-last few ulps.
+The integrator's numbers are pinned by ``tests/golden/fluid_traces.json``:
+per trace a sha256 over every recorded series, compared where the stored
+environment matches, and each series' exact sum, compared at rtol 1e-12
+anywhere.
 
-Both pipelines execute arbitrary multi-bottleneck topologies
+The integrator executes arbitrary multi-bottleneck topologies
 (:class:`~repro.config.TopologyConfig`; parking lots, multi-dumbbells): all
 K queued links integrate their queue/loss state together, per-flow path
 latency sums the per-link queueing delays (Eq. 3), and a flow crossing
@@ -54,7 +49,7 @@ with per-link backward delays (Eq. 7 generalised).
 Eq. 1 was derived for a single bottleneck, where a link's arrival rate is
 the sum of the flows' delayed *sending* rates.  On a multi-hop path that
 overestimates downstream load: traffic reaching link ``l`` has already
-been thinned by every upstream drop.  Both pipelines therefore attenuate
+been thinned by every upstream drop.  The integrator therefore attenuates
 per-link arrivals along the path — the contribution of flow ``i`` to link
 ``l`` is its delayed sending rate run through ``r <- min(r * (1 - p_m),
 C_m)`` for every upstream queued link ``m`` in path order, i.e. multiplied
@@ -82,7 +77,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -91,7 +85,7 @@ from ..config import FlowArrival, ScenarioConfig
 from ..metrics.traces import FlowTrace, LinkTrace, Trace
 from ..obs import TELEMETRY
 from . import queues
-from .flow import FlowInputs, FlowInputsBatch, FluidCCA
+from .flow import FlowInputsBatch, FluidCCA
 from .history import VectorHistory
 from .network import Network, Path
 from .registry import create_model
@@ -101,16 +95,6 @@ from .registry import create_model
 RECORD_INTERVAL_S = 1e-3
 
 
-@dataclass
-class _LinkState:
-    """Mutable per-link state of the scalar reference integrator."""
-
-    queue: float = 0.0
-    loss: float = 0.0
-    arrival: float = 0.0
-    departure: float = 0.0
-
-
 class FluidSimulator:
     """Simulates a :class:`~repro.config.ScenarioConfig` with the fluid model."""
 
@@ -118,7 +102,7 @@ class FluidSimulator:
         self,
         config: ScenarioConfig,
         models: dict[int, FluidCCA] | None = None,
-        vectorized: bool = True,
+        *,
         network: Network | None = None,
         initial_states: list | None = None,
         attenuate_arrivals: bool = True,
@@ -144,7 +128,6 @@ class FluidSimulator:
             raise ValueError("schedule entries must match the flow count")
         self.network = network if network is not None else Network.from_scenario(config)
         self.dt = config.fluid.dt
-        self.vectorized = vectorized
         # Upstream loss/capacity attenuation of per-link arrivals (and the
         # matching effective-bottleneck Eq. 17).  Only multi-hop paths are
         # affected; ``False`` restores the unattenuated Eq.-1 arrivals of
@@ -162,7 +145,7 @@ class FluidSimulator:
                 self.models[i] = create_model(flow_cfg.cca, config.fluid)
         #: Substrate counters of the last completed run (steps, flows,
         #: links, gathers) — the fluid half of the stored ``runtime``
-        #: block.  Populated by both pipelines; empty before any run.
+        #: block; empty before any run.
         self.runtime: dict[str, int] = {}
 
     def _flow_lifetimes(self):
@@ -170,7 +153,7 @@ class FluidSimulator:
 
         Returns ``(start_times, stop_times, flow_sizes, churn)``.  Without a
         schedule — or with a schedule of long-lived flows only — ``churn``
-        is False and the pipelines keep the legacy start-only masking
+        is False and the integrator keeps the legacy start-only masking
         (bit-identical with the pre-schedule integrator).
         """
         entries = self._schedule_entries
@@ -233,22 +216,14 @@ class FluidSimulator:
             "fluid.integrate",
             flows=self.network.num_flows,
             duration_s=self.config.duration_s,
-            vectorized=self.vectorized,
         ):
-            if self.vectorized:
-                trace = self._run_vectorized()
-            else:
-                trace = self._run_scalar()
+            trace = self._run()
         if TELEMETRY.enabled and self.runtime:
             TELEMETRY.count("fluid.steps", self.runtime["steps"])
             TELEMETRY.count("fluid.gathers", self.runtime.get("gathers", 0))
         return trace
 
-    # ------------------------------------------------------------------ #
-    # Vectorized pipeline (default)
-    # ------------------------------------------------------------------ #
-
-    def _run_vectorized(self) -> Trace:
+    def _run(self) -> Trace:
         net = self.network
         cfg = self.config
         dt = self.dt
@@ -548,14 +523,12 @@ class FluidSimulator:
             slots = slice(start, start + len(flow_ids))
             start = slots.stop
             inputs = FlowInputsBatch(
-                t=0.0,
                 dt=dt,
                 tau=latency_const,
                 tau_delayed=latency_const,
                 path_loss=latency_const,
                 delivery_rate=latency_const,
                 rate_delayed=latency_const,
-                propagation_rtt=propagation_rtt[slots],
                 literal_xmax=literal_xmax,
             )
             traced = 1 + len(model.traced)
@@ -694,7 +667,6 @@ class FluidSimulator:
             else:
                 active_all = None if t >= max_start else start_times <= t
             for model, slots, batch, inputs, _, _ in batch_groups:
-                inputs.t = t
                 inputs.tau = latency[slots]
                 inputs.tau_delayed = tau_delayed[slots]
                 inputs.path_loss = p_delayed[slots]
@@ -738,7 +710,7 @@ class FluidSimulator:
                 queue_arr, arrival, link_capacity, loss, link_buffer, dt
             )
 
-            # 6. Push histories (queue post-integration, like the scalar path).
+            # 6. Push histories (the queue after its Eq. 2 step).
             rate_history.advance()[:] = rates_all
             latency_history.advance()[:] = latency
             np.concatenate((arrival, queue_arr, loss), out=link_history.advance())
@@ -797,367 +769,8 @@ class FluidSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    # Scalar reference pipeline (vectorized=False)
-    # ------------------------------------------------------------------ #
-
-    def _run_scalar(self) -> Trace:
-        net = self.network
-        cfg = self.config
-        dt = self.dt
-        num_flows = net.num_flows
-        queued_links = net.queued_link_indices()
-
-        # Per-flow constant bookkeeping.
-        propagation_rtt = np.array(
-            [net.propagation_rtt(i) for i in range(num_flows)], dtype=float
-        )
-        bottleneck_of = [net.bottleneck_of(i) for i in range(num_flows)]
-        backward_delay = np.array(
-            [net.backward_delay(i, bottleneck_of[i]) for i in range(num_flows)]
-        )
-        start_times, stop_times, flow_sizes, churn = self._flow_lifetimes()
-        if churn:
-            delivered_vol = np.zeros(num_flows)
-            completed = np.zeros(num_flows, dtype=bool)
-            end_times = np.full(num_flows, math.nan)
-
-        max_delay = float(np.max(propagation_rtt)) + dt
-        rate_history = VectorHistory(num_flows, dt, max_delay)
-        latency_history = VectorHistory(num_flows, dt, max_delay, initial=propagation_rtt)
-        num_links = net.num_links
-        arrival_history = VectorHistory(num_links, dt, max_delay)
-        queue_history = VectorHistory(num_links, dt, max_delay)
-        loss_history = VectorHistory(num_links, dt, max_delay)
-
-        # Per-flow CCA states.
-        states = self._make_states()
-        link_states = {idx: _LinkState() for idx in queued_links}
-
-        # Trace recording buffers.
-        steps = int(round(cfg.duration_s / dt))
-        record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
-        num_records = steps // record_every + 1
-        rec_time = np.zeros(num_records)
-        rec_rate = np.zeros((num_records, num_flows))
-        rec_delivery = np.zeros((num_records, num_flows))
-        rec_cwnd = np.zeros((num_records, num_flows))
-        rec_inflight = np.zeros((num_records, num_flows))
-        rec_rtt = np.zeros((num_records, num_flows))
-        rec_extras: list[dict[str, np.ndarray]] = [
-            {
-                key: np.zeros(num_records)
-                for key in self.models[i].trace_fields(states[i])
-            }
-            for i in range(num_flows)
-        ]
-        rec_queue = {idx: np.zeros(num_records) for idx in queued_links}
-        rec_loss = {idx: np.zeros(num_records) for idx in queued_links}
-        rec_arrival = {idx: np.zeros(num_records) for idx in queued_links}
-        rec_departure = {idx: np.zeros(num_records) for idx in queued_links}
-        record_index = 0
-
-        users = {idx: net.users(idx) for idx in queued_links}
-        user_forward_delays = {
-            idx: np.array([net.forward_delay(i, idx) for i in users[idx]])
-            for idx in queued_links
-        }
-        # Per-flow queued links on the path (for composed multi-bottleneck
-        # loss) and their backward delays.  Single-queued-link flows keep the
-        # direct bottleneck lookup below, bit-identical with the legacy path.
-        queued_on_path = {
-            i: [idx for idx in net.paths[i].link_indices if net.links[idx].has_queue]
-            for i in range(num_flows)
-        }
-        path_back_delays = {
-            i: [net.backward_delay(i, idx) for idx in queued_on_path[i]]
-            for i in range(num_flows)
-        }
-        path_capacities = {
-            i: [net.links[idx].capacity_pps for idx in queued_on_path[i]]
-            for i in range(num_flows)
-        }
-        # Upstream attenuation terms of Eq. 1 per (link, user) pair: the
-        # queued links m upstream of the link on the user's path, each with
-        # the lag the traffic crossed m (``d^f_{i,l} - d^f_{i,m}``) and its
-        # capacity — the survival/cap recursion mirrors the vectorized
-        # pipeline operation for operation.  First-queued-link pairs carry
-        # no terms, keeping the legacy arithmetic bit-identical.
-        attenuating = self.attenuate_arrivals
-        upstream_terms = {
-            idx: [
-                [
-                    (
-                        m,
-                        net.forward_delay(i, idx) - net.forward_delay(i, m),
-                        net.links[m].capacity_pps,
-                    )
-                    for m in net.upstream_queued_links(i, idx)
-                ]
-                for i in users[idx]
-            ]
-            for idx in queued_links
-        }
-
-        queue_lengths = {idx: 0.0 for idx in queued_links}
-        current_latency = propagation_rtt.copy()
-        delivery_rates = np.zeros(num_flows)
-
-        for step in range(steps + 1):
-            t = step * dt
-
-            # 1. Link arrival rates from delayed sending rates (Eq. 1).
-            for idx in queued_links:
-                link = net.links[idx]
-                flow_ids = users[idx]
-                delayed = np.array(
-                    [
-                        rate_history.at_delay(i, d)
-                        for i, d in zip(flow_ids, user_forward_delays[idx], strict=True)
-                    ]
-                )
-                if attenuating:
-                    for k, terms in enumerate(upstream_terms[idx]):
-                        if not terms:
-                            continue
-                        r = delayed[k]
-                        for m, crossing_delay, cap in terms:
-                            s = 1.0 - loss_history.at_delay(m, crossing_delay)
-                            r = min(r * s, cap)
-                        delayed[k] = r
-                arrival = float(np.sum(delayed))
-                loss = queues.loss_probability(
-                    link.discipline,
-                    arrival,
-                    link.capacity_pps,
-                    queue_lengths[idx],
-                    link.buffer_pkts,
-                    sharpness=cfg.fluid.sigmoid_sharpness,
-                    exponent=cfg.fluid.droptail_exponent,
-                )
-                departure = link.capacity_pps if queue_lengths[idx] > 0 else min(
-                    (1.0 - loss) * arrival, link.capacity_pps
-                )
-                link_states[idx].arrival = arrival
-                link_states[idx].loss = loss
-                link_states[idx].departure = departure
-
-            # 2. Per-flow observations.
-            for i in range(num_flows):
-                current_latency[i] = net.path_latency(i, queue_lengths)
-            for i in range(num_flows):
-                btl = bottleneck_of[i]
-                link = net.links[btl]
-                d_b = backward_delay[i]
-                # Delivery rate of Eq. (17): the flow's delayed sending rate
-                # scaled by its share of the capacity if a queue exists.  The
-                # numerator is read back one extra step so that it samples the
-                # same generation time as the rates inside the delayed arrival
-                # rate; a flow's delivery can never exceed the bottleneck
-                # capacity.
-                own_delayed = rate_history.at_delay(i, propagation_rtt[i] + dt)
-                links_on_path = queued_on_path[i]
-                if len(links_on_path) == 1 or not attenuating:
-                    y_delayed = arrival_history.at_delay(btl, d_b)
-                    q_delayed = queue_history.at_delay(btl, d_b)
-                    saturated = q_delayed > 0 or y_delayed > link.capacity_pps
-                    if saturated and y_delayed > 0:
-                        delivery_rates[i] = min(
-                            own_delayed / y_delayed * link.capacity_pps,
-                            link.capacity_pps,
-                        )
-                    else:
-                        delivery_rates[i] = min(own_delayed, link.capacity_pps)
-                else:
-                    # Effective bottleneck under attenuation: walk the path
-                    # accumulating the exclusive prefix survival S and the
-                    # flow's attenuated contribution (min(r * s, C)
-                    # recursion); the link with the smallest survival-scaled
-                    # capacity C / S is the reference (first on ties), and
-                    # Eq. 17 uses the flow's contribution there as the
-                    # numerator.  Mirrors the vectorized pipeline exactly.
-                    surv_prefix = 1.0
-                    contrib = own_delayed
-                    best_eff = math.inf
-                    best_link = links_on_path[0]
-                    best_back = path_back_delays[i][0]
-                    best_cap = path_capacities[i][0]
-                    best_contrib = contrib
-                    for idx, back, cap in zip(
-                        links_on_path,
-                        path_back_delays[i],
-                        path_capacities[i],
-                        strict=True,
-                    ):
-                        # Zero prefix survival = the link is unreachable
-                        # (everything dropped upstream): effective capacity
-                        # is infinite, mirroring the vectorized pipeline.
-                        eff = cap / surv_prefix if surv_prefix > 0.0 else math.inf
-                        if eff < best_eff:
-                            best_eff = eff
-                            best_link, best_back = idx, back
-                            best_cap, best_contrib = cap, contrib
-                        s = 1.0 - loss_history.at_delay(idx, back)
-                        surv_prefix *= s
-                        contrib = min(contrib * s, cap)
-                    y_delayed = arrival_history.at_delay(best_link, best_back)
-                    q_delayed = queue_history.at_delay(best_link, best_back)
-                    saturated = q_delayed > 0 or y_delayed > best_cap
-                    if saturated and y_delayed > 0:
-                        delivery_rates[i] = min(
-                            best_contrib / y_delayed * best_cap, best_cap
-                        )
-                    else:
-                        delivery_rates[i] = min(best_contrib, best_cap)
-                # Path loss (Eq. 7), observed one backward delay later.  On a
-                # multi-bottleneck path the per-link losses compose as
-                # 1 - prod_l (1 - p_l), each with its own backward delay.
-                if len(links_on_path) == 1:
-                    path_loss = loss_history.at_delay(btl, d_b)
-                else:
-                    survive = 1.0
-                    for idx, back in zip(links_on_path, path_back_delays[i], strict=True):
-                        survive *= 1.0 - loss_history.at_delay(idx, back)
-                    path_loss = 1.0 - survive
-
-                if churn:
-                    active_i = bool(
-                        start_times[i] <= t
-                        and t < stop_times[i]
-                        and not completed[i]
-                    )
-                else:
-                    active_i = t >= start_times[i]
-                inputs = FlowInputs(
-                    t=t,
-                    dt=dt,
-                    tau=current_latency[i],
-                    tau_delayed=latency_history.at_delay(i, propagation_rtt[i]),
-                    path_loss=path_loss,
-                    delivery_rate=delivery_rates[i],
-                    rate_delayed=own_delayed,
-                    propagation_rtt=propagation_rtt[i],
-                    active=active_i,
-                    literal_xmax=cfg.fluid.literal_xmax,
-                )
-                self.models[i].step(states[i], inputs)
-                if churn and active_i:
-                    # Same volume/completion arithmetic (and operation
-                    # order) as the vectorized pipeline, for bit-identity.
-                    delivered_vol[i] += delivery_rates[i] * dt
-                    if not completed[i] and delivered_vol[i] >= flow_sizes[i]:
-                        completed[i] = True
-                        end_times[i] = t
-
-            # 3. Record (before integrating queues so t=0 is captured).
-            if step % record_every == 0 and record_index < num_records:
-                rec_time[record_index] = t
-                for i in range(num_flows):
-                    rec_rate[record_index, i] = states[i].rate
-                    rec_delivery[record_index, i] = delivery_rates[i]
-                    rec_cwnd[record_index, i] = self.models[i].congestion_window(states[i])
-                    rec_inflight[record_index, i] = states[i].inflight
-                    rec_rtt[record_index, i] = current_latency[i]
-                    for key, value in self.models[i].trace_fields(states[i]).items():
-                        if key in rec_extras[i]:
-                            rec_extras[i][key][record_index] = value
-                for idx in queued_links:
-                    rec_queue[idx][record_index] = queue_lengths[idx]
-                    rec_loss[idx][record_index] = link_states[idx].loss
-                    rec_arrival[idx][record_index] = link_states[idx].arrival
-                    rec_departure[idx][record_index] = link_states[idx].departure
-                record_index += 1
-
-            # 4. Integrate the link queues (Eq. 2).
-            for idx in queued_links:
-                link = net.links[idx]
-                queue_lengths[idx] = queues.step_queue(
-                    queue_lengths[idx],
-                    link_states[idx].arrival,
-                    link.capacity_pps,
-                    link_states[idx].loss,
-                    link.buffer_pkts,
-                    dt,
-                )
-                link_states[idx].queue = queue_lengths[idx]
-
-            # 5. Push histories.
-            rate_history.push(np.array([s.rate for s in states]))
-            latency_history.push(current_latency)
-            arrivals = np.zeros(num_links)
-            qs = np.zeros(num_links)
-            losses = np.zeros(num_links)
-            for idx in queued_links:
-                arrivals[idx] = link_states[idx].arrival
-                qs[idx] = queue_lengths[idx]
-                losses[idx] = link_states[idx].loss
-            arrival_history.push(arrivals)
-            queue_history.push(qs)
-            loss_history.push(losses)
-
-        self.runtime = {
-            "steps": steps + 1,
-            "flows": num_flows,
-            "links": len(queued_links),
-        }
-        flow_ends = self._flow_end_list(
-            churn,
-            num_flows,
-            cfg.duration_s,
-            completed if churn else None,
-            end_times if churn else None,
-            stop_times if churn else None,
-        )
-        return self._build_trace(
-            rec_time[:record_index],
-            rec_rate[:record_index],
-            rec_delivery[:record_index],
-            rec_cwnd[:record_index],
-            rec_inflight[:record_index],
-            rec_rtt[:record_index],
-            [{k: v[:record_index] for k, v in extras.items()} for extras in rec_extras],
-            {idx: rec_queue[idx][:record_index] for idx in queued_links},
-            {idx: rec_loss[idx][:record_index] for idx in queued_links},
-            {idx: rec_arrival[idx][:record_index] for idx in queued_links},
-            {idx: rec_departure[idx][:record_index] for idx in queued_links},
-            flow_starts=start_times,
-            flow_ends=flow_ends,
-        )
-
-    # ------------------------------------------------------------------ #
     # Trace assembly
     # ------------------------------------------------------------------ #
-
-    def _build_trace(
-        self,
-        time: np.ndarray,
-        rate: np.ndarray,
-        delivery: np.ndarray,
-        cwnd: np.ndarray,
-        inflight: np.ndarray,
-        rtt: np.ndarray,
-        extras: list[dict[str, np.ndarray]],
-        queue: dict[int, np.ndarray],
-        loss: dict[int, np.ndarray],
-        arrival: dict[int, np.ndarray],
-        departure: dict[int, np.ndarray],
-        flow_starts: np.ndarray | None = None,
-        flow_ends: list[float | None] | None = None,
-    ) -> Trace:
-        flows = [
-            self._flow_trace(
-                i,
-                rate[:, i],
-                delivery[:, i],
-                cwnd[:, i],
-                inflight[:, i],
-                rtt[:, i],
-                extras[i],
-                flow_starts,
-                flow_ends,
-            )
-            for i in range(self.network.num_flows)
-        ]
-        return self._assemble_trace(time, flows, queue, loss, arrival, departure)
 
     def _flow_trace(
         self,
@@ -1210,17 +823,9 @@ class FluidSimulator:
         return Trace(time=time, flows=flows, links=links, substrate="fluid")
 
 
-def simulate(
-    config: ScenarioConfig,
-    vectorized: bool = True,
-    attenuate_arrivals: bool = True,
-) -> Trace:
+def simulate(config: ScenarioConfig, *, attenuate_arrivals: bool = True) -> Trace:
     """Convenience wrapper: build a :class:`FluidSimulator` and run it."""
-    return FluidSimulator(
-        config,
-        vectorized=vectorized,
-        attenuate_arrivals=attenuate_arrivals,
-    ).run()
+    return FluidSimulator(config, attenuate_arrivals=attenuate_arrivals).run()
 
 
 def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
@@ -1232,7 +837,7 @@ def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
     their fluid models can be stacked into a single block-diagonal system:
     one wide flow population, one link set containing every scenario's
     bottleneck, and a flow→link incidence that keeps each scenario on its
-    own links.  Every numpy expression of the vectorized pipeline then
+    own links.  Every numpy expression of the integrator then
     amortises its per-operation overhead over the whole batch, which is
     where the bulk of the sweep speedup comes from on a single core.
 
@@ -1325,7 +930,6 @@ def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
     combined = FluidSimulator(
         merged_config,
         models=models,
-        vectorized=True,
         network=network,
         initial_states=initial_states,
         schedule_entries=combined_entries if any_schedule else None,

@@ -1,16 +1,12 @@
 """Smooth primitives used by the fluid models.
 
-The paper builds its BBR fluid model from a small set of smooth building
-blocks (Section 2 and 3.2):
-
-* a sharp sigmoid ``sigma`` (Eq. 5) used to approximate step functions,
-* a smooth ReLU ``Gamma(v) = v * sigma(v)`` (Eq. 10),
-* a rectangular *pulse* ``Phi`` built from two sigmoids (Eq. 21), used to
-  confine BBRv1's probing/draining pacing gains to one phase of the
-  eight-phase gain cycle.
-
-All functions are vectorised over numpy arrays and guard against overflow
-in ``exp`` for large negative arguments.
+The paper builds its fluid models from a sharp sigmoid ``sigma`` (Eq. 5)
+that approximates step functions: the drop-tail "queue full" gate (Eq. 4),
+BBRv1's probing/draining phase pulse ``Phi`` (Eq. 21, a product of two
+sigmoids) and BBRv2's time, volume and loss gates (Eq. 29/30).  Each caller
+scales the argument by its own sharpness, so this module provides the
+sigmoid of an already-scaled argument, vectorised over numpy arrays and
+guarded against overflow in ``exp`` for large negative arguments.
 """
 
 from __future__ import annotations
@@ -25,82 +21,14 @@ DEFAULT_SHARPNESS: float = 200.0
 _EXP_CLIP: float = 60.0
 
 
-def sigmoid(v: np.ndarray | float, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray | float:
-    """Sharp sigmoid ``1 / (1 + exp(-K v))`` (Eq. 5).
-
-    For ``sharpness -> inf`` this converges to the unit step function; the
-    fluid model uses it to express "if"-like conditions (queue full, timer
-    expired, loss above threshold) in a differentiable way.
-    """
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
-    z = np.clip(np.asarray(v, dtype=float) * sharpness, -_EXP_CLIP, _EXP_CLIP)
-    out = 1.0 / (1.0 + np.exp(-z))
-    if np.isscalar(v):
-        return float(out)
-    return out
-
-
 def scaled_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Sigmoid of an already-scaled argument: ``1 / (1 + exp(-clip(z)))``.
+    """Sharp sigmoid ``1 / (1 + exp(-clip(z)))`` of ``z = K v`` (Eq. 5).
 
-    Hot-path variant of :func:`sigmoid` for the batched fluid models, where
-    the sharpness varies per flow and is multiplied in by the caller.  The
-    clip is spelled as ``minimum(maximum(...))`` (equal results, much lower
-    call overhead than ``np.clip``), so results are bit-identical to
-    ``sigmoid(v, k)`` with ``z = v * k``.
+    For ``K -> inf`` this converges to the unit step function of ``v``; the
+    fluid models use it to express "if"-like conditions (queue full, timer
+    expired, loss above threshold) in a differentiable way.  The clip is
+    spelled as ``minimum(maximum(...))`` (equal results, much lower call
+    overhead than ``np.clip``).
     """
     z = np.minimum(_EXP_CLIP, np.maximum(-_EXP_CLIP, z))
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def smooth_relu(v: np.ndarray | float, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray | float:
-    """Differentiable approximation of ``max(0, v)``: ``Gamma(v) = v * sigma(v)`` (Eq. 10)."""
-    out = np.asarray(v, dtype=float) * sigmoid(v, sharpness)
-    if np.isscalar(v):
-        return float(out)
-    return out
-
-
-def pulse(
-    t: np.ndarray | float,
-    start: float,
-    end: float,
-    sharpness: float = DEFAULT_SHARPNESS,
-) -> np.ndarray | float:
-    """Smooth rectangular pulse that is ~1 for ``start < t < end`` and ~0 outside.
-
-    This is the paper's phase indicator ``Phi_i(t, phi)`` (Eq. 21) with
-    ``start = phi * tau_min`` and ``end = (phi + 1) * tau_min``.
-    """
-    if end < start:
-        raise ValueError("pulse end must not precede its start")
-    out = sigmoid(np.asarray(t, dtype=float) - start, sharpness) * sigmoid(
-        end - np.asarray(t, dtype=float), sharpness
-    )
-    if np.isscalar(t):
-        return float(out)
-    return out
-
-
-def phase_pulse(
-    t_pbw: np.ndarray | float,
-    phase: int,
-    tau_min: float,
-    sharpness: float = DEFAULT_SHARPNESS,
-) -> np.ndarray | float:
-    """BBRv1 phase indicator ``Phi_i(t, phi)`` (Eq. 21).
-
-    Returns ~1 while the ProbeBW period clock ``t_pbw`` lies inside phase
-    ``phase`` of the eight-phase gain cycle (each phase lasts ``tau_min``).
-    """
-    if phase < 0:
-        raise ValueError("phase must be non-negative")
-    if tau_min <= 0:
-        raise ValueError("tau_min must be positive")
-    return pulse(t_pbw, phase * tau_min, (phase + 1) * tau_min, sharpness)
-
-
-def indicator(condition: np.ndarray | float, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray | float:
-    """Alias of :func:`sigmoid` that reads as a smooth indicator of ``condition > 0``."""
-    return sigmoid(condition, sharpness)

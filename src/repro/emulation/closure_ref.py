@@ -12,9 +12,8 @@ two reasons:
 * ``benchmarks/test_perf_emulation.py`` measures the packets/second
   speedup of the rewrite against this reference.
 
-Select it with ``EmulationRunner(config, scheduler="closure")``.  Like the
-``vectorized=False`` scalar loop of the fluid integrator, it intentionally
-retains the pre-change behaviour, including the spurious-RTO accounting
+Select it with ``EmulationRunner(config, scheduler="closure")``.  It
+intentionally retains the pre-change behaviour, including the spurious-RTO accounting
 bug and the stale RED idle average fixed in the live classes.
 """
 

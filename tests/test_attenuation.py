@@ -2,15 +2,14 @@
 
 The paper's Eq. 1 feeds every link the flows' delayed *sending* rates —
 correct on a single bottleneck, an overestimate downstream of a lossy hop.
-The corrected pipelines attenuate the per-link arrivals along each flow's
+The integrator attenuates the per-link arrivals along each flow's
 path (survival product over upstream links, capped by the smallest upstream
 delivered capacity) and take Eq. 17 at the *effective* (survival-scaled)
 bottleneck.  These tests pin:
 
 * bit-identity where attenuation must be a no-op — one-hop scenarios and
   loss-free multi-hop scenarios whose rates stay below every upstream
-  capacity — in both the vectorized and scalar pipelines,
-* exact scalar/vectorized equivalence in heavy-loss multi-hop regimes,
+  capacity,
 * the physical invariants (downstream arrivals thinned by upstream loss,
   capped by upstream capacity), and
 * the headline acceptance criterion: on a heavy-loss heterogeneous 3-hop
@@ -73,18 +72,21 @@ def trace_pairs_equal(a, b) -> None:
 class TestBitIdentityRegressions:
     """Attenuation must be a no-op exactly where the model says it is."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_one_hop_unchanged_by_attenuation(self, vectorized):
+    @pytest.mark.parametrize("discipline", ["droptail", "red"])
+    def test_one_hop_unchanged_by_attenuation(self, discipline):
         config = dumbbell_scenario(
-            ["bbr1", "reno", "cubic", "bbr2"], duration_s=0.5, fluid=FAST
+            ["bbr1", "reno", "cubic", "bbr2"],
+            discipline=discipline,
+            duration_s=0.5,
+            fluid=FAST,
         )
-        a = simulate(config, vectorized=vectorized)
-        b = simulate(config, vectorized=vectorized, attenuate_arrivals=False)
+        a = simulate(config)
+        b = simulate(config, attenuate_arrivals=False)
         trace_pairs_equal(a, b)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_one_hop_topology_unchanged_by_attenuation(self, vectorized):
-        topo = topology.dumbbell(3)
+    @pytest.mark.parametrize("discipline", ["droptail", "red"])
+    def test_one_hop_topology_unchanged_by_attenuation(self, discipline):
+        topo = topology.dumbbell(3, discipline=discipline)
         config = ScenarioConfig(
             bottleneck=None,
             flows=tuple(FlowConfig(cca=c) for c in ("bbr1", "reno", "cubic")),
@@ -92,12 +94,11 @@ class TestBitIdentityRegressions:
             fluid=FAST,
             topology=topo,
         )
-        a = simulate(config, vectorized=vectorized)
-        b = simulate(config, vectorized=vectorized, attenuate_arrivals=False)
+        a = simulate(config)
+        b = simulate(config, attenuate_arrivals=False)
         trace_pairs_equal(a, b)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_lossfree_multihop_unchanged_by_attenuation(self, vectorized):
+    def test_lossfree_multihop_unchanged_by_attenuation(self):
         # Loss-based CCAs ramping from small windows over a deep-buffered
         # chain: zero loss everywhere and rates below every upstream
         # capacity, so both the survival product and the capacity cap are
@@ -113,32 +114,13 @@ class TestBitIdentityRegressions:
         config = ScenarioConfig(
             bottleneck=None, flows=flows, duration_s=0.5, fluid=FAST, topology=topo
         )
-        a = simulate(config, vectorized=vectorized)
-        b = simulate(config, vectorized=vectorized, attenuate_arrivals=False)
+        a = simulate(config)
+        b = simulate(config, attenuate_arrivals=False)
         assert max(float(link.loss_prob.max()) for link in a.links) == 0.0
         trace_pairs_equal(a, b)
 
 
 class TestAttenuatedPipelines:
-    def test_scalar_matches_vectorized_heavy_loss(self):
-        config = heavy_loss_lot(duration_s=0.75)
-        a = simulate(config)
-        b = simulate(config, vectorized=False)
-        for fa, fb in zip(a.flows, b.flows, strict=True):
-            np.testing.assert_allclose(fa.rate, fb.rate, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(
-                fa.delivery_rate, fb.delivery_rate, rtol=1e-9, atol=1e-9
-            )
-            np.testing.assert_allclose(fa.rtt, fb.rtt, rtol=1e-9, atol=1e-9)
-        for la, lb in zip(a.links, b.links, strict=True):
-            np.testing.assert_allclose(la.queue, lb.queue, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(
-                la.arrival_rate, lb.arrival_rate, rtol=1e-9, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                la.loss_prob, lb.loss_prob, rtol=1e-9, atol=1e-9
-            )
-
     def test_simulate_many_lockstep_with_attenuation(self):
         config = heavy_loss_lot(duration_s=0.5)
         deep = config.with_buffer(2.0)
@@ -185,13 +167,11 @@ class TestAttenuatedPipelines:
                 unatt.links[hop].arrival_rate.mean()
             )
 
-    def test_total_upstream_loss_does_not_crash_either_pipeline(self):
+    def test_total_upstream_loss_does_not_crash(self):
         # Regression: a saturated RED queue reaches loss == 1.0, zeroing
-        # the downstream survival prefix.  The scalar walk used to raise
-        # ZeroDivisionError on `C / S` (and the vectorized pipeline emitted
-        # inf with a RuntimeWarning); both must now treat the unreachable
-        # links as infinite effective capacity and stay finite — and stay
-        # in lockstep with each other.
+        # the downstream survival prefix.  `C / S` used to emit inf with a
+        # RuntimeWarning; the unreachable links must count as infinite
+        # effective capacity and every rate must stay finite.
         config = parking_lot_scenario(
             "BBRv1/CUBIC",
             hops=3,
@@ -207,15 +187,11 @@ class TestAttenuatedPipelines:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            a = simulate(config)
-            b = simulate(config, vectorized=False)
-        assert max(float(link.loss_prob.max()) for link in a.links) == 1.0
-        for trace in (a, b):
-            for flow in trace.flows:
-                assert np.all(np.isfinite(flow.rate))
-                assert np.all(np.isfinite(flow.delivery_rate))
-        for fa, fb in zip(a.flows, b.flows, strict=True):
-            np.testing.assert_allclose(fa.rate, fb.rate, rtol=1e-9, atol=1e-9)
+            trace = simulate(config)
+        assert max(float(link.loss_prob.max()) for link in trace.links) == 1.0
+        for flow in trace.flows:
+            assert np.all(np.isfinite(flow.rate))
+            assert np.all(np.isfinite(flow.delivery_rate))
 
     def test_downstream_arrival_capped_by_upstream_capacity(self):
         # No loss anywhere (huge buffers), but BBR probes 25 % above the

@@ -51,18 +51,6 @@ def _trace_digest(trace) -> str:
 class TestBackwardIdentity:
     """Schedule-free configs stay on their historical trajectories."""
 
-    def test_fluid_pipelines_bit_identical_without_schedule(self):
-        # Homogeneous mix: scalar and vectorized pipelines are bitwise
-        # comparable there (mixed-CCA bit equality is a separate, pre-
-        # existing non-goal of the vectorized pipeline).
-        config = dumbbell_scenario(
-            ["bbr1", "bbr1"], buffer_bdp=1.0, duration_s=1.5, fluid=FLUID
-        )
-        assert config.schedule is None
-        scalar = simulate(config)
-        vectorized = simulate(config, vectorized=True)
-        assert _trace_digest(scalar) == _trace_digest(vectorized)
-
     def test_noop_staggered_schedule_matches_scheduleless_fluid(self):
         # An all-flows-at-t0, infinite-size schedule is the schedule-free
         # workload; the masked integrator must reproduce it bit-for-bit.
@@ -73,10 +61,7 @@ class TestBackwardIdentity:
             base,
             schedule=FlowSchedule(arrivals="staggered", arrival_spacing_s=0.0),
         )
-        for vectorized in (False, True):
-            assert _trace_digest(
-                simulate(base, vectorized=vectorized)
-            ) == _trace_digest(simulate(noop, vectorized=vectorized))
+        assert _trace_digest(simulate(base)) == _trace_digest(simulate(noop))
 
     def test_emulator_schedulers_count_identical_without_schedule(self):
         config = dumbbell_scenario(["bbr1", "reno"], buffer_bdp=1.0, duration_s=1.5)

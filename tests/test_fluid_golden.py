@@ -21,12 +21,16 @@ arrival, departure), plus the exact sum of each of those series.
 A lockstep trace is checked against the same scenario run alone by exact
 digest equality, since both runs happen on the same machine.
 
-The cases cover the vectorized integrator's code paths at 0.3 s:
+The cases cover the integrator's code paths, at 0.3 s unless noted:
 
 * every scenario run alone on the matrix {BBRv1, BBRv2, CUBIC, RENO and
   the five two-CCA paper mixes} x {droptail, RED} x {dumbbell, 3-hop
   parking lot} x {static population, churn}, plus two 4-hop parking lots
   (a long flow's Eq. 3 queueing delay adds four hops in link order);
+* four scenarios run alone outside the matrix (:data:`EXTRA`, 0.75-1.5 s):
+  flows that start late without a schedule, a heavy-loss heterogeneous
+  parking lot whose upstream capacity cap binds, the literal Eq. 18
+  ``x_max`` of a BBRv1/BBRv2 mix, and a one-flow dumbbell;
 * the 28-point paper grid (seven mixes x buffers {1, 4} x {droptail, RED})
   as one :func:`simulate_many` lockstep batch;
 * the whole alone matrix as one lockstep batch, checked against the alone
@@ -52,7 +56,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import FlowSchedule, ScenarioConfig
+from repro.config import (
+    FlowConfig,
+    FlowSchedule,
+    FluidParams,
+    ScenarioConfig,
+    dumbbell_scenario,
+)
 from repro.core import simulate, simulate_many
 from repro.experiments import scenarios
 from repro.experiments.grid import GridSpec
@@ -60,9 +70,8 @@ from repro.metrics.traces import Trace
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "fluid_traces.json"
 DURATION_S = 0.3
-#: Tolerance of the per-series sums.  The scalar integrator
-#: (``vectorized=False``), which rounds differently (``math.exp``, its own
-#: summation order), agrees with the sums of every case to within 1e-14.
+#: Tolerance of the per-series sums.  An integrator that rounds differently
+#: (``math.exp``, another summation order) strays from them by ~1e-14.
 RTOL, ATOL = 1e-12, 1e-12
 
 #: Single-CCA populations plus the five two-CCA mixes of the paper.
@@ -139,6 +148,64 @@ CASES = [
     ("parking-lot-4", "BBRv2/RENO", "red", True),
 ]
 MATRIX = {case_name(*case): case for case in CASES}
+
+
+def staggered_starts() -> ScenarioConfig:
+    """Two of three flows start late, without a flow schedule.
+
+    The start-only masks apply until the last start, then the step runs
+    unmasked.
+    """
+    fluid = FluidParams(dt=2.5e-4)
+    base = dumbbell_scenario(["reno", "bbr1", "cubic"], duration_s=1.5, fluid=fluid)
+    flows = (
+        base.flows[0],
+        FlowConfig(cca="bbr1", access_delay_s=0.006, start_time_s=0.5),
+        FlowConfig(cca="cubic", access_delay_s=0.007, start_time_s=0.9),
+    )
+    return ScenarioConfig(
+        bottleneck=base.bottleneck, flows=flows, duration_s=1.5, fluid=fluid
+    )
+
+
+def heavy_loss_lot() -> ScenarioConfig:
+    """Half-capacity first hop, small RED buffers: >50 % loss on hop 1.
+
+    The long flows' traffic reaching hops 2 and 3 is thinned by hop 1's
+    loss and capped by its capacity.
+    """
+    return scenarios.parking_lot_scenario(
+        "BBRv1",
+        hops=3,
+        cross_flows=1,
+        capacity_mbps=(50.0, 100.0, 100.0),
+        buffer_bdp=0.5,
+        discipline="red",
+        duration_s=0.75,
+        seed=1,
+    )
+
+
+def literal_xmax_mix() -> ScenarioConfig:
+    """BBRv1/BBRv2 tracking the max sending rate (literal Eq. 18)."""
+    config = scenarios.aggregate_scenario("BBRv1/BBRv2", 1.0, "droptail", duration_s=1.0)
+    return dataclasses.replace(
+        config, fluid=dataclasses.replace(config.fluid, literal_xmax=True)
+    )
+
+
+def one_flow() -> ScenarioConfig:
+    """A single BBRv1 flow: every link sum and group has one member."""
+    return dumbbell_scenario(["bbr1"], duration_s=1.0, fluid=FluidParams(dt=2.5e-4))
+
+
+#: Scenarios outside the matrix, run alone.
+EXTRA = {
+    "dumbbell-staggered|RENO/BBRv1/CUBIC|droptail|static": staggered_starts,
+    "parking-lot-heavy-loss|BBRv1|red|static": heavy_loss_lot,
+    "dumbbell-literal-xmax|BBRv1/BBRv2|droptail|static": literal_xmax_mix,
+    "dumbbell-one-flow|BBRv1|droptail|static": one_flow,
+}
 PAPER_POINTS = {
     f"lockstep|{point.mix}|{point.buffer_bdp:g}|{point.discipline}": point
     for point in PAPER_GRID.points()
@@ -206,8 +273,16 @@ def paper_batch_summaries() -> dict[str, dict]:
     }
 
 
+def alone_config(name: str) -> ScenarioConfig:
+    return matrix_config(*MATRIX[name]) if name in MATRIX else EXTRA[name]()
+
+
+def alone_summaries() -> dict[str, dict]:
+    return {name: summary(simulate(alone_config(name))) for name in [*MATRIX, *EXTRA]}
+
+
 def compute_all() -> dict[str, dict]:
-    cases = {name: summary(simulate(matrix_config(*case))) for name, case in MATRIX.items()}
+    cases = alone_summaries()
     cases.update(paper_batch_summaries())
     return cases
 
@@ -219,11 +294,11 @@ def golden() -> dict:
 
 @pytest.fixture(scope="module")
 def alone() -> dict[str, dict]:
-    return {name: summary(simulate(matrix_config(*case))) for name, case in MATRIX.items()}
+    return alone_summaries()
 
 
 def test_golden_holds_every_case(golden):
-    assert sorted(golden["cases"]) == sorted([*MATRIX, *PAPER_POINTS])
+    assert sorted(golden["cases"]) == sorted([*MATRIX, *EXTRA, *PAPER_POINTS])
 
 
 def test_digests_apply_here(golden):
@@ -236,7 +311,7 @@ def test_digests_apply_here(golden):
         pytest.skip(f"digests were made elsewhere, sums checked at rtol {RTOL}: {differ}")
 
 
-@pytest.mark.parametrize("name", sorted(MATRIX))
+@pytest.mark.parametrize("name", sorted([*MATRIX, *EXTRA]))
 def test_alone_trace_matches_golden(name, alone, golden):
     check(name, alone[name], golden)
 
@@ -255,13 +330,13 @@ def test_matrix_as_one_lockstep_batch_equals_alone(alone):
         assert trace_digest(trace) == alone[name]["sha256"], name
 
 
-def test_one_ulp_changes_the_digest(alone):
-    name = "parking-lot|BBRv1/RENO|red|churn"
-    trace = simulate(matrix_config(*MATRIX[name]))
+@pytest.mark.parametrize("name", ["parking-lot|BBRv1/RENO|red|churn", *EXTRA])
+def test_one_ulp_changes_the_digest(name, alone):
+    trace = simulate(alone_config(name))
     expected = alone[name]["sha256"]
     assert trace_digest(trace) == expected
     flow = trace.flows[-1]
-    for series in (flow.rate, flow.extras["cwnd"], trace.links[1].queue):
+    for series in (flow.rate, flow.extras["cwnd"], trace.links[-1].queue):
         k = len(series) // 2
         value = series[k]
         series[k] = np.nextafter(value, np.inf)
@@ -281,12 +356,14 @@ def test_sums_catch_a_swapped_flow(alone, golden):
 
 
 def test_sums_tolerate_another_rounding(golden):
-    # The case where the scalar integrator strays furthest from these sums.
+    # Every series 1e-14 off, the spread a scalar per-flow integrator
+    # (``math.exp``, its own summation order) showed on this case, its
+    # worst: the sums still hold.
     name = "parking-lot|BBRv1/RENO|droptail|churn"
-    trace = simulate(matrix_config(*MATRIX[name]), vectorized=False)
-    np.testing.assert_allclose(
-        summary(trace)["sums"], golden["cases"][name]["sums"], rtol=RTOL, atol=ATOL
-    )
+    trace = simulate(matrix_config(*MATRIX[name]))
+    sums = [math.fsum(values * (1.0 + 1e-14)) for _, values in recorded_series(trace)]
+    assert sums != golden["cases"][name]["sums"]
+    np.testing.assert_allclose(sums, golden["cases"][name]["sums"], rtol=RTOL, atol=ATOL)
 
 
 if __name__ == "__main__":

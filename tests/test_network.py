@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import dumbbell_scenario
+from repro.core import simulate
 from repro.core.network import Link, Network, Path
 
 
@@ -28,12 +30,18 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(capacity_pps=100.0, delay_s=0.01, buffer_pkts=0.0)
 
+    def test_unknown_discipline_rejected(self):
+        # The integrator knows drop-tail and RED only; any other name would
+        # otherwise be integrated as RED.
+        with pytest.raises(ValueError, match="codel"):
+            Link(capacity_pps=100.0, delay_s=0.01, buffer_pkts=10.0, discipline="codel")
+
 
 class TestDumbbell:
     def test_structure(self):
         net = simple_dumbbell(4)
         # One bottleneck plus one access link per sender.
-        assert net.num_links == 5
+        assert len(net.links) == 5
         assert net.num_flows == 4
         assert net.queued_link_indices() == [0]
         assert net.users(0) == [0, 1, 2, 3]
@@ -57,15 +65,18 @@ class TestDumbbell:
             assert total == pytest.approx(net.propagation_rtt(flow), abs=1e-12)
 
     def test_path_latency_includes_queueing(self):
-        net = simple_dumbbell(1)
-        base = net.path_latency(0, {0: 0.0})
-        loaded = net.path_latency(0, {0: 100.0})
-        assert loaded == pytest.approx(base + 100.0 / net.links[0].capacity_pps)
-
-    def test_bdp_positive(self):
-        net = simple_dumbbell(2)
-        for flow in range(2):
-            assert net.bdp_packets(flow) > 0
+        # Eq. 3: the recorded RTT is the propagation RTT plus the
+        # bottleneck's queueing delay at the same instant.
+        config = dumbbell_scenario(["bbr1"], rtt_range_s=(0.030, 0.030), duration_s=0.5)
+        net = Network.from_scenario(config)
+        trace = simulate(config)
+        queue = trace.links[0].queue
+        assert queue.max() > 0.0
+        np.testing.assert_allclose(
+            trace.flows[0].rtt,
+            net.propagation_rtt(0) + queue / net.links[0].capacity_pps,
+            rtol=1e-12,
+        )
 
     def test_unknown_link_in_forward_delay(self):
         net = simple_dumbbell(1)

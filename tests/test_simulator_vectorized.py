@@ -1,11 +1,9 @@
-"""Equivalence tests: vectorized vs. scalar method-of-steps integration.
+"""Tests of the batched CCA groups and the lockstep batches of the integrator.
 
-The vectorized pipeline (batched history gathers, incidence-matrix link
-updates, ``step_all`` CCA groups) must reproduce the scalar reference loop
-to within 1e-9 on every recorded series — in practice the two paths execute
-the same floating-point operations and agree to the last bit on most
-scenarios.  A scenario in a :func:`simulate_many` lockstep batch must
-reproduce its run alone exactly, bit for bit.
+Every model steps its flows as one group through ``step_all`` on one state
+block.  A scenario in a :func:`simulate_many` lockstep batch must reproduce
+its run alone exactly, bit for bit.  The numbers themselves are pinned by
+``tests/golden/fluid_traces.json`` (``tests/test_fluid_golden.py``).
 """
 
 from __future__ import annotations
@@ -38,31 +36,6 @@ FAST = FluidParams(dt=2.5e-4)
 
 FLOW_SERIES = ("rate", "delivery_rate", "cwnd", "inflight", "rtt")
 LINK_SERIES = ("queue", "loss_prob", "arrival_rate", "departure_rate")
-
-
-def assert_traces_match(a, b, rtol=1e-9, atol=1e-9):
-    np.testing.assert_allclose(a.time, b.time, rtol=rtol, atol=atol)
-    assert len(a.flows) == len(b.flows)
-    for fa, fb in zip(a.flows, b.flows, strict=True):
-        assert fa.cca == fb.cca
-        for name in FLOW_SERIES:
-            np.testing.assert_allclose(
-                getattr(fa, name), getattr(fb, name), rtol=rtol, atol=atol,
-                err_msg=f"flow series {name!r} diverged",
-            )
-        assert set(fa.extras) == set(fb.extras)
-        for key in fa.extras:
-            np.testing.assert_allclose(
-                fa.extras[key], fb.extras[key], rtol=rtol, atol=atol,
-                err_msg=f"extras {key!r} diverged",
-            )
-    assert len(a.links) == len(b.links)
-    for la, lb in zip(a.links, b.links, strict=True):
-        for name in LINK_SERIES:
-            np.testing.assert_allclose(
-                getattr(la, name), getattr(lb, name), rtol=rtol, atol=atol,
-                err_msg=f"link series {name!r} diverged",
-            )
 
 
 def assert_traces_equal(a, b):
@@ -99,51 +72,90 @@ def assert_lockstep_equals_alone(configs):
         assert_traces_equal(simulate(config), trace)
 
 
-def run_both(ccas, duration_s=1.0, **kwargs):
-    config = dumbbell_scenario(ccas, duration_s=duration_s, fluid=FAST, **kwargs)
-    scalar = simulate(config, vectorized=False)
-    vectorized = simulate(config, vectorized=True)
-    return scalar, vectorized
+def staggered_starts():
+    """Two of three flows start late, without a flow schedule."""
+    base = dumbbell_scenario(["reno", "bbr1", "cubic"], duration_s=1.5, fluid=FAST)
+    flows = (
+        base.flows[0],
+        FlowConfig(cca="bbr1", access_delay_s=0.006, start_time_s=0.5),
+        FlowConfig(cca="cubic", access_delay_s=0.007, start_time_s=0.9),
+    )
+    return ScenarioConfig(
+        bottleneck=base.bottleneck, flows=flows, duration_s=1.5, fluid=FAST
+    )
 
 
-class TestScalarVectorizedEquivalence:
-    def test_reno_homogeneous(self):
-        assert_traces_match(*run_both(["reno"] * 4))
+#: Scenarios whose traces must keep the physical invariants of the model.
+INVARIANT_SCENARIOS = {
+    "reno_homogeneous": lambda: dumbbell_scenario(["reno"] * 4, duration_s=1.0, fluid=FAST),
+    "cubic_homogeneous": lambda: dumbbell_scenario(["cubic"] * 4, duration_s=1.0, fluid=FAST),
+    "bbr1_homogeneous": lambda: dumbbell_scenario(["bbr1"] * 4, duration_s=1.0, fluid=FAST),
+    "bbr2_homogeneous": lambda: dumbbell_scenario(["bbr2"] * 4, duration_s=1.0, fluid=FAST),
+    "mixed_all_ccas": lambda: dumbbell_scenario(
+        ["bbr1", "bbr2", "reno", "cubic", "reno"], duration_s=1.0, fluid=FAST
+    ),
+    "mixed_bbr_red": lambda: dumbbell_scenario(
+        ["bbr1", "bbr1", "reno", "bbr2"], duration_s=1.0, fluid=FAST, discipline="red"
+    ),
+    "single_flow": lambda: dumbbell_scenario(["bbr1"], duration_s=1.0, fluid=FAST),
+    "staggered_start_times": staggered_starts,
+    "parking_lot_red": lambda: scenarios.parking_lot_scenario(
+        "BBRv1/CUBIC", hops=3, discipline="red", duration_s=0.5
+    ),
+    "parking_lot_4_hops": lambda: scenarios.parking_lot_scenario(
+        "BBRv2/RENO", hops=4, cross_flows=2, buffer_bdp=4.0, duration_s=0.5
+    ),
+    "literal_xmax_mix": lambda: dumbbell_scenario(
+        ["bbr1", "bbr2", "bbr1", "bbr2"],
+        duration_s=1.0,
+        fluid=dataclasses.replace(FAST, literal_xmax=True),
+    ),
+    "parking_lot_heavy_loss": lambda: scenarios.parking_lot_scenario(
+        "BBRv1",
+        hops=3,
+        cross_flows=1,
+        capacity_mbps=(50.0, 100.0, 100.0),
+        buffer_bdp=0.5,
+        discipline="red",
+        duration_s=0.5,
+        seed=1,
+    ),
+}
 
-    def test_cubic_homogeneous(self):
-        assert_traces_match(*run_both(["cubic"] * 4))
 
-    def test_bbr1_homogeneous(self):
-        assert_traces_match(*run_both(["bbr1"] * 4))
+class TestTraceInvariants:
+    """Every recorded series stays inside the model's physical bounds."""
 
-    def test_bbr2_homogeneous(self):
-        assert_traces_match(*run_both(["bbr2"] * 4))
+    @pytest.mark.parametrize("name", sorted(INVARIANT_SCENARIOS))
+    def test_trace_keeps_physical_bounds(self, name):
+        config = INVARIANT_SCENARIOS[name]()
+        network = Network.from_scenario(config)
+        trace = simulate(config)
+        for index, flow in enumerate(trace.flows):
+            recorded = [getattr(flow, key) for key in FLOW_SERIES]
+            assert all(np.all(np.isfinite(s)) for s in [*recorded, *flow.extras.values()])
+            for series in (flow.rate, flow.delivery_rate, flow.cwnd, flow.inflight):
+                assert np.all(series >= 0.0), index
+            # Eq. 3: the RTT is the propagation RTT plus non-negative queueing.
+            assert np.all(flow.rtt >= network.propagation_rtt(index) * (1.0 - 1e-12))
+            # A flow is silent before its start time.
+            assert np.all(flow.rate[trace.time < flow.start_time_s] == 0.0), index
+            assert flow.rate.max() > 0.0, index
+        for link in trace.links:
+            assert all(np.all(np.isfinite(getattr(link, key))) for key in LINK_SERIES)
+            assert np.all(link.queue >= 0.0)
+            assert np.all(link.queue <= link.buffer_pkts * (1.0 + 1e-12))
+            assert np.all((link.loss_prob >= 0.0) & (link.loss_prob <= 1.0))
+            assert np.all(link.arrival_rate >= 0.0)
+            assert np.all(link.departure_rate <= link.capacity_pps * (1.0 + 1e-12))
 
-    def test_mixed_all_ccas(self):
-        assert_traces_match(*run_both(["bbr1", "bbr2", "reno", "cubic", "reno"]))
-
-    def test_mixed_bbr_scenario_red(self):
-        assert_traces_match(*run_both(["bbr1", "bbr1", "reno", "bbr2"], discipline="red"))
-
-    def test_single_flow(self):
-        assert_traces_match(*run_both(["bbr1"]))
-
-    def test_staggered_start_times(self):
-        base = dumbbell_scenario(["reno", "bbr1", "cubic"], duration_s=1.5, fluid=FAST)
-        flows = (
-            base.flows[0],
-            FlowConfig(cca="bbr1", access_delay_s=0.006, start_time_s=0.5),
-            FlowConfig(cca="cubic", access_delay_s=0.007, start_time_s=0.9),
-        )
-        config = ScenarioConfig(
-            bottleneck=base.bottleneck, flows=flows, duration_s=1.5, fluid=FAST
-        )
-        scalar = simulate(config, vectorized=False)
-        vectorized = simulate(config, vectorized=True)
-        assert_traces_match(scalar, vectorized)
-        # Late flows must be silent before their start time on both paths.
-        early = vectorized.time < 0.45
-        assert np.all(vectorized.flows[1].rate[early] == 0.0)
+    def test_late_flows_start_on_time(self):
+        config = staggered_starts()
+        trace = simulate(config)
+        assert [flow.start_time_s for flow in trace.flows] == [0.0, 0.5, 0.9]
+        for flow in trace.flows:
+            started = trace.time >= flow.start_time_s + 0.05
+            assert np.all(flow.rate[started] > 0.0)
 
 
 class _TunedReno(RenoFluid):
@@ -151,7 +163,7 @@ class _TunedReno(RenoFluid):
 
 
 class TestBatchedModels:
-    """Every model runs batched: the vectorized run has no per-flow fallback."""
+    """Every model runs batched: a run has no per-flow fallback."""
 
     @pytest.mark.parametrize("name", available_ccas())
     def test_registered_model_batches(self, name):
@@ -162,8 +174,7 @@ class TestBatchedModels:
 
     @pytest.mark.parametrize("name", available_ccas())
     def test_state_block_follows_the_declaration(self, name):
-        # make_batch packs each state's fields in declared row order, and
-        # the batched trace hooks read back what the scalar ones return.
+        # make_batch packs each state's fields in declared row order.
         model = create_model(name)
         config = dumbbell_scenario([name] * 3, fluid=FAST)
         network = Network.from_scenario(config)
@@ -173,14 +184,9 @@ class TestBatchedModels:
         batch = model.make_batch(states)
         assert batch.block.shape == (1 + len(model.traced) + len(model.untraced), 3)
         np.testing.assert_array_equal(batch.block[0], [0.0, 10.0, 20.0])
-        np.testing.assert_array_equal(
-            model.congestion_window_all(batch),
-            [model.congestion_window(state) for state in states],
-        )
-        fields = model.trace_fields_all(batch)
-        assert list(fields) == list(model.trace_fields(states[0])) == list(model.traced)
-        for key, row in fields.items():
-            np.testing.assert_array_equal(row, [s.extra[key] for s in states])
+        assert "cwnd" in model.traced
+        for row, key in enumerate((*model.traced, *model.untraced), start=1):
+            np.testing.assert_array_equal(batch.block[row], [s.extra[key] for s in states])
 
     @pytest.mark.parametrize("name", available_ccas())
     def test_undeclared_state_field_is_refused(self, name):
@@ -198,21 +204,19 @@ class TestBatchedModels:
         assert soft.batch_key() != create_model("bbr1").batch_key()
 
     def test_model_without_batched_path_is_abstract(self):
-        class ScalarOnly(FluidCCA):
+        class NoDynamics(FluidCCA):
             def initial_state(self, flow_index, num_flows, network, params):
                 raise NotImplementedError
 
-            def step(self, state, inputs):
-                raise NotImplementedError
-
         with pytest.raises(TypeError, match="batch_key"):
-            ScalarOnly()
+            NoDynamics()
 
     def test_custom_model_in_vectorized_run(self):
+        # The subclass shares Reno's batch key, so it joins the Reno group
+        # and the run is the plain-Reno run, bit for bit.
         config = dumbbell_scenario(["reno", "reno", "bbr1"], duration_s=1.0, fluid=FAST)
-        scalar = FluidSimulator(config, models={0: _TunedReno()}, vectorized=False).run()
-        vectorized = FluidSimulator(config, models={0: _TunedReno()}, vectorized=True).run()
-        assert_traces_match(scalar, vectorized)
+        tuned = FluidSimulator(config, models={0: _TunedReno()}).run()
+        assert_traces_equal(tuned, simulate(config))
 
 
 class TestSimulateMany:

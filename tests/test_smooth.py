@@ -1,4 +1,4 @@
-"""Tests and properties of the smooth primitives (sigmoid, Gamma, pulses)."""
+"""Tests and properties of the sharp sigmoid of Eq. 5."""
 
 from __future__ import annotations
 
@@ -10,108 +10,40 @@ from hypothesis import strategies as st
 from repro.core import smooth
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+K = smooth.DEFAULT_SHARPNESS
 
 
-class TestSigmoid:
+def sigmoid(v, sharpness=K):
+    return float(smooth.scaled_sigmoid(np.asarray(v * sharpness, dtype=float)))
+
+
+class TestScaledSigmoid:
     def test_midpoint(self):
-        assert smooth.sigmoid(0.0) == pytest.approx(0.5)
+        assert sigmoid(0.0) == pytest.approx(0.5)
 
     def test_saturation(self):
-        assert smooth.sigmoid(1.0) == pytest.approx(1.0, abs=1e-6)
-        assert smooth.sigmoid(-1.0) == pytest.approx(0.0, abs=1e-6)
+        assert sigmoid(1.0) == pytest.approx(1.0, abs=1e-6)
+        assert sigmoid(-1.0) == pytest.approx(0.0, abs=1e-6)
 
     def test_sharpness_controls_width(self):
-        soft = smooth.sigmoid(0.01, sharpness=10)
-        sharp = smooth.sigmoid(0.01, sharpness=1000)
+        soft = sigmoid(0.01, sharpness=10)
+        sharp = sigmoid(0.01, sharpness=1000)
         assert sharp > soft
 
     def test_vectorised(self):
-        values = smooth.sigmoid(np.array([-1.0, 0.0, 1.0]))
+        values = smooth.scaled_sigmoid(np.array([-1.0, 0.0, 1.0]) * K)
         assert values.shape == (3,)
         assert np.all(np.diff(values) > 0)
 
-    def test_invalid_sharpness(self):
-        with pytest.raises(ValueError):
-            smooth.sigmoid(0.0, sharpness=0.0)
-
     def test_no_overflow_for_large_arguments(self):
-        assert smooth.sigmoid(1e9) == pytest.approx(1.0)
-        assert smooth.sigmoid(-1e9) == pytest.approx(0.0)
+        assert sigmoid(1e9) == pytest.approx(1.0)
+        assert sigmoid(-1e9) == pytest.approx(0.0)
 
     @given(finite_floats)
     def test_bounded(self, v):
-        assert 0.0 <= smooth.sigmoid(v) <= 1.0
+        assert 0.0 <= sigmoid(v) <= 1.0
 
     @given(finite_floats, finite_floats)
     def test_monotone(self, a, b):
         lo, hi = sorted((a, b))
-        assert smooth.sigmoid(lo) <= smooth.sigmoid(hi) + 1e-12
-
-
-class TestSmoothRelu:
-    def test_positive_branch(self):
-        assert smooth.smooth_relu(1.0) == pytest.approx(1.0, abs=1e-6)
-
-    def test_negative_branch(self):
-        assert smooth.smooth_relu(-1.0) == pytest.approx(0.0, abs=1e-6)
-
-    @given(finite_floats)
-    def test_close_to_relu(self, v):
-        # With the default sharpness, Gamma deviates from max(0, v) only in a
-        # narrow band around zero (width of order 1/sharpness).
-        assert smooth.smooth_relu(v) == pytest.approx(max(0.0, v), abs=2e-2)
-
-    @given(finite_floats)
-    def test_non_negative_for_positive_inputs(self, v):
-        if v >= 0:
-            assert smooth.smooth_relu(v) >= 0.0
-
-
-class TestPulse:
-    def test_inside_is_one(self):
-        assert smooth.pulse(0.5, 0.0, 1.0) == pytest.approx(1.0, abs=1e-6)
-
-    def test_outside_is_zero(self):
-        assert smooth.pulse(2.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-6)
-        assert smooth.pulse(-1.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-6)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            smooth.pulse(0.0, 1.0, 0.0)
-
-    @given(finite_floats, finite_floats, finite_floats)
-    def test_bounded(self, t, a, width):
-        start, end = a, a + abs(width)
-        assert 0.0 <= smooth.pulse(t, start, end) <= 1.0
-
-
-class TestPhasePulse:
-    def test_bbr1_phase_windows(self):
-        tau_min = 0.03
-        # The BBRv1 model scales the sharpness by 1/tau_min so the pulse edges
-        # are much narrower than a phase (cf. Bbr1Fluid.step).
-        sharpness = 200.0 / tau_min
-        # Middle of phase 2 is active, middle of phase 3 is not.
-        assert smooth.phase_pulse(2.5 * tau_min, 2, tau_min, sharpness) == pytest.approx(
-            1.0, abs=1e-3
-        )
-        assert smooth.phase_pulse(3.5 * tau_min, 2, tau_min, sharpness) == pytest.approx(
-            0.0, abs=1e-3
-        )
-
-    def test_phase_partition_of_unity(self):
-        # Summing the pulses of all 8 phases covers the whole period.
-        tau_min = 0.03
-        sharpness = 200.0 / tau_min
-        times = np.linspace(0.1 * tau_min, 7.9 * tau_min, 200)
-        total = sum(
-            smooth.phase_pulse(times, phase, tau_min, sharpness) for phase in range(8)
-        )
-        assert np.all(total > 0.95)
-        assert np.all(total < 1.6)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            smooth.phase_pulse(0.0, -1, 0.03)
-        with pytest.raises(ValueError):
-            smooth.phase_pulse(0.0, 1, 0.0)
+        assert sigmoid(lo) <= sigmoid(hi) + 1e-12

@@ -305,14 +305,17 @@ class TestHeterogeneousScenarios:
 class TestOneHopEquivalence:
     """A one-hop topology must reproduce the legacy dumbbell exactly."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_fluid_bit_identical(self, vectorized):
+    @pytest.mark.parametrize("discipline", ["droptail", "red"])
+    def test_fluid_bit_identical(self, discipline):
         legacy = dumbbell_scenario(
-            ["bbr1", "reno", "cubic", "bbr2"], duration_s=0.5, fluid=FAST
+            ["bbr1", "reno", "cubic", "bbr2"],
+            discipline=discipline,
+            duration_s=0.5,
+            fluid=FAST,
         )
         wrapped = _wrap_one_hop(legacy)
-        a = simulate(legacy, vectorized=vectorized)
-        b = simulate(wrapped, vectorized=vectorized)
+        a = simulate(legacy)
+        b = simulate(wrapped)
         for fa, fb in zip(a.flows, b.flows, strict=True):
             assert np.array_equal(fa.rate, fb.rate)
             assert np.array_equal(fa.delivery_rate, fb.delivery_rate)
@@ -361,16 +364,6 @@ class TestOneHopEquivalence:
 
 
 class TestFluidMultiHop:
-    def test_vectorized_matches_scalar(self):
-        config = _parking_lot_config()
-        a = simulate(config)
-        b = simulate(config, vectorized=False)
-        for fa, fb in zip(a.flows, b.flows, strict=True):
-            np.testing.assert_allclose(fa.rate, fb.rate, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(fa.rtt, fb.rtt, rtol=1e-9, atol=1e-9)
-        for la, lb in zip(a.links, b.links, strict=True):
-            np.testing.assert_allclose(la.queue, lb.queue, rtol=1e-9, atol=1e-9)
-
     def test_one_link_trace_per_hop(self):
         trace = simulate(_parking_lot_config())
         assert [link.name for link in trace.links] == ["hop-1", "hop-2", "hop-3"]
@@ -384,6 +377,26 @@ class TestFluidMultiHop:
         # grows with queueing on all three hops; the cross flow only sees
         # one hop's queue, so its RTT stays strictly below the long flow's.
         assert float(np.max(trace.flows[0].rtt)) > float(np.max(trace.flows[2].rtt))
+
+    @pytest.mark.parametrize("discipline", ["droptail", "red"])
+    def test_rtt_adds_queueing_delay_of_every_hop(self, discipline):
+        # Eq. 3 on a chain: each flow's RTT is its propagation RTT plus the
+        # queueing delay q/c of every queued link on its path, at the same
+        # instant.
+        config = _parking_lot_config(duration_s=0.5, discipline=discipline)
+        net = Network.from_scenario(config)
+        trace = simulate(config)
+        links = dict(zip(net.queued_link_indices(), trace.links, strict=True))
+        assert max(float(link.queue.max()) for link in trace.links) > 0.0
+        for index, flow in enumerate(trace.flows):
+            queueing = sum(
+                links[hop].queue / links[hop].capacity_pps
+                for hop in net.paths[index].link_indices
+                if hop in links
+            )
+            np.testing.assert_allclose(
+                flow.rtt, net.propagation_rtt(index) + queueing, rtol=1e-12
+            )
 
     def test_simulate_many_handles_topology_scenarios(self):
         config = _parking_lot_config()
