@@ -13,7 +13,11 @@ Records the integrator throughput in the untracked
 The speedup is recorded, not asserted: a wall-clock ratio is too noisy
 to gate tier-1.
 
-A second benchmark records the **churn scaling curve**: vectorized
+A second benchmark records the **paper-grid step sections**: the 28-point
+grid of the aggregate figures as one lockstep batch, in microseconds per
+step, and the part of each step spent in each CCA's ``step_all``.
+
+A third benchmark records the **churn scaling curve**: vectorized
 integrator throughput at 100/500/1000/2000 flows under a Poisson /
 bounded-Pareto flow schedule (active-flow masking on), so the cost of
 large time-varying populations is tracked release over release.
@@ -30,7 +34,12 @@ import time
 
 from repro.config import FluidParams, dumbbell_scenario
 from repro.core import FluidSimulator, simulate_many
+from repro.core.bbr1 import Bbr1Fluid
+from repro.core.bbr2 import Bbr2Fluid
+from repro.core.cubic import CubicFluid
+from repro.core.reno import RenoFluid
 from repro.experiments import scenarios
+from repro.experiments.grid import GridSpec
 
 from conftest import BENCH_DT, record_bench, run_once
 
@@ -113,6 +122,56 @@ def test_perf_fluid_step(benchmark):
         f"  sweep path  {batch_sps:8.0f} scenario-steps/s "
         f"({batch_sps / vector_paper_sps:.1f}x alone, {len(batch_configs)} scenarios)"
     )
+
+
+def test_perf_paper_grid_sections(benchmark, monkeypatch):
+    """Lockstep cost per step of the paper grid, and each CCA's share of it."""
+    grid = GridSpec(
+        mixes=tuple(scenarios.CCA_MIXES),
+        buffers_bdp=(1.0, 4.0),
+        disciplines=("droptail", "red"),
+    )
+    configs = [point.config().with_duration(BENCH_SECONDS) for point in grid.points()]
+    steps = _steps(configs[0])
+    simulate_many([config.with_duration(0.01) for config in configs])  # warm-up
+
+    def _us_per_step() -> float:
+        start = time.perf_counter()
+        simulate_many(configs)
+        return (time.perf_counter() - start) / steps * 1e6
+
+    us_per_step = run_once(benchmark, _us_per_step)
+
+    # The same batch again with every group's ``step_all`` timed around
+    # the call (a few hundred ns of wrapper per call, no profiler).
+    spent: dict[str, float] = {}
+    for model in (RenoFluid, CubicFluid, Bbr1Fluid, Bbr2Fluid):
+        spent[model.name] = 0.0
+
+        def timed(self, batch, inputs, _step_all=model.step_all, _name=model.name):
+            start = time.perf_counter()
+            try:
+                return _step_all(self, batch, inputs)
+            finally:
+                spent[_name] += time.perf_counter() - start
+
+        monkeypatch.setattr(model, "step_all", timed)
+    _us_per_step()
+    step_all_us = {name: round(s / steps * 1e6, 1) for name, s in spent.items()}
+
+    record_bench("perf_fluid_step", {
+        "paper_grid_lockstep": {
+            "points": len(configs),
+            "dt": configs[0].fluid.dt,
+            "duration_s": BENCH_SECONDS,
+            "us_per_step": round(us_per_step, 1),
+            "step_all_us_per_step": step_all_us,
+        },
+    })
+
+    print(f"\nPaper grid, {len(configs)} points in lockstep: {us_per_step:.0f} us/step")
+    for name, us in step_all_us.items():
+        print(f"  {name:5s} step_all {us:6.1f} us/step")
 
 
 def test_perf_fluid_churn_scaling(benchmark):

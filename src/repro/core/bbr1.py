@@ -37,6 +37,7 @@ import numpy as np
 from . import smooth
 from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
+from .smooth import HALF, ONE, TWO, ZERO
 
 #: Duration of the ProbeRTT state (seconds).
 PROBE_RTT_DURATION_S: float = 0.2
@@ -55,8 +56,20 @@ CWND_GAIN: float = 2.0
 #: Tolerance when deciding whether a latency sample establishes a new minimum.
 RTT_SAMPLE_EPS_S: float = 1e-6
 
+# The per-step operands, bound once (see ``smooth.constant``).
+_RTT_SAMPLE_EPS = smooth.constant(RTT_SAMPLE_EPS_S)
+# Floor of ``tau_min`` where it divides.
+_RTT_FLOOR = smooth.constant(1e-6)
+_PROBE_RTT_DURATION = smooth.constant(PROBE_RTT_DURATION_S)
+_PROBE_RTT_INTERVAL = smooth.constant(PROBE_RTT_INTERVAL_S)
+_PROBE_RTT_CWND = smooth.constant(PROBE_RTT_CWND_PKTS)
+_PHASES = smooth.constant(GAIN_CYCLE_PHASES)
+_PROBE_EXCESS = smooth.constant(PROBE_GAIN - 1.0)
+_DRAIN_DEFICIT = smooth.constant(1.0 - DRAIN_GAIN)
+_CWND_GAIN = smooth.constant(CWND_GAIN)
 
-@dataclass
+
+@dataclass(frozen=True)
 class Bbr1Params:
     """Tunable parameters of the BBRv1 fluid model.
 
@@ -83,6 +96,7 @@ class Bbr1Fluid(FluidCCA):
 
     def __init__(self, params: Bbr1Params | None = None) -> None:
         self.params = params or Bbr1Params()
+        self._sharpness = smooth.constant(self.params.sigmoid_sharpness)
 
     # ------------------------------------------------------------------ #
     # Initialisation
@@ -137,47 +151,45 @@ class Bbr1Fluid(FluidCCA):
         # the per-step cost on the hot path.
 
         # --- RTprop estimation (Eq. 9) -------------------------------- #
-        new_min_sample = inputs.tau_delayed < tau_min_old - RTT_SAMPLE_EPS_S
+        new_min_sample = inputs.tau_delayed < tau_min_old - _RTT_SAMPLE_EPS
         tau_min = np.minimum(tau_min_old, inputs.tau_delayed)
 
         # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
-        in_probe_rtt = m_prt_old >= 0.5
+        in_probe_rtt = m_prt_old >= HALF
         any_probe_rtt = np.count_nonzero(in_probe_rtt)
         t_prt = t_prt + dt
         if np.count_nonzero(new_min_sample):
-            t_prt = np.where(new_min_sample & ~in_probe_rtt, 0.0, t_prt)
+            t_prt = np.where(new_min_sample & ~in_probe_rtt, ZERO, t_prt)
         if any_probe_rtt:
-            threshold = np.where(
-                in_probe_rtt, PROBE_RTT_DURATION_S, PROBE_RTT_INTERVAL_S
-            )
+            threshold = np.where(in_probe_rtt, _PROBE_RTT_DURATION, _PROBE_RTT_INTERVAL)
             expired = t_prt >= threshold
         else:
-            expired = t_prt >= PROBE_RTT_INTERVAL_S
+            expired = t_prt >= _PROBE_RTT_INTERVAL
         if np.count_nonzero(expired):
             # ``m_prt`` is exactly 0.0 or 1.0, so the toggle is ``1 - m_prt``.
-            m_prt = np.where(expired, 1.0 - m_prt_old, m_prt_old)
-            t_prt = np.where(expired, 0.0, t_prt)
-            in_probe_rtt = m_prt >= 0.5
+            m_prt = np.where(expired, ONE - m_prt_old, m_prt_old)
+            t_prt = np.where(expired, ZERO, t_prt)
+            in_probe_rtt = m_prt >= HALF
             any_probe_rtt = np.count_nonzero(in_probe_rtt)
         else:
             m_prt = m_prt_old
 
         # --- ProbeBW period clock and BtlBw adoption (Eq. 16, 18, 20) -- #
         t_pbw = t_pbw + dt
-        period = GAIN_CYCLE_PHASES * tau_min
+        period = _PHASES * tau_min
         rollover = t_pbw >= period
         if np.count_nonzero(rollover):
-            x_btl = np.where(rollover & (x_max > 0.0), x_max, x_btl)
-            x_max = np.where(rollover, 0.0, x_max)
-            t_pbw = np.where(rollover, 0.0, t_pbw)
+            x_btl = np.where(rollover & (x_max > ZERO), x_max, x_btl)
+            x_max = np.where(rollover, ZERO, x_max)
+            t_pbw = np.where(rollover, ZERO, t_pbw)
         measurement = rate_old if inputs.literal_xmax else inputs.delivery_rate
         x_max = np.maximum(x_max, measurement)
 
         # --- Pacing rate with probing/draining pulses (Eq. 21-22) ------ #
-        sharpness = self.params.sigmoid_sharpness / np.maximum(tau_min, 1e-6)
+        sharpness = self._sharpness / np.maximum(tau_min, _RTT_FLOOR)
         probe_start = phase * tau_min
-        drain_start = (phase + 1.0) * tau_min
-        drain_end = (phase + 2.0) * tau_min
+        drain_start = (phase + ONE) * tau_min
+        drain_end = (phase + TWO) * tau_min
         # All four pulse sigmoids evaluated as one call on a (4, n) block
         # scaled by the broadcast per-flow sharpness.
         edges = np.empty((4, t_pbw.shape[0]))
@@ -189,16 +201,16 @@ class Bbr1Fluid(FluidCCA):
         gates = smooth.scaled_sigmoid(edges)
         probe = gates[0] * gates[1]
         drain = gates[2] * gates[3]
-        pacing = x_btl * (1.0 + (PROBE_GAIN - 1.0) * probe - (1.0 - DRAIN_GAIN) * drain)
+        pacing = x_btl * (ONE + _PROBE_EXCESS * probe - _DRAIN_DEFICIT * drain)
 
         # --- Inflight limits and sending rate (Eq. 14-15, 23) ----------- #
-        cwnd_pbw = CWND_GAIN * (x_btl * tau_min)
-        tau = np.maximum(inputs.tau, 1e-9)
+        cwnd_pbw = _CWND_GAIN * (x_btl * tau_min)
+        tau = inputs.tau
         if any_probe_rtt:
-            cwnd = np.where(in_probe_rtt, PROBE_RTT_CWND_PKTS, cwnd_pbw)
+            cwnd = np.where(in_probe_rtt, _PROBE_RTT_CWND, cwnd_pbw)
             rate = np.where(
                 in_probe_rtt,
-                PROBE_RTT_CWND_PKTS / tau,
+                _PROBE_RTT_CWND / tau,
                 np.minimum(cwnd_pbw / tau, pacing),
             )
         else:

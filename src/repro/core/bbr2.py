@@ -36,6 +36,7 @@ import numpy as np
 from . import smooth
 from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
+from .smooth import HALF, ONE, TWO, ZERO
 
 #: Duration of the ProbeRTT state (seconds).
 PROBE_RTT_DURATION_S: float = 0.2
@@ -64,8 +65,24 @@ RTT_SAMPLE_EPS_S: float = 1e-6
 #: Cap on the exponent of the w_hi exponential-growth term (numerical guard).
 MAX_GROWTH_EXPONENT: float = 20.0
 
+# The per-step operands, bound once (see ``smooth.constant``).
+_RTT_SAMPLE_EPS = smooth.constant(RTT_SAMPLE_EPS_S)
+# Floor of ``tau_min`` where it divides.
+_RTT_FLOOR = smooth.constant(1e-6)
+_PROBE_RTT_DURATION = smooth.constant(PROBE_RTT_DURATION_S)
+_PROBE_RTT_INTERVAL = smooth.constant(PROBE_RTT_INTERVAL_S)
+_MAX_PERIOD_RTTS = smooth.constant(MAX_PERIOD_RTTS)
+_PROBE_INFLIGHT_GAIN = smooth.constant(PROBE_INFLIGHT_GAIN)
+_LOSS_THRESHOLD = smooth.constant(LOSS_THRESHOLD)
+_BETA = smooth.constant(BETA)
+_DRAIN_HEADROOM = smooth.constant(1.0 - HEADROOM)
+_PROBE_EXCESS = smooth.constant(PROBE_GAIN - 1.0)
+_DRAIN_DEFICIT = smooth.constant(1.0 - DRAIN_GAIN)
+_CWND_GAIN = smooth.constant(CWND_GAIN)
+_MAX_GROWTH_EXPONENT = smooth.constant(MAX_GROWTH_EXPONENT)
 
-@dataclass
+
+@dataclass(frozen=True)
 class Bbr2Params:
     """Tunable parameters of the BBRv2 fluid model.
 
@@ -105,6 +122,9 @@ class Bbr2Fluid(FluidCCA):
 
     def __init__(self, params: Bbr2Params | None = None) -> None:
         self.params = params or Bbr2Params()
+        self._sharpness = smooth.constant(self.params.sigmoid_sharpness)
+        self._loss_sharpness = smooth.constant(self.params.loss_sharpness)
+        self._loss_epsilon = smooth.constant(self.params.loss_epsilon)
 
     # ------------------------------------------------------------------ #
     # Initialisation
@@ -164,65 +184,62 @@ class Bbr2Fluid(FluidCCA):
             m_prt_old, m_dwn_old, m_crs, t_pbw, x_max_prev, t_prt, period_wall_s,
         ) = batch.block
         dt = inputs.dt
-        sharp = self.params.sigmoid_sharpness
         rate_old = batch.rate
 
         # --- RTprop estimation (Eq. 9) -------------------------------- #
-        new_min_sample = inputs.tau_delayed < tau_min_old - RTT_SAMPLE_EPS_S
+        new_min_sample = inputs.tau_delayed < tau_min_old - _RTT_SAMPLE_EPS
         tau_min = np.minimum(tau_min_old, inputs.tau_delayed)
-        tau_min_floor = np.maximum(tau_min, 1e-6)
+        tau_min_floor = np.maximum(tau_min, _RTT_FLOOR)
 
         # --- ProbeRTT state machine (Eq. 11-13) ------------------------ #
         # Rare transitions (ProbeRTT toggles, period rollovers, fresh
         # minimum-RTT samples) sit behind ``np.count_nonzero`` guards: an
         # all-False ``np.where`` is the identity, so skipping it is bit-exact.
-        in_probe_rtt = m_prt_old >= 0.5
+        in_probe_rtt = m_prt_old >= HALF
         any_probe_rtt = np.count_nonzero(in_probe_rtt)
         t_prt = t_prt + dt
         if np.count_nonzero(new_min_sample):
-            t_prt = np.where(new_min_sample & ~in_probe_rtt, 0.0, t_prt)
+            t_prt = np.where(new_min_sample & ~in_probe_rtt, ZERO, t_prt)
         if any_probe_rtt:
-            threshold = np.where(
-                in_probe_rtt, PROBE_RTT_DURATION_S, PROBE_RTT_INTERVAL_S
-            )
+            threshold = np.where(in_probe_rtt, _PROBE_RTT_DURATION, _PROBE_RTT_INTERVAL)
             expired = t_prt >= threshold
         else:
-            expired = t_prt >= PROBE_RTT_INTERVAL_S
+            expired = t_prt >= _PROBE_RTT_INTERVAL
         if np.count_nonzero(expired):
             # ``m_prt`` is exactly 0.0 or 1.0, so the toggle is ``1 - m_prt``.
-            m_prt = np.where(expired, 1.0 - m_prt_old, m_prt_old)
-            t_prt = np.where(expired, 0.0, t_prt)
-            in_probe_rtt = m_prt >= 0.5
+            m_prt = np.where(expired, ONE - m_prt_old, m_prt_old)
+            t_prt = np.where(expired, ZERO, t_prt)
+            in_probe_rtt = m_prt >= HALF
             any_probe_rtt = np.count_nonzero(in_probe_rtt)
         else:
             m_prt = m_prt_old
 
         # --- Probing-period clock (Eq. 16, 24) -------------------------- #
-        period = np.minimum(MAX_PERIOD_RTTS * tau_min, period_wall_s)
+        period = np.minimum(_MAX_PERIOD_RTTS * tau_min, period_wall_s)
         t_pbw = t_pbw + dt
         rollover = t_pbw >= period
         if np.count_nonzero(rollover):
             x_max_prev = np.where(rollover, x_max, x_max_prev)
-            x_max = np.where(rollover, 0.0, x_max)
-            t_pbw = np.where(rollover, 0.0, t_pbw)
-            m_crs = np.where(rollover, 0.0, m_crs)
+            x_max = np.where(rollover, ZERO, x_max)
+            t_pbw = np.where(rollover, ZERO, t_pbw)
+            m_crs = np.where(rollover, ZERO, m_crs)
         measurement = rate_old if inputs.literal_xmax else inputs.delivery_rate
         x_max = np.maximum(x_max, measurement)
 
         # --- Current estimates and derived windows ---------------------- #
         bdp = x_btl * tau_min
-        drain_target = np.minimum(bdp, (1.0 - HEADROOM) * w_hi_old)
-        loss = np.minimum(1.0, np.maximum(0.0, inputs.path_loss))
+        drain_target = np.minimum(bdp, _DRAIN_HEADROOM * w_hi_old)
+        loss = inputs.path_loss
 
         # --- Mode transitions (Eq. 26-27), crisp ------------------------ #
-        cruising = m_crs >= 0.5
-        draining = m_dwn_old >= 0.5
+        cruising = m_crs >= HALF
+        draining = m_dwn_old >= HALF
         past_first_rtt = t_pbw > tau_min
         start_drain = (
             ~cruising
             & ~draining
             & past_first_rtt
-            & ((inflight_old > PROBE_INFLIGHT_GAIN * bdp) | (loss > LOSS_THRESHOLD))
+            & ((inflight_old > _PROBE_INFLIGHT_GAIN * bdp) | (loss > _LOSS_THRESHOLD))
         )
         draining = draining | start_drain
         if np.count_nonzero(draining):
@@ -230,63 +247,63 @@ class Bbr2Fluid(FluidCCA):
             # last two periods as the new bottleneck-bandwidth estimate.
             target = np.maximum(x_max, x_max_prev)
             x_btl = np.where(
-                draining & (target > 0.0),
+                draining & (target > ZERO),
                 x_btl + dt * (target - x_btl) / tau_min_floor,
                 x_btl,
             )
             drained = draining & (inflight_old <= drain_target)
             draining = draining & ~drained
             cruising = cruising | drained
-            m_crs = np.where(drained, 1.0, m_crs)
+            m_crs = np.where(drained, ONE, m_crs)
             bdp = x_btl * tau_min
-            drain_target = np.minimum(bdp, (1.0 - HEADROOM) * w_hi_old)
+            drain_target = np.minimum(bdp, _DRAIN_HEADROOM * w_hi_old)
         # ``m_dwn`` is 1.0 exactly while draining and 0.0 otherwise (flows
         # with ``m_dwn == 1`` are always in the ``draining`` set).
         m_dwn = draining.astype(float)
 
         # --- Gate sigmoids (Eq. 29/30), one stacked evaluation ---------- #
-        n = t_pbw.shape[0]
-        gates = smooth.scaled_sigmoid(
-            np.concatenate(
-                [
-                    (t_pbw - tau_min) * (sharp / tau_min_floor),
-                    (inflight_old - w_hi_old) * (sharp / np.maximum(bdp, 1.0)),
-                    (loss - LOSS_THRESHOLD) * self.params.loss_sharpness,
-                    (loss - self.params.loss_epsilon) * self.params.loss_sharpness,
-                ]
-            )
+        # The four arguments are written into the rows of one (4, n) block.
+        args = np.empty((4, t_pbw.shape[0]))
+        np.multiply(t_pbw - tau_min, self._sharpness / tau_min_floor, out=args[0])
+        np.multiply(
+            inflight_old - w_hi_old,
+            self._sharpness / np.maximum(bdp, ONE),
+            out=args[1],
         )
-        probe_gate = gates[:n]
+        np.multiply(loss - _LOSS_THRESHOLD, self._loss_sharpness, out=args[2])
+        np.multiply(loss - self._loss_epsilon, self._loss_sharpness, out=args[3])
+        gates = smooth.scaled_sigmoid(args)
+        probe_gate = gates[0]
 
         # --- inflight_hi dynamics (Eq. 29) ------------------------------ #
-        growth_gate = (~cruising).astype(float) * probe_gate * gates[n : 2 * n]
-        exponent = np.minimum(t_pbw / tau_min_floor, MAX_GROWTH_EXPONENT)
-        growth = growth_gate * (2.0**exponent)
-        decrease = gates[2 * n : 3 * n] * BETA / tau_min_floor * w_hi_old
-        w_hi = np.maximum(1.0, w_hi_old + dt * (growth - decrease))
+        growth_gate = (~cruising).astype(float) * probe_gate * gates[1]
+        exponent = np.minimum(t_pbw / tau_min_floor, _MAX_GROWTH_EXPONENT)
+        growth = growth_gate * (TWO**exponent)
+        decrease = gates[2] * _BETA / tau_min_floor * w_hi_old
+        w_hi = np.maximum(ONE, w_hi_old + dt * (growth - decrease))
 
         # --- inflight_lo dynamics (Eq. 30) ------------------------------ #
-        loss_gate = gates[3 * n :]
+        loss_gate = gates[3]
         w_lo = np.where(
             cruising,
-            w_lo_old + dt * (-loss_gate * BETA * w_lo_old / tau_min_floor),
+            w_lo_old + dt * (-loss_gate * _BETA * w_lo_old / tau_min_floor),
             w_lo_old + dt * (drain_target - w_lo_old) / tau_min_floor,
         )
-        w_lo = np.maximum(1.0, w_lo)
+        w_lo = np.maximum(ONE, w_lo)
 
         # --- Pacing rate (Eq. 25) --------------------------------------- #
         pacing = x_btl * (
-            1.0
-            + (PROBE_GAIN - 1.0) * probe_gate * (1.0 - m_dwn)
-            - (1.0 - DRAIN_GAIN) * m_dwn
+            ONE
+            + _PROBE_EXCESS * probe_gate * (ONE - m_dwn)
+            - _DRAIN_DEFICIT * m_dwn
         )
 
         # --- Congestion window and sending rate (Eq. 31-32, 14-15) ------ #
         bound = np.where(cruising, w_lo, w_hi)
-        cwnd_pbw = np.minimum(CWND_GAIN * bdp, bound)
-        tau = np.maximum(inputs.tau, 1e-9)
+        cwnd_pbw = np.minimum(_CWND_GAIN * bdp, bound)
+        tau = inputs.tau
         if any_probe_rtt:
-            cwnd_prt = bdp / 2.0
+            cwnd_prt = bdp / TWO
             cwnd = np.where(in_probe_rtt, cwnd_prt, cwnd_pbw)
             rate = np.where(
                 in_probe_rtt, cwnd_prt / tau, np.minimum(cwnd_pbw / tau, pacing)

@@ -20,8 +20,10 @@ from typing import Any
 
 import numpy as np
 
+from . import smooth
 from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
+from .smooth import ONE, ZERO
 
 #: CUBIC growth constant ``c`` (RFC 8312 / Linux tcp_cubic).
 CUBIC_C: float = 0.4
@@ -29,6 +31,13 @@ CUBIC_C: float = 0.4
 CUBIC_BETA: float = 0.7
 #: Smallest congestion window maintained by the model, in packets.
 MIN_WINDOW_PKTS: float = 1.0
+
+# The per-step operands, bound once (see ``smooth.constant``).
+_C = smooth.constant(CUBIC_C)
+_BETA = smooth.constant(CUBIC_BETA)
+_ONE_THIRD = smooth.constant(1.0 / 3.0)
+_THREE = smooth.constant(3.0)
+_MIN_WINDOW = smooth.constant(MIN_WINDOW_PKTS)
 
 
 def cubic_window(
@@ -45,8 +54,18 @@ def cubic_window(
     """
     if np.count_nonzero(np.asarray(w_max) < 0):
         raise ValueError("w_max must be non-negative")
-    inflection = (w_max * beta / c) ** (1.0 / 3.0)
-    return c * (s - inflection) ** 3 + w_max
+    return _window(s, w_max, c, beta)
+
+
+def _window(
+    s: float | np.ndarray,
+    w_max: float | np.ndarray,
+    c: float | np.ndarray,
+    beta: float | np.ndarray,
+) -> float | np.ndarray:
+    """Eq. (41) without the argument check; ``step_all``'s ``w_max`` is >= 1."""
+    inflection = (w_max * beta / c) ** _ONE_THIRD
+    return c * (s - inflection) ** _THREE + w_max
 
 
 class CubicFluid(FluidCCA):
@@ -79,15 +98,13 @@ class CubicFluid(FluidCCA):
         self, batch: FlowStateBatch, inputs: FlowInputsBatch
     ) -> tuple[np.ndarray, np.ndarray]:
         inflight_old, s, w_max, w = batch.block
-        x_delayed = inputs.rate_delayed
-        p = np.minimum(1.0, np.maximum(0.0, inputs.path_loss))
-        loss_rate = x_delayed * p
+        loss_rate = inputs.rate_delayed * inputs.path_loss
         # Eq. (40a/40b) and Eq. (41), element-wise over every CUBIC flow.
-        s_new = np.maximum(0.0, s + inputs.dt * (1.0 - s * loss_rate))
+        s_new = np.maximum(ZERO, s + inputs.dt * (ONE - s * loss_rate))
         w_max_new = np.maximum(
-            MIN_WINDOW_PKTS, w_max + inputs.dt * (w - w_max) * loss_rate
+            _MIN_WINDOW, w_max + inputs.dt * (w - w_max) * loss_rate
         )
-        w_new = np.maximum(MIN_WINDOW_PKTS, cubic_window(s_new, w_max_new))
-        rate = w_new / np.maximum(inputs.tau, 1e-9)
+        w_new = np.maximum(_MIN_WINDOW, _window(s_new, w_max_new, _C, _BETA))
+        rate = w_new / inputs.tau
         inflight = self.update_inflight_all(inflight_old, inputs, rate)
         return rate, np.array((inflight, s_new, w_max_new, w_new))

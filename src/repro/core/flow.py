@@ -25,6 +25,11 @@ from typing import Any
 import numpy as np
 
 from .network import Network
+from .smooth import ZERO
+
+#: Floor of the path latency ``tau`` a model sees, in seconds: the rate
+#: ``x = w / tau`` (Eq. 8) stays finite on a zero-delay path.
+TAU_FLOOR_S: float = 1e-9
 
 
 @dataclass
@@ -35,20 +40,28 @@ class FlowInputsBatch:
     that have not started or have departed are stepped too; the simulator
     masks their new state out afterwards.
 
+    The simulator prepares the inputs once per step for all flows, so no
+    model repeats that work: ``tau`` is already floored at
+    :data:`TAU_FLOOR_S` and ``path_loss`` already clipped to ``[0, 1]``,
+    and a model relies on both.  ``dt`` is bound once per run as a
+    read-only 0-d float64 array (see :func:`repro.core.smooth.constant`);
+    a Python float gives the same results, at a higher cost per step.
+
     Attributes:
         dt: integration step in seconds.
-        tau: current round-trip latency of each flow's path (Eq. 3).
+        tau: current round-trip latency of each flow's path (Eq. 3),
+            at least :data:`TAU_FLOOR_S`.
         tau_delayed: path latency one propagation RTT ago (used by the
             RTprop estimator, Eq. 9).
         path_loss: loss probability of the path as observed by the sender
-            (Eq. 7, read back one backward delay).
+            (Eq. 7, read back one backward delay), in ``[0, 1]``.
         delivery_rate: delivery rate of the flow (Eq. 17).
         rate_delayed: the flow's own sending rate one propagation RTT ago
             (the ``x_i(t - d^p_i)`` appearing in Eq. 39 and Eq. 40).
         literal_xmax: see :class:`repro.config.FluidParams.literal_xmax`.
     """
 
-    dt: float
+    dt: float | np.ndarray
     tau: np.ndarray
     tau_delayed: np.ndarray
     path_loss: np.ndarray
@@ -152,4 +165,4 @@ class FluidCCA(abc.ABC):
 
         Returns the new row.
         """
-        return np.maximum(0.0, inflight + inputs.dt * (rate - inputs.delivery_rate))
+        return np.maximum(ZERO, inflight + inputs.dt * (rate - inputs.delivery_rate))

@@ -25,6 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import smooth
+from .smooth import ONE, ZERO
+
+# The drop-tail kernel's defaults, bound once (see ``smooth.constant``).
+_DEFAULT_SHARPNESS = smooth.constant(smooth.DEFAULT_SHARPNESS)
+_DEFAULT_EXPONENT = smooth.constant(20.0)
 
 
 def droptail_loss_vec(
@@ -32,8 +37,8 @@ def droptail_loss_vec(
     capacity: np.ndarray,
     queue: np.ndarray,
     buffer_size: np.ndarray,
-    sharpness: float = smooth.DEFAULT_SHARPNESS,
-    exponent: float = 20.0,
+    sharpness: float | np.ndarray = _DEFAULT_SHARPNESS,
+    exponent: float | np.ndarray = _DEFAULT_EXPONENT,
 ) -> np.ndarray:
     """Smooth drop-tail loss probability (Eq. 4), element-wise.
 
@@ -44,14 +49,15 @@ def droptail_loss_vec(
 
     The sigmoid argument is normalised by the capacity so that the sharpness
     constant is dimensionless (a 0.5 % rate excess already saturates it).
+    The excess term divides by ``max(y, C)``: below capacity it is zero
+    either way, and a subnormal ``y`` cannot overflow the division.
     """
-    positive = arrival_rate > 0.0
-    arrival_safe = np.where(positive, arrival_rate, 1.0)
+    arrival_safe = np.maximum(arrival_rate, capacity)
     gate = smooth.scaled_sigmoid((arrival_rate - capacity) / capacity * sharpness)
-    excess = np.maximum(0.0, 1.0 - capacity / arrival_safe)
-    occupancy = np.minimum(1.0, queue / buffer_size) ** exponent
-    loss = np.minimum(1.0, gate * excess * occupancy)
-    return np.where(positive & np.isfinite(buffer_size), loss, 0.0)
+    excess = np.maximum(ZERO, ONE - capacity / arrival_safe)
+    occupancy = np.minimum(ONE, queue / buffer_size) ** exponent
+    loss = np.minimum(ONE, gate * excess * occupancy)
+    return np.where((arrival_rate > ZERO) & np.isfinite(buffer_size), loss, ZERO)
 
 
 def red_loss_vec(queue: np.ndarray, buffer_size: np.ndarray) -> np.ndarray:
@@ -60,7 +66,7 @@ def red_loss_vec(queue: np.ndarray, buffer_size: np.ndarray) -> np.ndarray:
     Infinite buffers yield zero loss.
     """
     return np.where(
-        np.isfinite(buffer_size), np.minimum(1.0, queue / buffer_size), 0.0
+        np.isfinite(buffer_size), np.minimum(ONE, queue / buffer_size), ZERO
     )
 
 
@@ -70,7 +76,7 @@ def step_queue_vec(
     capacity: np.ndarray,
     loss: np.ndarray,
     buffer_size: np.ndarray,
-    dt: float,
+    dt: float | np.ndarray,
 ) -> np.ndarray:
     """Advance the queue lengths by one Euler step of Eq. 2, clamped to ``[0, B]``.
 
@@ -78,8 +84,8 @@ def step_queue_vec(
     drains at the link capacity; reflecting boundaries keep it from
     becoming negative or exceeding the buffer size.
     """
-    rate = (1.0 - loss) * arrival_rate - capacity
-    rate = np.where((queue <= 0.0) & (rate < 0.0), 0.0, rate)
-    rate = np.where((queue >= buffer_size) & (rate > 0.0), 0.0, rate)
+    rate = (ONE - loss) * arrival_rate - capacity
+    rate = np.where((queue <= ZERO) & (rate < ZERO), ZERO, rate)
+    rate = np.where((queue >= buffer_size) & (rate > ZERO), ZERO, rate)
     new_queue = queue + dt * rate
-    return np.minimum(buffer_size, np.maximum(0.0, new_queue))
+    return np.minimum(buffer_size, np.maximum(ZERO, new_queue))

@@ -19,12 +19,17 @@ from typing import Any
 
 import numpy as np
 
+from . import smooth
 from .flow import FlowInputsBatch, FlowState, FlowStateBatch, FluidCCA
 from .network import Network
+from .smooth import ONE, TWO
 
 #: Smallest congestion window the fluid model maintains, in packets.  The
 #: real protocol never shrinks below one segment either.
 MIN_WINDOW_PKTS: float = 1.0
+
+# The per-step operands, bound once (see ``smooth.constant``).
+_MIN_WINDOW = smooth.constant(MIN_WINDOW_PKTS)
 
 
 class RenoFluid(FluidCCA):
@@ -56,11 +61,11 @@ class RenoFluid(FluidCCA):
     ) -> tuple[np.ndarray, np.ndarray]:
         inflight_old, w = batch.block
         x_delayed = inputs.rate_delayed
-        p = np.minimum(1.0, np.maximum(0.0, inputs.path_loss))
+        p = inputs.path_loss
         # Eq. (39), element-wise over every Reno flow at once.
-        growth = x_delayed * (1.0 - p) / np.maximum(w, MIN_WINDOW_PKTS)
-        decrease = x_delayed * p * w / 2.0
-        w_new = np.maximum(MIN_WINDOW_PKTS, w + inputs.dt * (growth - decrease))
-        rate = w_new / np.maximum(inputs.tau, 1e-9)
+        growth = x_delayed * (ONE - p) / np.maximum(w, _MIN_WINDOW)
+        decrease = x_delayed * p * w / TWO
+        w_new = np.maximum(_MIN_WINDOW, w + inputs.dt * (growth - decrease))
+        rate = w_new / inputs.tau
         inflight = self.update_inflight_all(inflight_old, inputs, rate)
         return rate, np.array((inflight, w_new))

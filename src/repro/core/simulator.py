@@ -84,15 +84,19 @@ import numpy as np
 from ..config import FlowArrival, ScenarioConfig
 from ..metrics.traces import FlowTrace, LinkTrace, Trace
 from ..obs import TELEMETRY
-from . import queues
-from .flow import FlowInputsBatch, FluidCCA
+from . import queues, smooth
+from .flow import TAU_FLOOR_S, FlowInputsBatch, FluidCCA
 from .history import VectorHistory
 from .network import Network, Path
 from .registry import create_model
+from .smooth import ONE, ZERO
 
 #: Seconds between fluid trace samples.  Every run records on this grid;
 #: an integration step ``dt`` must not exceed it.
 RECORD_INTERVAL_S = 1e-3
+
+# The step loop's constant operands, bound once (see ``smooth.constant``).
+_TAU_FLOOR = smooth.constant(TAU_FLOOR_S)
 
 
 class FluidSimulator:
@@ -495,8 +499,8 @@ class FluidSimulator:
         all_droptail = all(d == "droptail" for d in disciplines)
         all_red = all(d == "red" for d in disciplines)
         droptail_mask = np.array([d == "droptail" for d in disciplines])
-        sharpness = cfg.fluid.sigmoid_sharpness
-        exponent = cfg.fluid.droptail_exponent
+        sharpness = smooth.constant(cfg.fluid.sigmoid_sharpness)
+        exponent = smooth.constant(cfg.fluid.droptail_exponent)
         literal_xmax = cfg.fluid.literal_xmax
 
         # ---------- trace recording buffers ----------------------------- #
@@ -514,6 +518,7 @@ class FluidSimulator:
 
         # ---------- CCA states: one batched group per batch key --------- #
         states = self._make_states()
+        dt_bound = smooth.constant(dt)
         # (model, slots, batch, reusable FlowInputsBatch, traced rows, record)
         batch_groups = []
         start = 0
@@ -523,7 +528,7 @@ class FluidSimulator:
             slots = slice(start, start + len(flow_ids))
             start = slots.stop
             inputs = FlowInputsBatch(
-                dt=dt,
+                dt=dt_bound,
                 tau=latency_const,
                 tau_delayed=latency_const,
                 path_loss=latency_const,
@@ -549,7 +554,7 @@ class FluidSimulator:
             # attenuated by upstream loss and capacity along each path.
             delayed_rates = rate_history.gather(user_flows_arr, user_lags)
             if att_positions.size:
-                att_surv = 1.0 - fused[s_att]
+                att_surv = ONE - fused[s_att]
                 contrib = delayed_rates[att_positions]
                 for rows, seg, caps in att_levels:
                     np.minimum(contrib[rows] * att_surv[seg], caps, out=contrib[rows])
@@ -571,9 +576,9 @@ class FluidSimulator:
                     queues.red_loss_vec(queue_arr, link_buffer),
                 )
             departure = np.where(
-                queue_arr > 0,
+                queue_arr > ZERO,
                 link_capacity,
-                np.minimum((1.0 - loss) * arrival, link_capacity),
+                np.minimum((ONE - loss) * arrival, link_capacity),
             )
 
             # 2. Per-flow observations: path latency (Eq. 3), observed loss
@@ -594,15 +599,15 @@ class FluidSimulator:
             p_delayed = obs[2 * num_flows :]
             if multi_flows:
                 if fused_cols is not None:
-                    survive = 1.0 - fused[s_loss]
+                    survive = ONE - fused[s_loss]
                 else:
-                    survive = 1.0 - link_history.gather(multi_cols_arr, multi_lags)
-                p_delayed[multi_flows_arr] = 1.0 - np.multiply.reduceat(
+                    survive = ONE - link_history.gather(multi_cols_arr, multi_lags)
+                p_delayed[multi_flows_arr] = ONE - np.multiply.reduceat(
                     survive, multi_starts
                 )
-            has_arrival = y_delayed > 0
-            saturated = (q_delayed > 0) | (y_delayed > btl_capacity)
-            y_safe = np.where(has_arrival, y_delayed, 1.0)
+            has_arrival = y_delayed > ZERO
+            saturated = (q_delayed > ZERO) | (y_delayed > btl_capacity)
+            y_safe = np.where(has_arrival, y_delayed, ONE)
             delivery_rates = np.where(
                 saturated & has_arrival,
                 np.minimum(own_delayed / y_safe * btl_capacity, btl_capacity),
@@ -632,11 +637,11 @@ class FluidSimulator:
                 # buffer) zeroes the survival prefix: no traffic reaches
                 # the links behind it, so their effective capacity is
                 # infinite rather than a division by zero.
-                unreachable = surv_prefix == 0.0
+                unreachable = surv_prefix == ZERO
                 if np.count_nonzero(unreachable):
                     np.divide(
                         caps_pad,
-                        np.where(unreachable, 1.0, surv_prefix),
+                        np.where(unreachable, ONE, surv_prefix),
                         out=eff_capacity,
                     )
                     eff_capacity[unreachable] = np.inf
@@ -648,9 +653,9 @@ class FluidSimulator:
                 y_dyn = fused[s_arr][chosen]
                 q_dyn = fused[s_queue][chosen]
                 own_dyn = own_contrib[multi_rows, choice]
-                has_dyn = y_dyn > 0
-                sat_dyn = (q_dyn > 0) | (y_dyn > cap_dyn)
-                y_safe_dyn = np.where(has_dyn, y_dyn, 1.0)
+                has_dyn = y_dyn > ZERO
+                sat_dyn = (q_dyn > ZERO) | (y_dyn > cap_dyn)
+                y_safe_dyn = np.where(has_dyn, y_dyn, ONE)
                 delivery_rates[multi_flows_arr] = np.where(
                     sat_dyn & has_dyn,
                     np.minimum(own_dyn / y_safe_dyn * cap_dyn, cap_dyn),
@@ -658,6 +663,10 @@ class FluidSimulator:
                 )
 
             # 3. CCA updates, one batched call per group on its slot run.
+            # The inputs every model floors or clips are prepared once for
+            # all flows (the ``FlowInputsBatch`` contract).
+            tau_floored = np.maximum(latency, _TAU_FLOOR)
+            path_loss = np.minimum(ONE, np.maximum(ZERO, p_delayed))
             # A flow that has not started or has departed keeps its state
             # and sends nothing: one mask over the group's block and one
             # over its rate (none once every flow of a static population
@@ -667,9 +676,9 @@ class FluidSimulator:
             else:
                 active_all = None if t >= max_start else start_times <= t
             for model, slots, batch, inputs, _, _ in batch_groups:
-                inputs.tau = latency[slots]
+                inputs.tau = tau_floored[slots]
                 inputs.tau_delayed = tau_delayed[slots]
-                inputs.path_loss = p_delayed[slots]
+                inputs.path_loss = path_loss[slots]
                 inputs.delivery_rate = delivery_rates[slots]
                 inputs.rate_delayed = own_delayed[slots]
                 rate, block = model.step_all(batch, inputs)
@@ -678,7 +687,7 @@ class FluidSimulator:
                     batch.block = block
                 else:
                     active = active_all[slots]
-                    batch.rate = np.where(active, rate, 0.0)
+                    batch.rate = np.where(active, rate, ZERO)
                     batch.block = np.where(active, block, batch.block)
                 rates_all[slots] = batch.rate
 
@@ -687,7 +696,10 @@ class FluidSimulator:
                 # delivered volume, and a crossing takes effect (flow
                 # masked inactive) from the next step.
                 np.add(
-                    delivered_vol, delivery_rates * dt, out=delivered_vol, where=active_all
+                    delivered_vol,
+                    delivery_rates * dt_bound,
+                    out=delivered_vol,
+                    where=active_all,
                 )
                 newly_done = (delivered_vol >= sizes) & ~completed
                 completed |= newly_done
@@ -707,7 +719,7 @@ class FluidSimulator:
 
             # 5. Integrate the link queues (Eq. 2).
             queue_arr = queues.step_queue_vec(
-                queue_arr, arrival, link_capacity, loss, link_buffer, dt
+                queue_arr, arrival, link_capacity, loss, link_buffer, dt_bound
             )
 
             # 6. Push histories (the queue after its Eq. 2 step).

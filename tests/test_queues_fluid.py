@@ -17,6 +17,9 @@ from repro import topology
 from repro.config import FlowConfig, FluidParams, ScenarioConfig, dumbbell_scenario
 from repro.core import queues, simulate
 
+# A kernel that overflows or divides by zero on valid input fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 positive_rates = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 capacities = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 buffers = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
