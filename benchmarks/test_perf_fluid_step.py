@@ -15,7 +15,8 @@ to gate tier-1.
 
 A second benchmark records the **paper-grid step sections**: the 28-point
 grid of the aggregate figures as one lockstep batch, in microseconds per
-step, and the part of each step spent in each CCA's ``step_all``.
+step, the part of each step spent in each CCA's ``step_all``, and the
+delay ring's one read and one row write.
 
 A third benchmark records the **churn scaling curve**: vectorized
 integrator throughput at 100/500/1000/2000 flows under a Poisson /
@@ -37,6 +38,7 @@ from repro.core import FluidSimulator, simulate_many
 from repro.core.bbr1 import Bbr1Fluid
 from repro.core.bbr2 import Bbr2Fluid
 from repro.core.cubic import CubicFluid
+from repro.core.history import DelayRing
 from repro.core.reno import RenoFluid
 from repro.experiments import scenarios
 from repro.experiments.grid import GridSpec
@@ -125,7 +127,7 @@ def test_perf_fluid_step(benchmark):
 
 
 def test_perf_paper_grid_sections(benchmark, monkeypatch):
-    """Lockstep cost per step of the paper grid, and each CCA's share of it."""
+    """Lockstep cost per step of the paper grid, each CCA's and the ring's share."""
     grid = GridSpec(
         mixes=tuple(scenarios.CCA_MIXES),
         buffers_bdp=(1.0, 4.0),
@@ -142,22 +144,32 @@ def test_perf_paper_grid_sections(benchmark, monkeypatch):
 
     us_per_step = run_once(benchmark, _us_per_step)
 
-    # The same batch again with every group's ``step_all`` timed around
-    # the call (a few hundred ns of wrapper per call, no profiler).
+    # The same batch again with every group's ``step_all`` and the delay
+    # ring's read and row write timed around the call (a few hundred ns of
+    # wrapper per call, no profiler).
     spent: dict[str, float] = {}
-    for model in (RenoFluid, CubicFluid, Bbr1Fluid, Bbr2Fluid):
-        spent[model.name] = 0.0
 
-        def timed(self, batch, inputs, _step_all=model.step_all, _name=model.name):
+    def timed(owner, method: str, name: str) -> None:
+        spent[name] = 0.0
+        call = getattr(owner, method)
+
+        def wrapper(*args):
             start = time.perf_counter()
             try:
-                return _step_all(self, batch, inputs)
+                return call(*args)
             finally:
-                spent[_name] += time.perf_counter() - start
+                spent[name] += time.perf_counter() - start
 
-        monkeypatch.setattr(model, "step_all", timed)
+        monkeypatch.setattr(owner, method, wrapper)
+
+    for model in (RenoFluid, CubicFluid, Bbr1Fluid, Bbr2Fluid):
+        timed(model, "step_all", model.name)
+    timed(DelayRing, "read", "read")
+    timed(DelayRing, "push", "write")
     _us_per_step()
-    step_all_us = {name: round(s / steps * 1e6, 1) for name, s in spent.items()}
+    us = {name: round(s / steps * 1e6, 1) for name, s in spent.items()}
+    history_us = {name: us.pop(name) for name in ("read", "write")}
+    step_all_us = us
 
     record_bench("perf_fluid_step", {
         "paper_grid_lockstep": {
@@ -166,12 +178,15 @@ def test_perf_paper_grid_sections(benchmark, monkeypatch):
             "duration_s": BENCH_SECONDS,
             "us_per_step": round(us_per_step, 1),
             "step_all_us_per_step": step_all_us,
+            "history_us_per_step": history_us,
         },
     })
 
     print(f"\nPaper grid, {len(configs)} points in lockstep: {us_per_step:.0f} us/step")
-    for name, us in step_all_us.items():
-        print(f"  {name:5s} step_all {us:6.1f} us/step")
+    for name, us_step in step_all_us.items():
+        print(f"  {name:5s} step_all {us_step:6.1f} us/step")
+    for name, us_step in history_us.items():
+        print(f"  ring  {name:8s} {us_step:6.1f} us/step")
 
 
 def test_perf_fluid_churn_scaling(benchmark):

@@ -1,4 +1,4 @@
-"""Ring-buffer histories of time-varying signals.
+"""The ring-buffer history of every delayed signal of the fluid step.
 
 The BBR fluid model is a system of *delay* differential equations: the
 arrival rate at a link depends on sending rates one forward propagation
@@ -8,24 +8,29 @@ backward delay ago (Eq. 17).  The method of steps (Section 4.1.1) solves
 such systems by keeping the recent history of every delayed signal and
 reading it back at a fixed lag.
 
-:class:`VectorHistory` stores one signal per flow (or per link) on the
-integrator's uniform time grid, in a single numpy array for efficiency.
-
-Because every delay of a scenario is a *constant*, the simulator converts
-them to integer lag tables once (:meth:`VectorHistory.lag_steps`)
-and then performs one batched :meth:`VectorHistory.gather` per signal per
-step instead of per-component Python calls.
+:class:`DelayRing` stores every such signal of a step as one row of a
+single ``(slots, width)`` numpy array on the integrator's uniform time
+grid.  Because every delay of a scenario is a *constant*, the simulator
+turns each ``(column, delay)`` pair it reads into a flat offset once, at
+set-up (:meth:`DelayRing.offsets`); a step then reads all of its delayed
+values with one :meth:`DelayRing.read` (a single 1-D ``take``) and writes
+its new samples with one :meth:`DelayRing.push`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
-class VectorHistory:
-    """Fixed-lag history of a vector-valued signal (one entry per flow/link).
+class DelayRing:
+    """Fixed-lag history of a vector-valued signal, one row per step.
 
-    Stored as a ``(slots, width)`` numpy array indexed circularly in time.
+    Stored as a ``(slots, width)`` numpy array indexed circularly in time;
+    every row starts as ``initial``.  A read more steps back than have been
+    pushed therefore returns ``initial``: the rows it lands on have not been
+    written yet.
     """
 
     def __init__(
@@ -43,63 +48,56 @@ class VectorHistory:
             raise ValueError("max_delay must be non-negative")
         self.width = width
         self.dt = dt
-        self._size = int(np.ceil(max_delay / dt)) + 2
-        self._buffer = np.zeros((self._size, width), dtype=float)
+        self.size = int(np.ceil(max_delay / dt)) + 2
+        self._buffer = np.zeros((self.size, width), dtype=float)
         self._buffer[:] = np.asarray(initial, dtype=float)
+        self._flat = self._buffer.reshape(-1)
+        self._rows = list(self._buffer)
         self._head = 0
-        self._steps = 0
-        #: Batched-gather call count (telemetry; one int add per gather).
-        self.gathers = 0
-
-    def at_delay(self, index: int, delay: float) -> float:
-        """Value of component ``index`` of the signal ``delay`` seconds ago."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        lag = min(int(round(delay / self.dt)), self._steps, self._size - 1)
-        return float(self._buffer[(self._head - lag) % self._size, index])
-
-    # ------------------------------------------------------------------ #
-    # Batched fixed-lag API (hot path of the simulator)
-    # ------------------------------------------------------------------ #
+        self._base = 0
+        #: Read count (telemetry; one int add per read).
+        self.reads = 0
 
     def lag_steps(self, delays: np.ndarray | float) -> np.ndarray:
-        """Convert constant delays (seconds) into an integer lag table.
-
-        The result can be passed to :meth:`gather` every step without
-        re-doing the rounding and validation.  Delays are rounded to the
-        nearest grid step, exactly as :meth:`at_delay` does.
-        """
+        """Convert constant delays (seconds) into whole steps, rounded to nearest."""
         delays = np.atleast_1d(np.asarray(delays, dtype=float))
         if np.any(delays < 0):
             raise ValueError("delays must be non-negative")
         lags = np.rint(delays / self.dt).astype(np.intp)
-        if np.any(lags > self._size - 1):
+        if np.any(lags > self.size - 1):
             raise ValueError("delay exceeds the recorded history window")
         return lags
 
-    def gather(self, indices: np.ndarray, lags: np.ndarray) -> np.ndarray:
-        """Batched lookup: component ``indices[k]`` read ``lags[k]`` steps back.
+    def offsets(self, columns: np.ndarray | Sequence[int], delays: np.ndarray) -> np.ndarray:
+        """Flat read offsets of column ``columns[k]`` ``delays[k]`` seconds back.
 
-        ``lags`` must come from :meth:`lag_steps` (pre-validated integer
-        steps).  Lookups beyond the recorded history are clamped to the
-        oldest sample, matching :meth:`at_delay`.
+        Built once at set-up and passed to :meth:`read` every step.  A
+        column outside the row is refused here: the wrapping read would
+        silently return a neighbouring column instead.
         """
-        self.gathers += 1
-        if self._steps < self._size - 1:
-            lags = np.minimum(lags, self._steps)
-        # Negative row indices wrap to the end of the buffer, which is
-        # exactly the circular layout, so no modulo is needed.
-        return self._buffer[self._head - lags, indices]
+        columns = np.asarray(columns, dtype=np.intp)
+        if np.any((columns < 0) | (columns >= self.width)):
+            raise ValueError("column outside the ring row")
+        return columns - self.lag_steps(delays) * self.width
 
-    def advance(self) -> np.ndarray:
-        """Advance the write head one step and return the new row to fill.
+    def read(self, offsets: np.ndarray) -> np.ndarray:
+        """Every entry of an :meth:`offsets` table at the current step, one ``take``.
 
-        Call exactly once per step; the caller writes the current sample
-        directly into the returned row view.
+        Relative to the newest row an offset lies in ``(-size * width,
+        width)``, so ``mode="wrap"`` maps the rows before the buffer start
+        onto the circular layout.
+        """
+        self.reads += 1
+        return self._flat.take(offsets + self._base, mode="wrap")
+
+    def push(self, parts: Sequence[np.ndarray]) -> None:
+        """Advance one step and write the row ``parts`` concatenated.
+
+        Call exactly once per step, after that step's :meth:`read`.
         """
         head = self._head + 1
-        if head == self._size:
+        if head == self.size:
             head = 0
         self._head = head
-        self._steps += 1
-        return self._buffer[head]
+        self._base = head * self.width
+        np.concatenate(parts, out=self._rows[head])

@@ -45,7 +45,9 @@ def droptail_loss_vec(
     ``p = sigma(y - C) * (1 - C / y) * (q / B)^L`` — loss only when the
     arrival rate exceeds capacity *and* the queue is close to the buffer
     limit, in which case the loss equals the relative excess rate.  Zero
-    arrivals and infinite buffers are lossless.
+    arrivals and infinite buffers are lossless without a guard: below
+    capacity the excess term is exactly zero, and ``q / inf`` zeroes the
+    occupancy of any finite queue.
 
     The sigmoid argument is normalised by the capacity so that the sharpness
     constant is dimensionless (a 0.5 % rate excess already saturates it).
@@ -56,18 +58,15 @@ def droptail_loss_vec(
     gate = smooth.scaled_sigmoid((arrival_rate - capacity) / capacity * sharpness)
     excess = np.maximum(ZERO, ONE - capacity / arrival_safe)
     occupancy = np.minimum(ONE, queue / buffer_size) ** exponent
-    loss = np.minimum(ONE, gate * excess * occupancy)
-    return np.where((arrival_rate > ZERO) & np.isfinite(buffer_size), loss, ZERO)
+    return np.minimum(ONE, gate * excess * occupancy)
 
 
 def red_loss_vec(queue: np.ndarray, buffer_size: np.ndarray) -> np.ndarray:
     """Idealised RED loss probability ``p = q / B`` (Eq. 6), element-wise.
 
-    Infinite buffers yield zero loss.
+    Infinite buffers yield zero loss (``q / inf`` is zero for a finite queue).
     """
-    return np.where(
-        np.isfinite(buffer_size), np.minimum(ONE, queue / buffer_size), ZERO
-    )
+    return np.minimum(ONE, queue / buffer_size)
 
 
 def step_queue_vec(
@@ -81,11 +80,9 @@ def step_queue_vec(
     """Advance the queue lengths by one Euler step of Eq. 2, clamped to ``[0, B]``.
 
     The queue grows with the *accepted* arrival rate ``(1 - p) * y`` and
-    drains at the link capacity; reflecting boundaries keep it from
-    becoming negative or exceeding the buffer size.
+    drains at the link capacity; the clamp is the reflecting boundary that
+    keeps it from becoming negative or exceeding the buffer size (an empty
+    queue that would drain, or a full one that would grow, stays put).
     """
-    rate = (ONE - loss) * arrival_rate - capacity
-    rate = np.where((queue <= ZERO) & (rate < ZERO), ZERO, rate)
-    rate = np.where((queue >= buffer_size) & (rate > ZERO), ZERO, rate)
-    new_queue = queue + dt * rate
+    new_queue = queue + dt * ((ONE - loss) * arrival_rate - capacity)
     return np.minimum(buffer_size, np.maximum(ZERO, new_queue))

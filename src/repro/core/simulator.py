@@ -11,20 +11,22 @@ simulator
    delivery rate (Eq. 17) from delayed link state,
 4. lets every flow's CCA model advance its own state and sending rate,
 5. integrates the link queues (Eq. 2), and
-6. pushes the new samples into the ring-buffer histories.
+6. pushes the new samples into the delay ring.
 
 Because every delay of a scenario is a *constant*, the integrator hoists
-all delay arithmetic out of the loop: delays become integer lag tables
-computed once, per-component ring-buffer reads become one batched
-:meth:`~repro.core.history.VectorHistory.gather` per signal per step, the
-flow→link incidence structure turns Eq. 1 into a gather plus one row-wise
-reduction per distinct segment length (each link's row sums its users in
-flow order) and Eq. 3 into one gather-and-add per hop, and the loss/queue
-updates (Eq. 4/6, Eq. 2) run as single numpy expressions over every queued
-link at once.  Flows advance as structure-of-arrays groups through their
-CCA model's batched ``step_all``, one group per ``batch_key`` (every
-:class:`~repro.core.flow.FluidCCA` implements both), so arbitrary
-heterogeneous mixes step in a handful of calls.  A group's CCA state is one
+all delay arithmetic out of the loop: every delayed signal lives in one
+:class:`~repro.core.history.DelayRing` whose row is ``[rates | latency |
+arrival | queue | loss]``, every ``(column, delay)`` pair the step reads
+becomes one flat offset at set-up, so a step makes one ring read (a single
+``take``) and one row write; the flow→link incidence structure turns Eq. 1
+into one row-wise reduction of that read per distinct segment length (each
+link's row sums its users in flow order) and Eq. 3 into one gather-and-add
+per hop, and the loss/queue updates (Eq. 4/6, Eq. 2) run as single numpy
+expressions over every queued link at once.  Flows advance as
+structure-of-arrays groups through their CCA model's batched ``step_all``,
+one group per ``batch_key`` (every :class:`~repro.core.flow.FluidCCA`
+implements both), so arbitrary heterogeneous mixes step in a handful of
+calls.  A group's CCA state is one
 ``(rows, n)`` block (:class:`~repro.core.flow.FlowStateBatch`), so masking
 the flows that have not started or have departed is one ``np.where`` per
 group for the block and one for the rate.  Every per-flow array is laid
@@ -86,7 +88,7 @@ from ..metrics.traces import FlowTrace, LinkTrace, Trace
 from ..obs import TELEMETRY
 from . import queues, smooth
 from .flow import TAU_FLOOR_S, FlowInputsBatch, FluidCCA
-from .history import VectorHistory
+from .history import DelayRing
 from .network import Network, Path
 from .registry import create_model
 from .smooth import ONE, ZERO
@@ -148,8 +150,8 @@ class FluidSimulator:
             else:
                 self.models[i] = create_model(flow_cfg.cca, config.fluid)
         #: Substrate counters of the last completed run (steps, flows,
-        #: links, gathers) — the fluid half of the stored ``runtime``
-        #: block; empty before any run.
+        #: links, gathers = delay-ring reads, one per step) — the fluid
+        #: half of the stored ``runtime`` block; empty before any run.
         self.runtime: dict[str, int] = {}
 
     def _flow_lifetimes(self):
@@ -273,16 +275,23 @@ class FluidSimulator:
             completed = np.zeros(num_flows, dtype=bool)
             end_times = np.full(num_flows, math.nan)
 
-        max_delay = float(np.max(propagation_rtt)) + dt
-        rate_history = VectorHistory(num_flows, dt, max_delay)
-        latency_history = VectorHistory(num_flows, dt, max_delay, initial=propagation_rtt)
-        # One merged history for the queued-link state, laid out as
-        # [arrival | queue | loss] so the per-flow observation block needs a
-        # single gather per step.
-        link_history = VectorHistory(max(3 * num_queued, 1), dt, max_delay)
+        # One delay ring holds every delayed signal, one row per step laid
+        # out as [rates | latency | arrival | queue | loss] by slot and
+        # queued-link position; the latency columns start at the propagation
+        # RTT.  Every (column, delay) pair a step reads becomes one flat
+        # offset below, so a step reads them all with one ``take``.
+        link0 = 2 * num_flows
+        ring = DelayRing(
+            link0 + 3 * num_queued,
+            dt,
+            float(np.max(propagation_rtt)) + dt,
+            initial=np.concatenate(
+                (np.zeros(num_flows), propagation_rtt, np.zeros(3 * num_queued))
+            ),
+        )
 
         # Flow -> link incidence for Eq. 1: the delayed sending rates of all
-        # (link, user) pairs are gathered at once and summed per link.  The
+        # (link, user) pairs are read at once and summed per link.  The
         # pairs follow each link's users in original flow order, so every
         # link sums its scenario's flows in the same order as a run alone.
         user_flows: list[int] = []
@@ -293,10 +302,8 @@ class FluidSimulator:
                 user_flows.append(i)
                 user_delays.append(net.forward_delay(i, idx))
             seg_bounds.append(len(user_flows))
-        user_flows_arr = slot_of[np.array(user_flows, dtype=np.intp)]
-        user_lags = rate_history.lag_steps(np.array(user_delays, dtype=float))
         # Eq. 1 is one row-wise reduction per distinct segment length: the
-        # links with ``length`` users gather their pairs as one (links,
+        # links with ``length`` users read their pairs as one (links,
         # length) matrix (a single block when all lengths agree, as on the
         # paper grid's ten-flow dumbbells).  Each row reduces exactly like
         # the 1-D sum of its segment (``np.add.reduceat`` would not: it sums
@@ -316,19 +323,21 @@ class FluidSimulator:
             [net.links[b].capacity_pps for b in bottleneck_of], dtype=float
         )
         flow_index = np.arange(num_flows, dtype=np.intp)
-        own_lags = rate_history.lag_steps(propagation_rtt + dt)
-        rtt_lags = latency_history.lag_steps(propagation_rtt)
-        back_lags = link_history.lag_steps(backward_delay)
-        obs_cols = np.concatenate(
-            [btl_pos, num_queued + btl_pos, 2 * num_queued + btl_pos]
-        )
-        obs_lags = np.concatenate([back_lags, back_lags, back_lags])
+        # The ring reads of a step, in read order: (name, columns, delays).
+        reads: list[tuple[str, np.ndarray, np.ndarray]] = [
+            ("eq1", slot_of[np.array(user_flows, dtype=np.intp)], np.array(user_delays)),
+            ("own", flow_index, propagation_rtt + dt),
+            ("rtt", num_flows + flow_index, propagation_rtt),
+            ("arrival", link0 + btl_pos, backward_delay),
+            ("queue", link0 + num_queued + btl_pos, backward_delay),
+            ("loss", link0 + 2 * num_queued + btl_pos, backward_delay),
+        ]
 
         # Multi-bottleneck paths: a flow crossing several queued links
         # observes the *composed* path loss 1 - prod_l (1 - p_l), each link's
         # loss delayed by its own backward delay (Eq. 7 generalised to K
         # links).  Flows with a single queued link keep the direct bottleneck
-        # gather above — bit-identical with the legacy dumbbell pipeline.
+        # read above — bit-identical with the legacy dumbbell pipeline.
         multi_flows: list[int] = []
         multi_ids: list[int] = []
         multi_cols: list[int] = []
@@ -343,14 +352,15 @@ class FluidSimulator:
             multi_flows.append(slot)
             multi_ids.append(i)
             for idx in queued_on_path:
-                multi_cols.append(2 * num_queued + pos_of_link[idx])
+                multi_cols.append(link0 + pos_of_link[idx])
                 multi_delays.append(net.backward_delay(i, idx))
             multi_bounds.append(len(multi_cols))
         attenuating = self.attenuate_arrivals
         if multi_flows:
             multi_flows_arr = np.array(multi_flows, dtype=np.intp)
-            multi_cols_arr = np.array(multi_cols, dtype=np.intp)
-            multi_lags = link_history.lag_steps(np.array(multi_delays, dtype=float))
+            multi_arr_cols = np.array(multi_cols, dtype=np.intp)
+            multi_delays_arr = np.array(multi_delays, dtype=float)
+            reads.append(("multi_loss", multi_arr_cols + 2 * num_queued, multi_delays_arr))
             multi_starts = np.array(multi_bounds[:-1], dtype=np.intp)
         if multi_flows and attenuating:
             # Dynamic effective bottleneck (Eq. 17 under attenuation): per
@@ -358,9 +368,9 @@ class FluidSimulator:
             # with the smallest survival-scaled capacity C_l / S_l, where
             # S_l is the flow's survival product over links upstream of l
             # (ties pick the most upstream link).  The per-pair survive
-            # factors are the same backward-delayed gathers the composed
+            # factors are the same backward-delayed reads the composed
             # path loss already uses; arrival/queue of the chosen link are
-            # gathered at its own backward delay.  The per-pair arrays are
+            # read at its own backward delay.  The per-pair arrays are
             # processed as a rectangular (num_multi, max_len) matrix —
             # segments shorter than max_len are padded with survive = 1 /
             # capacity = inf so they never win the argmin.
@@ -374,8 +384,6 @@ class FluidSimulator:
             multi_caps = np.array(
                 [net.links[idx].capacity_pps for idx in multi_links], dtype=float
             )
-            multi_arr_cols = multi_cols_arr - 2 * num_queued
-            multi_q_cols = multi_cols_arr - num_queued
             multi_lens = np.diff(multi_bounds)
             max_len = int(multi_lens.max())
             ragged = bool(np.any(multi_lens != max_len))
@@ -404,8 +412,7 @@ class FluidSimulator:
         # whose link is the flow's first queued link have no upstream terms
         # and keep the exact legacy arithmetic (one-hop scenarios stay
         # bit-identical).  Pairs are sorted by upstream depth (deepest
-        # first) so each depth level is a leading slice, and all depth
-        # levels share one gather per step.
+        # first) so each depth level is a leading slice of one ring read.
         att_positions = np.empty(0, dtype=np.intp)
         att_levels: list[tuple[slice, slice, np.ndarray]] = []
         if attenuating:
@@ -428,7 +435,7 @@ class FluidSimulator:
                     caps = np.empty(count)
                     for local, (_, i, idx, ups) in enumerate(att_list[:count]):
                         m = ups[d]
-                        att_cols.append(2 * num_queued + pos_of_link[m])
+                        att_cols.append(link0 + 2 * num_queued + pos_of_link[m])
                         att_delays.append(
                             net.forward_delay(i, idx) - net.forward_delay(i, m)
                         )
@@ -437,28 +444,26 @@ class FluidSimulator:
                     att_levels.append(
                         (slice(0, count), slice(offset, offset + count), caps)
                     )
-                att_cols_arr = np.array(att_cols, dtype=np.intp)
-                att_lags = link_history.lag_steps(np.array(att_delays, dtype=float))
-
-        # All link-state reads of a step sample the same (immutable) ring
-        # buffer, so the attenuated pipeline fuses them into one gather:
-        # [attenuation survivals | per-flow bottleneck obs | multi-pair
-        # loss | multi-pair arrival | multi-pair queue].
-        fused_cols = None
-        if attenuating and multi_flows:
-            pieces = (
-                (att_cols_arr, att_lags),
-                (obs_cols, obs_lags),
-                (multi_cols_arr, multi_lags),
-                (multi_arr_cols, multi_lags),
-                (multi_q_cols, multi_lags),
-            )
-            fused_cols = np.concatenate([cols for cols, _ in pieces])
-            fused_lags = np.concatenate([lags for _, lags in pieces])
-            bounds = np.cumsum([0] + [len(cols) for cols, _ in pieces])
-            (s_att, s_obs, s_loss, s_arr, s_queue) = (
-                slice(bounds[k], bounds[k + 1]) for k in range(5)
-            )
+                reads.append(("att", np.array(att_cols), np.array(att_delays)))
+        if multi_flows and attenuating:
+            reads.append(("multi_arrival", multi_arr_cols, multi_delays_arr))
+            reads.append(("multi_queue", multi_arr_cols + num_queued, multi_delays_arr))
+        read_offsets = np.concatenate(
+            [ring.offsets(cols, delays) for _, cols, delays in reads]
+        )
+        # Where each read lands in the step's read; the Eq. 1 pairs lead,
+        # so their pair positions index the read directly.
+        bounds = np.cumsum([0] + [len(cols) for _, cols, _ in reads]).tolist()
+        read_at = {
+            name: slice(bounds[k], bounds[k + 1])
+            for k, (name, _, _) in enumerate(reads)
+        }
+        s_own, s_rtt, s_y, s_q, s_p = (
+            read_at[name] for name in ("own", "rtt", "arrival", "queue", "loss")
+        )
+        s_att, s_multi_loss, s_multi_arrival, s_multi_queue = (
+            read_at.get(name) for name in ("att", "multi_loss", "multi_arrival", "multi_queue")
+        )
 
         # Path latency (Eq. 3) = constant propagation part + the queueing
         # delays of the flow's queued links, added one hop at a time in
@@ -547,20 +552,18 @@ class FluidSimulator:
 
         for step in range(steps + 1):
             t = step * dt
-            if fused_cols is not None:
-                fused = link_history.gather(fused_cols, fused_lags)
+            delayed = ring.read(read_offsets)
 
             # 1. Link arrival rates from delayed sending rates (Eq. 1),
             # attenuated by upstream loss and capacity along each path.
-            delayed_rates = rate_history.gather(user_flows_arr, user_lags)
             if att_positions.size:
-                att_surv = ONE - fused[s_att]
-                contrib = delayed_rates[att_positions]
+                att_surv = ONE - delayed[s_att]
+                contrib = delayed[att_positions]
                 for rows, seg, caps in att_levels:
                     np.minimum(contrib[rows] * att_surv[seg], caps, out=contrib[rows])
-                delayed_rates[att_positions] = contrib
+                delayed[att_positions] = contrib
             for rows, pairs in eq1_blocks:
-                arrival[rows] = np.add.reduce(delayed_rates[pairs], axis=1)
+                arrival[rows] = np.add.reduce(delayed[pairs], axis=1)
             if all_droptail:
                 loss = queues.droptail_loss_vec(
                     arrival, link_capacity, queue_arr, link_buffer, sharpness, exponent
@@ -588,20 +591,13 @@ class FluidSimulator:
             for cols in hop_cols[1:]:
                 path_queueing += queueing_delay[cols]
             latency = latency_const + path_queueing
-            own_delayed = rate_history.gather(flow_index, own_lags)
-            tau_delayed = latency_history.gather(flow_index, rtt_lags)
-            if fused_cols is not None:
-                obs = fused[s_obs]
-            else:
-                obs = link_history.gather(obs_cols, obs_lags)
-            y_delayed = obs[:num_flows]
-            q_delayed = obs[num_flows : 2 * num_flows]
-            p_delayed = obs[2 * num_flows :]
+            own_delayed = delayed[s_own]
+            tau_delayed = delayed[s_rtt]
+            y_delayed = delayed[s_y]
+            q_delayed = delayed[s_q]
+            p_delayed = delayed[s_p]
             if multi_flows:
-                if fused_cols is not None:
-                    survive = ONE - fused[s_loss]
-                else:
-                    survive = ONE - link_history.gather(multi_cols_arr, multi_lags)
+                survive = ONE - delayed[s_multi_loss]
                 p_delayed[multi_flows_arr] = ONE - np.multiply.reduceat(
                     survive, multi_starts
                 )
@@ -650,8 +646,8 @@ class FluidSimulator:
                 choice = np.argmin(eff_capacity, axis=1)
                 chosen = pad_idx[multi_rows, choice]
                 cap_dyn = multi_caps[chosen]
-                y_dyn = fused[s_arr][chosen]
-                q_dyn = fused[s_queue][chosen]
+                y_dyn = delayed[s_multi_arrival][chosen]
+                q_dyn = delayed[s_multi_queue][chosen]
                 own_dyn = own_contrib[multi_rows, choice]
                 has_dyn = y_dyn > ZERO
                 sat_dyn = (q_dyn > ZERO) | (y_dyn > cap_dyn)
@@ -722,18 +718,14 @@ class FluidSimulator:
                 queue_arr, arrival, link_capacity, loss, link_buffer, dt_bound
             )
 
-            # 6. Push histories (the queue after its Eq. 2 step).
-            rate_history.advance()[:] = rates_all
-            latency_history.advance()[:] = latency
-            np.concatenate((arrival, queue_arr, loss), out=link_history.advance())
+            # 6. Push the step's row (the queue after its Eq. 2 step).
+            ring.push((rates_all, latency, arrival, queue_arr, loss))
 
         self.runtime = {
             "steps": steps + 1,
             "flows": num_flows,
             "links": num_queued,
-            "gathers": rate_history.gathers
-            + latency_history.gathers
-            + link_history.gathers,
+            "gathers": ring.reads,
         }
         flow_ends = self._flow_end_list(
             churn,

@@ -54,7 +54,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .. import analysis
 from ..core.simulator import simulate_many
 from ..emulation.runner import EmulationRunner
 from ..metrics.aggregate import (
@@ -240,6 +239,8 @@ def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
             for point, trace in zip(chunk, traces, strict=True)
         ]
     if grid.substrate == "analytic":
+        from .. import analysis  # only analytic chunks load the analysis layer
+
         with RuntimeCapture() as rt:
             predictions = analysis.analyze_scenarios(configs)
         return [
@@ -532,6 +533,8 @@ def _prune(
     — is independent of the buffer size, so one member (the *primary*) is
     computed and the rest become aliases of it.
     """
+    from .. import analysis  # only the analytic pre-pass loads the analysis layer
+
     def certificate(point: PointSpec) -> str | None:
         config = point.config()
         if not analysis.buffer_never_binds(config):

@@ -499,14 +499,20 @@ _STORE_READ_ABSENT = (
         (
             ["campaign", "--seeds", "1", "--substrate", "fluid", "--mixes", "BBRv1",
              "--buffers", "1", "--duration", "0.2"],
-            ("scipy", "repro.experiments.figures", "repro.experiments.phase"),
+            ("scipy", "repro.analysis", "repro.experiments.figures", "repro.experiments.phase"),
+        ),
+        (
+            ["campaign", "--seeds", "1", "--substrate", "emulation", "--mixes", "BBRv1",
+             "--buffers", "1", "--duration", "0.2"],
+            ("scipy", "repro.analysis", "repro.experiments.figures", "repro.experiments.phase"),
         ),
     ],
-    ids=["status", "store-summary", "campaign-fluid"],
+    ids=["status", "store-summary", "campaign-fluid", "campaign-emulation"],
 )
 def test_command_import_boundaries(tmp_path, argv, absent):
     # Each command imports only the layers it runs: counting a store's keys
-    # loads no substrate, and a fluid campaign no scipy, figures or phase.
+    # loads no substrate, and a fluid or emulation campaign no analysis
+    # layer, scipy, figures or phase.
     _write_grid_and_store(tmp_path)
     code = (
         "import sys\n"

@@ -8,7 +8,8 @@ events of a run of ``2N`` steps and of ``N`` steps, and the difference over
 ``N`` is the per-step count (set-up, trace assembly and the warm-up of the
 first ``N`` steps cancel).  numpy ufuncs (``np.add``, ``np.minimum``, ...)
 raise no profile event; builtin methods such as ``ndarray.sum`` and the
-array-function dispatchers of ``np.where``/``np.concatenate`` do.
+array-function dispatchers of ``np.where``/``np.concatenate`` do.  Calls
+are counted by qualified name (``DelayRing.read``, ``ndarray.take``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import collections
 import dataclasses
 import gc
 import sys
+
+import pytest
 
 from repro.config import FlowSchedule
 from repro.core import simulate_many
@@ -39,6 +42,8 @@ PAPER_GRID = GridSpec(
     buffers_bdp=(1.0, 4.0),
     disciplines=("droptail", "red"),
 )
+#: A finite flow size no flow can deliver: the churn path, static dynamics.
+NEVER_DONE = FlowSchedule(size_dist="fixed", mean_size_packets=1e12)
 
 
 def _events(configs, steps: int) -> collections.Counter:
@@ -47,7 +52,7 @@ def _events(configs, steps: int) -> collections.Counter:
 
     def hook(frame, event, arg):
         if event == "call":
-            counter[frame.f_code.co_name] += 1
+            counter[frame.f_code.co_qualname] += 1
         elif event == "c_call":
             counter[getattr(arg, "__qualname__", repr(arg))] += 1
 
@@ -74,6 +79,11 @@ def per_step_calls(
     configs = [point.config() for point in grid.points()] * copies
     if schedule is not None:
         configs = [dataclasses.replace(c, schedule=schedule) for c in configs]
+    return per_step_calls_of(configs)
+
+
+def per_step_calls_of(configs) -> collections.Counter:
+    """Profile events per step of ``simulate_many(configs)``."""
     _events(configs, 2)  # warm-up: imports and first-call caches
     once = _events(configs, WINDOW_STEPS)
     twice = _events(configs, 2 * WINDOW_STEPS)
@@ -113,7 +123,26 @@ def test_churn_masks_each_group_once():
     # the masking, one ``np.where`` over each group's state block and one
     # over its rate, whatever the number of state fields.
     static = per_step_calls(SMALL_GRID)
-    never_done = FlowSchedule(size_dist="fixed", mean_size_packets=1e12)
-    churn = per_step_calls(SMALL_GRID, schedule=never_done)
+    churn = per_step_calls(SMALL_GRID, schedule=NEVER_DONE)
     assert churn.pop("where") - static.pop("where") <= 2 * SMALL_GRID_GROUPS
     assert churn == static
+
+
+
+@pytest.mark.parametrize("case", ["paper-grid", "churn-grid", "attenuated-parking-lot"])
+def test_one_ring_read_and_write_per_step(case):
+    # Every delayed signal of a step (Eq. 1 pairs, own rate, RTT, bottleneck
+    # observations, and on a multi-hop path the per-link loss, attenuation
+    # survivals, arrivals and queues) comes from one ``take`` of the delay
+    # ring, and the step's new samples go in with one row write.
+    if case == "paper-grid":
+        counts = per_step_calls(PAPER_GRID)
+    elif case == "churn-grid":
+        counts = per_step_calls(SMALL_GRID, schedule=NEVER_DONE)
+    else:
+        # Three hops with one cross flow each: every long flow crosses
+        # three queued links, so all the multi-hop reads are live.
+        counts = per_step_calls_of([scenarios.parking_lot_scenario("BBRv1/CUBIC")])
+    assert counts["DelayRing.read"] == 1
+    assert counts["DelayRing.push"] == 1
+    assert counts["ndarray.take"] == 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import topology
 from repro.config import FlowConfig, FluidParams, ScenarioConfig, dumbbell_scenario
-from repro.core import queues, simulate
+from repro.core import queues, simulate, smooth
 
 # A kernel that overflows or divides by zero on valid input fails here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -176,6 +176,110 @@ class TestElementwise:
             assert droptail[k] == droptail_loss(a, c, queue[k], b)
             assert red[k] == red_loss(queue[k], b)
             assert stepped[k] == step_queue(queue[k], a, c, p, b, 0.01)
+
+
+def guarded_droptail_loss_vec(arrival_rate, capacity, queue, buffer_size, sharpness, exponent):
+    """The drop-tail kernel as it was, with its zero-arrival/infinite-buffer guard."""
+    arrival_safe = np.maximum(arrival_rate, capacity)
+    gate = smooth.scaled_sigmoid((arrival_rate - capacity) / capacity * sharpness)
+    excess = np.maximum(0.0, 1.0 - capacity / arrival_safe)
+    occupancy = np.minimum(1.0, queue / buffer_size) ** exponent
+    loss = np.minimum(1.0, gate * excess * occupancy)
+    return np.where((arrival_rate > 0) & np.isfinite(buffer_size), loss, 0.0)
+
+
+def guarded_red_loss_vec(queue, buffer_size):
+    """The RED kernel as it was, with its infinite-buffer guard."""
+    return np.where(np.isfinite(buffer_size), np.minimum(1.0, queue / buffer_size), 0.0)
+
+
+def guarded_step_queue_vec(queue, arrival_rate, capacity, loss, buffer_size, dt):
+    """The Eq. 2 step as it was, with its two boundary guards before the clamp."""
+    rate = (1.0 - loss) * arrival_rate - capacity
+    rate = np.where((queue <= 0) & (rate < 0), 0.0, rate)
+    rate = np.where((queue >= buffer_size) & (rate > 0), 0.0, rate)
+    new_queue = queue + dt * rate
+    return np.minimum(buffer_size, np.maximum(0.0, new_queue))
+
+
+@st.composite
+def link_states(draw):
+    """One queued link: (arrival, capacity, queue, buffer, loss).
+
+    The arrival is zero, subnormal or positive; the buffer finite or
+    infinite; the queue anywhere in ``[0, B]``, exactly 0 and exactly B
+    included (any finite queue when B is infinite).
+    """
+    buffer_size = draw(st.one_of(buffers, st.just(math.inf)))
+    if math.isinf(buffer_size):
+        queue = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)))
+    else:
+        fill = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        queue = fill * buffer_size
+    arrival = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), positive_rates))
+    capacity = draw(capacities)
+    loss = draw(st.floats(min_value=0.0, max_value=1.0))
+    return arrival, capacity, queue, buffer_size, loss
+
+
+class TestGuardFreeKernels:
+    """The kernels dropped guards the algebra implies; results keep every bit.
+
+    Bits are compared with ``tobytes``, so a ``-0.0`` for a ``0.0`` fails.
+    """
+
+    @given(
+        st.lists(link_states(), min_size=1, max_size=6),
+        st.sampled_from([(smooth.DEFAULT_SHARPNESS, 20.0), (200.0, 20.0), (50.0, 4.0)]),
+        st.floats(min_value=1e-5, max_value=1.0),
+    )
+    def test_bit_equal_to_guarded_kernels(self, links, numerics, dt):
+        arrival, capacity, queue, buffer_size, loss = (
+            np.array(column) for column in zip(*links, strict=True)
+        )
+        sharpness, exponent = (smooth.constant(value) for value in numerics)
+        dt = smooth.constant(dt)
+        assert (
+            queues.droptail_loss_vec(arrival, capacity, queue, buffer_size, sharpness, exponent)
+            .tobytes()
+            == guarded_droptail_loss_vec(
+                arrival, capacity, queue, buffer_size, sharpness, exponent
+            ).tobytes()
+        )
+        assert (
+            queues.red_loss_vec(queue, buffer_size).tobytes()
+            == guarded_red_loss_vec(queue, buffer_size).tobytes()
+        )
+        assert (
+            queues.step_queue_vec(queue, arrival, capacity, loss, buffer_size, dt).tobytes()
+            == guarded_step_queue_vec(queue, arrival, capacity, loss, buffer_size, dt).tobytes()
+        )
+
+    def test_boundary_cases(self):
+        # An empty queue that would drain, a full one that would grow, zero
+        # and subnormal arrivals on a full buffer, and an infinite buffer.
+        queue = np.array([0.0, 100.0, 100.0, 100.0, 5.0])
+        arrival = np.array([0.0, 2000.0, 0.0, 5e-324, 2000.0])
+        capacity = np.full(5, 1000.0)
+        loss = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
+        buffer_size = np.array([100.0, 100.0, 100.0, 100.0, math.inf])
+        sharpness, exponent, dt = (smooth.constant(v) for v in (200.0, 20.0, 0.01))
+        pairs = (
+            (
+                queues.droptail_loss_vec(arrival, capacity, queue, buffer_size, sharpness, exponent),
+                guarded_droptail_loss_vec(
+                    arrival, capacity, queue, buffer_size, sharpness, exponent
+                ),
+            ),
+            (queues.red_loss_vec(queue, buffer_size), guarded_red_loss_vec(queue, buffer_size)),
+            (
+                queues.step_queue_vec(queue, arrival, capacity, loss, buffer_size, dt),
+                guarded_step_queue_vec(queue, arrival, capacity, loss, buffer_size, dt),
+            ),
+        )
+        for guard_free, guarded in pairs:
+            assert guard_free.tobytes() == guarded.tobytes()
+        np.testing.assert_array_equal(pairs[2][0], [0.0, 100.0, 90.0, 90.0, 5.0])
 
 
 class TestQueueIntegration:
