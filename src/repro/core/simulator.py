@@ -61,13 +61,11 @@ crossed ``m``.  The delivery rate (Eq. 17) is then taken at the flow's
 *effective* bottleneck: the path link with the smallest survival-scaled
 capacity ``C_l / prod_upstream(1 - p_m)`` (re-evaluated every step from
 the delayed loss state), using the flow's attenuated contribution as the
-numerator.  ``attenuate_arrivals=False`` restores the unattenuated Eq.-1
-arrivals (the pre-attenuation pipeline, kept for regression and
-benchmarking).  Flows crossing a single queued link take exactly the
-legacy single-bottleneck code path, so a one-hop topology is bit-identical
-with the dumbbell form, and loss-free multi-hop runs whose rates stay
-below every upstream capacity are bit-identical with the unattenuated
-model.
+numerator.  Flows crossing a single queued link take exactly the legacy
+single-bottleneck code path, so a one-hop topology is bit-identical with
+the dumbbell form, and loss-free multi-hop runs whose rates stay below
+every upstream capacity are bit-identical with the unattenuated model
+(``tests/test_attenuation.py`` holds that model's traces as frozen data).
 
 The per-flow CCA dynamics live in :mod:`repro.core.reno`, ``cubic``,
 ``bbr1`` and ``bbr2``; the simulator is agnostic to them and supports
@@ -111,7 +109,6 @@ class FluidSimulator:
         *,
         network: Network | None = None,
         initial_states: list | None = None,
-        attenuate_arrivals: bool = True,
         schedule_entries: Sequence[FlowArrival] | None = None,
     ) -> None:
         if RECORD_INTERVAL_S < config.fluid.dt:
@@ -134,11 +131,6 @@ class FluidSimulator:
             raise ValueError("schedule entries must match the flow count")
         self.network = network if network is not None else Network.from_scenario(config)
         self.dt = config.fluid.dt
-        # Upstream loss/capacity attenuation of per-link arrivals (and the
-        # matching effective-bottleneck Eq. 17).  Only multi-hop paths are
-        # affected; ``False`` restores the unattenuated Eq.-1 arrivals of
-        # the original pipeline (kept for regression and benchmarking).
-        self.attenuate_arrivals = attenuate_arrivals
         # ``initial_states`` lets :func:`simulate_many` hand over states that
         # were built with each scenario's own flow indexing (e.g. the BBR
         # gain-cycle phase is ``flow_index % 6`` *within* its scenario).
@@ -150,8 +142,7 @@ class FluidSimulator:
             else:
                 self.models[i] = create_model(flow_cfg.cca, config.fluid)
         #: Substrate counters of the last completed run (steps, flows,
-        #: links, gathers = delay-ring reads, one per step) — the fluid
-        #: half of the stored ``runtime`` block; empty before any run.
+        #: links); empty before any run.
         self.runtime: dict[str, int] = {}
 
     def _flow_lifetimes(self):
@@ -226,7 +217,6 @@ class FluidSimulator:
             trace = self._run()
         if TELEMETRY.enabled and self.runtime:
             TELEMETRY.count("fluid.steps", self.runtime["steps"])
-            TELEMETRY.count("fluid.gathers", self.runtime.get("gathers", 0))
         return trace
 
     def _run(self) -> Trace:
@@ -355,14 +345,12 @@ class FluidSimulator:
                 multi_cols.append(link0 + pos_of_link[idx])
                 multi_delays.append(net.backward_delay(i, idx))
             multi_bounds.append(len(multi_cols))
-        attenuating = self.attenuate_arrivals
         if multi_flows:
             multi_flows_arr = np.array(multi_flows, dtype=np.intp)
             multi_arr_cols = np.array(multi_cols, dtype=np.intp)
             multi_delays_arr = np.array(multi_delays, dtype=float)
             reads.append(("multi_loss", multi_arr_cols + 2 * num_queued, multi_delays_arr))
             multi_starts = np.array(multi_bounds[:-1], dtype=np.intp)
-        if multi_flows and attenuating:
             # Dynamic effective bottleneck (Eq. 17 under attenuation): per
             # step, each multi-hop flow's reference link is the path link
             # with the smallest survival-scaled capacity C_l / S_l, where
@@ -413,39 +401,37 @@ class FluidSimulator:
         # and keep the exact legacy arithmetic (one-hop scenarios stay
         # bit-identical).  Pairs are sorted by upstream depth (deepest
         # first) so each depth level is a leading slice of one ring read.
-        att_positions = np.empty(0, dtype=np.intp)
+        att_list: list[tuple[int, int, int, list[int]]] = []
+        pos = 0
+        for idx in queued_links:
+            for i in net.users(idx):
+                ups = net.upstream_queued_links(i, idx)
+                if ups:
+                    att_list.append((pos, i, idx, ups))
+                pos += 1
+        att_list.sort(key=lambda entry: -len(entry[3]))
+        att_positions = np.array([p for p, _, _, _ in att_list], dtype=np.intp)
         att_levels: list[tuple[slice, slice, np.ndarray]] = []
-        if attenuating:
-            att_list: list[tuple[int, int, int, list[int]]] = []
-            pos = 0
-            for idx in queued_links:
-                for i in net.users(idx):
-                    ups = net.upstream_queued_links(i, idx)
-                    if ups:
-                        att_list.append((pos, i, idx, ups))
-                    pos += 1
-            att_list.sort(key=lambda entry: -len(entry[3]))
-            if att_list:
-                att_positions = np.array([p for p, _, _, _ in att_list], dtype=np.intp)
-                max_depth = len(att_list[0][3])
-                att_cols: list[int] = []
-                att_delays: list[float] = []
-                for d in range(max_depth):
-                    count = sum(1 for _, _, _, ups in att_list if len(ups) > d)
-                    caps = np.empty(count)
-                    for local, (_, i, idx, ups) in enumerate(att_list[:count]):
-                        m = ups[d]
-                        att_cols.append(link0 + 2 * num_queued + pos_of_link[m])
-                        att_delays.append(
-                            net.forward_delay(i, idx) - net.forward_delay(i, m)
-                        )
-                        caps[local] = net.links[m].capacity_pps
-                    offset = len(att_cols) - count
-                    att_levels.append(
-                        (slice(0, count), slice(offset, offset + count), caps)
+        if att_list:
+            max_depth = len(att_list[0][3])
+            att_cols: list[int] = []
+            att_delays: list[float] = []
+            for d in range(max_depth):
+                count = sum(1 for _, _, _, ups in att_list if len(ups) > d)
+                caps = np.empty(count)
+                for local, (_, i, idx, ups) in enumerate(att_list[:count]):
+                    m = ups[d]
+                    att_cols.append(link0 + 2 * num_queued + pos_of_link[m])
+                    att_delays.append(
+                        net.forward_delay(i, idx) - net.forward_delay(i, m)
                     )
-                reads.append(("att", np.array(att_cols), np.array(att_delays)))
-        if multi_flows and attenuating:
+                    caps[local] = net.links[m].capacity_pps
+                offset = len(att_cols) - count
+                att_levels.append(
+                    (slice(0, count), slice(offset, offset + count), caps)
+                )
+            reads.append(("att", np.array(att_cols), np.array(att_delays)))
+        if multi_flows:
             reads.append(("multi_arrival", multi_arr_cols, multi_delays_arr))
             reads.append(("multi_queue", multi_arr_cols + num_queued, multi_delays_arr))
         read_offsets = np.concatenate(
@@ -609,7 +595,7 @@ class FluidSimulator:
                 np.minimum(own_delayed / y_safe * btl_capacity, btl_capacity),
                 np.minimum(own_delayed, btl_capacity),
             )
-            if multi_flows and attenuating:
+            if multi_flows:
                 # Effective bottleneck for multi-hop flows: exclusive prefix
                 # survival S_l and the flow's attenuated contribution R_l
                 # (min(r * s, C) recursion) along each segment, then the
@@ -725,7 +711,6 @@ class FluidSimulator:
             "steps": steps + 1,
             "flows": num_flows,
             "links": num_queued,
-            "gathers": ring.reads,
         }
         flow_ends = self._flow_end_list(
             churn,
@@ -827,9 +812,9 @@ class FluidSimulator:
         return Trace(time=time, flows=flows, links=links, substrate="fluid")
 
 
-def simulate(config: ScenarioConfig, *, attenuate_arrivals: bool = True) -> Trace:
+def simulate(config: ScenarioConfig) -> Trace:
     """Convenience wrapper: build a :class:`FluidSimulator` and run it."""
-    return FluidSimulator(config, attenuate_arrivals=attenuate_arrivals).run()
+    return FluidSimulator(config).run()
 
 
 def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:

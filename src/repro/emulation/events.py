@@ -18,11 +18,9 @@ increasing clock — plus two typed primitives that keep the heap small:
 
 Together these make the heap hold O(flows + links) events instead of one
 closure per in-flight packet: per sender a pacing timer, a watchdog, an
-access delay line and a return delay line; per link a transmitter timer
-and a propagation delay line.  The previous per-packet-closure scheduler
-is preserved verbatim in :mod:`repro.emulation.closure_ref` as the
-reference for the equivalence tests and the performance benchmark
-(``benchmarks/test_perf_emulation.py``).
+access delay line and a return delay line; per link a propagation delay
+line.  ``benchmarks/test_perf_emulation.py`` bounds the live heap
+accordingly.
 """
 
 from __future__ import annotations

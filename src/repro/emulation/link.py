@@ -88,9 +88,9 @@ class BottleneckLink:
         self._transmitted = 0
         self._prop_line = DelayLine(events, delay_s, deliver)
         self._ack_routes: list[tuple[DelayLine, float]] | None = None
-        # Let the queue discipline observe time and the service rate (RED
-        # needs both for its idle-period average decay).
-        queue.bind_clock(events, self.service_time_s)
+        # Let the queue discipline see the service rate (RED needs it for
+        # its idle-period average decay).
+        queue.service_time_s = self.service_time_s
         # Time-weighted queue statistics for the trace.
         self._last_sample_time = 0.0
         self._queue_time_product = 0.0

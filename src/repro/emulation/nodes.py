@@ -13,9 +13,7 @@ Event usage is O(1) per sender regardless of the number of in-flight
 packets: the access leg and the return path are
 :class:`~repro.emulation.events.DelayLine` FIFOs, and the pacing wakeup and
 the RTO watchdog are reusable :class:`~repro.emulation.events.Timer`
-handles.  No per-packet closures are ever scheduled (the pre-change
-per-packet-lambda implementation survives as
-:mod:`repro.emulation.closure_ref` for the equivalence tests).
+handles.  No per-packet closures are ever scheduled.
 """
 
 from __future__ import annotations

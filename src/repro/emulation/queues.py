@@ -10,92 +10,43 @@ idealisation error (Insight 9).
 from __future__ import annotations
 
 import random
-from collections import deque
-
-from .packet import Packet
 
 
 class PacketQueue:
-    """Base class of a finite packet queue with drop accounting.
+    """Base class of a finite packet queue discipline with drop accounting.
 
-    A discipline must implement two admission entry points: :meth:`offer`
-    (packet-storing, used by the closure reference scheduler and direct
-    queue users) and :meth:`decide` (storage-free, used by the virtual
-    transmitter of :class:`~repro.emulation.link.BottleneckLink`, which
-    tracks the queue contents arithmetically and only consults the
-    discipline for the accept/drop decision).  Both must keep the
-    ``enqueued``/``dropped`` counters consistent.
+    The queue holds no packets: the virtual transmitter of
+    :class:`~repro.emulation.link.BottleneckLink` tracks the queue contents
+    arithmetically and consults the discipline only for the accept/drop
+    decision (:meth:`decide`), which keeps the ``enqueued``/``dropped``
+    counters.
     """
 
     def __init__(self, capacity_pkts: int) -> None:
         if capacity_pkts < 1:
             raise ValueError("queue capacity must be at least one packet")
         self.capacity_pkts = capacity_pkts
-        self._queue: deque[Packet] = deque()
         self.dropped = 0
         self.enqueued = 0
-        # Set by the owning link via bind_clock(); lets time-aware
-        # disciplines (RED) observe the simulation clock and service rate.
-        self._events = None
+        #: Per-packet service time of the owning link, set by the link; RED
+        #: needs it for its idle-period average decay.
         self.service_time_s: float | None = None
 
-    def bind_clock(self, events, service_time_s: float) -> None:
-        """Attach the event clock and per-packet service time of the link."""
-        self._events = events
-        self.service_time_s = service_time_s
-
     def decide(self, occupancy: int, now: float) -> bool:
-        """Storage-free admission decision for an externally held queue.
+        """Admission decision for an arrival at time ``now``.
 
-        The delay-line link models its queue arithmetically (packet start
-        and departure times are deterministic) and only consults the
-        discipline for the accept/drop decision; ``occupancy`` is the
-        number of waiting packets at arrival time ``now``.  Updates the
-        ``enqueued``/``dropped`` counters exactly like :meth:`offer`.
-        Like :meth:`offer`, this is part of the required discipline
-        interface — a subclass used with the delay-line link must
-        implement it.
+        ``occupancy`` is the number of waiting packets at arrival time.
+        Returns whether the packet is admitted and counts it as enqueued or
+        dropped.  Every discipline must implement it.
         """
         raise NotImplementedError
 
     def notify_idle(self, time: float) -> None:
         """Inform the discipline that the external queue emptied at ``time``."""
 
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def occupancy(self) -> int:
-        """Current queue length in packets."""
-        return len(self._queue)
-
-    def offer(self, packet: Packet) -> bool:
-        """Try to enqueue a packet; returns False (and counts a drop) if dropped."""
-        raise NotImplementedError
-
-    def pop(self) -> Packet | None:
-        """Dequeue the head-of-line packet, or None if the queue is empty."""
-        if not self._queue:
-            return None
-        return self._queue.popleft()
-
-    def _accept(self, packet: Packet) -> bool:
-        self._queue.append(packet)
-        self.enqueued += 1
-        return True
-
-    def _drop(self) -> bool:
-        self.dropped += 1
-        return False
-
 
 class DropTailQueue(PacketQueue):
     """FIFO queue that drops arrivals when full."""
-
-    def offer(self, packet: Packet) -> bool:
-        if len(self._queue) >= self.capacity_pkts:
-            return self._drop()
-        return self._accept(packet)
 
     def decide(self, occupancy: int, now: float) -> bool:
         if occupancy >= self.capacity_pkts:
@@ -149,20 +100,11 @@ class RedQueue(PacketQueue):
         span = self.max_threshold - self.min_threshold
         return self.max_probability * (self.avg_queue - self.min_threshold) / span
 
-    def pop(self) -> Packet | None:
-        queue = self._queue
-        if not queue:
-            return None
-        packet = queue.popleft()
-        if not queue and self._events is not None:
-            self._idle_since = self._events.now
-        return packet
-
     def notify_idle(self, time: float) -> None:
         self._idle_since = time
 
-    def _update_avg(self, occupancy: int, now: float | None) -> None:
-        if occupancy == 0 and self._idle_since is not None and now is not None:
+    def _update_avg(self, occupancy: int, now: float) -> None:
+        if occupancy == 0 and self._idle_since is not None:
             # Classic RED idle-time correction (Floyd & Jacobson 1993,
             # Sec. 11): while the queue sat empty no arrivals updated the
             # EWMA, so it is stale-high and would over-drop the first burst
@@ -179,15 +121,6 @@ class RedQueue(PacketQueue):
             self.avg_queue = (
                 (1.0 - self.ewma_weight) * self.avg_queue + self.ewma_weight * occupancy
             )
-
-    def offer(self, packet: Packet) -> bool:
-        occupancy = len(self._queue)
-        self._update_avg(occupancy, self._events.now if self._events is not None else None)
-        if occupancy >= self.capacity_pkts:
-            return self._drop()
-        if self._rng.random() < self.drop_probability():
-            return self._drop()
-        return self._accept(packet)
 
     def decide(self, occupancy: int, now: float) -> bool:
         self._update_avg(occupancy, now)

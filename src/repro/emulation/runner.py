@@ -47,12 +47,9 @@ Multi-hop topologies additionally derive one queue-RNG stream per link
 legacy or one-hop topology — keep the historical ``"queue"`` stream so
 seeded runs stay reproducible across the two config forms.
 
-``scheduler`` selects the event layer: ``"delayline"`` (default) uses the
-typed delay-line/timer primitives of :mod:`repro.emulation.events`;
-``"closure"`` uses the preserved pre-change per-packet-closure scheduler
-(:mod:`repro.emulation.closure_ref`) for equivalence tests and benchmarks.
-The closure reference predates the topology subsystem and supports
-single-bottleneck scenarios only.
+The event layer is the typed delay-line/timer primitives of
+:mod:`repro.emulation.events`.  ``tests/golden/emulation_counts.json`` pins
+the emulator's per-flow and per-link packet counts and its trace sums.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ from ..config import EMULATION_RECORD_INTERVAL_S, EMULATION_SCHEDULER, ScenarioC
 from ..obs import TELEMETRY
 from ..rng import derive_rng
 from ..metrics.traces import FlowTrace, LinkTrace, Trace
-from . import closure_ref
 from .cca import create_packet_cca
 from .events import DelayLine, EventQueue, Timer
 from .link import BottleneckLink
@@ -77,12 +73,8 @@ from .queues import make_queue
 #: and stored meta of emulation points record it.
 RECORD_INTERVAL_S = EMULATION_RECORD_INTERVAL_S
 
-#: The event layer every campaign runs (and store keys and meta record);
-#: ``"closure"`` is the reference that tests and benchmarks compare against.
+#: The name of the event layer, which store keys and meta record.
 SCHEDULER = EMULATION_SCHEDULER
-
-#: Event-layer implementations selectable via ``EmulationRunner(scheduler=...)``.
-SCHEDULERS = (SCHEDULER, "closure")
 
 #: Default emulated buffer, in reference-BDP multiples, standing in for an
 #: "infinite" (``math.inf``) configured buffer.  The packet emulator needs a
@@ -96,7 +88,6 @@ __all__ = [
     "emulate",
     "RECORD_INTERVAL_S",
     "SCHEDULER",
-    "SCHEDULERS",
     "UNBOUNDED_BUFFER_BDP",
 ]
 
@@ -104,42 +95,19 @@ __all__ = [
 class EmulationRunner:
     """Runs one scenario on the packet-level emulator."""
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        scheduler: str = SCHEDULER,
-    ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
+    def __init__(self, config: ScenarioConfig) -> None:
         topo = config.effective_topology()
         multi_hop = topo.num_links > 1
-        if multi_hop and scheduler != "delayline":
-            raise ValueError(
-                "multi-bottleneck topologies require the delayline scheduler "
-                "(the closure reference predates the topology subsystem)"
-            )
         # Materialise the flow schedule once: both substrates consume the
         # identical per-flow (start, size, stop) list (see FlowSchedule).
         schedule_entries = config.flow_schedule()
-        if schedule_entries is not None and scheduler != "delayline":
-            raise ValueError(
-                "flow schedules require the delayline scheduler "
-                "(the closure reference predates time-varying flow populations)"
-            )
         self._schedule_entries = schedule_entries
         self.config = config
         self.topology = topo
-        self.scheduler = scheduler
         self.rng = derive_rng(config.seed, "queue")
-        # The closure reference carries its own verbatim pre-change event
-        # queue so the benchmark compares full old-vs-new event layers.
-        self.events = (
-            EventQueue() if scheduler == "delayline" else closure_ref.ClosureEventQueue()
-        )
+        self.events = EventQueue()
 
         # ---------- queued links (one BottleneckLink per topology link) --- #
-        link_cls = BottleneckLink if scheduler == "delayline" else closure_ref.ClosureBottleneckLink
-        sender_cls = Sender if scheduler == "delayline" else closure_ref.ClosureSender
         self.senders: dict[int, Sender] = {}
         destination = Destination(self.senders)
         ref_bdp = config.bottleneck_bdp_packets()
@@ -160,7 +128,7 @@ class EmulationRunner:
             queue = make_queue(
                 link_cfg.discipline, max(1, int(round(buffer_pkts))), queue_rng
             )
-            link = link_cls(
+            link = BottleneckLink(
                 events=self.events,
                 queue=queue,
                 capacity_pps=link_cfg.capacity_pps,
@@ -184,7 +152,7 @@ class EmulationRunner:
             first_hop = link_by_name[topo.paths[i][0]]
             path_delay_s = sum(topo.link(name).delay_s for name in topo.paths[i])
             if schedule_entries is None:
-                self.senders[i] = sender_cls(
+                self.senders[i] = Sender(
                     events=self.events,
                     flow_id=i,
                     cca=cca,
@@ -199,7 +167,7 @@ class EmulationRunner:
                 # fluid substrate applies the same precedence).
                 entry = schedule_entries[i]
                 size = entry.size_packets
-                self.senders[i] = sender_cls(
+                self.senders[i] = Sender(
                     events=self.events,
                     flow_id=i,
                     cca=cca,
@@ -214,39 +182,38 @@ class EmulationRunner:
                 self.senders[i].on_complete = self._on_flow_complete
         #: Shared inter-link forward lines, kept for churn teardown purges.
         self._forward_lines: dict[tuple[str, str], DelayLine] = {}
-        if scheduler == "delayline":
-            # Fuse every link's propagation leg into its onward routes: an
-            # intermediate hop pushes straight onto the forward delay line
-            # of the next link, and a flow's last hop pushes onto the
-            # flow's return delay line (one event per packet per hop saved;
-            # identical arrival/acknowledgement times).
-            forward_lines = self._forward_lines
-            for name, link in link_by_name.items():
-                routes: list[tuple[DelayLine, float] | None] = [None] * config.num_flows
-                used = False
-                for i, path in enumerate(topo.paths):
-                    if name not in path:
-                        continue
-                    used = True
-                    hop = path.index(name)
-                    if hop == len(path) - 1:
-                        routes[i] = (
-                            self.senders[i].return_line,
-                            self.senders[i].return_delay_s,
+        # Fuse every link's propagation leg into its onward routes: an
+        # intermediate hop pushes straight onto the forward delay line of
+        # the next link, and a flow's last hop pushes onto the flow's return
+        # delay line (one event per packet per hop saved; identical
+        # arrival/acknowledgement times).
+        forward_lines = self._forward_lines
+        for name, link in link_by_name.items():
+            routes: list[tuple[DelayLine, float] | None] = [None] * config.num_flows
+            used = False
+            for i, path in enumerate(topo.paths):
+                if name not in path:
+                    continue
+                used = True
+                hop = path.index(name)
+                if hop == len(path) - 1:
+                    routes[i] = (
+                        self.senders[i].return_line,
+                        self.senders[i].return_delay_s,
+                    )
+                else:
+                    next_name = path[hop + 1]
+                    line = forward_lines.get((name, next_name))
+                    if line is None:
+                        line = DelayLine(
+                            self.events,
+                            link.delay_s,
+                            link_by_name[next_name].on_arrival,
                         )
-                    else:
-                        next_name = path[hop + 1]
-                        line = forward_lines.get((name, next_name))
-                        if line is None:
-                            line = DelayLine(
-                                self.events,
-                                link.delay_s,
-                                link_by_name[next_name].on_arrival,
-                            )
-                            forward_lines[(name, next_name)] = line
-                        routes[i] = (line, 0.0)
-                if used:
-                    link.set_routes(routes)
+                        forward_lines[(name, next_name)] = line
+                    routes[i] = (line, 0.0)
+            if used:
+                link.set_routes(routes)
 
         # Sampling state: preallocated buffers on the absolute time grid
         # (generously sized; _build_trace slices to the fired sample count).
@@ -268,9 +235,7 @@ class EmulationRunner:
         # Live-heap high-water mark, refreshed on the sampling grid (cheap:
         # one len() per sample, not per event).
         self._heap_peak = 0
-        self._sample_timer = (
-            Timer(self.events, self._sample) if scheduler == "delayline" else None
-        )
+        self._sample_timer = Timer(self.events, self._sample)
 
     # ------------------------------------------------------------------ #
     # Churn teardown
@@ -302,10 +267,7 @@ class EmulationRunner:
         if k + 1 < self._max_samples:
             # Absolute grid: sample k fires at exactly (k + 1) * interval,
             # immune to the drift of relative rescheduling.
-            if self._sample_timer is not None:
-                self._sample_timer.schedule_at((k + 2) * interval)
-            else:
-                self.events.schedule_at((k + 2) * interval, self._sample)
+            self._sample_timer.schedule_at((k + 2) * interval)
 
     def _record(self, now: float, interval: float) -> None:
         """Record one sample at absolute time ``now`` covering ``interval`` seconds."""
@@ -370,14 +332,11 @@ class EmulationRunner:
             "emu.run",
             flows=self.config.num_flows,
             duration_s=self.config.duration_s,
-            scheduler=self.scheduler,
+            scheduler=SCHEDULER,
         ):
             for sender in self.senders.values():
                 sender.start()
-            if self._sample_timer is not None:
-                self._sample_timer.schedule_at(RECORD_INTERVAL_S)
-            else:
-                self.events.schedule_at(RECORD_INTERVAL_S, self._sample)
+            self._sample_timer.schedule_at(RECORD_INTERVAL_S)
             self.events.run(until=self.config.duration_s)
             self._flush_tail()
             trace = self._build_trace()
@@ -392,7 +351,7 @@ class EmulationRunner:
     def runtime_counters(self) -> dict[str, int]:
         """Substrate counters for the stored per-point ``runtime`` block."""
         return {
-            "events_popped": int(getattr(self.events, "popped", 0)),
+            "events_popped": self.events.popped,
             "heap_peak": int(self._heap_peak),
             "pkts_sent": int(sum(s.sent_count for s in self.senders.values())),
             "pkts_delivered": int(
@@ -418,7 +377,7 @@ class EmulationRunner:
                     inflight=inflight_buf[i, :n].copy(),
                     rtt=rtt_buf[i, :n].copy(),
                     start_time_s=start_s,
-                    end_time_s=getattr(sender, "completed_time_s", None),
+                    end_time_s=sender.completed_time_s,
                 )
             )
         queue_buf, loss_buf, arrival_buf, departure_buf = self._link_buffers
@@ -438,6 +397,6 @@ class EmulationRunner:
         return Trace(time=time, flows=flows, links=links, substrate="emulation")
 
 
-def emulate(config: ScenarioConfig, scheduler: str = SCHEDULER) -> Trace:
+def emulate(config: ScenarioConfig) -> Trace:
     """Convenience wrapper: build an :class:`EmulationRunner` and run it."""
-    return EmulationRunner(config, scheduler=scheduler).run()
+    return EmulationRunner(config).run()

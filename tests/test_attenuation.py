@@ -16,9 +16,22 @@ bottleneck.  These tests pin:
   parking lot the fluid per-link utilization/loss agree with the packet
   emulator within bounded error, strictly better than the unattenuated
   model did.
+
+The unattenuated model (Eq. 1 fed the raw delayed sending rates) is no
+longer part of the integrator.  What these tests compare against was
+frozen from it into ``tests/golden/unattenuated_baseline.json``: in
+``cases`` the digest and per-series sums of each no-op scenario's
+unattenuated trace (checked like the fluid goldens: sums at ``RTOL``
+anywhere, digests where the stored environment matches), and in
+``baselines`` the unattenuated arrival means of the thinning check, the
+arrival peak of the capping check and the per-link utilization and loss of
+the cross-substrate check.  It cannot be regenerated.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +43,10 @@ from repro.core.simulator import simulate_many
 from repro.emulation.runner import emulate
 from repro.experiments.scenarios import parking_lot_scenario
 from repro.metrics import link_metrics
+from test_fluid_golden import check, summary
 
 FAST = FluidParams(dt=1e-3)
+BASELINE_PATH = Path(__file__).resolve().parent / "golden" / "unattenuated_baseline.json"
 
 
 def heavy_loss_lot(duration_s: float = 2.0) -> ScenarioConfig:
@@ -54,70 +69,99 @@ def heavy_loss_lot(duration_s: float = 2.0) -> ScenarioConfig:
     )
 
 
-def trace_pairs_equal(a, b) -> None:
-    """Assert two fluid traces are bit-identical."""
-    assert np.array_equal(a.time, b.time)
-    for fa, fb in zip(a.flows, b.flows, strict=True):
-        assert np.array_equal(fa.rate, fb.rate)
-        assert np.array_equal(fa.delivery_rate, fb.delivery_rate)
-        assert np.array_equal(fa.cwnd, fb.cwnd)
-        assert np.array_equal(fa.rtt, fb.rtt)
-    for la, lb in zip(a.links, b.links, strict=True):
-        assert np.array_equal(la.queue, lb.queue)
-        assert np.array_equal(la.loss_prob, lb.loss_prob)
-        assert np.array_equal(la.arrival_rate, lb.arrival_rate)
-        assert np.array_equal(la.departure_rate, lb.departure_rate)
+def one_hop(discipline: str) -> ScenarioConfig:
+    return dumbbell_scenario(
+        ["bbr1", "reno", "cubic", "bbr2"],
+        discipline=discipline,
+        duration_s=0.5,
+        fluid=FAST,
+    )
+
+
+def one_hop_topology(discipline: str) -> ScenarioConfig:
+    topo = topology.dumbbell(3, discipline=discipline)
+    return ScenarioConfig(
+        bottleneck=None,
+        flows=tuple(FlowConfig(cca=c) for c in ("bbr1", "reno", "cubic")),
+        duration_s=0.5,
+        fluid=FAST,
+        topology=topo,
+    )
+
+
+def lossfree_multihop() -> ScenarioConfig:
+    """Loss-based CCAs ramping from small windows over a deep-buffered chain."""
+    topo = topology.parking_lot(
+        3, cross_flows=1, long_flows=2, hop_delay_s=0.010 / 3, buffer_bdp=7.0
+    )
+    flows = tuple(
+        FlowConfig(cca=cca, access_delay_s=0.005)
+        for cca in ("reno", "cubic", "reno", "cubic", "reno")
+    )
+    return ScenarioConfig(
+        bottleneck=None, flows=flows, duration_s=0.5, fluid=FAST, topology=topo
+    )
+
+
+def capped_lot() -> ScenarioConfig:
+    """One BBRv1 flow probing 25 % above a 50 Mbps first hop, no loss."""
+    topo = topology.parking_lot(
+        2,
+        cross_flows=0,
+        long_flows=1,
+        capacity_mbps=(50.0, 100.0),
+        hop_delay_s=0.005,
+        buffer_bdp=20.0,
+    )
+    return ScenarioConfig(
+        bottleneck=None,
+        flows=(FlowConfig(cca="bbr1", access_delay_s=0.005),),
+        duration_s=1.0,
+        fluid=FluidParams(dt=2.5e-4),
+        topology=topo,
+    )
+
+
+#: The baseline's cases: the scenarios on which attenuation is a no-op.
+NO_OP_CASES = (
+    "one-hop|droptail",
+    "one-hop|red",
+    "one-hop-topology|droptail",
+    "one-hop-topology|red",
+    "lossfree-multihop",
+)
+
+
+@pytest.fixture(scope="module")
+def baseline() -> dict:
+    return json.loads(BASELINE_PATH.read_text())
 
 
 class TestBitIdentityRegressions:
-    """Attenuation must be a no-op exactly where the model says it is."""
+    """Attenuation must be a no-op exactly where the model says it is: the
+    trace equals the frozen unattenuated one."""
+
+    def test_baseline_holds_every_case(self, baseline):
+        assert sorted(baseline["cases"]) == sorted(NO_OP_CASES)
 
     @pytest.mark.parametrize("discipline", ["droptail", "red"])
-    def test_one_hop_unchanged_by_attenuation(self, discipline):
-        config = dumbbell_scenario(
-            ["bbr1", "reno", "cubic", "bbr2"],
-            discipline=discipline,
-            duration_s=0.5,
-            fluid=FAST,
-        )
-        a = simulate(config)
-        b = simulate(config, attenuate_arrivals=False)
-        trace_pairs_equal(a, b)
+    def test_one_hop_unchanged_by_attenuation(self, discipline, baseline):
+        name = f"one-hop|{discipline}"
+        check(name, summary(simulate(one_hop(discipline))), baseline)
 
     @pytest.mark.parametrize("discipline", ["droptail", "red"])
-    def test_one_hop_topology_unchanged_by_attenuation(self, discipline):
-        topo = topology.dumbbell(3, discipline=discipline)
-        config = ScenarioConfig(
-            bottleneck=None,
-            flows=tuple(FlowConfig(cca=c) for c in ("bbr1", "reno", "cubic")),
-            duration_s=0.5,
-            fluid=FAST,
-            topology=topo,
-        )
-        a = simulate(config)
-        b = simulate(config, attenuate_arrivals=False)
-        trace_pairs_equal(a, b)
+    def test_one_hop_topology_unchanged_by_attenuation(self, discipline, baseline):
+        name = f"one-hop-topology|{discipline}"
+        check(name, summary(simulate(one_hop_topology(discipline))), baseline)
 
-    def test_lossfree_multihop_unchanged_by_attenuation(self):
-        # Loss-based CCAs ramping from small windows over a deep-buffered
-        # chain: zero loss everywhere and rates below every upstream
-        # capacity, so both the survival product and the capacity cap are
-        # inactive and the corrected pipeline must reproduce the
-        # unattenuated model bit for bit.
-        topo = topology.parking_lot(
-            3, cross_flows=1, long_flows=2, hop_delay_s=0.010 / 3, buffer_bdp=7.0
-        )
-        flows = tuple(
-            FlowConfig(cca=cca, access_delay_s=0.005)
-            for cca in ("reno", "cubic", "reno", "cubic", "reno")
-        )
-        config = ScenarioConfig(
-            bottleneck=None, flows=flows, duration_s=0.5, fluid=FAST, topology=topo
-        )
-        a = simulate(config)
-        b = simulate(config, attenuate_arrivals=False)
-        assert max(float(link.loss_prob.max()) for link in a.links) == 0.0
-        trace_pairs_equal(a, b)
+    def test_lossfree_multihop_unchanged_by_attenuation(self, baseline):
+        # Zero loss everywhere and rates below every upstream capacity, so
+        # both the survival product and the capacity cap are inactive and
+        # the attenuated pipeline must reproduce the unattenuated model bit
+        # for bit.
+        trace = simulate(lossfree_multihop())
+        assert max(float(link.loss_prob.max()) for link in trace.links) == 0.0
+        check("lossfree-multihop", summary(trace), baseline)
 
 
 class TestAttenuatedPipelines:
@@ -155,17 +199,14 @@ class TestAttenuatedPipelines:
                     fa.delivery_rate, fb.delivery_rate, rtol=1e-9, atol=1e-9
                 )
 
-    def test_upstream_loss_thins_downstream_arrivals(self):
-        config = heavy_loss_lot(duration_s=0.75)
-        att = simulate(config)
-        unatt = simulate(config, attenuate_arrivals=False)
-        # hop-1 drops >40 % of its arrivals; the unattenuated model feeds
+    def test_upstream_loss_thins_downstream_arrivals(self, baseline):
+        att = simulate(heavy_loss_lot(duration_s=0.75))
+        unatt_mean = baseline["baselines"]["thinning_arrival_mean"]
+        # hop-1 drops >40 % of its arrivals; the unattenuated model fed
         # hops 2-3 the raw sending rates regardless.
         assert float(att.links[0].loss_prob.max()) > 0.4
         for hop in (1, 2):
-            assert float(att.links[hop].arrival_rate.mean()) < 0.8 * float(
-                unatt.links[hop].arrival_rate.mean()
-            )
+            assert float(att.links[hop].arrival_rate.mean()) < 0.8 * unatt_mean[hop]
 
     def test_total_upstream_loss_does_not_crash(self):
         # Regression: a saturated RED queue reaches loss == 1.0, zeroing
@@ -193,29 +234,13 @@ class TestAttenuatedPipelines:
             assert np.all(np.isfinite(flow.rate))
             assert np.all(np.isfinite(flow.delivery_rate))
 
-    def test_downstream_arrival_capped_by_upstream_capacity(self):
+    def test_downstream_arrival_capped_by_upstream_capacity(self, baseline):
         # No loss anywhere (huge buffers), but BBR probes 25 % above the
         # 50 Mbps hop-1 capacity: traffic entering hop-2 can still never
         # exceed what hop-1 can deliver.
-        topo = topology.parking_lot(
-            2,
-            cross_flows=0,
-            long_flows=1,
-            capacity_mbps=(50.0, 100.0),
-            hop_delay_s=0.005,
-            buffer_bdp=20.0,
-        )
-        config = ScenarioConfig(
-            bottleneck=None,
-            flows=(FlowConfig(cca="bbr1", access_delay_s=0.005),),
-            duration_s=1.0,
-            fluid=FluidParams(dt=2.5e-4),
-            topology=topo,
-        )
         c1_pps = 50.0e6 / (1500 * 8)
-        att = simulate(config)
-        unatt = simulate(config, attenuate_arrivals=False)
-        assert float(unatt.links[1].arrival_rate.max()) > 1.2 * c1_pps
+        att = simulate(capped_lot())
+        assert baseline["baselines"]["capping_arrival_max"] > 1.2 * c1_pps
         assert float(att.links[1].arrival_rate.max()) <= c1_pps * (1 + 1e-12)
 
 
@@ -223,11 +248,11 @@ class TestCrossSubstrateAgreement:
     """Acceptance criterion: fluid vs emulator on the heavy-loss lot."""
 
     @pytest.fixture(scope="class")
-    def traces(self):
+    def traces(self, baseline):
         config = heavy_loss_lot(duration_s=2.0)
         return {
             "att": link_metrics(simulate(config)),
-            "unatt": link_metrics(simulate(config, attenuate_arrivals=False)),
+            "unatt": baseline["baselines"]["cross_substrate"],
             "emu": link_metrics(emulate(config)),
         }
 
@@ -235,7 +260,7 @@ class TestCrossSubstrateAgreement:
         for hop in (1, 2):
             emu = traces["emu"][hop].utilization_percent
             att_err = abs(traces["att"][hop].utilization_percent - emu)
-            unatt_err = abs(traces["unatt"][hop].utilization_percent - emu)
+            unatt_err = abs(traces["unatt"]["utilization_percent"][hop] - emu)
             assert att_err / emu < 0.25, (
                 f"hop-{hop + 1} utilization off by {att_err:.1f} points "
                 f"(emulator {emu:.1f})"
@@ -249,7 +274,7 @@ class TestCrossSubstrateAgreement:
         for hop in (1, 2):
             emu = traces["emu"][hop].loss_percent
             att_err = abs(traces["att"][hop].loss_percent - emu)
-            unatt_err = abs(traces["unatt"][hop].loss_percent - emu)
+            unatt_err = abs(traces["unatt"]["loss_percent"][hop] - emu)
             assert att_err < 5.0, (
                 f"hop-{hop + 1} loss off by {att_err:.1f} points "
                 f"(emulator {emu:.1f} %)"

@@ -63,18 +63,6 @@ class TestBackwardIdentity:
         )
         assert _trace_digest(simulate(base)) == _trace_digest(simulate(noop))
 
-    def test_emulator_schedulers_count_identical_without_schedule(self):
-        config = dumbbell_scenario(["bbr1", "reno"], buffer_bdp=1.0, duration_s=1.5)
-        counts = {}
-        for scheduler in ("delayline", "closure"):
-            runner = EmulationRunner(config, scheduler=scheduler)
-            runner.run()
-            counts[scheduler] = sorted(
-                (fid, s.sent_count, s.delivered_count)
-                for fid, s in runner.senders.items()
-            )
-        assert counts["delayline"] == counts["closure"]
-
     def test_scheduleless_metrics_have_nan_fct(self):
         trace = simulate(
             dumbbell_scenario(["bbr1"], buffer_bdp=1.0, duration_s=1.0, fluid=FLUID)

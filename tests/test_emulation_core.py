@@ -80,22 +80,20 @@ def make_packet(seq: int = 0, flow: int = 0) -> Packet:
     return Packet(flow_id=flow, seq=seq, size_bytes=1500, sent_time=0.0)
 
 
+def admit_all(queue, arrivals: int) -> list[bool]:
+    """Offer ``arrivals`` back-to-back packets at t=0 that never depart."""
+    results = []
+    for _ in range(arrivals):
+        results.append(queue.decide(queue.enqueued, 0.0))
+    return results
+
+
 class TestDropTailQueue:
     def test_accepts_until_full_then_drops(self):
         queue = DropTailQueue(capacity_pkts=3)
-        results = [queue.offer(make_packet(i)) for i in range(5)]
-        assert results == [True, True, True, False, False]
+        assert admit_all(queue, 5) == [True, True, True, False, False]
         assert queue.dropped == 2
-        assert queue.occupancy == 3
-
-    def test_fifo_order(self):
-        queue = DropTailQueue(capacity_pkts=10)
-        for i in range(5):
-            queue.offer(make_packet(i))
-        assert [queue.pop().seq for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_pop_empty_returns_none(self):
-        assert DropTailQueue(capacity_pkts=1).pop() is None
+        assert queue.enqueued == 3
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -104,16 +102,15 @@ class TestDropTailQueue:
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=200))
     def test_conservation(self, capacity, arrivals):
         queue = DropTailQueue(capacity_pkts=capacity)
-        for i in range(arrivals):
-            queue.offer(make_packet(i))
+        admit_all(queue, arrivals)
         assert queue.enqueued + queue.dropped == arrivals
-        assert queue.occupancy == min(capacity, arrivals)
+        assert queue.enqueued == min(capacity, arrivals)
 
 
 class TestRedQueue:
     def test_no_drops_when_average_queue_small(self):
         queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
-        assert all(queue.offer(make_packet(i)) for i in range(10))
+        assert all(admit_all(queue, 10))
 
     def test_drop_probability_grows_with_average_queue(self):
         queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
@@ -124,15 +121,12 @@ class TestRedQueue:
 
     def test_full_queue_always_drops(self):
         queue = RedQueue(capacity_pkts=5, rng=random.Random(1))
-        for i in range(5):
-            queue._accept(make_packet(i))
-        assert queue.offer(make_packet(99)) is False
+        assert queue.decide(5, 0.0) is False
 
     def test_average_lags_instantaneous_queue(self):
         queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
-        for i in range(50):
-            queue.offer(make_packet(i))
-        assert queue.avg_queue < queue.occupancy
+        admit_all(queue, 50)
+        assert queue.avg_queue < queue.enqueued
 
     def test_invalid_parameters(self):
         rng = random.Random(1)
@@ -202,6 +196,21 @@ class TestBottleneckLink:
             BottleneckLink(events, DropTailQueue(1), capacity_pps=0.0, delay_s=0.0, deliver=lambda p: None)
         with pytest.raises(ValueError):
             BottleneckLink(events, DropTailQueue(1), capacity_pps=10.0, delay_s=-1.0, deliver=lambda p: None)
+
+    def test_fifo_order(self):
+        events = EventQueue()
+        delivered = []
+        link = BottleneckLink(
+            events=events,
+            queue=DropTailQueue(capacity_pkts=10),
+            capacity_pps=1000.0,
+            delay_s=0.0,
+            deliver=delivered.append,
+        )
+        for i in range(5):
+            link.on_arrival(make_packet(i))
+        events.run(until=1.0)
+        assert [packet.seq for packet in delivered] == [0, 1, 2, 3, 4]
 
     def test_transmission_counter(self):
         events = EventQueue()

@@ -1,7 +1,7 @@
-"""Tests of the typed event primitives (Timer, DelayLine) and the
-closure-vs-delayline scheduler equivalence, plus the emulator accounting
-fixes that rode along with the event-layer rewrite (spurious-RTO
-reconciliation, RED idle decay, absolute-grid sampling)."""
+"""Tests of the typed event primitives (Timer, DelayLine) and of the
+emulator accounting fixes that rode along with the event-layer rewrite
+(spurious-RTO reconciliation, RED idle decay, absolute-grid sampling).
+The emulator's packet counts are pinned by ``test_emulation_golden.py``."""
 
 from __future__ import annotations
 
@@ -239,89 +239,40 @@ class TestSpuriousRtoReconciliation:
 
 class TestRedIdleDecay:
     def test_decide_applies_idle_decay(self):
-        events = EventQueue()
         queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
-        queue.bind_clock(events, service_time_s=0.001)
+        queue.service_time_s = 0.001
         queue.avg_queue = 50.0
         queue.notify_idle(0.0)
-        events.now = 1.0  # 1000 service times of idleness
-        assert queue.decide(0, 1.0)
+        assert queue.decide(0, 1.0)  # after 1000 service times of idleness
         expected = 50.0 * (1.0 - queue.ewma_weight) ** 1000
         assert queue.avg_queue == pytest.approx(expected)
         assert queue.avg_queue < 10.0
 
-    def test_offer_applies_idle_decay_after_pop_empties_queue(self):
+    def test_link_idle_report_decays_average(self):
+        # The link reports the queue emptied (its last packet started
+        # service at t=0); the next arrival, at 0.5 s, decays the average.
         events = EventQueue()
         queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
-        queue.bind_clock(events, service_time_s=0.001)
-        queue.offer(make_packet(0))
+        link = BottleneckLink(
+            events, queue, capacity_pps=1000.0, delay_s=0.0, deliver=lambda p: None
+        )
+        link.on_arrival(make_packet(0))
         queue.avg_queue = 40.0
-        queue.pop()  # queue empties -> idle period starts at now=0
-        events.now = 0.5
-        queue.offer(make_packet(1))
+        events.run(until=0.5)
+        link.on_arrival(make_packet(1))
         expected = 40.0 * (1.0 - queue.ewma_weight) ** 500
         assert queue.avg_queue == pytest.approx(expected)
 
-    def test_unbound_queue_keeps_legacy_ewma(self):
-        # Without a clock (the pre-change closure path) the EWMA decays one
-        # step per arrival, exactly as before.
-        queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
-        queue.avg_queue = 40.0
-        queue.offer(make_packet(0))
-        assert queue.avg_queue == pytest.approx(40.0 * (1.0 - queue.ewma_weight))
-
     def test_decay_only_hits_first_arrival_after_idle(self):
-        events = EventQueue()
         queue = RedQueue(capacity_pkts=100, rng=random.Random(1))
-        queue.bind_clock(events, service_time_s=0.001)
+        queue.service_time_s = 0.001
         queue.avg_queue = 50.0
         queue.notify_idle(0.0)
-        events.now = 1.0
         queue.decide(0, 1.0)
         decayed = queue.avg_queue
         queue.decide(3, 1.0)  # regular EWMA from here on
         w = queue.ewma_weight
         assert queue.avg_queue == pytest.approx((1.0 - w) * decayed + w * 3)
-
-
-class TestSchedulerEquivalence:
-    """Same seeds => identical droptail accounting across event layers."""
-
-    @pytest.mark.parametrize("ccas", [["bbr1"] * 3, ["bbr1", "reno", "cubic", "bbr2"]])
-    def test_droptail_counts_identical(self, ccas):
-        config = dumbbell_scenario(ccas, duration_s=2.0, seed=3)
-        old = EmulationRunner(config, scheduler="closure")
-        old.run()
-        new = EmulationRunner(config, scheduler="delayline")
-        new.run()
-        counts_old = [
-            (s.sent_count, s.delivered_count, s.lost_count) for s in old.senders.values()
-        ]
-        counts_new = [
-            (s.sent_count, s.delivered_count, s.lost_count) for s in new.senders.values()
-        ]
-        assert counts_old == counts_new
-        assert old.bottleneck.queue.dropped == new.bottleneck.queue.dropped
-        assert old.bottleneck.transmitted == new.bottleneck.transmitted
-
-    def test_droptail_traces_identical(self):
-        config = dumbbell_scenario(["bbr1"] * 2, duration_s=2.0, seed=11)
-        trace_old = EmulationRunner(config, scheduler="closure").run()
-        trace_new = EmulationRunner(config, scheduler="delayline").run()
-        for old_flow, new_flow in zip(trace_old.flows, trace_new.flows, strict=True):
-            np.testing.assert_allclose(old_flow.rate, new_flow.rate)
-            np.testing.assert_allclose(old_flow.delivery_rate, new_flow.delivery_rate)
-        np.testing.assert_allclose(
-            trace_old.bottleneck().queue, trace_new.bottleneck().queue
-        )
-        np.testing.assert_allclose(
-            trace_old.bottleneck().loss_prob, trace_new.bottleneck().loss_prob
-        )
-
-    def test_unknown_scheduler_rejected(self):
-        config = dumbbell_scenario(["bbr1"], duration_s=1.0)
-        with pytest.raises(ValueError):
-            EmulationRunner(config, scheduler="quantum")
 
 
 class TestSamplingGrid:

@@ -148,11 +148,6 @@ class TestTailInterval:
         assert len(trace.time) == 1
         assert trace.time[0] == pytest.approx(0.004)
 
-    def test_closure_scheduler_flushes_tail_too(self):
-        config = dumbbell_scenario(["reno"], duration_s=0.505)
-        trace = emulate(config, scheduler="closure")
-        assert trace.time[-1] == pytest.approx(0.505)
-
 
 class TestSingleFlowBehaviour:
     @pytest.mark.parametrize("cca", ["reno", "cubic", "bbr1", "bbr2"])

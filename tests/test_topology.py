@@ -324,15 +324,14 @@ class TestOneHopEquivalence:
         assert np.array_equal(a.links[0].queue, b.links[0].queue)
         assert np.array_equal(a.links[0].loss_prob, b.links[0].loss_prob)
 
-    @pytest.mark.parametrize("scheduler", ["delayline", "closure"])
     @pytest.mark.parametrize("discipline", ["droptail", "red"])
-    def test_emulator_count_identical(self, scheduler, discipline):
+    def test_emulator_count_identical(self, discipline):
         legacy = dumbbell_scenario(
             ["bbr1", "reno"], duration_s=1.0, discipline=discipline, seed=5
         )
         wrapped = _wrap_one_hop(legacy)
-        ra = EmulationRunner(legacy, scheduler=scheduler)
-        rb = EmulationRunner(wrapped, scheduler=scheduler)
+        ra = EmulationRunner(legacy)
+        rb = EmulationRunner(wrapped)
         ta = ra.run()
         tb = rb.run()
         for i in ra.senders:
@@ -437,10 +436,6 @@ class TestEmulatorMultiHop:
         runner = EmulationRunner(config)
         rngs = [link.queue._rng.random() for link in runner.links]
         assert len(set(rngs)) == len(rngs)
-
-    def test_closure_scheduler_rejected_on_multi_hop(self):
-        with pytest.raises(ValueError, match="delayline"):
-            EmulationRunner(_parking_lot_config(), scheduler="closure")
 
     def test_link_names_agree_with_fluid(self):
         config = _parking_lot_config(duration_s=0.1)
