@@ -46,18 +46,32 @@ BENCH_DT = 2.5e-4
 BENCH_DIR = Path(__file__).parent
 
 
-def record_bench(name: str, section: dict) -> None:
-    """Merge ``section``'s top-level keys into ``BENCH_<name>.json``.
+#: Key of a ``BENCH_<name>.json`` record that maps each writer to its keys.
+WRITERS_KEY = "_writers"
 
-    Benchmarks that share a file each own their keys, so running one alone
-    never clobbers another's numbers.
+
+def record_bench(name: str, section: dict) -> None:
+    """Write ``section``'s top-level keys into ``BENCH_<name>.json``.
+
+    A record's writers are the tests that call this one helper, each named
+    by its pytest node id, and each owns the keys of its last write.  A
+    write replaces its writer's keys, so a key a benchmark stopped writing
+    leaves the file, and keeps every other writer's, so running one
+    benchmark alone never clobbers another's numbers.  Keys no writer owns
+    (a record written before ownership was tracked) are dropped.
     """
     path = BENCH_DIR / f"BENCH_{name}.json"
     try:
         results = json.loads(path.read_text())
     except (FileNotFoundError, json.JSONDecodeError):
         results = {}
+    writers = results.pop(WRITERS_KEY, {})
+    writer = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
+    writers[writer] = sorted(section)
+    owned = {key for keys in writers.values() for key in keys}
+    results = {key: value for key, value in results.items() if key in owned}
     results.update(section)
+    results[WRITERS_KEY] = writers
     path.write_text(json.dumps(results, indent=2) + "\n")
 
 

@@ -16,7 +16,9 @@ to gate tier-1.
 A second benchmark records the **paper-grid step sections**: the 28-point
 grid of the aggregate figures as one lockstep batch, in microseconds per
 step, the part of each step spent in each CCA's ``step_all``, and the
-delay ring's one read and one row write.
+delay ring's one read and one row write.  It also records the trace bytes
+each point holds, for the full record and for the lean record a campaign
+keeps (``series=METRIC_SERIES``).
 
 A third benchmark records the **churn scaling curve**: vectorized
 integrator throughput at 100/500/1000/2000 flows under a Poisson /
@@ -42,6 +44,7 @@ from repro.core.history import DelayRing
 from repro.core.reno import RenoFluid
 from repro.experiments import scenarios
 from repro.experiments.grid import GridSpec
+from repro.metrics import METRIC_SERIES
 
 from conftest import BENCH_DT, record_bench, run_once
 
@@ -144,6 +147,16 @@ def test_perf_paper_grid_sections(benchmark, monkeypatch):
 
     us_per_step = run_once(benchmark, _us_per_step)
 
+    # Recorded trace bytes per point, full record against a campaign's.
+    record_mb = {
+        name: round(
+            sum(trace.nbytes for trace in simulate_many(configs, series=series))
+            / len(configs) / 1e6,
+            3,
+        )
+        for name, series in (("full", None), ("lean", METRIC_SERIES))
+    }
+
     # The same batch again with every group's ``step_all`` and the delay
     # ring's read and row write timed around the call (a few hundred ns of
     # wrapper per call, no profiler).
@@ -179,6 +192,7 @@ def test_perf_paper_grid_sections(benchmark, monkeypatch):
             "us_per_step": round(us_per_step, 1),
             "step_all_us_per_step": step_all_us,
             "history_us_per_step": history_us,
+            "record_mb_per_point": record_mb,
         },
     })
 
@@ -187,6 +201,8 @@ def test_perf_paper_grid_sections(benchmark, monkeypatch):
         print(f"  {name:5s} step_all {us_step:6.1f} us/step")
     for name, us_step in history_us.items():
         print(f"  ring  {name:8s} {us_step:6.1f} us/step")
+    for name, mb in record_mb.items():
+        print(f"  {name:4s} record {mb:6.3f} MB/point")
 
 
 def test_perf_fluid_churn_scaling(benchmark):

@@ -95,6 +95,11 @@ from .smooth import ONE, ZERO
 #: an integration step ``dt`` must not exceed it.
 RECORD_INTERVAL_S = 1e-3
 
+#: The step's per-flow series, in the order of the recorded flow block.
+#: ``delivery_rate`` is always recorded, so any selection of them is one
+#: contiguous run of the block.
+_FLOW_BLOCK = ("rate", "delivery_rate", "rtt")
+
 # The step loop's constant operands, bound once (see ``smooth.constant``).
 _TAU_FLOOR = smooth.constant(TAU_FLOOR_S)
 
@@ -110,10 +115,13 @@ class FluidSimulator:
         network: Network | None = None,
         initial_states: list | None = None,
         schedule_entries: Sequence[FlowArrival] | None = None,
+        series: Sequence[str] | None = None,
     ) -> None:
         if RECORD_INTERVAL_S < config.fluid.dt:
             raise ValueError("record interval must be at least one integration step")
         self.config = config
+        # The per-flow series the trace records (``None``: all of them).
+        self.series = None if series is None else frozenset(series) | {"delivery_rate"}
         # ``schedule_entries`` lets :func:`simulate_many` hand over the
         # concatenated per-scenario schedules of a merged batch; a plain run
         # materialises its own config's schedule (or ``None`` for the
@@ -141,6 +149,13 @@ class FluidSimulator:
                 self.models[i] = models[i]
             else:
                 self.models[i] = create_model(flow_cfg.cca, config.fluid)
+        if self.series is not None:
+            known = {"cwnd", "inflight", *_FLOW_BLOCK}
+            for model in self.models.values():
+                known.update(model.traced)
+            unknown = sorted(self.series - known)
+            if unknown:
+                raise ValueError(f"unknown trace series: {', '.join(unknown)}")
         #: Substrate counters of the last completed run (steps, flows,
         #: links); empty before any run.
         self.runtime: dict[str, int] = {}
@@ -496,22 +511,33 @@ class FluidSimulator:
 
         # ---------- trace recording buffers ----------------------------- #
         # One row per record and block: the flow block [rate | delivery |
-        # rtt] and the link block [queue | loss | arrival | departure] by
-        # slot/link position, each filled by a single concatenate per
-        # record, and per group the traced rows of its state block
-        # (inflight, then the model's traced fields), one slice copy.
+        # rtt] (the selected run of it) and the link block [queue | loss |
+        # arrival | departure] by slot/link position, each filled by a
+        # single concatenate per record, and per group the selected rows of
+        # its state block (inflight, then the model's traced fields), one
+        # copy, or none when the group records no such row.
         steps = int(round(cfg.duration_s / dt))
         record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
         num_records = steps // record_every + 1
-        rec_flow = np.zeros((num_records, 3 * num_flows))
+        selected = self.series
+        flow_names = [
+            name for name in _FLOW_BLOCK if selected is None or name in selected
+        ]
+        flow_cols = slice(
+            _FLOW_BLOCK.index(flow_names[0]), _FLOW_BLOCK.index(flow_names[-1]) + 1
+        )
+        rec_flow = np.zeros((num_records, len(flow_names) * num_flows))
         rec_link = np.zeros((num_records, 4 * num_queued))
         record_index = 0
 
         # ---------- CCA states: one batched group per batch key --------- #
         states = self._make_states()
         dt_bound = smooth.constant(dt)
-        # (model, slots, batch, reusable FlowInputsBatch, traced rows, record)
+        # (model, slots, batch, reusable FlowInputsBatch, recorded row
+        # names, record) and, for the groups that record a row, (batch,
+        # rows, record).
         batch_groups = []
+        record_groups = []
         start = 0
         for flow_ids in group_indices.values():
             model = self.models[flow_ids[0]]
@@ -527,9 +553,24 @@ class FluidSimulator:
                 rate_delayed=latency_const,
                 literal_xmax=literal_xmax,
             )
-            traced = 1 + len(model.traced)
-            record = np.zeros((num_records, traced, batch.size))
-            batch_groups.append((model, slots, batch, inputs, traced, record))
+            row_names = ("inflight", *model.traced)
+            kept = [
+                row
+                for row, name in enumerate(row_names)
+                if selected is None or name in selected
+            ]
+            names = [row_names[row] for row in kept]
+            record = None
+            if kept:
+                record = np.zeros((num_records, len(kept), batch.size))
+                # Leading rows (the full record) are one slice copy.
+                rows = (
+                    slice(0, len(kept))
+                    if kept == list(range(len(kept)))
+                    else np.array(kept, dtype=np.intp)
+                )
+                record_groups.append((batch, rows, record))
+            batch_groups.append((model, slots, batch, inputs, names, record))
 
         # ---------- mutable per-step arrays ----------------------------- #
         queue_arr = np.zeros(num_queued)
@@ -690,13 +731,14 @@ class FluidSimulator:
             # 4. Record (before integrating queues so t=0 is captured).
             if step % record_every == 0 and record_index < num_records:
                 np.concatenate(
-                    (rates_all, delivery_rates, latency), out=rec_flow[record_index]
+                    (rates_all, delivery_rates, latency)[flow_cols],
+                    out=rec_flow[record_index],
                 )
                 np.concatenate(
                     (queue_arr, loss, arrival, departure), out=rec_link[record_index]
                 )
-                for _, _, batch, _, traced, record in batch_groups:
-                    record[record_index] = batch.block[:traced]
+                for batch, rows, record in record_groups:
+                    record[record_index] = batch.block[rows]
                 record_index += 1
 
             # 5. Integrate the link queues (Eq. 2).
@@ -723,19 +765,28 @@ class FluidSimulator:
 
         # ---------- per-flow series: views of each flow's slot column --- #
         records = slice(0, record_index)
+
+        def flow_series(name: str, slot: int) -> np.ndarray | None:
+            if name not in flow_names:
+                return None
+            return rec_flow[records, flow_names.index(name) * num_flows + slot]
+
         flows: dict[int, FlowTrace] = {}
-        for model, slots, _, _, _, record in batch_groups:
+        for _, slots, _, _, names, record in batch_groups:
             for col, i in enumerate(order[slots]):
                 slot = slots.start + col
-                extras = dict(zip(model.traced, record[records, 1:, col].T, strict=True))
+                rows = {
+                    name: record[records, row, col] for row, name in enumerate(names)
+                }
+                inflight = rows.pop("inflight", None)
                 flows[i] = self._flow_trace(
                     i,
-                    rec_flow[records, slot],
-                    rec_flow[records, num_flows + slot],
-                    extras["cwnd"],
-                    record[records, 0, col],
-                    rec_flow[records, 2 * num_flows + slot],
-                    extras,
+                    flow_series("rate", slot),
+                    flow_series("delivery_rate", slot),
+                    rows.get("cwnd"),
+                    inflight,
+                    flow_series("rtt", slot),
+                    rows,
                     flow_starts,
                     flow_ends,
                 )
@@ -764,11 +815,11 @@ class FluidSimulator:
     def _flow_trace(
         self,
         i: int,
-        rate: np.ndarray,
+        rate: np.ndarray | None,
         delivery: np.ndarray,
-        cwnd: np.ndarray,
-        inflight: np.ndarray,
-        rtt: np.ndarray,
+        cwnd: np.ndarray | None,
+        inflight: np.ndarray | None,
+        rtt: np.ndarray | None,
         extras: dict[str, np.ndarray],
         flow_starts: np.ndarray | None,
         flow_ends: list[float | None] | None,
@@ -812,12 +863,14 @@ class FluidSimulator:
         return Trace(time=time, flows=flows, links=links, substrate="fluid")
 
 
-def simulate(config: ScenarioConfig) -> Trace:
+def simulate(config: ScenarioConfig, *, series: Sequence[str] | None = None) -> Trace:
     """Convenience wrapper: build a :class:`FluidSimulator` and run it."""
-    return FluidSimulator(config).run()
+    return FluidSimulator(config, series=series).run()
 
 
-def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
+def simulate_many(
+    configs: Sequence[ScenarioConfig], *, series: Sequence[str] | None = None
+) -> list[Trace]:
     """Integrate many *independent* scenarios in lockstep as one batched system.
 
     The aggregate-validation figures (Figs. 6-10, 13-17) integrate dozens of
@@ -843,12 +896,22 @@ def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
     numerics (sigmoid sharpness, drop-tail exponent, ``literal_xmax``);
     per-model parameters may differ freely because model batches group by
     ``batch_key``.
+
+    ``series`` names the per-flow series the traces record: any of
+    ``rate``, ``delivery_rate``, ``cwnd``, ``inflight``, ``rtt`` and the
+    models' traced fields (an unknown name is a ``ValueError``).  The
+    default ``None`` records every one of them.  ``delivery_rate``, the
+    link series and the flow start/end times are always recorded; a series
+    left out is ``None`` on each :class:`~repro.metrics.traces.FlowTrace`
+    (a traced field left out is absent from its ``extras``), and what is
+    recorded is bit-identical to the full record.  Campaigns pass
+    :data:`~repro.metrics.METRIC_SERIES`, what the aggregate metrics read.
     """
     configs = list(configs)
     if not configs:
         return []
     if len(configs) == 1:
-        return [simulate(configs[0])]
+        return [simulate(configs[0], series=series)]
     if TELEMETRY.enabled:
         TELEMETRY.count("fluid.lockstep_batches")
         TELEMETRY.count("fluid.lockstep_scenarios", len(configs))
@@ -922,6 +985,7 @@ def simulate_many(configs: Sequence[ScenarioConfig]) -> list[Trace]:
         network=network,
         initial_states=initial_states,
         schedule_entries=combined_entries if any_schedule else None,
+        series=series,
     ).run()
 
     # Split the combined trace back into one trace per scenario.  Links are

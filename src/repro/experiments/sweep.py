@@ -57,6 +57,7 @@ from pathlib import Path
 from ..core.simulator import simulate_many
 from ..emulation.runner import EmulationRunner
 from ..metrics.aggregate import (
+    METRIC_SERIES,
     AggregateMetrics,
     MetricsSummary,
     aggregate_metrics,
@@ -220,7 +221,9 @@ def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
     The campaign's only unit of work: module-level so process pools can
     pickle it, and free of store side effects so the parent owns every
     write.  A fluid chunk is integrated in lockstep through
-    :func:`~repro.core.simulator.simulate_many` and an analytic chunk is
+    :func:`~repro.core.simulator.simulate_many`, recording only the
+    per-flow series the metrics read (:data:`~repro.metrics.METRIC_SERIES`:
+    the other series are ``None`` on its traces), and an analytic chunk is
     one :func:`~repro.analysis.analyze_scenarios` call; either way the
     measured cost is amortised evenly over its points (``shared=``).  An
     emulation chunk holds exactly one point.
@@ -229,7 +232,7 @@ def compute_chunk(chunk: tuple[PointSpec, ...]) -> list[SweepPoint]:
     configs = [point.config() for point in chunk]
     if grid.substrate == "fluid":
         with RuntimeCapture() as rt:
-            traces = simulate_many(configs)
+            traces = simulate_many(configs, series=METRIC_SERIES)
         runtime = rt.block(
             {"steps": int(round(grid.duration_s / grid.dt)) + 1, "lockstep": len(chunk)},
             shared=len(chunk),

@@ -1,6 +1,7 @@
 """Trace containers and aggregate performance metrics."""
 
 from .aggregate import (
+    METRIC_SERIES,
     AggregateMetrics,
     LinkMetrics,
     MetricsSummary,
@@ -24,6 +25,7 @@ from .fairness import jain_index, per_cca_share, trace_fairness
 from .traces import FlowTrace, LinkTrace, Trace, resample
 
 __all__ = [
+    "METRIC_SERIES",
     "AggregateMetrics",
     "LinkMetrics",
     "MetricsSummary",

@@ -133,6 +133,13 @@ class AggregateMetrics:
         }
 
 
+#: The per-flow series :func:`aggregate_metrics` reads (besides the link
+#: series and the flow start/end times, which every trace carries): what a
+#: campaign's fluid traces record (``series=`` of
+#: :func:`~repro.core.simulate_many`).
+METRIC_SERIES = ("delivery_rate", "rtt")
+
+
 def aggregate_metrics(trace: Trace) -> AggregateMetrics:
     """Compute all aggregate metrics of the paper's Figs. 6-10 for one trace.
 

@@ -23,6 +23,13 @@ class FlowTrace:
     All arrays are aligned with the parent :class:`Trace.time` grid.
     Rates are packets/second; windows and inflight are packets; RTT seconds.
 
+    ``delivery_rate`` is always recorded.  A fluid run that records only
+    some series (``series=`` of :func:`~repro.core.simulate_many`; a
+    campaign keeps only what :func:`~repro.metrics.aggregate_metrics`
+    reads) leaves every other series ``None`` and keeps only the selected
+    ``extras``: ``None`` means "not recorded", never a placeholder, so a
+    reader that needs such a series fails instead of computing on it.
+
     ``start_time_s``/``end_time_s`` record the flow's lifetime under a
     :class:`~repro.config.FlowSchedule`: when it started sending and when
     it departed (finite-size completion or on/off switch-off) — ``None``
@@ -33,33 +40,39 @@ class FlowTrace:
     """
 
     cca: str
-    rate: np.ndarray
+    rate: np.ndarray | None
     delivery_rate: np.ndarray
-    cwnd: np.ndarray
-    inflight: np.ndarray
-    rtt: np.ndarray
+    cwnd: np.ndarray | None
+    inflight: np.ndarray | None
+    rtt: np.ndarray | None
     extras: dict[str, np.ndarray] = field(default_factory=dict)
     start_time_s: float = 0.0
     end_time_s: float | None = None
 
     def __post_init__(self) -> None:
         lengths = {
-            len(self.rate),
-            len(self.delivery_rate),
-            len(self.cwnd),
-            len(self.inflight),
-            len(self.rtt),
+            len(series)
+            for series in (self.rate, self.delivery_rate, self.cwnd, self.inflight, self.rtt)
+            if series is not None
         }
         if len(lengths) != 1:
             raise ValueError("flow trace arrays must have equal length")
 
     def mean_rate(self) -> float:
         """Time-average sending rate in packets/second."""
-        return float(np.mean(self.rate)) if len(self.rate) else 0.0
+        rate = _recorded(self.rate, "rate")
+        return float(np.mean(rate)) if len(rate) else 0.0
 
     def mean_goodput(self) -> float:
         """Time-average delivery rate in packets/second."""
         return float(np.mean(self.delivery_rate)) if len(self.delivery_rate) else 0.0
+
+
+def _recorded(series: np.ndarray | None, name: str) -> np.ndarray:
+    """``series``, or a ``ValueError`` naming it when it was not recorded."""
+    if series is None:
+        raise ValueError(f"the trace did not record the {name!r} series")
+    return series
 
 
 @dataclass
@@ -118,7 +131,7 @@ class Trace:
 
     def __post_init__(self) -> None:
         for flow in self.flows:
-            if len(flow.rate) != len(self.time):
+            if len(flow.delivery_rate) != len(self.time):
                 raise ValueError("flow trace length does not match the time grid")
         for link in self.links:
             if len(link.queue) != len(self.time):
@@ -139,6 +152,25 @@ class Trace:
             raise ValueError("trace too short to have a sampling interval")
         return float(self.time[1] - self.time[0])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the recorded series: the time grid and every distinct
+        flow and link array (a series that is also an extra counts once)."""
+        arrays = {id(self.time): self.time}
+        for flow in self.flows:
+            for series in (
+                flow.rate, flow.delivery_rate, flow.cwnd, flow.inflight, flow.rtt,
+                *flow.extras.values(),
+            ):
+                if series is not None:
+                    arrays[id(series)] = series
+        for link in self.links:
+            for series in (
+                link.queue, link.loss_prob, link.arrival_rate, link.departure_rate
+            ):
+                arrays[id(series)] = series
+        return sum(series.nbytes for series in arrays.values())
+
     def bottleneck(self) -> LinkTrace:
         """The trace of the bottleneck link (smallest capacity)."""
         if not self.links:
@@ -153,11 +185,11 @@ class Trace:
         flows = [
             FlowTrace(
                 cca=f.cca,
-                rate=f.rate[mask],
+                rate=None if f.rate is None else f.rate[mask],
                 delivery_rate=f.delivery_rate[mask],
-                cwnd=f.cwnd[mask],
-                inflight=f.inflight[mask],
-                rtt=f.rtt[mask],
+                cwnd=None if f.cwnd is None else f.cwnd[mask],
+                inflight=None if f.inflight is None else f.inflight[mask],
+                rtt=None if f.rtt is None else f.rtt[mask],
                 extras={k: v[mask] for k, v in f.extras.items()},
                 start_time_s=f.start_time_s,
                 end_time_s=f.end_time_s,
@@ -186,18 +218,19 @@ class Trace:
         of the first flow — the quantities plotted in the validation figures.
         """
         bottleneck = self.bottleneck()
-        total_rate = np.sum([f.rate for f in self.flows], axis=0)
+        total_rate = np.sum([_recorded(f.rate, "rate") for f in self.flows], axis=0)
         rate_pct = 100.0 * total_rate / bottleneck.capacity_pps
         if np.isfinite(bottleneck.buffer_pkts) and bottleneck.buffer_pkts > 0:
             queue_pct = 100.0 * bottleneck.queue / bottleneck.buffer_pkts
         else:
             queue_pct = np.zeros_like(bottleneck.queue)
         loss_pct = 100.0 * bottleneck.loss_prob
-        base_rtt = float(np.min(self.flows[0].rtt)) if len(self.flows[0].rtt) else 0.0
+        rtt = _recorded(self.flows[0].rtt, "rtt")
+        base_rtt = float(np.min(rtt)) if len(rtt) else 0.0
         if base_rtt > 0:
-            rtt_pct = 100.0 * (self.flows[0].rtt - base_rtt) / base_rtt
+            rtt_pct = 100.0 * (rtt - base_rtt) / base_rtt
         else:
-            rtt_pct = np.zeros_like(self.flows[0].rtt)
+            rtt_pct = np.zeros_like(rtt)
         return {
             "time": self.time,
             "rate_pct": rate_pct,

@@ -34,10 +34,10 @@ def _grid(**axes) -> GridSpec:
     return GridSpec(disciplines=["droptail"], substrate="fluid", **FAST, **axes)
 
 
-def _failing_on_bad_buffer(configs):
+def _failing_on_bad_buffer(configs, series=None):
     if any(cfg.bottleneck.buffer_bdp == BAD_BUFFER for cfg in configs):
         raise RuntimeError("injected failure")
-    return _real_simulate_many(configs)
+    return _real_simulate_many(configs, series=series)
 
 
 def test_pooled_fluid_grid_runs_lockstep_chunks(tmp_path):
@@ -89,11 +89,11 @@ def test_raise_mode_names_the_failing_point(monkeypatch):
 def test_timeout_bounds_a_serial_lockstep_chunk(monkeypatch):
     widths: list[int] = []
 
-    def slow_when_batched(configs):
+    def slow_when_batched(configs, series=None):
         widths.append(len(configs))
         if len(configs) > 1:
             time.sleep(30)  # interrupted by the chunk's 4 x 0.5 s deadline
-        return _real_simulate_many(configs)
+        return _real_simulate_many(configs, series=series)
 
     monkeypatch.setattr(sweep, "simulate_many", slow_when_batched)
     policy = ExecutorPolicy(timeout_s=0.5, backoff_s=0.0, on_failure="skip")
@@ -111,10 +111,10 @@ def test_timeout_is_a_per_point_budget(monkeypatch):
     # single point's budget but not its own finishes as one chunk.
     widths: list[int] = []
 
-    def slower_than_one_point(configs):
+    def slower_than_one_point(configs, series=None):
         widths.append(len(configs))
         time.sleep(0.6)
-        return _real_simulate_many(configs)
+        return _real_simulate_many(configs, series=series)
 
     monkeypatch.setattr(sweep, "simulate_many", slower_than_one_point)
     policy = ExecutorPolicy(timeout_s=0.5, backoff_s=0.0, on_failure="skip")

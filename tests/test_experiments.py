@@ -171,7 +171,7 @@ class TestSweep:
     def test_workers_pool_failure_names_combo(self, monkeypatch):
         # A worker failure must not silently discard completed points and
         # must identify the failing grid coordinates.
-        def exploding(configs):
+        def exploding(configs, series=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(sweep, "simulate_many", exploding)

@@ -282,3 +282,76 @@ class TestTraceContainers:
     def test_resample_length_mismatch(self):
         with pytest.raises(ValueError):
             resample(np.zeros(3), np.zeros(2), np.zeros(1))
+
+
+def lean_trace() -> Trace:
+    """``make_trace`` as a lean fluid record keeps it: no rate/cwnd/inflight."""
+    full = make_trace([100.0, 300.0])
+    flows = [
+        FlowTrace(
+            cca=flow.cca,
+            rate=None,
+            delivery_rate=flow.delivery_rate,
+            cwnd=None,
+            inflight=None,
+            rtt=flow.rtt,
+        )
+        for flow in full.flows
+    ]
+    return Trace(time=full.time, flows=flows, links=full.links)
+
+
+class TestAbsentSeries:
+    """A series a fluid run did not record is ``None``, and readers say so."""
+
+    def test_lengths_checked_across_present_series_only(self):
+        FlowTrace(cca="reno", rate=None, delivery_rate=np.zeros(5), cwnd=None,
+                  inflight=None, rtt=np.zeros(5))
+        with pytest.raises(ValueError, match="equal length"):
+            FlowTrace(cca="reno", rate=None, delivery_rate=np.zeros(5), cwnd=None,
+                      inflight=None, rtt=np.zeros(4))
+
+    def test_trace_checks_delivery_rate_against_time(self):
+        flow = FlowTrace(cca="reno", rate=None, delivery_rate=np.zeros(5), cwnd=None,
+                         inflight=None, rtt=None)
+        Trace(time=np.linspace(0, 1, 5), flows=[flow], links=[])
+        with pytest.raises(ValueError, match="time grid"):
+            Trace(time=np.linspace(0, 1, 6), flows=[flow], links=[])
+
+    def test_after_passes_absent_series_through(self):
+        trace = lean_trace()
+        late = trace.after(0.5)
+        for flow, source in zip(late.flows, trace.flows, strict=True):
+            assert flow.rate is flow.cwnd is flow.inflight is None
+            assert flow.extras == {}
+            assert len(flow.delivery_rate) == len(flow.rtt) == len(late.time)
+            assert np.array_equal(flow.rtt, source.rtt[trace.time >= 0.5])
+
+    def test_metrics_compute_on_the_series_they_read(self):
+        lean, full = lean_trace(), make_trace([100.0, 300.0])
+        assert aggregate_metrics(lean) == aggregate_metrics(full)
+
+    def test_mean_rate_names_the_missing_series(self):
+        flow = lean_trace().flows[0]
+        assert flow.mean_goodput() == pytest.approx(100.0)
+        with pytest.raises(ValueError, match="'rate'"):
+            flow.mean_rate()
+        with pytest.raises(ValueError, match="'rate'"):
+            trace_fairness(lean_trace(), use_goodput=False)
+
+    def test_normalized_rows_names_the_missing_series(self):
+        with pytest.raises(ValueError, match="'rate'"):
+            lean_trace().normalized_rows()
+        trace = make_trace([100.0, 300.0])
+        trace.flows[0].rtt = None
+        with pytest.raises(ValueError, match="'rtt'"):
+            trace.normalized_rows()
+
+    def test_nbytes_counts_each_recorded_array_once(self):
+        full, lean = make_trace([100.0, 300.0]), lean_trace()
+        row = full.time.nbytes
+        # time + 5 series per flow + 4 per link; the lean trace keeps 2 per flow.
+        assert full.nbytes == row * (1 + 2 * 5 + 4)
+        assert lean.nbytes == row * (1 + 2 * 2 + 4)
+        full.flows[0].extras["cwnd"] = full.flows[0].cwnd
+        assert full.nbytes == row * (1 + 2 * 5 + 4)

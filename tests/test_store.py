@@ -327,9 +327,9 @@ class TestSeedsAxis:
         computed: list = []
         real = sweep.simulate_many
 
-        def counting(configs):
+        def counting(configs, series=None):
             computed.extend(configs)
-            return real(configs)
+            return real(configs, series=series)
 
         monkeypatch.setattr(sweep, "simulate_many", counting)
         store = SweepStore(tmp_path / "s.jsonl")
