@@ -73,7 +73,7 @@ def _steps(config) -> int:
 
 
 def _measure(config) -> float:
-    simulator = FluidSimulator(config)
+    simulator = FluidSimulator([config])
     start = time.perf_counter()
     simulator.run()
     elapsed = time.perf_counter() - start
@@ -222,7 +222,7 @@ def test_perf_fluid_churn_scaling(benchmark):
 
     def _measure_population(num_flows: int) -> float:
         config = _churn_config(num_flows)
-        simulator = FluidSimulator(config)
+        simulator = FluidSimulator([config])
         start = time.perf_counter()
         simulator.run()
         elapsed = time.perf_counter() - start

@@ -42,7 +42,7 @@ def _config(duration_s: float):
 
 
 def _measure_fluid(config) -> float:
-    simulator = FluidSimulator(config)
+    simulator = FluidSimulator([config])
     start = time.perf_counter()
     simulator.run()
     elapsed = time.perf_counter() - start

@@ -1,6 +1,13 @@
 """Array-native method-of-steps integrator for the network fluid model
 (Section 4.1.1).
 
+Every fluid run is a lockstep *batch*: :class:`FluidSimulator` takes a
+sequence of independent scenarios that share the integration step, the
+duration and the global fluid numerics, and integrates them as one
+block-diagonal system whose combined network holds every scenario's links.
+:func:`simulate_many` runs such a batch and :func:`simulate` is a batch of
+one; a scenario's trace does not depend on the batch it ran in.
+
 The fluid model is a system of delay differential equations: every step the
 simulator
 
@@ -75,7 +82,6 @@ paper's evaluation (e.g. BBRv1 vs. Reno) are expressed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 
@@ -87,7 +93,7 @@ from ..obs import TELEMETRY
 from . import queues, smooth
 from .flow import TAU_FLOOR_S, FlowInputsBatch, FluidCCA
 from .history import DelayRing
-from .network import Network, Path
+from .network import Link, Network, Path
 from .registry import create_model
 from .smooth import ONE, ZERO
 
@@ -105,50 +111,85 @@ _TAU_FLOOR = smooth.constant(TAU_FLOOR_S)
 
 
 class FluidSimulator:
-    """Simulates a :class:`~repro.config.ScenarioConfig` with the fluid model."""
+    """Integrates a batch of independent scenarios as one fluid system.
+
+    The scenarios must share ``dt``, ``duration_s`` and the global fluid
+    numerics (sigmoid sharpness, drop-tail exponent, ``literal_xmax``);
+    per-model parameters may differ freely because model batches group by
+    ``batch_key``.  Each scenario's network is built with
+    :meth:`Network.from_scenario` and its links are appended to one
+    combined network, so the flow→link incidence keeps every scenario on
+    its own links.  Each flow's state is built with its scenario-local
+    index and flow count (e.g. BBRv1 desynchronises gain cycles by
+    ``i % 6`` and BBRv2 spreads its wall-clock period by ``i / N`` *within*
+    a scenario), and each scenario's flow schedule is materialised once (a
+    static population is plain start-time entries).
+
+    ``models`` substitutes a model for a flow, keyed by its index within
+    the batch; ``series`` selects the recorded per-flow series (see
+    :func:`simulate_many`).  :meth:`run` returns one trace per scenario.
+    """
 
     def __init__(
         self,
-        config: ScenarioConfig,
-        models: dict[int, FluidCCA] | None = None,
+        configs: Sequence[ScenarioConfig],
         *,
-        network: Network | None = None,
-        initial_states: list | None = None,
-        schedule_entries: Sequence[FlowArrival] | None = None,
+        models: dict[int, FluidCCA] | None = None,
         series: Sequence[str] | None = None,
     ) -> None:
-        if RECORD_INTERVAL_S < config.fluid.dt:
+        self.configs = tuple(configs)
+        if not self.configs:
+            raise ValueError("a fluid batch needs at least one scenario")
+        first = self.configs[0]
+        for cfg in self.configs[1:]:
+            if cfg.fluid.dt != first.fluid.dt:
+                raise ValueError("batched scenarios must share the integration step")
+            if cfg.duration_s != first.duration_s:
+                raise ValueError("batched scenarios must share the duration")
+            for field_name in ("sigmoid_sharpness", "droptail_exponent", "literal_xmax"):
+                if getattr(cfg.fluid, field_name) != getattr(first.fluid, field_name):
+                    raise ValueError(
+                        f"batched scenarios must share fluid numerics ({field_name})"
+                    )
+        if RECORD_INTERVAL_S < first.fluid.dt:
             raise ValueError("record interval must be at least one integration step")
-        self.config = config
+        self.dt = first.fluid.dt
+        self.duration_s = first.duration_s
         # The per-flow series the trace records (``None``: all of them).
         self.series = None if series is None else frozenset(series) | {"delivery_rate"}
-        # ``schedule_entries`` lets :func:`simulate_many` hand over the
-        # concatenated per-scenario schedules of a merged batch; a plain run
-        # materialises its own config's schedule (or ``None`` for the
-        # legacy static population).
-        if schedule_entries is not None:
-            self._schedule_entries: tuple[FlowArrival, ...] | None = tuple(
-                schedule_entries
-            )
-        else:
-            self._schedule_entries = config.flow_schedule()
-        if (
-            self._schedule_entries is not None
-            and len(self._schedule_entries) != len(config.flows)
-        ):
-            raise ValueError("schedule entries must match the flow count")
-        self.network = network if network is not None else Network.from_scenario(config)
-        self.dt = config.fluid.dt
-        # ``initial_states`` lets :func:`simulate_many` hand over states that
-        # were built with each scenario's own flow indexing (e.g. the BBR
-        # gain-cycle phase is ``flow_index % 6`` *within* its scenario).
-        self._initial_states = initial_states
+
+        links: list[Link] = []
+        paths: list[Path] = []
         self.models: dict[int, FluidCCA] = {}
-        for i, flow_cfg in enumerate(config.flows):
-            if models and i in models:
-                self.models[i] = models[i]
-            else:
-                self.models[i] = create_model(flow_cfg.cca, config.fluid)
+        self._states: list = []
+        self._entries: list[FlowArrival] = []
+        # Per scenario: its flow count and queued-link count, in batch order.
+        self._sizes: list[tuple[int, int]] = []
+        for cfg in self.configs:
+            net = Network.from_scenario(cfg)
+            offset = len(links)
+            links.extend(net.links)
+            for i, path in enumerate(net.paths):
+                flow = len(paths)
+                paths.append(
+                    Path(
+                        link_indices=tuple(offset + idx for idx in path.link_indices),
+                        return_delay_s=path.return_delay_s,
+                    )
+                )
+                if models and flow in models:
+                    model = models[flow]
+                else:
+                    model = create_model(cfg.flows[i].cca, cfg.fluid)
+                self.models[flow] = model
+                self._states.append(model.initial_state(i, net.num_flows, net, cfg.fluid))
+            entries = cfg.flow_schedule()
+            if entries is None:
+                entries = tuple(FlowArrival(start_time_s=f.start_time_s) for f in cfg.flows)
+            self._entries.extend(entries)
+            self._sizes.append((net.num_flows, len(net.queued_link_indices())))
+        self.network = Network(links, paths)
+
         if self.series is not None:
             known = {"cwnd", "inflight", *_FLOW_BLOCK}
             for model in self.models.values():
@@ -157,23 +198,17 @@ class FluidSimulator:
             if unknown:
                 raise ValueError(f"unknown trace series: {', '.join(unknown)}")
         #: Substrate counters of the last completed run (steps, flows,
-        #: links); empty before any run.
+        #: links) over the whole batch; empty before any run.
         self.runtime: dict[str, int] = {}
 
     def _flow_lifetimes(self):
         """Per-flow start/stop/size arrays and whether any flow can depart.
 
-        Returns ``(start_times, stop_times, flow_sizes, churn)``.  Without a
-        schedule — or with a schedule of long-lived flows only — ``churn``
-        is False and the integrator keeps the legacy start-only masking
-        (bit-identical with the pre-schedule integrator).
+        Returns ``(start_times, stop_times, flow_sizes, churn)``; ``churn``
+        is False when every flow is long-lived (no finite size or stop
+        time), and the integrator then masks only the flows not started yet.
         """
-        entries = self._schedule_entries
-        if entries is None:
-            start_times = np.array(
-                [f.start_time_s for f in self.config.flows], dtype=float
-            )
-            return start_times, None, None, False
+        entries = self._entries
         start_times = np.array([e.start_time_s for e in entries], dtype=float)
         stop_times = np.array(
             [math.inf if e.stop_time_s is None else e.stop_time_s for e in entries],
@@ -186,57 +221,27 @@ class FluidSimulator:
         churn = bool(np.any(np.isfinite(stop_times)) or np.any(np.isfinite(flow_sizes)))
         return start_times, stop_times, flow_sizes, churn
 
-    @staticmethod
-    def _flow_end_list(
-        churn: bool,
-        num_flows: int,
-        duration_s: float,
-        completed,
-        end_times,
-        stop_times,
-    ) -> list[float | None]:
-        """Per-flow departure times for the trace (``None`` = never departed)."""
-        if not churn:
-            return [None] * num_flows
-        ends: list[float | None] = []
-        for i in range(num_flows):
-            if completed[i]:
-                ends.append(float(end_times[i]))
-            elif stop_times[i] <= duration_s:
-                ends.append(float(stop_times[i]))
-            else:
-                ends.append(None)
-        return ends
-
-    def _make_states(self) -> list:
-        if self._initial_states is not None:
-            return list(self._initial_states)
-        net = self.network
-        cfg = self.config
-        return [
-            self.models[i].initial_state(i, net.num_flows, net, cfg.fluid)
-            for i in range(net.num_flows)
-        ]
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
 
-    def run(self) -> Trace:
-        """Integrate the scenario and return the recorded trace."""
+    def run(self) -> list[Trace]:
+        """Integrate the batch and return one recorded trace per scenario."""
         with TELEMETRY.span(
             "fluid.integrate",
             flows=self.network.num_flows,
-            duration_s=self.config.duration_s,
+            duration_s=self.duration_s,
         ):
-            trace = self._run()
-        if TELEMETRY.enabled and self.runtime:
+            traces = self._run()
+        if TELEMETRY.enabled:
             TELEMETRY.count("fluid.steps", self.runtime["steps"])
-        return trace
+            TELEMETRY.count("fluid.lockstep_batches")
+            TELEMETRY.count("fluid.lockstep_scenarios", len(self.configs))
+        return traces
 
-    def _run(self) -> Trace:
+    def _run(self) -> list[Trace]:
         net = self.network
-        cfg = self.config
+        fluid = self.configs[0].fluid
         dt = self.dt
         num_flows = net.num_flows
         queued_links = net.queued_link_indices()
@@ -505,9 +510,9 @@ class FluidSimulator:
         all_droptail = all(d == "droptail" for d in disciplines)
         all_red = all(d == "red" for d in disciplines)
         droptail_mask = np.array([d == "droptail" for d in disciplines])
-        sharpness = smooth.constant(cfg.fluid.sigmoid_sharpness)
-        exponent = smooth.constant(cfg.fluid.droptail_exponent)
-        literal_xmax = cfg.fluid.literal_xmax
+        sharpness = smooth.constant(fluid.sigmoid_sharpness)
+        exponent = smooth.constant(fluid.droptail_exponent)
+        literal_xmax = fluid.literal_xmax
 
         # ---------- trace recording buffers ----------------------------- #
         # One row per record and block: the flow block [rate | delivery |
@@ -516,7 +521,7 @@ class FluidSimulator:
         # single concatenate per record, and per group the selected rows of
         # its state block (inflight, then the model's traced fields), one
         # copy, or none when the group records no such row.
-        steps = int(round(cfg.duration_s / dt))
+        steps = int(round(self.duration_s / dt))
         record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
         num_records = steps // record_every + 1
         selected = self.series
@@ -531,7 +536,7 @@ class FluidSimulator:
         record_index = 0
 
         # ---------- CCA states: one batched group per batch key --------- #
-        states = self._make_states()
+        states = self._states
         dt_bound = smooth.constant(dt)
         # (model, slots, batch, reusable FlowInputsBatch, recorded row
         # names, record) and, for the groups that record a row, (batch,
@@ -754,16 +759,21 @@ class FluidSimulator:
             "flows": num_flows,
             "links": num_queued,
         }
-        flow_ends = self._flow_end_list(
-            churn,
-            num_flows,
-            cfg.duration_s,
-            completed[slot_of] if churn else None,
-            end_times[slot_of] if churn else None,
-            flow_stops if churn else None,
-        )
+        # Per-flow departure times (``None``: never departed).
+        flow_ends: list[float | None] = [None] * num_flows
+        if churn:
+            flow_completed = completed[slot_of]
+            flow_end_times = end_times[slot_of]
+            for i in range(num_flows):
+                if flow_completed[i]:
+                    flow_ends[i] = float(flow_end_times[i])
+                elif flow_stops[i] <= self.duration_s:
+                    flow_ends[i] = float(flow_stops[i])
 
-        # ---------- per-flow series: views of each flow's slot column --- #
+        # ---------- traces: views of the record blocks ------------------ #
+        # A flow's series are its slot column of the flow block and of its
+        # group's record; each scenario's flows and queued links are one
+        # contiguous run of the batch's.
         records = slice(0, record_index)
 
         def flow_series(name: str, slot: int) -> np.ndarray | None:
@@ -771,6 +781,7 @@ class FluidSimulator:
                 return None
             return rec_flow[records, flow_names.index(name) * num_flows + slot]
 
+        ccas = [flow.cca for cfg in self.configs for flow in cfg.flows]
         flows: dict[int, FlowTrace] = {}
         for _, slots, _, _, names, record in batch_groups:
             for col, i in enumerate(order[slots]):
@@ -779,93 +790,49 @@ class FluidSimulator:
                     name: record[records, row, col] for row, name in enumerate(names)
                 }
                 inflight = rows.pop("inflight", None)
-                flows[i] = self._flow_trace(
-                    i,
-                    flow_series("rate", slot),
-                    flow_series("delivery_rate", slot),
-                    rows.get("cwnd"),
-                    inflight,
-                    flow_series("rtt", slot),
-                    rows,
-                    flow_starts,
-                    flow_ends,
+                flows[i] = FlowTrace(
+                    cca=ccas[i],
+                    rate=flow_series("rate", slot),
+                    delivery_rate=flow_series("delivery_rate", slot),
+                    cwnd=rows.get("cwnd"),
+                    inflight=inflight,
+                    rtt=flow_series("rtt", slot),
+                    extras=rows,
+                    start_time_s=float(flow_starts[i]),
+                    end_time_s=flow_ends[i],
                 )
-        return self._assemble_trace(
-            (np.arange(record_index) * record_every) * dt,
-            [flows[i] for i in range(num_flows)],
-            {idx: rec_link[records, pos] for pos, idx in enumerate(queued_links)},
-            {
-                idx: rec_link[records, num_queued + pos]
-                for pos, idx in enumerate(queued_links)
-            },
-            {
-                idx: rec_link[records, 2 * num_queued + pos]
-                for pos, idx in enumerate(queued_links)
-            },
-            {
-                idx: rec_link[records, 3 * num_queued + pos]
-                for pos, idx in enumerate(queued_links)
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Trace assembly
-    # ------------------------------------------------------------------ #
-
-    def _flow_trace(
-        self,
-        i: int,
-        rate: np.ndarray | None,
-        delivery: np.ndarray,
-        cwnd: np.ndarray | None,
-        inflight: np.ndarray | None,
-        rtt: np.ndarray | None,
-        extras: dict[str, np.ndarray],
-        flow_starts: np.ndarray | None,
-        flow_ends: list[float | None] | None,
-    ) -> FlowTrace:
-        return FlowTrace(
-            cca=self.config.flows[i].cca,
-            rate=rate,
-            delivery_rate=delivery,
-            cwnd=cwnd,
-            inflight=inflight,
-            rtt=rtt,
-            extras=extras,
-            start_time_s=0.0 if flow_starts is None else float(flow_starts[i]),
-            end_time_s=None if flow_ends is None else flow_ends[i],
-        )
-
-    def _assemble_trace(
-        self,
-        time: np.ndarray,
-        flows: list[FlowTrace],
-        queue: dict[int, np.ndarray],
-        loss: dict[int, np.ndarray],
-        arrival: dict[int, np.ndarray],
-        departure: dict[int, np.ndarray],
-    ) -> Trace:
-        links = []
-        for idx in sorted(queue):
-            link = self.network.links[idx]
-            buffer_pkts = link.buffer_pkts if math.isfinite(link.buffer_pkts) else math.inf
-            links.append(
-                LinkTrace(
-                    name=link.name or f"link-{idx}",
-                    capacity_pps=link.capacity_pps,
-                    buffer_pkts=buffer_pkts,
-                    queue=queue[idx],
-                    loss_prob=loss[idx],
-                    arrival_rate=arrival[idx],
-                    departure_rate=departure[idx],
+        links = [
+            LinkTrace(
+                name=net.links[idx].name,
+                capacity_pps=net.links[idx].capacity_pps,
+                buffer_pkts=net.links[idx].buffer_pkts,
+                queue=rec_link[records, pos],
+                loss_prob=rec_link[records, num_queued + pos],
+                arrival_rate=rec_link[records, 2 * num_queued + pos],
+                departure_rate=rec_link[records, 3 * num_queued + pos],
+            )
+            for pos, idx in enumerate(queued_links)
+        ]
+        time = (np.arange(record_index) * record_every) * dt
+        traces: list[Trace] = []
+        flow_at = link_at = 0
+        for scenario_flows, scenario_links in self._sizes:
+            traces.append(
+                Trace(
+                    time=time,
+                    flows=[flows[i] for i in range(flow_at, flow_at + scenario_flows)],
+                    links=links[link_at : link_at + scenario_links],
+                    substrate="fluid",
                 )
             )
-        return Trace(time=time, flows=flows, links=links, substrate="fluid")
+            flow_at += scenario_flows
+            link_at += scenario_links
+        return traces
 
 
 def simulate(config: ScenarioConfig, *, series: Sequence[str] | None = None) -> Trace:
-    """Convenience wrapper: build a :class:`FluidSimulator` and run it."""
-    return FluidSimulator(config, series=series).run()
+    """Integrate one scenario: a lockstep batch of one (:func:`simulate_many`)."""
+    return simulate_many([config], series=series)[0]
 
 
 def simulate_many(
@@ -876,21 +843,21 @@ def simulate_many(
     The aggregate-validation figures (Figs. 6-10, 13-17) integrate dozens of
     scenarios that share the integration step and duration but differ in CCA
     mix, buffer size and queue discipline.  The scenarios never interact, so
-    their fluid models can be stacked into a single block-diagonal system:
-    one wide flow population, one link set containing every scenario's
-    bottleneck, and a flow→link incidence that keeps each scenario on its
-    own links.  Every numpy expression of the integrator then
-    amortises its per-operation overhead over the whole batch, which is
-    where the bulk of the sweep speedup comes from on a single core.
+    :class:`FluidSimulator` stacks their fluid models into a single
+    block-diagonal system: one wide flow population, one link set containing
+    every scenario's links, and a flow→link incidence that keeps each
+    scenario on its own links.  Every numpy expression of the integrator
+    then amortises its per-operation overhead over the whole batch, which
+    is where the bulk of the sweep speedup comes from on a single core.
 
     Each returned trace is bit-identical to running its scenario alone
-    through :func:`simulate`: the per-flow arithmetic is element-wise, each
-    flow's slot in the group-major layout (every CCA group one contiguous
-    run, however the groups interleave across scenarios) changes where it
-    is stored but not what is computed, the single Eq. 1 reduction sums
-    each link's users in the scenario's own flow order, Eq. 3 adds a flow's
-    queueing delays hop by hop, and zero padding is exact
-    (``tests/golden/fluid_traces.json`` pins both forms).
+    (a batch of one, :func:`simulate`): the per-flow arithmetic is
+    element-wise, each flow's slot in the group-major layout (every CCA
+    group one contiguous run, however the groups interleave across
+    scenarios) changes where it is stored but not what is computed, the
+    single Eq. 1 reduction sums each link's users in the scenario's own
+    flow order, Eq. 3 adds a flow's queueing delays hop by hop, and zero
+    padding is exact (``tests/golden/fluid_traces.json`` pins both forms).
 
     All scenarios must share ``dt``, ``duration_s`` and the global fluid
     numerics (sigmoid sharpness, drop-tail exponent, ``literal_xmax``);
@@ -910,94 +877,4 @@ def simulate_many(
     configs = list(configs)
     if not configs:
         return []
-    if len(configs) == 1:
-        return [simulate(configs[0], series=series)]
-    if TELEMETRY.enabled:
-        TELEMETRY.count("fluid.lockstep_batches")
-        TELEMETRY.count("fluid.lockstep_scenarios", len(configs))
-    first = configs[0]
-    for cfg in configs[1:]:
-        if cfg.fluid.dt != first.fluid.dt:
-            raise ValueError("batched scenarios must share the integration step")
-        if cfg.duration_s != first.duration_s:
-            raise ValueError("batched scenarios must share the duration")
-        for field_name in ("sigmoid_sharpness", "droptail_exponent", "literal_xmax"):
-            if getattr(cfg.fluid, field_name) != getattr(first.fluid, field_name):
-                raise ValueError(
-                    f"batched scenarios must share fluid numerics ({field_name})"
-                )
-
-    combined_links: list = []
-    combined_paths: list[Path] = []
-    combined_flows: list = []
-    combined_entries: list[FlowArrival] = []
-    any_schedule = any(cfg.schedule is not None for cfg in configs)
-    models: dict[int, FluidCCA] = {}
-    initial_states: list = []
-    flow_bounds = [0]
-    queued_counts: list[int] = []
-    for cfg in configs:
-        sub = FluidSimulator(cfg)
-        net = sub.network
-        offset = len(combined_links)
-        combined_links.extend(net.links)
-        queued_counts.append(len(net.queued_link_indices()))
-        if any_schedule:
-            # Concatenate each scenario's materialised schedule; a
-            # schedule-free scenario contributes plain start-only entries,
-            # so its flows keep the legacy start-time masking.
-            entries = cfg.flow_schedule()
-            if entries is None:
-                entries = tuple(
-                    FlowArrival(start_time_s=f.start_time_s) for f in cfg.flows
-                )
-            combined_entries.extend(entries)
-        for path in net.paths:
-            combined_paths.append(
-                Path(
-                    link_indices=tuple(offset + i for i in path.link_indices),
-                    return_delay_s=path.return_delay_s,
-                )
-            )
-        for i in range(net.num_flows):
-            models[len(combined_flows)] = sub.models[i]
-            combined_flows.append(cfg.flows[i])
-            # States are built with the scenario-local flow index and count:
-            # e.g. BBRv1 desynchronises gain cycles by ``i % 6`` and BBRv2
-            # spreads its wall-clock period by ``i / N`` *within* a scenario.
-            initial_states.append(
-                sub.models[i].initial_state(i, net.num_flows, net, cfg.fluid)
-            )
-        flow_bounds.append(len(combined_flows))
-
-    network = Network(combined_links, combined_paths)
-    # The merged scenario only carries the flows and the global fluid
-    # numerics; the combined network (which already encodes every
-    # scenario's topology) is passed explicitly, so any per-scenario
-    # topology must not survive into the merged config (its path count
-    # would not match the combined flow population).
-    merged_config = dataclasses.replace(
-        first, flows=tuple(combined_flows), topology=None, schedule=None
-    )
-    combined = FluidSimulator(
-        merged_config,
-        models=models,
-        network=network,
-        initial_states=initial_states,
-        schedule_entries=combined_entries if any_schedule else None,
-        series=series,
-    ).run()
-
-    # Split the combined trace back into one trace per scenario.  Links are
-    # emitted by global index, and each scenario's links form one contiguous
-    # block, so its queued links are a contiguous run in the combined list.
-    traces: list[Trace] = []
-    link_pos = 0
-    for j in range(len(configs)):
-        flows = combined.flows[flow_bounds[j] : flow_bounds[j + 1]]
-        links = combined.links[link_pos : link_pos + queued_counts[j]]
-        link_pos += queued_counts[j]
-        traces.append(
-            Trace(time=combined.time, flows=flows, links=links, substrate="fluid")
-        )
-    return traces
+    return FluidSimulator(configs, series=series).run()

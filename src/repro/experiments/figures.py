@@ -38,7 +38,7 @@ from ..analysis import (
     integrate_reduced,
     reference_network,
 )
-from ..core.simulator import simulate
+from ..core.simulator import simulate, simulate_many
 from ..emulation.runner import emulate
 from ..metrics.aggregate import aggregate_metrics
 from . import scenarios, sweep
@@ -88,10 +88,15 @@ def figure_1(
 
 def figure_2(duration_s: float = 1.0, dt: float = 1e-4) -> dict[str, Any]:
     """Fig. 2: the interplay of the BBR fluid-model variables for a single flow."""
+    ccas = ("bbr1", "bbr2")
+    traces = simulate_many(
+        [
+            scenarios.trace_validation_scenario(cca, duration_s=duration_s, dt=dt)
+            for cca in ccas
+        ]
+    )
     result: dict[str, Any] = {}
-    for cca in ("bbr1", "bbr2"):
-        config = scenarios.trace_validation_scenario(cca, duration_s=duration_s, dt=dt)
-        trace = simulate(config)
+    for cca, trace in zip(ccas, traces, strict=True):
         capacity = trace.bottleneck().capacity_pps
         flow = trace.flows[0]
         entry = {
@@ -122,14 +127,24 @@ def trace_validation_figure(
     Returns, per discipline and substrate, the paper's four normalised
     series (rate, queue, loss, relative excess RTT) plus summary means.
     """
-    result: dict[str, Any] = {"cca": cca}
-    for discipline in disciplines:
-        config = scenarios.trace_validation_scenario(
+    substrates = tuple(substrates)
+    configs = {
+        discipline: scenarios.trace_validation_scenario(
             cca, discipline=discipline, duration_s=duration_s, dt=dt
         )
+        for discipline in disciplines
+    }
+    # Every discipline's fluid scenario integrates in one lockstep batch.
+    fluid = (
+        dict(zip(configs, simulate_many(list(configs.values())), strict=True))
+        if "fluid" in substrates
+        else {}
+    )
+    result: dict[str, Any] = {"cca": cca}
+    for discipline, config in configs.items():
         per_substrate: dict[str, Any] = {}
         for substrate in substrates:
-            trace = simulate(config) if substrate == "fluid" else emulate(config)
+            trace = fluid[discipline] if substrate == "fluid" else emulate(config)
             rows = trace.normalized_rows()
             summary = aggregate_metrics(trace)
             per_substrate[substrate] = {

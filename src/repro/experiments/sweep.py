@@ -33,7 +33,8 @@ plain serial fluid grid (no retries, timeout or heartbeat) runs its chunks
 inline.
 Fluid chunks integrate in lockstep through
 :func:`repro.core.simulator.simulate_many`, which stacks independent
-scenarios into one batched system (the big single-core win), and analytic
+scenarios into one batched system (the big single-core win; a chunk of one
+point is a batch of one, built the same way), and analytic
 chunks through :func:`repro.analysis.analyze_scenarios`, which integrates
 their numerical points in one batched loop; a policy with ``workers=N``
 splits the grid into about N chunks so each pool worker keeps that

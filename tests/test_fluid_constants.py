@@ -145,7 +145,7 @@ class _DtProbe(RenoFluid):
 def test_simulator_hands_models_a_read_only_dt():
     config = dumbbell_scenario(["reno"], duration_s=0.002, fluid=FluidParams(dt=1e-3))
     probe = _DtProbe()
-    simulator.FluidSimulator(config, {0: probe}).run()
+    simulator.FluidSimulator([config], models={0: probe}).run()
     dt = probe.seen[0]
     assert len(probe.seen) == 3 and all(seen is dt for seen in probe.seen)
     assert isinstance(dt, np.ndarray) and dt.ndim == 0 and dt.item() == 1e-3

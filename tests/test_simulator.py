@@ -48,7 +48,7 @@ class TestTraceStructure:
         # A step longer than the fixed trace sampling interval is rejected.
         config = dumbbell_scenario(["bbr1"], fluid=FluidParams(dt=2e-3))
         with pytest.raises(ValueError):
-            FluidSimulator(config)
+            FluidSimulator([config])
 
 
 class TestSingleFlowBehaviour:

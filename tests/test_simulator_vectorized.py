@@ -215,8 +215,19 @@ class TestBatchedModels:
         # The subclass shares Reno's batch key, so it joins the Reno group
         # and the run is the plain-Reno run, bit for bit.
         config = dumbbell_scenario(["reno", "reno", "bbr1"], duration_s=1.0, fluid=FAST)
-        tuned = FluidSimulator(config, models={0: _TunedReno()}).run()
+        [tuned] = FluidSimulator([config], models={0: _TunedReno()}).run()
         assert_traces_equal(tuned, simulate(config))
+
+
+def _churn_onoff_static():
+    """A Poisson-churn, an on/off and a schedule-free scenario (one batch)."""
+    churn = scenarios.churn_scenario("BBRv1/RENO", num_flows=12, load=0.8, duration_s=0.5)
+    onoff = dataclasses.replace(
+        dumbbell_scenario(["cubic", "bbr2", "bbr1"], duration_s=0.5, fluid=FAST),
+        schedule=FlowSchedule(arrivals="onoff", on_time_s=0.2, off_time_s=0.1),
+    )
+    static = dumbbell_scenario(["bbr1", "cubic"], duration_s=0.5, fluid=FAST)
+    return churn, onoff, static
 
 
 class TestSimulateMany:
@@ -251,14 +262,7 @@ class TestSimulateMany:
         assert_lockstep_equals_alone(configs)
 
     def test_churn_batch(self):
-        churn = scenarios.churn_scenario(
-            "BBRv1/RENO", num_flows=12, load=0.8, duration_s=0.5
-        )
-        onoff = dataclasses.replace(
-            dumbbell_scenario(["cubic", "bbr2", "bbr1"], duration_s=0.5, fluid=FAST),
-            schedule=FlowSchedule(arrivals="onoff", on_time_s=0.2, off_time_s=0.1),
-        )
-        static = dumbbell_scenario(["bbr1", "cubic"], duration_s=0.5, fluid=FAST)
+        churn, onoff, static = _churn_onoff_static()
         [churn_trace, *_] = batched = simulate_many([churn, onoff, static])
         assert any(flow.end_time_s is not None for flow in churn_trace.flows)
         for config, trace in zip([churn, onoff, static], batched, strict=True):
@@ -281,3 +285,29 @@ class TestSimulateMany:
         b = dumbbell_scenario(["reno"], duration_s=1.0, fluid=FAST)
         with pytest.raises(ValueError):
             simulate_many([a, b])
+
+    @pytest.mark.parametrize(
+        ("field_name", "value"),
+        [("sigmoid_sharpness", 50.0), ("droptail_exponent", 5.0), ("literal_xmax", True)],
+    )
+    def test_mismatched_numerics_rejected(self, field_name, value):
+        a = dumbbell_scenario(["reno"], duration_s=0.5, fluid=FAST)
+        b = dumbbell_scenario(
+            ["reno"], duration_s=0.5, fluid=dataclasses.replace(FAST, **{field_name: value})
+        )
+        with pytest.raises(ValueError, match=field_name):
+            simulate_many([a, b])
+
+    def test_each_schedule_materialised_once(self, monkeypatch):
+        churn, onoff, static = _churn_onoff_static()
+        real = FlowSchedule.materialize
+        calls: list[int] = []
+
+        def counting(schedule, num_flows, seed):
+            calls.append(num_flows)
+            return real(schedule, num_flows, seed)
+
+        monkeypatch.setattr(FlowSchedule, "materialize", counting)
+        simulate_many([churn, onoff, static])
+        # One call per scheduled scenario; the static one has no schedule.
+        assert calls == [churn.num_flows, onoff.num_flows]
