@@ -520,15 +520,17 @@ class ScenarioConfig:
     def num_flows(self) -> int:
         return len(self.flows)
 
-    def flow_schedule(self) -> tuple[FlowArrival, ...] | None:
-        """The materialised flow schedule, or ``None`` for a static population.
+    def flow_schedule(self) -> tuple[FlowArrival, ...]:
+        """One :class:`FlowArrival` per flow, in flow order.
 
-        Both substrates consume only this: identical :class:`FlowArrival`
-        entries drive the fluid model's active-flow masks and the packet
-        emulator's sender activation/teardown events.
+        A static population (no ``schedule``) gives each flow its
+        ``FlowConfig.start_time_s`` and no size or stop time.  Both
+        substrates consume only this: identical entries drive the fluid
+        model's active-flow masks and the packet emulator's sender
+        activation/teardown events.
         """
         if self.schedule is None:
-            return None
+            return tuple(FlowArrival(start_time_s=f.start_time_s) for f in self.flows)
         return self.schedule.materialize(self.num_flows, self.seed)
 
     def effective_topology(self) -> TopologyConfig:

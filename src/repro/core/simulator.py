@@ -183,10 +183,7 @@ class FluidSimulator:
                     model = create_model(cfg.flows[i].cca, cfg.fluid)
                 self.models[flow] = model
                 self._states.append(model.initial_state(i, net.num_flows, net, cfg.fluid))
-            entries = cfg.flow_schedule()
-            if entries is None:
-                entries = tuple(FlowArrival(start_time_s=f.start_time_s) for f in cfg.flows)
-            self._entries.extend(entries)
+            self._entries.extend(cfg.flow_schedule())
             self._sizes.append((net.num_flows, len(net.queued_link_indices())))
         self.network = Network(links, paths)
 

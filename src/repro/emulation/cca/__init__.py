@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .base import AckSample, LossEvent, PacketCCA
+from .base import LossEvent, PacketCCA
 from .bbr1 import Bbr1Packet
 from .bbr2 import Bbr2Packet
 from .cubic import CubicPacket
@@ -26,7 +26,6 @@ def create_packet_cca(name: str, rng: random.Random, initial_rate_pps: float) ->
 
 
 __all__ = [
-    "AckSample",
     "LossEvent",
     "PacketCCA",
     "RenoPacket",

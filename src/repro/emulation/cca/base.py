@@ -5,15 +5,16 @@ window (in packets) and an optional pacing rate (packets/second) — and is
 driven by three callbacks fired by the sender: one per acknowledgement, one
 per detected loss batch, and one per retransmission timeout.
 
-The :class:`AckSample` carries everything a modern CCA needs: the RTT
+Every acknowledgement covers exactly one packet and reaches the CCA as one
+:meth:`PacketCCA.on_ack` call with plain scalars: the current time, the RTT
 sample, the delivery-rate sample of BBR's bandwidth estimator (delivered
 packets since the acked packet was sent, divided by the elapsed time) and
 the current inflight.
 
-Callback records are ephemeral: the sender reuses one :class:`AckSample`
-and one :class:`LossEvent` instance across calls to keep the per-ACK hot
-path allocation-free, so a CCA must read the fields synchronously inside
-the callback and never retain a reference to the record itself.
+Loss records are ephemeral: the sender reuses one :class:`LossEvent`
+instance across calls to keep its hot path allocation-free, so a CCA must
+read the fields synchronously inside the callback and never retain a
+reference to the record itself.
 """
 
 from __future__ import annotations
@@ -21,22 +22,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-
-
-@dataclass(slots=True)
-class AckSample:
-    """Measurements delivered to the CCA with each acknowledgement.
-
-    Instances may be reused by the caller between callbacks — read, don't
-    retain (see the module docstring).
-    """
-
-    now: float
-    rtt: float
-    delivery_rate: float
-    inflight: int
-    acked_seq: int
-    newly_delivered: int = 1
 
 
 @dataclass(slots=True)
@@ -62,37 +47,10 @@ class PacketCCA(abc.ABC):
     def __init__(self) -> None:
         self.cwnd_pkts: float = 10.0
         self.pacing_rate_pps: float = math.inf
-        # Reusable record backing the default on_ack_fast -> on_ack bridge.
-        self._fast_sample = AckSample(0.0, 0.0, 0.0, 0, 0, 1)
 
     @abc.abstractmethod
-    def on_ack(self, sample: AckSample) -> None:
-        """Process an acknowledgement."""
-
-    def on_ack_fast(
-        self,
-        now: float,
-        rtt: float,
-        delivery_rate: float,
-        inflight: int,
-        acked_seq: int,
-        newly_delivered: int = 1,
-    ) -> None:
-        """Positional-argument ACK hot path used by the sender.
-
-        Semantically identical to :meth:`on_ack`; the default implementation
-        packs the arguments into a reused :class:`AckSample` and delegates.
-        Hot CCAs override this natively so the per-ACK path moves plain
-        scalars instead of a record object.
-        """
-        sample = self._fast_sample
-        sample.now = now
-        sample.rtt = rtt
-        sample.delivery_rate = delivery_rate
-        sample.inflight = inflight
-        sample.acked_seq = acked_seq
-        sample.newly_delivered = newly_delivered
-        self.on_ack(sample)
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
+        """Process the acknowledgement of one packet."""
 
     @abc.abstractmethod
     def on_loss(self, event: LossEvent) -> None:
@@ -105,9 +63,3 @@ class PacketCCA(abc.ABC):
     def window_limit(self) -> float:
         """Effective congestion window in packets (never below one packet)."""
         return max(1.0, self.cwnd_pkts)
-
-    def pacing_interval(self) -> float:
-        """Seconds between packet transmissions (0 when unpaced)."""
-        if math.isinf(self.pacing_rate_pps) or self.pacing_rate_pps <= 0:
-            return 0.0
-        return 1.0 / self.pacing_rate_pps

@@ -14,6 +14,12 @@ Estimators: a windowed-max filter over the last ten round trips for the
 bottleneck bandwidth, and a windowed-min over ten seconds for RTprop —
 exactly the two quantities the paper's fluid model tracks as ``x_btl`` and
 ``tau_min``.  BBRv1 ignores packet loss entirely.
+
+:meth:`Bbr1Packet.on_ack` runs all of this as one pass per acknowledgement
+(the emulator's hottest CCA call).  ``tests/test_emulation_ccas.py`` keeps
+the stage-by-stage formulation (round, filters, full pipe, PROBE_RTT,
+gains, controls) as a test oracle and pins ``on_ack`` to it field for
+field; the emulator goldens pin the counts it produces.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .base import AckSample, LossEvent, PacketCCA
+from .base import LossEvent, PacketCCA
 
 STARTUP_GAIN: float = 2.885
 DRAIN_GAIN: float = 1.0 / STARTUP_GAIN
@@ -67,98 +73,9 @@ class Bbr1Packet(PacketCCA):
         self.cwnd_pkts = 10.0
         self.pacing_rate_pps = initial_rate_pps * STARTUP_GAIN
 
-    # ------------------------------------------------------------------ #
-    # Estimators
-    # ------------------------------------------------------------------ #
-
     def bdp_pkts(self) -> float:
         """Current bandwidth-delay-product estimate in packets."""
         return self.btlbw_pps * self.rtprop_s
-
-    def _update_round(self, sample: AckSample) -> bool:
-        self._delivered += sample.newly_delivered
-        if self._delivered >= self._next_round_delivered:
-            self._round += 1
-            self._next_round_delivered = self._delivered + sample.inflight + 1
-            return True
-        return False
-
-    def _update_btlbw(self, sample: AckSample) -> None:
-        if sample.delivery_rate <= 0:
-            return
-        # Monotonic deque: rates decrease from left to right, so the head is
-        # always the windowed maximum (O(1) amortised per ACK instead of a
-        # full window re-scan — this is the emulator's hottest code path).
-        samples = self._bw_samples
-        while samples and samples[-1][1] <= sample.delivery_rate:
-            samples.pop()
-        samples.append((self._round, sample.delivery_rate))
-        horizon = self._round - BW_WINDOW_ROUNDS
-        while samples[0][0] < horizon:
-            samples.popleft()
-        self.btlbw_pps = samples[0][1]
-
-    def _update_rtprop(self, sample: AckSample) -> None:
-        if not self._rtprop_valid or sample.rtt <= self.rtprop_s:
-            self.rtprop_s = sample.rtt
-            self._rtprop_stamp = sample.now
-            self._rtprop_valid = True
-
-    # ------------------------------------------------------------------ #
-    # State machine
-    # ------------------------------------------------------------------ #
-
-    def _check_full_pipe(self, round_start: bool) -> None:
-        if not round_start or self.state != "startup":
-            return
-        if self.btlbw_pps >= self._full_bw * FULL_BW_THRESHOLD:
-            self._full_bw = self.btlbw_pps
-            self._full_bw_count = 0
-            return
-        self._full_bw_count += 1
-        if self._full_bw_count >= FULL_BW_ROUNDS:
-            self.state = "drain"
-
-    def _advance_cycle(self, sample: AckSample) -> None:
-        if sample.now - self._cycle_stamp > self.rtprop_s:
-            self._cycle_index = (self._cycle_index + 1) % len(PROBE_BW_GAINS)
-            self._cycle_stamp = sample.now
-
-    def _maybe_enter_probe_rtt(self, sample: AckSample) -> None:
-        if self.state == "probe_rtt":
-            if self._probe_rtt_done_stamp is None:
-                self._probe_rtt_done_stamp = sample.now + PROBE_RTT_DURATION_S
-            elif sample.now >= self._probe_rtt_done_stamp:
-                self._rtprop_stamp = sample.now
-                self._probe_rtt_done_stamp = None
-                self.state = "probe_bw"
-                self._cycle_stamp = sample.now
-            return
-        if (
-            self._rtprop_valid
-            and sample.now - self._rtprop_stamp > PROBE_RTT_INTERVAL_S
-            and self.state in ("probe_bw", "startup")
-        ):
-            self.state = "probe_rtt"
-            self._probe_rtt_done_stamp = None
-
-    def _apply_state(self, sample: AckSample) -> None:
-        if self.state == "startup":
-            self.pacing_gain = STARTUP_GAIN
-            self.cwnd_gain = STARTUP_GAIN
-        elif self.state == "drain":
-            self.pacing_gain = DRAIN_GAIN
-            self.cwnd_gain = STARTUP_GAIN
-            if sample.inflight <= self.bdp_pkts():
-                self.state = "probe_bw"
-                self._cycle_stamp = sample.now
-        if self.state == "probe_bw":
-            self._advance_cycle(sample)
-            self.pacing_gain = PROBE_BW_GAINS[self._cycle_index]
-            self.cwnd_gain = CWND_GAIN
-        if self.state == "probe_rtt":
-            self.pacing_gain = 1.0
-            self.cwnd_gain = 1.0
 
     def _set_controls(self) -> None:
         self.pacing_rate_pps = max(1.0, self.pacing_gain * self.btlbw_pps)
@@ -171,45 +88,21 @@ class Bbr1Packet(PacketCCA):
     # Callbacks
     # ------------------------------------------------------------------ #
 
-    def on_ack(self, sample: AckSample) -> None:
-        self.on_ack_fast(
-            sample.now,
-            sample.rtt,
-            sample.delivery_rate,
-            sample.inflight,
-            sample.acked_seq,
-            sample.newly_delivered,
-        )
-
-    def on_ack_fast(
-        self,
-        now: float,
-        rtt: float,
-        delivery_rate: float,
-        inflight: int,
-        acked_seq: int,
-        newly_delivered: int = 1,
-    ) -> None:
-        # One inlined body equivalent to the helper pipeline
-        #   _update_round -> _update_btlbw -> _update_rtprop ->
-        #   _check_full_pipe -> _maybe_enter_probe_rtt -> _apply_state ->
-        #   _set_controls
-        # (the helpers above are kept as the readable specification).  This
-        # runs once per acknowledgement — the emulator's hottest call after
-        # the event loop itself — so the pipeline executes without per-stage
-        # method calls and without touching a sample record.
-        delivered = self._delivered + newly_delivered
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
+        # Stages in order: round counting, the windowed-max bandwidth and
+        # windowed-min RTprop filters, the full-pipe check, PROBE_RTT entry
+        # and exit, the per-state gains and the controls.
+        delivered = self._delivered + 1
         self._delivered = delivered
         round_start = delivered >= self._next_round_delivered
         if round_start:
             self._round += 1
             self._next_round_delivered = delivered + inflight + 1
-        rate = delivery_rate
-        if rate > 0:
+        if delivery_rate > 0:
             samples = self._bw_samples
-            while samples and samples[-1][1] <= rate:
+            while samples and samples[-1][1] <= delivery_rate:
                 samples.pop()
-            samples.append((self._round, rate))
+            samples.append((self._round, delivery_rate))
             horizon = self._round - BW_WINDOW_ROUNDS
             while samples[0][0] < horizon:
                 samples.popleft()

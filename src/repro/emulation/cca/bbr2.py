@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .base import AckSample, LossEvent, PacketCCA
+from .base import LossEvent, PacketCCA
 
 STARTUP_GAIN: float = 2.885
 DRAIN_GAIN: float = 1.0 / STARTUP_GAIN
@@ -100,43 +100,43 @@ class Bbr2Packet(PacketCCA):
             return 0.0
         return self._round_lost / total
 
-    def _update_round(self, sample: AckSample) -> bool:
-        self._delivered += sample.newly_delivered
-        self._round_delivered += sample.newly_delivered
+    def _update_round(self, inflight: int) -> bool:
+        self._delivered += 1
+        self._round_delivered += 1
         if self._delivered >= self._next_round_delivered:
             self._round += 1
-            self._next_round_delivered = self._delivered + sample.inflight + 1
+            self._next_round_delivered = self._delivered + inflight + 1
             self._round_delivered = 0
             self._round_lost = 0
             return True
         return False
 
-    def _update_btlbw(self, sample: AckSample) -> None:
-        if sample.delivery_rate <= 0:
+    def _update_btlbw(self, delivery_rate: float) -> None:
+        if delivery_rate <= 0:
             return
         # Monotonic deque: rates decrease from left to right, so the head is
         # always the windowed maximum (O(1) amortised per ACK instead of a
         # full window re-scan — this is the emulator's hottest code path).
         samples = self._bw_samples
-        while samples and samples[-1][1] <= sample.delivery_rate:
+        while samples and samples[-1][1] <= delivery_rate:
             samples.pop()
-        samples.append((self._round, sample.delivery_rate))
+        samples.append((self._round, delivery_rate))
         horizon = self._round - BW_WINDOW_ROUNDS
         while samples[0][0] < horizon:
             samples.popleft()
         self.btlbw_pps = samples[0][1]
 
-    def _update_rtprop(self, sample: AckSample) -> None:
-        if not self._rtprop_valid or sample.rtt <= self.rtprop_s:
-            self.rtprop_s = sample.rtt
-            self._rtprop_stamp = sample.now
+    def _update_rtprop(self, now: float, rtt: float) -> None:
+        if not self._rtprop_valid or rtt <= self.rtprop_s:
+            self.rtprop_s = rtt
+            self._rtprop_stamp = now
             self._rtprop_valid = True
 
     # ------------------------------------------------------------------ #
     # State machine
     # ------------------------------------------------------------------ #
 
-    def _check_full_pipe(self, round_start: bool, sample: AckSample) -> None:
+    def _check_full_pipe(self, round_start: bool, inflight: int) -> None:
         if self.state != "startup":
             return
         loss_exit = self._round_loss_rate() > LOSS_THRESHOLD and self._round_lost >= 3
@@ -148,30 +148,30 @@ class Bbr2Packet(PacketCCA):
                 self._full_bw_count += 1
         if self._full_bw_count >= FULL_BW_ROUNDS or loss_exit:
             if loss_exit and self.inflight_hi is None:
-                self.inflight_hi = float(sample.inflight)
+                self.inflight_hi = float(inflight)
             self.state = "drain"
 
     def _probe_interval_s(self) -> float:
         return min(MAX_PROBE_INTERVAL_RTTS * self.rtprop_s, self._probe_wall_s)
 
-    def _maybe_enter_probe_rtt(self, sample: AckSample) -> None:
+    def _maybe_enter_probe_rtt(self, now: float) -> None:
         if self.state == "probe_rtt":
             if self._probe_rtt_done_stamp is None:
-                self._probe_rtt_done_stamp = sample.now + PROBE_RTT_DURATION_S
-            elif sample.now >= self._probe_rtt_done_stamp:
-                self._rtprop_stamp = sample.now
+                self._probe_rtt_done_stamp = now + PROBE_RTT_DURATION_S
+            elif now >= self._probe_rtt_done_stamp:
+                self._rtprop_stamp = now
                 self._probe_rtt_done_stamp = None
                 self.state = "cruise"
             return
         if (
             self._rtprop_valid
-            and sample.now - self._rtprop_stamp > PROBE_RTT_INTERVAL_S
+            and now - self._rtprop_stamp > PROBE_RTT_INTERVAL_S
             and self.state in ("startup", "drain", "cruise", "refill", "up", "down")
         ):
             self.state = "probe_rtt"
             self._probe_rtt_done_stamp = None
 
-    def _apply_state(self, sample: AckSample) -> None:
+    def _apply_state(self, now: float, inflight: int) -> None:
         bdp = self.bdp_pkts()
         if self.state == "startup":
             self.pacing_gain = STARTUP_GAIN
@@ -180,9 +180,9 @@ class Bbr2Packet(PacketCCA):
         if self.state == "drain":
             self.pacing_gain = DRAIN_GAIN
             self.cwnd_gain = STARTUP_GAIN
-            if sample.inflight <= bdp:
+            if inflight <= bdp:
                 self.state = "cruise"
-                self._last_probe_stamp = sample.now
+                self._last_probe_stamp = now
             return
         if self.state == "probe_rtt":
             self.pacing_gain = 1.0
@@ -191,9 +191,9 @@ class Bbr2Packet(PacketCCA):
         if self.state == "cruise":
             self.pacing_gain = 1.0
             self.cwnd_gain = 1.0
-            if sample.now - self._last_probe_stamp >= self._probe_interval_s():
+            if now - self._last_probe_stamp >= self._probe_interval_s():
                 self.state = "refill"
-                self._refill_stamp = sample.now
+                self._refill_stamp = now
                 self.inflight_lo = None
                 self._hi_cut_this_probe = False
                 self._probe_wall_s = self._rng.uniform(PROBE_WALL_MIN_S, PROBE_WALL_MAX_S)
@@ -201,19 +201,19 @@ class Bbr2Packet(PacketCCA):
         if self.state == "refill":
             self.pacing_gain = 1.0
             self.cwnd_gain = CWND_GAIN
-            if sample.now - self._refill_stamp >= self.rtprop_s:
+            if now - self._refill_stamp >= self.rtprop_s:
                 self.state = "up"
             return
         if self.state == "up":
             self.pacing_gain = PROBE_GAIN
             self.cwnd_gain = CWND_GAIN
-            if self.inflight_hi is not None and sample.inflight >= self.inflight_hi:
-                self.inflight_hi = float(sample.inflight)
-            probe_done = sample.inflight > PROBE_GAIN * bdp
+            if self.inflight_hi is not None and inflight >= self.inflight_hi:
+                self.inflight_hi = float(inflight)
+            probe_done = inflight > PROBE_GAIN * bdp
             loss_done = self._round_loss_rate() > LOSS_THRESHOLD
             if probe_done or loss_done:
-                if self.inflight_hi is None or sample.inflight > self.inflight_hi:
-                    self.inflight_hi = float(sample.inflight)
+                if self.inflight_hi is None or inflight > self.inflight_hi:
+                    self.inflight_hi = float(inflight)
                 if loss_done and not self._hi_cut_this_probe and self.inflight_hi is not None:
                     self.inflight_hi = max(MIN_CWND_PKTS, (1.0 - BETA) * self.inflight_hi)
                     self._hi_cut_this_probe = True
@@ -222,9 +222,9 @@ class Bbr2Packet(PacketCCA):
         if self.state == "down":
             self.pacing_gain = DOWN_GAIN
             self.cwnd_gain = CWND_GAIN
-            if sample.inflight <= self._drain_target():
+            if inflight <= self._drain_target():
                 self.state = "cruise"
-                self._last_probe_stamp = sample.now
+                self._last_probe_stamp = now
             return
 
     def _set_controls(self) -> None:
@@ -247,13 +247,13 @@ class Bbr2Packet(PacketCCA):
     # Callbacks
     # ------------------------------------------------------------------ #
 
-    def on_ack(self, sample: AckSample) -> None:
-        round_start = self._update_round(sample)
-        self._update_btlbw(sample)
-        self._update_rtprop(sample)
-        self._check_full_pipe(round_start, sample)
-        self._maybe_enter_probe_rtt(sample)
-        self._apply_state(sample)
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
+        round_start = self._update_round(inflight)
+        self._update_btlbw(delivery_rate)
+        self._update_rtprop(now, rtt)
+        self._check_full_pipe(round_start, inflight)
+        self._maybe_enter_probe_rtt(now)
+        self._apply_state(now, inflight)
         self._set_controls()
 
     def on_loss(self, event: LossEvent) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .base import AckSample, LossEvent, PacketCCA
+from .base import LossEvent, PacketCCA
 
 #: CUBIC growth constant ``C`` (RFC 8312).
 CUBIC_C: float = 0.4
@@ -45,37 +45,17 @@ class CubicPacket(PacketCCA):
         t = now - self.epoch_start
         return CUBIC_C * (t - k) ** 3 + self.w_max
 
-    def on_ack(self, sample: AckSample) -> None:
-        self.on_ack_fast(
-            sample.now,
-            sample.rtt,
-            sample.delivery_rate,
-            sample.inflight,
-            sample.acked_seq,
-            sample.newly_delivered,
-        )
-
-    def on_ack_fast(
-        self,
-        now: float,
-        rtt: float,
-        delivery_rate: float,
-        inflight: int,
-        acked_seq: int,
-        newly_delivered: int = 1,
-    ) -> None:
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
         if self.in_slow_start():
-            self.cwnd_pkts += newly_delivered
+            self.cwnd_pkts += 1
             return
         target = self._cubic_target(now)
         if target > self.cwnd_pkts:
             # Approach the cubic target within roughly one RTT.
-            self.cwnd_pkts += (
-                (target - self.cwnd_pkts) / max(self.cwnd_pkts, 1.0)
-            ) * newly_delivered
+            self.cwnd_pkts += (target - self.cwnd_pkts) / max(self.cwnd_pkts, 1.0)
         else:
             # Very slow growth when above the target (kernel's 1/(100 cwnd)).
-            self.cwnd_pkts += newly_delivered / (100.0 * max(self.cwnd_pkts, 1.0))
+            self.cwnd_pkts += 1 / (100.0 * max(self.cwnd_pkts, 1.0))
 
     def on_loss(self, event: LossEvent) -> None:
         if event.lost_seqs and max(event.lost_seqs) <= self._recovery_until:

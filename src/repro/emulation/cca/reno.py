@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .base import AckSample, LossEvent, PacketCCA
+from .base import LossEvent, PacketCCA
 
 
 class RenoPacket(PacketCCA):
@@ -26,26 +26,12 @@ class RenoPacket(PacketCCA):
         """Whether the window is still below the slow-start threshold."""
         return self.cwnd_pkts < self.ssthresh_pkts
 
-    def on_ack(self, sample: AckSample) -> None:
-        if self.in_slow_start():
-            self.cwnd_pkts += sample.newly_delivered
-        else:
-            self.cwnd_pkts += sample.newly_delivered / self.cwnd_pkts
-
-    def on_ack_fast(
-        self,
-        now: float,
-        rtt: float,
-        delivery_rate: float,
-        inflight: int,
-        acked_seq: int,
-        newly_delivered: int = 1,
-    ) -> None:
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
         cwnd = self.cwnd_pkts
         if cwnd < self.ssthresh_pkts:
-            self.cwnd_pkts = cwnd + newly_delivered
+            self.cwnd_pkts = cwnd + 1
         else:
-            self.cwnd_pkts = cwnd + newly_delivered / cwnd
+            self.cwnd_pkts = cwnd + 1 / cwnd
 
     def on_loss(self, event: LossEvent) -> None:
         if event.lost_seqs and max(event.lost_seqs) <= self._recovery_until:

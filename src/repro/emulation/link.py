@@ -96,21 +96,10 @@ class BottleneckLink:
         self._queue_time_product = 0.0
 
     @property
-    def service_time(self) -> float:
-        """Transmission time of one packet."""
-        return self.service_time_s
-
-    @property
     def transmitted(self) -> int:
         """Packets that have finished transmission by the current time."""
         self._flush(self.events.now)
         return self._transmitted
-
-    @property
-    def waiting(self) -> int:
-        """Packets admitted but not yet in transmission at the current time."""
-        self._flush(self.events.now)
-        return len(self._starts)
 
     def set_routes(self, routes: list[tuple[DelayLine, float] | None]) -> None:
         """Fuse this link's propagation leg into per-flow onward routes.

@@ -9,6 +9,11 @@ an acknowledged one must have been dropped.  Lost packets are not
 retransmitted (the throughput metrics of the paper measure delivered
 traffic; retransmissions would only re-label which packets carry it).
 
+Each acknowledgement reaches the CCA as exactly one
+:meth:`~repro.emulation.cca.base.PacketCCA.on_ack` call carrying the ACK
+time, the RTT sample, the delivery-rate sample and the inflight left after
+the losses it revealed (those go first, as one ``on_loss`` call).
+
 Event usage is O(1) per sender regardless of the number of in-flight
 packets: the access leg and the return path are
 :class:`~repro.emulation.events.DelayLine` FIFOs, and the pacing wakeup and
@@ -138,11 +143,11 @@ class Sender:
         self._watchdog = Timer(events, self._check_timeout)
         #: Sequences written off by the watchdog that may still be ACKed.
         self._timeout_marked: set[int] = set()
-        # Bound hot-path ACK entry of the CCA (see PacketCCA.on_ack_fast);
-        # the loss record is reused across calls (the CCA contract is to
-        # read it synchronously, see cca/base.py) so the ACK hot path
-        # allocates nothing beyond the packet itself.
-        self._cca_ack = cca.on_ack_fast
+        # The CCA's ACK callback, bound once; the loss record is reused
+        # across calls (the CCA contract is to read it synchronously, see
+        # cca/base.py) so the ACK hot path allocates nothing beyond the
+        # packet itself.
+        self._cca_ack = cca.on_ack
         self._loss_event = LossEvent(0.0, 0, 0, 0)
 
     # ------------------------------------------------------------------ #
@@ -191,7 +196,9 @@ class Sender:
             # fires once the last in-flight packet is acknowledged.
             return
         if now >= next_send:
-            rate = cca.pacing_rate_pps  # inlined cca.pacing_interval()
+            # Seconds between transmissions; an unset (infinite or
+            # non-positive) pacing rate sends the whole window at once.
+            rate = cca.pacing_rate_pps
             interval = 0.0 if rate <= 0.0 or rate == _INF else 1.0 / rate
             inflight = self.inflight
             line = self._access_line
@@ -286,7 +293,7 @@ class Sender:
             self.cca.on_loss(event)
         else:
             self.n_inflight = n_inflight
-        self._cca_ack(now, rtt, delivery_rate, n_inflight, seq, 1)
+        self._cca_ack(now, rtt, delivery_rate, n_inflight)
         size = self.size_packets
         if size is not None and self.next_seq >= size and n_inflight == 0:
             self._complete(now)

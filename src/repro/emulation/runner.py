@@ -19,9 +19,10 @@ buffers and emitted as one :class:`~repro.metrics.traces.LinkTrace` per
 queued link.  A link whose configured buffer is unbounded (``math.inf``)
 gets a fixed :data:`UNBOUNDED_BUFFER_BDP` reference BDPs of queue.
 
-When the scenario carries a :class:`~repro.config.FlowSchedule`, the runner
-materialises it once (the identical per-flow start/size/stop list the fluid
-substrate consumes) and builds each sender with its scheduled activation
+The runner materialises the scenario's flow schedule once
+(:meth:`~repro.config.ScenarioConfig.flow_schedule`, the identical per-flow
+start/size/stop list the fluid substrate consumes; a static population is
+one start-time entry per flow) and builds each sender with its activation
 time, finite size and optional switch-off time.  A departing flow tears
 itself down — timers cancelled, private delay lines drained — and the
 runner's ``on_complete`` hook purges its stragglers from the shared
@@ -151,35 +152,25 @@ class EmulationRunner:
             )
             first_hop = link_by_name[topo.paths[i][0]]
             path_delay_s = sum(topo.link(name).delay_s for name in topo.paths[i])
-            if schedule_entries is None:
-                self.senders[i] = Sender(
-                    events=self.events,
-                    flow_id=i,
-                    cca=cca,
-                    bottleneck=first_hop,
-                    access_delay_s=flow_cfg.access_delay_s,
-                    return_delay_s=flow_cfg.access_delay_s + path_delay_s,
-                    mss_bytes=units.MSS_BYTES,
-                    start_time_s=flow_cfg.start_time_s,
-                )
-            else:
-                # Schedule start times override FlowConfig.start_time_s (the
-                # fluid substrate applies the same precedence).
-                entry = schedule_entries[i]
-                size = entry.size_packets
-                self.senders[i] = Sender(
-                    events=self.events,
-                    flow_id=i,
-                    cca=cca,
-                    bottleneck=first_hop,
-                    access_delay_s=flow_cfg.access_delay_s,
-                    return_delay_s=flow_cfg.access_delay_s + path_delay_s,
-                    mss_bytes=units.MSS_BYTES,
-                    start_time_s=entry.start_time_s,
-                    size_packets=None if size is None else max(1, math.ceil(size)),
-                    stop_time_s=entry.stop_time_s,
-                )
-                self.senders[i].on_complete = self._on_flow_complete
+            # Schedule start times override FlowConfig.start_time_s (the
+            # fluid substrate applies the same precedence).
+            entry = schedule_entries[i]
+            size = entry.size_packets
+            sender = Sender(
+                events=self.events,
+                flow_id=i,
+                cca=cca,
+                bottleneck=first_hop,
+                access_delay_s=flow_cfg.access_delay_s,
+                return_delay_s=flow_cfg.access_delay_s + path_delay_s,
+                mss_bytes=units.MSS_BYTES,
+                start_time_s=entry.start_time_s,
+                size_packets=None if size is None else max(1, math.ceil(size)),
+                stop_time_s=entry.stop_time_s,
+            )
+            # Fires only for a flow with a size or a stop time.
+            sender.on_complete = self._on_flow_complete
+            self.senders[i] = sender
         #: Shared inter-link forward lines, kept for churn teardown purges.
         self._forward_lines: dict[tuple[str, str], DelayLine] = {}
         # Fuse every link's propagation leg into its onward routes: an
@@ -367,7 +358,6 @@ class EmulationRunner:
         flows = []
         for i, flow_cfg in enumerate(self.config.flows):
             sender = self.senders[i]
-            start_s = entries[i].start_time_s if entries is not None else flow_cfg.start_time_s
             flows.append(
                 FlowTrace(
                     cca=flow_cfg.cca,
@@ -376,7 +366,7 @@ class EmulationRunner:
                     cwnd=cwnd_buf[i, :n].copy(),
                     inflight=inflight_buf[i, :n].copy(),
                     rtt=rtt_buf[i, :n].copy(),
-                    start_time_s=start_s,
+                    start_time_s=entries[i].start_time_s,
                     end_time_s=sender.completed_time_s,
                 )
             )

@@ -5,13 +5,14 @@ The emulator's packet counts are pinned by ``test_emulation_golden.py``."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from repro.config import dumbbell_scenario
-from repro.emulation.cca.base import AckSample, LossEvent, PacketCCA
+from repro.emulation.cca.base import LossEvent, PacketCCA
 from repro.emulation.events import DelayLine, EventQueue
 from repro.emulation.link import BottleneckLink
 from repro.emulation.nodes import Sender
@@ -159,7 +160,7 @@ class _InertCCA(PacketCCA):
         self.cwnd_pkts = cwnd
         self.timeouts = 0
 
-    def on_ack(self, sample: AckSample) -> None:
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
         pass
 
     def on_loss(self, event: LossEvent) -> None:
@@ -235,6 +236,97 @@ class TestSpuriousRtoReconciliation:
         sender._on_ack(packets[0])
         assert sender.delivered_count == 1
         assert sender.lost_count == 2
+
+
+class _RecordingCCA(PacketCCA):
+    """A fixed-window CCA that records every ACK callback with the sender's view."""
+
+    name = "recording"
+
+    def __init__(self, cwnd: float, pacing_rate_pps: float = math.inf) -> None:
+        super().__init__()
+        self.cwnd_pkts = cwnd
+        self.pacing_rate_pps = pacing_rate_pps
+        self.sender: Sender | None = None
+        #: (now, rtt, delivery_rate, inflight, clock, sent_count) per call.
+        self.acks: list[tuple[float, float, float, int, float, int]] = []
+
+    def on_ack(self, now: float, rtt: float, delivery_rate: float, inflight: int) -> None:
+        sender = self.sender
+        self.acks.append((now, rtt, delivery_rate, inflight, sender.events.now, sender.sent_count))
+
+    def on_loss(self, event: LossEvent) -> None:
+        pass
+
+
+def _run_recorded(
+    cca: _RecordingCCA, *, size: int, buffer_pkts: int, start: float = 0.0
+) -> tuple[Sender, list[Packet]]:
+    """Run one finite flow over a 1000 pkt/s link; return it and the packets
+    in the order they reached the destination (= ACK order, FIFO)."""
+    events = EventQueue()
+    arrived: list[Packet] = []
+
+    def deliver(packet: Packet) -> None:
+        arrived.append(packet)
+        sender.on_packet_delivered(packet)
+
+    link = BottleneckLink(
+        events=events,
+        queue=DropTailQueue(capacity_pkts=buffer_pkts),
+        capacity_pps=1000.0,
+        delay_s=0.01,
+        deliver=deliver,
+    )
+    sender = Sender(
+        events=events,
+        flow_id=0,
+        cca=cca,
+        bottleneck=link,
+        access_delay_s=0.005,
+        return_delay_s=0.015,
+        mss_bytes=1500,
+        start_time_s=start,
+        size_packets=size,
+    )
+    cca.sender = sender
+    sender.start()
+    events.run(until=10.0)
+    return sender, arrived
+
+
+class TestSenderAckContract:
+    """What the sender hands a CCA: one ``on_ack`` per acknowledged packet."""
+
+    def test_one_on_ack_per_acknowledged_packet(self):
+        # A 30-packet burst into a 5-packet buffer: most of it is dropped,
+        # so inflight must be reported after the losses the ACK revealed.
+        cca = _RecordingCCA(cwnd=30.0)
+        sender, arrived = _run_recorded(cca, size=100, buffer_pkts=5)
+        assert sender.completed_time_s is not None
+        assert sender.timeout_count == 0
+        assert sender.lost_count > 0
+        assert len(cca.acks) == len(arrived) == sender.delivered_count
+        assert sender.delivered_count + sender.lost_count == 100
+        for k, (packet, call) in enumerate(zip(arrived, cca.acks, strict=True)):
+            now, rtt, delivery_rate, inflight, clock, sent = call
+            assert now == clock
+            assert rtt == now - packet.sent_time
+            assert delivery_rate == (k + 1 - packet.delivered_at_send) / rtt
+            # FIFO: every packet up to the acked one is acked or lost.
+            assert inflight == sent - (packet.seq + 1)
+
+    def test_infinite_pacing_rate_sends_whole_window_at_once(self):
+        cca = _RecordingCCA(cwnd=8.0)
+        _, arrived = _run_recorded(cca, size=8, buffer_pkts=100, start=0.25)
+        assert [p.seq for p in arrived] == list(range(8))
+        assert {p.sent_time for p in arrived} == {0.25}
+
+    def test_finite_pacing_rate_spaces_sends_by_its_inverse(self):
+        cca = _RecordingCCA(cwnd=100.0, pacing_rate_pps=500.0)
+        _, arrived = _run_recorded(cca, size=10, buffer_pkts=100)
+        gaps = np.diff([p.sent_time for p in arrived])
+        np.testing.assert_allclose(gaps, 1.0 / 500.0, rtol=1e-9)
 
 
 class TestRedIdleDecay:
