@@ -55,8 +55,6 @@ class DelayRing:
         self._rows = list(self._buffer)
         self._head = 0
         self._base = 0
-        #: Read count (telemetry; one int add per read).
-        self.reads = 0
 
     def lag_steps(self, delays: np.ndarray | float) -> np.ndarray:
         """Convert constant delays (seconds) into whole steps, rounded to nearest."""
@@ -87,7 +85,6 @@ class DelayRing:
         width)``, so ``mode="wrap"`` maps the rows before the buffer start
         onto the circular layout.
         """
-        self.reads += 1
         return self._flat.take(offsets + self._base, mode="wrap")
 
     def push(self, parts: Sequence[np.ndarray]) -> None:

@@ -200,39 +200,17 @@ class Network:
                 out.append(idx)
         raise KeyError(f"flow {flow_index} does not use link {link_index}")
 
-    def bottleneck_of(
-        self, flow_index: int, survival: dict[int, float] | None = None
-    ) -> int:
+    def bottleneck_of(self, flow_index: int) -> int:
         """Index of the flow's reference bottleneck link.
 
-        Without ``survival`` this is the smallest-*raw*-capacity queued link
-        on the path (first on ties, i.e. the most upstream).  With upstream
-        loss attenuation, traffic reaching a downstream link has already
-        been thinned, so the link that actually caps the flow is the one
-        with the smallest *effective* capacity: ``survival`` maps a queued
-        link index to the probability that the flow's traffic survives all
-        queued links upstream of it (``prod(1 - p_m)``), and saturating link
-        ``l`` then requires a sending rate of ``C_l / survival[l]``.  The
-        smallest such effective capacity wins; ties again go to the most
-        upstream link, where the constraint binds first.  (The fluid
-        simulator applies this rule dynamically each step from the delayed
-        per-link loss state.)
+        The smallest-*raw*-capacity queued link on the path (first on ties,
+        i.e. the most upstream).  Under upstream loss attenuation the link
+        that actually caps a multi-hop flow can be another one; the fluid
+        simulator picks that *effective* bottleneck each step from the
+        delayed per-link loss state.
         """
         path = self.paths[flow_index]
         queued = [idx for idx in path.link_indices if self.links[idx].has_queue]
         if not queued:
             raise ValueError(f"flow {flow_index} has no queued link on its path")
-        if survival is None:
-            return min(queued, key=lambda idx: self.links[idx].capacity_pps)
-        best = queued[0]
-        best_eff = math.inf
-        for idx in queued:
-            s = survival.get(idx, 1.0)
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"survival of link {idx} must be in [0, 1]")
-            # Zero survival = the link is unreachable (everything dropped
-            # upstream): infinite effective capacity, never the reference.
-            eff = self.links[idx].capacity_pps / s if s > 0.0 else math.inf
-            if eff < best_eff:
-                best, best_eff = idx, eff
-        return best
+        return min(queued, key=lambda idx: self.links[idx].capacity_pps)

@@ -20,13 +20,17 @@ simulator
 5. integrates the link queues (Eq. 2), and
 6. pushes the new samples into the delay ring.
 
-Because every delay of a scenario is a *constant*, the integrator hoists
-all delay arithmetic out of the loop: every delayed signal lives in one
+Because every delay of a scenario is a *constant*, every table the step
+reads is fixed before the first step: the :class:`FluidSimulator`
+constructor builds them once, as read-only arrays on the simulator, and
+:meth:`FluidSimulator.run` allocates only one run's mutable state (delay
+ring, record blocks, CCA batches, queue, rate and scratch arrays), steps,
+and builds the traces.  Every delayed signal lives in one
 :class:`~repro.core.history.DelayRing` whose row is ``[rates | latency |
-arrival | queue | loss]``, every ``(column, delay)`` pair the step reads
-becomes one flat offset at set-up, so a step makes one ring read (a single
-``take``) and one row write; the flow→link incidence structure turns Eq. 1
-into one row-wise reduction of that read per distinct segment length (each
+arrival | queue | loss]``; every ``(column, delay)`` pair the step reads
+becomes one flat offset before the loop, so a step makes one ring read (a
+single ``take``) and one row write; the flow→link incidence structure turns
+Eq. 1 into one row-wise reduction of that read per distinct segment length (each
 link's row sums its users in flow order) and Eq. 3 into one gather-and-add
 per hop, and the loss/queue updates (Eq. 4/6, Eq. 2) run as single numpy
 expressions over every queued link at once.  Flows advance as
@@ -125,6 +129,18 @@ class FluidSimulator:
     a scenario), and each scenario's flow schedule is materialised once (a
     static population is plain start-time entries).
 
+    The simulator is its own plan: the constructor also fixes, once, every
+    constant table the step reads, as read-only arrays on the simulator —
+    the CCA ``groups`` in group-major slot order, the ring read table
+    (``read_columns``, ``read_delays`` and the named slices ``read_at``),
+    the Eq. 1 blocks, the bottleneck capacities, the attenuation levels
+    and multi-hop padded tables, ``latency_const`` and ``hop_cols``, the
+    queued-link capacity, buffer and discipline tables, the flow lifetimes
+    and the record layout.  :meth:`run` allocates only one run's mutable
+    state (the delay ring, the record blocks, the CCA batches with their
+    inputs, and the queue, rate and scratch arrays), steps, and builds the
+    traces; every run of one simulator returns the same traces.
+
     ``models`` substitutes a model for a flow, keyed by its index within
     the batch; ``series`` selects the recorded per-flow series (see
     :func:`simulate_many`).  :meth:`run` returns one trace per scenario.
@@ -153,16 +169,18 @@ class FluidSimulator:
                     )
         if RECORD_INTERVAL_S < first.fluid.dt:
             raise ValueError("record interval must be at least one integration step")
-        self.dt = first.fluid.dt
+        self.dt = dt = first.fluid.dt
         self.duration_s = first.duration_s
         # The per-flow series the trace records (``None``: all of them).
-        self.series = None if series is None else frozenset(series) | {"delivery_rate"}
+        self.series = selected = (
+            None if series is None else frozenset(series) | {"delivery_rate"}
+        )
 
         links: list[Link] = []
         paths: list[Path] = []
         self.models: dict[int, FluidCCA] = {}
         self._states: list = []
-        self._entries: list[FlowArrival] = []
+        entries: list[FlowArrival] = []
         # Per scenario: its flow count and queued-link count, in batch order.
         self._sizes: list[tuple[int, int]] = []
         for cfg in self.configs:
@@ -183,40 +201,305 @@ class FluidSimulator:
                     model = create_model(cfg.flows[i].cca, cfg.fluid)
                 self.models[flow] = model
                 self._states.append(model.initial_state(i, net.num_flows, net, cfg.fluid))
-            self._entries.extend(cfg.flow_schedule())
+            entries.extend(cfg.flow_schedule())
             self._sizes.append((net.num_flows, len(net.queued_link_indices())))
-        self.network = Network(links, paths)
+        self.network = net = Network(links, paths)
 
-        if self.series is not None:
+        if selected is not None:
             known = {"cwnd", "inflight", *_FLOW_BLOCK}
             for model in self.models.values():
                 known.update(model.traced)
-            unknown = sorted(self.series - known)
+            unknown = sorted(selected - known)
             if unknown:
                 raise ValueError(f"unknown trace series: {', '.join(unknown)}")
         #: Substrate counters of the last completed run (steps, flows,
         #: links) over the whole batch; empty before any run.
         self.runtime: dict[str, int] = {}
 
-    def _flow_lifetimes(self):
-        """Per-flow start/stop/size arrays and whether any flow can depart.
+        num_flows = net.num_flows
+        self.queued_links = queued_links = net.queued_link_indices()
+        num_queued = len(queued_links)
+        pos_of_link = {idx: pos for pos, idx in enumerate(queued_links)}
 
-        Returns ``(start_times, stop_times, flow_sizes, churn)``; ``churn``
-        is False when every flow is long-lived (no finite size or stop
-        time), and the integrator then masks only the flows not started yet.
-        """
-        entries = self._entries
-        start_times = np.array([e.start_time_s for e in entries], dtype=float)
-        stop_times = np.array(
-            [math.inf if e.stop_time_s is None else e.stop_time_s for e in entries],
+        # ---------- group-major flow slots ------------------------------ #
+        # Every per-flow array of the step loop is indexed by *slot*: the
+        # flows of each ``batch_key`` group occupy one contiguous run of
+        # slots (groups in first-appearance order, original flow order
+        # within a group), so every per-group read is a view and every
+        # per-group write a slice assignment, however the groups interleave
+        # across the scenarios of a lockstep batch.  ``order[s]`` is the
+        # flow in slot ``s``; ``slot_of`` is its inverse.
+        group_indices: dict[object, list[int]] = {}
+        for i in range(num_flows):
+            group_indices.setdefault(self.models[i].batch_key(), []).append(i)
+        order = [i for flow_ids in group_indices.values() for i in flow_ids]
+        slot_of = np.empty(num_flows, dtype=np.intp)
+        slot_of[order] = np.arange(num_flows)
+
+        # ---------- record layout --------------------------------------- #
+        # One row per record and block: the flow block [rate | delivery |
+        # rtt] (the selected run of it) and the link block [queue | loss |
+        # arrival | departure] by slot/link position, and per group the
+        # selected rows of its state block (inflight, then the model's
+        # traced fields).
+        self.steps = int(round(self.duration_s / dt))
+        self.record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
+        self.num_records = self.steps // self.record_every + 1
+        self.flow_names = [
+            name for name in _FLOW_BLOCK if selected is None or name in selected
+        ]
+        self.flow_cols = slice(
+            _FLOW_BLOCK.index(self.flow_names[0]),
+            _FLOW_BLOCK.index(self.flow_names[-1]) + 1,
+        )
+        # Per CCA group: (model, slot run, its flows, the rows of its state
+        # block it records or ``None``, their names).  Leading rows (the
+        # full record) are one slice copy.
+        self.groups: list[
+            tuple[FluidCCA, slice, list[int], slice | np.ndarray | None, list[str]]
+        ] = []
+        start = 0
+        for flow_ids in group_indices.values():
+            model = self.models[flow_ids[0]]
+            row_names = ("inflight", *model.traced)
+            kept = [
+                row
+                for row, name in enumerate(row_names)
+                if selected is None or name in selected
+            ]
+            rows: slice | np.ndarray | None = None
+            if kept:
+                rows = (
+                    slice(0, len(kept))
+                    if kept == list(range(len(kept)))
+                    else np.array(kept, dtype=np.intp)
+                )
+            slots = slice(start, start + len(flow_ids))
+            start = slots.stop
+            self.groups.append((model, slots, flow_ids, rows, [row_names[row] for row in kept]))
+
+        # ---------- flow lifetimes (slot order) ------------------------- #
+        # A flow that has not started, has stopped or has delivered its
+        # size is masked out of the CCA updates.  ``churn`` is False when
+        # every flow is long-lived (no finite size or stop time), and the
+        # step then masks only the flows not started yet.
+        arrivals = [entries[i] for i in order]
+        self.start_times = np.array([e.start_time_s for e in arrivals], dtype=float)
+        self.stop_times = np.array(
+            [math.inf if e.stop_time_s is None else e.stop_time_s for e in arrivals],
             dtype=float,
         )
-        flow_sizes = np.array(
-            [math.inf if e.size_packets is None else e.size_packets for e in entries],
+        self.sizes = np.array(
+            [math.inf if e.size_packets is None else e.size_packets for e in arrivals],
             dtype=float,
         )
-        churn = bool(np.any(np.isfinite(stop_times)) or np.any(np.isfinite(flow_sizes)))
-        return start_times, stop_times, flow_sizes, churn
+        self.churn = bool(
+            np.any(np.isfinite(self.stop_times)) or np.any(np.isfinite(self.sizes))
+        )
+        self.max_start = float(np.max(self.start_times))
+
+        # ---------- the delay ring's row -------------------------------- #
+        # One delay ring holds every delayed signal, one row per step laid
+        # out as [rates | latency | arrival | queue | loss] by slot and
+        # queued-link position; the latency columns start at the propagation
+        # RTT.  Every (column, delay) pair a step reads is fixed below, so a
+        # step reads them all with one ``take``.
+        propagation_rtt = np.array(
+            [net.propagation_rtt(i) for i in order], dtype=float
+        )
+        link0 = 2 * num_flows
+        self.ring_row = np.concatenate(
+            (np.zeros(num_flows), propagation_rtt, np.zeros(3 * num_queued))
+        )
+        self.max_delay = float(np.max(propagation_rtt)) + dt
+
+        # Flow -> link incidence for Eq. 1: the delayed sending rates of all
+        # (link, user) pairs are read at once and summed per link.  The
+        # pairs follow each link's users in original flow order, so every
+        # link sums its scenario's flows in the same order as a run alone.
+        # ``att_list`` holds the pairs whose link has queued links upstream
+        # on the flow's path: (pair position, flow, link, upstream links).
+        user_flows: list[int] = []
+        user_delays: list[float] = []
+        seg_bounds = [0]
+        att_list: list[tuple[int, int, int, list[int]]] = []
+        for idx in queued_links:
+            for i in net.users(idx):
+                ups = net.upstream_queued_links(i, idx)
+                if ups:
+                    att_list.append((len(user_flows), i, idx, ups))
+                user_flows.append(i)
+                user_delays.append(net.forward_delay(i, idx))
+            seg_bounds.append(len(user_flows))
+        # Eq. 1 is one row-wise reduction per distinct segment length: the
+        # links with ``length`` users read their pairs as one (links,
+        # length) matrix (a single block when all lengths agree, as on the
+        # paper grid's ten-flow dumbbells).  Each row reduces exactly like
+        # the 1-D sum of its segment (``np.add.reduceat`` would not: it sums
+        # in sequence).
+        seg_starts = np.array(seg_bounds[:-1], dtype=np.intp)
+        seg_lens = np.diff(seg_bounds)
+        self.eq1_blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        for length in np.unique(seg_lens):
+            rows = np.flatnonzero(seg_lens == length)
+            self.eq1_blocks.append((rows, seg_starts[rows, None] + np.arange(length)))
+
+        # Per-flow bottleneck bookkeeping for Eqs. 7 and 17.
+        bottleneck_of = [net.bottleneck_of(i) for i in order]
+        backward_delay = np.array(
+            [net.backward_delay(i, b) for i, b in zip(order, bottleneck_of, strict=True)]
+        )
+        btl_pos = np.array([pos_of_link[b] for b in bottleneck_of], dtype=np.intp)
+        self.btl_capacity = np.array(
+            [net.links[b].capacity_pps for b in bottleneck_of], dtype=float
+        )
+
+        # Multi-bottleneck paths: a flow crossing several queued links
+        # observes the *composed* path loss 1 - prod_l (1 - p_l), each link's
+        # loss delayed by its own backward delay (Eq. 7 generalised to K
+        # links).  Flows with a single queued link keep the direct bottleneck
+        # read — bit-identical with the legacy dumbbell pipeline.
+        multi_slots: list[int] = []
+        multi_cols: list[int] = []
+        multi_delays: list[float] = []
+        multi_caps: list[float] = []
+        multi_bounds = [0]
+        for slot, i in enumerate(order):
+            queued_on_path = [
+                idx for idx in net.paths[i].link_indices if idx in pos_of_link
+            ]
+            if len(queued_on_path) < 2:
+                continue
+            multi_slots.append(slot)
+            for idx in queued_on_path:
+                multi_cols.append(link0 + pos_of_link[idx])
+                multi_delays.append(net.backward_delay(i, idx))
+                multi_caps.append(net.links[idx].capacity_pps)
+            multi_bounds.append(len(multi_cols))
+        self.multi_slots = np.array(multi_slots, dtype=np.intp)
+        self.multi_starts = np.array(multi_bounds[:-1], dtype=np.intp)
+        self.multi_caps = np.array(multi_caps, dtype=float)
+        self.multi_rows = np.arange(len(multi_slots))
+        # Dynamic effective bottleneck (Eq. 17 under attenuation): per step,
+        # each multi-hop flow's reference link is the path link with the
+        # smallest survival-scaled capacity C_l / S_l, where S_l is the
+        # flow's survival product over links upstream of l (ties pick the
+        # most upstream link).  The per-pair survive factors are the same
+        # backward-delayed reads the composed path loss already uses;
+        # arrival/queue of the chosen link are read at its own backward
+        # delay.  The per-pair arrays are processed as a rectangular
+        # (multi-hop flows, longest path) matrix: ``pad_idx`` holds each
+        # row's pair positions, and the padding past a shorter segment
+        # (``~pad_valid``) has survive = 1 / capacity = inf so it never
+        # wins the argmin.
+        multi_lens = np.diff(multi_bounds)
+        self.pad_valid = np.arange(multi_lens.max(initial=0)) < multi_lens[:, None]
+        self.pad_idx = np.where(
+            self.pad_valid,
+            self.multi_starts[:, None] + np.arange(self.pad_valid.shape[1]),
+            0,
+        )
+        self.caps_pad = self.multi_caps[self.pad_idx]
+        self.caps_pad[~self.pad_valid] = np.inf
+
+        # Upstream attenuation tables for Eq. 1: the contribution of flow i
+        # to link l is its delayed sending rate run through
+        # ``r <- min(r * (1 - p_m), C_m)`` over the queued links m upstream
+        # of l in path order — the survival product capped by the smallest
+        # upstream delivered capacity.  Each p_m is read at the lag the
+        # traffic actually crossed m, ``d^f_{i,l} - d^f_{i,m}``.  Pairs
+        # whose link is the flow's first queued link have no upstream terms
+        # and keep the exact legacy arithmetic (one-hop scenarios stay
+        # bit-identical).  Pairs are sorted by upstream depth (deepest
+        # first) so each depth level is a leading slice of one ring read.
+        att_list.sort(key=lambda entry: -len(entry[3]))
+        self.att_positions = np.array([p for p, _, _, _ in att_list], dtype=np.intp)
+        # Per upstream depth: (its pairs, their survivals in the read, caps).
+        self.att_levels: list[tuple[slice, slice, np.ndarray]] = []
+        att_cols: list[int] = []
+        att_delays: list[float] = []
+        for d in range(len(att_list[0][3]) if att_list else 0):
+            level = [entry for entry in att_list if len(entry[3]) > d]
+            for _, i, idx, ups in level:
+                att_cols.append(link0 + 2 * num_queued + pos_of_link[ups[d]])
+                att_delays.append(net.forward_delay(i, idx) - net.forward_delay(i, ups[d]))
+            caps = [net.links[ups[d]].capacity_pps for _, _, _, ups in level]
+            self.att_levels.append(
+                (
+                    slice(0, len(level)),
+                    slice(len(att_cols) - len(level), len(att_cols)),
+                    np.array(caps, dtype=float),
+                )
+            )
+
+        # The ring reads of a step, in read order: (name, columns, delays).
+        # The Eq. 1 pairs lead, so their pair positions index the read
+        # directly.
+        flow_index = np.arange(num_flows, dtype=np.intp)
+        multi_cols_arr = np.array(multi_cols, dtype=np.intp)
+        multi_delays_arr = np.array(multi_delays, dtype=float)
+        reads = [
+            ("eq1", slot_of[np.array(user_flows, dtype=np.intp)], np.array(user_delays, dtype=float)),
+            ("own", flow_index, propagation_rtt + dt),
+            ("rtt", num_flows + flow_index, propagation_rtt),
+            ("arrival", link0 + btl_pos, backward_delay),
+            ("queue", link0 + num_queued + btl_pos, backward_delay),
+            ("loss", link0 + 2 * num_queued + btl_pos, backward_delay),
+            ("multi_loss", multi_cols_arr + 2 * num_queued, multi_delays_arr),
+            ("att", np.array(att_cols, dtype=np.intp), np.array(att_delays, dtype=float)),
+            ("multi_arrival", multi_cols_arr, multi_delays_arr),
+            ("multi_queue", multi_cols_arr + num_queued, multi_delays_arr),
+        ]
+        self.read_columns = np.concatenate([cols for _, cols, _ in reads])
+        self.read_delays = np.concatenate([delays for _, _, delays in reads])
+        # Where each read lands in the step's read.
+        bounds = np.cumsum([0] + [len(cols) for _, cols, _ in reads]).tolist()
+        self.read_at = {
+            name: slice(bounds[k], bounds[k + 1]) for k, (name, _, _) in enumerate(reads)
+        }
+
+        # Path latency (Eq. 3) = constant propagation part + the queueing
+        # delays of the flow's queued links, added one hop at a time in path
+        # order, so a flow's sum does not depend on the other scenarios of a
+        # batch.  ``hop_cols[h]`` holds every flow's h-th queued link; flows
+        # with fewer hops point at the zero entry past the links.
+        self.latency_const = np.empty(num_flows)
+        flow_queued: list[list[int]] = []
+        for slot, i in enumerate(order):
+            path = net.paths[i]
+            acc = path.return_delay_s
+            for idx in path.link_indices:
+                acc += net.links[idx].delay_s
+            self.latency_const[slot] = acc
+            flow_queued.append(
+                [pos_of_link[idx] for idx in path.link_indices if idx in pos_of_link]
+            )
+        self.hop_cols = [
+            np.array(
+                [cols[h] if h < len(cols) else num_queued for cols in flow_queued],
+                dtype=np.intp,
+            )
+            for h in range(max(len(cols) for cols in flow_queued))
+        ]
+
+        # Queued-link parameter tables for Eq. 2 and Eq. 4/6.
+        self.link_capacity = np.array(
+            [net.links[idx].capacity_pps for idx in queued_links], dtype=float
+        )
+        self.link_buffer = np.array(
+            [net.links[idx].buffer_pkts for idx in queued_links], dtype=float
+        )
+        disciplines = [net.links[idx].discipline for idx in queued_links]
+        self.droptail_mask = np.array([d == "droptail" for d in disciplines])
+        self.all_droptail = all(d == "droptail" for d in disciplines)
+        self.all_red = all(d == "red" for d in disciplines)
+        self.sharpness = smooth.constant(first.fluid.sigmoid_sharpness)
+        self.exponent = smooth.constant(first.fluid.droptail_exponent)
+        self.dt_bound = smooth.constant(dt)
+
+        # Every table above is shared by every run: none may be written.
+        for value in vars(self).values():
+            _freeze(value)
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -237,425 +520,130 @@ class FluidSimulator:
         return traces
 
     def _run(self) -> list[Trace]:
-        net = self.network
-        fluid = self.configs[0].fluid
         dt = self.dt
-        num_flows = net.num_flows
-        queued_links = net.queued_link_indices()
-        num_queued = len(queued_links)
+        num_flows = self.network.num_flows
+        num_queued = len(self.queued_links)
+        read_at = self.read_at
 
-        # ---------- group-major flow slots ------------------------------ #
-        # Every per-flow array of the step loop is indexed by *slot*: the
-        # flows of each ``batch_key`` group occupy one contiguous run of
-        # slots (groups in first-appearance order, original flow order
-        # within a group), so every per-group read is a view and every
-        # per-group write a slice assignment, however the groups interleave
-        # across the scenarios of a lockstep batch.  ``order[s]`` is the
-        # flow in slot ``s``; ``slot_of`` is its inverse.
-        group_indices: dict[object, list[int]] = {}
-        for i in range(num_flows):
-            group_indices.setdefault(self.models[i].batch_key(), []).append(i)
-        order = [i for flow_ids in group_indices.values() for i in flow_ids]
-        slot_of = np.empty(num_flows, dtype=np.intp)
-        slot_of[order] = np.arange(num_flows)
-
-        # ---------- constant per-flow / per-link tables (slot order) ---- #
-        propagation_rtt = np.array(
-            [net.propagation_rtt(i) for i in order], dtype=float
-        )
-        bottleneck_of = [net.bottleneck_of(i) for i in order]
-        backward_delay = np.array(
-            [net.backward_delay(i, b) for i, b in zip(order, bottleneck_of, strict=True)]
-        )
-        flow_starts, flow_stops, flow_sizes, churn = self._flow_lifetimes()
-        start_times = flow_starts[order]
-        max_start = float(np.max(start_times))
-        if churn:
-            # Active-flow masking state: cumulative delivered volume drives
-            # finite-size completion; completed (or stopped) flows are
-            # masked out of the CCA updates from the *next* step on, so
-            # their rate pins to zero and they contribute no arrivals —
-            # without ever re-allocating the incidence pipeline.
-            stop_times = flow_stops[order]
-            sizes = flow_sizes[order]
-            delivered_vol = np.zeros(num_flows)
-            completed = np.zeros(num_flows, dtype=bool)
-            end_times = np.full(num_flows, math.nan)
-
-        # One delay ring holds every delayed signal, one row per step laid
-        # out as [rates | latency | arrival | queue | loss] by slot and
-        # queued-link position; the latency columns start at the propagation
-        # RTT.  Every (column, delay) pair a step reads becomes one flat
-        # offset below, so a step reads them all with one ``take``.
-        link0 = 2 * num_flows
-        ring = DelayRing(
-            link0 + 3 * num_queued,
-            dt,
-            float(np.max(propagation_rtt)) + dt,
-            initial=np.concatenate(
-                (np.zeros(num_flows), propagation_rtt, np.zeros(3 * num_queued))
-            ),
-        )
-
-        # Flow -> link incidence for Eq. 1: the delayed sending rates of all
-        # (link, user) pairs are read at once and summed per link.  The
-        # pairs follow each link's users in original flow order, so every
-        # link sums its scenario's flows in the same order as a run alone.
-        user_flows: list[int] = []
-        user_delays: list[float] = []
-        seg_bounds = [0]
-        for idx in queued_links:
-            for i in net.users(idx):
-                user_flows.append(i)
-                user_delays.append(net.forward_delay(i, idx))
-            seg_bounds.append(len(user_flows))
-        # Eq. 1 is one row-wise reduction per distinct segment length: the
-        # links with ``length`` users read their pairs as one (links,
-        # length) matrix (a single block when all lengths agree, as on the
-        # paper grid's ten-flow dumbbells).  Each row reduces exactly like
-        # the 1-D sum of its segment (``np.add.reduceat`` would not: it sums
-        # in sequence).
-        seg_starts = np.array(seg_bounds[:-1], dtype=np.intp)
-        seg_lens = np.diff(seg_bounds)
-        eq1_blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        for length in np.unique(seg_lens):
-            rows = np.flatnonzero(seg_lens == length)
-            eq1_blocks.append((rows, seg_starts[rows, None] + np.arange(length)))
-        arrival = np.zeros(num_queued)
-
-        # Per-flow bottleneck bookkeeping for Eqs. 7 and 17.
-        pos_of_link = {idx: pos for pos, idx in enumerate(queued_links)}
-        btl_pos = np.array([pos_of_link[b] for b in bottleneck_of], dtype=np.intp)
-        btl_capacity = np.array(
-            [net.links[b].capacity_pps for b in bottleneck_of], dtype=float
-        )
-        flow_index = np.arange(num_flows, dtype=np.intp)
-        # The ring reads of a step, in read order: (name, columns, delays).
-        reads: list[tuple[str, np.ndarray, np.ndarray]] = [
-            ("eq1", slot_of[np.array(user_flows, dtype=np.intp)], np.array(user_delays)),
-            ("own", flow_index, propagation_rtt + dt),
-            ("rtt", num_flows + flow_index, propagation_rtt),
-            ("arrival", link0 + btl_pos, backward_delay),
-            ("queue", link0 + num_queued + btl_pos, backward_delay),
-            ("loss", link0 + 2 * num_queued + btl_pos, backward_delay),
-        ]
-
-        # Multi-bottleneck paths: a flow crossing several queued links
-        # observes the *composed* path loss 1 - prod_l (1 - p_l), each link's
-        # loss delayed by its own backward delay (Eq. 7 generalised to K
-        # links).  Flows with a single queued link keep the direct bottleneck
-        # read above — bit-identical with the legacy dumbbell pipeline.
-        multi_flows: list[int] = []
-        multi_ids: list[int] = []
-        multi_cols: list[int] = []
-        multi_delays: list[float] = []
-        multi_bounds = [0]
-        for slot, i in enumerate(order):
-            queued_on_path = [
-                idx for idx in net.paths[i].link_indices if idx in pos_of_link
-            ]
-            if len(queued_on_path) < 2:
-                continue
-            multi_flows.append(slot)
-            multi_ids.append(i)
-            for idx in queued_on_path:
-                multi_cols.append(link0 + pos_of_link[idx])
-                multi_delays.append(net.backward_delay(i, idx))
-            multi_bounds.append(len(multi_cols))
-        if multi_flows:
-            multi_flows_arr = np.array(multi_flows, dtype=np.intp)
-            multi_arr_cols = np.array(multi_cols, dtype=np.intp)
-            multi_delays_arr = np.array(multi_delays, dtype=float)
-            reads.append(("multi_loss", multi_arr_cols + 2 * num_queued, multi_delays_arr))
-            multi_starts = np.array(multi_bounds[:-1], dtype=np.intp)
-            # Dynamic effective bottleneck (Eq. 17 under attenuation): per
-            # step, each multi-hop flow's reference link is the path link
-            # with the smallest survival-scaled capacity C_l / S_l, where
-            # S_l is the flow's survival product over links upstream of l
-            # (ties pick the most upstream link).  The per-pair survive
-            # factors are the same backward-delayed reads the composed
-            # path loss already uses; arrival/queue of the chosen link are
-            # read at its own backward delay.  The per-pair arrays are
-            # processed as a rectangular (num_multi, max_len) matrix —
-            # segments shorter than max_len are padded with survive = 1 /
-            # capacity = inf so they never win the argmin.
-            num_multi = len(multi_flows)
-            multi_links = [
-                idx
-                for i in multi_ids
-                for idx in net.paths[i].link_indices
-                if idx in pos_of_link
-            ]
-            multi_caps = np.array(
-                [net.links[idx].capacity_pps for idx in multi_links], dtype=float
-            )
-            multi_lens = np.diff(multi_bounds)
-            max_len = int(multi_lens.max())
-            ragged = bool(np.any(multi_lens != max_len))
-            pad_idx = np.zeros((num_multi, max_len), dtype=np.intp)
-            pad_invalid = np.ones((num_multi, max_len), dtype=bool)
-            for row, (start, length) in enumerate(zip(multi_starts, multi_lens, strict=True)):
-                pad_idx[row, :length] = np.arange(start, start + length)
-                pad_invalid[row, :length] = False
-            caps_pad = multi_caps[pad_idx]
-            caps_pad[pad_invalid] = np.inf
-            pad_valid = ~pad_invalid
-            multi_rows = np.arange(num_multi)
-            # Reusable per-step buffers (survive matrix, exclusive prefix
-            # survival, attenuated contribution, effective capacity).
-            surv_pad = np.ones((num_multi, max_len))
-            surv_prefix = np.ones((num_multi, max_len))
-            own_contrib = np.empty((num_multi, max_len))
-            eff_capacity = np.empty((num_multi, max_len))
-
-        # Upstream attenuation tables for Eq. 1: the contribution of flow i
-        # to link l is its delayed sending rate run through
-        # ``r <- min(r * (1 - p_m), C_m)`` over the queued links m upstream
-        # of l in path order — the survival product capped by the smallest
-        # upstream delivered capacity.  Each p_m is read at the lag the
-        # traffic actually crossed m, ``d^f_{i,l} - d^f_{i,m}``.  Pairs
-        # whose link is the flow's first queued link have no upstream terms
-        # and keep the exact legacy arithmetic (one-hop scenarios stay
-        # bit-identical).  Pairs are sorted by upstream depth (deepest
-        # first) so each depth level is a leading slice of one ring read.
-        att_list: list[tuple[int, int, int, list[int]]] = []
-        pos = 0
-        for idx in queued_links:
-            for i in net.users(idx):
-                ups = net.upstream_queued_links(i, idx)
-                if ups:
-                    att_list.append((pos, i, idx, ups))
-                pos += 1
-        att_list.sort(key=lambda entry: -len(entry[3]))
-        att_positions = np.array([p for p, _, _, _ in att_list], dtype=np.intp)
-        att_levels: list[tuple[slice, slice, np.ndarray]] = []
-        if att_list:
-            max_depth = len(att_list[0][3])
-            att_cols: list[int] = []
-            att_delays: list[float] = []
-            for d in range(max_depth):
-                count = sum(1 for _, _, _, ups in att_list if len(ups) > d)
-                caps = np.empty(count)
-                for local, (_, i, idx, ups) in enumerate(att_list[:count]):
-                    m = ups[d]
-                    att_cols.append(link0 + 2 * num_queued + pos_of_link[m])
-                    att_delays.append(
-                        net.forward_delay(i, idx) - net.forward_delay(i, m)
-                    )
-                    caps[local] = net.links[m].capacity_pps
-                offset = len(att_cols) - count
-                att_levels.append(
-                    (slice(0, count), slice(offset, offset + count), caps)
-                )
-            reads.append(("att", np.array(att_cols), np.array(att_delays)))
-        if multi_flows:
-            reads.append(("multi_arrival", multi_arr_cols, multi_delays_arr))
-            reads.append(("multi_queue", multi_arr_cols + num_queued, multi_delays_arr))
-        read_offsets = np.concatenate(
-            [ring.offsets(cols, delays) for _, cols, delays in reads]
-        )
-        # Where each read lands in the step's read; the Eq. 1 pairs lead,
-        # so their pair positions index the read directly.
-        bounds = np.cumsum([0] + [len(cols) for _, cols, _ in reads]).tolist()
-        read_at = {
-            name: slice(bounds[k], bounds[k + 1])
-            for k, (name, _, _) in enumerate(reads)
-        }
-        s_own, s_rtt, s_y, s_q, s_p = (
-            read_at[name] for name in ("own", "rtt", "arrival", "queue", "loss")
-        )
-        s_att, s_multi_loss, s_multi_arrival, s_multi_queue = (
-            read_at.get(name) for name in ("att", "multi_loss", "multi_arrival", "multi_queue")
-        )
-
-        # Path latency (Eq. 3) = constant propagation part + the queueing
-        # delays of the flow's queued links, added one hop at a time in
-        # queued-link order, so a flow's sum does not depend on the other
-        # scenarios of a batch.  ``hop_cols[h]`` holds every flow's h-th
-        # queued link; flows with fewer hops point at the zero entry past
-        # the links.
-        latency_const = np.empty(num_flows)
-        flow_queued: list[list[int]] = []
-        for slot, i in enumerate(order):
-            path = net.paths[i]
-            acc = path.return_delay_s
-            for idx in path.link_indices:
-                acc += net.links[idx].delay_s
-            latency_const[slot] = acc
-            flow_queued.append(
-                sorted(pos_of_link[idx] for idx in path.link_indices if idx in pos_of_link)
-            )
-        max_hops = max(len(cols) for cols in flow_queued)
-        hop_cols = [
-            np.array(
-                [cols[h] if h < len(cols) else num_queued for cols in flow_queued],
-                dtype=np.intp,
-            )
-            for h in range(max_hops)
-        ]
-        queueing_delay = np.zeros(num_queued + 1)
-        queueing_delay_links = queueing_delay[:num_queued]
-
-        # Queued-link parameter arrays for Eq. 2 and Eq. 4/6.
-        link_capacity = np.array(
-            [net.links[idx].capacity_pps for idx in queued_links], dtype=float
-        )
-        link_buffer = np.array(
-            [net.links[idx].buffer_pkts for idx in queued_links], dtype=float
-        )
-        disciplines = [net.links[idx].discipline for idx in queued_links]
-        all_droptail = all(d == "droptail" for d in disciplines)
-        all_red = all(d == "red" for d in disciplines)
-        droptail_mask = np.array([d == "droptail" for d in disciplines])
-        sharpness = smooth.constant(fluid.sigmoid_sharpness)
-        exponent = smooth.constant(fluid.droptail_exponent)
-        literal_xmax = fluid.literal_xmax
-
-        # ---------- trace recording buffers ----------------------------- #
-        # One row per record and block: the flow block [rate | delivery |
-        # rtt] (the selected run of it) and the link block [queue | loss |
-        # arrival | departure] by slot/link position, each filled by a
-        # single concatenate per record, and per group the selected rows of
-        # its state block (inflight, then the model's traced fields), one
-        # copy, or none when the group records no such row.
-        steps = int(round(self.duration_s / dt))
-        record_every = max(1, int(round(RECORD_INTERVAL_S / dt)))
-        num_records = steps // record_every + 1
-        selected = self.series
-        flow_names = [
-            name for name in _FLOW_BLOCK if selected is None or name in selected
-        ]
-        flow_cols = slice(
-            _FLOW_BLOCK.index(flow_names[0]), _FLOW_BLOCK.index(flow_names[-1]) + 1
-        )
-        rec_flow = np.zeros((num_records, len(flow_names) * num_flows))
-        rec_link = np.zeros((num_records, 4 * num_queued))
+        # ---------- the run's mutable state ----------------------------- #
+        ring = DelayRing(self.ring_row.size, dt, self.max_delay, initial=self.ring_row)
+        read_offsets = ring.offsets(self.read_columns, self.read_delays)
+        rec_flow = np.zeros((self.num_records, len(self.flow_names) * num_flows))
+        rec_link = np.zeros((self.num_records, 4 * num_queued))
         record_index = 0
-
-        # ---------- CCA states: one batched group per batch key --------- #
-        states = self._states
-        dt_bound = smooth.constant(dt)
-        # (model, slots, batch, reusable FlowInputsBatch, recorded row
-        # names, record) and, for the groups that record a row, (batch,
-        # rows, record).
+        # Per group (model, slots, batch, reusable FlowInputsBatch, record
+        # or ``None``) and, for the groups that record a row, (batch, rows,
+        # record).
         batch_groups = []
         record_groups = []
-        start = 0
-        for flow_ids in group_indices.values():
-            model = self.models[flow_ids[0]]
-            batch = model.make_batch([states[i] for i in flow_ids])
-            slots = slice(start, start + len(flow_ids))
-            start = slots.stop
+        for model, slots, flow_ids, rows, names in self.groups:
+            batch = model.make_batch([self._states[i] for i in flow_ids])
             inputs = FlowInputsBatch(
-                dt=dt_bound,
-                tau=latency_const,
-                tau_delayed=latency_const,
-                path_loss=latency_const,
-                delivery_rate=latency_const,
-                rate_delayed=latency_const,
-                literal_xmax=literal_xmax,
+                dt=self.dt_bound,
+                tau=self.latency_const,
+                tau_delayed=self.latency_const,
+                path_loss=self.latency_const,
+                delivery_rate=self.latency_const,
+                rate_delayed=self.latency_const,
+                literal_xmax=self.configs[0].fluid.literal_xmax,
             )
-            row_names = ("inflight", *model.traced)
-            kept = [
-                row
-                for row, name in enumerate(row_names)
-                if selected is None or name in selected
-            ]
-            names = [row_names[row] for row in kept]
             record = None
-            if kept:
-                record = np.zeros((num_records, len(kept), batch.size))
-                # Leading rows (the full record) are one slice copy.
-                rows = (
-                    slice(0, len(kept))
-                    if kept == list(range(len(kept)))
-                    else np.array(kept, dtype=np.intp)
-                )
+            if rows is not None:
+                record = np.zeros((self.num_records, len(names), batch.size))
                 record_groups.append((batch, rows, record))
-            batch_groups.append((model, slots, batch, inputs, names, record))
-
-        # ---------- mutable per-step arrays ----------------------------- #
+            batch_groups.append((model, slots, batch, inputs, record))
+        arrival = np.zeros(num_queued)
         queue_arr = np.zeros(num_queued)
+        queueing_delay = np.zeros(num_queued + 1)
+        queueing_delay_links = queueing_delay[:num_queued]
         rates_all = np.zeros(num_flows)
-        delivery_rates = np.zeros(num_flows)
+        # Multi-hop scratch: survive matrix (padding stays 1), exclusive
+        # prefix survival (column 0 stays 1), attenuated contribution and
+        # effective capacity.
+        surv_pad = np.ones(self.pad_idx.shape)
+        surv_prefix = np.ones(self.pad_idx.shape)
+        own_contrib = np.empty(self.pad_idx.shape)
+        eff_capacity = np.empty(self.pad_idx.shape)
+        # Churn state: cumulative delivered volume drives finite-size
+        # completion; completed (or stopped) flows are masked out of the
+        # CCA updates from the *next* step on, so their rate pins to zero
+        # and they contribute no arrivals.
+        delivered_vol = np.zeros(num_flows)
+        completed = np.zeros(num_flows, dtype=bool)
+        end_times = np.full(num_flows, math.nan)
 
-        for step in range(steps + 1):
+        for step in range(self.steps + 1):
             t = step * dt
             delayed = ring.read(read_offsets)
 
             # 1. Link arrival rates from delayed sending rates (Eq. 1),
             # attenuated by upstream loss and capacity along each path.
-            if att_positions.size:
-                att_surv = ONE - delayed[s_att]
-                contrib = delayed[att_positions]
-                for rows, seg, caps in att_levels:
+            if self.att_positions.size:
+                att_surv = ONE - delayed[read_at["att"]]
+                contrib = delayed[self.att_positions]
+                for rows, seg, caps in self.att_levels:
                     np.minimum(contrib[rows] * att_surv[seg], caps, out=contrib[rows])
-                delayed[att_positions] = contrib
-            for rows, pairs in eq1_blocks:
+                delayed[self.att_positions] = contrib
+            for rows, pairs in self.eq1_blocks:
                 arrival[rows] = np.add.reduce(delayed[pairs], axis=1)
-            if all_droptail:
+            if self.all_droptail:
                 loss = queues.droptail_loss_vec(
-                    arrival, link_capacity, queue_arr, link_buffer, sharpness, exponent
+                    arrival, self.link_capacity, queue_arr, self.link_buffer, self.sharpness, self.exponent
                 )
-            elif all_red:
-                loss = queues.red_loss_vec(queue_arr, link_buffer)
+            elif self.all_red:
+                loss = queues.red_loss_vec(queue_arr, self.link_buffer)
             else:
                 loss = np.where(
-                    droptail_mask,
+                    self.droptail_mask,
                     queues.droptail_loss_vec(
-                        arrival, link_capacity, queue_arr, link_buffer, sharpness, exponent
+                        arrival, self.link_capacity, queue_arr, self.link_buffer, self.sharpness, self.exponent
                     ),
-                    queues.red_loss_vec(queue_arr, link_buffer),
+                    queues.red_loss_vec(queue_arr, self.link_buffer),
                 )
             departure = np.where(
                 queue_arr > ZERO,
-                link_capacity,
-                np.minimum((ONE - loss) * arrival, link_capacity),
+                self.link_capacity,
+                np.minimum((ONE - loss) * arrival, self.link_capacity),
             )
 
             # 2. Per-flow observations: path latency (Eq. 3), observed loss
             # (Eq. 7) and delivery rate (Eq. 17), all flows at once.
-            np.divide(queue_arr, link_capacity, out=queueing_delay_links)
-            path_queueing = queueing_delay[hop_cols[0]]
-            for cols in hop_cols[1:]:
+            np.divide(queue_arr, self.link_capacity, out=queueing_delay_links)
+            path_queueing = queueing_delay[self.hop_cols[0]]
+            for cols in self.hop_cols[1:]:
                 path_queueing += queueing_delay[cols]
-            latency = latency_const + path_queueing
-            own_delayed = delayed[s_own]
-            tau_delayed = delayed[s_rtt]
-            y_delayed = delayed[s_y]
-            q_delayed = delayed[s_q]
-            p_delayed = delayed[s_p]
-            if multi_flows:
-                survive = ONE - delayed[s_multi_loss]
-                p_delayed[multi_flows_arr] = ONE - np.multiply.reduceat(
-                    survive, multi_starts
+            latency = self.latency_const + path_queueing
+            own_delayed = delayed[read_at["own"]]
+            tau_delayed = delayed[read_at["rtt"]]
+            y_delayed = delayed[read_at["arrival"]]
+            q_delayed = delayed[read_at["queue"]]
+            p_delayed = delayed[read_at["loss"]]
+            if self.multi_slots.size:
+                survive = ONE - delayed[read_at["multi_loss"]]
+                p_delayed[self.multi_slots] = ONE - np.multiply.reduceat(
+                    survive, self.multi_starts
                 )
             has_arrival = y_delayed > ZERO
-            saturated = (q_delayed > ZERO) | (y_delayed > btl_capacity)
+            saturated = (q_delayed > ZERO) | (y_delayed > self.btl_capacity)
             y_safe = np.where(has_arrival, y_delayed, ONE)
             delivery_rates = np.where(
                 saturated & has_arrival,
-                np.minimum(own_delayed / y_safe * btl_capacity, btl_capacity),
-                np.minimum(own_delayed, btl_capacity),
+                np.minimum(own_delayed / y_safe * self.btl_capacity, self.btl_capacity),
+                np.minimum(own_delayed, self.btl_capacity),
             )
-            if multi_flows:
+            if self.multi_slots.size:
                 # Effective bottleneck for multi-hop flows: exclusive prefix
                 # survival S_l and the flow's attenuated contribution R_l
                 # (min(r * s, C) recursion) along each segment, then the
                 # argmin of C_l / S_l picks the reference link (first on
-                # ties = most upstream).  All segments are processed as the
-                # padded (num_multi, max_len) matrix built above.
-                if ragged:
-                    # Padding entries keep their initial survive = 1.0.
-                    np.place(surv_pad, pad_valid, survive)
-                else:
-                    surv_pad = survive.reshape(num_multi, max_len)
+                # ties = most upstream), over the padded matrix.
+                np.place(surv_pad, self.pad_valid, survive)
                 np.cumprod(surv_pad[:, :-1], axis=1, out=surv_prefix[:, 1:])
-                own_contrib[:, 0] = own_delayed[multi_flows_arr]
-                for d in range(1, max_len):
+                own_contrib[:, 0] = own_delayed[self.multi_slots]
+                for d in range(1, own_contrib.shape[1]):
                     np.minimum(
                         own_contrib[:, d - 1] * surv_pad[:, d - 1],
-                        caps_pad[:, d - 1],
+                        self.caps_pad[:, d - 1],
                         out=own_contrib[:, d],
                     )
                 # An upstream link dropping everything (RED at a full
@@ -663,25 +651,22 @@ class FluidSimulator:
                 # the links behind it, so their effective capacity is
                 # infinite rather than a division by zero.
                 unreachable = surv_prefix == ZERO
-                if np.count_nonzero(unreachable):
-                    np.divide(
-                        caps_pad,
-                        np.where(unreachable, ONE, surv_prefix),
-                        out=eff_capacity,
-                    )
-                    eff_capacity[unreachable] = np.inf
-                else:
-                    np.divide(caps_pad, surv_prefix, out=eff_capacity)
+                np.divide(
+                    self.caps_pad,
+                    np.where(unreachable, ONE, surv_prefix),
+                    out=eff_capacity,
+                )
+                eff_capacity[unreachable] = np.inf
                 choice = np.argmin(eff_capacity, axis=1)
-                chosen = pad_idx[multi_rows, choice]
-                cap_dyn = multi_caps[chosen]
-                y_dyn = delayed[s_multi_arrival][chosen]
-                q_dyn = delayed[s_multi_queue][chosen]
-                own_dyn = own_contrib[multi_rows, choice]
+                chosen = self.pad_idx[self.multi_rows, choice]
+                cap_dyn = self.multi_caps[chosen]
+                y_dyn = delayed[read_at["multi_arrival"]][chosen]
+                q_dyn = delayed[read_at["multi_queue"]][chosen]
+                own_dyn = own_contrib[self.multi_rows, choice]
                 has_dyn = y_dyn > ZERO
                 sat_dyn = (q_dyn > ZERO) | (y_dyn > cap_dyn)
                 y_safe_dyn = np.where(has_dyn, y_dyn, ONE)
-                delivery_rates[multi_flows_arr] = np.where(
+                delivery_rates[self.multi_slots] = np.where(
                     sat_dyn & has_dyn,
                     np.minimum(own_dyn / y_safe_dyn * cap_dyn, cap_dyn),
                     np.minimum(own_dyn, cap_dyn),
@@ -696,11 +681,13 @@ class FluidSimulator:
             # and sends nothing: one mask over the group's block and one
             # over its rate (none once every flow of a static population
             # has started).
-            if churn:
-                active_all = (start_times <= t) & (t < stop_times) & ~completed
+            if self.churn:
+                active_all = (
+                    (self.start_times <= t) & (t < self.stop_times) & ~completed
+                )
             else:
-                active_all = None if t >= max_start else start_times <= t
-            for model, slots, batch, inputs, _, _ in batch_groups:
+                active_all = None if t >= self.max_start else self.start_times <= t
+            for model, slots, batch, inputs, _ in batch_groups:
                 inputs.tau = tau_floored[slots]
                 inputs.tau_delayed = tau_delayed[slots]
                 inputs.path_loss = path_loss[slots]
@@ -716,24 +703,24 @@ class FluidSimulator:
                     batch.block = np.where(active, block, batch.block)
                 rates_all[slots] = batch.rate
 
-            if churn:
+            if self.churn:
                 # Finite-size completion: only active flows accumulate
                 # delivered volume, and a crossing takes effect (flow
                 # masked inactive) from the next step.
                 np.add(
                     delivered_vol,
-                    delivery_rates * dt_bound,
+                    delivery_rates * self.dt_bound,
                     out=delivered_vol,
                     where=active_all,
                 )
-                newly_done = (delivered_vol >= sizes) & ~completed
+                newly_done = (delivered_vol >= self.sizes) & ~completed
                 completed |= newly_done
                 end_times[newly_done] = t
 
             # 4. Record (before integrating queues so t=0 is captured).
-            if step % record_every == 0 and record_index < num_records:
+            if step % self.record_every == 0 and record_index < self.num_records:
                 np.concatenate(
-                    (rates_all, delivery_rates, latency)[flow_cols],
+                    (rates_all, delivery_rates, latency)[self.flow_cols],
                     out=rec_flow[record_index],
                 )
                 np.concatenate(
@@ -745,27 +732,17 @@ class FluidSimulator:
 
             # 5. Integrate the link queues (Eq. 2).
             queue_arr = queues.step_queue_vec(
-                queue_arr, arrival, link_capacity, loss, link_buffer, dt_bound
+                queue_arr, arrival, self.link_capacity, loss, self.link_buffer, self.dt_bound
             )
 
             # 6. Push the step's row (the queue after its Eq. 2 step).
             ring.push((rates_all, latency, arrival, queue_arr, loss))
 
         self.runtime = {
-            "steps": steps + 1,
+            "steps": self.steps + 1,
             "flows": num_flows,
             "links": num_queued,
         }
-        # Per-flow departure times (``None``: never departed).
-        flow_ends: list[float | None] = [None] * num_flows
-        if churn:
-            flow_completed = completed[slot_of]
-            flow_end_times = end_times[slot_of]
-            for i in range(num_flows):
-                if flow_completed[i]:
-                    flow_ends[i] = float(flow_end_times[i])
-                elif flow_stops[i] <= self.duration_s:
-                    flow_ends[i] = float(flow_stops[i])
 
         # ---------- traces: views of the record blocks ------------------ #
         # A flow's series are its slot column of the flow block and of its
@@ -774,19 +751,27 @@ class FluidSimulator:
         records = slice(0, record_index)
 
         def flow_series(name: str, slot: int) -> np.ndarray | None:
-            if name not in flow_names:
+            if name not in self.flow_names:
                 return None
-            return rec_flow[records, flow_names.index(name) * num_flows + slot]
+            return rec_flow[records, self.flow_names.index(name) * num_flows + slot]
 
         ccas = [flow.cca for cfg in self.configs for flow in cfg.flows]
         flows: dict[int, FlowTrace] = {}
-        for _, slots, _, _, names, record in batch_groups:
-            for col, i in enumerate(order[slots]):
+        for (_, slots, flow_ids, _, names), (*_, record) in zip(
+            self.groups, batch_groups, strict=True
+        ):
+            for col, i in enumerate(flow_ids):
                 slot = slots.start + col
                 rows = {
                     name: record[records, row, col] for row, name in enumerate(names)
                 }
                 inflight = rows.pop("inflight", None)
+                # Departure time (``None``: never departed).
+                end_time: float | None = None
+                if completed[slot]:
+                    end_time = float(end_times[slot])
+                elif self.stop_times[slot] <= self.duration_s:
+                    end_time = float(self.stop_times[slot])
                 flows[i] = FlowTrace(
                     cca=ccas[i],
                     rate=flow_series("rate", slot),
@@ -795,9 +780,10 @@ class FluidSimulator:
                     inflight=inflight,
                     rtt=flow_series("rtt", slot),
                     extras=rows,
-                    start_time_s=float(flow_starts[i]),
-                    end_time_s=flow_ends[i],
+                    start_time_s=float(self.start_times[slot]),
+                    end_time_s=end_time,
                 )
+        net = self.network
         links = [
             LinkTrace(
                 name=net.links[idx].name,
@@ -808,9 +794,9 @@ class FluidSimulator:
                 arrival_rate=rec_link[records, 2 * num_queued + pos],
                 departure_rate=rec_link[records, 3 * num_queued + pos],
             )
-            for pos, idx in enumerate(queued_links)
+            for pos, idx in enumerate(self.queued_links)
         ]
-        time = (np.arange(record_index) * record_every) * dt
+        time = (np.arange(record_index) * self.record_every) * dt
         traces: list[Trace] = []
         flow_at = link_at = 0
         for scenario_flows, scenario_links in self._sizes:
@@ -825,6 +811,18 @@ class FluidSimulator:
             flow_at += scenario_flows
             link_at += scenario_links
         return traces
+
+
+def _freeze(value: object) -> None:
+    """Mark every array in ``value`` (lists, tuples and dicts too) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _freeze(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item)
 
 
 def simulate(config: ScenarioConfig, *, series: Sequence[str] | None = None) -> Trace:

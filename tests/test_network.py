@@ -95,51 +95,21 @@ def asymmetric_parking_lot(capacities_pps=(5000.0, 4000.0, 4000.0)) -> Network:
 
 
 class TestEffectiveBottleneck:
-    """``bottleneck_of`` under upstream-survival scaling (attenuation fix)."""
+    """``bottleneck_of``'s raw pick and the upstream-link helper.
+
+    The effective (survival-scaled) bottleneck is picked by the fluid step
+    and pinned by the multi-hop fluid goldens and ``test_attenuation.py``.
+    """
 
     def test_raw_pick_is_smallest_capacity(self):
         net = asymmetric_parking_lot((5000.0, 4000.0, 4500.0))
         assert net.bottleneck_of(0) == 1
 
     def test_raw_tie_picks_most_upstream(self):
-        # Ordering on ties: with equal (effective) capacities the most
+        # Ordering on ties: with equal capacities the most
         # upstream link binds first and must be the reference.
         net = asymmetric_parking_lot((4000.0, 4000.0, 4000.0))
         assert net.bottleneck_of(0) == 0
-        assert net.bottleneck_of(0, survival={}) == 0
-
-    def test_upstream_loss_shields_downstream_link(self):
-        # hop-2 has the smallest raw capacity, but heavy loss at hop-1
-        # thins the flow's traffic: saturating hop-2 now takes a sending
-        # rate of 4000/0.7 > 5000, so hop-1 is the effective bottleneck.
-        net = asymmetric_parking_lot((5000.0, 4000.0, 4500.0))
-        survival = {0: 1.0, 1: 0.7, 2: 0.7}
-        assert net.bottleneck_of(0, survival=survival) == 0
-
-    def test_mild_loss_keeps_raw_bottleneck(self):
-        net = asymmetric_parking_lot((5000.0, 4000.0, 4500.0))
-        survival = {0: 1.0, 1: 0.99, 2: 0.99}
-        assert net.bottleneck_of(0, survival=survival) == 1
-
-    def test_effective_tie_picks_most_upstream(self):
-        # 4000 / 0.8 == 5000 exactly: a tie between hop-1 and hop-2 in
-        # effective capacity resolves to the upstream hop-1.
-        net = asymmetric_parking_lot((5000.0, 4000.0, 4500.0))
-        survival = {1: 0.8, 2: 0.8}
-        assert net.bottleneck_of(0, survival=survival) == 0
-
-    def test_invalid_survival_rejected(self):
-        net = asymmetric_parking_lot()
-        with pytest.raises(ValueError, match="survival"):
-            net.bottleneck_of(0, survival={1: -0.1})
-        with pytest.raises(ValueError, match="survival"):
-            net.bottleneck_of(0, survival={1: 1.5})
-
-    def test_zero_survival_makes_link_unreachable(self):
-        # Everything dropped upstream of hop-2: it can never be the
-        # reference even though its raw capacity is the smallest.
-        net = asymmetric_parking_lot((5000.0, 4000.0, 4500.0))
-        assert net.bottleneck_of(0, survival={1: 0.0, 2: 0.0}) == 0
 
     def test_upstream_queued_links(self):
         net = asymmetric_parking_lot()
